@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"roadknn/internal/frame"
 	"roadknn/internal/roadnet"
 )
 
@@ -214,46 +215,36 @@ func (d *Delta) AppendBinary(buf []byte) []byte {
 // safe: malformed bytes produce an error, never a panic or an oversized
 // allocation.
 func UnmarshalDelta(data []byte) (*Delta, error) {
-	d := snapDecoder{buf: data}
+	d := frame.NewCursor(data)
 	out := &Delta{
-		epoch: d.u64(),
-		stamp: d.u64(),
+		epoch: d.U64(),
+		stamp: d.U64(),
 	}
-	n := int(d.u32())
-	if d.err == nil && n > (len(data)-d.off)/13 { // min 13 bytes per query entry
-		return nil, fmt.Errorf("core: delta header claims %d queries in %d bytes", n, len(data))
-	}
-	for i := 0; i < n && d.err == nil; i++ {
+	n := d.Count(13) // id + flags + two counts
+	for i := 0; i < n; i++ {
 		var qd QueryDelta
-		qd.ID = QueryID(d.u32())
-		fl := d.byte()
+		qd.ID = QueryID(d.U32())
+		fl := d.Byte()
 		if fl&^deltaFlagRemoved != 0 {
 			return nil, fmt.Errorf("core: delta query %d: unknown flag bits %#x", qd.ID, fl)
 		}
 		qd.Removed = fl&deltaFlagRemoved != 0
-		nl := int(d.u32())
-		if d.err == nil && nl > (len(data)-d.off)/4 {
-			return nil, fmt.Errorf("core: delta query %d claims %d left in %d remaining bytes", qd.ID, nl, len(data)-d.off)
+		if nl := d.Count(4); nl > 0 {
+			qd.Left = make([]roadnet.ObjectID, nl)
+			for j := range qd.Left {
+				qd.Left[j] = roadnet.ObjectID(d.I32())
+			}
 		}
-		for j := 0; j < nl && d.err == nil; j++ {
-			qd.Left = append(qd.Left, roadnet.ObjectID(int32(d.u32())))
-		}
-		nu := int(d.u32())
-		if d.err == nil && nu > (len(data)-d.off)/12 {
-			return nil, fmt.Errorf("core: delta query %d claims %d updated in %d remaining bytes", qd.ID, nu, len(data)-d.off)
-		}
-		for j := 0; j < nu && d.err == nil; j++ {
-			obj := roadnet.ObjectID(int32(d.u32()))
-			dist := math.Float64frombits(d.u64())
-			qd.Updated = append(qd.Updated, Neighbor{Obj: obj, Dist: dist})
+		if nu := d.Count(12); nu > 0 {
+			qd.Updated = make([]Neighbor, nu)
+			for j := range qd.Updated {
+				qd.Updated[j] = Neighbor{Obj: roadnet.ObjectID(d.I32()), Dist: d.F64()}
+			}
 		}
 		out.Queries = append(out.Queries, qd)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("core: %d trailing bytes after delta", len(data)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: delta: %w", err)
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"roadknn/internal/frame"
 	"roadknn/internal/roadnet"
 )
 
@@ -77,80 +78,25 @@ func (s *Snapshot) CRC32() uint32 {
 // detached, immutable snapshot (not published anywhere); it is the read
 // side used by checkpoint loading and debugging tools.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
-	d := snapDecoder{buf: data}
+	d := frame.NewCursor(data)
 	s := &Snapshot{
-		epoch: d.u64(),
-		stamp: d.u64(),
+		epoch: d.U64(),
+		stamp: d.U64(),
 	}
-	n := int(d.u32())
-	if d.err == nil && n > len(data)/8 { // cheap sanity bound before allocating
-		return nil, fmt.Errorf("core: snapshot header claims %d queries in %d bytes", n, len(data))
-	}
+	n := d.Count(8) // id + neighbor count
 	s.ids = make([]QueryID, 0, n)
 	s.res = make([][]Neighbor, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		id := QueryID(d.u32())
-		nn := int(d.u32())
-		if d.err == nil && nn > (len(data)-d.off)/12 {
-			return nil, fmt.Errorf("core: snapshot query %d claims %d neighbors in %d remaining bytes", id, nn, len(data)-d.off)
-		}
-		res := make([]Neighbor, 0, nn)
-		for j := 0; j < nn && d.err == nil; j++ {
-			obj := d.u32()
-			dist := math.Float64frombits(d.u64())
-			res = append(res, Neighbor{Obj: roadnet.ObjectID(int32(obj)), Dist: dist})
+	for i := 0; i < n; i++ {
+		id := QueryID(d.U32())
+		res := make([]Neighbor, d.Count(12))
+		for j := range res {
+			res[j] = Neighbor{Obj: roadnet.ObjectID(d.I32()), Dist: d.F64()}
 		}
 		s.ids = append(s.ids, id)
 		s.res = append(s.res, res)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(data)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
 	return s, nil
-}
-
-type snapDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *snapDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("core: snapshot truncated at byte %d", len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *snapDecoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *snapDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *snapDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
 }

@@ -47,12 +47,14 @@ type deltaCursor struct {
 // oracle (epoch -> canonical snapshot bytes recorded at publish time).
 func (c *deltaCursor) advance(t *testing.T, s *Server, oracle map[uint64][]byte) {
 	t.Helper()
-	deltas, resync := s.waitDelta(context.Background(), c.snap.Epoch(), 0)
-	if resync != nil {
-		c.snap = resync
+	sub := &subscription{s: s, since: c.snap.Epoch()}
+	adv := sub.next(context.Background(), 0)
+	if adv.resync {
+		c.snap = adv.head
 		c.resyncs++
 	}
-	for _, d := range deltas {
+	for _, snap := range adv.chain {
+		d := snap.Delta()
 		next, err := d.Apply(c.snap)
 		if err != nil {
 			t.Fatalf("%s: apply delta for epoch %d: %v", c.name, d.Epoch(), err)

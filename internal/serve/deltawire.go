@@ -3,16 +3,14 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"mime"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"roadknn"
 	"roadknn/internal/core"
+	"roadknn/internal/frame"
 )
 
 // This file implements the binary delta stream, content-negotiated on
@@ -23,15 +21,8 @@ import (
 //
 // so follower replicas and high-volume external subscribers share one
 // codec with the snapshot/checkpoint machinery instead of re-parsing
-// JSON. The body starts with an 8-byte header:
-//
-//	"RKDS" | u32 version (=1)
-//
-// followed by frames, each framed exactly like a WAL record:
-//
-//	u32 len(payload) | u32 crc32c(payload) | payload
-//
-// with payload[0] the frame type:
+// JSON. The body is a frame stream (see internal/frame) under the header
+// "RKDS" | version 1, with payload[0] the frame type:
 //
 //	1 delta:     payload[1:] is core.Delta.AppendBinary — one epoch's churn
 //	2 resync:    payload[1:] is core.Snapshot.AppendBinary — a full re-seed
@@ -45,7 +36,6 @@ import (
 const (
 	deltaStreamMagic   = "RKDS"
 	deltaStreamVersion = 1
-	deltaStreamHdrLen  = 8
 
 	// DeltaStreamContentType negotiates the binary delta stream.
 	DeltaStreamContentType = "application/x-roadknn-delta"
@@ -72,85 +62,68 @@ func wantsBinaryDelta(r *http.Request) bool {
 	return false
 }
 
-// appendDeltaStreamHeader appends the stream header to buf.
-func appendDeltaStreamHeader(buf []byte) []byte {
-	buf = append(buf, deltaStreamMagic...)
-	return binary.LittleEndian.AppendUint32(buf, deltaStreamVersion)
+// binaryDeltas is the binary-frames encoder. ?queries= filters delta
+// frames only; resync frames stay full snapshots — the binary snapshot
+// encoding is canonical (CRC-verified against the engine's), so it is
+// never subsetted.
+var binaryDeltas = streamEncoding{
+	contentType: DeltaStreamContentType,
+	preamble:    frame.AppendHeader(nil, deltaStreamMagic, deltaStreamVersion),
+	appendAdvance: func(b []byte, adv advance, only querySet) ([]byte, error) {
+		switch {
+		case adv.resync:
+			return frame.Append(b, func(p []byte) []byte {
+				return adv.head.AppendBinary(append(p, DeltaFrameResync))
+			}), nil
+		case adv.chain == nil:
+			return appendHeartbeatFrame(b, adv.head.Epoch()), nil
+		}
+		for _, snap := range adv.chain {
+			if d := filterDelta(snap.Delta(), only); d != nil {
+				b = frame.Append(b, func(p []byte) []byte {
+					return d.AppendBinary(append(p, DeltaFrameDelta))
+				})
+			}
+		}
+		return b, nil
+	},
 }
 
-// appendDeltaStreamFrame frames one payload (type byte included) onto buf.
-func appendDeltaStreamFrame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, wireCRC))
-	return append(buf, payload...)
-}
-
-func deltaFrame(d *roadknn.Delta) []byte {
-	return appendDeltaStreamFrame(nil, d.AppendBinary([]byte{DeltaFrameDelta}))
-}
-
-func resyncFrame(snap *roadknn.Snapshot) []byte {
-	return appendDeltaStreamFrame(nil, snap.AppendBinary([]byte{DeltaFrameResync}))
-}
-
-func heartbeatFrame(epoch uint64) []byte {
-	payload := make([]byte, 1, 9)
-	payload[0] = DeltaFrameHeartbeat
-	payload = binary.LittleEndian.AppendUint64(payload, epoch)
-	return appendDeltaStreamFrame(nil, payload)
+func appendHeartbeatFrame(b []byte, epoch uint64) []byte {
+	return frame.Append(b, func(p []byte) []byte {
+		return binary.LittleEndian.AppendUint64(append(p, DeltaFrameHeartbeat), epoch)
+	})
 }
 
 // DeltaStreamReader is the client side of the binary delta stream (tests,
 // subscriber tooling). It verifies the header on the first Next call and
 // every frame's CRC; any corruption is a hard error.
 type DeltaStreamReader struct {
-	r       io.Reader
-	seen    bool
-	scratch []byte
+	fr   *frame.Reader
+	seen bool
 }
 
 // NewDeltaStreamReader wraps the response body of a binary delta request.
 func NewDeltaStreamReader(r io.Reader) *DeltaStreamReader {
-	return &DeltaStreamReader{r: r}
+	return &DeltaStreamReader{fr: frame.NewReader(r, wireMaxFrame)}
 }
 
 // Next returns the next frame's type byte and payload (valid until the
 // following call). io.EOF marks a cleanly ended stream.
 func (d *DeltaStreamReader) Next() (byte, []byte, error) {
 	if !d.seen {
-		var hdr [deltaStreamHdrLen]byte
-		if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+		v, err := d.fr.Header(deltaStreamMagic)
+		if err != nil {
 			return 0, nil, err
 		}
-		if string(hdr[:4]) != deltaStreamMagic {
-			return 0, nil, fmt.Errorf("serve: bad delta stream magic %q", hdr[:4])
-		}
-		if v := binary.LittleEndian.Uint32(hdr[4:]); v != deltaStreamVersion {
+		if v != deltaStreamVersion {
 			return 0, nil, fmt.Errorf("serve: unsupported delta stream version %d", v)
 		}
 		d.seen = true
 	}
-	var fh [8]byte
-	if _, err := io.ReadFull(d.r, fh[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("serve: torn delta frame header")
-		}
+	payload, err := d.fr.Next()
+	if err != nil {
 		return 0, nil, err
-	}
-	plen := binary.LittleEndian.Uint32(fh[:4])
-	crc := binary.LittleEndian.Uint32(fh[4:])
-	if plen == 0 || plen > wireMaxFrame {
-		return 0, nil, fmt.Errorf("serve: bad delta frame length %d", plen)
-	}
-	if cap(d.scratch) < int(plen) {
-		d.scratch = make([]byte, plen)
-	}
-	payload := d.scratch[:plen]
-	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("serve: torn delta frame: %w", err)
-	}
-	if crc32.Checksum(payload, wireCRC) != crc {
-		return 0, nil, fmt.Errorf("serve: delta frame CRC mismatch")
 	}
 	return payload[0], payload[1:], nil
 }
@@ -174,41 +147,13 @@ func DecodeDeltaFrame(typ byte, payload []byte) (*roadknn.Delta, *roadknn.Snapsh
 	return nil, nil, 0, fmt.Errorf("serve: unknown delta frame type %d", typ)
 }
 
-// parseQueriesFilter resolves the optional ?queries= parameter of the
-// delta endpoints: a comma-separated query-id list restricting what the
-// subscriber receives. nil means no filtering (the default).
-func parseQueriesFilter(w http.ResponseWriter, r *http.Request) (map[roadknn.QueryID]struct{}, bool) {
-	qs := r.URL.Query().Get("queries")
-	if qs == "" {
-		return nil, true
-	}
-	set := make(map[roadknn.QueryID]struct{})
-	for _, part := range strings.Split(qs, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 32)
-		if err != nil {
-			http.Error(w, "bad ?queries= (want a comma-separated id list)", http.StatusBadRequest)
-			return nil, false
-		}
-		set[roadknn.QueryID(v)] = struct{}{}
-	}
-	if len(set) == 0 {
-		http.Error(w, "bad ?queries= (want a comma-separated id list)", http.StatusBadRequest)
-		return nil, false
-	}
-	return set, true
-}
-
 // filterDelta restricts a delta to the subscribed queries. It returns d
 // unchanged when only is nil, a shallow filtered copy when some rows
 // match, and nil when none do — the caller skips the delta entirely (safe:
 // a skipped epoch carries zero changes for every subscribed query, so the
 // client's reconstruction is unaffected; its cursor still advances past
 // it).
-func filterDelta(d *roadknn.Delta, only map[roadknn.QueryID]struct{}) *roadknn.Delta {
+func filterDelta(d *roadknn.Delta, only querySet) *roadknn.Delta {
 	if only == nil {
 		return d
 	}
@@ -232,166 +177,4 @@ func filterDelta(d *roadknn.Delta, only map[roadknn.QueryID]struct{}) *roadknn.D
 		}
 	}
 	return &fd
-}
-
-// parseSinceWait resolves the ?since / ?wait_ms parameters shared by the
-// delta endpoints. hasSince is false when the client wants a bootstrap.
-func (s *Server) parseSinceWait(w http.ResponseWriter, r *http.Request) (since uint64, hasSince bool, wait time.Duration, ok bool) {
-	q := r.URL.Query()
-	wait = s.cfg.MaxWait
-	if ws := q.Get("wait_ms"); ws != "" {
-		ms, err := strconv.Atoi(ws)
-		if err != nil || ms < 0 {
-			http.Error(w, "bad ?wait_ms=", http.StatusBadRequest)
-			return 0, false, 0, false
-		}
-		if d := time.Duration(ms) * time.Millisecond; d < wait {
-			wait = d
-		}
-	}
-	if ss := q.Get("since"); ss != "" {
-		v, err := strconv.ParseUint(ss, 10, 64)
-		if err != nil {
-			http.Error(w, "bad ?since=", http.StatusBadRequest)
-			return 0, false, 0, false
-		}
-		return v, true, wait, true
-	}
-	return 0, false, wait, true
-}
-
-// handleDeltaBinary is the binary form of the /v1/delta long poll: one
-// response holding either delta frames, a resync frame, or a heartbeat.
-func (s *Server) handleDeltaBinary(w http.ResponseWriter, r *http.Request) {
-	since, hasSince, wait, ok := s.parseSinceWait(w, r)
-	if !ok {
-		return
-	}
-	// ?queries= filters delta frames only; resync frames stay full
-	// snapshots — the binary snapshot encoding is canonical (CRC-verified
-	// against the engine's), so it is never subsetted.
-	only, ok := parseQueriesFilter(w, r)
-	if !ok {
-		return
-	}
-	s.reads.Add(1)
-	buf := appendDeltaStreamHeader(nil)
-	epoch := uint64(0)
-	if !hasSince {
-		snap := s.eng.Snapshot()
-		epoch = snap.Epoch()
-		buf = append(buf, resyncFrame(snap)...)
-	} else {
-		deltas, resync := s.waitDelta(r.Context(), since, wait)
-		switch {
-		case resync != nil:
-			epoch = resync.Epoch()
-			buf = append(buf, resyncFrame(resync)...)
-		case len(deltas) > 0:
-			for _, d := range deltas {
-				if fd := filterDelta(d, only); fd != nil {
-					buf = append(buf, deltaFrame(fd)...)
-				}
-			}
-			epoch = deltas[len(deltas)-1].Epoch()
-			if len(buf) == deltaStreamHdrLen {
-				// Everything filtered out: a heartbeat still advances the
-				// subscriber's cursor past the changeless epochs.
-				buf = append(buf, heartbeatFrame(epoch)...)
-			}
-		default:
-			epoch = s.broker.epoch()
-			buf = append(buf, heartbeatFrame(epoch)...)
-		}
-	}
-	w.Header().Set("Content-Type", DeltaStreamContentType)
-	w.Header().Set(epochHeader, strconv.FormatUint(epoch, 10))
-	w.Write(buf)
-}
-
-// handleDeltasBinary streams binary frames continuously: the framed twin
-// of the SSE endpoint, with the same eviction rules (send deadline,
-// consecutive-resync cutoff).
-func (s *Server) handleDeltasBinary(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	since, hasSince, _, ok := s.parseSinceWait(w, r)
-	if !ok {
-		return
-	}
-	only, ok := parseQueriesFilter(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", DeltaStreamContentType)
-	s.streamsActive.Add(1)
-	defer s.streamsActive.Add(-1)
-	rc := http.NewResponseController(w)
-	send := func(frame []byte) bool {
-		s.reads.Add(1)
-		rc.SetWriteDeadline(time.Now().Add(s.cfg.DeltaSendTimeout))
-		_, err := w.Write(frame)
-		if ferr := rc.Flush(); err == nil {
-			err = ferr
-		}
-		if err != nil {
-			s.broker.evicted.Add(1)
-			return false
-		}
-		return true
-	}
-	if _, err := w.Write(appendDeltaStreamHeader(nil)); err != nil {
-		return
-	}
-	fl.Flush()
-	last := since
-	if !hasSince {
-		snap := s.eng.Snapshot()
-		if !send(resyncFrame(snap)) {
-			return
-		}
-		last = snap.Epoch()
-	}
-	strikes := 0
-	for {
-		deltas, resync := s.waitDelta(r.Context(), last, s.cfg.MaxWait)
-		if r.Context().Err() != nil {
-			return
-		}
-		select {
-		case <-s.stopc: // server closing: end the stream
-			return
-		default:
-		}
-		switch {
-		case resync != nil:
-			if strikes++; strikes >= s.cfg.MaxResyncStrikes {
-				s.broker.evicted.Add(1)
-				return
-			}
-			if !send(resyncFrame(resync)) {
-				return
-			}
-			last = resync.Epoch()
-		case len(deltas) > 0:
-			strikes = 0
-			for _, d := range deltas {
-				fd := filterDelta(d, only)
-				if fd == nil {
-					continue // no changes for the subscribed queries
-				}
-				if !send(deltaFrame(fd)) {
-					return
-				}
-			}
-			last = deltas[len(deltas)-1].Epoch()
-		default:
-			if !send(heartbeatFrame(s.broker.epoch())) {
-				return
-			}
-		}
-	}
 }

@@ -70,6 +70,10 @@ func (s *Server) Recover(rec *wal.Recovery) (RecoveryStats, error) {
 
 	st.TruncatedBytes = rec.TruncatedBytes
 	st.DroppedCheckpoints = rec.DroppedCheckpoints
+	// One encoding buffer serves every verification below: a buffer per
+	// replayed tick would be a third of what recovery allocates, enough to
+	// pull a collection cycle into it.
+	var enc []byte
 
 	if c := rec.Checkpoint; c != nil {
 		st.CheckpointStamp, st.CheckpointEpoch = c.Stamp, c.Epoch
@@ -94,7 +98,8 @@ func (s *Server) Recover(rec *wal.Recovery) (RecoveryStats, error) {
 		s.eng.Step(u)
 		s.reconcileTopology(u)
 		cr.RestoreClock(c.Epoch, c.Stamp)
-		if got := s.eng.Snapshot().AppendBinary(nil); !bytes.Equal(got, c.Snapshot) {
+		enc = s.eng.Snapshot().AppendBinary(make([]byte, 0, len(c.Snapshot)))
+		if !bytes.Equal(enc, c.Snapshot) {
 			return st, fmt.Errorf("serve: checkpoint rebuild diverged from the checkpointed snapshot "+
 				"(stamp %d): is this the network file the log was written against?", c.Stamp)
 		}
@@ -121,8 +126,8 @@ func (s *Server) Recover(rec *wal.Recovery) (RecoveryStats, error) {
 					b.Seq, snap.Epoch(), snap.Timestamp(), t.Epoch, t.Stamp)
 			}
 			if t.SnapCRC != 0 {
-				crc, _ := snap.CRC(nil)
-				if crc != t.SnapCRC {
+				var crc uint32
+				if crc, enc = snap.CRC(enc[:0]); crc != t.SnapCRC {
 					return st, fmt.Errorf("serve: replay of batch %d produced snapshot crc %08x, log says %08x "+
 						"(is this the network file the log was written against?)", b.Seq, crc, t.SnapCRC)
 				}
@@ -161,6 +166,6 @@ func (s *Server) Recover(rec *wal.Recovery) (RecoveryStats, error) {
 	// somehow survived would be resynchronized, never silently diverged).
 	s.broker.reset(s.eng.Snapshot())
 	s.ready.Store(true)
-	s.wake() // readers parked on ?since see the recovered epoch at once
+	s.broker.wake() // readers parked on ?since see the recovered epoch at once
 	return st, nil
 }

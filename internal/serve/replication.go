@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 
 	"roadknn"
 	"roadknn/internal/core"
+	"roadknn/internal/frame"
 	"roadknn/internal/wal"
 )
 
@@ -25,9 +25,10 @@ import (
 //	                                checkpoint cadence, log position
 //	GET /v1/replication/checkpoint  the newest checkpoint image, raw
 //	                                (204 when none exists yet)
-//	GET /v1/replication/log?since=S the WAL records after sequence S:
-//	                                an 8-byte "RKRL"|u32-version header,
-//	                                then wal.EncodeRecords frames.
+//	GET /v1/replication/log?since=S the WAL records after sequence S: a
+//	                                frame stream (internal/frame) under
+//	                                the header "RKRL" | version 1, the
+//	                                frames being wal.EncodeRecords'.
 //	                                Long-polls up to ?wait_ms; answers
 //	                                410 Gone when S has been pruned away
 //	                                (the follower must re-bootstrap from
@@ -44,8 +45,6 @@ const (
 	// replLogMagic/replLogVersion frame the /v1/replication/log body.
 	replLogMagic   = "RKRL"
 	replLogVersion = 1
-	// ReplLogHdrLen is the byte length of the log response header.
-	ReplLogHdrLen = 8
 	// replLogMaxRecords caps records per log response, bounding response
 	// size; the follower simply asks again from its advanced cursor.
 	replLogMaxRecords = 512
@@ -123,20 +122,20 @@ func (s *Server) handleReplicationCheckpoint(w http.ResponseWriter, r *http.Requ
 // AppendReplLogHeader appends the log response header to buf (exported
 // for the cluster package's decoder and tests).
 func AppendReplLogHeader(buf []byte) []byte {
-	buf = append(buf, replLogMagic...)
-	return binary.LittleEndian.AppendUint32(buf, replLogVersion)
+	return frame.AppendHeader(buf, replLogMagic, replLogVersion)
 }
 
 // DecodeReplLog strips and verifies the log response header and decodes
 // the records after it.
 func DecodeReplLog(body []byte) ([]wal.BatchRecord, error) {
-	if len(body) < ReplLogHdrLen || string(body[:4]) != replLogMagic {
-		return nil, fmt.Errorf("serve: bad replication log header")
+	v, err := frame.ParseHeader(body, replLogMagic)
+	if err != nil {
+		return nil, fmt.Errorf("serve: replication log: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(body[4:8]); v != replLogVersion {
+	if v != replLogVersion {
 		return nil, fmt.Errorf("serve: unsupported replication log version %d", v)
 	}
-	return wal.DecodeRecords(body[ReplLogHdrLen:])
+	return wal.DecodeRecords(body[frame.HeaderLen:])
 }
 
 // handleReplicationLog streams the WAL records after ?since=S. A batch
@@ -144,10 +143,11 @@ func DecodeReplLog(body []byte) ([]wal.BatchRecord, error) {
 // mid-step window, and under group commit its bytes may not be durable —
 // followers must never externalize results the primary has not.
 func (s *Server) handleReplicationLog(w http.ResponseWriter, r *http.Request) {
-	since, _, wait, ok := s.parseSinceWait(w, r)
+	sub, wait, ok := s.subscribe(w, r)
 	if !ok {
 		return
 	}
+	since := sub.since // a log sequence here, not an epoch
 	l := s.cfg.WAL
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
@@ -247,7 +247,7 @@ func (s *Server) BootstrapFollower(c *wal.Checkpoint) error {
 	}
 	s.broker.reset(s.eng.Snapshot())
 	s.ready.Store(true)
-	s.wake()
+	s.broker.wake()
 	return nil
 }
 
@@ -312,7 +312,7 @@ func (s *Server) ApplyReplicated(b wal.BatchRecord) error {
 			}
 		}
 	}
-	s.wake()
+	s.broker.wake()
 	return nil
 }
 

@@ -4,44 +4,64 @@
 //
 // The design follows the serving runtime's split exactly. One goroutine —
 // the stepper — owns the engine and applies one coalesced Updates batch
-// per tick (a wall-clock ticker, an explicit POST /v1/tick, or both).
-// Readers never touch the engine's mutable state: every GET is answered
-// from the engine's latest published Snapshot, a lock-free atomic load,
-// so any number of concurrent readers poll (or long-poll, or stream)
-// results without ever blocking the pipeline. Because the Step pipeline
-// is deterministic, two replicas fed the same update stream serve
+// per tick (a wall-clock ticker, an explicit POST /v1/tick, or both), then
+// publishes the resulting immutable Snapshot to the broker. Readers never
+// touch the engine: every read route is a subscription over the broker's
+// published epochs, so any number of concurrent readers poll, long-poll or
+// stream results without ever blocking the pipeline. Because the Step
+// pipeline is deterministic, two replicas fed the same update stream serve
 // byte-identical snapshots at every epoch.
 //
-// Endpoints:
+// Write and service endpoints:
 //
 //	POST /v1/updates   ingest an update batch, coalesced into the next
 //	                   tick. Content negotiated: application/json (one
 //	                   batch document), application/x-ndjson (one report
 //	                   per line), or application/x-roadknn-updates (the
-//	                   length-prefixed binary stream, see wire.go)
+//	                   binary frame stream, see wire.go)
 //	POST /v1/tick      apply pending updates now; returns the new epoch
-//	GET  /v1/snapshot  all query results at one consistent timestamp;
-//	                   ?since=E long-polls until epoch > E (&wait_ms=N)
-//	GET  /v1/result    one query's result: ?query=ID (+since/wait_ms)
-//	GET  /v1/stream    server-sent events: one snapshot per new epoch
-//	GET  /v1/delta     long-poll cursor advance: ?since=E answers with the
-//	                   per-epoch deltas E+1..newest, or a full-snapshot
-//	                   resync when the cursor lagged off the delta ring.
-//	                   ?queries=1,2 restricts delivery to the listed query
-//	                   ids. Accept: application/x-roadknn-delta negotiates
-//	                   the binary frame stream (see deltawire.go)
-//	GET  /v1/deltas    server-sent events: one delta per published epoch
-//	                   ("resync" events re-seed the client when needed);
-//	                   ?queries= filters as above; the same Accept header
-//	                   negotiates a continuous binary frame stream instead
-//	                   of SSE
 //	GET  /v1/stats     runtime counters (epoch, steps, reads, timings, WAL)
 //	GET  /healthz      readiness probe: 503 while replaying the WAL or
 //	                   after a WAL failure degraded the server to
 //	                   read-only, 200 once serving normally
 //
-// The delta endpoints require an engine built with Options{Deltas: true};
-// without it they still work but answer every advance with a resync.
+// Read endpoints (read.go) — each is one transport times one encoder over
+// the same subscription, and all answer from the same source, the broker's
+// newest published snapshot and delta ring:
+//
+//	route          transport  encoder
+//	/v1/snapshot   long-poll  rows JSON: the full result set
+//	/v1/result     long-poll  rows JSON: the one query ?query= names
+//	/v1/delta      long-poll  delta JSON, or binary frames by Accept
+//	/v1/deltas     stream     delta JSON as SSE "delta" events, or a
+//	                          continuous binary frame stream by Accept
+//	/v1/stream     stream     rows JSON as SSE "rows" events: the full
+//	                          rows of the queries that changed that epoch
+//
+// All five take the same parameters: ?since=E is the subscriber's cursor
+// (without it the answer is the newest snapshot — on the delta and stream
+// routes a "resync" that seeds the client), ?wait_ms=N bounds a long-poll
+// below Config.MaxWait, ?query= / ?queries=1,2 restrict delivery to the
+// listed query ids. Accept: application/x-roadknn-delta negotiates the
+// binary encoder (deltawire.go). A long-poll waits until something newer
+// than the cursor is published and answers once: the snapshot, or the
+// delta chain E+1..newest, or a resync when that chain is not
+// reconstructible; when the wait runs out it answers with the newest epoch
+// and nothing else. (Deltas need an engine built with Options{Deltas:
+// true}; without it the delta and stream routes still work but answer
+// every advance with a resync.) A stream repeats that until the client
+// leaves, with three rules that hold for every encoder:
+//
+//   - keep-alive: an idle stream gets a heartbeat every Config.MaxWait,
+//     written, like every event, under a fresh DeltaSendTimeout deadline;
+//   - eviction: a subscriber is dropped (delta.evicted in /v1/stats) when
+//     one write misses that deadline, or when it needs MaxResyncStrikes
+//     ring-lag resyncs in a row. Resyncs of an engine built without
+//     Options{Deltas: true} — which has no deltas to send and resyncs at
+//     every epoch by design — are not lag and never count;
+//   - durability: an epoch reaches the broker, and with it any reader, only
+//     when the WAL policy allows (under wal.SyncAlways, after its tick
+//     record is fsynced), although the engine's own snapshot flips at Step.
 //
 // With Config.WAL set, the server is crash-safe: see the wal package and
 // Server.Recover for the durability and recovery protocol. A durable
@@ -51,14 +71,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"mime"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,13 +166,8 @@ type Server struct {
 	// stepMu serializes ticks (wall-clock and HTTP-triggered).
 	stepMu sync.Mutex
 
-	// notify is closed and replaced on every publish; long-pollers and
-	// streamers wait on it.
-	notifyMu sync.Mutex
-	notify   chan struct{}
-
-	// broker retains recent epochs for the delta endpoints (/v1/delta,
-	// /v1/deltas); the stepper publishes to it before waking waiters.
+	// broker holds the published epochs every read route answers from; the
+	// stepper publishes to it, then wakes the waiters parked on it.
 	broker *broker
 
 	// counters (atomic: written by stepper and readers concurrently).
@@ -214,14 +227,12 @@ func New(eng roadknn.Engine, cfg Config) *Server {
 		cfg:      cfg,
 		numNodes: eng.Network().G.NumNodes(),
 		batch:    NewBatcher(),
-		broker:   newBroker(cfg.DeltaRing),
-		notify:   make(chan struct{}),
+		broker:   newBroker(cfg.DeltaRing, eng.Snapshot()),
 		stopc:    make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	g := eng.Network().G
 	s.batch.InitTopology(g.NumEdges(), g.FreeEdgeIDs())
-	s.broker.reset(eng.Snapshot())
 	// Without a WAL there is nothing to recover: the server is born ready.
 	// With one, Recover must run first (even over an empty log) so clients
 	// never observe the pre-replay engine. A follower is seeded by
@@ -356,10 +367,9 @@ func (s *Server) Tick() *roadknn.Snapshot {
 	if w := s.cfg.WAL; w != nil {
 		err := w.AppendTick(snap.Epoch(), snap.Timestamp(), snap.CRC32())
 		if durableFirst {
-			// Publish even on failure: the engine has stepped, the server is
-			// about to degrade to read-only, and readers polling the engine
-			// snapshot would see the epoch anyway — the broker must stay on
-			// the same chain.
+			// Publish even on failure: the engine has stepped and /v1/tick is
+			// about to acknowledge this epoch, so the read-only server the
+			// failure leaves behind serves it rather than a stale one.
 			s.broker.publish(snap)
 		}
 		if err != nil {
@@ -378,7 +388,7 @@ func (s *Server) Tick() *roadknn.Snapshot {
 			}
 		}
 	}
-	s.wake()
+	s.broker.wake()
 	return snap
 }
 
@@ -442,82 +452,7 @@ func (s *Server) checkpointLocked() {
 	}
 }
 
-// wake releases everyone waiting for a new epoch.
-func (s *Server) wake() {
-	s.notifyMu.Lock()
-	close(s.notify)
-	s.notify = make(chan struct{})
-	s.notifyMu.Unlock()
-}
-
-// waitNewer returns the latest snapshot with epoch > since, waiting up to
-// wait for one to be published. On timeout it returns the current
-// snapshot (callers report its epoch; clients re-poll).
-func (s *Server) waitNewer(ctx context.Context, since uint64, wait time.Duration) *roadknn.Snapshot {
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	for {
-		snap := s.eng.Snapshot()
-		if snap.Epoch() > since {
-			return snap
-		}
-		s.notifyMu.Lock()
-		ch := s.notify
-		s.notifyMu.Unlock()
-		// Re-check after grabbing the channel: a publish between the first
-		// check and the grab would otherwise be missed.
-		if snap = s.eng.Snapshot(); snap.Epoch() > since {
-			return snap
-		}
-		select {
-		case <-ch:
-		case <-deadline.C:
-			return s.eng.Snapshot()
-		case <-ctx.Done():
-			return s.eng.Snapshot()
-		case <-s.stopc: // server closing: answer with what we have
-			return s.eng.Snapshot()
-		}
-	}
-}
-
-// waitDelta advances a delta cursor at epoch since, waiting up to wait for
-// the broker to hold something newer. It returns the contiguous delta
-// chain, or a resync snapshot, or (nil, nil) on timeout/cancellation.
-// Waiting is on the same notify channel as waitNewer, but the condition is
-// the broker's newest epoch — the stepper publishes to the broker before
-// waking, so a released waiter always finds its epoch resident (the
-// engine's own atomic flip can be observably ahead of the broker for the
-// duration of a WAL append; polling the engine here would busy-spin over
-// that window).
-func (s *Server) waitDelta(ctx context.Context, since uint64, wait time.Duration) ([]*core.Delta, *roadknn.Snapshot) {
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	for {
-		if deltas, resync, newer := s.broker.collect(since); newer {
-			return deltas, resync
-		}
-		s.notifyMu.Lock()
-		ch := s.notify
-		s.notifyMu.Unlock()
-		// Re-check after grabbing the channel: a publish between the first
-		// check and the grab would otherwise be missed.
-		if deltas, resync, newer := s.broker.collect(since); newer {
-			return deltas, resync
-		}
-		select {
-		case <-ch:
-		case <-deadline.C:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, nil
-		case <-s.stopc: // server closing: answer empty; client re-polls
-			return nil, nil
-		}
-	}
-}
-
-// ---- wire format ----
+// ---- ingestion wire format ----
 
 // batchRequest is the POST /v1/updates payload. Topology ops apply at the
 // next tick before every other update kind, in the order given.
@@ -568,107 +503,6 @@ type queryReport struct {
 type edgeReport struct {
 	Edge int32   `json:"edge"`
 	W    float64 `json:"w"`
-}
-
-type neighborJSON struct {
-	Obj  int64   `json:"obj"`
-	Dist float64 `json:"dist"`
-}
-
-type queryResultJSON struct {
-	ID        int32          `json:"id"`
-	Neighbors []neighborJSON `json:"neighbors"`
-}
-
-type snapshotJSON struct {
-	Epoch     uint64            `json:"epoch"`
-	Timestamp uint64            `json:"timestamp"`
-	Queries   []queryResultJSON `json:"queries"`
-}
-
-// snapshotToJSONFiltered renders a snapshot restricted to the subscribed
-// queries (nil = all; see ?queries= on the delta endpoints).
-func snapshotToJSONFiltered(snap *roadknn.Snapshot, only map[roadknn.QueryID]struct{}) snapshotJSON {
-	if only == nil {
-		return snapshotToJSON(snap)
-	}
-	out := snapshotJSON{
-		Epoch:     snap.Epoch(),
-		Timestamp: snap.Timestamp(),
-		Queries:   make([]queryResultJSON, 0, len(only)),
-	}
-	for i := 0; i < snap.Len(); i++ {
-		id, res := snap.At(i)
-		if _, ok := only[id]; ok {
-			out.Queries = append(out.Queries, resultToJSON(id, res))
-		}
-	}
-	return out
-}
-
-func snapshotToJSON(snap *roadknn.Snapshot) snapshotJSON {
-	out := snapshotJSON{
-		Epoch:     snap.Epoch(),
-		Timestamp: snap.Timestamp(),
-		Queries:   make([]queryResultJSON, 0, snap.Len()),
-	}
-	for i := 0; i < snap.Len(); i++ {
-		id, res := snap.At(i)
-		out.Queries = append(out.Queries, resultToJSON(id, res))
-	}
-	return out
-}
-
-func resultToJSON(id roadknn.QueryID, res []roadknn.Neighbor) queryResultJSON {
-	q := queryResultJSON{ID: int32(id), Neighbors: make([]neighborJSON, 0, len(res))}
-	for _, nb := range res {
-		q.Neighbors = append(q.Neighbors, neighborJSON{Obj: int64(nb.Obj), Dist: nb.Dist})
-	}
-	return q
-}
-
-// queryDeltaJSON is one query's change within a delta event.
-type queryDeltaJSON struct {
-	ID      int32          `json:"id"`
-	Removed bool           `json:"removed,omitempty"`
-	Left    []int64        `json:"left,omitempty"`
-	Updated []neighborJSON `json:"updated,omitempty"`
-}
-
-type deltaJSON struct {
-	Epoch     uint64           `json:"epoch"`
-	Timestamp uint64           `json:"timestamp"`
-	Queries   []queryDeltaJSON `json:"queries"`
-}
-
-// deltaPollJSON is the GET /v1/delta response: either a contiguous delta
-// chain advancing the cursor to Epoch, or a full-snapshot resync, or
-// neither (long-poll timeout; Epoch then reports the newest available
-// epoch so a client with a bogus future cursor can correct itself).
-type deltaPollJSON struct {
-	Epoch  uint64        `json:"epoch"`
-	Deltas []deltaJSON   `json:"deltas,omitempty"`
-	Resync *snapshotJSON `json:"resync,omitempty"`
-}
-
-func deltaToJSON(d *roadknn.Delta) deltaJSON {
-	out := deltaJSON{
-		Epoch:     d.Epoch(),
-		Timestamp: d.Timestamp(),
-		Queries:   make([]queryDeltaJSON, 0, len(d.Queries)),
-	}
-	for i := range d.Queries {
-		qd := &d.Queries[i]
-		j := queryDeltaJSON{ID: int32(qd.ID), Removed: qd.Removed}
-		for _, o := range qd.Left {
-			j.Left = append(j.Left, int64(o))
-		}
-		for _, nb := range qd.Updated {
-			j.Updated = append(j.Updated, neighborJSON{Obj: int64(nb.Obj), Dist: nb.Dist})
-		}
-		out.Queries = append(out.Queries, j)
-	}
-	return out
 }
 
 // ---- handlers ----
@@ -1051,413 +885,6 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"epoch": snap.Epoch(), "timestamp": snap.Timestamp(), "queries": snap.Len()})
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.pollSnapshot(w, r)
-	if !ok {
-		return
-	}
-	s.reads.Add(1)
-	w.Header().Set(epochHeader, strconv.FormatUint(snap.Epoch(), 10))
-	writeJSON(w, snapshotToJSON(snap))
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	qid, err := strconv.ParseInt(r.URL.Query().Get("query"), 10, 32)
-	if err != nil {
-		http.Error(w, "missing or bad ?query=", http.StatusBadRequest)
-		return
-	}
-	snap, ok := s.pollSnapshot(w, r)
-	if !ok {
-		return
-	}
-	id := roadknn.QueryID(qid)
-	res, registered := snap.Lookup(id)
-	if !registered {
-		http.Error(w, "unknown query", http.StatusNotFound)
-		return
-	}
-	s.reads.Add(1)
-	w.Header().Set(epochHeader, strconv.FormatUint(snap.Epoch(), 10))
-	writeJSON(w, map[string]any{
-		"epoch":     snap.Epoch(),
-		"timestamp": snap.Timestamp(),
-		"result":    resultToJSON(id, res),
-	})
-}
-
-// pollSnapshot resolves the ?since / ?wait_ms long-poll parameters.
-func (s *Server) pollSnapshot(w http.ResponseWriter, r *http.Request) (*roadknn.Snapshot, bool) {
-	q := r.URL.Query()
-	sinceStr := q.Get("since")
-	if sinceStr == "" {
-		return s.eng.Snapshot(), true
-	}
-	since, err := strconv.ParseUint(sinceStr, 10, 64)
-	if err != nil {
-		http.Error(w, "bad ?since=", http.StatusBadRequest)
-		return nil, false
-	}
-	wait := s.cfg.MaxWait
-	if ws := q.Get("wait_ms"); ws != "" {
-		ms, err := strconv.Atoi(ws)
-		if err != nil || ms < 0 {
-			http.Error(w, "bad ?wait_ms=", http.StatusBadRequest)
-			return nil, false
-		}
-		if d := time.Duration(ms) * time.Millisecond; d < wait {
-			wait = d
-		}
-	}
-	return s.waitNewer(r.Context(), since, wait), true
-}
-
-// waitStream advances a row-stream cursor at epoch since, waiting up to
-// wait for the broker to hold something newer — waitDelta's twin over
-// broker.collectSnaps, returning the snapshot chain instead of the raw
-// deltas.
-func (s *Server) waitStream(ctx context.Context, since uint64, wait time.Duration) ([]*roadknn.Snapshot, *roadknn.Snapshot) {
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	for {
-		if snaps, resync, newer := s.broker.collectSnaps(since); newer {
-			return snaps, resync
-		}
-		s.notifyMu.Lock()
-		ch := s.notify
-		s.notifyMu.Unlock()
-		// Re-check after grabbing the channel: a publish between the first
-		// check and the grab would otherwise be missed.
-		if snaps, resync, newer := s.broker.collectSnaps(since); newer {
-			return snaps, resync
-		}
-		select {
-		case <-ch:
-		case <-deadline.C:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, nil
-		case <-s.stopc: // server closing: answer empty; client re-polls
-			return nil, nil
-		}
-	}
-}
-
-// streamRowsJSON is one epoch's /v1/stream frame: the full current results
-// of exactly the queries whose results changed at that epoch, plus the ids
-// of queries removed — churn-proportional like a delta, but self-contained
-// per query (no client-side delta application needed).
-type streamRowsJSON struct {
-	Epoch     uint64            `json:"epoch"`
-	Timestamp uint64            `json:"timestamp"`
-	Changed   []queryResultJSON `json:"changed,omitempty"`
-	Removed   []int64           `json:"removed,omitempty"`
-}
-
-// streamRows renders the row frame for one snapshot from its own delta,
-// restricted to the subscribed queries (nil = all).
-func streamRows(snap *roadknn.Snapshot, only map[roadknn.QueryID]struct{}) streamRowsJSON {
-	d := snap.Delta()
-	out := streamRowsJSON{Epoch: snap.Epoch(), Timestamp: snap.Timestamp()}
-	for i := range d.Queries {
-		qd := &d.Queries[i]
-		if only != nil {
-			if _, ok := only[qd.ID]; !ok {
-				continue
-			}
-		}
-		if qd.Removed {
-			out.Removed = append(out.Removed, int64(qd.ID))
-			continue
-		}
-		out.Changed = append(out.Changed, resultToJSON(qd.ID, snap.Result(qd.ID)))
-	}
-	return out
-}
-
-// handleStream pushes server-sent events until the client disconnects: an
-// initial "resync" event with the full result set (also sent whenever the
-// subscriber's cursor falls off the delta ring), then one "rows" event per
-// published epoch carrying only the changed query rows — full rows read
-// from that epoch's snapshot, with changedness taken from its delta, so
-// the wire volume is churn-proportional. ?query=ID restricts both event
-// kinds to one query; ?since=E resumes a cursor without the initial
-// resync. Engines without delta emission fall back to a full "resync" per
-// epoch (the pre-delta behavior).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	var only map[roadknn.QueryID]struct{}
-	if qs := r.URL.Query().Get("query"); qs != "" {
-		v, err := strconv.ParseInt(qs, 10, 32)
-		if err != nil {
-			http.Error(w, "bad ?query=", http.StatusBadRequest)
-			return
-		}
-		only = map[roadknn.QueryID]struct{}{roadknn.QueryID(v): {}}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	s.streamsActive.Add(1)
-	defer s.streamsActive.Add(-1)
-	rc := http.NewResponseController(w)
-	emit := func(event string, payload any) bool {
-		data, err := json.Marshal(payload)
-		if err != nil {
-			return false
-		}
-		s.reads.Add(1)
-		// A subscriber that cannot absorb this frame within the send
-		// deadline is evicted: the write errors out, the connection closes,
-		// and the broker's ring memory stops being pinned on its behalf.
-		rc.SetWriteDeadline(time.Now().Add(s.cfg.DeltaSendTimeout))
-		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-		if ferr := rc.Flush(); err == nil {
-			err = ferr
-		}
-		if err != nil {
-			s.broker.evicted.Add(1)
-			return false
-		}
-		return true
-	}
-	var last uint64
-	if qs := r.URL.Query().Get("since"); qs != "" {
-		v, err := strconv.ParseUint(qs, 10, 64)
-		if err != nil {
-			http.Error(w, "bad ?since=", http.StatusBadRequest)
-			return
-		}
-		last = v
-	} else {
-		snap := s.eng.Snapshot()
-		if !emit("resync", snapshotToJSONFiltered(snap, only)) {
-			return
-		}
-		last = snap.Epoch()
-	}
-	strikes := 0
-	for {
-		snaps, resync := s.waitStream(r.Context(), last, s.cfg.MaxWait)
-		if r.Context().Err() != nil {
-			return
-		}
-		select {
-		case <-s.stopc: // server closing: end the stream
-			return
-		default:
-		}
-		switch {
-		case resync != nil:
-			// A delta-emitting engine resyncing a connected subscriber over
-			// and over is a consumer lagging off the DeltaRing; after
-			// MaxResyncStrikes in a row it is evicted. An engine that never
-			// attaches deltas resyncs every epoch by design (the full-resend
-			// fallback), which must not count as lag.
-			if resync.Delta() != nil {
-				if strikes++; strikes >= s.cfg.MaxResyncStrikes {
-					s.broker.evicted.Add(1)
-					return
-				}
-			}
-			if !emit("resync", snapshotToJSONFiltered(resync, only)) {
-				return
-			}
-			last = resync.Epoch()
-		case len(snaps) > 0:
-			strikes = 0
-			for _, snap := range snaps {
-				frame := streamRows(snap, only)
-				if len(frame.Changed) == 0 && len(frame.Removed) == 0 {
-					continue // nothing changed for the subscribed queries
-				}
-				if !emit("rows", frame) {
-					return
-				}
-			}
-			last = snaps[len(snaps)-1].Epoch()
-		default: // long-poll timeout: keep-alive comment
-			fmt.Fprintf(w, ": keep-alive\n\n")
-			fl.Flush()
-		}
-	}
-}
-
-// handleDelta is the long-poll cursor advance: GET /v1/delta?since=E
-// answers with the delta chain E+1..newest (or a full-snapshot resync when
-// the chain is not reconstructible), waiting up to ?wait_ms for something
-// newer than E. Without ?since it bootstraps the client with a resync of
-// the current snapshot.
-func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	if wantsBinaryDelta(r) {
-		s.handleDeltaBinary(w, r)
-		return
-	}
-	only, ok := parseQueriesFilter(w, r)
-	if !ok {
-		return
-	}
-	q := r.URL.Query()
-	sinceStr := q.Get("since")
-	s.reads.Add(1)
-	if sinceStr == "" {
-		snap := s.eng.Snapshot()
-		sj := snapshotToJSONFiltered(snap, only)
-		w.Header().Set(epochHeader, strconv.FormatUint(snap.Epoch(), 10))
-		writeJSON(w, deltaPollJSON{Epoch: snap.Epoch(), Resync: &sj})
-		return
-	}
-	since, err := strconv.ParseUint(sinceStr, 10, 64)
-	if err != nil {
-		http.Error(w, "bad ?since=", http.StatusBadRequest)
-		return
-	}
-	wait := s.cfg.MaxWait
-	if ws := q.Get("wait_ms"); ws != "" {
-		ms, err := strconv.Atoi(ws)
-		if err != nil || ms < 0 {
-			http.Error(w, "bad ?wait_ms=", http.StatusBadRequest)
-			return
-		}
-		if d := time.Duration(ms) * time.Millisecond; d < wait {
-			wait = d
-		}
-	}
-	deltas, resync := s.waitDelta(r.Context(), since, wait)
-	resp := deltaPollJSON{Epoch: since}
-	switch {
-	case resync != nil:
-		resp.Epoch = resync.Epoch()
-		sj := snapshotToJSONFiltered(resync, only)
-		resp.Resync = &sj
-	case len(deltas) > 0:
-		// The cursor advances over the whole chain even when filtering
-		// leaves nothing to send: a skipped delta carries zero changes for
-		// the subscribed queries.
-		resp.Epoch = deltas[len(deltas)-1].Epoch()
-		resp.Deltas = make([]deltaJSON, 0, len(deltas))
-		for _, d := range deltas {
-			if fd := filterDelta(d, only); fd != nil {
-				resp.Deltas = append(resp.Deltas, deltaToJSON(fd))
-			}
-		}
-	default:
-		// Timeout with nothing newer: report the newest available epoch so
-		// a cursor beyond it (a client holding a future epoch) can correct
-		// itself instead of long-polling forever.
-		resp.Epoch = s.broker.epoch()
-	}
-	w.Header().Set(epochHeader, strconv.FormatUint(resp.Epoch, 10))
-	writeJSON(w, resp)
-}
-
-// handleDeltas streams server-sent events, one per published epoch: a
-// "delta" event carrying only that epoch's churn, or a "resync" event
-// carrying a full snapshot whenever the subscriber's cursor cannot advance
-// incrementally (lagged off the ring, or an epoch without a delta). A
-// client holding epoch E resumes with ?since=E; otherwise the stream opens
-// with a resync so the client has a base to apply deltas to.
-func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	if wantsBinaryDelta(r) {
-		s.handleDeltasBinary(w, r)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	only, ok := parseQueriesFilter(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	s.streamsActive.Add(1)
-	defer s.streamsActive.Add(-1)
-	rc := http.NewResponseController(w)
-	emit := func(event string, payload any) bool {
-		data, err := json.Marshal(payload)
-		if err != nil {
-			return false
-		}
-		s.reads.Add(1)
-		// A subscriber that cannot absorb this frame within the send
-		// deadline is evicted: the write errors out, the connection closes,
-		// and the broker's ring memory stops being pinned on its behalf.
-		rc.SetWriteDeadline(time.Now().Add(s.cfg.DeltaSendTimeout))
-		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-		if ferr := rc.Flush(); err == nil {
-			err = ferr
-		}
-		if err != nil {
-			s.broker.evicted.Add(1)
-			return false
-		}
-		return true
-	}
-	var last uint64
-	if qs := r.URL.Query().Get("since"); qs != "" {
-		v, err := strconv.ParseUint(qs, 10, 64)
-		if err != nil {
-			http.Error(w, "bad ?since=", http.StatusBadRequest)
-			return
-		}
-		last = v
-	} else {
-		snap := s.eng.Snapshot()
-		if !emit("resync", snapshotToJSONFiltered(snap, only)) {
-			return
-		}
-		last = snap.Epoch()
-	}
-	strikes := 0
-	for {
-		deltas, resync := s.waitDelta(r.Context(), last, s.cfg.MaxWait)
-		if r.Context().Err() != nil {
-			return
-		}
-		select {
-		case <-s.stopc: // server closing: end the stream
-			return
-		default:
-		}
-		switch {
-		case resync != nil:
-			// A connected subscriber needing repeated resyncs keeps lagging
-			// off the DeltaRing faster than full snapshots can catch it up;
-			// after MaxResyncStrikes in a row it is evicted (reconnecting
-			// resets the strike count — by then it may have recovered).
-			if strikes++; strikes >= s.cfg.MaxResyncStrikes {
-				s.broker.evicted.Add(1)
-				return
-			}
-			if !emit("resync", snapshotToJSONFiltered(resync, only)) {
-				return
-			}
-			last = resync.Epoch()
-		case len(deltas) > 0:
-			strikes = 0
-			for _, d := range deltas {
-				fd := filterDelta(d, only)
-				if fd == nil {
-					continue // no changes for the subscribed queries
-				}
-				if !emit("delta", deltaToJSON(fd)) {
-					return
-				}
-			}
-			last = deltas[len(deltas)-1].Epoch()
-		default: // long-poll timeout: keep-alive comment
-			fmt.Fprintf(w, ": keep-alive\n\n")
-			fl.Flush()
-		}
-	}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.eng.Snapshot()
 	steps := s.steps.Load()
@@ -1486,7 +913,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"streams_active": s.streamsActive.Load(),
 		"delta": map[string]any{
 			"ring":       s.cfg.DeltaRing,
-			"epoch":      s.broker.epoch(),
+			"epoch":      s.broker.newest().Epoch(),
 			"deltas_out": s.broker.deltasOut.Load(),
 			"resyncs":    s.broker.resyncs.Load(),
 			"evicted":    s.broker.evicted.Load(),

@@ -7,13 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"net/http"
 	"sync"
 
 	"roadknn/internal/core"
+	"roadknn/internal/frame"
 )
 
 // This file implements the bulk-ingestion wire formats of POST /v1/updates.
@@ -26,16 +25,10 @@ import (
 //   - application/x-roadknn-updates (or application/octet-stream): the
 //     binary stream below — the wire-speed path.
 //
-// Binary stream layout. A body starts with an 8-byte header:
-//
-//	"RKUP" | u32 version (=2; v1 bodies still decode)
-//
-// followed by one or more frames, each framed exactly like a WAL record:
-//
-//	u32 len(payload) | u32 crc32c(payload) | payload
-//
-// with payload[0] the frame type. Type 1 (wireBatch) carries one update
-// batch:
+// Binary stream layout. A body is a frame stream (see internal/frame)
+// under the header "RKUP" | version 2 (v1 bodies still decode), holding one
+// or more frames with payload[0] the frame type. Type 1 (wireBatch)
+// carries one update batch:
 //
 //	u8 type | u32 nObjects | per object: i64 id | u8 flags (1 = delete) |
 //	                                     i32 edge | f64 frac
@@ -50,8 +43,8 @@ import (
 // edges) still decode; like the JSON form, topology ops apply before every
 // other report in the batch regardless of wire order.
 //
-// All integers are little-endian; the CRC is crc32 Castagnoli, the WAL's
-// polynomial. Frames in one body accumulate into a single logical batch
+// All integers are little-endian. Frames in one body accumulate into a
+// single logical batch
 // (decoded into reused buffers, validated and admitted as one), so a
 // producer can stream a large tick's worth of reports without buffering
 // them client-side.
@@ -59,7 +52,7 @@ import (
 const (
 	wireMagic   = "RKUP"
 	wireVersion = 2 // v2 appended the topology section; v1 bodies still decode
-	wireHdrLen  = 8
+	wireHdrLen  = frame.HeaderLen
 	wireBatch   = 1 // frame type: one update batch
 
 	// wireObjBytes/wireQryBytes/wireEdgeBytes/wireTopoBytes are the encoded
@@ -74,8 +67,6 @@ const (
 	wireMaxFrame = 1 << 26
 )
 
-var wireCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // wireFlagDrop marks an object report as a delete / a query report as an
 // end, mirroring the boolean in the JSON form.
 const wireFlagDrop = 1
@@ -84,17 +75,16 @@ const wireFlagDrop = 1
 
 // AppendWireHeader appends the binary stream header to buf.
 func AppendWireHeader(buf []byte) []byte {
-	buf = append(buf, wireMagic...)
-	return binary.LittleEndian.AppendUint32(buf, wireVersion)
+	return frame.AppendHeader(buf, wireMagic, wireVersion)
 }
 
 // AppendWireBatch appends req as one framed binary batch to buf.
 func AppendWireBatch(buf []byte, req *batchRequest) []byte {
-	payload := 1 + 16 + len(req.Objects)*wireObjBytes + len(req.Queries)*wireQryBytes +
-		len(req.Edges)*wireEdgeBytes + len(req.Topology)*wireTopoBytes
-	// Frame header placeholder; filled in once the payload is known.
-	base := len(buf)
-	buf = append(buf, make([]byte, 8)...)
+	return frame.Append(buf, func(buf []byte) []byte { return appendWirePayload(buf, req) })
+}
+
+// appendWirePayload appends the wireBatch payload of req (layout above).
+func appendWirePayload(buf []byte, req *batchRequest) []byte {
 	buf = append(buf, wireBatch)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Objects)))
 	for _, o := range req.Objects {
@@ -145,8 +135,6 @@ func AppendWireBatch(buf []byte, req *batchRequest) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(tp.V))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(tp.W))
 	}
-	binary.LittleEndian.PutUint32(buf[base:], uint32(payload))
-	binary.LittleEndian.PutUint32(buf[base+4:], crc32.Checksum(buf[base+8:], wireCRC))
 	return buf
 }
 
@@ -197,10 +185,9 @@ type ndjsonRecord struct {
 // ingestion reuses the frame buffer and the report slices instead of
 // allocating per request.
 type wireScratch struct {
-	hdr [wireHdrLen]byte
-	buf []byte // reused frame payload buffer
 	req batchRequest
 	br  *bufio.Reader
+	fr  *frame.Reader // over br; owns the reused frame payload buffer
 }
 
 var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
@@ -214,6 +201,7 @@ func getWireScratch(r io.Reader) *wireScratch {
 	sc.req.Edges = sc.req.Edges[:0]
 	if sc.br == nil {
 		sc.br = bufio.NewReaderSize(r, 32<<10)
+		sc.fr = frame.NewReader(sc.br, wireMaxFrame)
 	} else {
 		sc.br.Reset(r)
 	}
@@ -227,138 +215,85 @@ func putWireScratch(sc *wireScratch) {
 	wirePool.Put(sc)
 }
 
-// errWire tags client-side wire-format errors (answered with 400; size
-// overruns surface as *http.MaxBytesError and answer 413 instead).
-type errWire struct{ msg string }
-
-func (e *errWire) Error() string { return e.msg }
-
-func wireErrf(format string, args ...any) error {
-	return &errWire{msg: fmt.Sprintf(format, args...)}
-}
-
-// readErr classifies a body-read failure: size overruns keep their
-// *http.MaxBytesError identity (the handler answers 413), everything else
-// becomes a wire-format error (400).
-func readErr(err error, what string) error {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return err
-	}
-	return wireErrf("%s: %v", what, err)
-}
-
 // decodeWire reads a complete binary update stream into sc.req. It never
 // over-reads: exactly the framed bytes are consumed, and malformed input
 // (bad magic, length overruns, CRC mismatches, truncated frames, trailing
 // garbage) returns an error without panicking or allocating proportionally
-// to a corrupt length field.
+// to a corrupt length field. A body that overruns the size cap surfaces as
+// the *http.MaxBytesError the reader returned (the handler answers 413).
 func (sc *wireScratch) decodeWire() error {
-	if _, err := io.ReadFull(sc.br, sc.hdr[:]); err != nil {
-		return readErr(err, "short stream header")
+	v, err := sc.fr.Header(wireMagic)
+	if err != nil {
+		return fmt.Errorf("stream header: %w", err)
 	}
-	if string(sc.hdr[:4]) != wireMagic {
-		return wireErrf("bad stream magic %q", sc.hdr[:4])
+	if v < 1 || v > wireVersion {
+		return fmt.Errorf("unsupported stream version %d", v)
 	}
-	if v := binary.LittleEndian.Uint32(sc.hdr[4:]); v < 1 || v > wireVersion {
-		return wireErrf("unsupported stream version %d", v)
-	}
-	frames := 0
-	for {
-		_, err := io.ReadFull(sc.br, sc.hdr[:])
+	for frames := 0; ; frames++ {
+		payload, err := sc.fr.Next()
 		if err == io.EOF {
 			if frames == 0 {
-				return wireErrf("empty stream: no frames after header")
+				return errors.New("empty stream: no frames after header")
 			}
 			return nil
 		}
 		if err != nil {
-			return readErr(err, "short frame header")
-		}
-		n := binary.LittleEndian.Uint32(sc.hdr[:4])
-		sum := binary.LittleEndian.Uint32(sc.hdr[4:])
-		if n > wireMaxFrame {
-			return wireErrf("frame of %d bytes exceeds the %d-byte cap", n, wireMaxFrame)
-		}
-		if cap(sc.buf) < int(n) {
-			sc.buf = make([]byte, n)
-		}
-		sc.buf = sc.buf[:n]
-		if _, err := io.ReadFull(sc.br, sc.buf); err != nil {
-			return readErr(err, "truncated frame")
-		}
-		if got := crc32.Checksum(sc.buf, wireCRC); got != sum {
-			return wireErrf("frame checksum mismatch (%#x != %#x)", got, sum)
-		}
-		if err := sc.decodeFrame(sc.buf); err != nil {
 			return err
 		}
-		frames++
+		if err := sc.decodeFrame(payload); err != nil {
+			return err
+		}
 	}
 }
 
 // decodeFrame appends one verified frame's reports to sc.req.
 func (sc *wireScratch) decodeFrame(p []byte) error {
-	d := wireDecoder{buf: p}
-	if t := d.byte(); t != wireBatch {
-		return wireErrf("unknown frame type %d", t)
+	d := frame.NewCursor(p)
+	if t := d.Byte(); t != wireBatch {
+		return fmt.Errorf("unknown frame type %d", t)
 	}
-	nObj := d.count(wireObjBytes)
-	for i := 0; i < nObj && d.err == nil; i++ {
+	for i := d.Count(wireObjBytes); i > 0; i-- {
 		var o objectReport
-		o.ID = int64(d.u64())
-		o.Delete = d.byte()&wireFlagDrop != 0
-		o.Edge = d.i32()
-		o.Frac = d.f64()
+		o.ID = int64(d.U64())
+		o.Delete = d.Byte()&wireFlagDrop != 0
+		o.Edge = d.I32()
+		o.Frac = d.F64()
 		sc.req.Objects = append(sc.req.Objects, o)
 	}
-	nQry := d.count(wireQryBytes)
-	for i := 0; i < nQry && d.err == nil; i++ {
+	for i := d.Count(wireQryBytes); i > 0; i-- {
 		var q queryReport
-		q.ID = d.i32()
-		q.End = d.byte()&wireFlagDrop != 0
-		q.K = int(d.i32())
-		q.Edge = d.i32()
-		q.Frac = d.f64()
+		q.ID = d.I32()
+		q.End = d.Byte()&wireFlagDrop != 0
+		q.K = int(d.I32())
+		q.Edge = d.I32()
+		q.Frac = d.F64()
 		sc.req.Queries = append(sc.req.Queries, q)
 	}
-	nEdge := d.count(wireEdgeBytes)
-	for i := 0; i < nEdge && d.err == nil; i++ {
-		var e edgeReport
-		e.Edge = d.i32()
-		e.W = d.f64()
-		sc.req.Edges = append(sc.req.Edges, e)
+	for i := d.Count(wireEdgeBytes); i > 0; i-- {
+		sc.req.Edges = append(sc.req.Edges, edgeReport{Edge: d.I32(), W: d.F64()})
 	}
 	// Topology trails the frame; v1 frames end after the edges.
-	if d.err == nil && d.off < len(p) {
-		nTopo := d.count(wireTopoBytes)
-		for i := 0; i < nTopo && d.err == nil; i++ {
+	if d.Len() > 0 {
+		for i := d.Count(wireTopoBytes); i > 0; i-- {
 			var tp topoReport
-			switch op := d.byte(); op {
+			switch op := d.Byte(); op {
 			case 0:
 				tp.Op = topoOpAdd
 			case 1:
 				tp.Op = topoOpRemove
 			default:
-				return wireErrf("unknown topology op %d", op)
+				return fmt.Errorf("unknown topology op %d", op)
 			}
-			if e := d.i32(); e >= 0 {
-				id := e
-				tp.Edge = &id
+			if e := d.I32(); e >= 0 {
+				tp.Edge = &e
 			}
-			tp.U = d.i32()
-			tp.V = d.i32()
-			tp.W = d.f64()
+			tp.U = d.I32()
+			tp.V = d.I32()
+			tp.W = d.F64()
 			sc.req.Topology = append(sc.req.Topology, tp)
 		}
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(p) {
-		return wireErrf("%d trailing bytes in frame", len(p)-d.off)
-	}
-	return nil
+	return d.Done()
 }
 
 // decodeNDJSON reads newline-delimited JSON records into sc.req.
@@ -371,7 +306,7 @@ func (sc *wireScratch) decodeNDJSON() error {
 		if err := dec.Decode(&rec); err != nil {
 			if err == io.EOF {
 				if line == 0 {
-					return wireErrf("empty NDJSON body")
+					return errors.New("empty NDJSON body")
 				}
 				return nil
 			}
@@ -396,76 +331,9 @@ func (sc *wireScratch) decodeNDJSON() error {
 			set++
 		}
 		if set != 1 {
-			return wireErrf("record %d: want exactly one of top/obj/qry/edge, got %d", line, set)
+			return fmt.Errorf("record %d: want exactly one of top/obj/qry/edge, got %d", line, set)
 		}
 	}
-}
-
-// wireDecoder is a bounds-checked cursor over one frame payload — the same
-// shape as the WAL codec's decoder, private to the wire format.
-type wireDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *wireDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = wireErrf(format, args...)
-	}
-}
-
-func (d *wireDecoder) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off+n > len(d.buf) {
-		d.fail("frame truncated at offset %d (need %d of %d)", d.off, n, len(d.buf))
-		return false
-	}
-	return true
-}
-
-func (d *wireDecoder) byte() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *wireDecoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *wireDecoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *wireDecoder) i32() int32 { return int32(d.u32()) }
-
-func (d *wireDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a u32 element count and sanity-bounds it against the bytes
-// remaining, so a corrupt count cannot drive an oversized allocation.
-func (d *wireDecoder) count(minElem int) int {
-	n := int(d.u32())
-	if d.err == nil && n*minElem > len(d.buf)-d.off {
-		d.fail("implausible element count %d at offset %d", n, d.off)
-		return 0
-	}
-	return n
 }
 
 // ---- bench bridge ----

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"roadknn"
+	"roadknn/internal/frame"
 )
 
 // postRaw sends body with an explicit Content-Type and returns the status.
@@ -166,7 +166,7 @@ func TestServeBinaryIngestMalformed(t *testing.T) {
 		body := AppendWireHeader(nil)
 		bad := AppendWireBatch(nil, &batchRequest{})
 		bad[8] = 9 // payload[0] is the frame type
-		binary.LittleEndian.PutUint32(bad[4:8], crc32.Checksum(bad[8:], wireCRC))
+		binary.LittleEndian.PutUint32(bad[4:8], frame.Checksum(bad[8:]))
 		corrupt["unknown frame type"] = append(body, bad...)
 	}
 	for name, body := range corrupt {

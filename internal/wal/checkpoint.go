@@ -2,10 +2,10 @@ package wal
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"roadknn/internal/core"
+	"roadknn/internal/frame"
 	"roadknn/internal/graph"
 	"roadknn/internal/roadnet"
 )
@@ -58,135 +58,99 @@ type EdgeState struct {
 	W    float64
 }
 
+// A checkpoint file is a header plus exactly one frame (internal/frame):
+// "RKCP" | version, then the body below under one length and checksum.
+//
+//	u64 epoch | u64 stamp
+//	u32 nObjects | per object: i32 id | i32 edge | f64 frac
+//	u32 nQueries | per query:  i32 id | i32 k | i32 edge | f64 frac
+//	u32 nEdges   | per edge:   i32 edge | f64 w
+//	u32 len(snapshot) | snapshot
+//	u32 nTopology | ops as in a batch record   (v2 on; v1 files end above)
 const (
 	ckptMagic   = "RKCP"
-	ckptVersion = 2 // v2 appended the topology op log; v1 files still decode
+	ckptVersion = 2
 )
 
 // encodeCheckpoint serializes c as one self-verifying file image.
 func encodeCheckpoint(c *Checkpoint) []byte {
-	body := make([]byte, 0, 64+len(c.Snapshot))
-	body = appendU64(body, c.Epoch)
-	body = appendU64(body, c.Stamp)
-	body = appendU32(body, uint32(len(c.Objects)))
-	for _, o := range c.Objects {
-		body = appendI32(body, int32(o.ID))
-		body = appendI32(body, int32(o.Pos.Edge))
-		body = appendF64(body, o.Pos.Frac)
-	}
-	body = appendU32(body, uint32(len(c.Queries)))
-	for _, q := range c.Queries {
-		body = appendI32(body, q.ID)
-		body = appendI32(body, q.K)
-		body = appendI32(body, int32(q.Pos.Edge))
-		body = appendF64(body, q.Pos.Frac)
-	}
-	body = appendU32(body, uint32(len(c.Edges)))
-	for _, e := range c.Edges {
-		body = appendI32(body, int32(e.Edge))
-		body = appendF64(body, e.W)
-	}
-	body = appendU32(body, uint32(len(c.Snapshot)))
-	body = append(body, c.Snapshot...)
-	// v2: the topology op log trails the snapshot.
-	body = appendU32(body, uint32(len(c.Topology)))
-	for _, tp := range c.Topology {
-		body = append(body, byte(tp.Op))
-		body = appendI32(body, int32(tp.Edge))
-		body = appendI32(body, int32(tp.U))
-		body = appendI32(body, int32(tp.V))
-		body = appendF64(body, tp.W)
-	}
-
-	out := make([]byte, 0, 16+len(body))
-	out = append(out, ckptMagic...)
-	out = appendU32(out, ckptVersion)
-	out = appendU32(out, uint32(len(body)))
-	out = appendU32(out, crc32.Checksum(body, crcTable))
-	return append(out, body...)
+	out := frame.AppendHeader(make([]byte, 0, 128+len(c.Snapshot)), ckptMagic, ckptVersion)
+	return frame.Append(out, func(body []byte) []byte {
+		body = appendU64(body, c.Epoch)
+		body = appendU64(body, c.Stamp)
+		body = appendU32(body, uint32(len(c.Objects)))
+		for _, o := range c.Objects {
+			body = appendI32(body, int32(o.ID))
+			body = appendI32(body, int32(o.Pos.Edge))
+			body = appendF64(body, o.Pos.Frac)
+		}
+		body = appendU32(body, uint32(len(c.Queries)))
+		for _, q := range c.Queries {
+			body = appendI32(body, q.ID)
+			body = appendI32(body, q.K)
+			body = appendI32(body, int32(q.Pos.Edge))
+			body = appendF64(body, q.Pos.Frac)
+		}
+		body = appendU32(body, uint32(len(c.Edges)))
+		for _, e := range c.Edges {
+			body = appendI32(body, int32(e.Edge))
+			body = appendF64(body, e.W)
+		}
+		body = appendU32(body, uint32(len(c.Snapshot)))
+		body = append(body, c.Snapshot...)
+		return appendTopology(body, c.Topology)
+	})
 }
 
 // decodeCheckpoint parses and verifies a checkpoint file image.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("wal: checkpoint too short (%d bytes)", len(data))
+	ver, err := frame.ParseHeader(data, ckptMagic)
+	if err != nil {
+		return nil, fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if string(data[:4]) != ckptMagic {
-		return nil, fmt.Errorf("wal: bad checkpoint magic %q", data[:4])
-	}
-	hd := &decoder{buf: data, off: 4}
-	ver := hd.u32()
 	if ver < 1 || ver > ckptVersion {
 		return nil, fmt.Errorf("wal: unsupported checkpoint version %d", ver)
 	}
-	blen := int(hd.u32())
-	crc := hd.u32()
-	if blen < 0 || blen > maxRecordLen || 16+blen != len(data) {
-		return nil, fmt.Errorf("wal: checkpoint body length %d does not match file size %d", blen, len(data))
+	body, rest, err := frame.Next(data[headerLen:], maxRecordLen)
+	if err != nil {
+		return nil, fmt.Errorf("wal: checkpoint body: %w", err)
 	}
-	body := data[16:]
-	if got := crc32.Checksum(body, crcTable); got != crc {
-		return nil, fmt.Errorf("wal: checkpoint crc mismatch (got %08x want %08x)", got, crc)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("wal: %d bytes after the checkpoint body", len(rest))
 	}
 
-	d := &decoder{buf: body}
-	c := &Checkpoint{Epoch: d.u64(), Stamp: d.u64()}
-	if n := d.count(16); n > 0 && d.err == nil {
-		c.Objects = make([]ObjectState, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			var o ObjectState
-			o.ID = roadnet.ObjectID(d.i32())
-			o.Pos.Edge = graph.EdgeID(d.i32())
-			o.Pos.Frac = d.f64()
-			c.Objects = append(c.Objects, o)
+	d := frame.NewCursor(body)
+	c := &Checkpoint{Epoch: d.U64(), Stamp: d.U64()}
+	if n := d.Count(16); n > 0 {
+		c.Objects = make([]ObjectState, n)
+		for i := range c.Objects {
+			o := &c.Objects[i]
+			o.ID = roadnet.ObjectID(d.I32())
+			o.Pos.Edge = graph.EdgeID(d.I32())
+			o.Pos.Frac = d.F64()
 		}
 	}
-	if n := d.count(20); n > 0 && d.err == nil {
-		c.Queries = make([]QueryState, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			var q QueryState
-			q.ID = d.i32()
-			q.K = d.i32()
-			q.Pos.Edge = graph.EdgeID(d.i32())
-			q.Pos.Frac = d.f64()
-			c.Queries = append(c.Queries, q)
+	if n := d.Count(20); n > 0 {
+		c.Queries = make([]QueryState, n)
+		for i := range c.Queries {
+			q := &c.Queries[i]
+			q.ID = d.I32()
+			q.K = d.I32()
+			q.Pos.Edge = graph.EdgeID(d.I32())
+			q.Pos.Frac = d.F64()
 		}
 	}
-	if n := d.count(12); n > 0 && d.err == nil {
-		c.Edges = make([]EdgeState, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			var e EdgeState
-			e.Edge = graph.EdgeID(d.i32())
-			e.W = d.f64()
-			c.Edges = append(c.Edges, e)
+	if n := d.Count(12); n > 0 {
+		c.Edges = make([]EdgeState, n)
+		for i := range c.Edges {
+			c.Edges[i] = EdgeState{Edge: graph.EdgeID(d.I32()), W: d.F64()}
 		}
 	}
-	if slen := d.count(1); d.err == nil {
-		if d.need(slen) {
-			c.Snapshot = append([]byte(nil), d.buf[d.off:d.off+slen]...)
-			d.off += slen
-		}
-	}
+	c.Snapshot = append([]byte(nil), d.Bytes(d.Count(1))...)
 	if ver >= 2 {
-		if n := d.count(21); n > 0 && d.err == nil {
-			c.Topology = make([]core.TopologyUpdate, 0, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				var tp core.TopologyUpdate
-				op := d.byte()
-				if op > byte(core.TopoRemove) {
-					d.fail("wal: checkpoint: unknown topology op %d", op)
-					break
-				}
-				tp.Op = core.TopologyOp(op)
-				tp.Edge = graph.EdgeID(d.i32())
-				tp.U = graph.NodeID(d.i32())
-				tp.V = graph.NodeID(d.i32())
-				tp.W = d.f64()
-				c.Topology = append(c.Topology, tp)
-			}
-		}
+		c.Topology = readTopology(&d)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("wal: checkpoint body: %w", err)
 	}
 	return c, nil

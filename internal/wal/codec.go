@@ -3,64 +3,42 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"roadknn/internal/core"
+	"roadknn/internal/frame"
 	"roadknn/internal/graph"
 	"roadknn/internal/roadnet"
 )
 
-// On-disk format. A segment starts with a 8-byte header:
-//
-//	"RKWL" | u32 version
-//
-// followed by records, each framed as
-//
-//	u32 len(payload) | u32 crc32(payload) | payload
-//
-// with payload[0] the record type. One frame is written with a single
-// Write call, so a crash tears at most the last record — which the CRC
-// (or a short frame) detects, and recovery truncates. All integers are
-// little-endian.
+// On-disk format. A segment is a frame stream (internal/frame documents
+// the header and the len | crc32c | payload frame) under the header
+// "RKWL" | version 1, one record per frame, payload[0] the record type. A
+// record is written with a single Write call, so a crash tears at most the
+// last one — which recovery detects and truncates.
 const (
 	segMagic   = "RKWL"
 	segVersion = 1
-	headerLen  = 8
-	frameLen   = 8 // u32 len + u32 crc
+	headerLen  = frame.HeaderLen
+	frameLen   = frame.Overhead
 
 	// maxRecordLen bounds a single record so a corrupt length field cannot
 	// make recovery attempt a multi-gigabyte allocation.
 	maxRecordLen = 1 << 28
 )
 
-// Record types.
+// Record types, with the payload after the type byte.
 const (
 	recBatch   = 1 // u64 seq | updates — one drained per-tick batch
 	recTick    = 2 // u64 epoch | u64 stamp | u32 snapCRC — post-step marker
 	recPending = 3 // updates — undrained batch flushed at shutdown
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func appendI32(b []byte, v int32) []byte  { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
 func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// frame wraps payload in the u32 len | u32 crc frame.
-func frame(payload []byte) []byte {
-	out := make([]byte, 0, frameLen+len(payload))
-	out = appendU32(out, uint32(len(payload)))
-	out = appendU32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
-}
-
-func segmentHeader() []byte {
-	b := append([]byte(nil), segMagic...)
-	return appendU32(b, segVersion)
 }
 
 // Update-flag bits shared by object and query entries.
@@ -110,8 +88,90 @@ func appendUpdates(b []byte, u core.Updates) []byte {
 	// Topology trails the record so segments written before live network
 	// editing existed (no section at all) still decode, with an empty op
 	// list. New writers always emit the section, even when it is empty.
-	b = appendU32(b, uint32(len(u.Topology)))
-	for _, tp := range u.Topology {
+	return appendTopology(b, u.Topology)
+}
+
+// Encoded sizes of one object, query, edge and topology entry: what
+// appendUpdates writes per element, and the least a count can claim.
+const (
+	objBytes  = 4 + 1 + 4 + 8 + 4 + 8
+	qryBytes  = 4 + 1 + 4 + 4 + 8
+	edgeBytes = 4 + 8
+	topoBytes = 1 + 4 + 4 + 4 + 8
+)
+
+// readUpdates decodes what appendUpdates wrote; the caller checks c.Done.
+func readUpdates(c *frame.Cursor) core.Updates {
+	var u core.Updates
+	if n := c.Count(objBytes); n > 0 {
+		u.Objects = make([]core.ObjectUpdate, n)
+		for i := range u.Objects {
+			o := &u.Objects[i]
+			o.ID = roadnet.ObjectID(c.I32())
+			fl := c.Byte()
+			o.Insert = fl&flagInsert != 0
+			o.Delete = fl&flagDelete != 0
+			o.Old.Edge = graph.EdgeID(c.I32())
+			o.Old.Frac = c.F64()
+			o.New.Edge = graph.EdgeID(c.I32())
+			o.New.Frac = c.F64()
+		}
+	}
+	if n := c.Count(qryBytes); n > 0 {
+		u.Queries = make([]core.QueryUpdate, n)
+		for i := range u.Queries {
+			q := &u.Queries[i]
+			q.ID = core.QueryID(c.I32())
+			fl := c.Byte()
+			q.Insert = fl&flagInsert != 0
+			q.Delete = fl&flagDelete != 0
+			q.K = int(c.I32())
+			q.New.Edge = graph.EdgeID(c.I32())
+			q.New.Frac = c.F64()
+		}
+	}
+	if n := c.Count(edgeBytes); n > 0 {
+		u.Edges = make([]core.EdgeUpdate, n)
+		for i := range u.Edges {
+			u.Edges[i] = core.EdgeUpdate{Edge: graph.EdgeID(c.I32()), NewW: c.F64()}
+		}
+	}
+	// Topology section is optional: records written before live network
+	// editing end here.
+	if c.Len() > 0 {
+		u.Topology = readTopology(c)
+	}
+	return u
+}
+
+// readTopology decodes a counted topology op list (shared by batch
+// records and checkpoints).
+func readTopology(c *frame.Cursor) []core.TopologyUpdate {
+	n := c.Count(topoBytes)
+	if n == 0 {
+		return nil
+	}
+	ops := make([]core.TopologyUpdate, n)
+	for i := range ops {
+		op := c.Byte()
+		if op > byte(core.TopoRemove) {
+			c.Fail(fmt.Errorf("wal: unknown topology op %d", op))
+		}
+		ops[i] = core.TopologyUpdate{
+			Op:   core.TopologyOp(op),
+			Edge: graph.EdgeID(c.I32()),
+			U:    graph.NodeID(c.I32()),
+			V:    graph.NodeID(c.I32()),
+			W:    c.F64(),
+		}
+	}
+	return ops
+}
+
+// appendTopology is readTopology's writer.
+func appendTopology(b []byte, ops []core.TopologyUpdate) []byte {
+	b = appendU32(b, uint32(len(ops)))
+	for _, tp := range ops {
 		b = append(b, byte(tp.Op))
 		b = appendI32(b, int32(tp.Edge))
 		b = appendI32(b, int32(tp.U))
@@ -121,170 +181,66 @@ func appendUpdates(b []byte, u core.Updates) []byte {
 	return b
 }
 
-// decoder is a bounds-checked cursor over one record payload.
-type decoder struct {
-	buf []byte
-	off int
-	err error
+// record is one decoded log record; which fields are set follows typ.
+type record struct {
+	typ     byte
+	seq     uint64       // recBatch
+	updates core.Updates // recBatch, recPending
+	tick    TickRecord   // recTick
 }
 
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
+// decodeRecord parses one verified frame payload.
+func decodeRecord(payload []byte) (record, error) {
+	c := frame.NewCursor(payload)
+	r := record{typ: c.Byte()}
+	switch r.typ {
+	case recBatch:
+		r.seq = c.U64()
+		r.updates = readUpdates(&c)
+	case recTick:
+		r.tick = TickRecord{Epoch: c.U64(), Stamp: c.U64(), SnapCRC: c.U32()}
+	case recPending:
+		r.updates = readUpdates(&c)
+	default:
+		return r, fmt.Errorf("wal: unknown record type %d", r.typ)
 	}
+	if err := c.Done(); err != nil {
+		return r, fmt.Errorf("wal: record type %d: %w", r.typ, err)
+	}
+	return r, nil
 }
 
-func (d *decoder) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off+n > len(d.buf) {
-		d.fail("wal: record truncated at offset %d (need %d of %d)", d.off, n, len(d.buf))
-		return false
-	}
-	return true
-}
-
-func (d *decoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) i32() int32 { return int32(d.u32()) }
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) byte() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-// count reads a u32 element count and sanity-bounds it against the bytes
-// remaining, given the minimum encoded size of one element.
-func (d *decoder) count(minElem int) int {
-	n := int(d.u32())
-	if d.err == nil && n*minElem > len(d.buf)-d.off {
-		d.fail("wal: implausible element count %d at offset %d", n, d.off)
-	}
-	return n
-}
-
-func (d *decoder) updates() core.Updates {
-	var u core.Updates
-	if n := d.count(29); n > 0 && d.err == nil {
-		u.Objects = make([]core.ObjectUpdate, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			var o core.ObjectUpdate
-			o.ID = roadnet.ObjectID(d.i32())
-			fl := d.byte()
-			o.Insert = fl&flagInsert != 0
-			o.Delete = fl&flagDelete != 0
-			o.Old.Edge = graph.EdgeID(d.i32())
-			o.Old.Frac = d.f64()
-			o.New.Edge = graph.EdgeID(d.i32())
-			o.New.Frac = d.f64()
-			u.Objects = append(u.Objects, o)
-		}
-	}
-	if n := d.count(21); n > 0 && d.err == nil {
-		u.Queries = make([]core.QueryUpdate, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			var q core.QueryUpdate
-			q.ID = core.QueryID(d.i32())
-			fl := d.byte()
-			q.Insert = fl&flagInsert != 0
-			q.Delete = fl&flagDelete != 0
-			q.K = int(d.i32())
-			q.New.Edge = graph.EdgeID(d.i32())
-			q.New.Frac = d.f64()
-			u.Queries = append(u.Queries, q)
-		}
-	}
-	if n := d.count(12); n > 0 && d.err == nil {
-		u.Edges = make([]core.EdgeUpdate, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			var e core.EdgeUpdate
-			e.Edge = graph.EdgeID(d.i32())
-			e.NewW = d.f64()
-			u.Edges = append(u.Edges, e)
-		}
-	}
-	// Topology section is optional: records written before live network
-	// editing end here.
-	if d.err == nil && d.off < len(d.buf) {
-		if n := d.count(21); n > 0 && d.err == nil {
-			u.Topology = make([]core.TopologyUpdate, 0, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				var tp core.TopologyUpdate
-				op := d.byte()
-				if op > byte(core.TopoRemove) {
-					d.fail("wal: unknown topology op %d", op)
-					break
-				}
-				tp.Op = core.TopologyOp(op)
-				tp.Edge = graph.EdgeID(d.i32())
-				tp.U = graph.NodeID(d.i32())
-				tp.V = graph.NodeID(d.i32())
-				tp.W = d.f64()
-				u.Topology = append(u.Topology, tp)
-			}
-		}
-	}
-	return u
-}
-
-func (d *decoder) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("wal: %d trailing bytes in record", len(d.buf)-d.off)
-	}
-	return nil
+// recordCap is the exact framed size of a batch record holding u (a
+// pending record is eight bytes shorter), so encoding never regrows.
+func recordCap(u core.Updates) int {
+	return frameLen + 1 + 8 + 4*4 + len(u.Objects)*objBytes + len(u.Queries)*qryBytes +
+		len(u.Edges)*edgeBytes + len(u.Topology)*topoBytes
 }
 
 // encodeBatch builds a framed recBatch record.
 func encodeBatch(seq uint64, u core.Updates) []byte {
-	p := make([]byte, 0, 64)
-	p = append(p, recBatch)
-	p = appendU64(p, seq)
-	p = appendUpdates(p, u)
-	return frame(p)
+	return frame.Append(make([]byte, 0, recordCap(u)), func(p []byte) []byte {
+		p = append(p, recBatch)
+		p = appendU64(p, seq)
+		return appendUpdates(p, u)
+	})
 }
 
 // encodeTick builds a framed recTick record. snapCRC == 0 means
 // "skip verification" (crc32 can legitimately be 0, but treating that one
 // value as unverified only weakens one in 2^32 ticks).
 func encodeTick(epoch, stamp uint64, snapCRC uint32) []byte {
-	p := make([]byte, 0, 24)
-	p = append(p, recTick)
-	p = appendU64(p, epoch)
-	p = appendU64(p, stamp)
-	p = appendU32(p, snapCRC)
-	return frame(p)
+	return frame.Append(make([]byte, 0, frameLen+21), func(p []byte) []byte {
+		p = append(p, recTick)
+		p = appendU64(p, epoch)
+		p = appendU64(p, stamp)
+		return appendU32(p, snapCRC)
+	})
 }
 
 // encodePending builds a framed recPending record.
 func encodePending(u core.Updates) []byte {
-	p := make([]byte, 0, 64)
-	p = append(p, recPending)
-	p = appendUpdates(p, u)
-	return frame(p)
+	return frame.Append(make([]byte, 0, recordCap(u)), func(p []byte) []byte {
+		return appendUpdates(append(p, recPending), u)
+	})
 }

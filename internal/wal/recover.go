@@ -2,12 +2,12 @@ package wal
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"strings"
 
 	"roadknn/internal/core"
+	"roadknn/internal/frame"
 )
 
 // TickRecord is the post-step marker logged after a batch was applied:
@@ -122,12 +122,14 @@ func scanStore(fs FS, opts Options) (*Recovery, uint64, error) {
 		}
 		rec.Segments++
 		lastSegStart = start
-		size, lastGood, done, err := scanSegment(fs, segmentName(start), rec, &prevSeq)
+		size, lastGood, err := readSegment(fs, segmentName(start), func(payload []byte) error {
+			return applyRecord(payload, rec, &prevSeq)
+		})
 		if err != nil {
 			return nil, 0, err
 		}
 		rec.lastSegSize = size
-		if !done {
+		if lastGood < size || size < headerLen {
 			// Bad record: cut the segment back to its last good byte.
 			if lastGood < size {
 				if terr := fs.Truncate(segmentName(start), lastGood); terr != nil {
@@ -154,60 +156,52 @@ func scanStore(fs FS, opts Options) (*Recovery, uint64, error) {
 	return rec, lastSegStart, nil
 }
 
-// scanSegment reads one segment's records into rec. Returns the file
-// size, the offset just past the last good record, and done=false if a
-// bad record stopped the scan early.
-func scanSegment(fs FS, name string, rec *Recovery, prevSeq *uint64) (size, lastGood int64, done bool, err error) {
+// readSegment reads the named segment and hands fn each verified record
+// payload in order. It returns the file size and the offset just past the
+// last good record: short of size when a torn or corrupt frame stopped the
+// walk, zero when the file has no valid header. What to do about a short
+// walk is the caller's policy (recovery truncates, tailing stops); an
+// unsupported version or an error from fn aborts.
+func readSegment(fs FS, name string, fn func(payload []byte) error) (size, good int64, err error) {
 	r, err := fs.Open(name)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, err
 	}
 	defer r.Close()
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, err
 	}
 	size = int64(len(data))
-
-	if len(data) < headerLen || string(data[:4]) != segMagic {
-		return size, 0, false, nil
+	v, err := frame.ParseHeader(data, segMagic)
+	if err != nil {
+		return size, 0, nil
 	}
-	if v := uint32(data[4]) | uint32(data[5])<<8 | uint32(data[6])<<16 | uint32(data[7])<<24; v != segVersion {
-		return size, 0, false, fmt.Errorf("wal: %s: unsupported segment version %d", name, v)
+	if v != segVersion {
+		return size, 0, fmt.Errorf("wal: %s: unsupported segment version %d", name, v)
 	}
-
-	off := int64(headerLen)
-	for off < size {
-		if size-off < frameLen {
-			return size, off, false, nil // torn frame header
+	rest := data[headerLen:]
+	for {
+		payload, next, err := frame.Next(rest, maxRecordLen)
+		if err != nil { // io.EOF at the end, else the tail is torn or corrupt
+			return size, size - int64(len(rest)), nil
 		}
-		plen := int64(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		crc := uint32(data[off+4]) | uint32(data[off+5])<<8 | uint32(data[off+6])<<16 | uint32(data[off+7])<<24
-		if plen <= 0 || plen > maxRecordLen || off+frameLen+plen > size {
-			return size, off, false, nil // torn or garbage length
+		if err := fn(payload); err != nil {
+			return size, size - int64(len(rest)), err
 		}
-		payload := data[off+frameLen : off+frameLen+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return size, off, false, nil // corrupt record
-		}
-		if err := applyRecord(payload, rec, prevSeq); err != nil {
-			return size, off, false, err
-		}
-		off += frameLen + plen
+		rest = next
 	}
-	return size, size, true, nil
 }
 
 // applyRecord folds one verified record into the recovery state.
 func applyRecord(payload []byte, rec *Recovery, prevSeq *uint64) error {
-	d := &decoder{buf: payload}
-	switch typ := d.byte(); typ {
+	r, err := decodeRecord(payload)
+	if err != nil {
+		return err
+	}
+	switch r.typ {
 	case recBatch:
-		seq := d.u64()
-		u := d.updates()
-		if err := d.done(); err != nil {
-			return err
-		}
+		seq := r.seq
 		if seq != *prevSeq+1 {
 			if ckpt := rec.Checkpoint; ckpt != nil && seq <= ckpt.Stamp {
 				// Old batch already folded into the checkpoint: skip, but
@@ -226,25 +220,17 @@ func applyRecord(payload []byte, rec *Recovery, prevSeq *uint64) error {
 		if ckpt := rec.Checkpoint; ckpt != nil && seq <= ckpt.Stamp {
 			return nil // already applied before the checkpoint
 		}
-		rec.Batches = append(rec.Batches, BatchRecord{Seq: seq, Updates: u})
+		rec.Batches = append(rec.Batches, BatchRecord{Seq: seq, Updates: r.updates})
 	case recTick:
-		t := TickRecord{Epoch: d.u64(), Stamp: d.u64(), SnapCRC: d.u32()}
-		if err := d.done(); err != nil {
-			return err
-		}
-		if n := len(rec.Batches); n > 0 && rec.Batches[n-1].Seq == t.Stamp {
+		if n := len(rec.Batches); n > 0 && rec.Batches[n-1].Seq == r.tick.Stamp {
+			t := r.tick // copied so that only a kept tick reaches the heap, not every record
 			rec.Batches[n-1].Tick = &t
 		}
 		// A tick for a batch the checkpoint already covers carries no new
 		// information; drop it.
 	case recPending:
-		u := d.updates()
-		if err := d.done(); err != nil {
-			return err
-		}
+		u := r.updates
 		rec.Pending = &u
-	default:
-		return fmt.Errorf("wal: unknown record type %d", typ)
 	}
 	return nil
 }

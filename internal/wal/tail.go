@@ -2,16 +2,16 @@ package wal
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
+
+	"roadknn/internal/frame"
 )
 
 // This file is the log-shipping side of the WAL: a tailing reader over
 // the segment files plus an exported record codec, so a primary can
 // stream its sequenced batch/tick records to follower replicas over any
-// transport while reusing the exact on-disk framing (u32 len | u32 crc |
-// payload, CRC32-Castagnoli).
+// transport while reusing the exact on-disk framing (internal/frame).
 
 // ReadSince returns the batch records with sequence > afterSeq currently
 // in the store, in order, with their tick markers attached where the
@@ -44,11 +44,15 @@ func (l *Log) ReadSince(afterSeq uint64, max int) ([]BatchRecord, error) {
 
 	var out []BatchRecord
 	for _, start := range segStarts {
-		stop, err := l.tailSegment(segmentName(start), afterSeq, &out)
+		size, good, err := readSegment(l.fs, segmentName(start), func(payload []byte) error {
+			return tailRecord(payload, afterSeq, &out)
+		})
 		if err != nil {
 			return nil, err
 		}
-		if stop {
+		if good < size || size < headerLen {
+			// A torn or corrupt record ended the walk: later segments must
+			// not be read, they would open a sequence gap.
 			break
 		}
 		if max > 0 && len(out) >= max {
@@ -59,74 +63,24 @@ func (l *Log) ReadSince(afterSeq uint64, max int) ([]BatchRecord, error) {
 	return out, nil
 }
 
-// tailSegment folds one segment's good-record prefix into out. Returns
-// stop=true when a torn/corrupt record ended the scan (later segments
-// must not be read — they would create a sequence gap).
-func (l *Log) tailSegment(name string, afterSeq uint64, out *[]BatchRecord) (stop bool, err error) {
-	r, err := l.fs.Open(name)
-	if err != nil {
-		return false, err
-	}
-	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return false, err
-	}
-	if len(data) < headerLen || string(data[:4]) != segMagic {
-		return true, nil
-	}
-
-	off := int64(headerLen)
-	size := int64(len(data))
-	for off < size {
-		if size-off < frameLen {
-			return true, nil // torn frame header
-		}
-		plen := int64(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		crc := uint32(data[off+4]) | uint32(data[off+5])<<8 | uint32(data[off+6])<<16 | uint32(data[off+7])<<24
-		if plen <= 0 || plen > maxRecordLen || off+frameLen+plen > size {
-			return true, nil
-		}
-		payload := data[off+frameLen : off+frameLen+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return true, nil
-		}
-		if err := tailRecord(payload, afterSeq, out); err != nil {
-			return false, err
-		}
-		off += frameLen + plen
-	}
-	return false, nil
-}
-
 // tailRecord folds one verified record into out, skipping batches at or
 // below the cursor and pending records (they are a shutdown artifact, not
 // part of the replicated stream).
 func tailRecord(payload []byte, afterSeq uint64, out *[]BatchRecord) error {
-	d := &decoder{buf: payload}
-	switch typ := d.byte(); typ {
+	r, err := decodeRecord(payload)
+	if err != nil {
+		return err
+	}
+	switch r.typ {
 	case recBatch:
-		seq := d.u64()
-		u := d.updates()
-		if err := d.done(); err != nil {
-			return err
-		}
-		if seq > afterSeq {
-			*out = append(*out, BatchRecord{Seq: seq, Updates: u})
+		if r.seq > afterSeq {
+			*out = append(*out, BatchRecord{Seq: r.seq, Updates: r.updates})
 		}
 	case recTick:
-		t := TickRecord{Epoch: d.u64(), Stamp: d.u64(), SnapCRC: d.u32()}
-		if err := d.done(); err != nil {
-			return err
-		}
-		if n := len(*out); n > 0 && (*out)[n-1].Seq == t.Stamp {
+		if n := len(*out); n > 0 && (*out)[n-1].Seq == r.tick.Stamp {
+			t := r.tick
 			(*out)[n-1].Tick = &t
 		}
-	case recPending:
-		d.updates()
-		return d.done()
-	default:
-		return fmt.Errorf("wal: unknown record type %d", typ)
 	}
 	return nil
 }
@@ -152,27 +106,19 @@ func EncodeRecords(buf []byte, recs []BatchRecord) []byte {
 // corruption here means a protocol bug, not a crash artifact.
 func DecodeRecords(data []byte) ([]BatchRecord, error) {
 	var out []BatchRecord
-	off := int64(0)
-	size := int64(len(data))
-	for off < size {
-		if size-off < frameLen {
-			return nil, fmt.Errorf("wal: truncated record frame at offset %d", off)
+	for rest := data; ; {
+		payload, next, err := frame.Next(rest, maxRecordLen)
+		if err == io.EOF {
+			return out, nil
 		}
-		plen := int64(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		crc := uint32(data[off+4]) | uint32(data[off+5])<<8 | uint32(data[off+6])<<16 | uint32(data[off+7])<<24
-		if plen <= 0 || plen > maxRecordLen || off+frameLen+plen > size {
-			return nil, fmt.Errorf("wal: bad record length %d at offset %d", plen, off)
-		}
-		payload := data[off+frameLen : off+frameLen+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return nil, fmt.Errorf("wal: record CRC mismatch at offset %d", off)
+		if err != nil {
+			return nil, fmt.Errorf("wal: record stream at offset %d: %w", len(data)-len(rest), err)
 		}
 		if err := tailRecord(payload, 0, &out); err != nil {
 			return nil, err
 		}
-		off += frameLen + plen
+		rest = next
 	}
-	return out, nil
 }
 
 // DecodeCheckpoint parses an encoded checkpoint image (as produced by

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"strconv"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"roadknn/internal/core"
+	"roadknn/internal/frame"
 )
 
 // SyncPolicy controls when appends are fsync'd.
@@ -263,7 +263,7 @@ func (l *Log) startSegment(startSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	hdr := segmentHeader()
+	hdr := frame.AppendHeader(nil, segMagic, segVersion)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return err
@@ -596,21 +596,21 @@ func (l *Log) CheckpointReader() (io.ReadCloser, int64, uint64, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var hdr [16]byte
+	var hdr [headerLen + frameLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		r.Close()
 		return nil, 0, 0, fmt.Errorf("wal: checkpoint header: %w", err)
 	}
-	if string(hdr[:4]) != ckptMagic {
+	if _, err := frame.ParseHeader(hdr[:], ckptMagic); err != nil {
 		r.Close()
-		return nil, 0, 0, fmt.Errorf("wal: bad checkpoint magic %q", hdr[:4])
+		return nil, 0, 0, fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	blen := int64(binary.LittleEndian.Uint32(hdr[8:12]))
+	blen := int64(binary.LittleEndian.Uint32(hdr[headerLen:]))
 	if blen > maxRecordLen {
 		r.Close()
 		return nil, 0, 0, fmt.Errorf("wal: checkpoint body length %d exceeds the record cap", blen)
 	}
-	return &checkpointStream{hdr: hdr[:], r: r}, 16 + blen, l.ckStamp, nil
+	return &checkpointStream{hdr: hdr[:], r: r}, int64(len(hdr)) + blen, l.ckStamp, nil
 }
 
 // checkpointStream replays the peeked header bytes before the rest of the
@@ -630,7 +630,3 @@ func (c *checkpointStream) Read(p []byte) (int, error) {
 }
 
 func (c *checkpointStream) Close() error { return c.r.Close() }
-
-// SnapshotCRC is the checksum used in tick records, exposed so the
-// serving layer and the log agree on the polynomial.
-func SnapshotCRC(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
