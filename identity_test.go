@@ -1,0 +1,205 @@
+package roadknn_test
+
+// Identity goldens: the per-tick snapshot CRC sequence of IMA, GMA and AUTO
+// over one mixed stream, pinned in testdata/. A restructuring of the
+// engines that claims to be behaviour-preserving must reproduce every
+// published byte, so the sequences — and AUTO's placement counters, which
+// prove the planner made the same decisions at the same ticks — must pass
+// unmodified. Regenerate only with a deliberate behaviour change
+// (go test -run TestIdentityGoldens -update-identity .).
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"roadknn/internal/core"
+	"roadknn/internal/experiments"
+	"roadknn/internal/gen"
+	"roadknn/internal/planner"
+	"roadknn/internal/roadnet"
+	"roadknn/internal/workload"
+)
+
+var updateIdentity = flag.Bool("update-identity", false, "rewrite testdata/identity.golden from the current code")
+
+const (
+	identityTicks   = 64
+	identityRebuild = 30 // mid-run checkpoint canonicalization
+)
+
+// identityChurn layers object and query insert/delete traffic, with mixed
+// k, over the workload generator's moves. It draws from its own seeded rng
+// and reads only the engine's network, so every engine fed the same
+// updates sees the same churn.
+type identityChurn struct {
+	rng     *rand.Rand
+	net     *roadnet.Network
+	nextObj roadnet.ObjectID
+	extras  []roadnet.ObjectID
+	nextQry core.QueryID
+	live    []core.QueryID // registered ids
+}
+
+func newIdentityChurn(cfg workload.Config, net *roadnet.Network) *identityChurn {
+	c := &identityChurn{
+		rng:     rand.New(rand.NewSource(cfg.Seed + 424243)),
+		net:     net,
+		nextObj: roadnet.ObjectID(cfg.NumObjects),
+		nextQry: core.QueryID(cfg.NumQueries),
+	}
+	for i := 0; i < cfg.NumQueries; i++ {
+		c.live = append(c.live, core.QueryID(i))
+	}
+	return c
+}
+
+func (c *identityChurn) k() int { return []int{4, 8, 12}[c.rng.Intn(3)] }
+
+// position draws a uniform position on an edge that this batch's topology
+// edits (applied first by the engines) leave alive.
+func (c *identityChurn) position(u *core.Updates) roadnet.Position {
+draw:
+	for {
+		pos := c.net.UniformPosition(c.rng)
+		for _, t := range u.Topology {
+			if t.Op == core.TopoRemove && t.Edge == pos.Edge {
+				continue draw
+			}
+		}
+		return pos
+	}
+}
+
+func (c *identityChurn) add(ts int, u *core.Updates) {
+	// Objects: two arrivals per tick, one departure every other tick.
+	for i := 0; i < 2; i++ {
+		id := c.nextObj
+		c.nextObj++
+		c.extras = append(c.extras, id)
+		u.Objects = append(u.Objects, core.ObjectUpdate{ID: id, New: c.position(u), Insert: true})
+	}
+	if ts%2 == 0 {
+		i := c.rng.Intn(len(c.extras) - 2) // never one of this tick's arrivals
+		id := c.extras[i]
+		c.extras = append(c.extras[:i], c.extras[i+1:]...)
+		if old, ok := c.net.ObjectPos(id); ok {
+			u.Objects = append(u.Objects, core.ObjectUpdate{ID: id, Old: old, Delete: true})
+		}
+	}
+	// Queries: a termination every 4th tick (the generator keeps sending
+	// moves for terminated ids — the unknown-move path), a same-batch
+	// Delete+Insert with a new k every 5th (what the serving Batcher emits
+	// for a re-registration), a fresh id every 3rd.
+	if ts%4 == 0 {
+		i := c.rng.Intn(len(c.live))
+		u.Queries = append(u.Queries, core.QueryUpdate{ID: c.live[i], Delete: true})
+		c.live = append(c.live[:i], c.live[i+1:]...)
+	}
+	if ts%5 == 0 {
+		id := c.live[c.rng.Intn(len(c.live))]
+		u.Queries = append(u.Queries,
+			core.QueryUpdate{ID: id, Delete: true},
+			core.QueryUpdate{ID: id, New: c.position(u), K: c.k(), Insert: true})
+	}
+	if ts%3 == 0 {
+		id := c.nextQry
+		c.nextQry++
+		c.live = append(c.live, id)
+		u.Queries = append(u.Queries, core.QueryUpdate{ID: id, New: c.position(u), K: c.k(), Insert: true})
+	}
+}
+
+func identityConfig() workload.Config {
+	cfg := workload.Default().Scale(0.02) // 200 edges, 2000 objects, 100 queries
+	cfg.K = 8
+	cfg.Timestamps = identityTicks
+	// The planner oracle's mixed workload: a sparse uniform base with 40% of
+	// the queries in a drifting hotspot, so AUTO stays split and migrates.
+	cfg.QryDist = gen.Uniform
+	cfg.HotspotFrac = 0.4
+	cfg.HotspotDrift = 0.04
+	cfg.TopoAgility = 0.005 // one structural edit per generated batch
+	cfg.Serving = true
+	return cfg
+}
+
+// identityRun steps one engine over the stream and returns its golden
+// block: one CRC per tick, plus the planner counters for AUTO.
+func identityRun(t *testing.T, engine string, workers int) string {
+	t.Helper()
+	cfg := identityConfig()
+	opts := core.Options{Workers: workers, Serving: true, Planner: core.PlannerOptions{PlanEvery: 5}}
+	r, _ := workload.NewRunner(cfg, experiments.EngineWith(engine, opts))
+	eng := r.Engine()
+	defer eng.Close()
+	churn := newIdentityChurn(cfg, eng.Network())
+
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "%s workers=%d\n", engine, workers)
+	for ts := 1; ts <= identityTicks; ts++ {
+		u := r.GenerateStep()
+		if ts%3 != 0 {
+			// Topology on every third tick only: in between, the grouped
+			// layer's active-node monitors carry incremental state across
+			// ticks instead of being rebuilt by a redecomposition.
+			u.Topology = nil
+		}
+		churn.add(ts, &u)
+		eng.Step(u)
+		if ts == identityRebuild {
+			eng.(core.Rebuilder).Rebuild()
+		}
+		fmt.Fprintf(&out, "%08x", eng.Snapshot().CRC32())
+		if ts%8 == 0 {
+			out.WriteByte('\n')
+		} else {
+			out.WriteByte(' ')
+		}
+	}
+	if sp, ok := eng.(planner.StatsProvider); ok {
+		st := sp.PlannerStats()
+		fmt.Fprintf(&out, "migrations=%d migrated_queries=%d cross_moves=%d replans=%d groups_gma=%d\n",
+			st.Migrations, st.MigratedQueries, st.CrossMoves, st.Replans, st.GroupsGMA)
+		if st.Migrations == 0 || st.GroupsGMA == 0 {
+			t.Errorf("%s workers=%d: the stream never split the workload: %+v", engine, workers, st)
+		}
+	}
+	return out.String()
+}
+
+func TestIdentityGoldens(t *testing.T) {
+	var got bytes.Buffer
+	for _, engine := range []string{"IMA", "GMA", "AUTO"} {
+		for _, workers := range []int{1, 4} {
+			got.WriteString(identityRun(t, engine, workers))
+		}
+	}
+	path := filepath.Join("testdata", "identity.golden")
+	if *updateIdentity {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := range min(len(gl), len(wl)) {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("identity golden differs at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("identity golden differs in length: got %d lines, want %d", len(gl), len(wl))
+	}
+}
