@@ -4,60 +4,38 @@ import (
 	"roadknn/internal/roadnet"
 )
 
-// This file contains ablation variants of the two engines, used by the
-// ablation benchmarks to quantify the design choices DESIGN.md calls out.
-// They are correct engines — only slower — so the correctness suite runs
-// them too.
+// This file contains ablation variants of the two fixed placements, used
+// by the ablation benchmarks to quantify the design choices DESIGN.md calls
+// out. They are correct engines — only slower — so the correctness suite
+// runs them too.
 
-// IMAUnfiltered is IMA with influence-list filtering disabled: every
-// update is processed against every query (the tree reuse machinery is
-// kept). It quantifies how much of IMA's advantage comes from ignoring
-// irrelevant updates (§4.2's central claim).
-type IMAUnfiltered struct {
-	IMA
-}
-
-// NewIMAUnfiltered creates the ablation engine over net with default
-// options.
-func NewIMAUnfiltered(net *roadnet.Network) *IMAUnfiltered {
+// NewIMAUnfiltered creates IMA with influence-list filtering disabled, with
+// default options: every update is processed against every query (the tree
+// reuse machinery is kept). It quantifies how much of IMA's advantage comes
+// from ignoring irrelevant updates (§4.2's central claim).
+func NewIMAUnfiltered(net *roadnet.Network) *Incremental {
 	return NewIMAUnfilteredWith(net, Options{})
 }
 
 // NewIMAUnfilteredWith creates the ablation engine with the given options.
-func NewIMAUnfilteredWith(net *roadnet.Network, o Options) *IMAUnfiltered {
-	e := &IMAUnfiltered{}
-	e.set = newMonitorSet(net, false)
+func NewIMAUnfilteredWith(net *roadnet.Network, o Options) *Incremental {
+	e := NewIncremental("IMA-NF", net, o, fixed(Direct))
 	e.set.unfiltered = true
-	e.set.configure(o)
-	e.pub.init(o, e.resultOf)
 	return e
 }
 
-// Name implements Engine.
-func (e *IMAUnfiltered) Name() string { return "IMA-NF" }
-
-// GMANaive is GMA with the bounded in-sequence expansion replaced by the
-// naive application of Lemma 1: every evaluation scans all objects in the
-// whole sequence and merges both endpoint NN sets unconditionally. The
-// paper's §5 argues this "can be very expensive, because a sequence may
-// contain numerous edges and objects". The wrapped engine is embedded by
-// pointer: the GMA struct owns a snapshot publisher and a worker pool
-// (with a GC-backed cleanup), neither of which may be copied.
-type GMANaive struct {
-	*GMA
-}
-
-// NewGMANaive creates the ablation engine over net with default options.
-func NewGMANaive(net *roadnet.Network) *GMANaive {
+// NewGMANaive creates GMA with the bounded in-sequence expansion replaced
+// by the naive application of Lemma 1, with default options: every
+// evaluation scans all objects in the whole sequence and merges both
+// endpoint NN sets unconditionally. The paper's §5 argues this "can be very
+// expensive, because a sequence may contain numerous edges and objects".
+func NewGMANaive(net *roadnet.Network) *Incremental {
 	return NewGMANaiveWith(net, Options{})
 }
 
 // NewGMANaiveWith creates the ablation engine with the given options.
-func NewGMANaiveWith(net *roadnet.Network, o Options) *GMANaive {
-	inner := NewGMAWith(net, o)
-	inner.naiveEval = true
-	return &GMANaive{GMA: inner}
+func NewGMANaiveWith(net *roadnet.Network, o Options) *Incremental {
+	e := NewIncremental("GMA-naive", net, o, fixed(Grouped))
+	e.naiveEval = true
+	return e
 }
-
-// Name implements Engine.
-func (e *GMANaive) Name() string { return "GMA-naive" }

@@ -161,19 +161,23 @@ func (w *replayWorld) dump(e Engine, qid QueryID, u Updates) {
 				fmt.Printf("    its update this ts: %+v\n", ou)
 			}
 		}
-		switch eng := e.(type) {
-		case *IMA:
-			m := eng.set.mons[qid]
+		eng, ok := e.(*Incremental)
+		if !ok {
+			continue
+		}
+		switch _, _, mode, _ := eng.Placement(qid); mode {
+		case Direct:
+			m := eng.set.mons[directKey(qid)]
 			reg := slices.Contains(m.affEdges, op.Edge)
 			fmt.Printf("    IMA distanceTo=%g kdist=%g tree=%d regOnEdge=%v\n",
 				m.distanceTo(op), m.kdist, m.tree.len(), reg)
-		case *GMA:
-			q := eng.queries[qid]
-			seq := &eng.seqs.Seqs[q.seq]
+		case Grouped:
+			q := eng.grp.queries[qid]
+			seq := &eng.grp.seqs.Seqs[q.seq]
 			fmt.Printf("    GMA kdist=%g seq=%d reachA=%v(%g) reachB=%v(%g) endA=%d endB=%d objSeq=%d\n",
-				q.kdist, q.seq, q.reachA, q.distA, q.reachB, q.distB, seq.EndA, seq.EndB, eng.seqs.ByEdge[op.Edge])
+				q.kdist, q.seq, q.reachA, q.distA, q.reachB, q.distB, seq.EndA, seq.EndB, eng.grp.seqs.ByEdge[op.Edge])
 			for _, n := range []graph.NodeID{seq.EndA, seq.EndB} {
-				if mon, ok := eng.inner.mons[QueryID(n)]; ok {
+				if mon, ok := eng.set.mons[nodeKey(n)]; ok {
 					inRes := false
 					var nd float64
 					for _, nb := range mon.result {
@@ -181,7 +185,7 @@ func (w *replayWorld) dump(e Engine, qid QueryID, u Updates) {
 							inRes, nd = true, nb.Dist
 						}
 					}
-					wantN := BruteForceKNN(e.Network(), eng.nodePosition(n), mon.k)
+					wantN := BruteForceKNN(e.Network(), eng.grp.nodePosition(n), mon.k)
 					errN := compareResults(mon.result, wantN)
 					fmt.Printf("    node %d k=%d kdist=%g hasObj=%v(%g) oracleOK=%v\n",
 						n, mon.k, mon.kdist, inRes, nd, errN == nil)

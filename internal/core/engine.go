@@ -1,0 +1,379 @@
+package core
+
+import (
+	"fmt"
+	"iter"
+	"slices"
+
+	"roadknn/internal/roadnet"
+)
+
+// Mode is where a registered query's state lives inside an Incremental
+// engine. It is chosen per query by the engine's placement function and can
+// be flipped at a tick boundary (SetMode); results are the same k-NN sets
+// either way, only the maintenance cost differs.
+type Mode uint8
+
+const (
+	// Direct gives the query its own monitor: an expansion tree and
+	// influence lists, so only relevant updates are processed and the valid
+	// part of the tree is reused after query movements and edge weight
+	// changes (paper §4, IMA).
+	Direct Mode = iota
+	// Grouped answers the query from the objects inside its sequence plus
+	// the monitored k-NN sets of the sequence's endpoint nodes, shared with
+	// every other grouped query on that sequence (paper §5, GMA).
+	Grouped
+)
+
+// Incremental is the one incremental monitoring engine under IMA, GMA and
+// AUTO. It owns the network, one monitor set (one influence table, one
+// worker pool and arena set) and one publisher. The set holds a direct
+// monitor per Direct query and a node monitor per active sequence endpoint;
+// a Grouped query is a client of node monitors, evaluated by the sequence
+// walk of gma_eval.go after the set has stepped. IMA and GMA are the two
+// fixed placements (all Direct, all Grouped); the adaptive planner
+// (internal/planner) supplies a placement function and flips modes.
+//
+// One timestamp is one pass (Advance): topology edits, then query
+// terminations and grouped installations/moves (which may activate or
+// deactivate node monitors), then one monitorSet.step over objects, edges
+// and direct moves, then the grouped re-evaluation from the changed node
+// monitors and the query-side influence table, then direct installations —
+// terminations before any other update and new installations after all of
+// them, per §4.5 — and finally one publication (Commit).
+type Incremental struct {
+	name string
+	set  *monitorSet
+	// grp is the grouped layer, materialised at the first grouped query and
+	// dropped at the first tick boundary with none left.
+	grp       *groupLayer
+	place     func(roadnet.Position) Mode
+	naiveEval bool // handed to the grouped layer (the GMA-naive ablation)
+	pub       publisher
+	// ids is e.queryIDs bound once, so publishing allocates no closure.
+	ids iter.Seq[QueryID]
+
+	// Per-step buffers, reused across steps.
+	moves   []queryMove
+	inserts []QueryUpdate
+	// batchIns maps the ids a batch installs to whether it also terminates
+	// them (checkInserts).
+	batchIns map[QueryID]bool
+}
+
+// NewIncremental creates an engine over net that places each newly
+// registered query by place (consulted once, at registration). The engine
+// takes ownership of the network's object registry and edge weights.
+func NewIncremental(name string, net *roadnet.Network, o Options, place func(roadnet.Position) Mode) *Incremental {
+	e := &Incremental{name: name, set: newMonitorSet(net), place: place, batchIns: make(map[QueryID]bool)}
+	e.set.configure(o)
+	e.ids = e.queryIDs
+	e.pub.init(o, e.resultOf)
+	return e
+}
+
+func fixed(m Mode) func(roadnet.Position) Mode {
+	return func(roadnet.Position) Mode { return m }
+}
+
+// NewIMA creates the incremental monitoring algorithm (paper §4) over net
+// with default options (worker pool sized to GOMAXPROCS): every query is
+// Direct.
+func NewIMA(net *roadnet.Network) *Incremental { return NewIMAWith(net, Options{}) }
+
+// NewIMAWith creates an IMA engine over net with the given options.
+func NewIMAWith(net *roadnet.Network, o Options) *Incremental {
+	return NewIncremental("IMA", net, o, fixed(Direct))
+}
+
+// NewGMA creates the group monitoring algorithm (paper §5) over net with
+// default options: every query is Grouped.
+func NewGMA(net *roadnet.Network) *Incremental { return NewGMAWith(net, Options{}) }
+
+// NewGMAWith creates a GMA engine over net with the given options.
+func NewGMAWith(net *roadnet.Network, o Options) *Incremental {
+	return NewIncremental("GMA", net, o, fixed(Grouped))
+}
+
+// Name implements Engine.
+func (e *Incremental) Name() string { return e.name }
+
+// Network implements Engine.
+func (e *Incremental) Network() *roadnet.Network { return e.set.net }
+
+// grouped returns the grouped layer, materialising it on first use. Every
+// activation point is a deterministic function of the replayed stream, so
+// replicas materialise it at identical ticks.
+func (e *Incremental) grouped() *groupLayer {
+	if e.grp == nil {
+		e.grp = newGroupLayer(e.set, e.naiveEval)
+	}
+	return e.grp
+}
+
+// Placement reports a registered query's current position, k and mode. The
+// engine is authoritative for the position: under topology churn it
+// re-snaps queries off removed edges, so it may differ from where the
+// query was registered or last moved.
+func (e *Incremental) Placement(id QueryID) (pos roadnet.Position, k int, mode Mode, ok bool) {
+	if m, ok := e.set.mons[directKey(id)]; ok {
+		return m.pos, m.k, Direct, true
+	}
+	if e.grp != nil {
+		if q, ok := e.grp.queries[id]; ok {
+			return q.pos, q.k, Grouped, true
+		}
+	}
+	return roadnet.Position{}, 0, Direct, false
+}
+
+func dupMsg(id QueryID) string { return fmt.Sprintf("core: query %d already registered", id) }
+
+// Register implements Engine.
+func (e *Incremental) Register(id QueryID, pos roadnet.Position, k int) {
+	if _, _, _, dup := e.Placement(id); dup {
+		panic(dupMsg(id))
+	}
+	e.install(id, pos, k, e.place(pos))
+	e.publish()
+}
+
+// Unregister implements Engine.
+func (e *Incremental) Unregister(id QueryID) {
+	e.remove(id, nil)
+	e.publish()
+}
+
+// install computes a new query's state from scratch in the given mode,
+// outside a step.
+func (e *Incremental) install(id QueryID, pos roadnet.Position, k int, mode Mode) {
+	if mode == Grouped {
+		g := e.grouped()
+		g.evaluate(g.add(id, pos, k, nil), e.set.arena(0))
+		return
+	}
+	e.set.register(directKey(id), pos, k, false)
+}
+
+// remove drops a query's state, whichever mode holds it; unknown ids are
+// ignored. affected is the grouped layer's dirty set within a step, nil
+// outside one.
+func (e *Incremental) remove(id QueryID, affected map[QueryID]bool) {
+	if e.grp != nil {
+		if q, ok := e.grp.queries[id]; ok {
+			e.grp.remove(q, affected)
+			return
+		}
+	}
+	e.set.unregister(directKey(id))
+}
+
+// SetMode moves a registered query's state into mode: its old state is
+// dropped and the new one computed from scratch at the current position and
+// network, exactly as a fresh registration in that mode would. Nothing is
+// published; callers flip modes at a tick boundary, between Advance and
+// Commit or ahead of Rebuild.
+func (e *Incremental) SetMode(id QueryID, mode Mode) {
+	pos, k, cur, ok := e.Placement(id)
+	if !ok || cur == mode {
+		return
+	}
+	e.remove(id, nil)
+	e.install(id, pos, k, mode)
+}
+
+// Step implements Engine.
+func (e *Incremental) Step(u Updates) {
+	e.Advance(u)
+	e.Commit()
+}
+
+// checkInserts panics, before the step changes any state, if the batch
+// installs an id that is registered and not terminated by the same batch,
+// or installs one id twice: the same rule, and message, as Register.
+func (e *Incremental) checkInserts(qs []QueryUpdate) {
+	ins := e.batchIns
+	clear(ins)
+	for _, qu := range qs {
+		if qu.Insert {
+			if _, twice := ins[qu.ID]; twice {
+				panic(dupMsg(qu.ID))
+			}
+			ins[qu.ID] = false
+		}
+	}
+	if len(ins) == 0 {
+		return
+	}
+	for _, qu := range qs {
+		if _, installed := ins[qu.ID]; installed && qu.Delete {
+			ins[qu.ID] = true
+		}
+	}
+	for id, terminated := range ins {
+		if _, _, _, registered := e.Placement(id); registered && !terminated {
+			panic(dupMsg(id))
+		}
+	}
+}
+
+// Advance applies one timestamp's updates and refreshes every result,
+// without publishing: Step is Advance followed by Commit. The split exists
+// for the planner, which re-places queries in between.
+func (e *Incremental) Advance(u Updates) {
+	e.checkInserts(u.Queries)
+
+	// Topology edits restructure the adjacency and invalidate the sequence
+	// decomposition itself; they apply first. The network is mutated once,
+	// by the set; the grouped layer deactivates its node monitors before
+	// and rebuilds its bookkeeping after, all ahead of any routing.
+	if len(u.Topology) > 0 {
+		if e.grp != nil {
+			e.grp.deactivate()
+		}
+		e.set.applyTopology(u.Topology)
+		if e.grp != nil {
+			e.grp.redecompose()
+		}
+	}
+
+	moves, inserts := e.moves[:0], e.inserts[:0]
+	for _, qu := range u.Queries {
+		switch {
+		case qu.Delete:
+			var affected map[QueryID]bool
+			if e.grp != nil {
+				affected = e.grp.affected
+			}
+			e.remove(qu.ID, affected)
+		case qu.Insert:
+			if e.place(qu.New) == Grouped {
+				g := e.grouped()
+				g.add(qu.ID, qu.New, qu.K, g.affected)
+			} else {
+				inserts = append(inserts, qu)
+			}
+		default:
+			if e.grp != nil {
+				if q, ok := e.grp.queries[qu.ID]; ok {
+					e.grp.move(q, qu.New)
+					continue
+				}
+			}
+			moves = append(moves, queryMove{id: directKey(qu.ID), pos: qu.New})
+		}
+	}
+	e.moves, e.inserts = moves, inserts
+
+	changed := e.set.step(u.Objects, u.Edges, moves)
+	if e.grp != nil {
+		e.grp.reevaluate(changed, u)
+	}
+	for _, qu := range inserts {
+		e.set.register(directKey(qu.ID), qu.New, qu.K, false)
+	}
+}
+
+// Commit closes the timestamp opened by Advance: it counts the tick and
+// publishes. A grouped layer left without queries is dropped here.
+func (e *Incremental) Commit() {
+	e.dropIdleLayer()
+	e.pub.tick()
+	e.publish()
+}
+
+func (e *Incremental) dropIdleLayer() {
+	if e.grp != nil && len(e.grp.queries) == 0 {
+		e.grp = nil
+	}
+}
+
+// queryIDs yields the registered queries of both modes, in no particular
+// order.
+func (e *Incremental) queryIDs(yield func(QueryID) bool) {
+	for key := range e.set.mons {
+		if !key.isNode() && !yield(QueryID(key)) {
+			return
+		}
+	}
+	if e.grp != nil {
+		for id := range e.grp.queries {
+			if !yield(id) {
+				return
+			}
+		}
+	}
+}
+
+// resultOf reads the engine-side current result of one query (the
+// publisher's accessor; bound once at construction).
+func (e *Incremental) resultOf(id QueryID) []Neighbor {
+	if m, ok := e.set.mons[directKey(id)]; ok {
+		return m.result
+	}
+	if e.grp != nil {
+		if q, ok := e.grp.queries[id]; ok {
+			return q.result
+		}
+	}
+	return nil
+}
+
+// publish installs a fresh snapshot over the registered queries (no-op
+// unless the engine is serving).
+func (e *Incremental) publish() { e.pub.publishSet(e.ids) }
+
+// Result implements Engine.
+func (e *Incremental) Result(id QueryID) []Neighbor {
+	if snap := e.pub.snapshot(); snap != nil {
+		return snap.Result(id)
+	}
+	return e.resultOf(id)
+}
+
+// Snapshot implements Engine.
+func (e *Incremental) Snapshot() *Snapshot { return e.pub.snapshot() }
+
+// RestoreClock implements ClockRestorer: it seeds the epoch/timestamp
+// counters after a recovery rebuild (see internal/wal).
+func (e *Incremental) RestoreClock(epoch, stamp uint64) { e.pub.restore(epoch, stamp) }
+
+// Rebuild implements Rebuilder: every monitor — direct and node alike — is
+// recomputed from scratch at the current positions, then every grouped
+// query is re-evaluated serially in ascending id order against the
+// canonical node results, and the result republished, canonicalizing the
+// incremental state for checkpointing.
+func (e *Incremental) Rebuild() {
+	e.dropIdleLayer()
+	e.set.rebuildAll()
+	if g := e.grp; g != nil {
+		sc := e.set.arena(0)
+		for _, id := range g.sortedIDs() {
+			g.evaluate(g.queries[id], sc)
+		}
+	}
+	e.publish()
+}
+
+// Queries implements Engine.
+func (e *Incremental) Queries() []QueryID {
+	n := len(e.set.mons)
+	if e.grp != nil {
+		n += len(e.grp.queries)
+	}
+	return slices.AppendSeq(make([]QueryID, 0, n), e.ids)
+}
+
+// SizeBytes implements Engine: the monitors' trees, candidates and
+// influence lists, plus the grouped layer's own structures while it exists.
+func (e *Incremental) SizeBytes() int {
+	n := e.set.sizeBytes()
+	if e.grp != nil {
+		n += e.grp.sizeBytes()
+	}
+	return n
+}
+
+// Close implements Engine.
+func (e *Incremental) Close() { e.set.pool.Close() }

@@ -312,14 +312,9 @@ func findQueryPos(e Engine, id QueryID) (roadnet.Position, bool) {
 		if m, ok := eng.mons[id]; ok {
 			return m.pos, true
 		}
-	case *IMA:
-		if m, ok := eng.set.mons[id]; ok {
-			return m.pos, true
-		}
-	case *GMA:
-		if q, ok := eng.queries[id]; ok {
-			return q.pos, true
-		}
+	case *Incremental:
+		pos, _, _, ok := eng.Placement(id)
+		return pos, ok
 	}
 	return roadnet.Position{}, false
 }

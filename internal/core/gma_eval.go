@@ -22,8 +22,8 @@ type walkEdge struct {
 // The influencing intervals on the covered sequence edges are re-registered
 // from the final kNN_dist. The scratch arena supplies the walk's covered-
 // edge buffer.
-func (e *GMA) evaluate(q *gmaQuery, sc *scratch) {
-	e.evaluateInto(q, nil, sc)
+func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
+	g.evaluateInto(q, nil, sc)
 }
 
 // evaluateInto is evaluate with an optional influence-table sink: with a
@@ -31,41 +31,40 @@ func (e *GMA) evaluate(q *gmaQuery, sc *scratch) {
 // appended to the sink instead, so that evaluations of distinct queries can
 // run concurrently (each query only ever touches its own qIL entries, so
 // replaying the buffered ops in any shard order yields the serial table).
-func (e *GMA) evaluateInto(q *gmaQuery, sink *[]qilOp, sc *scratch) {
+func (g *groupLayer) evaluateInto(q *gmaQuery, sink *[]qilOp, sc *scratch) {
 	for eid := range q.affEdges {
 		if sink != nil {
 			*sink = append(*sink, qilOp{del: true, edge: eid, q: q.id})
 		} else {
-			delete(e.qIL[eid], q.id)
+			delete(g.qIL[eid], q.id)
 		}
 	}
 	clear(q.affEdges)
 	q.cand.reset(q.k)
 
-	ownEdge := e.net.G.Edge(q.pos.Edge)
-	for _, oe := range e.net.ObjectsOn(q.pos.Edge) {
+	ownEdge := g.net.G.Edge(q.pos.Edge)
+	for _, oe := range g.net.ObjectsOn(q.pos.Edge) {
 		q.cand.add(oe.ID, math.Abs(oe.Frac-q.pos.Frac)*ownEdge.W, roadnet.Position{Edge: q.pos.Edge, Frac: oe.Frac})
 	}
 
-	seq := &e.seqs.Seqs[q.seq]
+	seq := &g.seqs.Seqs[q.seq]
 	covered := sc.covered[:0]
-	q.reachB, q.distB = e.walkDir(q, seq, +1, &covered)
-	q.reachA, q.distA = e.walkDir(q, seq, -1, &covered)
+	q.reachB, q.distB = g.walkDir(q, seq, +1, &covered)
+	q.reachA, q.distA = g.walkDir(q, seq, -1, &covered)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
 	q.result = q.cand.finalize()
 	q.kdist = q.cand.kth()
 
-	e.registerIntervals(q, covered, sink)
+	g.registerIntervals(q, covered, sink)
 }
 
 // walkDir expands along the sequence from q's edge: dir=+1 walks toward
 // EndB (increasing edge index), dir=-1 toward EndA. It reports whether the
 // endpoint was reached within the moving bound kNN_dist and at what arc
 // distance.
-func (e *GMA) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covered *[]walkEdge) (bool, float64) {
-	g := e.net.G
-	idx := int(e.seqs.EdgeIndex[q.pos.Edge])
+func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covered *[]walkEdge) (bool, float64) {
+	idx := int(g.seqs.EdgeIndex[q.pos.Edge])
 
 	var node graph.NodeID
 	var j int // index of the next edge to traverse
@@ -76,20 +75,20 @@ func (e *GMA) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covered *[]wa
 		node = seq.Nodes[idx]
 		j = idx - 1
 	}
-	d := e.net.CostFrom(node, q.pos)
+	d := g.net.CostFrom(node, q.pos)
 
 	for {
-		if !e.naiveEval && d >= q.cand.kth() {
+		if !g.naiveEval && d >= q.cand.kth() {
 			return false, math.Inf(1)
 		}
 		atEnd := (dir > 0 && j == len(seq.Edges)) || (dir < 0 && j == -1)
 		if atEnd {
-			e.mergeNodeSet(q, node, d)
+			g.mergeNodeSet(q, node, d)
 			return true, d
 		}
 		eid := seq.Edges[j]
-		ed := g.Edge(eid)
-		for _, oe := range e.net.ObjectsOn(eid) {
+		ed := g.net.G.Edge(eid)
+		for _, oe := range g.net.ObjectsOn(eid) {
 			q.cand.add(oe.ID, d+costFrom(ed, node, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
 		}
 		*covered = append(*covered, walkEdge{eid: eid, dEntry: d, fromU: ed.U == node})
@@ -102,17 +101,17 @@ func (e *GMA) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covered *[]wa
 // mergeNodeSet folds the NN set of active node n (at arc distance d from
 // the query) into q's candidates. Terminal nodes have no monitored set —
 // nothing lies beyond them.
-func (e *GMA) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
-	if e.net.G.Degree(n) <= 1 {
+func (g *groupLayer) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
+	if g.net.G.Degree(n) <= 1 {
 		return
 	}
-	mon, ok := e.inner.mons[QueryID(n)]
+	mon, ok := g.set.mons[nodeKey(n)]
 	if !ok {
-		panic("core: gma query depends on inactive node")
+		panic("core: grouped query depends on inactive node")
 	}
 	for _, nb := range mon.result {
 		// The merged object's own position is unknown here and irrelevant:
-		// GMA queries are re-evaluated from scratch, never re-derived.
+		// grouped queries are re-evaluated from scratch, never re-derived.
 		q.cand.add(nb.Obj, d+nb.Dist, roadnet.Position{Edge: q.pos.Edge, Frac: q.pos.Frac})
 	}
 }
@@ -120,10 +119,10 @@ func (e *GMA) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
 // registerIntervals writes q's influencing intervals: on its own edge the
 // direct span q ± kNN_dist, and on every covered sequence edge the portion
 // within kNN_dist of the walk's entry point.
-func (e *GMA) registerIntervals(q *gmaQuery, covered []walkEdge, sink *[]qilOp) {
-	w := e.net.G.Edge(q.pos.Edge).W
+func (g *groupLayer) registerIntervals(q *gmaQuery, covered []walkEdge, sink *[]qilOp) {
+	w := g.net.G.Edge(q.pos.Edge).W
 	span := fracSpan(q.kdist, w)
-	e.addInterval(q, q.pos.Edge, qInterval{
+	g.addInterval(q, q.pos.Edge, qInterval{
 		lo: math.Max(0, q.pos.Frac-span),
 		hi: math.Min(1, q.pos.Frac+span),
 	}, sink)
@@ -132,14 +131,14 @@ func (e *GMA) registerIntervals(q *gmaQuery, covered []walkEdge, sink *[]qilOp) 
 		if remain <= -distEps {
 			continue
 		}
-		f := fracSpan(remain, e.net.G.Edge(we.eid).W)
+		f := fracSpan(remain, g.net.G.Edge(we.eid).W)
 		var iv qInterval
 		if we.fromU {
 			iv = qInterval{lo: 0, hi: f}
 		} else {
 			iv = qInterval{lo: 1 - f, hi: 1}
 		}
-		e.addInterval(q, we.eid, iv, sink)
+		g.addInterval(q, we.eid, iv, sink)
 	}
 }
 
@@ -155,7 +154,7 @@ func fracSpan(cost, w float64) float64 {
 	return cost / w
 }
 
-func (e *GMA) addInterval(q *gmaQuery, eid graph.EdgeID, iv qInterval, sink *[]qilOp) {
+func (g *groupLayer) addInterval(q *gmaQuery, eid graph.EdgeID, iv qInterval, sink *[]qilOp) {
 	if cur, ok := q.affEdges[eid]; ok {
 		iv = cur.union(iv)
 	}
@@ -166,10 +165,10 @@ func (e *GMA) addInterval(q *gmaQuery, eid graph.EdgeID, iv qInterval, sink *[]q
 		*sink = append(*sink, qilOp{edge: eid, q: q.id, iv: iv})
 		return
 	}
-	m := e.qIL[eid]
+	m := g.qIL[eid]
 	if m == nil {
 		m = make(map[QueryID]qInterval, 2)
-		e.qIL[eid] = m
+		g.qIL[eid] = m
 	}
 	m[q.id] = iv
 }

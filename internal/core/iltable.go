@@ -3,7 +3,7 @@ package core
 import "roadknn/internal/graph"
 
 // ilTable is the influence-list side of the paper's edge table ET: for each
-// edge, the set of monitored points (queries, or GMA active nodes) whose
+// edge, the set of monitors (direct queries and active nodes alike) whose
 // current k-NN region touches the edge.
 //
 // The paper stores explicit influencing intervals per (edge, query) pair.
@@ -15,11 +15,11 @@ import "roadknn/internal/graph"
 // slice iteration is much cheaper than map iteration on the hot
 // update-classification path).
 type ilTable struct {
-	byEdge [][]QueryID
+	byEdge [][]monKey
 }
 
 func newILTable(numEdges int) *ilTable {
-	return &ilTable{byEdge: make([][]QueryID, numEdges)}
+	return &ilTable{byEdge: make([][]monKey, numEdges)}
 }
 
 // grow extends the table to cover numEdges edge ids (live topology editing
@@ -30,11 +30,11 @@ func (t *ilTable) grow(numEdges int) {
 	}
 }
 
-func (t *ilTable) add(e graph.EdgeID, q QueryID) {
+func (t *ilTable) add(e graph.EdgeID, q monKey) {
 	t.byEdge[e] = append(t.byEdge[e], q)
 }
 
-func (t *ilTable) remove(e graph.EdgeID, q QueryID) {
+func (t *ilTable) remove(e graph.EdgeID, q monKey) {
 	l := t.byEdge[e]
 	for i, x := range l {
 		if x == q {
@@ -47,7 +47,7 @@ func (t *ilTable) remove(e graph.EdgeID, q QueryID) {
 
 // forEach calls fn for every query registered on edge e. fn must not
 // mutate the table for edge e.
-func (t *ilTable) forEach(e graph.EdgeID, fn func(QueryID)) {
+func (t *ilTable) forEach(e graph.EdgeID, fn func(monKey)) {
 	for _, q := range t.byEdge[e] {
 		fn(q)
 	}

@@ -10,8 +10,8 @@ import (
 
 // monitor is the per-query state of IMA (paper §3-§4): the query's position
 // and k, its current result and kNN_dist, and its expansion tree — the
-// shortest paths from the query to every node within kNN_dist. GMA reuses
-// monitor for its active nodes.
+// shortest paths from the query to every node within kNN_dist. The active
+// nodes behind grouped queries (§5) are monitors too.
 //
 // Invariants between timestamps:
 //
@@ -36,10 +36,14 @@ type monitor struct {
 	net *roadnet.Network
 	il  *ilTable // nil to disable influence bookkeeping (OVH)
 
-	id   QueryID
+	id   monKey
 	k    int
 	pos  roadnet.Position
 	cand *candidateSet
+	// track makes finalize report whether the result changed (at the cost
+	// of one result copy): set on node monitors, whose changes wake their
+	// dependent grouped queries.
+	track bool
 	// result aliases cand's storage after finalize; kdist mirrors cand.kth.
 	result []Neighbor
 	kdist  float64
@@ -111,7 +115,7 @@ func (m *monitor) ilRemove(e graph.EdgeID) {
 	m.il.remove(e, m.id)
 }
 
-func newMonitor(net *roadnet.Network, il *ilTable, id QueryID, pos roadnet.Position, k int) *monitor {
+func newMonitor(net *roadnet.Network, il *ilTable, id monKey, pos roadnet.Position, k int) *monitor {
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
@@ -125,7 +129,7 @@ func newMonitor(net *roadnet.Network, il *ilTable, id QueryID, pos roadnet.Posit
 // reset re-initializes a pooled monitor for a fresh registration, retaining
 // every buffer (tree storage, candidate set, influence scratch). The caller
 // must run computeInitial before the monitor is consulted.
-func (m *monitor) reset(id QueryID, pos roadnet.Position, k int) {
+func (m *monitor) reset(id monKey, pos roadnet.Position, k int) {
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
@@ -435,8 +439,8 @@ func (m *monitor) clearIL() {
 	m.affEdges = m.affEdges[:0]
 }
 
-// setK changes the number of monitored neighbors (used by GMA active
-// nodes whose n.k = max q.k changes); the monitor is recomputed lazily.
+// setK changes the number of monitored neighbors (used by active nodes
+// whose n.k = max q.k changes); the monitor is recomputed lazily.
 func (m *monitor) setK(k int) {
 	if k == m.k {
 		return

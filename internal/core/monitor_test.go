@@ -276,7 +276,7 @@ func TestInfluenceRegistrationLifecycle(t *testing.T) {
 	}
 	// The query's own edge is always registered.
 	found := false
-	il.forEach(0, func(q QueryID) { found = found || q == 7 })
+	il.forEach(0, func(q monKey) { found = found || q == 7 })
 	if !found {
 		t.Fatal("own edge not in influence table")
 	}

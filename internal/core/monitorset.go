@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"runtime"
 	"slices"
 
@@ -11,18 +10,27 @@ import (
 	"roadknn/internal/roadnet"
 )
 
+// monKey identifies a monitor within a monitorSet. Direct monitors (user
+// queries with their own expansion tree) are keyed by their QueryID; node
+// monitors (active sequence endpoints serving grouped queries) by their
+// node id shifted past the QueryID range, so the two kinds share one map,
+// one influence table and one router without colliding.
+type monKey int64
+
+const nodeKeyBase monKey = 1 << 32
+
+func directKey(id QueryID) monKey   { return monKey(id) }
+func nodeKey(n graph.NodeID) monKey { return nodeKeyBase + monKey(n) }
+func (k monKey) isNode() bool       { return k >= nodeKeyBase }
+
 // monitorSet runs the complete IMA pipeline of Fig. 10 over a collection of
-// monitored points. The IMA engine instantiates it over the user queries;
-// GMA instantiates a second one over its active nodes (whose positions
-// never move).
+// monitored points: the user queries placed in Direct mode and the active
+// nodes (whose positions never move) behind the Grouped ones, all in one
+// map, routed through one influence table in one pass per timestamp.
 type monitorSet struct {
 	net  *roadnet.Network
 	il   *ilTable
-	mons map[QueryID]*monitor
-	// trackChanges enables result-change reporting from step, needed by
-	// GMA's active-node layer; IMA leaves it off to avoid copying every
-	// result each timestamp.
-	trackChanges bool
+	mons map[monKey]*monitor
 	// unfiltered disables influence-list lookups: every update is offered
 	// to every monitor (the IMA-NF ablation).
 	unfiltered bool
@@ -32,8 +40,8 @@ type monitorSet struct {
 	// keeps the serial pipeline.
 	workers int
 	// pool is the persistent worker pool of the shard stages, shared by
-	// every parallel stage of the owning engine (GMA's query evaluations
-	// run on its inner set's pool — the stages never overlap).
+	// every parallel stage of the owning engine (the grouped queries'
+	// evaluations run on it too — the stages never overlap).
 	pool *pool.Pool
 	// shardFn is s.runShard bound once, so pool dispatch never allocates.
 	shardFn func(worker, i int)
@@ -46,8 +54,8 @@ type monitorSet struct {
 
 	// Per-step buffers, reused across steps so a steady-state timestamp
 	// allocates nothing.
-	affected     map[QueryID]bool
-	changed      map[QueryID]bool
+	affected     map[monKey]bool
+	changed      map[monKey]bool
 	pendingMoves []queryMove
 	aggW         map[graph.EdgeID]float64
 	aggOrder     []graph.EdgeID
@@ -55,25 +63,26 @@ type monitorSet struct {
 	incBuf       []edgeChange
 	changeBuf    []edgeChange
 
-	// topoMoves buffers the object re-snaps of a topology phase, reused
-	// across steps.
+	// topoMoves / topoMarks carry a topology phase's object re-snaps and
+	// flagged monitors from applyTopology to the step that follows it; both
+	// are reused across steps.
 	topoMoves []roadnet.ObjectMove
+	topoMarks []monKey
 
 	// free recycles unregistered monitors, trees/candidate sets and all:
-	// GMA's active-node layer churns registrations on every query move, and
-	// a pooled monitor re-expands without a single allocation.
+	// the active-node layer churns registrations on every grouped query
+	// move, and a pooled monitor re-expands without a single allocation.
 	free []*monitor
 }
 
-func newMonitorSet(net *roadnet.Network, trackChanges bool) *monitorSet {
+func newMonitorSet(net *roadnet.Network) *monitorSet {
 	return &monitorSet{
-		net:          net,
-		il:           newILTable(net.G.NumEdges()),
-		mons:         make(map[QueryID]*monitor),
-		trackChanges: trackChanges,
-		affected:     make(map[QueryID]bool),
-		changed:      make(map[QueryID]bool),
-		aggW:         make(map[graph.EdgeID]float64),
+		net:      net,
+		il:       newILTable(net.G.NumEdges()),
+		mons:     make(map[monKey]*monitor),
+		affected: make(map[monKey]bool),
+		changed:  make(map[monKey]bool),
+		aggW:     make(map[graph.EdgeID]float64),
 	}
 }
 
@@ -94,10 +103,11 @@ func (s *monitorSet) arena(i int) *scratch {
 	return s.arenas.get(i, s.net.G.NumNodes())
 }
 
-func (s *monitorSet) register(id QueryID, pos roadnet.Position, k int) *monitor {
-	if _, dup := s.mons[id]; dup {
-		panic(fmt.Sprintf("core: query %d already registered", id))
-	}
+// register installs a monitor under key and computes its initial result.
+// track enables result-change reporting from step for this monitor: node
+// monitors need it to wake their dependent grouped queries, direct monitors
+// leave it off so no result is copied per timestamp.
+func (s *monitorSet) register(id monKey, pos roadnet.Position, k int, track bool) *monitor {
 	var m *monitor
 	if n := len(s.free); n > 0 {
 		m = s.free[n-1]
@@ -106,6 +116,7 @@ func (s *monitorSet) register(id QueryID, pos roadnet.Position, k int) *monitor 
 	} else {
 		m = newMonitor(s.net, s.il, id, pos, k)
 	}
+	m.track = track
 	s.mons[id] = m
 	m.computeInitial(s.arena(0))
 	return m
@@ -122,7 +133,7 @@ func (s *monitorSet) register(id QueryID, pos roadnet.Position, k int) *monitor 
 // replica built at this instant is bit-identical. The durability layer
 // calls it at checkpoint boundaries.
 func (s *monitorSet) rebuildAll() {
-	ids := make([]QueryID, 0, len(s.mons))
+	ids := make([]monKey, 0, len(s.mons))
 	for id := range s.mons {
 		ids = append(ids, id)
 	}
@@ -136,7 +147,7 @@ func (s *monitorSet) rebuildAll() {
 	}
 }
 
-func (s *monitorSet) unregister(id QueryID) {
+func (s *monitorSet) unregister(id monKey) {
 	m, ok := s.mons[id]
 	if !ok {
 		return
@@ -148,7 +159,7 @@ func (s *monitorSet) unregister(id QueryID) {
 
 // queryMove is a pending query relocation within a step.
 type queryMove struct {
-	id  QueryID
+	id  monKey
 	pos roadnet.Position
 }
 
@@ -156,9 +167,11 @@ type queryMove struct {
 // and flags every monitor whose result can depend on them for a
 // from-scratch recomputation. It always runs serially, before any routing
 // or sharding: edits restructure the CSR adjacency, which every later
-// phase reads. mark registers a monitor as affected in the caller's
-// pipeline (the serial affected set or the parallel router). The returned
-// re-snap moves must be classified as incoming object moves by the caller.
+// phase reads. The flagged monitors and the re-snapped objects are left in
+// topoMarks / topoMoves for the step that follows: the marks enter its
+// affected set (or router), the re-snaps classify as incoming object moves.
+// The grouped layer deactivates its node monitors before calling this and
+// re-attaches after, so only direct monitors are ever marked here.
 //
 // Routing is influence-list-based, like every other update kind. A removal
 // can only change results whose influence region touches the removed edge —
@@ -167,12 +180,12 @@ type queryMove struct {
 // network distance to U or V below kNN_dist; any such query has influence
 // registrations on the existing edges incident to that endpoint, so the
 // union of those lists covers all candidates.
-func (s *monitorSet) applyTopology(topo []TopologyUpdate, mark func(QueryID)) []roadnet.ObjectMove {
+func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 	g := s.net.G
-	recompute := func(q QueryID) {
+	recompute := func(q monKey) {
 		if m, ok := s.mons[q]; ok {
 			m.needRecompute = true
-			mark(q)
+			s.topoMarks = append(s.topoMarks, q)
 		}
 	}
 	moves := s.topoMoves[:0]
@@ -203,47 +216,55 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate, mark func(QueryID)) []
 	// objects, and recompute from there.
 	for q, m := range s.mons {
 		if !g.EdgeAlive(m.pos.Edge) {
-			np, ok := s.net.Resnap(m.pos)
-			if !ok {
-				panic("core: no live edge to re-snap a query onto")
-			}
-			m.pos = np
+			m.pos = resnap(s.net, m.pos)
 			recompute(q)
 		}
 	}
-	return moves
 }
 
-// step processes one timestamp of topology edits, object updates, edge
-// updates and query moves in the order mandated by §4.5 (topology first,
-// then out-of-tree moves — full recomputation, all other updates for them
-// ignored — then edge weight decreases, then increases, then in-tree query
-// moves, then object updates, and finally the per-query finalize). It
-// returns the set of queries whose results changed; the returned map is
+// resnap moves a query position off a removed edge (the objects' rule).
+func resnap(net *roadnet.Network, pos roadnet.Position) roadnet.Position {
+	np, ok := net.Resnap(pos)
+	if !ok {
+		panic("core: no live edge to re-snap a query onto")
+	}
+	return np
+}
+
+// step processes one timestamp of object updates, edge updates and query
+// moves in the order mandated by §4.5 (topology first — applied by
+// applyTopology before the call — then out-of-tree moves — full
+// recomputation, all other updates for them ignored — then edge weight
+// decreases, then increases, then in-tree query moves, then object
+// updates, and finally the per-query finalize). It returns the set of
+// change-tracking monitors whose results changed; the returned map is
 // reused by the next step call.
 //
 // With workers > 1 the per-monitor work runs on the sharded parallel
 // pipeline (parallel.go), which produces identical results.
-func (s *monitorSet) step(topo []TopologyUpdate, objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[QueryID]bool {
+func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
+	var changed map[monKey]bool
 	if s.workers > 1 && len(s.mons) > 1 {
-		return s.stepParallel(topo, objs, edges, moves)
+		changed = s.stepParallel(objs, edges, moves)
+	} else {
+		changed = s.stepSerial(objs, edges, moves)
 	}
-	return s.stepSerial(topo, objs, edges, moves)
+	s.topoMarks, s.topoMoves = s.topoMarks[:0], s.topoMoves[:0]
+	return changed
 }
 
-func (s *monitorSet) stepSerial(topo []TopologyUpdate, objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[QueryID]bool {
+func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
 	sc := s.arena(0)
 	affected := s.affected
 	clear(affected)
 
-	// Topology edits restructure the adjacency itself; they apply first.
-	// The re-snapped objects need no outgoing marks — every query that
-	// could hold an object of a removed edge is in that edge's influence
-	// list and already recomputes from scratch — and classify as incomers
-	// after the edge phase, below.
-	var topoMoves []roadnet.ObjectMove
-	if len(topo) > 0 {
-		topoMoves = s.applyTopology(topo, func(q QueryID) { affected[q] = true })
+	// Monitors flagged by this timestamp's topology edits. The re-snapped
+	// objects need no outgoing marks — every query that could hold an
+	// object of a removed edge is in that edge's influence list and already
+	// recomputes from scratch — and classify as incomers after the edge
+	// phase, below.
+	for _, q := range s.topoMarks {
+		affected[q] = true
 	}
 
 	// Fig. 10 lines 1-3: queries moving outside their expansion tree are
@@ -271,7 +292,7 @@ func (s *monitorSet) stepSerial(topo []TopologyUpdate, objs []ObjectUpdate, edge
 	// Topology re-snaps classify as incomers at their new positions, with
 	// the timestamp's weights already applied — the same point at which the
 	// parallel pipeline's shards replay them.
-	for _, mv := range topoMoves {
+	for _, mv := range s.topoMoves {
 		s.markIncoming(mv.ID, mv.New, affected)
 	}
 
@@ -284,14 +305,16 @@ func (s *monitorSet) stepSerial(topo []TopologyUpdate, objs []ObjectUpdate, edge
 
 	// Lines 16-19: object updates. The touched objects accumulate on the
 	// monitors themselves (m.touched), not in a per-step map.
-	s.applyObjectUpdates(objs, affected)
+	s.applyObjects(objs,
+		func(id roadnet.ObjectID, old roadnet.Position) { s.markOutgoing(id, old, affected) },
+		func(id roadnet.ObjectID, pos roadnet.Position) { s.markIncoming(id, pos, affected) })
 
 	// Lines 20-26: restore every affected query.
 	changed := s.changed
 	clear(changed)
 	for id := range affected {
 		if m, ok := s.mons[id]; ok {
-			if m.finalize(m.touched, s.trackChanges, sc) {
+			if m.finalize(m.touched, m.track, sc) {
 				changed[id] = true
 			}
 			m.touched = m.touched[:0]
@@ -350,16 +373,16 @@ func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 // applyEdgeUpdates applies the aggregated weight changes, decreases
 // strictly before increases, pruning the trees of the queries in each
 // edge's influence list as it goes.
-func (s *monitorSet) applyEdgeUpdates(edges []EdgeUpdate, affected map[QueryID]bool, sc *scratch) {
+func (s *monitorSet) applyEdgeUpdates(edges []EdgeUpdate, affected map[monKey]bool, sc *scratch) {
 	for _, ec := range s.classifyEdgeUpdates(edges) {
 		s.net.G.SetWeight(ec.eid, ec.newW)
 		if ec.decrease {
-			s.forInfluenced(ec.eid, func(q QueryID) {
+			s.forInfluenced(ec.eid, func(q monKey) {
 				affected[q] = true
 				s.mons[q].onEdgeDecrease(ec.eid, ec.oldW, ec.newW, sc)
 			})
 		} else {
-			s.forInfluenced(ec.eid, func(q QueryID) {
+			s.forInfluenced(ec.eid, func(q monKey) {
 				affected[q] = true
 				s.mons[q].onEdgeIncrease(ec.eid, sc)
 			})
@@ -370,7 +393,7 @@ func (s *monitorSet) applyEdgeUpdates(edges []EdgeUpdate, affected map[QueryID]b
 // forInfluenced visits the queries to consider for an update on edge e:
 // the edge's influence list normally, or every query when filtering is
 // ablated away.
-func (s *monitorSet) forInfluenced(e graph.EdgeID, fn func(QueryID)) {
+func (s *monitorSet) forInfluenced(e graph.EdgeID, fn func(monKey)) {
 	if s.unfiltered {
 		for q := range s.mons {
 			fn(q)
@@ -380,34 +403,36 @@ func (s *monitorSet) forInfluenced(e graph.EdgeID, fn func(QueryID)) {
 	s.il.forEach(e, fn)
 }
 
-// applyObjectUpdates applies object movements to the network and
-// classifies each update per affected query as outgoing, incoming or
-// moving (§4.2); the classification only marks queries and collects the
-// touched object ids — finalize re-derives their distances.
-func (s *monitorSet) applyObjectUpdates(objs []ObjectUpdate, affected map[QueryID]bool) {
+// applyObjects applies object movements to the network — the one place the
+// incremental engines mutate the object registry — and hands each update's
+// departure and arrival to the running pipeline, which classifies it per
+// affected query as outgoing, incoming or moving (§4.2): the serial
+// pipeline marks queries on the spot, the parallel one routes ops to the
+// shards. Neither hook reads the registry, only monitor state.
+func (s *monitorSet) applyObjects(objs []ObjectUpdate, outgoing, incoming func(roadnet.ObjectID, roadnet.Position)) {
 	for _, ou := range objs {
 		switch {
 		case ou.Insert:
 			s.net.AddObject(ou.ID, ou.New)
-			s.markIncoming(ou.ID, ou.New, affected)
+			incoming(ou.ID, ou.New)
 		case ou.Delete:
 			old, ok := s.net.RemoveObject(ou.ID)
 			if !ok {
 				continue
 			}
-			s.markOutgoing(ou.ID, old, affected)
+			outgoing(ou.ID, old)
 		default:
 			old := s.net.MoveObject(ou.ID, ou.New)
-			s.markOutgoing(ou.ID, old, affected)
-			s.markIncoming(ou.ID, ou.New, affected)
+			outgoing(ou.ID, old)
+			incoming(ou.ID, ou.New)
 		}
 	}
 }
 
 // markOutgoing flags the queries that held the object as a neighbor; the
 // influence list of the object's previous edge bounds the search.
-func (s *monitorSet) markOutgoing(id roadnet.ObjectID, old roadnet.Position, affected map[QueryID]bool) {
-	s.forInfluenced(old.Edge, func(q QueryID) {
+func (s *monitorSet) markOutgoing(id roadnet.ObjectID, old roadnet.Position, affected map[monKey]bool) {
+	s.forInfluenced(old.Edge, func(q monKey) {
 		m := s.mons[q]
 		if m.cand.contains(id) {
 			affected[q] = true
@@ -418,8 +443,8 @@ func (s *monitorSet) markOutgoing(id roadnet.ObjectID, old roadnet.Position, aff
 
 // markIncoming flags the queries whose influence region now contains the
 // object and records the object as an incomer for them.
-func (s *monitorSet) markIncoming(id roadnet.ObjectID, pos roadnet.Position, affected map[QueryID]bool) {
-	s.forInfluenced(pos.Edge, func(q QueryID) {
+func (s *monitorSet) markIncoming(id roadnet.ObjectID, pos roadnet.Position, affected map[monKey]bool) {
+	s.forInfluenced(pos.Edge, func(q monKey) {
 		m := s.mons[q]
 		if m.covers(pos) {
 			affected[q] = true

@@ -15,8 +15,8 @@ func TestILTableAddRemove(t *testing.T) {
 	if il.entries() != 3 {
 		t.Fatalf("entries = %d, want 3", il.entries())
 	}
-	seen := map[QueryID]bool{}
-	il.forEach(0, func(q QueryID) { seen[q] = true })
+	seen := map[monKey]bool{}
+	il.forEach(0, func(q monKey) { seen[q] = true })
 	if !seen[1] || !seen[2] || len(seen) != 2 {
 		t.Fatalf("forEach(0) saw %v", seen)
 	}
@@ -25,7 +25,7 @@ func TestILTableAddRemove(t *testing.T) {
 	if il.entries() != 2 {
 		t.Fatalf("entries after remove = %d, want 2", il.entries())
 	}
-	il.forEach(0, func(q QueryID) {
+	il.forEach(0, func(q monKey) {
 		if q == 1 {
 			t.Fatal("removed query still listed")
 		}

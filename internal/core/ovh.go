@@ -71,7 +71,7 @@ func (e *OVH) Register(id QueryID, pos roadnet.Position, k int) {
 	if _, dup := e.mons[id]; dup {
 		panic("core: query already registered")
 	}
-	m := newMonitor(e.net, e.il, id, pos, k)
+	m := newMonitor(e.net, e.il, directKey(id), pos, k)
 	e.mons[id] = m
 	m.computeInitial(e.arena(0))
 	e.publish()
@@ -101,11 +101,7 @@ func (e *OVH) applyTopology(topo []TopologyUpdate) {
 	e.il.grow(g.NumEdges())
 	for _, m := range e.mons {
 		if !g.EdgeAlive(m.pos.Edge) {
-			np, ok := e.net.Resnap(m.pos)
-			if !ok {
-				panic("core: no live edge to re-snap a query onto")
-			}
-			m.pos = np
+			m.pos = resnap(e.net, m.pos)
 		}
 	}
 }
@@ -136,7 +132,7 @@ func (e *OVH) Step(u Updates) {
 		case qu.Delete:
 			e.unregister(qu.ID)
 		case qu.Insert:
-			m := newMonitor(e.net, e.il, qu.ID, qu.New, qu.K)
+			m := newMonitor(e.net, e.il, directKey(qu.ID), qu.New, qu.K)
 			e.mons[qu.ID] = m
 		default:
 			if m, ok := e.mons[qu.ID]; ok {
@@ -170,9 +166,9 @@ func (e *OVH) Step(u Updates) {
 		for i, id := range ids {
 			for _, op := range bufs[i] {
 				if op.add {
-					e.il.add(op.edge, id)
+					e.il.add(op.edge, directKey(id))
 				} else {
-					e.il.remove(op.edge, id)
+					e.il.remove(op.edge, directKey(id))
 				}
 			}
 		}

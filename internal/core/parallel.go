@@ -9,8 +9,8 @@ import (
 	"roadknn/internal/roadnet"
 )
 
-// This file implements the parallel sharded Step pipeline shared by the
-// three engines. One timestamp is processed in three stages:
+// This file implements the parallel sharded Step pipeline of the monitor
+// set. One timestamp is processed in three stages:
 //
 //  1. route (serial): shared network state is mutated exactly as in serial
 //     execution (edge weights, object registry) while every update is routed
@@ -55,9 +55,9 @@ type Options struct {
 	// snapshot readers need not pay.
 	Deltas bool
 	// Planner tunes the adaptive AUTO engine (internal/planner), which
-	// wraps one IMA and one GMA child and routes spatial query groups to
-	// whichever the cost model predicts is cheaper. Ignored by the static
-	// engines.
+	// decides per spatial query group whether its queries are monitored
+	// directly or grouped, whichever the cost model predicts is cheaper.
+	// Ignored by the static engines.
 	Planner PlannerOptions
 }
 
@@ -68,21 +68,9 @@ type Options struct {
 type PlannerOptions struct {
 	// PlanEvery is the re-planning cadence in ticks: after every
 	// PlanEvery-th Step the planner re-evaluates the per-group cost model
-	// and migrates groups whose predicted-cheaper engine changed.
-	// 0 means the default (8); negative disables in-step re-planning
-	// (placements then change only at checkpoint Rebuilds).
+	// and migrates groups whose predicted-cheaper mode changed. 0 means the
+	// default (8).
 	PlanEvery int
-	// GridDepth is the quadtree-cell depth of the spatial grouping: queries
-	// are grouped into the 4^GridDepth fixed quadrant cells of the
-	// network's workspace. 0 means the default (3, i.e. 64 cells).
-	GridDepth int
-	// Margin is the migration hysteresis: an in-step re-plan moves a group
-	// only when the other engine's predicted cost is below Margin times the
-	// current owner's (0 means the default 0.85; 1 disables hysteresis).
-	// Checkpoint Rebuilds re-derive placements without hysteresis so a
-	// recovered or bootstrapped replica converges to the same placement
-	// regardless of pre-crash ownership history.
-	Margin float64
 }
 
 // workers resolves the configured worker count.
@@ -101,7 +89,7 @@ func (o Options) workers() int {
 // and no closure allocation.
 
 // ilOp is a deferred influence-table mutation emitted by a monitor running
-// on a shard (the owning QueryID is implied by the shard).
+// on a shard (the owning monitor is implied by the shard).
 type ilOp struct {
 	add  bool
 	edge graph.EdgeID
@@ -137,7 +125,7 @@ type monOp struct {
 
 // monWork is one shard: a monitor's routed ops plus its per-shard outputs.
 type monWork struct {
-	id  QueryID
+	id  monKey
 	ops []monOp
 	// pre marks monitors affected during routing itself (query moves),
 	// which must finalize even with an empty op list.
@@ -152,13 +140,13 @@ type monWork struct {
 // stepRouter accumulates the per-monitor work lists of one timestamp. It is
 // owned by a monitorSet and reused across steps to amortize allocations.
 type stepRouter struct {
-	index map[QueryID]int32
+	index map[monKey]int32
 	works []monWork
 }
 
 func (r *stepRouter) reset() {
 	if r.index == nil {
-		r.index = make(map[QueryID]int32)
+		r.index = make(map[monKey]int32)
 	}
 	clear(r.index)
 	r.works = r.works[:0]
@@ -166,7 +154,7 @@ func (r *stepRouter) reset() {
 
 // work returns the (possibly new) work entry for monitor id. The pointer is
 // only valid until the next work call.
-func (r *stepRouter) work(id QueryID) *monWork {
+func (r *stepRouter) work(id monKey) *monWork {
 	if i, ok := r.index[id]; ok {
 		return &r.works[i]
 	}
@@ -190,17 +178,16 @@ func (r *stepRouter) sortByID() {
 
 // stepParallel is the parallel counterpart of monitorSet.stepSerial: same
 // update semantics, per-monitor work fanned out over the worker pool.
-func (s *monitorSet) stepParallel(topo []TopologyUpdate, objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[QueryID]bool {
+func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
 	r := &s.router
 	r.reset()
 
-	// Topology edits apply first, serially (they restructure the CSR the
-	// shards traverse); the flagged monitors recompute from scratch in
-	// their shards, and the re-snapped objects route as incomers after the
-	// edge phase, mirroring stepSerial.
-	var topoMoves []roadnet.ObjectMove
-	if len(topo) > 0 {
-		topoMoves = s.applyTopology(topo, func(q QueryID) { r.work(q).pre = true })
+	// The monitors flagged by this timestamp's topology edits (applied
+	// serially before the step — they restructure the CSR the shards
+	// traverse) recompute from scratch in their shards; the re-snapped
+	// objects route as incomers after the edge phase, mirroring stepSerial.
+	for _, q := range s.topoMarks {
+		r.work(q).pre = true
 	}
 
 	// Route stage. Order mirrors stepSerial exactly.
@@ -233,7 +220,7 @@ func (s *monitorSet) stepParallel(topo []TopologyUpdate, objs []ObjectUpdate, ed
 		if ec.decrease {
 			kind = opEdgeDec
 		}
-		s.forInfluenced(ec.eid, func(q QueryID) {
+		s.forInfluenced(ec.eid, func(q monKey) {
 			w := r.work(q)
 			w.ops = append(w.ops, monOp{kind: kind, edge: ec.eid, oldW: ec.oldW, newW: ec.newW})
 		})
@@ -242,7 +229,7 @@ func (s *monitorSet) stepParallel(topo []TopologyUpdate, objs []ObjectUpdate, ed
 	// Topology re-snaps route as incomers at their new positions, after the
 	// edge ops (their shard replay therefore sees the timestamp's weights,
 	// exactly like stepSerial's immediate evaluation at this point).
-	for _, mv := range topoMoves {
+	for _, mv := range s.topoMoves {
 		s.routeIncoming(mv.ID, mv.New, r)
 	}
 
@@ -256,23 +243,9 @@ func (s *monitorSet) stepParallel(topo []TopologyUpdate, objs []ObjectUpdate, ed
 	// per-monitor classification predicates (contains / covers) read only
 	// monitor state and are deferred to the shard, where they run with the
 	// same per-monitor state as in serial execution.
-	for _, ou := range objs {
-		switch {
-		case ou.Insert:
-			s.net.AddObject(ou.ID, ou.New)
-			s.routeIncoming(ou.ID, ou.New, r)
-		case ou.Delete:
-			old, ok := s.net.RemoveObject(ou.ID)
-			if !ok {
-				continue
-			}
-			s.routeOutgoing(ou.ID, old, r)
-		default:
-			old := s.net.MoveObject(ou.ID, ou.New)
-			s.routeOutgoing(ou.ID, old, r)
-			s.routeIncoming(ou.ID, ou.New, r)
-		}
-	}
+	s.applyObjects(objs,
+		func(id roadnet.ObjectID, old roadnet.Position) { s.routeOutgoing(id, old, r) },
+		func(id roadnet.ObjectID, pos roadnet.Position) { s.routeIncoming(id, pos, r) })
 
 	// Shard stage: replay each monitor's ops and finalize (lines 20-26).
 	// Worker wk owns arena wk for the whole stage, so the monitors it
@@ -341,19 +314,19 @@ func (s *monitorSet) runShard(wk, i int) {
 		return
 	}
 	m.ilDefer = &w.ilOps
-	w.changed = m.finalize(w.touched, s.trackChanges, sc)
+	w.changed = m.finalize(w.touched, m.track, sc)
 	m.ilDefer = nil
 }
 
 func (s *monitorSet) routeOutgoing(id roadnet.ObjectID, old roadnet.Position, r *stepRouter) {
-	s.forInfluenced(old.Edge, func(q QueryID) {
+	s.forInfluenced(old.Edge, func(q monKey) {
 		w := r.work(q)
 		w.ops = append(w.ops, monOp{kind: opOutgoing, obj: id})
 	})
 }
 
 func (s *monitorSet) routeIncoming(id roadnet.ObjectID, pos roadnet.Position, r *stepRouter) {
-	s.forInfluenced(pos.Edge, func(q QueryID) {
+	s.forInfluenced(pos.Edge, func(q monKey) {
 		w := r.work(q)
 		w.ops = append(w.ops, monOp{kind: opIncoming, obj: id, pos: pos})
 	})

@@ -46,7 +46,7 @@ type scratch struct {
 	// ids is the touched-object merge buffer of monitor.finalize.
 	ids []roadnet.ObjectID
 
-	// covered is the sequence-walk buffer of GMA evaluations.
+	// covered is the sequence-walk buffer of grouped-query evaluations.
 	covered []walkEdge
 }
 

@@ -9,7 +9,7 @@ import (
 	"roadknn/internal/roadnet"
 )
 
-func servingIMAForCodec(t *testing.T) *IMA {
+func servingIMAForCodec(t *testing.T) *Incremental {
 	t.Helper()
 	net := roadnet.NewNetwork(gen.SanFranciscoLike(200, 3))
 	e := NewIMAWith(net, Options{Workers: 1, Serving: true})

@@ -20,6 +20,7 @@ type Brinkhoff struct {
 	classes []float64 // speed per class, in average-edge-length units per ts
 	movers  []mover
 	avgLen  float64
+	heap    *pqueue.Dense // route's Dijkstra frontier, reset per route
 }
 
 type mover struct {
@@ -38,6 +39,7 @@ func NewBrinkhoff(net *roadnet.Network, count int, seed int64) *Brinkhoff {
 		rng:     rand.New(rand.NewSource(seed)),
 		classes: []float64{0.5, 1.0, 2.0},
 		avgLen:  net.AvgEdgeLength(),
+		heap:    pqueue.NewDense(net.G.NumNodes()),
 	}
 	b.movers = make([]mover, count)
 	for i := range b.movers {
@@ -174,12 +176,14 @@ func (b *Brinkhoff) route(pos roadnet.Position, dest graph.NodeID) []graph.NodeI
 	// pos.Edge, then walk parents forward.
 	dist := make(map[graph.NodeID]float64, 64)
 	parent := make(map[graph.NodeID]graph.NodeID, 64)
-	q := pqueue.New[graph.NodeID](16)
+	q := b.heap
+	q.Reset()
 	dist[dest] = 0
-	q.Push(dest, 0)
+	q.Push(int32(dest), 0)
 	e := g.Edge(pos.Edge)
 	for q.Len() > 0 {
-		u, du, _ := q.PopMin()
+		ui, du, _ := q.PopMin()
+		u := graph.NodeID(ui)
 		if du > dist[u] {
 			continue
 		}
@@ -193,7 +197,7 @@ func (b *Brinkhoff) route(pos roadnet.Position, dest graph.NodeID) []graph.NodeI
 			if cur, ok := dist[v]; !ok || nd < cur {
 				dist[v] = nd
 				parent[v] = u
-				q.Push(v, nd)
+				q.Push(int32(v), nd)
 			}
 		}
 	}

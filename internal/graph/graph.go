@@ -279,29 +279,6 @@ func (g *Graph) Compact() {
 }
 
 // clearOverlay resets the overlay bookkeeping (rows are merged).
-// Clone returns a deep copy of g sharing no mutable state with the
-// original. Pending overlay mutations are merged first (Freeze), so the
-// copy starts from the same compacted CSR layout — including the tombstone
-// array and the LIFO id freelist, whose order determines deterministic id
-// reuse — and subsequent mutations on either graph never affect the other.
-func (g *Graph) Clone() *Graph {
-	g.Freeze()
-	return &Graph{
-		nodes:     append([]Node(nil), g.nodes...),
-		edges:     append([]Edge(nil), g.edges...),
-		csrOff:    append([]int32(nil), g.csrOff...),
-		csrLen:    append([]int32(nil), g.csrLen...),
-		csrAdj:    append([]EdgeID(nil), g.csrAdj...),
-		csrLive:   g.csrLive,
-		frozen:    true,
-		dead:      append([]bool(nil), g.dead...),
-		free:      append([]EdgeID(nil), g.free...),
-		pendStamp: append([]uint32(nil), g.pendStamp...),
-		pendEpoch: g.pendEpoch,
-		dirtySet:  make([]bool, len(g.dirtySet)),
-	}
-}
-
 func (g *Graph) clearOverlay() {
 	for _, n := range g.dirty {
 		g.dirtySet[n] = false

@@ -1,12 +1,14 @@
-// Package planner implements the adaptive AUTO engine: a composite of one
-// IMA and one GMA child that partitions the registered queries into
-// spatial groups (fixed-depth quadrant cells of the network workspace, the
-// same quadrant geometry the PMR quadtree uses) and routes each group to
-// whichever child the paper's §6 crossover predicts is cheaper — IMA where
-// queries are sparse, GMA where they cluster densely enough that shared
-// monitoring-node maintenance amortizes. Placements are re-evaluated
-// online and groups migrate between children at tick boundaries, through
-// the children's normal Unregister/Register paths.
+// Package planner implements the adaptive AUTO engine: a placement policy
+// over the one incremental monitoring core (core.Incremental). It
+// partitions the registered queries into spatial groups (fixed-depth
+// quadrant cells of the network workspace, the same quadrant geometry the
+// PMR quadtree uses) and gives each group whichever mode the paper's §6
+// crossover predicts is cheaper — Direct (IMA) where queries are sparse,
+// Grouped (GMA) where they cluster densely enough that shared
+// monitoring-node maintenance amortizes. Placements are re-evaluated online
+// and a group migrates at a tick boundary by flipping its members' mode
+// inside the core: one network, one influence table and one route pass per
+// tick whatever the split.
 //
 // Every input to a placement decision is a deterministic function of the
 // replayed update stream: per-group query counts, distinct query-hosting
@@ -20,10 +22,8 @@
 // bootstrapped from a checkpoint converges to the primary's placements
 // without needing its pre-checkpoint ownership history.
 //
-// Readers never see the two children: the planner owns the one serving
-// publisher (core.ResultPublisher) and publishes a merged epoch-consistent
-// snapshot over the union of both children's queries, with the same COW
-// sharing and delta emission as a static engine.
+// Everything but the policy is the core's: the planner holds no per-query
+// state, applies no update and publishes nothing itself.
 package planner
 
 import (
@@ -36,12 +36,15 @@ import (
 )
 
 const (
-	ownerIMA = uint8(0)
-	ownerGMA = uint8(1)
-
 	defaultPlanEvery = 8
-	defaultGridDepth = 3
-	defaultMargin    = 0.85
+	// gridDepth is the quadtree-cell depth of the spatial grouping: queries
+	// are grouped into the 4^gridDepth (64) fixed quadrant cells of the
+	// network's workspace.
+	gridDepth = 3
+	// margin is the migration hysteresis: an in-step re-plan moves a group
+	// only when the other mode's predicted cost is below margin times the
+	// current one's. Checkpoint Rebuilds re-derive placements without it.
+	margin = 0.85
 )
 
 // Cost-model coefficients, in abstract work units per tick. They encode
@@ -74,20 +77,21 @@ const (
 	// it applies identically to windowed and state-only re-plans.
 	minSharing = 2.0
 	// minGmaShare is the engine-level activation floor: the fraction of
-	// all registered queries GMA must tentatively win before the second
-	// engine is worth running at all (see the override in replan). It is
-	// deliberately conservative: the dual-engine tax — applying the full
-	// object/edge stream to a second network — is fixed, while GMA's
-	// per-group advantage only overtakes it when a large share of the
-	// workload is dense.
+	// all registered queries GMA must tentatively win before any group is
+	// grouped at all (see the override in replan). It was set when a
+	// grouped group cost a second engine on a cloned network; with one
+	// core the fixed cost left is the sequence decomposition and the
+	// active-node monitors, so the floor is likely too conservative. It is
+	// kept value-for-value here — placements are part of the replayed
+	// state — and re-deriving it is a measurement of its own (ROADMAP D).
 	minGmaShare = 0.35
 	// gmaTakeoverShare is the symmetric consolidation bound (sticky, with
-	// hysteresis — see replan): once GMA
-	// would win more than this fraction of the queries, the leftover
-	// sparse tail rides along on GMA instead of splitting — the IMA
-	// side's per-query expansion-tree upkeep under churn costs more than
-	// GMA's already-monitored area absorbing the extra queries, and the
-	// dual-engine tax disappears with it.
+	// hysteresis — see replan): once GMA would win more than this fraction
+	// of the queries, the leftover sparse tail rides along on GMA instead
+	// of splitting — the direct side's per-query expansion-tree upkeep
+	// under churn costs more than GMA's already-monitored area absorbing
+	// the extra queries. Like minGmaShare it predates the single core and
+	// keeps its value until re-measured.
 	gmaTakeoverShare = 0.58
 )
 
@@ -112,8 +116,8 @@ type Stats struct {
 	QueriesIMA      int    `json:"queries_ima"`
 	QueriesGMA      int    `json:"queries_gma"`
 	Migrations      uint64 `json:"migrations"`       // group placement changes, cumulative
-	MigratedQueries uint64 `json:"migrated_queries"` // queries re-registered by migrations
-	CrossMoves      uint64 `json:"cross_moves"`      // query moves into a cell labeled for the other engine (reconciled at the next re-plan)
+	MigratedQueries uint64 `json:"migrated_queries"` // queries whose mode migrations flipped
+	CrossMoves      uint64 `json:"cross_moves"`      // query moves into a cell labeled for the other mode (reconciled at the next re-plan)
 	Replans         uint64 `json:"replans"`
 	LastPlanTick    uint64 `json:"last_plan_tick"`
 	// GroupCosts lists the non-empty groups' latest cost estimates,
@@ -127,21 +131,14 @@ type StatsProvider interface {
 	PlannerStats() *Stats
 }
 
-// qstate is the planner's per-query bookkeeping: registration k and which
-// child currently owns the query. Positions are not duplicated here — the
-// owning child is authoritative (it re-snaps under topology churn) and is
-// consulted at re-plan time.
-type qstate struct {
-	k     int32
-	owner uint8
-}
-
-// cellQuery is the re-plan scratch row: one registered query resolved to
-// its current cell.
+// cellQuery is the re-plan scratch row: one registered query, as the core
+// holds it, resolved to its current cell. Positions come from the core — it
+// is authoritative, re-snapping queries under topology churn.
 type cellQuery struct {
 	cell int32
 	id   core.QueryID
 	k    int32
+	mode core.Mode
 	pos  roadnet.Position
 }
 
@@ -150,38 +147,26 @@ type cellQuery struct {
 type planGroup struct {
 	lo, hi  int
 	edges   int
-	cur     uint8
-	want    uint8
+	cur     core.Mode
+	want    core.Mode
 	costIMA float64
 	costGMA float64
 }
 
-// Planner is the adaptive engine. It implements core.Engine plus the
-// ClockRestorer and Rebuilder extensions, so the full serving stack — WAL
-// checkpointing, crash recovery, follower replication — runs under it
-// unchanged.
+// Planner is the adaptive engine: the core it embeds does all the
+// monitoring — and provides Register, Unregister, Result, Snapshot, Queries
+// and Close — while the planner decides modes. With the ClockRestorer and
+// Rebuilder extensions the full serving stack — WAL checkpointing, crash
+// recovery, follower replication — runs under it unchanged.
 type Planner struct {
-	net *roadnet.Network // the IMA child's network (the one handed in)
-	// The children are created lazily at the first engine operation, not in
-	// NewWith: callers (the workload harness among them) populate the
-	// network's objects after constructing the engine, and the GMA child's
-	// network clone must capture that populated state. Static engines read
-	// the shared network lazily and don't care; a construction-time clone
-	// would silently miss every object added after New.
-	ima       *core.IMA
-	gma       *core.GMA
-	childOpts core.Options
-	pub       *core.ResultPublisher
+	*core.Incremental
 
 	planEvery int
-	depth     int
-	margin    float64
-
-	ticks   uint64 // applied Steps (restored by RestoreClock)
-	queries map[core.QueryID]qstate
-	// cellOwner is the current placement of every grid cell; queries
-	// registering into a cell go to its owner. Defaults to IMA.
-	cellOwner []uint8
+	ticks     uint64 // applied Steps (restored by RestoreClock)
+	// cellOwner is the current placement of every grid cell; the core
+	// places a registering query by its cell's owner (place). Defaults to
+	// Direct.
+	cellOwner []core.Mode
 
 	// Windowed per-cell update counts since the last re-plan or Rebuild —
 	// the deterministic agility inputs of the cost model.
@@ -190,8 +175,6 @@ type Planner struct {
 	winEdge     []uint32
 	windowTicks uint32
 
-	// Reused Step routing buffers.
-	qIMA, qGMA []core.QueryUpdate
 	// Reused re-plan scratch.
 	rows      []cellQuery
 	edgeBuf   []int32
@@ -216,159 +199,59 @@ type Planner struct {
 // New creates a planner engine over net with default options.
 func New(net *roadnet.Network) *Planner { return NewWith(net, core.Options{}) }
 
-// NewWith creates a planner engine over net. The IMA child takes ownership
-// of net itself and is always active (something must keep the live network
-// current); the GMA child runs on a deep clone, because both children
-// mutate their network during Step, and exists only while it owns queries.
-// While both are active they receive the identical non-query update
-// stream, so the two networks stay identical and Network() (the IMA
-// child's) is authoritative for the serving layer.
+// NewWith creates a planner engine over net: one core that owns net, with
+// the planner's cell labels as its placement function.
 func NewWith(net *roadnet.Network, o core.Options) *Planner {
+	const cells = 1 << (2 * gridDepth)
 	p := &Planner{
-		net:       net,
-		childOpts: core.Options{Workers: o.Workers},
 		planEvery: o.Planner.PlanEvery,
-		depth:     o.Planner.GridDepth,
-		margin:    o.Planner.Margin,
-		queries:   make(map[core.QueryID]qstate),
+		cellOwner: make([]core.Mode, cells),
+		winObj:    make([]uint32, cells),
+		winMove:   make([]uint32, cells),
+		winEdge:   make([]uint32, cells),
 	}
-	if p.planEvery == 0 {
+	if p.planEvery <= 0 {
 		p.planEvery = defaultPlanEvery
 	}
-	if p.planEvery < 0 {
-		p.planEvery = 0 // in-step re-planning disabled
-	}
-	if p.depth <= 0 {
-		p.depth = defaultGridDepth
-	}
-	if p.margin <= 0 {
-		p.margin = defaultMargin
-	}
-	cells := 1 << (2 * p.depth)
-	p.cellOwner = make([]uint8, cells)
-	p.winObj = make([]uint32, cells)
-	p.winMove = make([]uint32, cells)
-	p.winEdge = make([]uint32, cells)
-	p.pub = core.NewResultPublisher(o, p.resultOf)
+	p.Incremental = core.NewIncremental("AUTO", net, o, p.place)
 	p.statsView.Store(&Stats{})
 	return p
 }
 
-// Name implements Engine.
-func (p *Planner) Name() string { return "AUTO" }
-
-// Network implements Engine.
-func (p *Planner) Network() *roadnet.Network { return p.net }
-
 func (p *Planner) cellOf(pos roadnet.Position) int32 {
-	return int32(p.net.SI.CellIndex(p.net.Point(pos), p.depth))
+	net := p.Network()
+	return int32(net.SI.CellIndex(net.Point(pos), gridDepth))
 }
 
-// children creates the IMA child on first use (see the field comment: the
-// construction-time network may not be fully populated yet). Called at the
-// top of every mutating engine operation; all of those run on the stepper
-// goroutine, so no locking is needed.
-func (p *Planner) children() {
-	if p.ima == nil {
-		p.ima = core.NewIMAWith(p.net, p.childOpts)
-	}
-}
+// place is the core's placement function: a registering query takes the
+// mode of its cell's label (Direct until a re-plan decides otherwise).
+func (p *Planner) place(pos roadnet.Position) core.Mode { return p.cellOwner[p.cellOf(pos)] }
 
-// gmaChild materializes the GMA child on demand from a clone of the live
-// network. The child is deactivated again (closed and dropped) by replan
-// whenever it owns no queries, so a workload that settles on all-IMA pays
-// nothing for the second engine: no clone to keep current, no per-object
-// lookups in an empty monitoring index. Activation points — query routing
-// before the children step, migration after they step, out-of-tick
-// Register — are all deterministic functions of the replayed stream, and
-// at each of them p.net holds exactly the state the new clone must start
-// from, so replicas materialize identical children at identical ticks.
-func (p *Planner) gmaChild() *core.GMA {
-	if p.gma == nil {
-		p.gma = core.NewGMAWith(p.net.Clone(), p.childOpts)
-	}
-	return p.gma
-}
-
-func (p *Planner) child(owner uint8) core.Engine {
-	if owner == ownerGMA {
-		return p.gmaChild()
-	}
-	return p.ima
-}
-
-// Register implements Engine: the query goes to the owner of its cell
-// (IMA until a re-plan decides otherwise) and the merged snapshot is
-// republished, bumping the epoch exactly as a static engine would.
-func (p *Planner) Register(id core.QueryID, pos roadnet.Position, k int) {
-	p.children()
-	own := p.cellOwner[p.cellOf(pos)]
-	p.child(own).Register(id, pos, k)
-	p.queries[id] = qstate{k: int32(k), owner: own}
-	p.publish()
-}
-
-// Unregister implements Engine.
-func (p *Planner) Unregister(id core.QueryID) {
-	p.children()
-	q, ok := p.queries[id]
-	if !ok {
-		return
-	}
-	p.child(q.owner).Unregister(id)
-	delete(p.queries, id)
-	p.publish()
-}
-
-// Step implements Engine. Topology, object and edge updates are fanned out
-// to every active child in full (each maintains its own network); query
-// updates are routed to the owning child only — a move keeps its owner
-// even when it lands in a cell labeled for the other engine, and the next
-// re-plan reconciles. After the children have stepped, the windowed
-// per-cell statistics are advanced and — every PlanEvery-th tick —
-// placements are re-evaluated and groups migrated, before the merged
-// snapshot for this tick is published.
+// Step implements Engine. The windowed per-cell statistics are advanced
+// from the batch, the core applies it in one pass — a move keeps its mode
+// even when it lands in a cell labeled for the other one, and the next
+// re-plan reconciles — and, every PlanEvery-th tick, placements are
+// re-evaluated and groups migrated before the tick is published.
 func (p *Planner) Step(u core.Updates) {
-	p.children()
 	p.ticks++
-	p.qIMA = p.qIMA[:0]
-	p.qGMA = p.qGMA[:0]
 	for _, qu := range u.Queries {
-		switch {
-		case qu.Delete:
-			q, ok := p.queries[qu.ID]
-			if !ok {
-				continue // unknown id: deletes are idempotent, as in the children
-			}
-			p.routeQuery(q.owner, qu)
-			delete(p.queries, qu.ID)
-		case qu.Insert:
-			cell := p.cellOf(qu.New)
-			own := p.cellOwner[cell]
-			if q, dup := p.queries[qu.ID]; dup {
-				own = q.owner // re-install stays with its owner (the child enforces its own semantics)
-			}
-			p.routeQuery(own, qu)
-			p.queries[qu.ID] = qstate{k: int32(qu.K), owner: own}
-		default: // move
-			q, ok := p.queries[qu.ID]
-			if !ok {
-				p.routeQuery(ownerIMA, qu) // unknown move: let a child handle it as a static engine would
-				continue
-			}
-			cell := p.cellOf(qu.New)
-			p.winMove[cell]++
-			if p.cellOwner[cell] != q.owner {
-				// The query drifted into a cell labeled for the other engine.
-				// Ownership deliberately does NOT follow the label mid-tick: a
-				// cross-engine re-registration is a from-scratch k-NN
-				// computation, and an agile group drifting across cell
-				// boundaries would pay it every tick. The move stays with its
-				// owner; the next re-plan reconciles labels and owners in one
-				// deterministic sweep.
-				p.crossMoves++
-			}
-			p.routeQuery(q.owner, qu)
+		if qu.Insert || qu.Delete {
+			continue
+		}
+		_, _, mode, ok := p.Placement(qu.ID)
+		if !ok {
+			continue // unknown id: the core ignores the move
+		}
+		cell := p.cellOf(qu.New)
+		p.winMove[cell]++
+		if p.cellOwner[cell] != mode {
+			// The query drifted into a cell labeled for the other mode. Its
+			// mode deliberately does NOT follow the label mid-tick: a flip
+			// is a from-scratch k-NN computation, and an agile group
+			// drifting across cell boundaries would pay it every tick. The
+			// next re-plan reconciles labels and modes in one deterministic
+			// sweep.
+			p.crossMoves++
 		}
 	}
 	for _, ou := range u.Objects {
@@ -383,40 +266,21 @@ func (p *Planner) Step(u core.Updates) {
 	}
 	p.windowTicks++
 
-	uIMA := core.Updates{Topology: u.Topology, Objects: u.Objects, Edges: u.Edges, Queries: p.qIMA}
-	p.ima.Step(uIMA)
-	if p.gma != nil {
-		uGMA := core.Updates{Topology: u.Topology, Objects: u.Objects, Edges: u.Edges, Queries: p.qGMA}
-		p.gma.Step(uGMA)
-	}
+	p.Advance(u)
 
 	// The first tick re-plans too: queries registered before any Step all
-	// start on IMA, and making a dense group wait a full period before its
-	// first placement would charge the whole warmup to the wrong engine.
-	if p.planEvery > 0 && (p.ticks == 1 || p.ticks%uint64(p.planEvery) == 0) {
+	// start Direct, and making a dense group wait a full period before its
+	// first placement would charge the whole warmup to the wrong mode.
+	if p.ticks == 1 || p.ticks%uint64(p.planEvery) == 0 {
 		p.replan(true)
 	}
-	p.pub.Tick()
-	p.publish()
-}
-
-func (p *Planner) routeQuery(owner uint8, qu core.QueryUpdate) {
-	if owner == ownerGMA {
-		// Routing happens before the children step, so a GMA child
-		// materialized here clones the pre-tick network and its Step then
-		// applies this tick's batch — exactly the state a long-active child
-		// would hold.
-		p.gmaChild()
-		p.qGMA = append(p.qGMA, qu)
-	} else {
-		p.qIMA = append(p.qIMA, qu)
-	}
+	p.Commit()
 }
 
 // replan re-derives every cell's placement from the cost model and
-// migrates groups whose cheaper engine changed, re-registering their
-// queries with the new owner (ascending cell, then ascending id — a fixed
-// order, so replicas migrate identically). With useWindow the decision
+// migrates groups whose cheaper mode changed, flipping their queries'
+// mode (ascending cell, then ascending id — a fixed order, so replicas
+// migrate identically). With useWindow the decision
 // uses the windowed agility statistics and hysteresis against the current
 // owner; without (checkpoint Rebuild, recovery restore) it is a pure
 // function of current query state, so replicas without the window converge
@@ -425,12 +289,9 @@ func (p *Planner) routeQuery(owner uint8, qu core.QueryUpdate) {
 // contents match too.
 func (p *Planner) replan(useWindow bool) {
 	rows := p.rows[:0]
-	for id, q := range p.queries {
-		pos, ok := p.engineQueryPos(q.owner, id)
-		if !ok {
-			continue // unreachable: planner and child bookkeeping move together
-		}
-		rows = append(rows, cellQuery{cell: p.cellOf(pos), id: id, k: q.k, pos: pos})
+	for _, id := range p.Queries() {
+		pos, k, mode, _ := p.Placement(id)
+		rows = append(rows, cellQuery{cell: p.cellOf(pos), id: id, k: int32(k), mode: mode, pos: pos})
 	}
 	slices.SortFunc(rows, func(a, b cellQuery) int {
 		if a.cell != b.cell {
@@ -444,9 +305,7 @@ func (p *Planner) replan(useWindow bool) {
 	if !useWindow {
 		// State-only re-plan: ownership of empty cells must not leak
 		// pre-checkpoint history into future placements either.
-		for c := range p.cellOwner {
-			p.cellOwner[c] = ownerIMA
-		}
+		clear(p.cellOwner)
 	}
 
 	// Pass 1: per-group cost evaluation and tentative placement.
@@ -491,21 +350,21 @@ func (p *Planner) replan(useWindow bool) {
 		cur := p.cellOwner[cell]
 		want := cur
 		if useWindow {
-			if cur == ownerIMA && costGMA < costIMA*p.margin {
-				want = ownerGMA
-			} else if cur == ownerGMA && costIMA < costGMA*p.margin {
-				want = ownerIMA
+			if cur == core.Direct && costGMA < costIMA*margin {
+				want = core.Grouped
+			} else if cur == core.Grouped && costIMA < costGMA*margin {
+				want = core.Direct
 			}
 		} else {
-			want = ownerIMA
+			want = core.Direct
 			if costGMA < costIMA {
-				want = ownerGMA
+				want = core.Grouped
 			}
 		}
 		if sharing < minSharing {
-			want = ownerIMA
+			want = core.Direct
 		}
-		if want == ownerGMA {
+		if want == core.Grouped {
 			gmaQueries += q
 		}
 		groups = append(groups, planGroup{
@@ -516,12 +375,9 @@ func (p *Planner) replan(useWindow bool) {
 	}
 	p.groupBuf = groups
 
-	// The GMA child is a whole second engine: it applies the full
-	// object/edge stream to its own network clone every tick, a fixed cost
-	// independent of how few queries it owns. A tiny GMA share can never
-	// pay that back, so unless GMA would own a meaningful fraction of all
-	// queries, everything stays on IMA. Pure function of the tentative
-	// placements — deterministic in both re-plan modes.
+	// The activation floor: unless GMA would win a meaningful fraction of
+	// all queries, everything stays Direct (see minGmaShare). Pure function
+	// of the tentative placements — deterministic in both re-plan modes.
 	var share float64
 	if len(rows) > 0 {
 		share = float64(gmaQueries) / float64(len(rows))
@@ -533,7 +389,7 @@ func (p *Planner) replan(useWindow bool) {
 	// hysteresis margin groups use; state-only re-plans recompute the mode
 	// from the tentative share alone (pure function of current state).
 	if useWindow && p.takeover {
-		p.takeover = share > gmaTakeoverShare*p.margin
+		p.takeover = share > gmaTakeoverShare*margin
 	} else {
 		p.takeover = share > gmaTakeoverShare
 	}
@@ -541,24 +397,24 @@ func (p *Planner) replan(useWindow bool) {
 	if p.takeover {
 		forced = true
 		for i := range groups {
-			groups[i].want = ownerGMA
+			groups[i].want = core.Grouped
 		}
 	} else if len(rows) > 0 && share < minGmaShare {
 		forced = true
 		for i := range groups {
-			groups[i].want = ownerIMA
+			groups[i].want = core.Direct
 		}
 	}
 
-	// Pass 2: commit labels, reconcile ownership, publish stats. A group is
-	// reconciled (members re-registered with the label's engine) only when
-	// its label flipped, when the activation floor zeroed GMA, or on a
-	// state-only re-plan. An unchanged label leaves drifted-in stragglers
-	// with their current owner: an agile cluster's tail queries re-snap
-	// across the cluster boundary every tick, and conforming them at every
-	// re-plan would pay two from-scratch registrations per query per
-	// period just to ping-pong. Stragglers serve correctly from either
-	// engine; the next label flip or checkpoint Rebuild conforms them.
+	// Pass 2: commit labels, reconcile modes, publish stats. A group is
+	// reconciled (members flipped to the label's mode) only when its label
+	// flipped, when the activation floor zeroed GMA, or on a state-only
+	// re-plan. An unchanged label leaves drifted-in stragglers in their
+	// current mode: an agile cluster's tail queries re-snap across the
+	// cluster boundary every tick, and conforming them at every re-plan
+	// would pay two from-scratch computations per query per period just to
+	// ping-pong. Stragglers serve correctly in either mode; the next label
+	// flip or checkpoint Rebuild conforms them.
 	for _, g := range groups {
 		group := rows[g.lo:g.hi]
 		cell := group[0].cell
@@ -568,7 +424,7 @@ func (p *Planner) replan(useWindow bool) {
 		}
 		q := len(group)
 		owner := "IMA"
-		if g.want == ownerGMA {
+		if g.want == core.Grouped {
 			owner = "GMA"
 			st.GroupsGMA++
 			st.QueriesGMA += q
@@ -580,24 +436,6 @@ func (p *Planner) replan(useWindow bool) {
 			Cell: int(cell), Queries: q, Edges: g.edges, Owner: owner,
 			CostIMA: g.costIMA, CostGMA: g.costGMA,
 		})
-	}
-
-	if p.gma != nil {
-		// Drop the GMA child once it owns nothing (counting actual owners,
-		// not labels — unreconciled stragglers may outlive a label flip).
-		// Its network clone would otherwise keep paying full per-object
-		// apply costs every tick; gmaChild re-clones the live network if a
-		// future placement needs it back.
-		gmaOwned := 0
-		for _, q := range p.queries {
-			if q.owner == ownerGMA {
-				gmaOwned++
-			}
-		}
-		if gmaOwned == 0 {
-			p.gma.Close()
-			p.gma = nil
-		}
 	}
 
 	p.replans++
@@ -613,34 +451,22 @@ func (p *Planner) replan(useWindow bool) {
 	p.statsView.Store(st)
 }
 
-// migrateGroup moves every group member not already owned by want through
-// the children's normal paths: Unregister at the old owner, Register (a
-// canonical from-scratch computation) at the new one. Called with the
-// group's rows ascending by id.
-func (p *Planner) migrateGroup(group []cellQuery, want uint8) {
+// migrateGroup flips every group member not already in mode want: the core
+// drops its old state and computes the new one from scratch, as a fresh
+// registration would. Called with the group's rows ascending by id.
+func (p *Planner) migrateGroup(group []cellQuery, want core.Mode) {
 	moved := false
 	for i := range group {
-		id := group[i].id
-		q := p.queries[id]
-		if q.owner == want {
+		if group[i].mode == want {
 			continue
 		}
-		p.child(q.owner).Unregister(id)
-		p.child(want).Register(id, group[i].pos, int(q.k))
-		p.queries[id] = qstate{k: q.k, owner: want}
+		p.SetMode(group[i].id, want)
 		p.migratedQueries++
 		moved = true
 	}
 	if moved {
 		p.migrations++
 	}
-}
-
-func (p *Planner) engineQueryPos(owner uint8, id core.QueryID) (roadnet.Position, bool) {
-	if owner == ownerGMA {
-		return p.gma.QueryPos(id)
-	}
-	return p.ima.QueryPos(id)
 }
 
 func (p *Planner) resetWindow() {
@@ -650,73 +476,29 @@ func (p *Planner) resetWindow() {
 	p.windowTicks = 0
 }
 
-// resultOf reads the owning child's engine-side result (the merged
-// publisher's accessor; children are non-serving, so Result falls through
-// to their engine state).
-func (p *Planner) resultOf(id core.QueryID) []core.Neighbor {
-	q, ok := p.queries[id]
-	if !ok {
-		return nil
-	}
-	return p.child(q.owner).Result(id)
-}
-
-func (p *Planner) publish() {
-	p.pub.PublishSet(func(yield func(core.QueryID) bool) {
-		for id := range p.queries {
-			if !yield(id) {
-				return
-			}
-		}
-	})
-}
-
-// Result implements Engine.
-func (p *Planner) Result(id core.QueryID) []core.Neighbor {
-	if snap := p.pub.Snapshot(); snap != nil {
-		return snap.Result(id)
-	}
-	return p.resultOf(id)
-}
-
-// Snapshot implements Engine.
-func (p *Planner) Snapshot() *core.Snapshot { return p.pub.Snapshot() }
-
 // Rebuild implements core.Rebuilder, the checkpoint-boundary
 // canonicalization. Placements are re-derived from current state only (no
-// window, no hysteresis) and groups migrated accordingly, then both
-// children rebuild from scratch — erasing any bookkeeping residue of
-// departed queries — and the merged snapshot is republished (one epoch
-// bump, as in the static engines). A replica restoring from the checkpoint
-// performs the identical sequence in RestoreClock, which is the crux of
-// the byte-identity argument: after both sides rebuild, placements, child
-// states and published results coincide exactly.
+// window, no hysteresis) and groups migrated accordingly, then the core
+// rebuilds every monitor from scratch — erasing any bookkeeping residue of
+// departed queries — and republishes (one epoch bump, as in the static
+// engines). A replica restoring from the checkpoint performs the identical
+// sequence in RestoreClock, which is the crux of the byte-identity
+// argument: after both sides rebuild, placements, monitor states and
+// published results coincide exactly.
 func (p *Planner) Rebuild() {
-	p.children()
 	p.replan(false)
-	p.ima.Rebuild()
-	if p.gma != nil {
-		p.gma.Rebuild()
-	}
-	p.publish()
+	p.Incremental.Rebuild()
 }
 
 // RestoreClock implements core.ClockRestorer: called once after a recovery
 // or follower bootstrap installed the checkpoint state as one batch. The
 // checkpointed snapshot was taken right after the primary's Rebuild, so
-// the restored engine runs the same canonicalization — state-only re-plan,
-// child rebuilds — before re-stamping the publication clock, and the
-// byte-for-byte verification against the checkpointed snapshot holds under
-// AUTO exactly as under a static engine.
+// the restored engine runs the same canonicalization before re-stamping
+// the publication clock, and the byte-for-byte verification against the
+// checkpointed snapshot holds under AUTO exactly as under a static engine.
 func (p *Planner) RestoreClock(epoch, stamp uint64) {
-	p.children()
-	p.replan(false)
-	p.ima.Rebuild()
-	if p.gma != nil {
-		p.gma.Rebuild()
-	}
-	p.publish()
-	p.pub.Restore(epoch, stamp)
+	p.Rebuild()
+	p.Incremental.RestoreClock(epoch, stamp)
 	p.ticks = stamp
 }
 
@@ -724,35 +506,9 @@ func (p *Planner) RestoreClock(epoch, stamp uint64) {
 // (safe from any goroutine).
 func (p *Planner) PlannerStats() *Stats { return p.statsView.Load() }
 
-// Queries implements Engine.
-func (p *Planner) Queries() []core.QueryID {
-	out := make([]core.QueryID, 0, len(p.queries))
-	for id := range p.queries {
-		out = append(out, id)
-	}
-	return out
-}
-
-// SizeBytes implements Engine.
+// SizeBytes implements Engine: the core's structures plus the planner's
+// cell labels and windows.
 func (p *Planner) SizeBytes() int {
-	const qstateBytes = 16
-	sz := len(p.queries)*qstateBytes + len(p.cellOwner) +
+	return p.Incremental.SizeBytes() + len(p.cellOwner) +
 		4*(len(p.winObj)+len(p.winMove)+len(p.winEdge))
-	if p.ima != nil {
-		sz += p.ima.SizeBytes()
-	}
-	if p.gma != nil {
-		sz += p.gma.SizeBytes()
-	}
-	return sz
-}
-
-// Close implements Engine.
-func (p *Planner) Close() {
-	if p.ima != nil {
-		p.ima.Close()
-	}
-	if p.gma != nil {
-		p.gma.Close()
-	}
 }

@@ -1,11 +1,15 @@
+// Package pqueue implements an indexed binary min-heap with decrease-key,
+// the priority queue underlying every Dijkstra-style network expansion in
+// this repository. Items are identified by a key so that a pending item's
+// priority can be lowered in O(log n) when a shorter path to it is
+// discovered.
 package pqueue
 
 // Dense is an indexed binary min-heap over a dense int32 key universe
 // [0, n): the key→slot index is a flat []int32 validated by an epoch stamp
 // instead of a map, so Push/PopMin never hash and Reset is O(1) — the epoch
-// is bumped and every stale slot entry becomes invalid at once. It is the
-// allocation-free counterpart of Min for the network-expansion hot paths,
-// where keys are dense graph.NodeIDs.
+// is bumped and every stale slot entry becomes invalid at once. Keys are
+// dense graph.NodeIDs everywhere it is used.
 //
 // The zero value is not usable; call NewDense. Dense is not safe for
 // concurrent use — the engines own one per worker arena.

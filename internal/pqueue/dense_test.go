@@ -6,49 +6,66 @@ import (
 	"testing"
 )
 
-// TestDenseMatchesMin drives Dense and the map-indexed Min through an
-// identical random operation stream and requires identical observable
-// behavior — Dense is a drop-in replacement on dense key universes.
-func TestDenseMatchesMin(t *testing.T) {
+// TestDenseMatchesModel drives Dense through a random operation stream next
+// to the obvious model — a key→priority map whose minimum is found by
+// scanning — and requires identical observable behavior: insertion,
+// decrease-key, ignored increases, membership, pop order and Reset.
+func TestDenseMatchesModel(t *testing.T) {
 	const universe = 64
 	rng := rand.New(rand.NewSource(42))
 	d := NewDense(universe)
-	m := New[int32](universe)
+	m := map[int32]float64{}
 
 	for op := 0; op < 20000; op++ {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // push / decrease-key
 			k := int32(rng.Intn(universe))
 			p := float64(rng.Intn(50))
-			if got, want := d.Push(k, p), m.Push(k, p); got != want {
-				t.Fatalf("op %d: Push(%d,%g) = %v, Min says %v", op, k, p, got, want)
+			cur, queued := m[k]
+			want := !queued || p < cur
+			if want {
+				m[k] = p
+			}
+			if got := d.Push(k, p); got != want {
+				t.Fatalf("op %d: Push(%d,%g) = %v, model says %v", op, k, p, got, want)
 			}
 		case 5, 6, 7: // pop
 			dk, dp, dok := d.PopMin()
-			mk, mp, mok := m.PopMin()
-			if dok != mok || (dok && (dp != mp)) {
-				t.Fatalf("op %d: PopMin = (%d,%g,%v), Min says (%d,%g,%v)", op, dk, dp, dok, mk, mp, mok)
+			if dok != (len(m) > 0) {
+				t.Fatalf("op %d: PopMin ok = %v with %d items queued", op, dok, len(m))
 			}
-			// Equal priorities may pop in different key order (heap ties);
-			// only the priority sequence must agree.
+			if !dok {
+				continue
+			}
+			// Equal priorities may pop in any key order (heap ties): the
+			// popped key must be queued at the popped priority, and no
+			// queued item may be cheaper.
+			if mp, queued := m[dk]; !queued || mp != dp {
+				t.Fatalf("op %d: PopMin = (%d,%g), model holds (%g,%v)", op, dk, dp, mp, queued)
+			}
+			for k, p := range m {
+				if p < dp {
+					t.Fatalf("op %d: PopMin = (%d,%g) but (%d,%g) is queued", op, dk, dp, k, p)
+				}
+			}
+			delete(m, dk)
 		case 8: // membership probes
 			k := int32(rng.Intn(universe))
-			if d.Contains(k) != m.Contains(k) {
+			mp, mok := m[k]
+			if d.Contains(k) != mok {
 				t.Fatalf("op %d: Contains(%d) disagrees", op, k)
 			}
-			dp, dok := d.Priority(k)
-			mp, mok := m.Priority(k)
-			if dok != mok || dp != mp {
-				t.Fatalf("op %d: Priority(%d) = (%g,%v), Min says (%g,%v)", op, k, dp, dok, mp, mok)
+			if dp, dok := d.Priority(k); dok != mok || dp != mp {
+				t.Fatalf("op %d: Priority(%d) = (%g,%v), model says (%g,%v)", op, k, dp, dok, mp, mok)
 			}
 		case 9: // occasional reset
 			if rng.Intn(20) == 0 {
 				d.Reset()
-				m.Reset()
+				clear(m)
 			}
 		}
-		if d.Len() != m.Len() {
-			t.Fatalf("op %d: Len %d vs %d", op, d.Len(), m.Len())
+		if d.Len() != len(m) {
+			t.Fatalf("op %d: Len %d vs %d", op, d.Len(), len(m))
 		}
 	}
 }

@@ -241,49 +241,11 @@ func rectDist(r geom.Rect, p geom.Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// Clone returns a deep structural copy of the tree: identical node layout,
-// identical leaf item order, sharing no mutable state with the original.
-// Point queries (Candidates, Nearest) on the copy answer exactly as on the
-// original — including candidate order, which downstream tie-breaking
-// depends on — so two engines over cloned networks stay bit-identical
-// under the same update stream.
-func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		bounds:         t.bounds,
-		segs:           make(map[int32]geom.Segment, len(t.segs)),
-		splitThreshold: t.splitThreshold,
-		maxDepth:       t.maxDepth,
-	}
-	for id, s := range t.segs {
-		c.segs[id] = s
-	}
-	c.root = t.root.clone()
-	return c
-}
-
-func (n *node) clone() *node {
-	if n == nil {
-		return nil
-	}
-	c := &node{rect: n.rect, depth: n.depth}
-	if n.items != nil {
-		c.items = append([]int32(nil), n.items...)
-	}
-	if n.children != nil {
-		var ch [4]*node
-		for i, k := range n.children {
-			ch[i] = k.clone()
-		}
-		c.children = &ch
-	}
-	return c
-}
-
 // CellIndex returns the index in [0, 4^depth) of the fixed-depth quadrant
 // cell of the tree's bounds containing p; points outside the bounds land in
 // the nearest boundary cell. Cells follow the same quadrant geometry the
 // PMR splits use (geom.Rect.Quadrant). The adaptive planner keys its
-// per-region statistics and engine placements by this index.
+// per-region statistics and placements by this index.
 func (t *Tree) CellIndex(p geom.Point, depth int) int {
 	r := t.bounds
 	idx := 0

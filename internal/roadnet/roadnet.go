@@ -70,31 +70,6 @@ func NewNetwork(g *graph.Graph) *Network {
 	}
 }
 
-// Clone returns a deep copy of the network: graph, spatial index and
-// object registry all duplicated, sharing no mutable state with the
-// original. The copy is behaviorally identical — quadtree candidate order,
-// freelist id reuse and per-edge object-list order are all preserved — so
-// two engines driven over a network and its clone with the same update
-// stream produce bit-identical states. The adaptive planner uses this to
-// give each child engine its own network to mutate.
-func (n *Network) Clone() *Network {
-	c := &Network{
-		G:       n.G.Clone(),
-		SI:      n.SI.Clone(),
-		objPos:  make(map[ObjectID]Position, len(n.objPos)),
-		edgeObj: make([][]ObjectEntry, len(n.edgeObj)),
-	}
-	for id, pos := range n.objPos {
-		c.objPos[id] = pos
-	}
-	for e, ents := range n.edgeObj {
-		if len(ents) > 0 {
-			c.edgeObj[e] = append([]ObjectEntry(nil), ents...)
-		}
-	}
-	return c
-}
-
 // AddEdge inserts a live edge between u and v (reusing the most recently
 // tombstoned id, if any) and indexes its segment. The per-edge object list
 // for a reused id must already be empty: residents of the removed

@@ -110,10 +110,10 @@ type (
 	// defaults (worker pool sized to runtime.GOMAXPROCS).
 	Options = core.Options
 	// PlannerOptions configures the adaptive AUTO engine (Options.Planner):
-	// re-plan cadence, spatial grouping depth and migration hysteresis.
+	// its re-plan cadence.
 	PlannerOptions = core.PlannerOptions
 	// PlannerStats is the adaptive engine's self-description: group count,
-	// per-engine placements, cumulative migrations and the cost model's
+	// per-mode placements, cumulative migrations and the cost model's
 	// latest per-group estimates. Retrieved via the planner.StatsProvider
 	// interface (engines returned by NewAuto implement it) and served under
 	// /v1/stats by internal/serve.
@@ -160,17 +160,16 @@ func NewIMAWith(net *Network, opts Options) Engine { return core.NewIMAWith(net,
 func NewGMAWith(net *Network, opts Options) Engine { return core.NewGMAWith(net, opts) }
 
 // NewAuto returns the adaptive engine ("AUTO") over net with default
-// options: an IMA and a GMA child behind one merged publisher, with
-// queries partitioned into spatial groups and each group routed online to
-// whichever algorithm the paper's §6 crossover predicts is cheaper.
+// options: the one monitoring core of IMA and GMA, with queries partitioned
+// into spatial groups and each group monitored online in whichever of the
+// two modes the paper's §6 crossover predicts is cheaper.
 // Placement decisions are a deterministic function of the replayed update
 // stream, so crash recovery and follower replication stay byte-identical
 // under AUTO exactly as under a static engine.
 func NewAuto(net *Network) Engine { return planner.New(net) }
 
 // NewAutoWith returns the adaptive engine configured by opts; see
-// Options.Planner for the re-plan cadence, grouping depth and migration
-// hysteresis knobs.
+// Options.Planner for the re-plan cadence.
 func NewAutoWith(net *Network, opts Options) Engine { return planner.NewWith(net, opts) }
 
 // GenerateNetwork produces a synthetic road network with approximately the
