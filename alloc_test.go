@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"roadknn/internal/experiments"
+	"roadknn/internal/gen"
 	"roadknn/internal/workload"
 )
 
@@ -29,9 +30,26 @@ func TestStepAllocationRegression(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, engName := range []string{"IMA", "GMA"} {
 			t.Run(fmt.Sprintf("%s/workers=%d", engName, workers), func(t *testing.T) {
-				runAllocCheck(t, engName, workers, 0, ceiling)
+				runAllocCheck(t, engName, workers, 0, 0, ceiling)
 			})
 		}
+	}
+}
+
+// TestStepAllocationRegressionAuto is the guard for the adaptive engine on
+// a hotspot workload: 60% of the queries re-snap around one drifting
+// center every step, so the measured steps hold grouped query moves
+// (detach + attach of endpoint nodes), direct moves, and re-plans with
+// their migrations. The composite of two engines sat at ~760 allocations a
+// step here (a fresh endpoint slice per attach and detach, per-step move
+// and insert lists); the one core sits at ~100, like the static engines.
+func TestStepAllocationRegressionAuto(t *testing.T) {
+	const ceiling = 500
+
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("AUTO/workers=%d", workers), func(t *testing.T) {
+			runAllocCheck(t, "AUTO", workers, 0, 0.6, ceiling)
+		})
 	}
 }
 
@@ -46,16 +64,21 @@ func TestStepAllocationRegressionTopologyChurn(t *testing.T) {
 	for _, engName := range []string{"IMA", "GMA"} {
 		t.Run(engName, func(t *testing.T) {
 			// 0.001 over ~1000 edges floors at one topology edit per step.
-			runAllocCheck(t, engName, 1, 0.001, ceiling)
+			runAllocCheck(t, engName, 1, 0.001, 0, ceiling)
 		})
 	}
 }
 
-func runAllocCheck(t *testing.T, engName string, workers int, topoAgility float64, ceiling int) {
+func runAllocCheck(t *testing.T, engName string, workers int, topoAgility, hotspotFrac float64, ceiling int) {
 	cfg := workload.Default().Scale(0.1)
 	cfg.Seed = 1
 	cfg.Workers = workers
 	cfg.TopoAgility = topoAgility
+	if hotspotFrac > 0 {
+		cfg.QryDist = gen.Uniform
+		cfg.HotspotFrac = hotspotFrac
+		cfg.HotspotDrift = 0.01
+	}
 	r, _ := workload.NewRunner(cfg, experiments.EngineFor(engName, workers))
 	eng := r.Engine()
 	// Warm until edge object lists, per-monitor trees, router

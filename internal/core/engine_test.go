@@ -279,6 +279,60 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 	}
 }
 
+// TestDuplicateInsertInStepPanics: a batch that installs an id which is
+// registered and not terminated by the same batch — or installs one id
+// twice — panics with Register's message before the step changes any
+// state, in both placements. (The grouped placement used to overwrite the
+// query without detaching it: its endpoints stayed active for ever and the
+// next result change at one of them dereferenced the deleted query.)
+func TestDuplicateInsertInStepPanics(t *testing.T) {
+	first := roadnet.Position{Edge: 0, Frac: 0.5}
+	again := roadnet.Position{Edge: 3, Frac: 0.5}
+	ins := func(pos roadnet.Position) QueryUpdate { return QueryUpdate{ID: 1, New: pos, K: 1, Insert: true} }
+	for _, e := range []*Incremental{NewIMA(buildPathNet()), NewGMA(buildPathNet())} {
+		placeObjects(e, map[roadnet.ObjectID]roadnet.Position{7: {Edge: 1, Frac: 0.5}})
+		e.Step(Updates{Queries: []QueryUpdate{ins(first)}})
+		want := e.Result(1)[0]
+
+		for name, batch := range map[string][]QueryUpdate{
+			"registered id":      {ins(again)},
+			"twice in one batch": {{ID: 1, Delete: true}, ins(again), ins(again)},
+		} {
+			func() {
+				defer func() {
+					if got := recover(); got != "core: query 1 already registered" {
+						t.Errorf("%s, %s: recovered %v, want Register's duplicate panic", e.Name(), name, got)
+					}
+				}()
+				e.Step(Updates{
+					Objects: []ObjectUpdate{{ID: 7, Old: roadnet.Position{Edge: 1, Frac: 0.5}, New: roadnet.Position{Edge: 2, Frac: 0.5}}},
+					Queries: batch,
+				})
+			}()
+			if pos, _ := e.Network().ObjectPos(7); pos.Edge != 1 {
+				t.Fatalf("%s, %s: the rejected batch moved object 7 to %+v", e.Name(), name, pos)
+			}
+			if pos, _, _, ok := e.Placement(1); !ok || pos != first {
+				t.Fatalf("%s, %s: the rejected batch touched query 1: %+v %v", e.Name(), name, pos, ok)
+			}
+			if got := e.Result(1)[0]; got != want {
+				t.Fatalf("%s, %s: result %v, want %v", e.Name(), name, got, want)
+			}
+		}
+
+		// Terminate-and-reinstall in one batch is how a query changes k.
+		e.Step(Updates{Queries: []QueryUpdate{{ID: 1, Delete: true}, ins(again)}})
+		if pos, _, _, _ := e.Placement(1); pos != again {
+			t.Fatalf("%s: Delete+Insert left query 1 at %+v", e.Name(), pos)
+		}
+		e.Step(Updates{Queries: []QueryUpdate{{ID: 1, Delete: true}}})
+		if n := len(e.set.mons); n != 0 {
+			t.Fatalf("%s: %d monitors left after the last query was deleted", e.Name(), n)
+		}
+		e.Step(Updates{Objects: []ObjectUpdate{{ID: 7, Old: roadnet.Position{Edge: 1, Frac: 0.5}, New: roadnet.Position{Edge: 3, Frac: 0.5}}}})
+	}
+}
+
 func TestResultMatchesOracleAfterEachKindOfUpdate(t *testing.T) {
 	for _, e := range pathEngines() {
 		placeObjects(e, map[roadnet.ObjectID]roadnet.Position{

@@ -299,24 +299,29 @@ func sseEvents(ctx context.Context, t *testing.T, url string, limit int) []strin
 }
 
 // TestDeltaStreamSSE: a fresh subscriber opens with a resync and then
-// receives one delta event per published epoch.
+// receives one delta event per published epoch. The opening resync is read
+// off the stream before the first Tick, so the subscriber is known to be
+// attached at the pre-tick epoch however the goroutines are scheduled.
 func TestDeltaStreamSSE(t *testing.T) {
 	s, hs := newDeltaTestServer(t, 8)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	resp, err := http.Get(hs.URL + "/v1/deltas")
+	if err != nil {
+		t.Fatalf("deltas: %v", err)
+	}
+	defer resp.Body.Close()
+	events := readStream(t, resp.Body)
 
-	done := make(chan []string)
-	go func() { done <- sseEvents(ctx, t, hs.URL+"/v1/deltas", 3) }()
-
+	if open := nextStreamEvent(t, events); open.name != "resync" {
+		t.Fatalf("opening event %q, want resync", open.name)
+	}
 	for i := 0; i < 2; i++ {
 		post(t, hs.URL+"/v1/updates",
 			fmt.Sprintf(`{"objects":[{"id":%d,"edge":%d,"frac":0.5}]}`, i+1, i))
-		s.Tick()
-		time.Sleep(10 * time.Millisecond)
-	}
-	events := <-done
-	if len(events) != 3 || events[0] != "resync" || events[1] != "delta" || events[2] != "delta" {
-		t.Fatalf("event sequence %v, want [resync delta delta]", events)
+		snap := s.Tick()
+		e := nextStreamEvent(t, events)
+		if e.name != "delta" || uint64(e.data["epoch"].(float64)) != snap.Epoch() {
+			t.Fatalf("event %d: %q at epoch %v, want delta at %d", i+1, e.name, e.data["epoch"], snap.Epoch())
+		}
 	}
 }
 
