@@ -141,7 +141,7 @@ func (e *Incremental) Register(id QueryID, pos roadnet.Position, k int) {
 
 // Unregister implements Engine.
 func (e *Incremental) Unregister(id QueryID) {
-	e.remove(id, nil)
+	e.remove(id, false)
 	e.publish()
 }
 
@@ -150,19 +150,18 @@ func (e *Incremental) Unregister(id QueryID) {
 func (e *Incremental) install(id QueryID, pos roadnet.Position, k int, mode Mode) {
 	if mode == Grouped {
 		g := e.grouped()
-		g.evaluate(g.add(id, pos, k, nil), e.set.arena(0))
+		g.evaluate(g.add(id, pos, k, false), e.set.arena(0))
 		return
 	}
 	e.set.register(directKey(id), pos, k, false)
 }
 
 // remove drops a query's state, whichever mode holds it; unknown ids are
-// ignored. affected is the grouped layer's dirty set within a step, nil
-// outside one.
-func (e *Incremental) remove(id QueryID, affected map[QueryID]bool) {
+// ignored.
+func (e *Incremental) remove(id QueryID, inStep bool) {
 	if e.grp != nil {
 		if q, ok := e.grp.queries[id]; ok {
-			e.grp.remove(q, affected)
+			e.grp.remove(q, inStep)
 			return
 		}
 	}
@@ -179,7 +178,7 @@ func (e *Incremental) SetMode(id QueryID, mode Mode) {
 	if !ok || cur == mode {
 		return
 	}
-	e.remove(id, nil)
+	e.remove(id, false)
 	e.install(id, pos, k, mode)
 }
 
@@ -242,15 +241,10 @@ func (e *Incremental) Advance(u Updates) {
 	for _, qu := range u.Queries {
 		switch {
 		case qu.Delete:
-			var affected map[QueryID]bool
-			if e.grp != nil {
-				affected = e.grp.affected
-			}
-			e.remove(qu.ID, affected)
+			e.remove(qu.ID, true)
 		case qu.Insert:
 			if e.place(qu.New) == Grouped {
-				g := e.grouped()
-				g.add(qu.ID, qu.New, qu.K, g.affected)
+				e.grouped().add(qu.ID, qu.New, qu.K, true)
 			} else {
 				inserts = append(inserts, qu)
 			}

@@ -99,10 +99,21 @@ func newGroupLayer(set *monitorSet, naiveEval bool) *groupLayer {
 	return g
 }
 
+// dirty returns the set that collects queries to re-evaluate: the step's
+// affected set within a step, nil outside one — a node monitor recomputed
+// by an out-of-step attach or detach leaves its other dependents as they
+// are until an update next touches them.
+func (g *groupLayer) dirty(inStep bool) map[QueryID]bool {
+	if inStep {
+		return g.affected
+	}
+	return nil
+}
+
 // add installs a grouped query and attaches it to its sequence. Within a
-// step (affected non-nil) the query is only flagged for the evaluation
-// stage; outside one the caller evaluates it.
-func (g *groupLayer) add(id QueryID, pos roadnet.Position, k int, affected map[QueryID]bool) *gmaQuery {
+// step the query is only flagged for the evaluation stage; outside one the
+// caller evaluates it.
+func (g *groupLayer) add(id QueryID, pos roadnet.Position, k int, inStep bool) *gmaQuery {
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
@@ -113,18 +124,18 @@ func (g *groupLayer) add(id QueryID, pos roadnet.Position, k int, affected map[Q
 		affEdges: make(map[graph.EdgeID]qInterval, 4),
 	}
 	g.queries[id] = q
-	g.attach(q, affected)
-	if affected != nil {
-		affected[id] = true
+	g.attach(q, g.dirty(inStep))
+	if inStep {
+		g.affected[id] = true
 	}
 	return q
 }
 
 // remove detaches and forgets a grouped query.
-func (g *groupLayer) remove(q *gmaQuery, affected map[QueryID]bool) {
-	g.detach(q, affected)
+func (g *groupLayer) remove(q *gmaQuery, inStep bool) {
+	g.detach(q, g.dirty(inStep))
 	delete(g.queries, q.id)
-	delete(affected, q.id)
+	delete(g.affected, q.id)
 }
 
 // move relocates a grouped query within a step: a movement is a deletion

@@ -188,7 +188,6 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 			s.topoMarks = append(s.topoMarks, q)
 		}
 	}
-	moves := s.topoMoves[:0]
 	for i := range topo {
 		// Earlier ops in this batch may have appended edge ids; the incident
 		// lists read below can already contain them.
@@ -204,9 +203,8 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 			g.ForEachIncident(topo[i].U, func(eid graph.EdgeID) { s.forInfluenced(eid, recompute) })
 			g.ForEachIncident(topo[i].V, func(eid graph.EdgeID) { s.forInfluenced(eid, recompute) })
 		}
-		moves = applyTopologyOps(s.net, topo[i:i+1], moves)
+		s.topoMoves = applyTopologyOps(s.net, topo[i:i+1], s.topoMoves)
 	}
-	s.topoMoves = moves
 	s.il.grow(g.NumEdges())
 	// Merge the patches now, in the serial phase, so the parallel shards —
 	// and every later traversal — see a clean frozen CSR.

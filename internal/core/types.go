@@ -1,9 +1,14 @@
 // Package core implements the paper's monitoring algorithms: the overhaul
 // baseline OVH (recompute every query from scratch each timestamp), the
 // incremental monitoring algorithm IMA (§4) and the group monitoring
-// algorithm GMA (§5). All three are exposed behind the Engine interface so
-// that the experiment harness and the correctness tests can drive them
-// interchangeably.
+// algorithm GMA (§5). IMA and GMA are the two fixed placements of one
+// engine, Incremental, in which each query is monitored either directly
+// (its own expansion tree) or grouped (through its sequence's monitored
+// endpoint nodes); the adaptive planner (internal/planner) places queries
+// in that same engine per spatial group. OVH is the paper's baseline and
+// deliberately shares none of the incremental machinery. All are exposed
+// behind the Engine interface so that the experiment harness and the
+// correctness tests can drive them interchangeably.
 package core
 
 import (
@@ -92,7 +97,7 @@ type Updates struct {
 // mutate it as updates are processed; callers must route all mutations
 // through the engine.
 type Engine interface {
-	// Name returns the algorithm's short name (OVH, IMA, GMA).
+	// Name returns the algorithm's short name (OVH, IMA, GMA, AUTO).
 	Name() string
 	// Network returns the engine's underlying network model.
 	Network() *roadnet.Network
