@@ -14,7 +14,7 @@ import (
 // This file implements per-epoch result deltas, the churn-proportional
 // companion of the snapshot read path. The copy-on-write publisher already
 // diffs every query's new result against the previous snapshot
-// (neighborsEqual) to decide what to copy; with Options{Deltas: true} that
+// (slices.Equal) to decide what to copy; with Options{Deltas: true} that
 // diff is kept instead of discarded: each published Snapshot carries a
 // Delta describing exactly which queries changed and how, so a subscriber
 // holding epoch e-1 can reconstruct epoch e bit-exactly from the delta

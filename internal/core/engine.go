@@ -369,5 +369,32 @@ func (e *Incremental) SizeBytes() int {
 	return n
 }
 
+// StepStats counts what the monitors of an engine have done since it was
+// built: the regime a workload puts the incremental core in. Counters only
+// grow; callers difference two readings.
+type StepStats struct {
+	Affected           int // monitor finalizes: one per monitor per timestamp that reached it
+	Touched            int // object reports handed to those finalizes
+	Recomputes         int // finalizes that recomputed from scratch
+	Reexpansions       int // finalizes that resumed the expansion
+	ForcedReexpansions int // ... because a handler pruned the tree or a weight dropped
+	IdleReexpansions   int // ... and verified no node
+	NodesVerified      int // nodes verified by all expansions, initial ones included
+}
+
+func (a *StepStats) add(b StepStats) {
+	a.Affected += b.Affected
+	a.Touched += b.Touched
+	a.Recomputes += b.Recomputes
+	a.Reexpansions += b.Reexpansions
+	a.ForcedReexpansions += b.ForcedReexpansions
+	a.IdleReexpansions += b.IdleReexpansions
+	a.NodesVerified += b.NodesVerified
+}
+
+// StepStats returns the engine's work counters, summed over its worker
+// arenas. Like Step, it must not race Step: read it between steps.
+func (e *Incremental) StepStats() StepStats { return e.set.arenas.stats() }
+
 // Close implements Engine.
 func (e *Incremental) Close() { e.set.pool.Close() }

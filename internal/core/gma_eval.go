@@ -53,7 +53,7 @@ func (g *groupLayer) evaluateInto(q *gmaQuery, sink *[]qilOp, sc *scratch) {
 	q.reachA, q.distA = g.walkDir(q, seq, -1, &covered)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
-	q.result = q.cand.finalize()
+	q.result, _ = q.cand.finalize()
 	q.kdist = q.cand.kth()
 
 	g.registerIntervals(q, covered, sink)

@@ -36,7 +36,7 @@ type groupLayer struct {
 	evalFn func(worker, i int)
 	// evalIDs / evalBufs are the parallel evaluation stage's shard list
 	// and per-shard qIL op buffers, retained across steps to amortize
-	// allocations (mirroring stepRouter).
+	// allocations (mirroring the monitor set's work list).
 	evalIDs  []QueryID
 	evalBufs [][]qilOp
 	// affected is the per-step dirty-query set, reused across steps and
@@ -52,7 +52,7 @@ type gmaQuery struct {
 	k    int
 	pos  roadnet.Position
 	seq  roadnet.SeqID
-	cand *candidateSet
+	cand candStore
 
 	result []Neighbor
 	kdist  float64
@@ -119,7 +119,6 @@ func (g *groupLayer) add(id QueryID, pos roadnet.Position, k int, inStep bool) *
 	}
 	q := &gmaQuery{
 		id: id, k: k, pos: pos,
-		cand:     newCandidateSet(k),
 		kdist:    math.Inf(1),
 		affEdges: make(map[graph.EdgeID]qInterval, 4),
 	}
@@ -422,7 +421,7 @@ func (g *groupLayer) markPos(pos roadnet.Position, affected map[QueryID]bool) {
 func (g *groupLayer) sizeBytes() int {
 	n := 0
 	for _, q := range g.queries {
-		n += q.cand.len()*24 + len(q.affEdges)*(4+16+16) + 96
+		n += len(q.result)*24 + len(q.affEdges)*(4+16+16) + 96
 	}
 	for _, m := range g.qIL {
 		n += len(m) * (4 + 16 + 16)

@@ -13,13 +13,14 @@ import "roadknn/internal/graph"
 // tree; the table therefore only needs the edge -> query membership sets,
 // stored as small unordered slices (regions touch few queries each, and
 // slice iteration is much cheaper than map iteration on the hot
-// update-classification path).
+// update-classification path). The slices hold the monitors themselves, so
+// routing an update costs no lookup by key.
 type ilTable struct {
-	byEdge [][]monKey
+	byEdge [][]*monitor
 }
 
 func newILTable(numEdges int) *ilTable {
-	return &ilTable{byEdge: make([][]monKey, numEdges)}
+	return &ilTable{byEdge: make([][]*monitor, numEdges)}
 }
 
 // grow extends the table to cover numEdges edge ids (live topology editing
@@ -30,11 +31,11 @@ func (t *ilTable) grow(numEdges int) {
 	}
 }
 
-func (t *ilTable) add(e graph.EdgeID, q monKey) {
+func (t *ilTable) add(e graph.EdgeID, q *monitor) {
 	t.byEdge[e] = append(t.byEdge[e], q)
 }
 
-func (t *ilTable) remove(e graph.EdgeID, q monKey) {
+func (t *ilTable) remove(e graph.EdgeID, q *monitor) {
 	l := t.byEdge[e]
 	for i, x := range l {
 		if x == q {
@@ -45,9 +46,9 @@ func (t *ilTable) remove(e graph.EdgeID, q monKey) {
 	}
 }
 
-// forEach calls fn for every query registered on edge e. fn must not
+// forEach calls fn for every monitor registered on edge e. fn must not
 // mutate the table for edge e.
-func (t *ilTable) forEach(e graph.EdgeID, fn func(monKey)) {
+func (t *ilTable) forEach(e graph.EdgeID, fn func(*monitor)) {
 	for _, q := range t.byEdge[e] {
 		fn(q)
 	}

@@ -21,7 +21,11 @@ func flipState(e *Incremental) []string {
 	var out []string
 	for eid, l := range e.set.il.byEdge {
 		if len(l) > 0 {
-			keys := slices.Sorted(slices.Values(l))
+			var keys []monKey
+			for _, m := range l {
+				keys = append(keys, m.id)
+			}
+			slices.Sort(keys)
 			out = append(out, fmt.Sprintf("il %d %v", eid, keys))
 		}
 	}

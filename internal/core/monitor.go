@@ -18,11 +18,25 @@ import (
 //  1. the tree entry of n holds the exact network distance from pos to n
 //     for every tree node n, and every node with true distance < kNN_dist
 //     is in the tree;
-//  2. result holds the k closest objects with exact distances (fewer than k
-//     only when fewer are reachable), kdist is the k-th distance (+Inf when
-//     short);
+//  2. cand is exact and complete below cover: every object at true distance
+//     below cand.cover >= kdist is in it, at that distance, and past its
+//     first k entries it holds nothing at or beyond cover. result is those
+//     first k entries (fewer only when fewer are reachable) and kdist the
+//     k-th distance (+Inf when short). cover is what the search has
+//     provably seen: at most the smallest key left on the frontier when the
+//     last expansion stopped (+Inf when the heap ran dry), the smallest
+//     distance pruned from the tree or dropped from cand for capacity
+//     since, and the distance of any tree node whose edges invariant 3
+//     leaves unregistered. A handler that changes tree distances (a tree
+//     edge's weight, an in-tree move) drops it to kdist; a weight decrease
+//     on a non-tree edge to the cheapest path through that edge;
 //  3. affEdges is exactly the set of edges with a tree endpoint closer than
-//     kdist, plus the query's own edge, mirrored into the influence table.
+//     kdist (ilKdist while the lazy shrink lags), plus the query's own
+//     edge, mirrored into the influence table. Every point closer than
+//     cover lies on such an edge: the node its shortest path enters the
+//     edge through is closer still, so it is verified and — by the last
+//     clause of 2 — registered. Updates beyond kdist therefore reach the
+//     reserve without any wider registration.
 //
 // During update processing the invariants are deliberately broken by the
 // pruning operations (onEdgeDecrease, onEdgeIncrease, onMove) and restored
@@ -39,10 +53,9 @@ type monitor struct {
 	id   monKey
 	k    int
 	pos  roadnet.Position
-	cand *candidateSet
-	// track makes finalize report whether the result changed (at the cost
-	// of one result copy): set on node monitors, whose changes wake their
-	// dependent grouped queries.
+	cand candStore
+	// track makes step report this monitor when its result changed: set on
+	// node monitors, whose changes wake their dependent grouped queries.
 	track bool
 	// result aliases cand's storage after finalize; kdist mirrors cand.kth.
 	result []Neighbor
@@ -77,13 +90,17 @@ type monitor struct {
 	// 1.5*slack against the previous kNN_dist so it stays sound under
 	// current values; weight increases only make the test stricter.
 	slack float64
-	// pendingTouch lists objects whose distances were invalidated by
-	// non-tree edge-weight changes and must be re-derived at finalize.
-	pendingTouch []roadnet.ObjectID
+	// pendingEdges lists the non-tree edges whose weight changed: the
+	// objects on them are re-derived at finalize.
+	pendingEdges []graph.EdgeID
 	// touched accumulates the objects classified against this monitor
 	// during the serial pipeline's update phase (the parallel pipeline
 	// keeps its own per-shard buffer); consumed and reset by finalize.
-	touched []roadnet.ObjectID
+	touched []touch
+	// stamp marks the monitor as routed to in step number stamp of its set;
+	// slot is then its index in the parallel pipeline's work list.
+	stamp uint64
+	slot  int32
 
 	// ilDefer, when set, redirects influence-table writes into the given
 	// buffer instead of mutating the shared table: the parallel pipeline
@@ -91,10 +108,23 @@ type monitor struct {
 	// shards never write shared state (the buffered ops are applied in the
 	// merge stage).
 	ilDefer *[]ilOp
-
-	// oldScratch is the result-copy buffer of change tracking.
-	oldScratch []Neighbor
 }
+
+// touch is one object classified against a monitor this timestamp, with the
+// position the route stage saw it arrive at: finalize re-derives it without
+// asking the object registry.
+type touch struct {
+	obj roadnet.ObjectID
+	pos roadnet.Position // Edge is goneEdge for a deleted object, lateEdge when only the registry knows
+}
+
+const (
+	goneEdge = graph.NoEdge
+	// lateEdge defers to the registry: in a timestamp that reports some
+	// object twice (or re-snaps objects off removed edges) a position in
+	// hand may not be the object's last.
+	lateEdge graph.EdgeID = -2
+)
 
 // ilAdd registers edge e for this monitor in the influence table, or defers
 // the write to the shard buffer under the parallel pipeline.
@@ -103,7 +133,7 @@ func (m *monitor) ilAdd(e graph.EdgeID) {
 		*m.ilDefer = append(*m.ilDefer, ilOp{add: true, edge: e})
 		return
 	}
-	m.il.add(e, m.id)
+	m.il.add(e, m)
 }
 
 // ilRemove is the removal counterpart of ilAdd.
@@ -112,18 +142,16 @@ func (m *monitor) ilRemove(e graph.EdgeID) {
 		*m.ilDefer = append(*m.ilDefer, ilOp{edge: e})
 		return
 	}
-	m.il.remove(e, m.id)
+	m.il.remove(e, m)
 }
 
 func newMonitor(net *roadnet.Network, il *ilTable, id monKey, pos roadnet.Position, k int) *monitor {
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
-	return &monitor{
-		net: net, il: il, id: id, k: k, pos: pos,
-		cand:  newCandidateSet(k),
-		kdist: math.Inf(1),
-	}
+	m := &monitor{net: net, il: il, id: id, k: k, pos: pos, kdist: math.Inf(1)}
+	m.cand.reset(k)
+	return m
 }
 
 // reset re-initializes a pooled monitor for a fresh registration, retaining
@@ -143,8 +171,9 @@ func (m *monitor) reset(id monKey, pos roadnet.Position, k int) {
 	m.fullRefresh, m.treeDirty = false, false
 	m.ilKdist = 0
 	m.slack = 0
-	m.pendingTouch = m.pendingTouch[:0]
+	m.pendingEdges = m.pendingEdges[:0]
 	m.touched = m.touched[:0]
+	m.stamp = 0
 	m.ilDefer = nil
 }
 
@@ -180,16 +209,31 @@ func (m *monitor) distanceTo(p roadnet.Position) float64 {
 	return d
 }
 
-// covers reports whether p falls inside the query's influence region, i.e.
-// inside an influencing interval of some affecting edge.
-func (m *monitor) covers(p roadnet.Position) bool {
+// inRegion reports whether p falls inside the query's influence region, i.e.
+// inside an influencing interval of some affecting edge: where a query may
+// move to and keep part of its tree.
+func (m *monitor) inRegion(p roadnet.Position) bool {
 	return m.distanceTo(p) <= m.kdist+distEps
+}
+
+// covers reports whether an object at p belongs in cand: p lies within the
+// radius cand is complete below.
+func (m *monitor) covers(p roadnet.Position) bool {
+	return m.distanceTo(p) <= m.cand.cover+distEps
+}
+
+// capReserve gives up what cand holds at or beyond r past the k-th: the
+// handlers call it with the radius below which what they do to the tree or
+// the weights leaves every distance as it was — kdist when none is.
+func (m *monitor) capReserve(r float64) {
+	m.cand.lowerCover(max(r, m.kdist))
+	m.cand.trim()
 }
 
 // computeInitial runs the paper's Figure-2 algorithm: a bounded network
 // expansion around the query that fills the result, the expansion tree and
-// the influence lists from scratch.
-func (m *monitor) computeInitial(sc *scratch) {
+// the influence lists from scratch. It reports whether the result changed.
+func (m *monitor) computeInitial(sc *scratch) bool {
 	m.tree.clear()
 	m.cand.reset(m.k)
 	m.needRecompute = false
@@ -197,7 +241,7 @@ func (m *monitor) computeInitial(sc *scratch) {
 	m.needExpand = false
 	m.fullRefresh = false
 	m.slack = 0
-	m.pendingTouch = m.pendingTouch[:0]
+	m.pendingEdges = m.pendingEdges[:0]
 
 	e := m.net.G.Edge(m.pos.Edge)
 	for _, oe := range m.net.ObjectsOn(m.pos.Edge) {
@@ -210,21 +254,30 @@ func (m *monitor) computeInitial(sc *scratch) {
 	sc.tentParent[e.V], sc.tentEdge[e.V] = graph.NoNode, m.pos.Edge
 
 	m.runExpansion(sc)
-	m.result = m.cand.finalize()
 	m.kdist = m.cand.kth()
 	m.pruneToKdist()
 	m.rebuildIL()
+	var changed bool
+	m.result, changed = m.cand.finalize()
+	return changed
 }
 
 // runExpansion continues a Dijkstra expansion: it pops nodes from the heap
 // while their key is below the moving bound kNN_dist, verifying each popped
 // node (inserting it into the tree) and scanning the objects on its
-// incident edges. Already-verified nodes are never re-verified.
-func (m *monitor) runExpansion(sc *scratch) {
+// incident edges. Already-verified nodes are never re-verified. The key it
+// stops at is the nearest thing not seen: cover. It returns the number of
+// nodes verified.
+func (m *monitor) runExpansion(sc *scratch) int {
 	g := m.net.G
+	verified := 0
 	for {
 		ni, d, ok := sc.heap.PopMin()
-		if !ok || d >= m.cand.kth() {
+		if !ok {
+			break
+		}
+		if d >= m.cand.kth() {
+			m.cand.lowerCover(d)
 			break
 		}
 		n := graph.NodeID(ni)
@@ -233,6 +286,7 @@ func (m *monitor) runExpansion(sc *scratch) {
 		}
 		m.tree.put(n, d, sc.tentParent[n], sc.tentEdge[n])
 		m.treeDirty = true
+		verified++
 		for _, eid := range g.Incident(n) {
 			e := g.Edge(eid)
 			nadj := e.Other(n)
@@ -246,19 +300,27 @@ func (m *monitor) runExpansion(sc *scratch) {
 			}
 		}
 	}
+	sc.stats.NodesVerified += verified
+	return verified
 }
 
 // reexpand resumes the expansion from the current tree frontier — the
 // paper's "initialize the heap to the marks of the valid tree and consider
 // its nodes verified" (§4.2, Fig. 10 lines 22-25).
 //
-// Edges fully covered by prevKdist (every point within the old bound, under
-// current weights and tree distances) hold only objects that are already
-// candidates, so only partially covered edges — the edges carrying marks —
-// are rescanned.
-func (m *monitor) reexpand(prevKdist float64, sc *scratch) {
+// Edges fully inside cover (every point within it, under current weights
+// and tree distances) hold only objects that are already candidates, so
+// only partially covered edges — the edges carrying marks — are rescanned.
+// cover itself starts over: the frontier is rebuilt here, and whatever was
+// dropped beyond the old cover lies on an edge this rescans or past a node
+// it can still verify. It returns the number of nodes verified.
+func (m *monitor) reexpand(sc *scratch) int {
 	g := m.net.G
 	sc.heap.Reset()
+	// Distances and weights may have dropped by at most slack each since
+	// the scans cover vouches for.
+	seen := m.cand.cover - 1.5*m.slack - distEps
+	m.cand.cover = math.Inf(1)
 
 	e := g.Edge(m.pos.Edge)
 	for _, oe := range m.net.ObjectsOn(m.pos.Edge) {
@@ -275,17 +337,20 @@ func (m *monitor) reexpand(prevKdist float64, sc *scratch) {
 	entries := m.tree.entriesSlice()
 	for i := range entries {
 		n, nDist := entries[i].node, entries[i].dist
+		if nDist >= m.ilKdist {
+			// Not registered on n's edges (invariant 3): what lies past n
+			// is not ours to keep.
+			m.cand.lowerCover(nDist)
+		}
 		for _, eid := range g.Incident(n) {
 			ed := g.Edge(eid)
 			nadj := ed.Other(n)
 			covered := false
 			if tnAdj, ok := m.tree.get(nadj); ok && eid != m.pos.Edge {
 				// The farthest point of an edge reached from both endpoints
-				// lies at (du+dv+w)/2; if that was within the previous bound
-				// the edge was fully scanned before and its objects are
-				// already candidates. Distances and weights may have dropped
-				// by at most slack each since that scan.
-				covered = (nDist+tnAdj.dist+ed.W)/2 <= prevKdist-1.5*m.slack-distEps
+				// lies at (du+dv+w)/2; within cover, the edge was fully
+				// scanned before and its objects are already candidates.
+				covered = (nDist+tnAdj.dist+ed.W)/2 <= seen
 			}
 			if !covered {
 				for _, oe := range m.net.ObjectsOn(eid) {
@@ -299,7 +364,7 @@ func (m *monitor) reexpand(prevKdist float64, sc *scratch) {
 			}
 		}
 	}
-	m.runExpansion(sc)
+	return m.runExpansion(sc)
 }
 
 // frontierMin returns the smallest key a re-expansion heap would start
@@ -339,7 +404,8 @@ func (m *monitor) pruneToKdist() {
 		return
 	}
 	for i := m.tree.len() - 1; i >= 0; i-- {
-		if m.tree.at(i).dist > m.kdist {
+		if d := m.tree.at(i).dist; d > m.kdist {
+			m.cand.lowerCover(d) // back on the frontier
 			m.tree.deleteAt(i)
 			m.treeDirty = true
 		}
@@ -402,6 +468,7 @@ func (m *monitor) rebuildIL() {
 	entries := m.tree.entriesSlice()
 	for i := range entries {
 		if entries[i].dist >= m.kdist {
+			m.cand.lowerCover(entries[i].dist) // invariant 2, last clause
 			continue
 		}
 		newAff = append(newAff, g.Incident(entries[i].node)...)
@@ -452,12 +519,13 @@ func (m *monitor) setK(k int) {
 // sizeBytes estimates the memory footprint of the monitor's bookkeeping,
 // using nominal per-entry costs (Fig. 18 measurements): a tree entry is a
 // 24-byte dense record plus ~16 bytes of hash-index slot amortized over
-// the 75% load factor.
+// the 75% load factor; a candidate — reserve included — is a 24-byte
+// ordered entry plus the 12-byte membership slot at the same load factor.
 func (m *monitor) sizeBytes() int {
 	const (
 		treeEntrySize = 24 + 16 // dense entry + index share
 		affEntry      = 4 + 8
-		candEntry     = 12 + 12 + 8
+		candEntrySize = 24 + 16 // ordered entry + table share
 	)
-	return m.tree.len()*treeEntrySize + len(m.affEdges)*affEntry + m.cand.len()*candEntry + 96
+	return m.tree.len()*treeEntrySize + len(m.affEdges)*affEntry + m.cand.len()*candEntrySize + 96
 }

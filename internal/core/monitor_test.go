@@ -182,7 +182,7 @@ func TestOnEdgeIncreasePrunesSubtree(t *testing.T) {
 		t.Fatal("kept part of the tree was wrongly pruned")
 	}
 	// finalize must restore a correct result via the detour (n1-n5-n6-n2).
-	m.finalize(nil, false, sc)
+	m.finalize(nil, sc)
 	want := BruteForceKNN(net, m.pos, 1)
 	if err := compareResults(m.result, want); err != nil {
 		t.Fatalf("after increase: %v", err)
@@ -203,7 +203,7 @@ func TestOnEdgeDecreaseAdjustsSubtree(t *testing.T) {
 	if got := tn2.dist; math.Abs(got-(d2Before-0.5)) > 1e-9 {
 		t.Fatalf("subtree distance = %g, want %g", got, d2Before-0.5)
 	}
-	m.finalize(nil, false, sc)
+	m.finalize(nil, sc)
 	want := BruteForceKNN(net, m.pos, 1)
 	if err := compareResults(m.result, want); err != nil {
 		t.Fatalf("after decrease: %v", err)
@@ -222,7 +222,7 @@ func TestOnMoveRetainsSubtree(t *testing.T) {
 	if m.needRecompute {
 		t.Fatal("in-tree move triggered full recomputation")
 	}
-	m.finalize(nil, false, sc)
+	m.finalize(nil, sc)
 	want := BruteForceKNN(net, m.pos, 2)
 	if err := compareResults(m.result, want); err != nil {
 		t.Fatalf("after move: %v", err)
@@ -240,7 +240,7 @@ func TestOnMoveOutsideTreeRecomputes(t *testing.T) {
 	if !m.needRecompute {
 		t.Fatal("out-of-tree move must trigger recomputation")
 	}
-	m.finalize(nil, false, sc)
+	m.finalize(nil, sc)
 	want := BruteForceKNN(net, m.pos, 1)
 	if err := compareResults(m.result, want); err != nil {
 		t.Fatalf("after far move: %v", err)
@@ -257,7 +257,7 @@ func TestQueryOwnEdgeWeightChangeRecomputes(t *testing.T) {
 	if !m.needRecompute {
 		t.Fatal("own-edge weight change must recompute")
 	}
-	m.finalize(nil, false, sc)
+	m.finalize(nil, sc)
 	want := BruteForceKNN(net, m.pos, 1)
 	if err := compareResults(m.result, want); err != nil {
 		t.Fatalf("after own-edge change: %v", err)
@@ -276,7 +276,7 @@ func TestInfluenceRegistrationLifecycle(t *testing.T) {
 	}
 	// The query's own edge is always registered.
 	found := false
-	il.forEach(0, func(q monKey) { found = found || q == 7 })
+	il.forEach(0, func(q *monitor) { found = found || q == m })
 	if !found {
 		t.Fatal("own edge not in influence table")
 	}
@@ -307,7 +307,7 @@ func TestSetKForcesRecompute(t *testing.T) {
 	if !m.needRecompute {
 		t.Fatal("setK did not flag recomputation")
 	}
-	m.finalize(nil, false, testScratch(m))
+	m.finalize(nil, testScratch(m))
 	if len(m.result) != 3 {
 		t.Fatalf("after setK(3): %d results", len(m.result))
 	}
@@ -324,7 +324,7 @@ func TestLazyILShrinkKeepsFiltering(t *testing.T) {
 	m, _ := newTestMonitor(net, roadnet.Position{Edge: 0, Frac: 0.0}, 1)
 	// An object appears right next to the query: kdist shrinks a lot.
 	net.AddObject(3, roadnet.Position{Edge: 0, Frac: 0.05})
-	m.finalize([]roadnet.ObjectID{3}, false, testScratch(m))
+	m.finalize([]touch{{obj: 3, pos: roadnet.Position{Edge: 0, Frac: 0.05}}}, testScratch(m))
 	if m.result[0].Obj != 3 {
 		t.Fatalf("result = %v", m.result)
 	}

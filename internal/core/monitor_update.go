@@ -47,6 +47,7 @@ func (m *monitor) onEdgeDecrease(eid graph.EdgeID, oldW, newW float64, sc *scrat
 	}
 	e := m.net.G.Edge(eid)
 	if b := m.treeEdgeChild(eid); b != graph.NoNode {
+		m.capReserve(m.kdist)
 		delta := oldW - newW
 		m.computeSubtree(b, sc)
 		entries := m.tree.entriesSlice()
@@ -92,10 +93,10 @@ func (m *monitor) onEdgeDecrease(eid graph.EdgeID, oldW, newW float64, sc *scrat
 		// re-verifies it. Any improved path crosses this edge at cost
 		// >= bound, so when bound lies beyond kNN_dist and nothing was
 		// pruned, the result cannot change through it and no re-search
-		// is needed.
-		for _, oe := range m.net.ObjectsOn(eid) {
-			m.pendingTouch = append(m.pendingTouch, oe.ID)
-		}
+		// is needed — and what cand holds below bound stays exact and
+		// complete once this edge's own objects are re-derived.
+		m.pendingEdges = append(m.pendingEdges, eid)
+		m.capReserve(bound)
 		if pruned || bound < m.kdist+distEps {
 			m.needExpand = true
 			m.treeDirty = m.treeDirty || pruned
@@ -118,6 +119,7 @@ func (m *monitor) onEdgeIncrease(eid graph.EdgeID, sc *scratch) {
 		return
 	}
 	if b := m.treeEdgeChild(eid); b != graph.NoNode {
+		m.capReserve(m.kdist)
 		m.computeSubtree(b, sc)
 		for i := m.tree.len() - 1; i >= 0; i-- {
 			if sc.inSub(m.tree.at(i).node) {
@@ -130,11 +132,9 @@ func (m *monitor) onEdgeIncrease(eid graph.EdgeID, sc *scratch) {
 		m.treeDirty = true
 		m.fullRefresh = true
 	} else {
-		// Node distances are intact; only the objects on this edge changed
-		// travel cost.
-		for _, oe := range m.net.ObjectsOn(eid) {
-			m.pendingTouch = append(m.pendingTouch, oe.ID)
-		}
+		// Node distances are intact and no frontier key dropped; only the
+		// objects on this edge changed travel cost, cand's reserve included.
+		m.pendingEdges = append(m.pendingEdges, eid)
 	}
 	m.needFinalize = true
 }
@@ -148,11 +148,12 @@ func (m *monitor) onMove(newPos roadnet.Position, sc *scratch) {
 		m.pos = newPos
 		return
 	}
-	if !m.covers(newPos) {
+	if !m.inRegion(newPos) {
 		m.pos = newPos
 		m.needRecompute = true
 		return
 	}
+	m.capReserve(m.kdist)
 	defer func() {
 		m.needFinalize, m.needExpand = true, true
 		m.fullRefresh, m.treeDirty = true, true
@@ -228,96 +229,71 @@ func (m *monitor) retainSubtreeShifted(delta float64, sc *scratch) {
 }
 
 // finalize restores the monitor invariants after a timestamp's pruning and
-// object bookkeeping: it re-derives stale candidate distances from live
-// object positions (only the touched objects on object-only timestamps,
-// everything after edge/move pruning), resumes the expansion when needed
+// object bookkeeping: it re-derives stale candidate distances (only the
+// touched objects on object-only timestamps, everything after edge/move
+// pruning), resumes the expansion when the k-th left what cand covers
 // (Fig. 10 lines 20-26), and refreshes the influence lists. It reports
-// whether the result changed (only computed when trackChanges is set).
+// whether the result changed.
 //
-// touched lists the objects whose old or new location fell inside the
-// query's influence region this timestamp (incomers and moved/removed
-// neighbors alike).
-func (m *monitor) finalize(touched []roadnet.ObjectID, trackChanges bool, sc *scratch) bool {
-	var oldResult []Neighbor
-	if trackChanges {
-		oldResult = append(m.oldScratch[:0], m.result...)
-		m.oldScratch = oldResult
+// touched lists the objects whose old or new location fell inside cover
+// this timestamp (incomers and moved/removed candidates alike) in update
+// order, so a later report of one object overrides an earlier one.
+func (m *monitor) finalize(touched []touch, sc *scratch) bool {
+	sc.stats.Affected++
+	sc.stats.Touched += len(touched)
+	if m.needRecompute {
+		sc.stats.Recomputes++
+		return m.computeInitial(sc)
 	}
 	oldKdist := m.kdist
 
-	if m.needRecompute {
-		m.computeInitial(sc)
-		return trackChanges && !neighborsEqual(oldResult, m.result)
-	}
-
 	// Re-derive candidate distances; distanceTo is exact within coverage
 	// and never underestimates, so stale entries are corrected or evicted
-	// and re-found by the expansion. Touched objects (moved, inserted,
-	// removed) are refreshed from the object registry — updating the
-	// cached positions — first; after edge/move pruning the remaining
-	// entries are bulk re-derived from their (still fresh) cached
-	// positions without registry lookups.
-	ids := touched
-	if len(m.pendingTouch) > 0 {
-		sc.ids = append(append(sc.ids[:0], m.pendingTouch...), touched...)
-		ids = sc.ids
-	}
-	// Pass 1: existing members — update distances and cached positions,
-	// evict the unreachable. Distances may grow here, so the k-th bound
-	// settles before any non-member is offered.
-	for _, id := range ids {
-		if !m.cand.contains(id) {
-			continue
-		}
-		op, ok := m.net.ObjectPos(id)
-		if !ok {
-			m.cand.remove(id)
-			continue
-		}
-		if d := m.distanceTo(op); math.IsInf(d, 1) {
-			m.cand.remove(id)
-		} else {
-			m.cand.setExact(id, d, op)
-		}
-	}
+	// and re-found by the expansion. After edge/move pruning every entry is
+	// re-derived from its cached position; a moved candidate's cache is
+	// stale, and it is among the touched, which come after.
 	if m.fullRefresh {
-		// Bulk re-derivation from cached positions. Iterate backwards:
-		// removeAt swaps the (already processed) last entry into the
-		// vacated slot.
-		for i := m.cand.len() - 1; i >= 0; i-- {
-			d := m.distanceTo(m.cand.items[i].pos)
-			if math.IsInf(d, 1) {
-				m.cand.removeAt(i)
-			} else {
-				m.cand.setDistAt(i, d)
+		ents := m.cand.entries()
+		for i := range ents {
+			ents[i].dist = m.distanceTo(ents[i].pos())
+		}
+		m.cand.restore()
+	}
+	for _, eid := range m.pendingEdges {
+		for _, oe := range m.net.ObjectsOn(eid) {
+			m.rederive(oe.ID, roadnet.Position{Edge: eid, Frac: oe.Frac})
+		}
+	}
+	for _, t := range touched {
+		p := t.pos
+		if p.Edge == lateEdge {
+			var ok bool
+			if p, ok = m.net.ObjectPos(t.obj); !ok {
+				p.Edge = goneEdge
 			}
 		}
-	}
-	// Pass 2: non-members enter through the bounded add, against the now
-	// settled (only shrinking from here) k-th bound, so the candidate set
-	// stays near k and the incremental bound stays clean.
-	for _, id := range ids {
-		if m.cand.contains(id) {
-			continue
-		}
-		op, ok := m.net.ObjectPos(id)
-		if !ok {
-			continue
-		}
-		if d := m.distanceTo(op); !math.IsInf(d, 1) {
-			m.cand.add(id, d, op)
+		if p.Edge == goneEdge {
+			m.cand.remove(t.obj)
+		} else {
+			m.rederive(t.obj, p)
 		}
 	}
 
-	// Resume the search from the marks when (a) the tree lost coverage or
-	// an affecting weight dropped (needExpand), (b) fewer than k candidates
-	// remain, or (c) kNN_dist grew — unmoved objects between the old and
-	// new bound have never been scanned. kth() is incremental, so the
-	// trigger costs no sort.
-	if m.needExpand || m.cand.len() < m.k || m.cand.kth() > oldKdist+distEps {
-		m.reexpand(oldKdist, sc)
+	// Resume the search from the marks when the tree lost coverage or an
+	// affecting weight dropped (needExpand), or when kNN_dist grew — which
+	// it does to +Inf when fewer than k candidates remain — past what cand
+	// covers: below cover the k-th's replacement is already in cand, and a
+	// search that ran dry (cover +Inf) has nothing left to find.
+	kth := m.cand.kth()
+	if m.needExpand || (kth > oldKdist+distEps && kth >= m.cand.cover && !math.IsInf(m.cand.cover, 1)) {
+		sc.stats.Reexpansions++
+		if m.needExpand {
+			sc.stats.ForcedReexpansions++
+		}
+		if m.reexpand(sc) == 0 {
+			sc.stats.IdleReexpansions++
+		}
 	}
-	m.result = m.cand.finalize()
 	m.kdist = m.cand.kth()
 
 	// Influence lists must cover the current kNN_dist region; a stale wider
@@ -327,22 +303,25 @@ func (m *monitor) finalize(touched []roadnet.ObjectID, trackChanges bool, sc *sc
 		m.pruneToKdist()
 		m.rebuildIL()
 	}
+	// The k-th may sit within distEps past a cover that fell back to the
+	// previous kNN_dist; invariant 1 vouches for everything below it.
+	m.cand.cover = max(m.cand.cover, m.kdist)
+	var changed bool
+	m.result, changed = m.cand.finalize()
 	m.needFinalize = false
 	m.needExpand = false
 	m.fullRefresh = false
 	m.slack = 0
-	m.pendingTouch = m.pendingTouch[:0]
-	return trackChanges && !neighborsEqual(oldResult, m.result)
+	m.pendingEdges = m.pendingEdges[:0]
+	return changed
 }
 
-func neighborsEqual(a, b []Neighbor) bool {
-	if len(a) != len(b) {
-		return false
+// rederive sets obj's candidate distance from its position p, evicting it
+// when p is out of the tree's reach.
+func (m *monitor) rederive(obj roadnet.ObjectID, p roadnet.Position) {
+	if d := m.distanceTo(p); math.IsInf(d, 1) {
+		m.cand.remove(obj)
+	} else {
+		m.cand.setExact(obj, d, p)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

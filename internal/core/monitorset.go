@@ -14,7 +14,7 @@ import (
 // queries with their own expansion tree) are keyed by their QueryID; node
 // monitors (active sequence endpoints serving grouped queries) by their
 // node id shifted past the QueryID range, so the two kinds share one map,
-// one influence table and one router without colliding.
+// one influence table and one route pass without colliding.
 type monKey int64
 
 const nodeKeyBase monKey = 1 << 32
@@ -45,16 +45,25 @@ type monitorSet struct {
 	pool *pool.Pool
 	// shardFn is s.runShard bound once, so pool dispatch never allocates.
 	shardFn func(worker, i int)
-	// router holds the parallel pipeline's routing state, reused across
-	// steps.
-	router stepRouter
+	// works is the parallel pipeline's per-monitor work list, reused across
+	// steps to amortize allocations.
+	works []monWork
 	// arenas holds the per-worker scratch arenas: arena 0 serves every
 	// serial code path, arenas 1..workers-1 the extra shard workers.
 	arenas arenaPool
 
+	// epoch numbers the steps: a monitor whose stamp equals it has been
+	// routed to in the running step (it is in affected, or in works at its
+	// slot). late makes the running step's touched entries defer to the
+	// object registry (see lateEdge); seen is what finds that out.
+	epoch uint64
+	late  bool
+	seen  idSet
+
 	// Per-step buffers, reused across steps so a steady-state timestamp
-	// allocates nothing.
-	affected     map[monKey]bool
+	// allocates nothing. affected lists the serial pipeline's monitors to
+	// finalize, in first-touch order.
+	affected     []*monitor
 	changed      map[monKey]bool
 	pendingMoves []queryMove
 	aggW         map[graph.EdgeID]float64
@@ -77,12 +86,11 @@ type monitorSet struct {
 
 func newMonitorSet(net *roadnet.Network) *monitorSet {
 	return &monitorSet{
-		net:      net,
-		il:       newILTable(net.G.NumEdges()),
-		mons:     make(map[monKey]*monitor),
-		affected: make(map[monKey]bool),
-		changed:  make(map[monKey]bool),
-		aggW:     make(map[graph.EdgeID]float64),
+		net:     net,
+		il:      newILTable(net.G.NumEdges()),
+		mons:    make(map[monKey]*monitor),
+		changed: make(map[monKey]bool),
+		aggW:    make(map[graph.EdgeID]float64),
 	}
 }
 
@@ -169,7 +177,7 @@ type queryMove struct {
 // or sharding: edits restructure the CSR adjacency, which every later
 // phase reads. The flagged monitors and the re-snapped objects are left in
 // topoMarks / topoMoves for the step that follows: the marks enter its
-// affected set (or router), the re-snaps classify as incoming object moves.
+// affected set (or work list), the re-snaps classify as incoming object moves.
 // The grouped layer deactivates its node monitors before calling this and
 // re-attaches after, so only direct monitors are ever marked here.
 //
@@ -182,11 +190,9 @@ type queryMove struct {
 // union of those lists covers all candidates.
 func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 	g := s.net.G
-	recompute := func(q monKey) {
-		if m, ok := s.mons[q]; ok {
-			m.needRecompute = true
-			s.topoMarks = append(s.topoMarks, q)
-		}
+	recompute := func(m *monitor) {
+		m.needRecompute = true
+		s.topoMarks = append(s.topoMarks, m.id)
 	}
 	for i := range topo {
 		// Earlier ops in this batch may have appended edge ids; the incident
@@ -212,10 +218,10 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 	// Queries sitting on a removed edge re-snap onto the nearest live
 	// position, by the same deterministic rule as the edge's resident
 	// objects, and recompute from there.
-	for q, m := range s.mons {
+	for _, m := range s.mons {
 		if !g.EdgeAlive(m.pos.Edge) {
 			m.pos = resnap(s.net, m.pos)
-			recompute(q)
+			recompute(m)
 		}
 	}
 }
@@ -241,6 +247,11 @@ func resnap(net *roadnet.Network, pos roadnet.Position) roadnet.Position {
 // With workers > 1 the per-monitor work runs on the sharded parallel
 // pipeline (parallel.go), which produces identical results.
 func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
+	s.epoch++
+	// A position travels with its touched entry only if it is the object's
+	// last this timestamp.
+	s.late = len(s.topoMoves) > 0 || s.seen.repeats(objs)
+
 	var changed map[monKey]bool
 	if s.workers > 1 && len(s.mons) > 1 {
 		changed = s.stepParallel(objs, edges, moves)
@@ -251,10 +262,26 @@ func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []query
 	return changed
 }
 
+// mark puts m among the serial step's affected monitors.
+func (s *monitorSet) mark(m *monitor) {
+	if m.stamp != s.epoch {
+		m.stamp = s.epoch
+		s.affected = append(s.affected, m)
+	}
+}
+
+// touchAt is the touched entry of object id seen at pos (goneEdge for a
+// deleted one) by the running step.
+func (s *monitorSet) touchAt(id roadnet.ObjectID, pos roadnet.Position) touch {
+	if s.late {
+		pos = roadnet.Position{Edge: lateEdge}
+	}
+	return touch{obj: id, pos: pos}
+}
+
 func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
 	sc := s.arena(0)
-	affected := s.affected
-	clear(affected)
+	s.affected = s.affected[:0]
 
 	// Monitors flagged by this timestamp's topology edits. The re-snapped
 	// objects need no outgoing marks — every query that could hold an
@@ -262,7 +289,9 @@ func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves [
 	// recomputes from scratch — and classify as incomers after the edge
 	// phase, below.
 	for _, q := range s.topoMarks {
-		affected[q] = true
+		if m, ok := s.mons[q]; ok {
+			s.mark(m)
+		}
 	}
 
 	// Fig. 10 lines 1-3: queries moving outside their expansion tree are
@@ -274,8 +303,8 @@ func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves [
 		if !ok {
 			continue
 		}
-		affected[mv.id] = true
-		if !m.covers(mv.pos) {
+		s.mark(m)
+		if !m.inRegion(mv.pos) {
 			m.pos = mv.pos
 			m.needRecompute = true
 			continue
@@ -285,17 +314,27 @@ func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves [
 	s.pendingMoves = pendingMoves
 
 	// Lines 4-13: edge updates, decreases strictly before increases.
-	s.applyEdgeUpdates(edges, affected, sc)
+	for _, ec := range s.classifyEdgeUpdates(edges) {
+		s.net.G.SetWeight(ec.eid, ec.newW)
+		s.forInfluenced(ec.eid, func(m *monitor) {
+			s.mark(m)
+			if ec.decrease {
+				m.onEdgeDecrease(ec.eid, ec.oldW, ec.newW, sc)
+			} else {
+				m.onEdgeIncrease(ec.eid, sc)
+			}
+		})
+	}
 
 	// Topology re-snaps classify as incomers at their new positions, with
 	// the timestamp's weights already applied — the same point at which the
 	// parallel pipeline's shards replay them.
 	for _, mv := range s.topoMoves {
-		s.markIncoming(mv.ID, mv.New, affected)
+		s.markIncoming(mv.ID, mv.New)
 	}
 
 	// Lines 14-15: in-tree query moves, re-rooting the valid subtree. The
-	// covers test is repeated because edge pruning may have invalidated
+	// region test is repeated because edge pruning may have invalidated
 	// the part of the tree containing the new location.
 	for _, mv := range pendingMoves {
 		s.mons[mv.id].onMove(mv.pos, sc)
@@ -303,20 +342,16 @@ func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves [
 
 	// Lines 16-19: object updates. The touched objects accumulate on the
 	// monitors themselves (m.touched), not in a per-step map.
-	s.applyObjects(objs,
-		func(id roadnet.ObjectID, old roadnet.Position) { s.markOutgoing(id, old, affected) },
-		func(id roadnet.ObjectID, pos roadnet.Position) { s.markIncoming(id, pos, affected) })
+	s.applyObjects(objs, s.markOutgoing, s.markIncoming)
 
 	// Lines 20-26: restore every affected query.
 	changed := s.changed
 	clear(changed)
-	for id := range affected {
-		if m, ok := s.mons[id]; ok {
-			if m.finalize(m.touched, m.track, sc) {
-				changed[id] = true
-			}
-			m.touched = m.touched[:0]
+	for _, m := range s.affected {
+		if m.finalize(m.touched, sc) && m.track {
+			changed[m.id] = true
 		}
+		m.touched = m.touched[:0]
 	}
 	return changed
 }
@@ -368,33 +403,13 @@ func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 	return s.changeBuf
 }
 
-// applyEdgeUpdates applies the aggregated weight changes, decreases
-// strictly before increases, pruning the trees of the queries in each
-// edge's influence list as it goes.
-func (s *monitorSet) applyEdgeUpdates(edges []EdgeUpdate, affected map[monKey]bool, sc *scratch) {
-	for _, ec := range s.classifyEdgeUpdates(edges) {
-		s.net.G.SetWeight(ec.eid, ec.newW)
-		if ec.decrease {
-			s.forInfluenced(ec.eid, func(q monKey) {
-				affected[q] = true
-				s.mons[q].onEdgeDecrease(ec.eid, ec.oldW, ec.newW, sc)
-			})
-		} else {
-			s.forInfluenced(ec.eid, func(q monKey) {
-				affected[q] = true
-				s.mons[q].onEdgeIncrease(ec.eid, sc)
-			})
-		}
-	}
-}
-
 // forInfluenced visits the queries to consider for an update on edge e:
 // the edge's influence list normally, or every query when filtering is
 // ablated away.
-func (s *monitorSet) forInfluenced(e graph.EdgeID, fn func(monKey)) {
+func (s *monitorSet) forInfluenced(e graph.EdgeID, fn func(*monitor)) {
 	if s.unfiltered {
-		for q := range s.mons {
-			fn(q)
+		for _, m := range s.mons {
+			fn(m)
 		}
 		return
 	}
@@ -403,11 +418,12 @@ func (s *monitorSet) forInfluenced(e graph.EdgeID, fn func(monKey)) {
 
 // applyObjects applies object movements to the network — the one place the
 // incremental engines mutate the object registry — and hands each update's
-// departure and arrival to the running pipeline, which classifies it per
-// affected query as outgoing, incoming or moving (§4.2): the serial
-// pipeline marks queries on the spot, the parallel one routes ops to the
-// shards. Neither hook reads the registry, only monitor state.
-func (s *monitorSet) applyObjects(objs []ObjectUpdate, outgoing, incoming func(roadnet.ObjectID, roadnet.Position)) {
+// departure (with where the object is now) and arrival to the running
+// pipeline, which classifies it per affected query as outgoing, incoming or
+// moving (§4.2): the serial pipeline marks queries on the spot, the parallel
+// one routes ops to the shards. Neither hook reads the registry, only
+// monitor state.
+func (s *monitorSet) applyObjects(objs []ObjectUpdate, outgoing func(id roadnet.ObjectID, old, now roadnet.Position), incoming func(roadnet.ObjectID, roadnet.Position)) {
 	for _, ou := range objs {
 		switch {
 		case ou.Insert:
@@ -418,37 +434,79 @@ func (s *monitorSet) applyObjects(objs []ObjectUpdate, outgoing, incoming func(r
 			if !ok {
 				continue
 			}
-			outgoing(ou.ID, old)
+			outgoing(ou.ID, old, roadnet.Position{Edge: goneEdge})
 		default:
 			old := s.net.MoveObject(ou.ID, ou.New)
-			outgoing(ou.ID, old)
+			outgoing(ou.ID, old, ou.New)
 			incoming(ou.ID, ou.New)
 		}
 	}
 }
 
-// markOutgoing flags the queries that held the object as a neighbor; the
+// markOutgoing flags the queries that held the object as a candidate; the
 // influence list of the object's previous edge bounds the search.
-func (s *monitorSet) markOutgoing(id roadnet.ObjectID, old roadnet.Position, affected map[monKey]bool) {
-	s.forInfluenced(old.Edge, func(q monKey) {
-		m := s.mons[q]
+func (s *monitorSet) markOutgoing(id roadnet.ObjectID, old, now roadnet.Position) {
+	s.forInfluenced(old.Edge, func(m *monitor) {
 		if m.cand.contains(id) {
-			affected[q] = true
-			m.touched = append(m.touched, id)
+			s.mark(m)
+			m.touched = append(m.touched, s.touchAt(id, now))
 		}
 	})
 }
 
-// markIncoming flags the queries whose influence region now contains the
+// markIncoming flags the queries whose covered radius now contains the
 // object and records the object as an incomer for them.
-func (s *monitorSet) markIncoming(id roadnet.ObjectID, pos roadnet.Position, affected map[monKey]bool) {
-	s.forInfluenced(pos.Edge, func(q monKey) {
-		m := s.mons[q]
+func (s *monitorSet) markIncoming(id roadnet.ObjectID, pos roadnet.Position) {
+	s.forInfluenced(pos.Edge, func(m *monitor) {
 		if m.covers(pos) {
-			affected[q] = true
-			m.touched = append(m.touched, id)
+			s.mark(m)
+			m.touched = append(m.touched, s.touchAt(id, pos))
 		}
 	})
+}
+
+// idSet detects a timestamp that reports one object more than once: an
+// open-addressing set of the batch's ids, emptied in O(1) by its epoch.
+type idSet struct {
+	slots []uint64 // epoch<<32 | id; any other epoch means empty
+	epoch uint32
+}
+
+// repeats reports whether two of objs carry the same object id.
+func (t *idSet) repeats(objs []ObjectUpdate) bool {
+	if len(objs) < 2 {
+		return false
+	}
+	// At most half full, and not left at the size of one outsized batch (a
+	// population loaded in a single timestamp).
+	if n := len(t.slots); n < 2*len(objs) || n > 16*len(objs) {
+		n = 64
+		for n < 2*len(objs) {
+			n *= 2
+		}
+		if n != len(t.slots) {
+			t.slots, t.epoch = make([]uint64, n), 0
+		}
+	}
+	t.epoch++
+	if t.epoch == 0 {
+		clear(t.slots)
+		t.epoch = 1
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := range objs {
+		key := uint64(t.epoch)<<32 | uint64(uint32(objs[i].ID))
+		for j := candHash(objs[i].ID) & mask; ; j = (j + 1) & mask {
+			if t.slots[j] == key {
+				return true
+			}
+			if t.slots[j]>>32 != uint64(t.epoch) {
+				t.slots[j] = key
+				break
+			}
+		}
+	}
+	return false
 }
 
 func (s *monitorSet) sizeBytes() int {

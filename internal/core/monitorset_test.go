@@ -9,24 +9,25 @@ import (
 
 func TestILTableAddRemove(t *testing.T) {
 	il := newILTable(4)
-	il.add(0, 1)
-	il.add(0, 2)
-	il.add(3, 1)
+	m1, m2, absent := &monitor{id: 1}, &monitor{id: 2}, &monitor{id: 99}
+	il.add(0, m1)
+	il.add(0, m2)
+	il.add(3, m1)
 	if il.entries() != 3 {
 		t.Fatalf("entries = %d, want 3", il.entries())
 	}
 	seen := map[monKey]bool{}
-	il.forEach(0, func(q monKey) { seen[q] = true })
+	il.forEach(0, func(q *monitor) { seen[q.id] = true })
 	if !seen[1] || !seen[2] || len(seen) != 2 {
 		t.Fatalf("forEach(0) saw %v", seen)
 	}
-	il.remove(0, 1)
-	il.remove(0, 99) // absent: no-op
+	il.remove(0, m1)
+	il.remove(0, absent) // absent: no-op
 	if il.entries() != 2 {
 		t.Fatalf("entries after remove = %d, want 2", il.entries())
 	}
-	il.forEach(0, func(q monKey) {
-		if q == 1 {
+	il.forEach(0, func(q *monitor) {
+		if q == m1 {
 			t.Fatal("removed query still listed")
 		}
 	})

@@ -164,11 +164,12 @@ func (e *OVH) Step(u Updates) {
 		}
 		e.pool.Run(len(ids), e.recFn)
 		for i, id := range ids {
+			m := e.mons[id]
 			for _, op := range bufs[i] {
 				if op.add {
-					e.il.add(op.edge, directKey(id))
+					e.il.add(op.edge, m)
 				} else {
-					e.il.remove(op.edge, directKey(id))
+					e.il.remove(op.edge, m)
 				}
 			}
 		}
@@ -249,7 +250,7 @@ func (e *OVH) Queries() []QueryID {
 func (e *OVH) SizeBytes() int {
 	n := 0
 	for _, m := range e.mons {
-		n += m.cand.len() * 24
+		n += len(m.result) * 24
 	}
 	return n
 }

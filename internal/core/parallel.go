@@ -27,7 +27,7 @@ import (
 // Replaying a monitor's ops in routing order reproduces the exact call
 // sequence serial execution would have made on that monitor (edge decreases,
 // then increases, then in-tree moves, then object classifications), and the
-// classification predicates (candidateSet.contains, monitor.covers) read
+// classification predicates (candStore.contains, monitor.covers) read
 // only the monitor's own state plus frozen shared state, so the parallel
 // pipeline produces results identical to serial execution.
 
@@ -99,101 +99,83 @@ type ilOp struct {
 type opKind uint8
 
 const (
-	// opEdgeDec replays monitor.onEdgeDecrease(edge, oldW, newW).
+	// opEdgeDec replays monitor.onEdgeDecrease for the step's n-th
+	// aggregated edge change.
 	opEdgeDec opKind = iota
-	// opEdgeInc replays monitor.onEdgeIncrease(edge).
+	// opEdgeInc replays monitor.onEdgeIncrease likewise.
 	opEdgeInc
 	// opMove replays monitor.onMove(pos) (in-tree moves only; out-of-tree
 	// moves are resolved during routing by flagging needRecompute).
 	opMove
-	// opOutgoing classifies object obj, which left position old, against the
-	// monitor's candidate set (markOutgoing deferred to the shard).
+	// opOutgoing classifies object n, which left its position and is now at
+	// pos, against the monitor's candidates (markOutgoing deferred to the
+	// shard).
 	opOutgoing
-	// opIncoming classifies object obj appearing at pos against the
-	// monitor's influence region (markIncoming deferred to the shard).
+	// opIncoming classifies object n appearing at pos against the monitor's
+	// covered radius (markIncoming deferred to the shard).
 	opIncoming
 )
 
-// monOp is one routed update for one monitor.
+// monOp is one routed update for one monitor: 24 bytes, the edge ops
+// pointing into the step's shared change list instead of carrying weights.
 type monOp struct {
-	kind       opKind
-	edge       graph.EdgeID
-	obj        roadnet.ObjectID
-	pos        roadnet.Position
-	oldW, newW float64
+	kind opKind
+	n    int32 // object ops: the object id; edge ops: index into changeBuf
+	pos  roadnet.Position
 }
 
 // monWork is one shard: a monitor's routed ops plus its per-shard outputs.
 type monWork struct {
-	id  monKey
+	m   *monitor
 	ops []monOp
 	// pre marks monitors affected during routing itself (query moves),
 	// which must finalize even with an empty op list.
 	pre bool
 
 	// shard outputs, written only by the worker processing this entry
-	touched []roadnet.ObjectID
+	touched []touch
 	ilOps   []ilOp
 	changed bool
 }
 
-// stepRouter accumulates the per-monitor work lists of one timestamp. It is
-// owned by a monitorSet and reused across steps to amortize allocations.
-type stepRouter struct {
-	index map[monKey]int32
-	works []monWork
-}
-
-func (r *stepRouter) reset() {
-	if r.index == nil {
-		r.index = make(map[monKey]int32)
+// work returns the (possibly new) entry for m in the running step's work
+// list, which the monitor finds through its own stamp and slot. The pointer
+// is only valid until the next work call.
+func (s *monitorSet) work(m *monitor) *monWork {
+	if m.stamp == s.epoch {
+		return &s.works[m.slot]
 	}
-	clear(r.index)
-	r.works = r.works[:0]
-}
-
-// work returns the (possibly new) work entry for monitor id. The pointer is
-// only valid until the next work call.
-func (r *stepRouter) work(id monKey) *monWork {
-	if i, ok := r.index[id]; ok {
-		return &r.works[i]
-	}
-	r.index[id] = int32(len(r.works))
-	if len(r.works) < cap(r.works) {
+	m.stamp, m.slot = s.epoch, int32(len(s.works))
+	if len(s.works) < cap(s.works) {
 		// Reuse the retained entry's slice capacity.
-		r.works = r.works[:len(r.works)+1]
-		w := &r.works[len(r.works)-1]
-		*w = monWork{id: id, ops: w.ops[:0], touched: w.touched[:0], ilOps: w.ilOps[:0]}
+		s.works = s.works[:len(s.works)+1]
+		w := &s.works[len(s.works)-1]
+		*w = monWork{m: m, ops: w.ops[:0], touched: w.touched[:0], ilOps: w.ilOps[:0]}
 		return w
 	}
-	r.works = append(r.works, monWork{id: id})
-	return &r.works[len(r.works)-1]
-}
-
-// sortByID orders the shards by monitor id so that worker scheduling and
-// the merge phase are deterministic. The id index is invalidated.
-func (r *stepRouter) sortByID() {
-	slices.SortFunc(r.works, func(a, b monWork) int { return cmp.Compare(a.id, b.id) })
+	s.works = append(s.works, monWork{m: m})
+	return &s.works[len(s.works)-1]
 }
 
 // stepParallel is the parallel counterpart of monitorSet.stepSerial: same
 // update semantics, per-monitor work fanned out over the worker pool.
 func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
-	r := &s.router
-	r.reset()
+	s.works = s.works[:0]
 
 	// The monitors flagged by this timestamp's topology edits (applied
 	// serially before the step — they restructure the CSR the shards
 	// traverse) recompute from scratch in their shards; the re-snapped
 	// objects route as incomers after the edge phase, mirroring stepSerial.
 	for _, q := range s.topoMarks {
-		r.work(q).pre = true
+		if m, ok := s.mons[q]; ok {
+			s.work(m).pre = true
+		}
 	}
 
 	// Route stage. Order mirrors stepSerial exactly.
 	//
 	// Fig. 10 lines 1-3: out-of-tree query moves are resolved here — the
-	// covers test must see pre-update weights and trees — while in-tree
+	// region test must see pre-update weights and trees — while in-tree
 	// moves are held back until after the edge ops, as in serial execution.
 	pendingMoves := s.pendingMoves[:0]
 	for _, mv := range moves {
@@ -201,8 +183,8 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 		if !ok {
 			continue
 		}
-		r.work(mv.id).pre = true
-		if !m.covers(mv.pos) {
+		s.work(m).pre = true
+		if !m.inRegion(mv.pos) {
 			m.pos = mv.pos
 			m.needRecompute = true
 			continue
@@ -213,16 +195,16 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 
 	// Lines 4-13: edge updates. Weights are applied to the shared graph now;
 	// the tree-pruning handlers are queued (they never read edge weights —
-	// the changed weight travels inside the op).
-	for _, ec := range s.classifyEdgeUpdates(edges) {
+	// the changed weight is looked up in the change list, frozen from here).
+	for i, ec := range s.classifyEdgeUpdates(edges) {
 		s.net.G.SetWeight(ec.eid, ec.newW)
 		kind := opEdgeInc
 		if ec.decrease {
 			kind = opEdgeDec
 		}
-		s.forInfluenced(ec.eid, func(q monKey) {
-			w := r.work(q)
-			w.ops = append(w.ops, monOp{kind: kind, edge: ec.eid, oldW: ec.oldW, newW: ec.newW})
+		s.forInfluenced(ec.eid, func(m *monitor) {
+			w := s.work(m)
+			w.ops = append(w.ops, monOp{kind: kind, n: int32(i)})
 		})
 	}
 
@@ -230,12 +212,12 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 	// edge ops (their shard replay therefore sees the timestamp's weights,
 	// exactly like stepSerial's immediate evaluation at this point).
 	for _, mv := range s.topoMoves {
-		s.routeIncoming(mv.ID, mv.New, r)
+		s.routeIncoming(mv.ID, mv.New)
 	}
 
 	// Lines 14-15: in-tree query moves, queued after the edge ops.
 	for _, mv := range pendingMoves {
-		w := r.work(mv.id)
+		w := s.work(s.mons[mv.id])
 		w.ops = append(w.ops, monOp{kind: opMove, pos: mv.pos})
 	}
 
@@ -243,34 +225,34 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 	// per-monitor classification predicates (contains / covers) read only
 	// monitor state and are deferred to the shard, where they run with the
 	// same per-monitor state as in serial execution.
-	s.applyObjects(objs,
-		func(id roadnet.ObjectID, old roadnet.Position) { s.routeOutgoing(id, old, r) },
-		func(id roadnet.ObjectID, pos roadnet.Position) { s.routeIncoming(id, pos, r) })
+	s.applyObjects(objs, s.routeOutgoing, s.routeIncoming)
 
 	// Shard stage: replay each monitor's ops and finalize (lines 20-26).
 	// Worker wk owns arena wk for the whole stage, so the monitors it
 	// processes sequentially reuse one set of expansion buffers.
-	r.sortByID()
-	for w := 0; w < min(s.workers, len(r.works)); w++ {
+	// Shards run in ascending monitor id, so that worker scheduling and the
+	// merge are deterministic; the monitors' slots are void from here.
+	slices.SortFunc(s.works, func(a, b monWork) int { return cmp.Compare(a.m.id, b.m.id) })
+	for w := 0; w < min(s.workers, len(s.works)); w++ {
 		s.arena(w) // pre-create outside the workers (arenas is not locked)
 	}
-	s.pool.Run(len(r.works), s.shardFn)
+	s.pool.Run(len(s.works), s.shardFn)
 
 	// Merge stage: apply influence-table mutations in ascending monitor
 	// order and collect the change flags.
 	changed := s.changed
 	clear(changed)
-	for i := range r.works {
-		w := &r.works[i]
+	for i := range s.works {
+		w := &s.works[i]
 		for _, op := range w.ilOps {
 			if op.add {
-				s.il.add(op.edge, w.id)
+				s.il.add(op.edge, w.m)
 			} else {
-				s.il.remove(op.edge, w.id)
+				s.il.remove(op.edge, w.m)
 			}
 		}
 		if w.changed {
-			changed[w.id] = true
+			changed[w.m.id] = true
 		}
 	}
 	return changed
@@ -282,31 +264,29 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 // (a stored method value) so the per-step pool dispatch allocates nothing.
 func (s *monitorSet) runShard(wk, i int) {
 	sc := s.arena(wk)
-	w := &s.router.works[i]
-	m, ok := s.mons[w.id]
-	if !ok {
-		return
-	}
+	w := &s.works[i]
+	m := w.m
 	affected := w.pre
 	for _, op := range w.ops {
 		switch op.kind {
 		case opEdgeDec:
 			affected = true
-			m.onEdgeDecrease(op.edge, op.oldW, op.newW, sc)
+			ec := &s.changeBuf[op.n]
+			m.onEdgeDecrease(ec.eid, ec.oldW, ec.newW, sc)
 		case opEdgeInc:
 			affected = true
-			m.onEdgeIncrease(op.edge, sc)
+			m.onEdgeIncrease(s.changeBuf[op.n].eid, sc)
 		case opMove:
 			m.onMove(op.pos, sc)
 		case opOutgoing:
-			if m.cand.contains(op.obj) {
+			if id := roadnet.ObjectID(op.n); m.cand.contains(id) {
 				affected = true
-				w.touched = append(w.touched, op.obj)
+				w.touched = append(w.touched, s.touchAt(id, op.pos))
 			}
 		case opIncoming:
-			if m.covers(op.pos) {
+			if id := roadnet.ObjectID(op.n); m.covers(op.pos) {
 				affected = true
-				w.touched = append(w.touched, op.obj)
+				w.touched = append(w.touched, s.touchAt(id, op.pos))
 			}
 		}
 	}
@@ -314,20 +294,20 @@ func (s *monitorSet) runShard(wk, i int) {
 		return
 	}
 	m.ilDefer = &w.ilOps
-	w.changed = m.finalize(w.touched, m.track, sc)
+	w.changed = m.finalize(w.touched, sc) && m.track
 	m.ilDefer = nil
 }
 
-func (s *monitorSet) routeOutgoing(id roadnet.ObjectID, old roadnet.Position, r *stepRouter) {
-	s.forInfluenced(old.Edge, func(q monKey) {
-		w := r.work(q)
-		w.ops = append(w.ops, monOp{kind: opOutgoing, obj: id})
+func (s *monitorSet) routeOutgoing(id roadnet.ObjectID, old, now roadnet.Position) {
+	s.forInfluenced(old.Edge, func(m *monitor) {
+		w := s.work(m)
+		w.ops = append(w.ops, monOp{kind: opOutgoing, n: int32(id), pos: now})
 	})
 }
 
-func (s *monitorSet) routeIncoming(id roadnet.ObjectID, pos roadnet.Position, r *stepRouter) {
-	s.forInfluenced(pos.Edge, func(q monKey) {
-		w := r.work(q)
-		w.ops = append(w.ops, monOp{kind: opIncoming, obj: id, pos: pos})
+func (s *monitorSet) routeIncoming(id roadnet.ObjectID, pos roadnet.Position) {
+	s.forInfluenced(pos.Edge, func(m *monitor) {
+		w := s.work(m)
+		w.ops = append(w.ops, monOp{kind: opIncoming, n: int32(id), pos: pos})
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"roadknn/internal/gen"
@@ -157,7 +158,7 @@ func compareInstances(t *testing.T, label string, insts []Engine, workerCounts [
 		want := serial.Result(qid)
 		for i := 1; i < len(insts); i++ {
 			got := insts[i].Result(qid)
-			if !neighborsEqual(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s: query %d: workers=%d result %v differs from serial %v",
 					label, qid, workerCounts[i], got, want)
 			}

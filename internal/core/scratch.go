@@ -3,7 +3,6 @@ package core
 import (
 	"roadknn/internal/graph"
 	"roadknn/internal/pqueue"
-	"roadknn/internal/roadnet"
 )
 
 // scratch is a per-worker arena of expansion-state buffers, the transient
@@ -43,11 +42,12 @@ type scratch struct {
 	// stack is the parent-chain walk buffer of computeSubtree.
 	stack []graph.NodeID
 
-	// ids is the touched-object merge buffer of monitor.finalize.
-	ids []roadnet.ObjectID
-
 	// covered is the sequence-walk buffer of grouped-query evaluations.
 	covered []walkEdge
+
+	// stats counts the work done with this arena (see StepStats): plain
+	// ints, one writer, summed over the arenas on read.
+	stats StepStats
 }
 
 func newScratch(numNodes int) *scratch {
@@ -130,6 +130,15 @@ type arenaPool struct {
 
 // get returns arena i, creating arenas as needed for a graph of numNodes
 // nodes.
+// stats sums the arenas' counters.
+func (p *arenaPool) stats() StepStats {
+	var sum StepStats
+	for _, sc := range p.arenas {
+		sum.add(sc.stats)
+	}
+	return sum
+}
+
 func (p *arenaPool) get(i, numNodes int) *scratch {
 	for len(p.arenas) <= i {
 		p.arenas = append(p.arenas, newScratch(numNodes))

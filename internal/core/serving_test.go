@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func TestSnapshotPublication(t *testing.T) {
 	}
 	for i := 0; i < snap1.Len(); i++ {
 		id, res := snap1.At(i)
-		if !neighborsEqual(res, eng.Result(id)) {
+		if !slices.Equal(res, eng.Result(id)) {
 			t.Fatalf("query %d: snapshot and Result disagree", id)
 		}
 	}
@@ -288,7 +289,7 @@ func testConcurrentReaders(t *testing.T, mk func(*roadnet.Network, Options) Engi
 				}
 				for i := 0; i < snap.Len(); i++ {
 					id, res := snap.At(i)
-					if !neighborsEqual(res, want[id]) {
+					if !slices.Equal(res, want[id]) {
 						t.Errorf("reader %d: ts %d query %d: snapshot %v != reference %v (results from mixed epochs?)",
 							r, ts, id, res, want[id])
 						return
@@ -331,7 +332,7 @@ func testConcurrentReaders(t *testing.T, mk func(*roadnet.Network, Options) Engi
 	}
 	for i := 0; i < final.Len(); i++ {
 		id, res := final.At(i)
-		if !neighborsEqual(res, want[id]) {
+		if !slices.Equal(res, want[id]) {
 			t.Fatalf("final snapshot query %d: %v != %v", id, res, want[id])
 		}
 	}

@@ -196,7 +196,7 @@ func (p *publisher) publish(ids []QueryID) {
 		var res [][]Neighbor // nil until the first changed result
 		for i, id := range ids {
 			cur := p.get(id)
-			if neighborsEqual(prev.res[i], cur) {
+			if slices.Equal(prev.res[i], cur) {
 				if res != nil {
 					res[i] = prev.res[i]
 				}
@@ -233,7 +233,7 @@ func (p *publisher) publish(ids []QueryID) {
 			j++
 		}
 		if j < len(prev.ids) && prev.ids[j] == id {
-			if neighborsEqual(prev.res[j], cur) {
+			if slices.Equal(prev.res[j], cur) {
 				snap.res[i] = prev.res[j]
 				j++
 				continue
