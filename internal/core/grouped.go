@@ -414,14 +414,15 @@ func (g *groupLayer) markPos(pos roadnet.Position, affected map[QueryID]bool) {
 	}
 }
 
-// sizeBytes charges the per-query results and sequence-interval
-// registrations, plus the static sequence table (paper §5: GMA's extra
-// structure). The active-node trees and influence lists are the monitor
-// set's.
+// sizeBytes charges the per-query candidates — the result and whatever the
+// last evaluation left in the store beyond it, at monitor.sizeBytes' nominal
+// cost per entry — and sequence-interval registrations, plus the static
+// sequence table (paper §5: GMA's extra structure). The active-node trees
+// and influence lists are the monitor set's.
 func (g *groupLayer) sizeBytes() int {
 	n := 0
 	for _, q := range g.queries {
-		n += len(q.result)*24 + len(q.affEdges)*(4+16+16) + 96
+		n += q.cand.len()*candEntrySize + len(q.affEdges)*(4+16+16) + 96
 	}
 	for _, m := range g.qIL {
 		n += len(m) * (4 + 16 + 16)

@@ -19,17 +19,17 @@ import (
 //     for every tree node n, and every node with true distance < kNN_dist
 //     is in the tree;
 //  2. cand is exact and complete below cover: every object at true distance
-//     below cand.cover >= kdist is in it, at that distance, and past its
-//     first k entries it holds nothing at or beyond cover. result is those
+//     below cand.cover >= kdist (less the distEps finalize's re-search
+//     trigger tolerates) is in it, at that distance, and past its first k
+//     entries it holds nothing at or beyond cover. result is those
 //     first k entries (fewer only when fewer are reachable) and kdist the
 //     k-th distance (+Inf when short). cover is what the search has
 //     provably seen: at most the smallest key left on the frontier when the
 //     last expansion stopped (+Inf when the heap ran dry), the smallest
 //     distance pruned from the tree or dropped from cand for capacity
 //     since, and the distance of any tree node whose edges invariant 3
-//     leaves unregistered. A handler that changes tree distances (a tree
-//     edge's weight, an in-tree move) drops it to kdist; a weight decrease
-//     on a non-tree edge to the cheapest path through that edge;
+//     leaves unregistered. The edge-weight handlers and onMove drop it
+//     to kdist;
 //  3. affEdges is exactly the set of edges with a tree endpoint closer than
 //     kdist (ilKdist while the lazy shrink lags), plus the query's own
 //     edge, mirrored into the influence table. Every point closer than
@@ -222,11 +222,11 @@ func (m *monitor) covers(p roadnet.Position) bool {
 	return m.distanceTo(p) <= m.cand.cover+distEps
 }
 
-// capReserve gives up what cand holds at or beyond r past the k-th: the
-// handlers call it with the radius below which what they do to the tree or
-// the weights leaves every distance as it was — kdist when none is.
-func (m *monitor) capReserve(r float64) {
-	m.cand.lowerCover(max(r, m.kdist))
+// dropReserve gives up what cand holds past the k-th: the handlers that
+// change a weight or a tree distance call it, after which cand vouches for
+// nothing beyond kdist until the next expansion.
+func (m *monitor) dropReserve() {
+	m.cand.lowerCover(m.kdist)
 	m.cand.trim()
 }
 
@@ -313,7 +313,8 @@ func (m *monitor) runExpansion(sc *scratch) int {
 // only partially covered edges — the edges carrying marks — are rescanned.
 // cover itself starts over: the frontier is rebuilt here, and whatever was
 // dropped beyond the old cover lies on an edge this rescans or past a node
-// it can still verify. It returns the number of nodes verified.
+// it can still verify; the caller caps it at the tree nodes it leaves
+// unregistered. It returns the number of nodes verified.
 func (m *monitor) reexpand(sc *scratch) int {
 	g := m.net.G
 	sc.heap.Reset()
@@ -337,11 +338,6 @@ func (m *monitor) reexpand(sc *scratch) int {
 	entries := m.tree.entriesSlice()
 	for i := range entries {
 		n, nDist := entries[i].node, entries[i].dist
-		if nDist >= m.ilKdist {
-			// Not registered on n's edges (invariant 3): what lies past n
-			// is not ours to keep.
-			m.cand.lowerCover(nDist)
-		}
 		for _, eid := range g.Incident(n) {
 			ed := g.Edge(eid)
 			nadj := ed.Other(n)
@@ -516,16 +512,19 @@ func (m *monitor) setK(k int) {
 	m.needRecompute = true
 }
 
+// candEntrySize is the nominal cost of one candidate, reserve or not: the
+// 24-byte ordered entry plus the 12-byte membership slot amortized over the
+// table's 75% load factor.
+const candEntrySize = 24 + 16
+
 // sizeBytes estimates the memory footprint of the monitor's bookkeeping,
 // using nominal per-entry costs (Fig. 18 measurements): a tree entry is a
 // 24-byte dense record plus ~16 bytes of hash-index slot amortized over
-// the 75% load factor; a candidate — reserve included — is a 24-byte
-// ordered entry plus the 12-byte membership slot at the same load factor.
+// the 75% load factor; a candidate costs candEntrySize.
 func (m *monitor) sizeBytes() int {
 	const (
 		treeEntrySize = 24 + 16 // dense entry + index share
 		affEntry      = 4 + 8
-		candEntrySize = 24 + 16 // ordered entry + table share
 	)
 	return m.tree.len()*treeEntrySize + len(m.affEdges)*affEntry + m.cand.len()*candEntrySize + 96
 }

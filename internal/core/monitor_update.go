@@ -45,9 +45,9 @@ func (m *monitor) onEdgeDecrease(eid graph.EdgeID, oldW, newW float64, sc *scrat
 		m.needRecompute = true
 		return
 	}
+	m.dropReserve()
 	e := m.net.G.Edge(eid)
 	if b := m.treeEdgeChild(eid); b != graph.NoNode {
-		m.capReserve(m.kdist)
 		delta := oldW - newW
 		m.computeSubtree(b, sc)
 		entries := m.tree.entriesSlice()
@@ -93,10 +93,8 @@ func (m *monitor) onEdgeDecrease(eid graph.EdgeID, oldW, newW float64, sc *scrat
 		// re-verifies it. Any improved path crosses this edge at cost
 		// >= bound, so when bound lies beyond kNN_dist and nothing was
 		// pruned, the result cannot change through it and no re-search
-		// is needed — and what cand holds below bound stays exact and
-		// complete once this edge's own objects are re-derived.
+		// is needed once this edge's own objects are re-derived.
 		m.pendingEdges = append(m.pendingEdges, eid)
-		m.capReserve(bound)
 		if pruned || bound < m.kdist+distEps {
 			m.needExpand = true
 			m.treeDirty = m.treeDirty || pruned
@@ -118,8 +116,8 @@ func (m *monitor) onEdgeIncrease(eid graph.EdgeID, sc *scratch) {
 		m.needRecompute = true
 		return
 	}
+	m.dropReserve()
 	if b := m.treeEdgeChild(eid); b != graph.NoNode {
-		m.capReserve(m.kdist)
 		m.computeSubtree(b, sc)
 		for i := m.tree.len() - 1; i >= 0; i-- {
 			if sc.inSub(m.tree.at(i).node) {
@@ -132,8 +130,8 @@ func (m *monitor) onEdgeIncrease(eid graph.EdgeID, sc *scratch) {
 		m.treeDirty = true
 		m.fullRefresh = true
 	} else {
-		// Node distances are intact and no frontier key dropped; only the
-		// objects on this edge changed travel cost, cand's reserve included.
+		// Node distances are intact; only the objects on this edge changed
+		// travel cost.
 		m.pendingEdges = append(m.pendingEdges, eid)
 	}
 	m.needFinalize = true
@@ -153,7 +151,7 @@ func (m *monitor) onMove(newPos roadnet.Position, sc *scratch) {
 		m.needRecompute = true
 		return
 	}
-	m.capReserve(m.kdist)
+	m.dropReserve()
 	defer func() {
 		m.needFinalize, m.needExpand = true, true
 		m.fullRefresh, m.treeDirty = true, true
@@ -236,8 +234,8 @@ func (m *monitor) retainSubtreeShifted(delta float64, sc *scratch) {
 // whether the result changed.
 //
 // touched lists the objects whose old or new location fell inside cover
-// this timestamp (incomers and moved/removed candidates alike) in update
-// order, so a later report of one object overrides an earlier one.
+// this timestamp (incomers and moved/removed candidates alike), each with
+// the position the timestamp leaves it at.
 func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	sc.stats.Affected++
 	sc.stats.Touched += len(touched)
@@ -246,12 +244,29 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 		return m.computeInitial(sc)
 	}
 	oldKdist := m.kdist
+	for i := range touched {
+		if touched[i].pos.Edge == lateEdge {
+			var ok bool
+			if touched[i].pos, ok = m.net.ObjectPos(touched[i].obj); !ok {
+				touched[i].pos.Edge = goneEdge
+			}
+		}
+	}
 
 	// Re-derive candidate distances; distanceTo is exact within coverage
 	// and never underestimates, so stale entries are corrected or evicted
 	// and re-found by the expansion. After edge/move pruning every entry is
 	// re-derived from its cached position; a moved candidate's cache is
 	// stale, and it is among the touched, which come after.
+	//
+	// Settle, then offer: the members among the touched are corrected or
+	// evicted first — distances, and the k-th with them, may grow here —
+	// and the non-members enter afterwards, against a k-th that only shrinks
+	// from there. An insertion into a full store pushes its last entry out
+	// and lowers cover to it; pushed out in this order, that entry lies at or
+	// beyond the final k-th, so cover never ends up below kNN_dist. (Offered
+	// before the departures are settled, a burst of arrivals can push out an
+	// untouched entry that the departures then make the k-th again.)
 	if m.fullRefresh {
 		ents := m.cand.entries()
 		for i := range ents {
@@ -259,23 +274,14 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 		}
 		m.cand.restore()
 	}
-	for _, eid := range m.pendingEdges {
-		for _, oe := range m.net.ObjectsOn(eid) {
-			m.rederive(oe.ID, roadnet.Position{Edge: eid, Frac: oe.Frac})
-		}
-	}
-	for _, t := range touched {
-		p := t.pos
-		if p.Edge == lateEdge {
-			var ok bool
-			if p, ok = m.net.ObjectPos(t.obj); !ok {
-				p.Edge = goneEdge
+	for _, offer := range [2]bool{false, true} {
+		for _, eid := range m.pendingEdges {
+			for _, oe := range m.net.ObjectsOn(eid) {
+				m.rederive(oe.ID, roadnet.Position{Edge: eid, Frac: oe.Frac}, offer)
 			}
 		}
-		if p.Edge == goneEdge {
-			m.cand.remove(t.obj)
-		} else {
-			m.rederive(t.obj, p)
+		for _, t := range touched {
+			m.rederive(t.obj, t.pos, offer)
 		}
 	}
 
@@ -285,7 +291,8 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	// covers: below cover the k-th's replacement is already in cand, and a
 	// search that ran dry (cover +Inf) has nothing left to find.
 	kth := m.cand.kth()
-	if m.needExpand || (kth > oldKdist+distEps && kth >= m.cand.cover && !math.IsInf(m.cand.cover, 1)) {
+	reexpanded := m.needExpand || (kth > oldKdist+distEps && kth >= m.cand.cover && !math.IsInf(m.cand.cover, 1))
+	if reexpanded {
 		sc.stats.Reexpansions++
 		if m.needExpand {
 			sc.stats.ForcedReexpansions++
@@ -302,10 +309,17 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	if m.treeDirty || m.kdist > m.ilKdist || m.kdist < m.ilKdist/2 {
 		m.pruneToKdist()
 		m.rebuildIL()
+	} else if reexpanded {
+		// reexpand started cover over from the frontier, while the
+		// registrations stand as rebuilt for ilKdist: past a tree node at or
+		// beyond it nothing reports to this monitor (invariant 2, last
+		// clause — rebuildIL sees to it in the other branch).
+		for _, te := range m.tree.entriesSlice() {
+			if te.dist >= m.ilKdist {
+				m.cand.lowerCover(te.dist)
+			}
+		}
 	}
-	// The k-th may sit within distEps past a cover that fell back to the
-	// previous kNN_dist; invariant 1 vouches for everything below it.
-	m.cand.cover = max(m.cand.cover, m.kdist)
 	var changed bool
 	m.result, changed = m.cand.finalize()
 	m.needFinalize = false
@@ -316,12 +330,19 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	return changed
 }
 
-// rederive sets obj's candidate distance from its position p, evicting it
-// when p is out of the tree's reach.
-func (m *monitor) rederive(obj roadnet.ObjectID, p roadnet.Position) {
-	if d := m.distanceTo(p); math.IsInf(d, 1) {
-		m.cand.remove(obj)
-	} else {
-		m.cand.setExact(obj, d, p)
+// rederive sets obj's candidate distance from its position p (goneEdge when
+// it was deleted): with offer unset it corrects a member, evicting it when p
+// is out of the tree's reach; with offer set it inserts a non-member within
+// reach.
+func (m *monitor) rederive(obj roadnet.ObjectID, p roadnet.Position, offer bool) {
+	if m.cand.contains(obj) == offer {
+		return
 	}
+	if p.Edge != goneEdge {
+		if d := m.distanceTo(p); !math.IsInf(d, 1) {
+			m.cand.setExact(obj, d, p)
+			return
+		}
+	}
+	m.cand.remove(obj)
 }

@@ -55,7 +55,9 @@ type monitorSet struct {
 	// epoch numbers the steps: a monitor whose stamp equals it has been
 	// routed to in the running step (it is in affected, or in works at its
 	// slot). late makes the running step's touched entries defer to the
-	// object registry (see lateEdge); seen is what finds that out.
+	// object registry (see lateEdge); seen is what finds that out. A stream
+	// with one report per object and timestamp (the paper's model) and no
+	// edge removals never sets it.
 	epoch uint64
 	late  bool
 	seen  idSet

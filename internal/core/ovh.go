@@ -245,12 +245,13 @@ func (e *OVH) Queries() []QueryID {
 	return out
 }
 
-// SizeBytes implements Engine. OVH stores only the result sets between
-// timestamps.
+// SizeBytes implements Engine. OVH needs only the result sets between
+// timestamps; what it holds is each monitor's candidate store, the result
+// and whatever the last expansion scanned beyond it.
 func (e *OVH) SizeBytes() int {
 	n := 0
 	for _, m := range e.mons {
-		n += len(m.result) * 24
+		n += m.cand.len() * candEntrySize
 	}
 	return n
 }

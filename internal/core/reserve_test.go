@@ -23,7 +23,7 @@ func checkReserve(m *monitor) error {
 	const tol = 1e-6
 	net := m.net
 	cover := m.cand.cover
-	if cover < m.kdist {
+	if cover < m.kdist-distEps { // finalize's re-search trigger tolerates distEps
 		return fmt.Errorf("cover %g below kdist %g", cover, m.kdist)
 	}
 	if fm := m.frontierMin(); cover > fm+tol {
@@ -317,4 +317,125 @@ func TestShortComponentIsNotRewalked(t *testing.T) {
 	}
 	step("delete", 2, ObjectUpdate{ID: 1, Old: roadnet.Position{Edge: 0, Frac: 0.5}, Delete: true})
 	step("move again", 2, ObjectUpdate{ID: 3, Old: roadnet.Position{Edge: 1, Frac: 0.75}, New: roadnet.Position{Edge: 0, Frac: 0.1}})
+}
+
+// TestBurstAtCapacityKeepsReserveComplete replays, inside one timestamp, a
+// burst of arrivals that overfills the store followed by as many departures
+// from the top k — first through the touched list, then with the arrivals
+// coming off a pending (non-tree, re-weighted) edge. Whatever the burst
+// pushes out for capacity must not be missed when the departures pull the
+// k-th back out to where it sat.
+func TestBurstAtCapacityKeepsReserveComplete(t *testing.T) {
+	const k = 20
+	near := func(i int) roadnet.ObjectID { return roadnet.ObjectID(100 + i) }
+	for _, workers := range []int{1, 4} {
+		for _, viaEdge := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/pendingEdge=%v", workers, viaEdge), func(t *testing.T) {
+				// a -(edge 0, 100)- b and a -(edge 1, 1000)- c; the query sits
+				// on a, object i at distance i along edge 0 for i = 1..40.
+				g := graph.New(3, 2)
+				for i := 0; i < 3; i++ {
+					g.AddNode(geom.Point{X: float64(i)})
+				}
+				g.AddEdge(0, 1, 100)
+				g.AddEdge(0, 2, 1000)
+				net := roadnet.NewNetwork(g)
+				at := func(d float64) roadnet.Position { return roadnet.Position{Edge: 0, Frac: d / 100} }
+				for i := 1; i <= 40; i++ {
+					net.AddObject(roadnet.ObjectID(i), at(float64(i)))
+				}
+				if viaEdge {
+					for i := 0; i < k-1; i++ {
+						net.AddObject(near(i), roadnet.Position{Edge: 1, Frac: 0.2 + 0.001*float64(i)})
+					}
+				}
+				e := NewIMAWith(net, Options{Workers: workers})
+				defer e.Close()
+				qpos := at(0)
+				e.Register(1, qpos, k)
+				e.Register(2, at(90), 1) // a second monitor, for the parallel pipeline
+				m := e.set.mons[directKey(1)]
+				if m.cand.len() != reserveCap(k) || m.kdist != k {
+					t.Fatalf("initial: %d candidates (cap %d), kdist %g", m.cand.len(), reserveCap(k), m.kdist)
+				}
+
+				var u Updates
+				del := func(i int) {
+					u.Objects = append(u.Objects, ObjectUpdate{ID: roadnet.ObjectID(i), Old: at(float64(i)), Delete: true})
+				}
+				del(k)
+				if viaEdge {
+					// The k-1 objects a fifth along edge 1 come from 200 away to 6.
+					u.Edges = append(u.Edges, EdgeUpdate{Edge: 1, NewW: 30})
+				} else {
+					for i := 0; i < k-1; i++ {
+						u.Objects = append(u.Objects, ObjectUpdate{ID: near(i), New: at(0.01 * float64(i+1)), Insert: true})
+					}
+				}
+				for i := 1; i <= k-2; i++ {
+					del(i)
+				}
+				u.Objects = append(u.Objects, ObjectUpdate{ID: 99, New: at(k - 0.5), Insert: true})
+				e.Step(u)
+
+				// The k-1 arrivals, then object k-1 — not the one at k-0.5.
+				if err := compareResults(e.Result(1), BruteForceKNN(net, qpos, k)); err != nil {
+					t.Fatal(err)
+				}
+				for id, m := range e.set.mons {
+					if err := checkReserve(m); err != nil {
+						t.Fatalf("monitor %d: %v", id, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCoverStopsAtUnregisteredNode: a verified node at exactly kNN_dist has
+// no influence registration on its far edges (invariant 3), so cover must
+// not reach past it (invariant 2, last clause) — also after a re-expansion
+// that rebuilds the frontier while the registrations stay as they were.
+func TestCoverStopsAtUnregisteredNode(t *testing.T) {
+	// a -(edge 0, 10)- b -(edge 1, 10)- c, the query on a, k = 2: object 1
+	// at 5 and object 2 on b itself, found from b after b was verified.
+	g := graph.New(3, 2)
+	for i := 0; i < 3; i++ {
+		g.AddNode(geom.Point{X: float64(i)})
+	}
+	g.AddEdge(0, 1, 10)
+	g.AddEdge(1, 2, 10)
+	net := roadnet.NewNetwork(g)
+	net.AddObject(1, roadnet.Position{Edge: 0, Frac: 0.5})
+	net.AddObject(2, roadnet.Position{Edge: 1, Frac: 0})
+	e := NewIMAWith(net, Options{Workers: 1})
+	defer e.Close()
+	qpos := roadnet.Position{Edge: 0, Frac: 0}
+	e.Register(1, qpos, 2)
+	m := e.set.mons[directKey(1)]
+	step := func(label string, cover float64, objs ...ObjectUpdate) {
+		t.Helper()
+		e.Step(Updates{Objects: objs})
+		if err := compareResults(e.Result(1), BruteForceKNN(net, qpos, 2)); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := checkReserve(m); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !m.tree.has(1) || m.cand.cover != cover {
+			t.Fatalf("%s: b verified: %v, cover %g, want %g", label, m.tree.has(1), m.cand.cover, cover)
+		}
+	}
+	step("initial", 10)
+	// kNN_dist shrinks to 7 inside the lazy registration for 10 ...
+	step("arrival", 10, ObjectUpdate{ID: 3, New: roadnet.Position{Edge: 0, Frac: 0.7}, Insert: true})
+	// ... and grows back to 10 by a re-expansion that verifies nothing and
+	// stops at c, 20 away, with edge 1 still unregistered.
+	before := e.StepStats()
+	step("departure", 10, ObjectUpdate{ID: 3, Old: roadnet.Position{Edge: 0, Frac: 0.7}, Delete: true})
+	if s := e.StepStats(); s.Reexpansions != before.Reexpansions+1 || s.NodesVerified != before.NodesVerified {
+		t.Fatalf("departure: %+v -> %+v", before, s)
+	}
+	// Nothing reports this one to the monitor.
+	step("beyond b", 10, ObjectUpdate{ID: 4, New: roadnet.Position{Edge: 1, Frac: 0.5}, Insert: true})
 }

@@ -130,15 +130,6 @@ type arenaPool struct {
 
 // get returns arena i, creating arenas as needed for a graph of numNodes
 // nodes.
-// stats sums the arenas' counters.
-func (p *arenaPool) stats() StepStats {
-	var sum StepStats
-	for _, sc := range p.arenas {
-		sum.add(sc.stats)
-	}
-	return sum
-}
-
 func (p *arenaPool) get(i, numNodes int) *scratch {
 	for len(p.arenas) <= i {
 		p.arenas = append(p.arenas, newScratch(numNodes))
@@ -146,4 +137,13 @@ func (p *arenaPool) get(i, numNodes int) *scratch {
 	sc := p.arenas[i]
 	sc.ensure(numNodes)
 	return sc
+}
+
+// stats sums the arenas' counters.
+func (p *arenaPool) stats() StepStats {
+	var sum StepStats
+	for _, sc := range p.arenas {
+		sum.add(sc.stats)
+	}
+	return sum
 }
