@@ -28,6 +28,10 @@ const benchScale = 0.1
 // benchTimestamps is how many simulation steps each op measures.
 const benchTimestamps = 1
 
+// benchEngines are the engines of the benchmarks that run the default
+// workload instead of a figure's point.
+var benchEngines = []string{"OVH", "IMA", "GMA"}
+
 func benchmarkExperimentPoint(b *testing.B, expID string, pointIdx int) {
 	exps := experiments.All(benchScale, benchTimestamps, 1)
 	e := experiments.ByID(exps, expID)
@@ -84,16 +88,11 @@ func BenchmarkAblationBoundedWalk(b *testing.B)        { benchmarkExperimentPoin
 // pipeline is serial). Results are identical across worker counts — only
 // the per-step wall time changes.
 func BenchmarkFigureParallelStep(b *testing.B) {
-	exps := experiments.All(benchScale, benchTimestamps, 1)
-	e := experiments.ByID(exps, "sw")
-	if e == nil {
-		b.Fatal("unknown experiment sw")
-	}
-	p := e.Points[0]
-	for _, engName := range e.Engines {
+	cfg := workload.Default().Scale(benchScale)
+	for _, engName := range benchEngines {
 		b.Run(engName, func(b *testing.B) {
 			// Workers: 0 resolves to GOMAXPROCS, i.e. the -cpu value.
-			r, _ := workload.NewRunner(p.Cfg, experiments.EngineFor(engName, 0))
+			r, _ := workload.NewRunner(cfg, experiments.EngineFor(engName, 0))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.Engine().Step(r.GenerateStep())
@@ -105,17 +104,11 @@ func BenchmarkFigureParallelStep(b *testing.B) {
 // BenchmarkFigureStepAllocs measures one monitoring Step per engine with
 // workload generation excluded from the timed (and allocation-counted)
 // region, so allocs/op and B/op reflect the engines' expansion core alone.
-// This is the benchmark behind the allocation trajectory in BENCH_*.json.
 func BenchmarkFigureStepAllocs(b *testing.B) {
-	exps := experiments.All(benchScale, benchTimestamps, 1)
-	e := experiments.ByID(exps, "sw")
-	if e == nil {
-		b.Fatal("unknown experiment sw")
-	}
-	p := e.Points[0]
-	for _, engName := range e.Engines {
+	cfg := workload.Default().Scale(benchScale)
+	for _, engName := range benchEngines {
 		b.Run(engName, func(b *testing.B) {
-			r, _ := workload.NewRunner(p.Cfg, experiments.EngineFor(engName, 1))
+			r, _ := workload.NewRunner(cfg, experiments.EngineFor(engName, 1))
 			eng := r.Engine()
 			// Warm the per-monitor and per-worker buffers so the steady
 			// state is measured, not first-touch growth (edge object lists

@@ -9,92 +9,38 @@
 //	benchrunner -exp f13b                # one figure
 //	benchrunner -exp all -scale 0.25     # full suite at quarter scale
 //	benchrunner -exp f14a -scale 1 -ts 100  # paper-scale run
-//	benchrunner -exp sw -json out.json   # machine-readable trajectory file
 //
 // Absolute numbers depend on the machine; the shapes (who wins, by what
-// factor, where the crossovers fall) are what reproduce the paper.
-//
-// With -json the per-engine measurements (ns/step, allocs/step, bytes/step,
-// worker count and the full workload config) are additionally written as a
-// machine-readable document, the format of the repository's BENCH_*.json
-// benchmark-trajectory files.
+// factor, where the crossovers fall) are what reproduce the paper. The
+// service layers (WAL, ingestion, deltas, replication, worker pool,
+// planner, live topology) are measured by the claim-bearing benchmark in
+// bench/, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"roadknn/internal/experiments"
-	"roadknn/internal/workload"
 )
-
-// jsonResult is one engine at one sweep point in the -json output.
-type jsonResult struct {
-	Exp           string          `json:"exp"`
-	Point         string          `json:"point"`
-	Engine        string          `json:"engine"`
-	Metric        string          `json:"metric"` // "cpu" or "mem"
-	Unit          string          `json:"unit"`
-	Value         float64         `json:"value"`
-	NsPerStep     float64         `json:"ns_per_step"`
-	P50NsPerStep  float64         `json:"p50_ns_per_step,omitempty"`
-	P99NsPerStep  float64         `json:"p99_ns_per_step,omitempty"`
-	AllocsPerStep float64         `json:"allocs_per_step"`
-	BytesPerStep  float64         `json:"bytes_per_step"`
-	SizeBytes     int             `json:"size_bytes"`
-	Workers       int             `json:"workers"`
-	Readers       int             `json:"readers,omitempty"`
-	ReadsPerSec   float64         `json:"reads_per_sec,omitempty"`
-	WALFsync      string          `json:"wal_fsync,omitempty"`
-	WALBytes      int64           `json:"wal_bytes,omitempty"`
-	IngestEnc     string          `json:"ingest_encoding,omitempty"`
-	IngestMBps    float64         `json:"ingest_mbps,omitempty"`
-	DeltaBytes    float64         `json:"delta_bytes_per_epoch,omitempty"`
-	SnapshotBytes float64         `json:"snapshot_bytes_per_epoch,omitempty"`
-	Followers     int             `json:"followers,omitempty"`
-	ReplLagMs     float64         `json:"repl_lag_ms,omitempty"`
-	PlannerMigr   uint64          `json:"planner_migrations,omitempty"`
-	Config        workload.Config `json:"config"`
-}
-
-// jsonDoc is the top-level -json document (schema roadknn-bench/v1).
-type jsonDoc struct {
-	Schema     string       `json:"schema"`
-	CreatedAt  string       `json:"created_at"`
-	GoVersion  string       `json:"go_version"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	NumCPU     int          `json:"num_cpu"`
-	Scale      float64      `json:"scale"`
-	Timestamps int          `json:"timestamps"`
-	Seed       int64        `json:"seed"`
-	Results    []jsonResult `json:"results"`
-}
 
 func main() {
 	var (
-		expID    = flag.String("exp", "all", "experiment id (e.g. f13a) or 'all'")
-		scale    = flag.Float64("scale", 0.25, "workload scale factor (1 = paper scale)")
-		ts       = flag.Int("ts", 20, "timestamps per run (paper: 100)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		workers  = flag.Int("workers", -1, "engine worker-pool size (-1 = registry default: figures serial, 0 = GOMAXPROCS, 1 = serial); the 'sw' sweep always sets its own axis")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		csv      = flag.String("csv", "", "also append results as CSV to this file")
-		jsonPath = flag.String("json", "", "write machine-readable per-engine results (ns/step, allocs/step, bytes/step, workers, config) to this file")
+		expID   = flag.String("exp", "all", "experiment id (e.g. f13a) or 'all'")
+		scale   = flag.Float64("scale", 0.25, "workload scale factor (1 = paper scale)")
+		ts      = flag.Int("ts", 20, "timestamps per run (paper: 100)")
+		seed    = flag.Int64("seed", 1, "random seed")
+		workers = flag.Int("workers", -1, "engine worker-pool size (-1 = registry default: serial, 0 = GOMAXPROCS, 1 = serial)")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		csv     = flag.String("csv", "", "also append results as CSV to this file")
 	)
 	flag.Parse()
 
 	exps := experiments.All(*scale, *ts, *seed)
 	if *workers >= 0 {
 		for i := range exps {
-			if exps[i].Param == "workers" {
-				continue // the workers sweep sets its own axis
-			}
 			for j := range exps[i].Points {
 				exps[i].Points[j].Cfg.Workers = *workers
 			}
@@ -132,82 +78,15 @@ func main() {
 		csvFile = f
 	}
 
-	var doc *jsonDoc
-	if *jsonPath != "" {
-		doc = &jsonDoc{
-			Schema:     "roadknn-bench/v1",
-			CreatedAt:  time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			Scale:      *scale,
-			Timestamps: *ts,
-			Seed:       *seed,
-		}
-	}
-
 	for _, e := range toRun {
-		runExperiment(&e, *scale, *ts, csvFile, doc)
-		if e.ID == "top" {
-			runTopoMicro(&e, *seed, doc)
-		}
-	}
-
-	if doc != nil {
-		out, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal json: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d results to %s\n", len(doc.Results), *jsonPath)
+		runExperiment(&e, *scale, *ts, csvFile)
 	}
 }
 
-// runTopoMicro attaches the incremental-CSR micro measurement to the
-// "top" sweep: the cost of re-freezing after a single edge edit versus a
-// full recompaction, on the sweep's (largest) network. Both land in the
-// -json trajectory as pseudo-points of the sweep under engine "CSR".
-func runTopoMicro(e *experiments.Experiment, seed int64, doc *jsonDoc) {
-	edges := 0
-	for _, p := range e.Points {
-		if p.Cfg.Edges > edges {
-			edges = p.Cfg.Edges
-		}
-	}
-	m := experiments.TopoMicro(edges, seed)
-	fmt.Printf("   CSR micro (%d edges): cold compaction %.0f ns, single-edit re-freeze %.0f ns — %.1fx\n",
-		m.Edges, m.ColdNs, m.IncrementalNs, m.Speedup)
-	if doc == nil {
-		return
-	}
-	for _, row := range []struct {
-		point string
-		ns    float64
-	}{
-		{"cold", m.ColdNs},
-		{"incremental", m.IncrementalNs},
-	} {
-		doc.Results = append(doc.Results, jsonResult{
-			Exp:    e.ID,
-			Point:  row.point,
-			Engine: "CSR",
-			Metric: "cpu",
-			Unit:   "ns/freeze",
-			Value:  row.ns,
-		})
-	}
-}
-
-func runExperiment(e *experiments.Experiment, scale float64, ts int, csvFile *os.File, doc *jsonDoc) {
-	unit, metric := "s/ts", "cpu"
+func runExperiment(e *experiments.Experiment, scale float64, ts int, csvFile *os.File) {
+	unit := "s/ts"
 	if e.Metric == experiments.Mem {
-		unit, metric = "KB", "mem"
+		unit = "KB"
 	}
 	fmt.Printf("\n== %s: %s (scale %g, %d ts) ==\n", strings.ToUpper(e.ID), e.Title, scale, ts)
 	fmt.Printf("   paper shape: %s\n", e.Shape)
@@ -219,40 +98,10 @@ func runExperiment(e *experiments.Experiment, scale float64, ts int, csvFile *os
 	for _, p := range e.Points {
 		fmt.Printf("%12s", p.Label)
 		for _, eng := range e.Engines {
-			res := experiments.RunPoint(p, eng)
-			v := experiments.CellValue(e, res)
+			v := experiments.Cell(e, p, eng)
 			fmt.Printf("  %12.4f", v)
 			if csvFile != nil {
 				fmt.Fprintf(csvFile, "%s,%s,%s,%s,%g\n", e.ID, p.Label, eng, unit, v)
-			}
-			if doc != nil {
-				doc.Results = append(doc.Results, jsonResult{
-					Exp:           e.ID,
-					Point:         p.Label,
-					Engine:        eng,
-					Metric:        metric,
-					Unit:          unit,
-					Value:         v,
-					NsPerStep:     res.AvgStepSeconds * 1e9,
-					P50NsPerStep:  res.P50StepSeconds * 1e9,
-					P99NsPerStep:  res.P99StepSeconds * 1e9,
-					AllocsPerStep: res.AvgStepAllocs,
-					BytesPerStep:  res.AvgStepBytes,
-					SizeBytes:     res.AvgSizeBytes,
-					Workers:       p.Cfg.Workers,
-					Readers:       res.Readers,
-					ReadsPerSec:   res.ReadsPerSec,
-					WALFsync:      res.WALFsync,
-					WALBytes:      res.WALBytes,
-					IngestEnc:     res.IngestEncoding,
-					IngestMBps:    res.IngestMBps,
-					DeltaBytes:    res.DeltaBytesPerEpoch,
-					SnapshotBytes: res.SnapshotBytesPerEpoch,
-					Followers:     res.Followers,
-					ReplLagMs:     res.ReplLagMs,
-					PlannerMigr:   res.PlannerMigrations,
-					Config:        p.Cfg,
-				})
 			}
 		}
 		fmt.Println()

@@ -14,24 +14,30 @@ import (
 	"time"
 
 	"roadknn"
+	"roadknn/internal/planner"
 	"roadknn/internal/serve"
 	"roadknn/internal/wal"
 )
 
-// newEngine builds the engine every node in a test cluster runs: the
-// network is a pure function of (edges, seed), so primary and followers
-// constructed here are byte-compatible.
-func newEngine(t *testing.T, edges int) roadknn.Engine {
-	t.Helper()
-	net := roadknn.GenerateNetwork(edges, 7)
-	return roadknn.NewIMAWith(net, roadknn.Options{Workers: 1, Serving: true})
+// engineMaker builds the engine every node of one test cluster runs.
+type engineMaker func(*roadknn.Network, roadknn.Options) roadknn.Engine
+
+// newEngine builds one node's engine: the network is a pure function of
+// (edges, seed), so primary and followers constructed here are
+// byte-compatible. PlanEvery only matters to AUTO, which re-plans every
+// third tick.
+func newEngine(mk engineMaker, edges int) roadknn.Engine {
+	return mk(roadknn.GenerateNetwork(edges, 7), roadknn.Options{
+		Workers: 1, Serving: true,
+		Planner: roadknn.PlannerOptions{PlanEvery: 3},
+	})
 }
 
 // newPrimary builds a durable manual-tick primary over a MemFS WAL and
 // serves it over HTTP.
-func newPrimary(t *testing.T, edges, checkpointEvery int) (*serve.Server, *httptest.Server) {
+func newPrimary(t *testing.T, mk engineMaker, edges, checkpointEvery int) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	eng := newEngine(t, edges)
+	eng := newEngine(mk, edges)
 	l, rec, err := wal.Open(wal.NewMemFS(), wal.Options{Retries: 2, Sleep: func(time.Duration) {}})
 	if err != nil {
 		eng.Close()
@@ -52,9 +58,9 @@ func newPrimary(t *testing.T, edges, checkpointEvery int) (*serve.Server, *httpt
 // newFollowerNode builds a follower-mode server mirroring the primary's
 // engine and checkpoint cadence, serves it over HTTP, and wraps it in a
 // Follower driver. Bootstrap is left to the caller.
-func newFollowerNode(t *testing.T, edges, checkpointEvery int, primaryURL string) (*Follower, *httptest.Server) {
+func newFollowerNode(t *testing.T, mk engineMaker, edges, checkpointEvery int, primaryURL string) (*Follower, *httptest.Server) {
 	t.Helper()
-	eng := newEngine(t, edges)
+	eng := newEngine(mk, edges)
 	s := serve.New(eng, serve.Config{Follower: true, CheckpointEvery: checkpointEvery})
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -141,27 +147,70 @@ func waitCursor(t *testing.T, f *Follower, seq uint64) {
 	}
 }
 
+// hotspotQueries is the dense agile group riding every tick of the
+// divergence test's stream: six k=3 queries packed onto one edge that moves
+// every fifth tick, dragging the group across the planner's spatial cells.
+// Under AUTO the cost model hands the group to GMA and re-decides as it
+// drifts; under a static engine it is just more churn.
+func hotspotQueries(ts int) []map[string]any {
+	edge := (ts / 5 * 17) % 100
+	var qs []map[string]any
+	for q := 10; q < 16; q++ {
+		r := map[string]any{"id": q, "edge": edge, "frac": float64((ts*7+q*3)%9) / 9}
+		if ts == 1 {
+			r["k"] = 3
+		}
+		qs = append(qs, r)
+	}
+	return qs
+}
+
+// migrations reads a node's cumulative group-migration count (0 for a
+// static engine).
+func migrations(s *serve.Server) uint64 {
+	if sp, ok := s.Engine().(planner.StatsProvider); ok {
+		return sp.PlannerStats().Migrations
+	}
+	return 0
+}
+
 // TestClusterDivergenceThreeFollowers is the end-to-end replication
-// property: over 60 timestamps of churn ingested through the primary's
-// HTTP front door, three followers — two tailing in the background, one
-// stepped synchronously and byte-compared against the primary at every
-// timestamp — never diverge. One background follower is killed at ts 20
-// and a replacement joins at ts 40, bootstrapping from the newest
-// checkpoint and tailing the rest of the log; at ts 60 every live
-// follower's snapshot is byte-identical to the primary's.
+// property, for every engine: over 60 timestamps of churn ingested through
+// the primary's HTTP front door, three followers — two tailing in the
+// background, one stepped synchronously and byte-compared against the
+// primary at every timestamp — never diverge. One background follower is
+// killed at ts 20 and a replacement joins at ts 40, bootstrapping from the
+// newest checkpoint and tailing the rest of the log; at ts 60 every live
+// follower's snapshot is byte-identical to the primary's. Under AUTO the
+// synchronous follower must also have made the primary's migrations at the
+// primary's ticks, and the run must have migrated at all.
 func TestClusterDivergenceThreeFollowers(t *testing.T) {
+	for _, eng := range []struct {
+		name string
+		mk   engineMaker
+	}{
+		{"IMA", roadknn.NewIMAWith},
+		{"GMA", roadknn.NewGMAWith},
+		{"OVH", roadknn.NewOVHWith},
+		{"AUTO", roadknn.NewAutoWith},
+	} {
+		t.Run(eng.name, func(t *testing.T) { clusterDivergence(t, eng.mk, eng.name == "AUTO") })
+	}
+}
+
+func clusterDivergence(t *testing.T, mk engineMaker, wantMigrations bool) {
 	const (
 		edges           = 300
 		checkpointEvery = 20
 		ticks           = 60
 	)
-	prim, hp := newPrimary(t, edges, checkpointEvery)
+	prim, hp := newPrimary(t, mk, edges, checkpointEvery)
 
 	// All three followers join before the first tick: no checkpoint exists
 	// yet, so they bootstrap empty and tail from sequence 0.
-	fSync, hSync := newFollowerNode(t, edges, checkpointEvery, hp.URL)
-	fBg, _ := newFollowerNode(t, edges, checkpointEvery, hp.URL)
-	fDoomed, _ := newFollowerNode(t, edges, checkpointEvery, hp.URL)
+	fSync, hSync := newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
+	fBg, _ := newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
+	fDoomed, _ := newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
 	for _, f := range []*Follower{fSync, fBg, fDoomed} {
 		if err := f.Bootstrap(); err != nil {
 			t.Fatalf("bootstrap: %v", err)
@@ -189,6 +238,8 @@ func TestClusterDivergenceThreeFollowers(t *testing.T) {
 	var fJoin *Follower
 	for ts := 1; ts <= ticks; ts++ {
 		batch := churnBatch(rng, ts, live)
+		qs, _ := batch["queries"].([]map[string]any)
+		batch["queries"] = append(qs, hotspotQueries(ts)...)
 		// Live network editing rides the same stream: edge 140 cycles
 		// through remove/re-add (the freelist reuses its id), fresh edges
 		// grow the id space, and object 90 parks on the reincarnated edge
@@ -222,12 +273,15 @@ func TestClusterDivergenceThreeFollowers(t *testing.T) {
 			t.Fatalf("ts %d: sync follower snapshot differs from primary (%d vs %d bytes)",
 				ts, len(got), len(want))
 		}
+		if got, want := migrations(fSync.Server()), migrations(prim); got != want {
+			t.Fatalf("ts %d: sync follower has migrated %d groups, primary %d", ts, got, want)
+		}
 
 		switch ts {
 		case 20: // kill one background follower mid-run
 			fDoomed.Stop()
 		case 40: // a replacement joins: checkpoint bootstrap, then log tail
-			fJoin, _ = newFollowerNode(t, edges, checkpointEvery, hp.URL)
+			fJoin, _ = newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
 			if err := fJoin.Bootstrap(); err != nil {
 				t.Fatalf("rejoin bootstrap: %v", err)
 			}
@@ -240,6 +294,9 @@ func TestClusterDivergenceThreeFollowers(t *testing.T) {
 			fJoin.Start()
 			defer fJoin.Stop()
 		}
+	}
+	if wantMigrations && migrations(prim) == 0 {
+		t.Error("the drifting hotspot never migrated a group; the run exercised no planner decision")
 	}
 
 	want := snapBytes(prim)
@@ -273,8 +330,8 @@ func TestClusterDivergenceThreeFollowers(t *testing.T) {
 // report ErrLogPruned, and a fresh node must recover via checkpoint
 // bootstrap — the late-joiner path.
 func TestFollowerPrunedLogRebootstrap(t *testing.T) {
-	prim, hp := newPrimary(t, 150, 2)
-	f, _ := newFollowerNode(t, 150, 2, hp.URL)
+	prim, hp := newPrimary(t, roadknn.NewIMAWith, 150, 2)
+	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 2, hp.URL)
 	if err := f.Bootstrap(); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
@@ -287,7 +344,7 @@ func TestFollowerPrunedLogRebootstrap(t *testing.T) {
 	if _, err := f.SyncOnce(0); err != ErrLogPruned {
 		t.Fatalf("lagged follower got %v, want ErrLogPruned", err)
 	}
-	f2, _ := newFollowerNode(t, 150, 2, hp.URL)
+	f2, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 2, hp.URL)
 	if err := f2.Bootstrap(); err != nil {
 		t.Fatalf("re-bootstrap: %v", err)
 	}
@@ -304,9 +361,9 @@ func TestFollowerPrunedLogRebootstrap(t *testing.T) {
 // has reached E, lagging backends are skipped, and a dead backend is
 // failed over without the client seeing an error.
 func TestRouterEpochConsistency(t *testing.T) {
-	prim, hp := newPrimary(t, 150, 4)
-	fa, ha := newFollowerNode(t, 150, 4, hp.URL)
-	fb, hb := newFollowerNode(t, 150, 4, hp.URL)
+	prim, hp := newPrimary(t, roadknn.NewIMAWith, 150, 4)
+	fa, ha := newFollowerNode(t, roadknn.NewIMAWith, 150, 4, hp.URL)
+	fb, hb := newFollowerNode(t, roadknn.NewIMAWith, 150, 4, hp.URL)
 	for _, f := range []*Follower{fa, fb} {
 		if err := f.Bootstrap(); err != nil {
 			t.Fatalf("bootstrap: %v", err)
@@ -438,7 +495,7 @@ func TestRouterEpochConsistency(t *testing.T) {
 // installing anything, stay unseeded, and then bootstrap cleanly from
 // the healthy primary on retry.
 func TestBootstrapTornCheckpointRejected(t *testing.T) {
-	prim, hp := newPrimary(t, 150, 2)
+	prim, hp := newPrimary(t, roadknn.NewIMAWith, 150, 2)
 	rng := rand.New(rand.NewSource(11))
 	live := map[int64]bool{}
 	for ts := 1; ts <= 2; ts++ { // checkpoint lands at ts 2
@@ -479,7 +536,7 @@ func TestBootstrapTornCheckpointRejected(t *testing.T) {
 	}))
 	defer proxy.Close()
 
-	f, _ := newFollowerNode(t, 150, 2, proxy.URL)
+	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 2, proxy.URL)
 	err := f.Bootstrap()
 	if err == nil {
 		t.Fatal("bootstrap accepted a torn checkpoint")
@@ -508,9 +565,9 @@ func TestBootstrapTornCheckpointRejected(t *testing.T) {
 // retry path: transport errors back off and retry rather than killing
 // the tail loop, because a primary restart looks exactly like that.
 func TestFollowerTransportErrorRetries(t *testing.T) {
-	prim, hp := newPrimary(t, 150, 4)
+	prim, hp := newPrimary(t, roadknn.NewIMAWith, 150, 4)
 	_ = prim
-	f, _ := newFollowerNode(t, 150, 4, hp.URL)
+	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 4, hp.URL)
 	if err := f.Bootstrap(); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}

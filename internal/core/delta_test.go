@@ -136,16 +136,30 @@ func checkDeltaStep(t *testing.T, eng Engine, prev *Snapshot, ts int) *Snapshot 
 }
 
 // TestDeltaQuietStepIsEmpty: a step with no updates publishes a new epoch
-// whose delta lists no queries.
+// whose delta lists no queries, and a delta's volume follows the churn: one
+// object moving under twenty queries encodes to a fraction of the snapshot
+// a subscriber without deltas would be sent.
 func TestDeltaQuietStepIsEmpty(t *testing.T) {
 	eng := deltaTestEngine(func(n *roadnet.Network, o Options) Engine { return NewIMAWith(n, o) }, 7, 30)
 	defer eng.Close()
+	net := eng.Network()
 	rng := rand.New(rand.NewSource(1))
-	eng.Register(1, eng.Network().UniformPosition(rng), 3)
+	for q := QueryID(1); q <= 20; q++ {
+		eng.Register(q, net.UniformPosition(rng), 3)
+	}
 	eng.Step(Updates{})
 	d := eng.Snapshot().Delta()
 	if d == nil || d.Len() != 0 {
 		t.Fatalf("quiet step delta = %+v, want empty", d)
+	}
+
+	old, _ := net.ObjectPos(0)
+	eng.Step(Updates{Objects: []ObjectUpdate{{ID: 0, Old: old, New: net.UniformPosition(rng)}}})
+	snap := eng.Snapshot()
+	deltaBytes, snapBytes := len(snap.Delta().AppendBinary(nil)), len(snap.AppendBinary(nil))
+	if snap.Delta().Len() == 0 || 2*deltaBytes >= snapBytes {
+		t.Fatalf("one moved object: delta of %d queries in %d bytes against a %d-byte snapshot",
+			snap.Delta().Len(), deltaBytes, snapBytes)
 	}
 }
 

@@ -99,9 +99,8 @@ func All(scale float64, timestamps int, seed int64) []Experiment {
 	base.Timestamps = timestamps
 	// The paper figures measure the serial algorithms' CPU time per
 	// timestamp; the worker pool would fold multi-core speedup into the
-	// metric and distort the engine ratios, so figures pin Workers to 1.
-	// Only the scalability sweep (and an explicit benchrunner -workers
-	// override) varies it.
+	// metric and distort the engine ratios, so figures pin Workers to 1
+	// (benchrunner -workers overrides it).
 	base.Workers = 1
 
 	mk := func(mut func(*workload.Config)) workload.Config {
@@ -342,188 +341,6 @@ func All(scale float64, timestamps int, seed int64) []Experiment {
 		exps = append(exps, e)
 	}
 
-	// Scalability S1: the parallel sharded pipeline — CPU vs worker-pool
-	// size at the default workload (not a paper figure; supports the
-	// ROADMAP's multi-core scaling goal).
-	{
-		e := Experiment{
-			ID: "sw", Title: "Scalability: CPU time vs worker-pool size",
-			Param: "workers", Metric: CPU, Engines: allEngines,
-			Shape: "per-step time drops with workers for all engines until routing dominates; results identical to serial",
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			w := w
-			e.Points = append(e.Points, Point{fmt.Sprint(w), mk(func(c *workload.Config) { c.Workers = w })})
-		}
-		exps = append(exps, e)
-	}
-
-	// Scalability S2: the concurrent serving runtime — snapshot readers
-	// hammering Result reads while the pipeline steps (not a paper figure;
-	// supports the ROADMAP's serving-layer goal). The CPU metric reports
-	// the step time under reader pressure; the reads/sec sustained by the
-	// readers lands in the Result/JSON ReadsPerSec field.
-	{
-		e := Experiment{
-			ID: "cr", Title: "Serving: concurrent snapshot readers during stepping",
-			Param: "readers", Metric: CPU, Engines: allEngines,
-			Shape: "reads/sec scales with reader count while the step rate degrades only by CPU sharing; every read is one consistent epoch",
-		}
-		for _, rd := range []int{1, 2, 4} {
-			rd := rd
-			e.Points = append(e.Points, Point{fmt.Sprint(rd), mk(func(c *workload.Config) {
-				c.Serving = true
-				c.Readers = rd
-			})})
-		}
-		exps = append(exps, e)
-	}
-
-	// Scalability S3: the durable ingestion path — per-step cost with the
-	// write-ahead log off and under each fsync policy (not a paper figure;
-	// supports the ROADMAP's crash-safety goal). The bytes appended per run
-	// land in the Result/JSON WALBytes field.
-	{
-		e := Experiment{
-			ID: "wal", Title: "Durability: CPU time vs WAL fsync policy",
-			Param: "fsync", Metric: CPU, Engines: allEngines,
-			Shape: "never/interval/tick cost a small constant per step (encode + write); always pays its fsync at the tick boundary; interval bounds crash loss without any fsync on the step path",
-		}
-		for _, mode := range []string{"off", "never", "interval=5ms", "tick", "always"} {
-			mode := mode
-			e.Points = append(e.Points, Point{mode, mk(func(c *workload.Config) {
-				if mode != "off" {
-					c.WALFsync = mode
-				}
-			})})
-		}
-		exps = append(exps, e)
-	}
-
-	// Scalability S4: the wire-speed front door — per-step cost with the
-	// ingestion decoder and delta emission on, across wire encodings and
-	// churn levels (not a paper figure; supports the ROADMAP's wire-speed
-	// ingestion goal). The decode throughput lands in the Result/JSON
-	// IngestMBps field; the per-epoch delta and full-snapshot wire volumes
-	// land in DeltaBytesPerEpoch / SnapshotBytesPerEpoch — at low churn the
-	// delta bytes must sit far below the snapshot bytes, which is the whole
-	// point of delta streaming.
-	{
-		e := Experiment{
-			ID: "ing", Title: "Ingestion: wire decode throughput and delta vs snapshot volume",
-			Param: "enc/churn", Metric: CPU, Engines: []string{"IMA", "GMA"},
-			Shape: "binary decodes several times faster than JSON at equal churn; delta bytes/epoch grow with churn and stay far below the full snapshot at low agility",
-		}
-		points := []struct {
-			enc   string
-			churn float64
-		}{
-			{"json", 0.10},
-			{"ndjson", 0.10},
-			{"binary", 0.10},
-			{"binary", 0.01},
-			{"binary", 0.05},
-			{"binary", 0.20},
-		}
-		for _, pt := range points {
-			pt := pt
-			label := fmt.Sprintf("%s/%g%%", pt.enc, pt.churn*100)
-			e.Points = append(e.Points, Point{label, mk(func(c *workload.Config) {
-				c.Serving = true
-				c.Deltas = true
-				c.Ingest = pt.enc
-				c.ObjAgility = pt.churn
-				c.QryAgility = pt.churn
-				c.EdgeAgility = 0.4 * pt.churn
-			})})
-		}
-		exps = append(exps, e)
-	}
-
-	// Scalability S5: the replicated serve tier — follower replicas
-	// tailing the primary's sequenced log while readers hammer the
-	// replica fleet (not a paper figure; supports the ROADMAP's
-	// replication goal). The CPU metric reports the primary's step time
-	// with shipping active; the mean replication lag lands in the
-	// Result/JSON ReplLagMs field and the fleet's aggregate read rate in
-	// ReadsPerSec.
-	{
-		e := Experiment{
-			ID: "rep", Title: "Replication: follower fan-out, lag and aggregate reads",
-			Param: "followers", Metric: CPU, Engines: []string{"IMA"},
-			Shape: "step time stays flat in follower count (shipping is off the step path); aggregate reads/sec scales with followers while replication lag stays low",
-		}
-		for _, n := range []int{1, 2, 4} {
-			n := n
-			e.Points = append(e.Points, Point{fmt.Sprint(n), mk(func(c *workload.Config) {
-				c.Serving = true
-				c.WALFsync = "never"
-				c.Followers = n
-				c.Readers = 2
-			})})
-		}
-		exps = append(exps, e)
-	}
-
-	// Planner P1: the adaptive engine — per-step cost of AUTO vs the two
-	// static engines across a mixed-density axis (not a paper figure;
-	// supports the ROADMAP's adaptive-planner goal). The x-axis is the
-	// share of load concentrated in one dense drifting hotspot: the
-	// sparse base population stays fixed (uniform, calm) while each step
-	// up the axis ADDS hotspot queries and object churn, the way a
-	// traffic hotspot adds load rather than redistributing it. At 0 the
-	// workload is pure IMA territory; at the high end the dense agile
-	// cluster's overlapping expansion trees make IMA reprocess the same
-	// churn once per tree and GMA wins. The slow drift drags the cluster
-	// across spatial groups so the planner must migrate it between
-	// engines mid-run; the migration count lands in the Result/JSON
-	// PlannerMigrations field. AUTO must track the better static engine
-	// at every point (steady-state p50; warmup registration and re-plan
-	// spikes land in p99).
-	{
-		e := Experiment{
-			ID: "pl", Title: "Adaptive planner: AUTO vs static engines across mixed density",
-			Param: "hotspot", Metric: CPU, Engines: []string{"AUTO", "IMA", "GMA"},
-			Shape: "IMA wins the sparse end, GMA the dense end; AUTO tracks the better static engine within ~1.1x at every point, consolidating onto one engine when the other side's share collapses, and migrates the drifting hotspot between engines mid-run",
-		}
-		for _, h := range []float64{0, 0.3, 0.6, 0.9} {
-			h := h
-			e.Points = append(e.Points, Point{fmt.Sprintf("%g%%", h*100), mk(func(c *workload.Config) {
-				// Uniform baseline: outside the hotspot, queries are
-				// genuinely sparse, so the sparse end of the axis is
-				// unambiguous engine territory.
-				c.QryDist = gen.Uniform
-				c.NumQueries = int(float64(c.NumQueries) / (1 - h))
-				c.ObjAgility = 0.1 + 0.33*h
-				c.HotspotFrac = h
-				c.HotspotRadius = 0.08
-				c.HotspotDrift = 0.005
-			})})
-		}
-		exps = append(exps, e)
-	}
-
-	// Topology T1: live network editing — per-step cost vs topology agility
-	// (not a paper figure; supports the ROADMAP's incremental-CSR goal).
-	// f_top edges are structurally edited per timestamp on top of the
-	// default churn; the cost of the edits must track the edit count, not
-	// the network size, because the frozen CSR is patched row-by-row
-	// instead of recompacted. The companion micro measurement (TopoMicro,
-	// emitted by benchrunner with this sweep) pins the patch-vs-recompact
-	// ratio itself.
-	{
-		e := Experiment{
-			ID: "top", Title: "Topology: churn-proportional live network editing",
-			Param: "f_top", Metric: CPU, Engines: allEngines,
-			Shape: "per-step cost grows with the edit count, not the network size; the single-edit re-freeze stays >=10x below a cold compaction",
-		}
-		for _, f := range []float64{0, 0.0005, 0.002, 0.01} {
-			f := f
-			e.Points = append(e.Points, Point{fmt.Sprintf("%g%%", f*100), mk(func(c *workload.Config) { c.TopoAgility = f })})
-		}
-		exps = append(exps, e)
-	}
-
 	// Ablation A1: value of influence-list filtering (DESIGN.md §7).
 	{
 		e := Experiment{
@@ -555,14 +372,15 @@ func All(scale float64, timestamps int, seed int64) []Experiment {
 	return exps
 }
 
-// TopoMicroResult is the incremental-CSR micro measurement attached to
-// the "top" sweep: the per-call cost of re-freezing the CSR adjacency
-// after a single edge edit versus recompacting it from scratch.
+// TopoMicroResult is the incremental-CSR micro measurement (the benchmark's
+// graph.refreeze_incremental_us / graph.compact_cold_us): the per-call cost
+// of re-freezing the CSR adjacency after a single edge edit versus
+// recompacting it from scratch.
 type TopoMicroResult struct {
-	Edges         int     `json:"edges"`
-	ColdNs        float64 `json:"cold_ns"`        // full recompaction (Compact) per call
-	IncrementalNs float64 `json:"incremental_ns"` // single-edit overlay merge (Freeze) per call
-	Speedup       float64 `json:"speedup"`
+	Edges         int
+	ColdNs        float64 // full recompaction (Compact) per call
+	IncrementalNs float64 // single-edit overlay merge (Freeze) per call
+	Speedup       float64
 }
 
 // TopoMicro measures the patch-vs-recompact ratio on a SanFranciscoLike
@@ -616,30 +434,14 @@ func ByID(exps []Experiment, id string) *Experiment {
 	return nil
 }
 
-// RunPoint runs one engine at one point and returns the full workload
-// measurements (CPU/ts, memory, allocation counters, reader throughput).
-// The point's Workers, Serving/Readers and Deltas settings are threaded
-// into the engine constructor.
-func RunPoint(p Point, engine string) workload.Result {
-	o := core.Options{
-		Workers: p.Cfg.Workers,
-		Serving: p.Cfg.Serving || p.Cfg.Readers > 0 || p.Cfg.Deltas,
-		Deltas:  p.Cfg.Deltas,
-	}
-	return workload.Run(p.Cfg, EngineWith(engine, o))
-}
-
-// CellValue extracts the experiment's metric from a RunPoint result
-// (seconds/ts for CPU, KBytes for Mem).
-func CellValue(e *Experiment, res workload.Result) float64 {
+// Cell runs one engine at one point and returns the measured value in the
+// experiment's metric: seconds/ts for CPU, KBytes for Mem. The point's
+// Workers and Serving settings are threaded into the engine constructor.
+func Cell(e *Experiment, p Point, engine string) float64 {
+	o := core.Options{Workers: p.Cfg.Workers, Serving: p.Cfg.Serving}
+	res := workload.Run(p.Cfg, EngineWith(engine, o))
 	if e.Metric == Mem {
 		return float64(res.AvgSizeBytes) / 1024.0
 	}
 	return res.AvgStepSeconds
-}
-
-// Cell runs one engine at one point and returns the measured value in the
-// experiment's metric.
-func Cell(e *Experiment, p Point, engine string) float64 {
-	return CellValue(e, RunPoint(p, engine))
 }

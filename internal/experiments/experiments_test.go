@@ -12,86 +12,14 @@ func TestRegistryCoversAllFigures(t *testing.T) {
 		"f13a", "f13b", "f14a", "f14b", "f15a", "f15b",
 		"f16a", "f16b", "f17a", "f17b", "f18a", "f18b", "f19a", "f19b",
 	}
-	// +2 ablation experiments, +1 worker-scalability sweep, +1 concurrent-
-	// readers serving sweep, +1 WAL fsync-policy sweep, +1 ingestion/delta
-	// sweep, +1 replication sweep, +1 topology-churn sweep, +1 adaptive-
-	// planner sweep
-	if len(exps) != len(want)+9 {
-		t.Fatalf("registry has %d experiments, want %d", len(exps), len(want)+9)
+	// The paper's figures plus the two ablations: the service layers are
+	// the claim-bearing benchmark's (bench/), not the registry's.
+	if len(exps) != len(want)+2 {
+		t.Fatalf("registry has %d experiments, want %d", len(exps), len(want)+2)
 	}
-	sw := ByID(exps, "sw")
-	if sw == nil {
-		t.Fatal("missing workers scalability sweep")
-	}
-	for i, p := range sw.Points {
-		if p.Cfg.Workers < 1 {
-			t.Fatalf("sw point %d has Workers %d", i, p.Cfg.Workers)
-		}
-	}
-	cr := ByID(exps, "cr")
-	if cr == nil {
-		t.Fatal("missing concurrent-readers serving sweep")
-	}
-	for i, p := range cr.Points {
-		if p.Cfg.Readers < 1 || !p.Cfg.Serving {
-			t.Fatalf("cr point %d not configured for serving readers: %+v", i, p.Cfg)
-		}
-	}
-	wl := ByID(exps, "wal")
-	if wl == nil {
-		t.Fatal("missing WAL fsync sweep")
-	}
-	if wl.Points[0].Cfg.WALFsync != "" {
-		t.Fatalf("wal baseline point logs with %q, want no WAL", wl.Points[0].Cfg.WALFsync)
-	}
-	for _, p := range wl.Points[1:] {
-		if p.Cfg.WALFsync == "" {
-			t.Fatalf("wal point %s has no fsync policy", p.Label)
-		}
-	}
-	rep := ByID(exps, "rep")
-	if rep == nil {
-		t.Fatal("missing replication sweep")
-	}
-	for i, p := range rep.Points {
-		if p.Cfg.Followers < 1 || p.Cfg.WALFsync == "" || !p.Cfg.Serving || p.Cfg.Readers < 1 {
-			t.Fatalf("rep point %d not configured for replication: %+v", i, p.Cfg)
-		}
-	}
-	top := ByID(exps, "top")
-	if top == nil {
-		t.Fatal("missing topology-churn sweep")
-	}
-	if top.Points[0].Cfg.TopoAgility != 0 {
-		t.Fatalf("top baseline point edits the network: %+v", top.Points[0].Cfg)
-	}
-	for _, p := range top.Points[1:] {
-		if p.Cfg.TopoAgility <= 0 {
-			t.Fatalf("top point %s has no topology churn", p.Label)
-		}
-	}
-	pl := ByID(exps, "pl")
-	if pl == nil {
-		t.Fatal("missing adaptive-planner sweep")
-	}
-	if pl.Engines[0] != "AUTO" {
-		t.Fatalf("pl sweep engines %v, want AUTO first", pl.Engines)
-	}
-	if pl.Points[0].Cfg.HotspotFrac != 0 {
-		t.Fatalf("pl baseline point has a hotspot: %+v", pl.Points[0].Cfg)
-	}
-	for _, p := range pl.Points[1:] {
-		if p.Cfg.HotspotFrac <= 0 || p.Cfg.HotspotDrift <= 0 {
-			t.Fatalf("pl point %s has no drifting hotspot", p.Label)
-		}
-	}
-	ing := ByID(exps, "ing")
-	if ing == nil {
-		t.Fatal("missing ingestion/delta sweep")
-	}
-	for i, p := range ing.Points {
-		if p.Cfg.Ingest == "" || !p.Cfg.Deltas || !p.Cfg.Serving {
-			t.Fatalf("ing point %d not configured for ingestion + deltas: %+v", i, p.Cfg)
+	for _, id := range []string{"abl-il", "abl-seq"} {
+		if ByID(exps, id) == nil {
+			t.Fatalf("missing ablation %s", id)
 		}
 	}
 	for _, id := range want {
@@ -142,11 +70,11 @@ func TestBrinkhoffFiguresConfigured(t *testing.T) {
 }
 
 // TestTopoMicroIncrementalWins is the CI-scale version of the perf claim
-// behind the "top" sweep: re-freezing after one edit must be dramatically
-// cheaper than a cold compaction. The committed BENCH trajectory carries
-// the full-size >=10x evidence; here a modest threshold avoids timer
-// flake on loaded runners while still catching any regression to O(V+E)
-// per edit.
+// behind live topology edits: re-freezing after one edit must be
+// dramatically cheaper than a cold compaction. The benchmark's graph.*
+// metrics carry the full-size evidence; here a modest threshold avoids
+// timer flake on loaded runners while still catching any regression to
+// O(V+E) per edit.
 func TestTopoMicroIncrementalWins(t *testing.T) {
 	m := TopoMicro(10000, 1)
 	if m.Edges < 10000 {

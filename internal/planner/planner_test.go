@@ -125,31 +125,6 @@ func TestPlannerOracleAgainstStaticEngines(t *testing.T) {
 	}
 }
 
-// TestPlannerFollowerReplication runs the workload harness's in-process
-// log-shipping replication under the adaptive engine: a follower replica
-// tails the primary's WAL and replays every batch through its own planner.
-// The harness panics unless the follower's final snapshot is byte-identical
-// to the primary's — which it can only be if both planners made identical
-// migration decisions at identical ticks.
-func TestPlannerFollowerReplication(t *testing.T) {
-	cfg := workload.Default().Scale(0.01) // 100 edges, 1000 objects, 50 queries
-	cfg.K = 4
-	cfg.Timestamps = 20
-	cfg.HotspotFrac = 0.5
-	cfg.HotspotDrift = 0.05
-	cfg.Serving = true
-	cfg.WALFsync = "never"
-	cfg.Followers = 1
-
-	res := workload.Run(cfg, autoMk(1)) // panics on follower divergence
-	if res.PlannerMigrations == 0 {
-		t.Error("replicated AUTO run never migrated a group; the test exercised nothing")
-	}
-	if res.Followers != 1 {
-		t.Fatalf("run reported %d followers, want 1", res.Followers)
-	}
-}
-
 // TestPlannerRegisterUnregisterEpochs pins the planner's epoch discipline
 // to a static engine's: one bump per Register/Unregister/Step, served from
 // the planner's own merged publisher.

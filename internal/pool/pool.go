@@ -2,7 +2,7 @@
 // parallel per-timestamp stages. The original pipeline (PR 1) spawned
 // fresh goroutines on every Step; at high step rates the spawn/teardown
 // and closure allocations dominate the parallel-path allocation profile
-// (the workers>1 allocs/step delta in the BENCH_*.json trajectory). A Pool
+// (the workers>1 allocs/step delta in docs/bench-history/BENCH_*.json). A Pool
 // instead starts its workers once, parks them on per-worker wake channels
 // between steps, and feeds them work items off a shared atomic counter —
 // a steady-state Run performs no heap allocation at all.

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
-	"roadknn"
-	"roadknn/internal/core"
 	"roadknn/internal/frame"
 	"roadknn/internal/wal"
 )
@@ -16,8 +13,8 @@ import (
 // This file is the log-shipping layer of the replicated serve tier. The
 // primary exposes its sequenced WAL as three endpoints; followers (driven
 // by internal/cluster) bootstrap from the newest checkpoint, then tail
-// the batch/tick record stream and replay it through the exact machinery
-// Server.Recover uses — the deterministic Batcher→Step path plus
+// the batch/tick record stream and replay it through the tick protocol
+// Server.Recover runs (tick.go) — the deterministic Batcher→Step path plus
 // per-tick snapshot-CRC verification — so a caught-up follower's
 // snapshot at epoch e is byte-identical to the primary's.
 //
@@ -73,7 +70,7 @@ func (s *Server) handleReplicationInfo(w http.ResponseWriter, r *http.Request) {
 		LastSeq:         l.LastSeq(),
 		CheckpointStamp: l.CheckpointStamp(),
 		CheckpointEpoch: l.CheckpointEpoch(),
-		Epoch:           s.eng.Snapshot().Epoch(),
+		Epoch:           s.broker.newest().Epoch(),
 	})
 }
 
@@ -199,65 +196,21 @@ func (s *Server) handleReplicationLog(w http.ResponseWriter, r *http.Request) {
 
 // BootstrapFollower seeds a follower server from a primary checkpoint
 // (nil when the primary has not checkpointed yet — the follower then
-// replays the log from sequence 0). It mirrors the checkpoint prefix of
-// Server.Recover exactly, including the byte-for-byte verification of
-// the rebuilt snapshot against the checkpointed one, and marks the
-// server ready. Must be called once, before any ApplyReplicated.
+// replays the log from sequence 0) and marks it ready: a recovery whose log
+// tail is still to come. Must be called once, before any ApplyReplicated.
 func (s *Server) BootstrapFollower(c *wal.Checkpoint) error {
-	s.stepMu.Lock()
-	defer s.stepMu.Unlock()
 	if !s.cfg.Follower {
 		return fmt.Errorf("serve: BootstrapFollower on a non-follower server")
 	}
-	if s.ready.Load() {
-		return fmt.Errorf("serve: BootstrapFollower on a ready server")
-	}
-	if s.seq != 0 || s.steps.Load() != 0 {
-		return fmt.Errorf("serve: BootstrapFollower on a server that has already stepped")
-	}
-	if c != nil {
-		cr, ok := s.eng.(core.ClockRestorer)
-		if !ok {
-			return fmt.Errorf("serve: engine %s cannot restore its clock", s.eng.Name())
-		}
-		s.batchMu.Lock()
-		// Topology first, as in Recover: the op log reconstructs the exact
-		// edge set (including deterministic id reuse) the checkpointed
-		// positions and overrides refer to.
-		s.batch.Replay(roadknn.Updates{Topology: c.Topology})
-		for _, e := range c.Edges {
-			s.batch.Edge(e.Edge, e.W)
-		}
-		for _, o := range c.Objects {
-			s.batch.Object(o.ID, o.Pos)
-		}
-		for _, q := range c.Queries {
-			s.batch.Query(roadknn.QueryID(q.ID), int(q.K), q.Pos)
-		}
-		u := s.batch.Drain()
-		s.batchMu.Unlock()
-		s.eng.Step(u)
-		s.reconcileTopology(u)
-		cr.RestoreClock(c.Epoch, c.Stamp)
-		if got := s.eng.Snapshot().AppendBinary(nil); !bytes.Equal(got, c.Snapshot) {
-			return fmt.Errorf("serve: follower bootstrap diverged from the checkpointed snapshot "+
-				"(stamp %d): is this the network file the primary runs on?", c.Stamp)
-		}
-		s.seq = c.Stamp
-	}
-	s.broker.reset(s.eng.Snapshot())
-	s.ready.Store(true)
-	s.broker.wake()
-	return nil
+	_, err := s.Recover(&wal.Recovery{Checkpoint: c})
+	return err
 }
 
-// ApplyReplicated replays one shipped batch record as a tick, exactly as
-// Recover replays a logged batch: Batcher→Step, then verification of the
-// record's tick (epoch, timestamp and snapshot CRC) before the result is
-// published, then the checkpoint-boundary Rebuild the primary performed
-// at the same sequence. A verification failure poisons the follower
-// (healthz turns 503, the router stops routing to it) — divergence must
-// never be served.
+// ApplyReplicated replays one shipped batch record as a tick: the tick
+// protocol of tick.go under a follower's policies. Every epoch is published,
+// the boundary's extra one included, so epochs stay aligned with the
+// primary's; a failed check poisons the follower (healthz turns 503, the
+// router stops routing to it) — divergence must never be served.
 func (s *Server) ApplyReplicated(b wal.BatchRecord) error {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
@@ -276,43 +229,12 @@ func (s *Server) ApplyReplicated(b wal.BatchRecord) error {
 	if b.Seq != s.seq+1 {
 		return fmt.Errorf("serve: replication gap: batch %d after sequence %d", b.Seq, s.seq)
 	}
-	s.batchMu.Lock()
-	s.batch.Replay(b.Updates)
-	u := s.batch.Drain()
-	s.batchMu.Unlock()
-	start := time.Now()
-	s.eng.Step(u)
-	s.reconcileTopology(u)
-	s.stepNanos.Add(time.Since(start).Nanoseconds())
-	s.steps.Add(1)
-	s.seq = b.Seq
-	snap := s.eng.Snapshot()
-	if t := b.Tick; t != nil {
-		if snap.Epoch() != t.Epoch || snap.Timestamp() != t.Stamp {
-			err := fmt.Errorf("serve: replicated batch %d reached epoch %d/stamp %d, primary says %d/%d",
-				b.Seq, snap.Epoch(), snap.Timestamp(), t.Epoch, t.Stamp)
-			s.setReadOnly(err)
-			return err
-		}
-		if t.SnapCRC != 0 && snap.CRC32() != t.SnapCRC {
-			err := fmt.Errorf("serve: replicated batch %d produced snapshot crc %08x, primary says %08x",
-				b.Seq, snap.CRC32(), t.SnapCRC)
-			s.setReadOnly(err)
-			return err
-		}
+	t, err := s.replay(b)
+	if err != nil {
+		s.setReadOnly(err)
+		return err
 	}
-	s.broker.publish(snap)
-	if s.cfg.CheckpointEvery > 0 && b.Seq%uint64(s.cfg.CheckpointEvery) == 0 {
-		// The primary canonicalized (Rebuild) and published an extra epoch
-		// at this boundary; reproduce both so epochs stay aligned.
-		if rb, ok := s.eng.(core.Rebuilder); ok {
-			rb.Rebuild()
-			if after := s.eng.Snapshot(); after != snap {
-				s.broker.publish(after)
-			}
-		}
-	}
-	s.broker.wake()
+	s.publish(t)
 	return nil
 }
 

@@ -63,11 +63,11 @@
 //     when the WAL policy allows (under wal.SyncAlways, after its tick
 //     record is fsynced), although the engine's own snapshot flips at Step.
 //
-// With Config.WAL set, the server is crash-safe: see the wal package and
-// Server.Recover for the durability and recovery protocol. A durable
-// primary additionally serves the log-shipping endpoints under
-// /v1/replication/ that follower replicas (Config.Follower, driven by
-// internal/cluster) bootstrap and tail from; see replication.go.
+// With Config.WAL set, the server is crash-safe: see the wal package for the
+// log and tick.go for the tick protocol that a live tick, WAL recovery and a
+// follower all run. A durable primary additionally serves the log-shipping
+// endpoints under /v1/replication/ that follower replicas (Config.Follower,
+// driven by internal/cluster) bootstrap and tail from; see replication.go.
 package serve
 
 import (
@@ -82,7 +82,6 @@ import (
 	"time"
 
 	"roadknn"
-	"roadknn/internal/core"
 	"roadknn/internal/planner"
 	"roadknn/internal/wal"
 )
@@ -130,12 +129,13 @@ type Config struct {
 	// of each tick until its log records are durable (group commit), so
 	// no client ever observes results a power cut could lose.
 	WAL *wal.Log
-	// CheckpointEvery writes a checkpoint (and rotates the log) every N
-	// ticks (0 = never). Checkpoint failures are recorded in /v1/stats
-	// and retried at the next interval; logging continues either way.
-	// On a follower it must match the primary's value: the checkpoint
-	// Rebuild bumps the epoch, so epoch alignment depends on both sides
-	// rebuilding at the same tick numbers.
+	// CheckpointEvery canonicalises the engine (Rebuild) every N ticks
+	// (0 = never) and, with a WAL, writes a checkpoint there and rotates
+	// the log. Checkpoint failures are recorded in /v1/stats and retried
+	// at the next interval; logging continues either way. On a follower
+	// it must match the primary's value: the Rebuild bumps the epoch, so
+	// epoch alignment depends on both sides rebuilding at the same tick
+	// numbers.
 	CheckpointEvery int
 
 	// Follower puts the server in replica mode: it has no WAL of its own,
@@ -163,8 +163,11 @@ type Server struct {
 	batchMu sync.Mutex
 	batch   *Batcher
 
-	// stepMu serializes ticks (wall-clock and HTTP-triggered).
+	// stepMu serializes ticks (wall-clock and HTTP-triggered); see tick.go.
+	// It also guards enc, the one encoding buffer every tick's checksum,
+	// verification and checkpoint image is built in.
 	stepMu sync.Mutex
+	enc    []byte
 
 	// broker holds the published epochs every read route answers from; the
 	// stepper publishes to it, then wakes the waiters parked on it.
@@ -314,142 +317,6 @@ func (s *Server) Close() {
 		w.Close()
 	}
 	s.eng.Close()
-}
-
-// Tick drains the pending batch, applies it as one timestamp, and wakes
-// long-pollers. It returns the newly published snapshot. With a WAL the
-// batch is logged before the engine steps: if the append fails (after its
-// internal retries) the batch stays pending, the engine does not advance
-// — its state still matches the log exactly — and the server degrades to
-// read-only. Before recovery finishes, and after a WAL failure, Tick is a
-// no-op returning the current snapshot.
-func (s *Server) Tick() *roadknn.Snapshot {
-	s.stepMu.Lock()
-	defer s.stepMu.Unlock()
-	if s.cfg.Follower || !s.ready.Load() || s.readOnly.Load() {
-		return s.eng.Snapshot()
-	}
-	s.batchMu.Lock()
-	var u roadknn.Updates
-	if w := s.cfg.WAL; w != nil {
-		// Log first, commit after: Preview leaves the batcher untouched, so
-		// a failed append loses nothing — the updates stay pending (and a
-		// clean shutdown still flushes them as a pending record). While the
-		// append retries with backoff, batchMu stays held: ingestion blocks
-		// behind the slow disk instead of growing an unbounded queue, and
-		// MaxPending caps what can pile up once it resumes.
-		u = s.batch.Preview()
-		if err := w.AppendBatch(s.seq+1, u); err != nil {
-			s.batchMu.Unlock()
-			s.setReadOnly(err)
-			return s.eng.Snapshot()
-		}
-		s.batch.Drain() // same batch, now committed
-	} else {
-		u = s.batch.Drain()
-	}
-	s.batchMu.Unlock()
-	s.seq++
-	start := time.Now()
-	s.eng.Step(u)
-	s.reconcileTopology(u)
-	s.stepNanos.Add(time.Since(start).Nanoseconds())
-	s.steps.Add(1)
-	snap := s.eng.Snapshot()
-	// Under SyncAlways group commit the batch append deferred its fsync to
-	// the tick append below, so nothing may be externalized before the
-	// tick is durable: publication waits. Under tick/never the batch is
-	// already as durable as the policy promises, so publish immediately.
-	durableFirst := s.cfg.WAL != nil && s.cfg.WAL.Policy() == wal.SyncAlways
-	if !durableFirst {
-		s.broker.publish(snap)
-	}
-	if w := s.cfg.WAL; w != nil {
-		err := w.AppendTick(snap.Epoch(), snap.Timestamp(), snap.CRC32())
-		if durableFirst {
-			// Publish even on failure: the engine has stepped and /v1/tick is
-			// about to acknowledge this epoch, so the read-only server the
-			// failure leaves behind serves it rather than a stale one.
-			s.broker.publish(snap)
-		}
-		if err != nil {
-			// With tick/never the batch itself is durable; only the applied
-			// marker is lost. Recovery replays the batch without verification
-			// — correct, just unverified — but further writes must stop.
-			s.setReadOnly(err)
-		} else if s.cfg.CheckpointEvery > 0 && s.seq%uint64(s.cfg.CheckpointEvery) == 0 {
-			s.checkpointLocked()
-			// The checkpoint Rebuild published one more epoch (content
-			// unchanged, so its delta is empty); hand it to the broker too
-			// so subscriber cursors stay on a contiguous chain.
-			if after := s.eng.Snapshot(); after != snap {
-				snap = after
-				s.broker.publish(snap)
-			}
-		}
-	}
-	s.broker.wake()
-	return snap
-}
-
-// reconcileTopology propagates the engine-side re-snaps of a just-stepped
-// batch's edge removals into the batcher's applied state (see
-// Batcher.ReconcileTopology). Called after every Step, on the live, replay
-// and replication paths alike — all three must track identical state.
-func (s *Server) reconcileTopology(u roadknn.Updates) {
-	if len(u.Topology) == 0 {
-		return
-	}
-	s.batchMu.Lock()
-	s.batch.ReconcileTopology(u.Topology, s.eng.Network())
-	s.batchMu.Unlock()
-}
-
-// checkpointLocked (stepMu held) writes a checkpoint at the current tick
-// boundary, where the batcher's applied state and the engine's state
-// coincide. The engine is first canonicalized with Rebuild: incremental
-// maintenance accumulates floats in history-dependent orders, so without
-// the rebuild a recovered replica (built from scratch at the checkpoint's
-// positions) could differ from the original in the last bits. After the
-// rebuild both continue from the same bit-exact base, which is what lets
-// recovery *verify* the rebuilt snapshot against the stored one. The extra
-// publication bumps the epoch by one at an unchanged timestamp (allowed:
-// epochs are per-publication, timestamps per-tick). Failures are recorded
-// for /v1/stats and retried at the next interval — the log keeps growing
-// meanwhile, so nothing is lost.
-func (s *Server) checkpointLocked() {
-	rb, ok := s.eng.(core.Rebuilder)
-	if !ok {
-		s.walErrMu.Lock()
-		s.ckptErr = "engine " + s.eng.Name() + " cannot rebuild for checkpointing"
-		s.walErrMu.Unlock()
-		return
-	}
-	rb.Rebuild()
-	snap := s.eng.Snapshot()
-	s.batchMu.Lock()
-	objs, qrys, edges, topo := s.batch.CheckpointState()
-	s.batchMu.Unlock()
-	c := &wal.Checkpoint{
-		Epoch:    snap.Epoch(),
-		Stamp:    s.seq,
-		Objects:  objs,
-		Queries:  qrys,
-		Edges:    edges,
-		Topology: topo,
-		Snapshot: snap.AppendBinary(nil),
-	}
-	err := s.cfg.WAL.WriteCheckpoint(c)
-	s.walErrMu.Lock()
-	if err != nil {
-		s.ckptErr = err.Error()
-	} else {
-		s.ckptErr = ""
-	}
-	s.walErrMu.Unlock()
-	if err != nil && s.cfg.WAL.Err() != nil {
-		s.setReadOnly(s.cfg.WAL.Err())
-	}
 }
 
 // ---- ingestion wire format ----
@@ -886,7 +753,9 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.eng.Snapshot()
+	// Like every read route, stats answers from the broker: the engine's own
+	// snapshot flips at Step, before the durability policy lets it out.
+	snap := s.broker.newest()
 	steps := s.steps.Load()
 	var avgMs float64
 	if steps > 0 {
@@ -913,7 +782,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"streams_active": s.streamsActive.Load(),
 		"delta": map[string]any{
 			"ring":       s.cfg.DeltaRing,
-			"epoch":      s.broker.newest().Epoch(),
+			"epoch":      snap.Epoch(),
 			"deltas_out": s.broker.deltasOut.Load(),
 			"resyncs":    s.broker.resyncs.Load(),
 			"evicted":    s.broker.evicted.Load(),

@@ -213,10 +213,10 @@ func (f *gateFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestSyncAlwaysReadsWaitForDurability: under wal.SyncAlways no read
-// endpoint may show an epoch whose tick record is not fsynced yet — not
-// the delta subscribers, and not /v1/snapshot, /v1/result or a bootstrap
-// resync either.
+// TestSyncAlwaysReadsWaitForDurability: under wal.SyncAlways no endpoint
+// may show an epoch whose tick record is not fsynced yet — not the delta
+// subscribers, not /v1/snapshot, /v1/result or a bootstrap resync, and not
+// the epoch /v1/stats and /v1/replication/info report either.
 func TestSyncAlwaysReadsWaitForDurability(t *testing.T) {
 	gate := &gateFS{FS: wal.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
 	l, rec, err := wal.Open(gate, wal.Options{Sync: wal.SyncAlways})
@@ -248,6 +248,8 @@ func TestSyncAlwaysReadsWaitForDurability(t *testing.T) {
 		"/v1/delta",
 		fmt.Sprintf("/v1/snapshot?since=%d&wait_ms=20", durable),
 		fmt.Sprintf("/v1/result?query=3&since=%d&wait_ms=20", durable),
+		"/v1/stats",
+		"/v1/replication/info",
 	}
 	epochOf := func(path string) uint64 {
 		t.Helper()

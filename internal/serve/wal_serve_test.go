@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +205,49 @@ func TestServeWALFailureReadOnly(t *testing.T) {
 	}
 }
 
+// TestSyncAlwaysFailedTickIsNotPublished: under wal.SyncAlways the batch's
+// fsync is deferred to its tick record, so a tick whose AppendTick failed
+// is one a power cut could lose. The server must go read-only without ever
+// showing it: /v1/tick acknowledges the last durable epoch and every read
+// keeps answering with it.
+func TestSyncAlwaysFailedTickIsNotPublished(t *testing.T) {
+	ffs := wal.NewFaultFS(wal.NewMemFS())
+	l, rec, err := wal.Open(ffs, wal.Options{Sync: wal.SyncAlways, Retries: 2, Sleep: func(time.Duration) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := roadknn.NewIMAWith(roadknn.GenerateNetwork(150, 3), roadknn.Options{Workers: 1, Serving: true})
+	s := New(eng, Config{WAL: l})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	defer s.Close()
+	if _, err := s.Recover(rec); err != nil {
+		t.Fatal(err)
+	}
+	scriptTick(s, 1)
+	durable := s.broker.newest().Epoch()
+
+	// The batch record is the one write that still succeeds; the tick record
+	// after it fails, through every retry. (FailNextWrites cannot be armed
+	// between the two appends of one Tick; the crash mode can.)
+	ffs.CrashAfterWrites(ffs.Writes()+1, 0)
+	ingest(s, func(b *Batcher) { b.Object(50, roadknn.Position{Edge: 1, Frac: 0.5}) })
+	if ack := post(t, hs.URL+"/v1/tick", ""); uint64(ack["epoch"].(float64)) != durable {
+		t.Fatalf("tick whose record failed acknowledged %v, want the durable epoch %d", ack, durable)
+	}
+	if !s.ReadOnly() {
+		t.Fatal("server not read-only after the tick record failed")
+	}
+	if got := s.eng.Snapshot().Epoch(); got != durable+1 {
+		t.Fatalf("engine at epoch %d, want %d: the test did not fail the tick after its step", got, durable+1)
+	}
+	for _, path := range []string{"/v1/snapshot", "/v1/delta", "/v1/stats"} {
+		if _, body := get(t, hs.URL+path); uint64(body["epoch"].(float64)) != durable {
+			t.Errorf("GET %s shows epoch %v, want the durable %d", path, body["epoch"], durable)
+		}
+	}
+}
+
 func rawPost(t *testing.T, url, body string) (int, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -285,90 +329,6 @@ func TestServeRecoverRejectsWrongNetwork(t *testing.T) {
 	}
 }
 
-// TestServeCrashRecoveryDeterministicAtEveryBoundary is the fault-
-// injection property test: a deterministic 10-tick workload is crashed at
-// every WAL write boundary (with varying torn-byte counts), recovered,
-// verified bit-identical to the uncrashed replica at the recovered stamp,
-// resumed to the end of the script, and verified bit-identical again.
-func TestServeCrashRecoveryDeterministicAtEveryBoundary(t *testing.T) {
-	const ticks = 10
-	// Reference run: record the snapshot bytes after every tick.
-	refMem := wal.NewMemFS()
-	refFFS := wal.NewFaultFS(refMem)
-	ref, _, refRec := newWALServer(t, refFFS, 3)
-	if _, err := ref.Recover(refRec); err != nil {
-		t.Fatal(err)
-	}
-	refSnaps := make([][]byte, ticks+1)
-	refSnaps[0] = snapBytes(ref)
-	for i := 1; i <= ticks; i++ {
-		scriptTick(ref, i)
-		refSnaps[i] = snapBytes(ref)
-	}
-	totalWrites := refFFS.Writes()
-	ref.Close()
-	if totalWrites < 2*ticks {
-		t.Fatalf("implausible write count %d", totalWrites)
-	}
-
-	for n := 0; n < totalWrites; n++ {
-		n := n
-		t.Run(fmt.Sprintf("crash-at-write-%d", n), func(t *testing.T) {
-			mem := wal.NewMemFS()
-			ffs := wal.NewFaultFS(mem)
-			ffs.CrashAfterWrites(n, n%7) // vary the torn-byte count
-			eng1 := roadknn.NewIMAWith(roadknn.GenerateNetwork(150, 3), roadknn.Options{Workers: 1, Serving: true})
-			if l1, rec1, err := wal.Open(ffs, wal.Options{Retries: 2, Sleep: func(time.Duration) {}}); err == nil {
-				s := New(eng1, Config{WAL: l1, CheckpointEvery: 3})
-				if _, err := s.Recover(rec1); err != nil {
-					t.Fatal(err)
-				}
-				for i := 1; i <= ticks; i++ {
-					scriptTick(s, i) // ticks after the crash no-op (read-only)
-				}
-				s.Close()
-			} else {
-				// The crash hit the very first write (the segment header in
-				// Open): nothing was ever served, recovery starts from zero.
-				eng1.Close()
-			}
-			if !ffs.Crashed() {
-				t.Fatalf("crash at write %d never fired", n)
-			}
-
-			// Recover from the torn disk image and check bit-identity with
-			// the reference at the recovered stamp.
-			l, rec2, err := wal.Open(mem, wal.Options{})
-			if err != nil {
-				t.Fatalf("open after crash: %v", err)
-			}
-			eng := roadknn.NewIMAWith(roadknn.GenerateNetwork(150, 3), roadknn.Options{Workers: 1, Serving: true})
-			s2 := New(eng, Config{WAL: l, CheckpointEvery: 3})
-			defer s2.Close()
-			st, err := s2.Recover(rec2)
-			if err != nil {
-				t.Fatalf("recover after crash at write %d: %v", n, err)
-			}
-			stamp := int(rec2.LastSeq())
-			if stamp > ticks {
-				t.Fatalf("recovered stamp %d past the script", stamp)
-			}
-			if got := snapBytes(s2); !bytes.Equal(got, refSnaps[stamp]) {
-				t.Fatalf("recovered snapshot at stamp %d differs from the uncrashed replica (replayed %d batches)",
-					stamp, st.ReplayedBatches)
-			}
-			// Resume the script where the log left off; the end state must
-			// match the replica that never crashed.
-			for i := stamp + 1; i <= ticks; i++ {
-				scriptTick(s2, i)
-			}
-			if got := snapBytes(s2); !bytes.Equal(got, refSnaps[ticks]) {
-				t.Fatalf("resumed run diverged from the uncrashed replica after crash at write %d", n)
-			}
-		})
-	}
-}
-
 // newAutoEngine builds the adaptive engine for the migration-boundary
 // crash test: PlanEvery 3 makes the in-step re-plans land exactly on the
 // CheckpointEvery-3 checkpoint boundaries, the adversarial alignment.
@@ -419,86 +379,161 @@ func autoScriptTick(s *Server, t int) {
 	s.Tick()
 }
 
-// TestServeCrashRecoveryAutoAtMigrationBoundary runs the every-write-
-// boundary fault injection of the test above with the adaptive planner as
-// the engine, on a workload that forces a group migration exactly at the
-// checkpoint boundary (PlanEvery == CheckpointEvery == 3). A replica
-// recovered from any torn prefix must re-derive the same placements —
-// including groups that migrated IMA->GMA just before the crash — and
-// publish byte-identical snapshots.
-func TestServeCrashRecoveryAutoAtMigrationBoundary(t *testing.T) {
-	const ticks = 8
-	refMem := wal.NewMemFS()
-	refFFS := wal.NewFaultFS(refMem)
-	refEng := newAutoEngine()
-	refLog, refRec, err := wal.Open(refFFS, wal.Options{Retries: 2, Sleep: func(time.Duration) {}})
-	if err != nil {
-		refEng.Close()
-		t.Fatalf("wal open: %v", err)
+// crashCase is one engine's row of the crash-recovery property: how to build
+// it, the deterministic per-tick script that drives it, and what the
+// reference run must have exercised for the row to mean anything.
+type crashCase struct {
+	name    string
+	mk      func() roadknn.Engine
+	script  func(s *Server, tick int)
+	ticks   int
+	premise func(t *testing.T, ref *Server)
+}
+
+func staticCrashCase(name string, mk func(*roadknn.Network, roadknn.Options) roadknn.Engine) crashCase {
+	return crashCase{
+		name: name,
+		mk: func() roadknn.Engine {
+			return mk(roadknn.GenerateNetwork(150, 3), roadknn.Options{Workers: 1, Serving: true})
+		},
+		script: scriptTick,
+		ticks:  10,
 	}
-	ref := New(refEng, Config{WAL: refLog, CheckpointEvery: 3})
-	if _, err := ref.Recover(refRec); err != nil {
+}
+
+// crashCases is the engine table of the crash-recovery tests. AUTO runs a
+// workload that forces a group migration exactly at the checkpoint boundary
+// (PlanEvery == CheckpointEvery == 3): a replica recovered from any torn
+// prefix must re-derive the same placements — including groups that
+// migrated IMA->GMA just before the crash.
+var crashCases = []crashCase{
+	staticCrashCase("IMA", roadknn.NewIMAWith),
+	staticCrashCase("GMA", roadknn.NewGMAWith),
+	staticCrashCase("OVH", roadknn.NewOVHWith),
+	{
+		name: "AUTO", mk: newAutoEngine, script: autoScriptTick, ticks: 8,
+		premise: func(t *testing.T, ref *Server) {
+			st := ref.eng.(planner.StatsProvider).PlannerStats()
+			if st.Migrations == 0 || st.QueriesGMA == 0 {
+				t.Fatalf("reference run never migrated to GMA: %+v", st)
+			}
+		},
+	},
+}
+
+const crashCheckpointEvery = 3
+
+// open builds the case's durable manual-tick server over fs. A nil server
+// means the store could not even be opened (the crash hit the segment
+// header): nothing was ever served.
+func (c crashCase) open(t *testing.T, fs wal.FS) (*Server, *wal.Recovery) {
+	t.Helper()
+	l, rec, err := wal.Open(fs, wal.Options{Retries: 2, Sleep: func(time.Duration) {}})
+	if err != nil {
+		return nil, nil
+	}
+	return New(c.mk(), Config{WAL: l, CheckpointEvery: crashCheckpointEvery}), rec
+}
+
+// reference runs the script uncrashed and returns the snapshot bytes after
+// every tick and the number of WAL writes the run made.
+func (c crashCase) reference(t *testing.T) (snaps [][]byte, writes int) {
+	t.Helper()
+	ffs := wal.NewFaultFS(wal.NewMemFS())
+	ref, rec := c.open(t, ffs)
+	if _, err := ref.Recover(rec); err != nil {
 		t.Fatal(err)
 	}
-	refSnaps := make([][]byte, ticks+1)
-	refSnaps[0] = snapBytes(ref)
-	for i := 1; i <= ticks; i++ {
-		autoScriptTick(ref, i)
-		refSnaps[i] = snapBytes(ref)
+	snaps = append(snaps, snapBytes(ref))
+	for i := 1; i <= c.ticks; i++ {
+		c.script(ref, i)
+		snaps = append(snaps, snapBytes(ref))
 	}
-	// The premise: the reference run really migrated the dense group.
-	st := ref.eng.(planner.StatsProvider).PlannerStats()
-	if st.Migrations == 0 || st.QueriesGMA == 0 {
-		t.Fatalf("reference run never migrated to GMA: %+v", st)
+	if c.premise != nil {
+		c.premise(t, ref)
 	}
-	totalWrites := refFFS.Writes()
+	writes = ffs.Writes()
 	ref.Close()
+	if writes < 2*c.ticks {
+		t.Fatalf("%s: implausible write count %d", c.name, writes)
+	}
+	return snaps, writes
+}
 
-	for n := 0; n < totalWrites; n++ {
-		n := n
+// crashAt runs the script over a store that dies at WAL write n, recovers
+// from the torn disk image, and checks the recovered server bit-identical
+// to the uncrashed reference at the recovered stamp and again after
+// resuming the script to its end.
+func (c crashCase) crashAt(t *testing.T, n int, refSnaps [][]byte) {
+	mem := wal.NewMemFS()
+	ffs := wal.NewFaultFS(mem)
+	ffs.CrashAfterWrites(n, n%7) // vary the torn-byte count
+	if s, rec := c.open(t, ffs); s != nil {
+		if _, err := s.Recover(rec); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= c.ticks; i++ {
+			c.script(s, i) // ticks after the crash no-op (read-only)
+		}
+		s.Close()
+	}
+	if !ffs.Crashed() {
+		t.Fatalf("crash at write %d never fired", n)
+	}
+
+	s2, rec2 := c.open(t, mem)
+	if s2 == nil {
+		t.Fatal("open after crash failed")
+	}
+	defer s2.Close()
+	st, err := s2.Recover(rec2)
+	if err != nil {
+		t.Fatalf("recover after crash at write %d: %v", n, err)
+	}
+	stamp := int(rec2.LastSeq())
+	if stamp > c.ticks {
+		t.Fatalf("recovered stamp %d past the script", stamp)
+	}
+	if got := snapBytes(s2); !bytes.Equal(got, refSnaps[stamp]) {
+		t.Fatalf("recovered snapshot at stamp %d differs from the uncrashed replica (replayed %d batches)",
+			stamp, st.ReplayedBatches)
+	}
+	// Resume the script where the log left off; the end state must match
+	// the replica that never crashed.
+	for i := stamp + 1; i <= c.ticks; i++ {
+		c.script(s2, i)
+	}
+	if got := snapBytes(s2); !bytes.Equal(got, refSnaps[c.ticks]) {
+		t.Fatalf("resumed run diverged from the uncrashed replica after crash at write %d", n)
+	}
+}
+
+// runCrashCases is the fault-injection property test: each case's script is
+// crashed at every WAL write boundary of its reference run (with varying
+// torn-byte counts), recovered, verified, resumed and verified again.
+func runCrashCases(t *testing.T, cases []crashCase) {
+	refSnaps := make([][][]byte, len(cases))
+	writes := make([]int, len(cases))
+	for i, c := range cases {
+		refSnaps[i], writes[i] = c.reference(t)
+	}
+	for n := 0; n < slices.Max(writes); n++ {
 		t.Run(fmt.Sprintf("crash-at-write-%d", n), func(t *testing.T) {
-			mem := wal.NewMemFS()
-			ffs := wal.NewFaultFS(mem)
-			ffs.CrashAfterWrites(n, n%5)
-			eng1 := newAutoEngine()
-			if l1, rec1, err := wal.Open(ffs, wal.Options{Retries: 2, Sleep: func(time.Duration) {}}); err == nil {
-				s := New(eng1, Config{WAL: l1, CheckpointEvery: 3})
-				if _, err := s.Recover(rec1); err != nil {
-					t.Fatal(err)
+			for i, c := range cases {
+				if n < writes[i] {
+					t.Run(c.name, func(t *testing.T) { c.crashAt(t, n, refSnaps[i]) })
 				}
-				for i := 1; i <= ticks; i++ {
-					autoScriptTick(s, i)
-				}
-				s.Close()
-			} else {
-				eng1.Close()
-			}
-			if !ffs.Crashed() {
-				t.Fatalf("crash at write %d never fired", n)
-			}
-
-			l, rec2, err := wal.Open(mem, wal.Options{})
-			if err != nil {
-				t.Fatalf("open after crash: %v", err)
-			}
-			s2 := New(newAutoEngine(), Config{WAL: l, CheckpointEvery: 3})
-			defer s2.Close()
-			if _, err := s2.Recover(rec2); err != nil {
-				t.Fatalf("recover after crash at write %d: %v", n, err)
-			}
-			stamp := int(rec2.LastSeq())
-			if stamp > ticks {
-				t.Fatalf("recovered stamp %d past the script", stamp)
-			}
-			if got := snapBytes(s2); !bytes.Equal(got, refSnaps[stamp]) {
-				t.Fatalf("AUTO recovered snapshot at stamp %d differs from the uncrashed replica", stamp)
-			}
-			for i := stamp + 1; i <= ticks; i++ {
-				autoScriptTick(s2, i)
-			}
-			if got := snapBytes(s2); !bytes.Equal(got, refSnaps[ticks]) {
-				t.Fatalf("AUTO resumed run diverged after crash at write %d", n)
 			}
 		})
 	}
+}
+
+// The table is split over two test functions only because the tests at the
+// floor are named after them: the static engines, then AUTO.
+func TestServeCrashRecoveryDeterministicAtEveryBoundary(t *testing.T) {
+	runCrashCases(t, crashCases[:3])
+}
+
+func TestServeCrashRecoveryAutoAtMigrationBoundary(t *testing.T) {
+	runCrashCases(t, crashCases[3:])
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"roadknn/internal/core"
@@ -141,9 +142,6 @@ type Log struct {
 	cur     File
 	curName string
 	curSize int64
-	lastSeq uint64
-	ckEpoch uint64
-	ckStamp uint64
 	err     error
 	dirty   bool          // unsynced appends pending (SyncInterval bookkeeping)
 	appendc chan struct{} // closed+replaced after every successful append
@@ -151,6 +149,13 @@ type Log struct {
 	flushStop chan struct{} // SyncInterval timer lifecycle
 	flushDone chan struct{}
 	flushOnce sync.Once
+
+	// The cursors are written under mu and read without it, so that
+	// LastSeq and the Checkpoint* accessors — what a stats probe asks for —
+	// never wait behind an append parked in its fsync.
+	lastSeq atomic.Uint64
+	ckEpoch atomic.Uint64
+	ckStamp atomic.Uint64
 }
 
 func segmentName(startSeq uint64) string { return fmt.Sprintf("wal-%016d.log", startSeq) }
@@ -194,16 +199,17 @@ func Open(fs FS, opts Options) (*Log, *Recovery, error) {
 		return nil, nil, err
 	}
 
-	l := &Log{fs: fs, opts: opts, lastSeq: rec.lastSeq, appendc: make(chan struct{})}
+	l := &Log{fs: fs, opts: opts, appendc: make(chan struct{})}
+	l.lastSeq.Store(rec.lastSeq)
 	if rec.Checkpoint != nil {
-		l.ckEpoch = rec.Checkpoint.Epoch
-		l.ckStamp = rec.Checkpoint.Stamp
+		l.ckEpoch.Store(rec.Checkpoint.Epoch)
+		l.ckStamp.Store(rec.Checkpoint.Stamp)
 	}
 
 	if lastSegStart == 0 {
 		// Fresh store (or everything pruned): start a segment at the next
 		// sequence number.
-		if err := l.startSegment(l.lastSeq + 1); err != nil {
+		if err := l.startSegment(rec.lastSeq + 1); err != nil {
 			return nil, nil, err
 		}
 	} else {
@@ -350,7 +356,7 @@ func (l *Log) AppendBatch(seq uint64, u core.Updates) error {
 	if err := l.append(encodeBatch(seq, u), false); err != nil {
 		return err
 	}
-	l.lastSeq = seq
+	l.lastSeq.Store(seq)
 	l.notifyAppend()
 	return nil
 }
@@ -419,7 +425,8 @@ func (l *Log) WriteCheckpoint(c *Checkpoint) error {
 	if err := l.fs.SyncDir(); err != nil {
 		return err
 	}
-	l.ckEpoch, l.ckStamp = c.Epoch, c.Stamp
+	l.ckEpoch.Store(c.Epoch)
+	l.ckStamp.Store(c.Stamp)
 
 	// Rotate. If the new segment cannot be created the old one stays
 	// current — nothing is lost, rotation just waits for the next
@@ -511,26 +518,14 @@ func (l *Log) Close() error {
 
 // LastSeq returns the sequence number of the last batch appended (or
 // recovered).
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastSeq
-}
+func (l *Log) LastSeq() uint64 { return l.lastSeq.Load() }
 
 // CheckpointEpoch returns the epoch of the latest checkpoint (0 if none).
-func (l *Log) CheckpointEpoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ckEpoch
-}
+func (l *Log) CheckpointEpoch() uint64 { return l.ckEpoch.Load() }
 
 // CheckpointStamp returns the timestamp of the latest checkpoint (0 if
 // none).
-func (l *Log) CheckpointStamp() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ckStamp
-}
+func (l *Log) CheckpointStamp() uint64 { return l.ckStamp.Load() }
 
 // Err returns the sticky failure that moved the log to the failed state,
 // or nil while healthy.
@@ -565,10 +560,11 @@ func (l *Log) Appended() <-chan struct{} {
 func (l *Log) CheckpointImage() ([]byte, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.ckStamp == 0 {
+	stamp := l.ckStamp.Load()
+	if stamp == 0 {
 		return nil, 0, nil
 	}
-	r, err := l.fs.Open(checkpointName(l.ckStamp))
+	r, err := l.fs.Open(checkpointName(stamp))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -577,7 +573,7 @@ func (l *Log) CheckpointImage() ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return data, l.ckStamp, nil
+	return data, stamp, nil
 }
 
 // CheckpointReader opens the newest checkpoint for streaming: the reader
@@ -589,10 +585,11 @@ func (l *Log) CheckpointImage() ([]byte, uint64, error) {
 func (l *Log) CheckpointReader() (io.ReadCloser, int64, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.ckStamp == 0 {
+	stamp := l.ckStamp.Load()
+	if stamp == 0 {
 		return nil, 0, 0, nil
 	}
-	r, err := l.fs.Open(checkpointName(l.ckStamp))
+	r, err := l.fs.Open(checkpointName(stamp))
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -610,7 +607,7 @@ func (l *Log) CheckpointReader() (io.ReadCloser, int64, uint64, error) {
 		r.Close()
 		return nil, 0, 0, fmt.Errorf("wal: checkpoint body length %d exceeds the record cap", blen)
 	}
-	return &checkpointStream{hdr: hdr[:], r: r}, int64(len(hdr)) + blen, l.ckStamp, nil
+	return &checkpointStream{hdr: hdr[:], r: r}, int64(len(hdr)) + blen, stamp, nil
 }
 
 // checkpointStream replays the peeked header bytes before the rest of the

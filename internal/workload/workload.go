@@ -5,25 +5,16 @@
 package workload
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"roadknn/internal/core"
 	"roadknn/internal/gen"
 	"roadknn/internal/geom"
 	"roadknn/internal/graph"
-	"roadknn/internal/planner"
 	"roadknn/internal/roadnet"
-	"roadknn/internal/serve"
-	"roadknn/internal/wal"
 )
 
 // Movement selects how objects and queries move.
@@ -84,45 +75,8 @@ type Config struct {
 	// 1 = serial); it parameterizes the scalability sweeps.
 	Workers int
 	// Serving enables the engine's epoch-versioned snapshot read path for
-	// the run (implied by Readers > 0).
+	// the run.
 	Serving bool
-	// Readers, when > 0, runs that many goroutines reading snapshots and
-	// results concurrently with the stepping loop for the whole run, and
-	// reports the sustained read rate (Result.ReadsPerSec). This is the
-	// serving runtime's concurrent-reader benchmark axis.
-	Readers int
-	// WALFsync, when non-empty, writes every per-timestamp batch to a
-	// write-ahead log in a temporary directory inside the timed region —
-	// exactly the durable ingestion path of the serving runtime — so the
-	// run measures the crash-safety overhead. Values are fsync policies:
-	// "always" (fsync per record), "tick" (per timestamp), "never" or
-	// "interval=<duration>" (background timer, bounded-loss window).
-	WALFsync string
-	// Deltas enables the engine's per-epoch delta emission (implies
-	// Serving) and makes the run record the wire volume of both read
-	// paths after every step: the epoch's delta and the full snapshot in
-	// their canonical binary encodings (Result.DeltaBytesPerEpoch /
-	// SnapshotBytesPerEpoch). The measurement runs outside the timed
-	// region into reused buffers.
-	Deltas bool
-	// Ingest, when non-empty, pushes every generated batch through the
-	// serving front door's decoder in the named wire encoding ("json",
-	// "ndjson" or "binary") and reports the sustained decode throughput
-	// (Result.IngestMBps). Encoding happens outside the timed region —
-	// that work belongs to the update producers — so the number isolates
-	// the server-side cost of POST /v1/updates.
-	Ingest string
-	// Followers, when > 0, runs that many in-process follower replicas
-	// for the whole run: each tails the primary's write-ahead log
-	// (WALFsync must be set; "never" isolates the replication cost) and
-	// replays every batch through its own identically-constructed engine
-	// — the same deterministic path the replicated serve tier ships over
-	// HTTP. Mean replication lag lands in Result.ReplLagMs, and with
-	// Readers > 0 the readers round-robin across the follower snapshots
-	// instead of the primary's, so ReadsPerSec reports the aggregate
-	// read rate of the replica fleet. Every follower's final snapshot is
-	// verified byte-identical to the primary's.
-	Followers int
 }
 
 // Default returns the paper's default setting (Table 2).
@@ -168,52 +122,15 @@ type Result struct {
 	Timestamps     int
 	TotalSeconds   float64 // total Step time
 	AvgStepSeconds float64 // mean Step time per timestamp
-	// P50StepSeconds / P99StepSeconds are per-timestamp Step latency
-	// percentiles (nearest-rank over the run's per-step samples): the tail
-	// behavior the mean hides — re-plan ticks, checkpoint rebuilds and GC
-	// pauses all land here.
-	P50StepSeconds float64
-	P99StepSeconds float64
-	AvgSizeBytes   int // mean SizeBytes sampled after each Step
+	AvgSizeBytes   int     // mean SizeBytes sampled after each Step
 	MaxSizeBytes   int
 	InitialSeconds float64 // initial result computation for all queries
 	// AvgStepAllocs / AvgStepBytes are the mean heap allocations (count and
 	// bytes) performed inside Step per timestamp, measured with
 	// runtime.ReadMemStats outside the timed region; workload generation is
-	// excluded. They are the benchmark trajectory's allocation metrics.
+	// excluded.
 	AvgStepAllocs float64
 	AvgStepBytes  float64
-	// Readers / ReadsPerSec report the concurrent-reader measurement: the
-	// number of reader goroutines that ran alongside the stepping loop and
-	// the per-query result reads per wall-clock second they sustained
-	// (0 when the run had no readers).
-	Readers     int
-	ReadsPerSec float64
-	// WALFsync / WALBytes report the durable-ingestion measurement: the
-	// fsync policy the run logged under and the total bytes appended to
-	// the write-ahead log ("" / 0 when the run had no WAL).
-	WALFsync string
-	WALBytes int64
-	// IngestEncoding / IngestMBps report the front-door measurement: the
-	// wire encoding the batches were decoded from and the decode
-	// throughput sustained over the run ("" / 0 without Config.Ingest).
-	IngestEncoding string
-	IngestMBps     float64
-	// DeltaBytesPerEpoch / SnapshotBytesPerEpoch compare the two read
-	// paths' wire volume under Config.Deltas: the mean canonical-encoding
-	// size of one epoch's delta versus the full snapshot a delta-less
-	// subscriber would transfer (0 without Config.Deltas).
-	DeltaBytesPerEpoch    float64
-	SnapshotBytesPerEpoch float64
-	// Followers / ReplLagMs report the replication measurement: how many
-	// follower replicas tailed the primary's log and the mean delay from
-	// a batch entering the primary's log to a follower having applied it
-	// (0 when the run had no followers).
-	Followers int
-	ReplLagMs float64
-	// PlannerMigrations counts the adaptive engine's group migrations over
-	// the run (0 for static engines).
-	PlannerMigrations uint64
 }
 
 // BuildNetwork constructs the configured network.
@@ -234,7 +151,6 @@ type Runner struct {
 	cfg    Config
 	rng    *rand.Rand
 	engine core.Engine
-	mk     func(*roadnet.Network) core.Engine // rebuilds the engine for follower replicas
 	net    *roadnet.Network
 	qPos   []roadnet.Position
 	avgLen float64
@@ -261,7 +177,6 @@ func NewRunner(cfg Config, makeEngine func(*roadnet.Network) core.Engine) (*Runn
 		rng:    rng,
 		net:    net,
 		engine: makeEngine(net),
-		mk:     makeEngine,
 		avgLen: net.AvgEdgeLength(),
 	}
 
@@ -482,255 +397,24 @@ func (r *Runner) GenerateStep() core.Updates {
 // aggregated measurements. Allocation counters are sampled around each
 // Step (not around workload generation), outside the timed region, so the
 // CPU metric is unaffected.
-//
-// With Config.Readers > 0 (the engine must be serving), that many reader
-// goroutines poll Engine.Snapshot and read every query's result for the
-// whole duration of the stepping loop; the sustained read rate lands in
-// Result.ReadsPerSec. Reader allocations are not attributable to Step,
-// so the allocation counters are skipped for such runs.
 func (r *Runner) Run() Result {
 	res := Result{Engine: r.engine.Name(), Timestamps: r.cfg.Timestamps}
-	var wlog *wal.Log
-	var walDir string
-	if r.cfg.WALFsync != "" {
-		pol, every, err := wal.ParseSyncSpec(r.cfg.WALFsync)
-		if err != nil {
-			panic("workload: " + err.Error())
-		}
-		walDir, err = os.MkdirTemp("", "roadknn-wal-")
-		if err != nil {
-			panic("workload: " + err.Error())
-		}
-		defer os.RemoveAll(walDir)
-		wlog, _, err = wal.OpenDir(walDir, wal.Options{Sync: pol, SyncEvery: every})
-		if err != nil {
-			panic("workload: " + err.Error())
-		}
-		defer wlog.Close()
-		res.WALFsync = r.cfg.WALFsync
-	}
-	// Follower replicas: identically-constructed engines that tail the
-	// primary's log concurrently with the stepping loop — the in-process
-	// twin of the replicated serve tier's log shipping. appendNanos[seq]
-	// is stamped before the batch enters the log, so the measured lag
-	// covers the full pipeline: append, wake, read, replay.
-	var fEngines []core.Engine
-	var fwg sync.WaitGroup
-	var lagNanos, lagApplied atomic.Int64
-	var fErr atomic.Value
-	var appendNanos []atomic.Int64
-	if r.cfg.Followers > 0 && r.cfg.Timestamps > 0 {
-		if wlog == nil {
-			panic("workload: Followers > 0 requires Config.WALFsync")
-		}
-		appendNanos = make([]atomic.Int64, r.cfg.Timestamps+1)
-		for i := 0; i < r.cfg.Followers; i++ {
-			rep, _ := NewRunner(r.cfg, r.mk)
-			fEngines = append(fEngines, rep.Engine())
-		}
-		res.Followers = r.cfg.Followers
-		last := uint64(r.cfg.Timestamps)
-		for _, eng := range fEngines {
-			eng := eng
-			fwg.Add(1)
-			go func() {
-				defer fwg.Done()
-				cursor := uint64(0)
-				for cursor < last {
-					// Grab the wake channel before reading: an append between
-					// the read and the wait would otherwise be missed.
-					ch := wlog.Appended()
-					recs, err := wlog.ReadSince(cursor, 64)
-					if err != nil {
-						fErr.Store(err.Error())
-						return
-					}
-					if len(recs) == 0 {
-						<-ch
-						continue
-					}
-					for _, rec := range recs {
-						eng.Step(rec.Updates)
-						if n := appendNanos[rec.Seq].Load(); n != 0 {
-							lagNanos.Add(time.Now().UnixNano() - n)
-							lagApplied.Add(1)
-						}
-						cursor = rec.Seq
-					}
-				}
-			}()
-		}
-	}
-	readers := r.cfg.Readers
-	var stopReaders func()
-	var reads atomic.Int64
-	wallStart := time.Now()
-	if readers > 0 {
-		// With followers, reads are balanced across the replica fleet —
-		// the aggregate rate the replicated tier serves; without, they
-		// hammer the primary directly.
-		readSrc := []core.Engine{r.engine}
-		if len(fEngines) > 0 {
-			readSrc = fEngines
-		}
-		if readSrc[0].Snapshot() == nil {
-			panic("workload: Readers > 0 requires a serving engine (Config.Serving)")
-		}
-		stopc := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < readers; i++ {
-			wg.Add(1)
-			src := readSrc[i%len(readSrc)]
-			go func() {
-				defer wg.Done()
-				var local int64
-				var sink float64
-				// Read before polling stopc: on a loaded single core a short
-				// run can end before a reader is ever scheduled, and each
-				// reader must contribute at least one sample.
-				for {
-					snap := src.Snapshot()
-					for i := 0; i < snap.Len(); i++ {
-						if _, nns := snap.At(i); len(nns) > 0 {
-							sink += nns[0].Dist
-						}
-					}
-					local += int64(snap.Len())
-					select {
-					case <-stopc:
-						reads.Add(local)
-						readerSink(sink)
-						return
-					default:
-					}
-				}
-			}()
-		}
-		stopReaders = func() {
-			close(stopc)
-			wg.Wait()
-		}
-	}
-
 	var sizeSum int
 	var allocs, allocBytes uint64
 	var msBefore, msAfter runtime.MemStats
-	stepSecs := make([]float64, 0, r.cfg.Timestamps)
-	var ingestBytes int64
-	var ingestSeconds float64
-	var deltaBytes, snapBytes, deltaEpochs int64
-	var wireBuf []byte // reused for the delta/snapshot size measurements
 	for ts := 0; ts < r.cfg.Timestamps; ts++ {
 		u := r.GenerateStep()
-		if r.cfg.Ingest != "" {
-			// The encode is the producer's cost; only the server-side decode
-			// of the front door is timed.
-			body, err := serve.EncodeUpdates(r.cfg.Ingest, u)
-			if err != nil {
-				panic("workload: ingest encode: " + err.Error())
-			}
-			start := time.Now()
-			if _, err := serve.DecodeUpdates(r.cfg.Ingest, body); err != nil {
-				panic("workload: ingest decode: " + err.Error())
-			}
-			ingestSeconds += time.Since(start).Seconds()
-			ingestBytes += int64(len(body))
-		}
-		if readers == 0 {
-			runtime.ReadMemStats(&msBefore)
-		}
+		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
-		if wlog != nil {
-			if appendNanos != nil {
-				appendNanos[ts+1].Store(time.Now().UnixNano())
-			}
-			// Same protocol as serve.Tick: the batch is durable before the
-			// engine applies it, and the applied marker follows the step.
-			if err := wlog.AppendBatch(uint64(ts+1), u); err != nil {
-				panic("workload: wal append: " + err.Error())
-			}
-		}
 		r.engine.Step(u)
-		if wlog != nil {
-			if err := wlog.AppendTick(0, uint64(ts+1), 0); err != nil {
-				panic("workload: wal tick: " + err.Error())
-			}
-		}
-		stepSec := time.Since(start).Seconds()
-		res.TotalSeconds += stepSec
-		stepSecs = append(stepSecs, stepSec)
-		if readers == 0 {
-			runtime.ReadMemStats(&msAfter)
-			allocs += msAfter.Mallocs - msBefore.Mallocs
-			allocBytes += msAfter.TotalAlloc - msBefore.TotalAlloc
-		}
-		if r.cfg.Deltas {
-			if snap := r.engine.Snapshot(); snap != nil {
-				wireBuf = snap.AppendBinary(wireBuf[:0])
-				snapBytes += int64(len(wireBuf))
-				if d := snap.Delta(); d != nil {
-					wireBuf = d.AppendBinary(wireBuf[:0])
-					deltaBytes += int64(len(wireBuf))
-					deltaEpochs++
-				}
-			}
-		}
+		res.TotalSeconds += time.Since(start).Seconds()
+		runtime.ReadMemStats(&msAfter)
+		allocs += msAfter.Mallocs - msBefore.Mallocs
+		allocBytes += msAfter.TotalAlloc - msBefore.TotalAlloc
 		sz := r.engine.SizeBytes()
 		sizeSum += sz
 		if sz > res.MaxSizeBytes {
 			res.MaxSizeBytes = sz
-		}
-	}
-	if len(fEngines) > 0 {
-		// Followers drain the remaining log before the WAL closes; their
-		// final state must be byte-identical to the primary's — the same
-		// invariant the replicated serve tier verifies per tick.
-		fwg.Wait()
-		if msg, ok := fErr.Load().(string); ok {
-			panic("workload: follower tail: " + msg)
-		}
-		if n := lagApplied.Load(); n > 0 {
-			res.ReplLagMs = float64(lagNanos.Load()) / float64(n) / 1e6
-		}
-		if want := r.engine.Snapshot(); want != nil {
-			wb := want.AppendBinary(nil)
-			for i, eng := range fEngines {
-				fs := eng.Snapshot()
-				if fs == nil || !bytes.Equal(fs.AppendBinary(nil), wb) {
-					panic(fmt.Sprintf("workload: follower %d diverged from the primary", i))
-				}
-			}
-		}
-		for _, eng := range fEngines {
-			eng.Close()
-		}
-	}
-	if r.cfg.Ingest != "" && ingestSeconds > 0 {
-		res.IngestEncoding = r.cfg.Ingest
-		res.IngestMBps = float64(ingestBytes) / (1 << 20) / ingestSeconds
-	}
-	if deltaEpochs > 0 {
-		res.DeltaBytesPerEpoch = float64(deltaBytes) / float64(deltaEpochs)
-	}
-	if r.cfg.Deltas && r.cfg.Timestamps > 0 {
-		res.SnapshotBytesPerEpoch = float64(snapBytes) / float64(r.cfg.Timestamps)
-	}
-	if wlog != nil {
-		wlog.Close()
-		if ents, err := os.ReadDir(walDir); err == nil {
-			for _, e := range ents {
-				if info, err := e.Info(); err == nil {
-					res.WALBytes += info.Size()
-				}
-			}
-		}
-	}
-	if stopReaders != nil {
-		wall := time.Since(wallStart).Seconds()
-		stopReaders()
-		res.Readers = readers
-		if wall > 0 {
-			res.ReadsPerSec = float64(reads.Load()) / wall
 		}
 	}
 	if res.Timestamps > 0 {
@@ -739,33 +423,8 @@ func (r *Runner) Run() Result {
 		res.AvgStepAllocs = float64(allocs) / float64(res.Timestamps)
 		res.AvgStepBytes = float64(allocBytes) / float64(res.Timestamps)
 	}
-	if len(stepSecs) > 0 {
-		slices.Sort(stepSecs)
-		res.P50StepSeconds = percentile(stepSecs, 0.50)
-		res.P99StepSeconds = percentile(stepSecs, 0.99)
-	}
-	if sp, ok := r.engine.(planner.StatsProvider); ok {
-		res.PlannerMigrations = sp.PlannerStats().Migrations
-	}
 	return res
 }
-
-// percentile returns the nearest-rank percentile of sorted samples.
-func percentile(sorted []float64, q float64) float64 {
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// readerSink defeats dead-code elimination of the reader loops.
-//
-//go:noinline
-func readerSink(v float64) float64 { return v }
 
 // Run builds a runner and executes it; the one-call entry point used by
 // the benchmark harness.

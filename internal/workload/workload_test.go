@@ -194,62 +194,3 @@ func TestOldenburgNetworkOption(t *testing.T) {
 		t.Fatalf("oldenburg-like network too small: %d edges", net.G.NumEdges())
 	}
 }
-
-func TestIngestAndDeltaMeasurements(t *testing.T) {
-	for _, enc := range []string{"json", "ndjson", "binary"} {
-		cfg := tinyConfig()
-		cfg.Serving = true
-		cfg.Deltas = true
-		cfg.Ingest = enc
-		res := Run(cfg, func(n *roadnet.Network) core.Engine {
-			return core.NewIMAWith(n, core.Options{Workers: 1, Serving: true, Deltas: true})
-		})
-		if res.IngestEncoding != enc || res.IngestMBps <= 0 {
-			t.Fatalf("%s: ingest not measured: %+v", enc, res)
-		}
-		if res.SnapshotBytesPerEpoch <= 0 {
-			t.Fatalf("%s: snapshot volume not measured: %+v", enc, res)
-		}
-		if res.DeltaBytesPerEpoch <= 0 {
-			t.Fatalf("%s: delta volume not measured: %+v", enc, res)
-		}
-		// The tiny default churn (10% agility over 1000 objects) still moves
-		// far fewer neighbors than the 50 queries' full result sets hold.
-		if res.DeltaBytesPerEpoch >= res.SnapshotBytesPerEpoch {
-			t.Fatalf("%s: delta volume %.0f not below snapshot volume %.0f",
-				enc, res.DeltaBytesPerEpoch, res.SnapshotBytesPerEpoch)
-		}
-	}
-	// Without the opt-ins, the new fields stay zero.
-	res := Run(tinyConfig(), func(n *roadnet.Network) core.Engine { return core.NewIMA(n) })
-	if res.IngestMBps != 0 || res.DeltaBytesPerEpoch != 0 || res.SnapshotBytesPerEpoch != 0 {
-		t.Fatalf("measurements leaked into a plain run: %+v", res)
-	}
-}
-
-func TestFollowerReplicationMeasurements(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Serving = true
-	cfg.WALFsync = "never"
-	cfg.Followers = 2
-	cfg.Readers = 2 // balanced across the two follower snapshots
-	res := Run(cfg, func(n *roadnet.Network) core.Engine {
-		return core.NewIMAWith(n, core.Options{Workers: 1, Serving: true})
-	})
-	if res.Followers != 2 {
-		t.Fatalf("followers not recorded: %+v", res)
-	}
-	if res.ReplLagMs <= 0 {
-		t.Fatalf("replication lag not measured: %+v", res)
-	}
-	if res.Readers != 2 || res.ReadsPerSec <= 0 {
-		t.Fatalf("aggregate follower reads not measured: %+v", res)
-	}
-	// Run panics on divergence, so finishing at all proves every follower
-	// ended byte-identical to the primary.
-
-	res = Run(tinyConfig(), func(n *roadnet.Network) core.Engine { return core.NewIMA(n) })
-	if res.Followers != 0 || res.ReplLagMs != 0 {
-		t.Fatalf("replication fields leaked into a plain run: %+v", res)
-	}
-}
