@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"roadknn/internal/gen"
@@ -12,40 +11,9 @@ import (
 // randomized simulation against the oracle: they must be exactly as
 // correct as the real engines (only slower).
 func TestAblationEnginesAreCorrect(t *testing.T) {
-	build := func() *roadnet.Network {
-		return roadnet.NewNetwork(gen.SanFranciscoLike(80, 55))
-	}
-	w := &lockstepWorld{
-		t:   t,
-		rng: rand.New(rand.NewSource(55)),
-		engines: []Engine{
-			NewIMAUnfiltered(build()), NewGMANaive(build()), NewOVH(build()),
-		},
-		world:  build(),
-		objPos: map[roadnet.ObjectID]roadnet.Position{},
-		qPos:   map[QueryID]roadnet.Position{},
-		qK:     map[QueryID]int{},
-	}
-	for i := 0; i < 25; i++ {
-		id := roadnet.ObjectID(i)
-		pos := w.world.UniformPosition(w.rng)
-		w.objPos[id] = pos
-		w.world.AddObject(id, pos)
-		for _, e := range w.engines {
-			e.Network().AddObject(id, pos)
-		}
-	}
-	w.nextObj = 25
-	for i := 0; i < 6; i++ {
-		id := QueryID(i)
-		pos := w.world.UniformPosition(w.rng)
-		w.qPos[id] = pos
-		w.qK[id] = 1 + i%4
-		for _, e := range w.engines {
-			e.Register(id, pos, w.qK[id])
-		}
-	}
-	w.verify("initial")
+	w := newLockstepWorldOf(t, 55, 80, 25, 6, 4, func(build func() *roadnet.Network) []Engine {
+		return []Engine{NewIMAUnfiltered(build()), NewGMANaive(build()), NewOVH(build())}
+	})
 	for ts := 1; ts <= 15; ts++ {
 		w.step(ts, 0.3, 0.3, 0.1)
 	}

@@ -39,7 +39,7 @@ const (
 // terminations and grouped installations/moves (which may activate or
 // deactivate node monitors), then one monitorSet.step over objects, edges
 // and direct moves, then the grouped re-evaluation from the changed node
-// monitors and the query-side influence table, then direct installations —
+// monitors and each updated sequence's query list, then direct installations —
 // terminations before any other update and new installations after all of
 // them, per §4.5 — and finally one publication (Commit).
 type Incremental struct {

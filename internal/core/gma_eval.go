@@ -7,10 +7,10 @@ import (
 	"roadknn/internal/roadnet"
 )
 
-// walkEdge records a sequence edge covered during evaluation: the arc
-// distance at which the walk entered it and from which endpoint.
+// walkEdge records a sequence edge covered during evaluation: its weight,
+// the arc distance at which the walk entered it and from which endpoint.
 type walkEdge struct {
-	eid    graph.EdgeID
+	w      float64
 	dEntry float64
 	fromU  bool
 }
@@ -19,27 +19,11 @@ type walkEdge struct {
 // query's own edge are scanned directly; the walk then expands along the
 // sequence in both directions, scanning edge object lists and merging the
 // NN set of an endpoint active node when it is reached within kNN_dist.
-// The influencing intervals on the covered sequence edges are re-registered
-// from the final kNN_dist. The scratch arena supplies the walk's covered-
-// edge buffer.
+// The query's reach along the sequence is then re-derived from the final
+// kNN_dist. Nothing but q is written — evaluations of distinct queries run
+// concurrently — and the scratch arena supplies the walk's covered-edge
+// buffer.
 func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
-	g.evaluateInto(q, nil, sc)
-}
-
-// evaluateInto is evaluate with an optional influence-table sink: with a
-// non-nil sink the shared qIL table is left untouched and the mutations are
-// appended to the sink instead, so that evaluations of distinct queries can
-// run concurrently (each query only ever touches its own qIL entries, so
-// replaying the buffered ops in any shard order yields the serial table).
-func (g *groupLayer) evaluateInto(q *gmaQuery, sink *[]qilOp, sc *scratch) {
-	for eid := range q.affEdges {
-		if sink != nil {
-			*sink = append(*sink, qilOp{del: true, edge: eid, q: q.id})
-		} else {
-			delete(g.qIL[eid], q.id)
-		}
-	}
-	clear(q.affEdges)
 	q.cand.reset(q.k)
 
 	ownEdge := g.net.G.Edge(q.pos.Edge)
@@ -50,13 +34,17 @@ func (g *groupLayer) evaluateInto(q *gmaQuery, sink *[]qilOp, sc *scratch) {
 	seq := &g.seqs.Seqs[q.seq]
 	covered := sc.covered[:0]
 	q.reachB, q.distB = g.walkDir(q, seq, +1, &covered)
+	nB := len(covered)
 	q.reachA, q.distA = g.walkDir(q, seq, -1, &covered)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
 	q.result, _ = q.cand.finalize()
 	q.kdist = q.cand.kth()
 
-	g.registerIntervals(q, covered, sink)
+	span := fracSpan(q.kdist, ownEdge.W)
+	q.ivOwn = qInterval{lo: math.Max(0, q.pos.Frac-span), hi: math.Min(1, q.pos.Frac+span)}
+	q.extB, q.ivB = reach(q.kdist, covered[:nB])
+	q.extA, q.ivA = reach(q.kdist, covered[nB:])
 }
 
 // walkDir expands along the sequence from q's edge: dir=+1 walks toward
@@ -64,7 +52,7 @@ func (g *groupLayer) evaluateInto(q *gmaQuery, sink *[]qilOp, sc *scratch) {
 // endpoint was reached within the moving bound kNN_dist and at what arc
 // distance.
 func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covered *[]walkEdge) (bool, float64) {
-	idx := int(g.seqs.EdgeIndex[q.pos.Edge])
+	idx := int(q.idx)
 
 	var node graph.NodeID
 	var j int // index of the next edge to traverse
@@ -91,7 +79,7 @@ func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covere
 		for _, oe := range g.net.ObjectsOn(eid) {
 			q.cand.add(oe.ID, d+costFrom(ed, node, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
 		}
-		*covered = append(*covered, walkEdge{eid: eid, dEntry: d, fromU: ed.U == node})
+		*covered = append(*covered, walkEdge{w: ed.W, dEntry: d, fromU: ed.U == node})
 		d += ed.W
 		node = ed.Other(node)
 		j += dir
@@ -110,36 +98,38 @@ func (g *groupLayer) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
 		panic("core: grouped query depends on inactive node")
 	}
 	for _, nb := range mon.result {
+		// The list ascends and the bound only tightens, so from the first
+		// entry beyond kNN_dist on nothing can rank among the k (at an equal
+		// distance a smaller object id still can).
+		if d+nb.Dist > q.cand.kth() {
+			break
+		}
 		// The merged object's own position is unknown here and irrelevant:
 		// grouped queries are re-evaluated from scratch, never re-derived.
 		q.cand.add(nb.Obj, d+nb.Dist, roadnet.Position{Edge: q.pos.Edge, Frac: q.pos.Frac})
 	}
 }
 
-// registerIntervals writes q's influencing intervals: on its own edge the
-// direct span q ± kNN_dist, and on every covered sequence edge the portion
-// within kNN_dist of the walk's entry point.
-func (g *groupLayer) registerIntervals(q *gmaQuery, covered []walkEdge, sink *[]qilOp) {
-	w := g.net.G.Edge(q.pos.Edge).W
-	span := fracSpan(q.kdist, w)
-	g.addInterval(q, q.pos.Edge, qInterval{
-		lo: math.Max(0, q.pos.Frac-span),
-		hi: math.Min(1, q.pos.Frac+span),
-	}, sink)
+// reach measures one direction of an influence region: how many of the
+// edges the walk covered that way hold a point within kdist of the query,
+// and the influencing interval on the last of them. Entry
+// distances ascend along the walk, so these are a prefix of covered (which
+// can run past them: the walk's bound tightened as it went).
+func reach(kdist float64, covered []walkEdge) (ext int32, iv qInterval) {
 	for _, we := range covered {
-		remain := q.kdist - we.dEntry
+		remain := kdist - we.dEntry
 		if remain <= -distEps {
-			continue
+			break
 		}
-		f := fracSpan(remain, g.net.G.Edge(we.eid).W)
-		var iv qInterval
+		f := fracSpan(remain, we.w)
 		if we.fromU {
 			iv = qInterval{lo: 0, hi: f}
 		} else {
 			iv = qInterval{lo: 1 - f, hi: 1}
 		}
-		g.addInterval(q, we.eid, iv, sink)
+		ext++
 	}
+	return ext, iv
 }
 
 // fracSpan converts a travel-cost span into edge-fraction units, clipped
@@ -152,23 +142,4 @@ func fracSpan(cost, w float64) float64 {
 		return 0
 	}
 	return cost / w
-}
-
-func (g *groupLayer) addInterval(q *gmaQuery, eid graph.EdgeID, iv qInterval, sink *[]qilOp) {
-	if cur, ok := q.affEdges[eid]; ok {
-		iv = cur.union(iv)
-	}
-	q.affEdges[eid] = iv
-	if sink != nil {
-		// Repeated registrations on one edge widen the interval; the ops
-		// are applied in emission order, so the last (widest) wins.
-		*sink = append(*sink, qilOp{edge: eid, q: q.id, iv: iv})
-		return
-	}
-	m := g.qIL[eid]
-	if m == nil {
-		m = make(map[QueryID]qInterval, 2)
-		g.qIL[eid] = m
-	}
-	m[q.id] = iv
 }

@@ -149,17 +149,31 @@ func TestGMAIntervalRegistrationWithinSequenceOnly(t *testing.T) {
 	e := NewGMA(net)
 	e.Register(1, roadnet.Position{Edge: edges["n1n7"], Frac: 0.5}, 2)
 	q := e.grp.queries[1]
-	chain := map[graph.EdgeID]bool{
-		edges["n1n7"]: true, edges["n7n6"]: true, edges["n6n5"]: true,
+	seq := &e.grp.seqs.Seqs[q.seq]
+	if len(seq.Edges) != 3 || seq.Edges[q.idx] != edges["n1n7"] {
+		t.Fatalf("query sits at index %d of sequence %v, want edge %d of the three-edge chain", q.idx, seq.Edges, edges["n1n7"])
 	}
-	for eid := range q.affEdges {
-		if !chain[eid] {
-			t.Fatalf("query registered outside its sequence: edge %d", eid)
-		}
+	// The reach is counted in edges of the query's own sequence, so it can
+	// name no edge outside it as long as it stays within the sequence's ends.
+	if q.idx-q.extA < 0 || int(q.idx+q.extB) >= len(seq.Edges) {
+		t.Fatalf("reach [%d-%d, %d+%d] leaves the sequence's %d edges", q.idx, q.extA, q.idx, q.extB, len(seq.Edges))
 	}
-	// The query's own edge must always be registered.
-	if _, ok := q.affEdges[edges["n1n7"]]; !ok {
-		t.Fatal("own edge not registered")
+	// The query's own edge must always be influencing, at the query itself
+	// and as a whole.
+	if !q.influenced(q.idx, q.pos.Frac, false) || !q.influenced(q.idx, 0, true) {
+		t.Fatal("own edge not influencing")
+	}
+	// kNN_dist is 2.5 (p1 beyond n1 and p4 mid n7n6 tie there): the chain
+	// toward n5 is influencing up to p4's position and no further.
+	if toward := q.extA + q.extB; toward != 1 {
+		t.Fatalf("reach beyond the own edge = %d edges (A %d, B %d), want 1", toward, q.extA, q.extB)
+	}
+	j := e.grp.seqs.EdgeIndex[edges["n7n6"]]
+	if !q.influenced(j, 0.5, false) || q.influenced(j, 0.9, false) || !q.influenced(j, 0.9, true) {
+		t.Fatal("n7n6 must be influencing up to p4 only (and as a whole for a weight change)")
+	}
+	if q.influenced(e.grp.seqs.EdgeIndex[edges["n6n5"]], 0.5, true) {
+		t.Fatal("n6n5 lies beyond kNN_dist and must not be influencing")
 	}
 }
 

@@ -22,26 +22,25 @@ type groupLayer struct {
 	seqs *roadnet.Sequences
 
 	queries map[QueryID]*gmaQuery
-	// qIL is the query-side influence table: for each sequence edge, the
-	// queries influenced by it together with the influencing interval.
-	qIL []map[QueryID]qInterval
-	// nodeQ is n.Q with each member's k (to maintain n.k = max q.k). A node
-	// is active exactly while its entry is non-empty.
-	nodeQ map[graph.NodeID]map[QueryID]int
+	// seqQ lists the queries on each sequence, by SeqID. It is the grouped
+	// side's influence list: a query's influencing intervals never leave its
+	// sequence, so an update on an edge concerns at most the queries of that
+	// edge's sequence, each of which knows how far along it its last
+	// evaluation reached (gmaQuery.influenced).
+	seqQ [][]*gmaQuery
+	// nodeQ is n.Q, by NodeID (topology edits never add nodes). A node is
+	// active exactly while its entry is non-empty, and is monitored with the
+	// largest k among its members.
+	nodeQ [][]*gmaQuery
 	// naiveEval disables the bounded in-sequence walk: evaluations scan the
 	// whole sequence and always merge both endpoint NN sets (the GMA-naive
 	// ablation, §5's strawman).
 	naiveEval bool
 	// evalFn is g.evalShard bound once so pool dispatch never allocates.
 	evalFn func(worker, i int)
-	// evalIDs / evalBufs are the parallel evaluation stage's shard list
-	// and per-shard qIL op buffers, retained across steps to amortize
-	// allocations (mirroring the monitor set's work list).
-	evalIDs  []QueryID
-	evalBufs [][]qilOp
-	// affected is the per-step dirty-query set, reused across steps and
-	// empty between them.
-	affected map[QueryID]bool
+	// affected lists the queries flagged (gmaQuery.mark) for the running
+	// step's evaluation stage; empty between steps.
+	affected []*gmaQuery
 }
 
 // gmaQuery is the per-query state of a grouped query: no expansion tree —
@@ -60,7 +59,17 @@ type gmaQuery struct {
 	reachA, reachB bool    // whether the walk reached each endpoint
 	distA, distB   float64 // arc distance to the endpoints when reached
 
-	affEdges map[graph.EdgeID]qInterval
+	// The influence region of the last evaluation, in sequence coordinates:
+	// the query's edge is seq.Edges[idx], and extA / extB further edges
+	// toward EndA / EndB hold a point within kNN_dist. ivOwn is the
+	// influencing interval on the query's own edge, ivA / ivB those on the
+	// outermost edge of each direction; the edges in between are influencing
+	// over their whole length (the walk crossed them to reach the next one).
+	idx, extA, extB int32
+	ivOwn, ivA, ivB qInterval
+
+	mark bool // in groupLayer.affected
+	gone bool // removed; evalShard skips it
 }
 
 // qInterval is an influencing interval in edge-fraction space.
@@ -70,16 +79,19 @@ func (iv qInterval) contains(f float64) bool {
 	return f >= iv.lo-distEps && f <= iv.hi+distEps
 }
 
-// union widens iv to cover o (conservative for disjoint pieces:
-// over-inclusion only costs spurious re-evaluations, never correctness).
-func (iv qInterval) union(o qInterval) qInterval {
-	if o.lo < iv.lo {
-		iv.lo = o.lo
+// influenced reports whether the point at fraction f of its sequence's j-th
+// edge — or, with whole, any point of that edge — lies in q's influence
+// region.
+func (q *gmaQuery) influenced(j int32, f float64, whole bool) bool {
+	// The edge is d edges from the query's own; ext edges are influencing
+	// in that direction, the last of them over iv.
+	d, ext, iv := j-q.idx, int32(0), q.ivOwn
+	if d > 0 {
+		ext, iv = q.extB, q.ivB
+	} else if d < 0 {
+		d, ext, iv = -d, q.extA, q.ivA
 	}
-	if o.hi > iv.hi {
-		iv.hi = o.hi
-	}
-	return iv
+	return d < ext || (d == ext && (whole || iv.contains(f)))
 }
 
 // newGroupLayer decomposes the network into sequences and returns an empty
@@ -90,24 +102,20 @@ func newGroupLayer(set *monitorSet, naiveEval bool) *groupLayer {
 		set:       set,
 		seqs:      roadnet.DecomposeSequences(set.net.G),
 		queries:   make(map[QueryID]*gmaQuery),
-		qIL:       make([]map[QueryID]qInterval, set.net.G.NumEdges()),
-		nodeQ:     make(map[graph.NodeID]map[QueryID]int),
+		nodeQ:     make([][]*gmaQuery, set.net.G.NumNodes()),
 		naiveEval: naiveEval,
-		affected:  make(map[QueryID]bool),
 	}
+	g.seqQ = make([][]*gmaQuery, len(g.seqs.Seqs))
 	g.evalFn = g.evalShard
 	return g
 }
 
-// dirty returns the set that collects queries to re-evaluate: the step's
-// affected set within a step, nil outside one — a node monitor recomputed
-// by an out-of-step attach or detach leaves its other dependents as they
-// are until an update next touches them.
-func (g *groupLayer) dirty(inStep bool) map[QueryID]bool {
-	if inStep {
-		return g.affected
+// flag puts q among the running step's queries to re-evaluate.
+func (g *groupLayer) flag(q *gmaQuery) {
+	if !q.mark {
+		q.mark = true
+		g.affected = append(g.affected, q)
 	}
-	return nil
 }
 
 // add installs a grouped query and attaches it to its sequence. Within a
@@ -117,33 +125,29 @@ func (g *groupLayer) add(id QueryID, pos roadnet.Position, k int, inStep bool) *
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
-	q := &gmaQuery{
-		id: id, k: k, pos: pos,
-		kdist:    math.Inf(1),
-		affEdges: make(map[graph.EdgeID]qInterval, 4),
-	}
+	q := &gmaQuery{id: id, k: k, pos: pos, kdist: math.Inf(1)}
 	g.queries[id] = q
-	g.attach(q, g.dirty(inStep))
+	g.attach(q, inStep)
 	if inStep {
-		g.affected[id] = true
+		g.flag(q)
 	}
 	return q
 }
 
 // remove detaches and forgets a grouped query.
 func (g *groupLayer) remove(q *gmaQuery, inStep bool) {
-	g.detach(q, g.dirty(inStep))
+	g.detach(q, inStep)
 	delete(g.queries, q.id)
-	delete(g.affected, q.id)
+	q.gone = true
 }
 
 // move relocates a grouped query within a step: a movement is a deletion
 // plus an insertion (Fig. 12 lines 1-4).
 func (g *groupLayer) move(q *gmaQuery, pos roadnet.Position) {
-	g.detach(q, g.affected)
+	g.detach(q, true)
 	q.pos = pos
-	g.attach(q, g.affected)
-	g.affected[q.id] = true
+	g.attach(q, true)
+	g.flag(q)
 }
 
 // endpoints returns the distinct endpoints of q's sequence that need to be
@@ -163,66 +167,63 @@ func (g *groupLayer) endpoints(q *gmaQuery) (ends [2]graph.NodeID, n int) {
 }
 
 // attach registers q in its sequence's bookkeeping, activating endpoint
-// nodes or raising their monitored k as needed. Nodes whose monitored set
-// was (re)computed have their dependent queries added to affected.
-func (g *groupLayer) attach(q *gmaQuery, affected map[QueryID]bool) {
-	q.seq = g.seqs.ByEdge[q.pos.Edge]
+// nodes or raising their monitored k as needed. Within a step, the other
+// dependents of a node whose monitored set was recomputed are flagged;
+// outside one they stay as they are until an update next touches them.
+func (g *groupLayer) attach(q *gmaQuery, inStep bool) {
+	q.seq, q.idx = g.seqs.ByEdge[q.pos.Edge], g.seqs.EdgeIndex[q.pos.Edge]
+	g.seqQ[q.seq] = append(g.seqQ[q.seq], q)
 	ends, cnt := g.endpoints(q)
 	for _, n := range ends[:cnt] {
-		qs := g.nodeQ[n]
-		if qs == nil {
-			qs = make(map[QueryID]int, 2)
-			g.nodeQ[n] = qs
-		}
-		qs[q.id] = q.k
 		if mon, active := g.set.mons[nodeKey(n)]; !active {
 			g.set.register(nodeKey(n), g.nodePosition(n), q.k, true)
 		} else if mon.k < q.k {
-			mon.setK(q.k)
-			mon.computeInitial(g.set.arena(0))
-			g.markNodeQueries(n, affected)
+			g.setNodeK(n, mon, q.k, inStep)
 		}
+		g.nodeQ[n] = append(g.nodeQ[n], q)
 	}
 }
 
 // detach removes q from its sequence's bookkeeping, deactivating endpoint
 // nodes left without dependent queries and shrinking over-sized monitors.
-func (g *groupLayer) detach(q *gmaQuery, affected map[QueryID]bool) {
-	for eid := range q.affEdges {
-		delete(g.qIL[eid], q.id)
-	}
-	clear(q.affEdges)
+// The emptied lists keep their capacity for the next activation (query-move
+// churn re-activates the same endpoints constantly).
+func (g *groupLayer) detach(q *gmaQuery, inStep bool) {
+	g.seqQ[q.seq] = dropQuery(g.seqQ[q.seq], q)
 	ends, cnt := g.endpoints(q)
 	for _, n := range ends[:cnt] {
-		qs := g.nodeQ[n]
-		delete(qs, q.id)
+		qs := dropQuery(g.nodeQ[n], q)
+		g.nodeQ[n] = qs
 		if len(qs) == 0 {
-			// The emptied map stays in nodeQ for the next activation of
-			// this node (query-move churn re-activates the same endpoints
-			// constantly); sizeBytes skips empty entries.
 			g.set.unregister(nodeKey(n))
 			continue
 		}
 		maxK := 0
-		for _, k := range qs {
-			if k > maxK {
-				maxK = k
-			}
+		for _, o := range qs {
+			maxK = max(maxK, o.k)
 		}
 		if mon := g.set.mons[nodeKey(n)]; mon.k != maxK {
-			mon.setK(maxK)
-			mon.computeInitial(g.set.arena(0))
-			g.markNodeQueries(n, affected)
+			g.setNodeK(n, mon, maxK, inStep)
 		}
 	}
 }
 
-func (g *groupLayer) markNodeQueries(n graph.NodeID, affected map[QueryID]bool) {
-	if affected == nil {
-		return
-	}
-	for qid := range g.nodeQ[n] {
-		affected[qid] = true
+// dropQuery removes q from qs, which holds it, without keeping the order.
+func dropQuery(qs []*gmaQuery, q *gmaQuery) []*gmaQuery {
+	last := len(qs) - 1
+	qs[slices.Index(qs, q)] = qs[last]
+	qs[last] = nil
+	return qs[:last]
+}
+
+// setNodeK re-targets active node n's monitor to k and recomputes it.
+func (g *groupLayer) setNodeK(n graph.NodeID, mon *monitor, k int, inStep bool) {
+	mon.setK(k)
+	mon.computeInitial(g.set.arena(0))
+	if inStep {
+		for _, q := range g.nodeQ[n] {
+			g.flag(q)
+		}
 	}
 }
 
@@ -244,16 +245,12 @@ func (g *groupLayer) nodePosition(n graph.NodeID) roadnet.Position {
 // monitor registered in between, the set's influence-list marking of the
 // edits only ever sees direct monitors.
 func (g *groupLayer) deactivate() {
-	var nids []graph.NodeID
 	for n, qs := range g.nodeQ {
 		if len(qs) > 0 {
-			nids = append(nids, n)
 			clear(qs)
+			g.nodeQ[n] = qs[:0]
+			g.set.unregister(nodeKey(graph.NodeID(n)))
 		}
-	}
-	slices.Sort(nids)
-	for _, n := range nids {
-		g.set.unregister(nodeKey(n))
 	}
 }
 
@@ -263,16 +260,17 @@ func (g *groupLayer) deactivate() {
 // to the query population, not the network — the sequence redecomposition
 // itself is the only full-network pass.
 func (g *groupLayer) redecompose() {
-	// Clear the query influence table in place: the per-edge maps (and the
-	// sequence arenas below) are reused, so a redecomposition allocates in
-	// proportion to the churn, not the network.
-	for i := range g.qIL {
-		clear(g.qIL[i])
-	}
-	for len(g.qIL) < g.net.G.NumEdges() {
-		g.qIL = append(g.qIL, nil)
-	}
 	g.seqs.Decompose(g.net.G)
+	// The per-sequence lists (like the sequence arenas) are emptied in place,
+	// so a redecomposition allocates in proportion to the churn, not the
+	// network.
+	for i, qs := range g.seqQ {
+		clear(qs)
+		g.seqQ[i] = qs[:0]
+	}
+	for len(g.seqQ) < len(g.seqs.Seqs) {
+		g.seqQ = append(g.seqQ, nil)
+	}
 
 	// Re-snap queries stranded on removed edges (the objects' deterministic
 	// rule), then re-attach everything to the new sequences.
@@ -281,9 +279,8 @@ func (g *groupLayer) redecompose() {
 		if !g.net.G.EdgeAlive(q.pos.Edge) {
 			q.pos = resnap(g.net, q.pos)
 		}
-		clear(q.affEdges) // the table side went with qIL
-		g.attach(q, g.affected)
-		g.affected[id] = true
+		g.attach(q, true)
+		g.flag(q)
 	}
 }
 
@@ -300,19 +297,16 @@ func (g *groupLayer) sortedIDs() []QueryID {
 // maintained the active-node results (Fig. 12 line 5): the queries affected
 // by node changes, object updates or edge updates — plus those flagged
 // earlier in the step by insertions, moves and topology — are recomputed
-// from scratch.
-func (g *groupLayer) reevaluate(changedNodes map[monKey]bool, u Updates) {
-	affected := g.affected
-
-	// Lines 7-8: queries influenced by changed active nodes (only node
-	// monitors track changes, so every key is a node's).
-	for key := range changedNodes {
-		n := graph.NodeID(key - nodeKeyBase)
-		for qid := range g.nodeQ[n] {
-			q := g.queries[qid]
+// from scratch. changed lists the node monitors whose results changed (only
+// node monitors track changes).
+func (g *groupLayer) reevaluate(changed []*monitor, u Updates) {
+	// Lines 7-8: queries influenced by changed active nodes.
+	for _, mon := range changed {
+		n := mon.id.node()
+		for _, q := range g.nodeQ[n] {
 			seq := &g.seqs.Seqs[q.seq]
 			if (seq.EndA == n && q.reachA) || (seq.EndB == n && q.reachB) {
-				affected[qid] = true
+				g.flag(q)
 			}
 		}
 	}
@@ -320,119 +314,73 @@ func (g *groupLayer) reevaluate(changedNodes map[monKey]bool, u Updates) {
 	// Lines 9-12: object updates inside influencing intervals.
 	for _, ou := range u.Objects {
 		if !ou.Insert {
-			g.markPos(ou.Old, affected)
+			g.markAt(ou.Old.Edge, ou.Old.Frac, false)
 		}
 		if !ou.Delete {
-			g.markPos(ou.New, affected)
+			g.markAt(ou.New.Edge, ou.New.Frac, false)
 		}
 	}
 
 	// Lines 13-15: edge updates.
 	for _, eu := range u.Edges {
-		for qid := range g.qIL[eu.Edge] {
-			affected[qid] = true
-		}
+		g.markAt(eu.Edge, 0, true)
 	}
 
 	// Lines 16-17: recompute affected queries from scratch. The
 	// evaluations are mutually independent — each reads the frozen network,
 	// sequence tables and active-node results and writes only its own query
-	// state — so they fan out over the worker pool, with the shared
-	// query-side influence table updated from per-shard op buffers in the
-	// merge stage (ascending query order).
-	ids := g.evalIDs[:0]
-	for qid := range affected {
-		if _, ok := g.queries[qid]; ok {
-			ids = append(ids, qid)
-		}
+	// state — so they fan out over the worker pool as they are.
+	for w := 0; w < min(g.set.workers, len(g.affected)); w++ {
+		g.set.arena(w) // pre-create outside the workers
 	}
-	clear(affected)
-	slices.Sort(ids)
-	g.evalIDs = ids
-	if g.set.workers > 1 && len(ids) > 1 {
-		for len(g.evalBufs) < len(ids) {
-			g.evalBufs = append(g.evalBufs, nil)
-		}
-		bufs := g.evalBufs[:len(ids)]
-		for i := range bufs {
-			bufs[i] = bufs[i][:0]
-		}
-		for w := 0; w < min(g.set.workers, len(ids)); w++ {
-			g.set.arena(w) // pre-create outside the workers
-		}
-		g.set.pool.Run(len(ids), g.evalFn)
-		for _, buf := range bufs {
-			for _, op := range buf {
-				g.applyQILOp(op)
-			}
-		}
-	} else {
-		sc := g.set.arena(0)
-		for _, qid := range ids {
-			g.evaluate(g.queries[qid], sc)
-		}
-	}
+	g.set.pool.Run(len(g.affected), g.evalFn)
+	clear(g.affected) // a removed query must not stay reachable from the buffer
+	g.affected = g.affected[:0]
 }
 
-// evalShard re-evaluates query g.evalIDs[i] on pool worker wk, deferring
-// its query-side influence registrations into the shard buffer. Worker w
-// always maps to the set's arena w; the set's own shard stage and the
-// evaluations never run concurrently.
+// evalShard re-evaluates query g.affected[i], unless the step removed it
+// after flagging it, on pool worker wk. Worker w always maps to the set's
+// arena w; the set's own shard stage and the evaluations never run
+// concurrently.
 func (g *groupLayer) evalShard(wk, i int) {
-	g.evaluateInto(g.queries[g.evalIDs[i]], &g.evalBufs[i], g.set.arena(wk))
+	q := g.affected[i]
+	q.mark = false
+	if !q.gone {
+		g.evaluate(q, g.set.arena(wk))
+	}
 }
 
-// qilOp is a deferred mutation of the query-side influence table qIL,
-// emitted by a parallel evaluation shard and applied in the merge stage.
-type qilOp struct {
-	del  bool
-	edge graph.EdgeID
-	q    QueryID
-	iv   qInterval
-}
-
-func (g *groupLayer) applyQILOp(op qilOp) {
-	if op.del {
-		delete(g.qIL[op.edge], op.q)
+// markAt flags the queries influenced by the point at fraction f of edge e
+// or, with whole, by any point of it. An edge removed this timestamp is in
+// no sequence and concerns no one: redecompose flagged every query already.
+func (g *groupLayer) markAt(e graph.EdgeID, f float64, whole bool) {
+	sid := g.seqs.ByEdge[e]
+	if sid == roadnet.NoSeq {
 		return
 	}
-	m := g.qIL[op.edge]
-	if m == nil {
-		m = make(map[QueryID]qInterval, 2)
-		g.qIL[op.edge] = m
-	}
-	m[op.q] = op.iv
-}
-
-// markPos flags the queries whose influencing interval on pos's edge
-// contains pos.
-func (g *groupLayer) markPos(pos roadnet.Position, affected map[QueryID]bool) {
-	for qid, iv := range g.qIL[pos.Edge] {
-		if iv.contains(pos.Frac) {
-			affected[qid] = true
+	j := g.seqs.EdgeIndex[e]
+	for _, q := range g.seqQ[sid] {
+		if !q.mark && q.influenced(j, f, whole) {
+			g.flag(q)
 		}
 	}
 }
 
 // sizeBytes charges the per-query candidates — the result and whatever the
 // last evaluation left in the store beyond it, at monitor.sizeBytes' nominal
-// cost per entry — and sequence-interval registrations, plus the static
+// cost per entry — and reach, the sequence and node lists, plus the static
 // sequence table (paper §5: GMA's extra structure). The active-node trees
 // and influence lists are the monitor set's.
 func (g *groupLayer) sizeBytes() int {
 	n := 0
 	for _, q := range g.queries {
-		n += q.cand.len()*candEntrySize + len(q.affEdges)*(4+16+16) + 96
-	}
-	for _, m := range g.qIL {
-		n += len(m) * (4 + 16 + 16)
+		// 64: idx, ext and the three intervals; 8: the seqQ entry.
+		n += q.cand.len()*candEntrySize + 96 + 64 + 8
 	}
 	for _, qs := range g.nodeQ {
-		if len(qs) > 0 { // emptied entries are pooled, not live state
-			n += 16 + len(qs)*8
-		}
+		n += 24 + len(qs)*8
 	}
-	n += len(g.seqs.Seqs) * 48
-	n += g.net.G.NumEdges() * 8 // ByEdge / EdgeIndex
+	n += len(g.seqs.Seqs) * (48 + 24) // the sequence and its seqQ header
+	n += g.net.G.NumEdges() * 8       // ByEdge / EdgeIndex
 	return n
 }

@@ -14,7 +14,9 @@ import "roadknn/internal/graph"
 // stored as small unordered slices (regions touch few queries each, and
 // slice iteration is much cheaper than map iteration on the hot
 // update-classification path). The slices hold the monitors themselves, so
-// routing an update costs no lookup by key.
+// routing an update costs no lookup by key. Grouped queries do store their
+// intervals, but not here: they never leave the query's sequence, whose
+// query list is the grouped side's influence list (grouped.go).
 type ilTable struct {
 	byEdge [][]*monitor
 }

@@ -24,24 +24,33 @@ type lockstepWorld struct {
 	qPos    map[QueryID]roadnet.Position
 	qK      map[QueryID]int
 	nextObj roadnet.ObjectID
+	// topoChurn makes every step open or close a road as well.
+	topoChurn bool
 }
 
 func newLockstepWorld(t *testing.T, seed int64, edges, nObj, nQry, maxK int) *lockstepWorld {
+	t.Helper()
+	return newLockstepWorldOf(t, seed, edges, nObj, nQry, maxK, func(build func() *roadnet.Network) []Engine {
+		return []Engine{NewOVH(build()), NewIMA(build()), NewGMA(build())}
+	})
+}
+
+// newLockstepWorldOf is newLockstepWorld over the engines mk builds, each on
+// its own copy of the network.
+func newLockstepWorldOf(t *testing.T, seed int64, edges, nObj, nQry, maxK int, mk func(build func() *roadnet.Network) []Engine) *lockstepWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	build := func() *roadnet.Network {
 		return roadnet.NewNetwork(gen.SanFranciscoLike(edges, seed))
 	}
 	w := &lockstepWorld{
-		t:   t,
-		rng: rng,
-		engines: []Engine{
-			NewOVH(build()), NewIMA(build()), NewGMA(build()),
-		},
-		world:  build(),
-		objPos: make(map[roadnet.ObjectID]roadnet.Position),
-		qPos:   make(map[QueryID]roadnet.Position),
-		qK:     make(map[QueryID]int),
+		t:       t,
+		rng:     rng,
+		engines: mk(build),
+		world:   build(),
+		objPos:  make(map[roadnet.ObjectID]roadnet.Position),
+		qPos:    make(map[QueryID]roadnet.Position),
+		qK:      make(map[QueryID]int),
 	}
 	for i := 0; i < nObj; i++ {
 		id := roadnet.ObjectID(i)
@@ -67,10 +76,49 @@ func newLockstepWorld(t *testing.T, seed int64, edges, nObj, nQry, maxK int) *lo
 	return w
 }
 
+// editTopology closes a random live edge on even timestamps and opens a road
+// between two random nodes on odd ones, in the world network, and follows
+// the deterministic re-snaps of the objects and queries the closure strands.
+func (w *lockstepWorld) editTopology(ts int) []TopologyUpdate {
+	var topo []TopologyUpdate
+	if ts%2 == 0 {
+		eid := graph.EdgeID(w.rng.Intn(w.world.G.NumEdges()))
+		for !w.world.G.EdgeAlive(eid) {
+			eid = graph.EdgeID(w.rng.Intn(w.world.G.NumEdges()))
+		}
+		for _, mv := range w.world.RemoveEdge(eid) {
+			w.objPos[mv.ID] = mv.New
+		}
+		topo = append(topo, TopologyUpdate{Op: TopoRemove, Edge: eid})
+	} else {
+		u := graph.NodeID(w.rng.Intn(w.world.G.NumNodes()))
+		v := graph.NodeID(w.rng.Intn(w.world.G.NumNodes()))
+		if u != v {
+			wgt := (0.3 + w.rng.Float64()) * w.world.AvgEdgeLength()
+			topo = append(topo, TopologyUpdate{Op: TopoAdd, Edge: w.world.AddEdge(u, v, wgt), U: u, V: v, W: wgt})
+		}
+	}
+	w.world.G.Freeze()
+	for _, id := range sortedQryIDs(w.qPos) {
+		if !w.world.G.EdgeAlive(w.qPos[id].Edge) {
+			np, ok := w.world.Resnap(w.qPos[id])
+			if !ok {
+				w.t.Fatal("no live edge to re-snap a query onto")
+			}
+			w.qPos[id] = np
+		}
+	}
+	return topo
+}
+
 // step generates one timestamp of random updates (object walks, inserts,
-// deletes; query walks; edge weight +-10%) and applies it to all engines.
+// deletes; query walks; edge weight +-10%; with topoChurn a road opening or
+// closure first) and applies it to all engines.
 func (w *lockstepWorld) step(ts int, fObj, fQry, fEdg float64) {
 	var u Updates
+	if w.topoChurn {
+		u.Topology = w.editTopology(ts)
+	}
 	for _, id := range sortedObjIDs(w.objPos) {
 		pos := w.objPos[id]
 		r := w.rng.Float64()
@@ -105,6 +153,9 @@ func (w *lockstepWorld) step(ts int, fObj, fQry, fEdg float64) {
 	m := w.world.G.NumEdges()
 	for i := 0; i < int(fEdg*float64(m))+1; i++ {
 		eid := graph.EdgeID(w.rng.Intn(m))
+		if !w.world.G.EdgeAlive(eid) {
+			continue
+		}
 		cur := w.world.G.Edge(eid).W
 		nw := cur * 1.1
 		if w.rng.Intn(2) == 0 {

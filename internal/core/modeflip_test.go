@@ -16,7 +16,8 @@ import (
 
 // flipState flattens everything a flip could leak into comparable form: the
 // influence table per edge, the monitors (direct and node) with their k,
-// the query-side interval table, and SizeBytes.
+// each grouped query's reach along its sequence, the per-sequence and
+// per-node query lists (by sorted id), and SizeBytes.
 func flipState(e *Incremental) []string {
 	var out []string
 	for eid, l := range e.set.il.byEdge {
@@ -33,14 +34,26 @@ func flipState(e *Incremental) []string {
 		out = append(out, fmt.Sprintf("mon %d node=%v k=%d at %+v", key, key.isNode(), m.k, m.pos))
 	}
 	if e.grp != nil {
-		for eid, m := range e.grp.qIL {
-			for qid, iv := range m {
-				out = append(out, fmt.Sprintf("qil %d %d %v", eid, qid, iv))
+		ids := func(qs []*gmaQuery) []QueryID {
+			var out []QueryID
+			for _, q := range qs {
+				out = append(out, q.id)
+			}
+			slices.Sort(out)
+			return out
+		}
+		for _, q := range e.grp.queries {
+			out = append(out, fmt.Sprintf("reach %d: edge %d of %v, A %d %v, own %v, B %d %v",
+				q.id, q.idx, e.grp.seqs.Seqs[q.seq].Edges, q.extA, q.ivA, q.ivOwn, q.extB, q.ivB))
+		}
+		for sid, qs := range e.grp.seqQ {
+			if len(qs) > 0 {
+				out = append(out, fmt.Sprintf("seqQ %v %v", e.grp.seqs.Seqs[sid].Edges, ids(qs)))
 			}
 		}
 		for n, qs := range e.grp.nodeQ {
 			if len(qs) > 0 {
-				out = append(out, fmt.Sprintf("nodeQ %d %v", n, qs))
+				out = append(out, fmt.Sprintf("nodeQ %d %v", n, ids(qs)))
 			}
 		}
 	}
@@ -53,7 +66,7 @@ func flipState(e *Incremental) []string {
 // mode and back — Direct→Grouped→Direct and the reverse — at a tick
 // boundary, after some ticks of churn, optionally in the same tick as a
 // topology edit. Afterwards the influence table, the monitor set (so the
-// active nodes), the query-side interval table and SizeBytes must equal
+// active nodes), the grouped queries' reach and lists and SizeBytes must equal
 // those of a bare engine that saw the same object, edge and topology
 // updates and only then registered the queries in the final mode, and the
 // results must be bit-identical: a flip is a from-scratch computation.

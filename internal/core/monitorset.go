@@ -22,6 +22,7 @@ const nodeKeyBase monKey = 1 << 32
 func directKey(id QueryID) monKey   { return monKey(id) }
 func nodeKey(n graph.NodeID) monKey { return nodeKeyBase + monKey(n) }
 func (k monKey) isNode() bool       { return k >= nodeKeyBase }
+func (k monKey) node() graph.NodeID { return graph.NodeID(k - nodeKeyBase) }
 
 // monitorSet runs the complete IMA pipeline of Fig. 10 over a collection of
 // monitored points: the user queries placed in Direct mode and the active
@@ -66,7 +67,7 @@ type monitorSet struct {
 	// allocates nothing. affected lists the serial pipeline's monitors to
 	// finalize, in first-touch order.
 	affected     []*monitor
-	changed      map[monKey]bool
+	changed      []*monitor
 	pendingMoves []queryMove
 	aggW         map[graph.EdgeID]float64
 	aggOrder     []graph.EdgeID
@@ -88,11 +89,10 @@ type monitorSet struct {
 
 func newMonitorSet(net *roadnet.Network) *monitorSet {
 	return &monitorSet{
-		net:     net,
-		il:      newILTable(net.G.NumEdges()),
-		mons:    make(map[monKey]*monitor),
-		changed: make(map[monKey]bool),
-		aggW:    make(map[graph.EdgeID]float64),
+		net:  net,
+		il:   newILTable(net.G.NumEdges()),
+		mons: make(map[monKey]*monitor),
+		aggW: make(map[graph.EdgeID]float64),
 	}
 }
 
@@ -242,19 +242,19 @@ func resnap(net *roadnet.Network, pos roadnet.Position) roadnet.Position {
 // applyTopology before the call — then out-of-tree moves — full
 // recomputation, all other updates for them ignored — then edge weight
 // decreases, then increases, then in-tree query moves, then object
-// updates, and finally the per-query finalize). It returns the set of
-// change-tracking monitors whose results changed; the returned map is
+// updates, and finally the per-query finalize). It returns the
+// change-tracking monitors whose results changed; the returned slice is
 // reused by the next step call.
 //
 // With workers > 1 the per-monitor work runs on the sharded parallel
 // pipeline (parallel.go), which produces identical results.
-func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
+func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) []*monitor {
 	s.epoch++
 	// A position travels with its touched entry only if it is the object's
 	// last this timestamp.
 	s.late = len(s.topoMoves) > 0 || s.seen.repeats(objs)
 
-	var changed map[monKey]bool
+	var changed []*monitor
 	if s.workers > 1 && len(s.mons) > 1 {
 		changed = s.stepParallel(objs, edges, moves)
 	} else {
@@ -281,7 +281,7 @@ func (s *monitorSet) touchAt(id roadnet.ObjectID, pos roadnet.Position) touch {
 	return touch{obj: id, pos: pos}
 }
 
-func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
+func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) []*monitor {
 	sc := s.arena(0)
 	s.affected = s.affected[:0]
 
@@ -347,14 +347,14 @@ func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves [
 	s.applyObjects(objs, s.markOutgoing, s.markIncoming)
 
 	// Lines 20-26: restore every affected query.
-	changed := s.changed
-	clear(changed)
+	changed := s.changed[:0]
 	for _, m := range s.affected {
 		if m.finalize(m.touched, sc) && m.track {
-			changed[m.id] = true
+			changed = append(changed, m)
 		}
 		m.touched = m.touched[:0]
 	}
+	s.changed = changed
 	return changed
 }
 

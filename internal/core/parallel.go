@@ -159,7 +159,7 @@ func (s *monitorSet) work(m *monitor) *monWork {
 
 // stepParallel is the parallel counterpart of monitorSet.stepSerial: same
 // update semantics, per-monitor work fanned out over the worker pool.
-func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) map[monKey]bool {
+func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) []*monitor {
 	s.works = s.works[:0]
 
 	// The monitors flagged by this timestamp's topology edits (applied
@@ -240,8 +240,7 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 
 	// Merge stage: apply influence-table mutations in ascending monitor
 	// order and collect the change flags.
-	changed := s.changed
-	clear(changed)
+	changed := s.changed[:0]
 	for i := range s.works {
 		w := &s.works[i]
 		for _, op := range w.ilOps {
@@ -252,9 +251,10 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 			}
 		}
 		if w.changed {
-			changed[w.m.id] = true
+			changed = append(changed, w.m)
 		}
 	}
+	s.changed = changed
 	return changed
 }
 

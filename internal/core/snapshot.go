@@ -107,10 +107,9 @@ type publisher struct {
 	stamp uint64
 	// idBuf is the reused per-publish id collection buffer.
 	idBuf []QueryID
-	// prevIdx/curIdx are the reused membership maps of the per-query delta
-	// diff (obj -> dist of the old/new result).
-	prevIdx map[roadnet.ObjectID]float64
-	curIdx  map[roadnet.ObjectID]float64
+	// updBuf/leftBuf are the reused work lists of the per-query delta diff.
+	updBuf  []Neighbor
+	leftBuf []roadnet.ObjectID
 	cur     atomic.Pointer[Snapshot]
 }
 
@@ -122,10 +121,6 @@ func (p *publisher) init(o Options, get func(QueryID) []Neighbor) {
 	p.serving = o.Serving || o.Deltas
 	p.deltas = o.Deltas
 	p.get = get
-	if p.deltas {
-		p.prevIdx = make(map[roadnet.ObjectID]float64)
-		p.curIdx = make(map[roadnet.ObjectID]float64)
-	}
 	if p.serving {
 		p.cur.Store(&Snapshot{})
 	}
@@ -262,30 +257,45 @@ func (p *publisher) publish(ids []QueryID) {
 
 // diffResult computes one changed query's delta entry: which objects left
 // its result and which entries entered or changed distance. Both inputs
-// are in canonical (distance, object) order; the emitted Left/Updated
-// slices follow the inputs' orders, so identical histories produce
-// byte-identical deltas on every replica. The membership maps are reused
-// across calls; the emitted slices are fresh (they outlive the engine's
-// buffers).
+// are in canonical (distance, object) order, so the entries that kept their
+// exact distance pair up in one merge; what it leaves over of cur is Updated,
+// and what it leaves over of prev, less the objects among those, is Left. The
+// emitted slices follow the inputs' orders, so identical histories produce
+// byte-identical deltas on every replica, and are fresh (they outlive the
+// engine's buffers): one allocation each, at their final size.
 func (p *publisher) diffResult(id QueryID, prev, cur []Neighbor) QueryDelta {
-	qd := QueryDelta{ID: id}
-	clear(p.prevIdx)
-	for _, nb := range prev {
-		p.prevIdx[nb.Obj] = nb.Dist
-	}
-	clear(p.curIdx)
-	for _, nb := range cur {
-		p.curIdx[nb.Obj] = nb.Dist
-	}
-	for _, nb := range prev {
-		if _, ok := p.curIdx[nb.Obj]; !ok {
-			qd.Left = append(qd.Left, nb.Obj)
+	upd, left := p.updBuf[:0], p.leftBuf[:0]
+	for i, j := 0, 0; i < len(prev) || j < len(cur); {
+		switch {
+		case j == len(cur) || (i < len(prev) && neighborBefore(prev[i], cur[j])):
+			left = append(left, prev[i].Obj)
+			i++
+		case i == len(prev) || neighborBefore(cur[j], prev[i]):
+			upd = append(upd, cur[j])
+			j++
+		default: // same object at an equal distance: unchanged if the bits are
+			if math.Float64bits(prev[i].Dist) != math.Float64bits(cur[j].Dist) {
+				upd = append(upd, cur[j])
+			}
+			i, j = i+1, j+1
 		}
 	}
-	for _, nb := range cur {
-		if d, ok := p.prevIdx[nb.Obj]; !ok || math.Float64bits(d) != math.Float64bits(nb.Dist) {
-			qd.Updated = append(qd.Updated, nb)
+	gone := left[:0] // an object left over on both sides only changed distance
+	for _, obj := range left {
+		if !slices.ContainsFunc(upd, func(nb Neighbor) bool { return nb.Obj == obj }) {
+			gone = append(gone, obj)
 		}
 	}
-	return qd
+	p.updBuf, p.leftBuf = upd, left
+	return QueryDelta{ // nil where empty
+		ID:      id,
+		Left:    append([]roadnet.ObjectID(nil), gone...),
+		Updated: append([]Neighbor(nil), upd...),
+	}
+}
+
+// neighborBefore is the canonical result order: by distance, ties by object
+// id.
+func neighborBefore(a, b Neighbor) bool {
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.Obj < b.Obj)
 }

@@ -12,8 +12,8 @@
 //
 // Every input to a placement decision is a deterministic function of the
 // replayed update stream: per-group query counts, distinct query-hosting
-// edges, and windowed counts of object updates, query moves and edge
-// updates routed into each cell. No wall-clock, no sampling. Two planners
+// edges, and windowed counts of object updates and query moves routed into
+// each cell. No wall-clock, no sampling. Two planners
 // fed the same stream therefore make identical decisions, which is what
 // keeps WAL crash-recovery, checkpoint rebuild and follower replication
 // byte-identical under AUTO exactly as under a static engine. Checkpoint
@@ -172,7 +172,6 @@ type Planner struct {
 	// the deterministic agility inputs of the cost model.
 	winObj      []uint32
 	winMove     []uint32
-	winEdge     []uint32
 	windowTicks uint32
 
 	// Reused re-plan scratch.
@@ -208,7 +207,6 @@ func NewWith(net *roadnet.Network, o core.Options) *Planner {
 		cellOwner: make([]core.Mode, cells),
 		winObj:    make([]uint32, cells),
 		winMove:   make([]uint32, cells),
-		winEdge:   make([]uint32, cells),
 	}
 	if p.planEvery <= 0 {
 		p.planEvery = defaultPlanEvery
@@ -260,9 +258,6 @@ func (p *Planner) Step(u core.Updates) {
 			pos = ou.Old
 		}
 		p.winObj[p.cellOf(pos)]++
-	}
-	for _, eu := range u.Edges {
-		p.winEdge[p.cellOf(roadnet.Position{Edge: eu.Edge, Frac: 0.5})]++
 	}
 	p.windowTicks++
 
@@ -472,7 +467,6 @@ func (p *Planner) migrateGroup(group []cellQuery, want core.Mode) {
 func (p *Planner) resetWindow() {
 	clear(p.winObj)
 	clear(p.winMove)
-	clear(p.winEdge)
 	p.windowTicks = 0
 }
 
@@ -510,5 +504,5 @@ func (p *Planner) PlannerStats() *Stats { return p.statsView.Load() }
 // cell labels and windows.
 func (p *Planner) SizeBytes() int {
 	return p.Incremental.SizeBytes() + len(p.cellOwner) +
-		4*(len(p.winObj)+len(p.winMove)+len(p.winEdge))
+		4*(len(p.winObj)+len(p.winMove))
 }
