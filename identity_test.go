@@ -129,8 +129,9 @@ func identityConfig() workload.Config {
 }
 
 // identityRun steps one engine over the stream and returns its golden
-// block: one CRC per tick, plus the planner counters for AUTO.
-func identityRun(t *testing.T, engine string, workers int) string {
+// block — one CRC per tick, plus the planner counters for AUTO — and the
+// engine's work counters after every tick.
+func identityRun(t *testing.T, engine string, workers int) (string, []core.StepStats) {
 	t.Helper()
 	cfg := identityConfig()
 	opts := core.Options{Workers: workers, Serving: true, Planner: core.PlannerOptions{PlanEvery: 5}}
@@ -140,6 +141,7 @@ func identityRun(t *testing.T, engine string, workers int) string {
 	churn := newIdentityChurn(cfg, eng.Network())
 
 	var out bytes.Buffer
+	var stats []core.StepStats
 	fmt.Fprintf(&out, "%s workers=%d\n", engine, workers)
 	for ts := 1; ts <= identityTicks; ts++ {
 		u := r.GenerateStep()
@@ -155,6 +157,7 @@ func identityRun(t *testing.T, engine string, workers int) string {
 			eng.(core.Rebuilder).Rebuild()
 		}
 		fmt.Fprintf(&out, "%08x", eng.Snapshot().CRC32())
+		stats = append(stats, eng.(interface{ StepStats() core.StepStats }).StepStats())
 		if ts%8 == 0 {
 			out.WriteByte('\n')
 		} else {
@@ -169,14 +172,30 @@ func identityRun(t *testing.T, engine string, workers int) string {
 			t.Errorf("%s workers=%d: the stream never split the workload: %+v", engine, workers, st)
 		}
 	}
-	return out.String()
+	return out.String(), stats
 }
 
 func TestIdentityGoldens(t *testing.T) {
 	var got bytes.Buffer
 	for _, engine := range []string{"IMA", "GMA", "AUTO"} {
+		// The counters count per-monitor calls (finalizes, the reports handed
+		// to them, what each had to redo), so they are equal across worker
+		// counts only if every monitor is delivered the same ops in the same
+		// order: a delivery policy that drops, repeats or reorders one shows
+		// here even when the results still agree.
+		var serial []core.StepStats
 		for _, workers := range []int{1, 4} {
-			got.WriteString(identityRun(t, engine, workers))
+			block, stats := identityRun(t, engine, workers)
+			got.WriteString(block)
+			if serial == nil {
+				serial = stats
+				continue
+			}
+			for i := range stats {
+				if stats[i] != serial[i] {
+					t.Fatalf("%s tick %d: StepStats differ\n workers=1 %+v\n workers=%d %+v", engine, i+1, serial[i], workers, stats[i])
+				}
+			}
 		}
 	}
 	path := filepath.Join("testdata", "identity.golden")

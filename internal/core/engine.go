@@ -36,12 +36,13 @@ const (
 // (internal/planner) supplies a placement function and flips modes.
 //
 // One timestamp is one pass (Advance): topology edits, then query
-// terminations and grouped installations/moves (which may activate or
-// deactivate node monitors), then one monitorSet.step over objects, edges
-// and direct moves, then the grouped re-evaluation from the changed node
-// monitors and each updated sequence's query list, then direct installations —
-// terminations before any other update and new installations after all of
-// them, per §4.5 — and finally one publication (Commit).
+// terminations and grouped moves, then grouped installations (all of which
+// may activate or deactivate node monitors), then one monitorSet.step over
+// objects, edges and direct moves, then the grouped re-evaluation from the
+// changed node monitors and each updated sequence's query list, then direct
+// installations — terminations before any other update and new installations
+// after all of them, per §4.5, in either mode (see Updates) — and finally one
+// publication (Commit).
 type Incremental struct {
 	name string
 	set  *monitorSet
@@ -237,17 +238,19 @@ func (e *Incremental) Advance(u Updates) {
 		}
 	}
 
+	// Query updates: terminations and moves in batch order, every
+	// installation after them, so an id the batch both installs and
+	// terminates loses its old registration and keeps the new one (and a move
+	// of it is ignored) whatever the order and the mode. A Grouped
+	// installation joins the step's evaluation stage, a Direct one is
+	// computed once the step is over.
 	moves, inserts := e.moves[:0], e.inserts[:0]
 	for _, qu := range u.Queries {
 		switch {
 		case qu.Delete:
 			e.remove(qu.ID, true)
 		case qu.Insert:
-			if e.place(qu.New) == Grouped {
-				e.grouped().add(qu.ID, qu.New, qu.K, true)
-			} else {
-				inserts = append(inserts, qu)
-			}
+			inserts = append(inserts, qu)
 		default:
 			if e.grp != nil {
 				if q, ok := e.grp.queries[qu.ID]; ok {
@@ -258,13 +261,21 @@ func (e *Incremental) Advance(u Updates) {
 			moves = append(moves, queryMove{id: directKey(qu.ID), pos: qu.New})
 		}
 	}
+	direct := inserts[:0]
+	for _, qu := range inserts {
+		if e.place(qu.New) == Grouped {
+			e.grouped().add(qu.ID, qu.New, qu.K, true)
+		} else {
+			direct = append(direct, qu)
+		}
+	}
 	e.moves, e.inserts = moves, inserts
 
 	changed := e.set.step(u.Objects, u.Edges, moves)
 	if e.grp != nil {
 		e.grp.reevaluate(changed, u)
 	}
-	for _, qu := range inserts {
+	for _, qu := range direct {
 		e.set.register(directKey(qu.ID), qu.New, qu.K, false)
 	}
 }

@@ -48,14 +48,6 @@ func (t *ilTable) remove(e graph.EdgeID, q *monitor) {
 	}
 }
 
-// forEach calls fn for every monitor registered on edge e. fn must not
-// mutate the table for edge e.
-func (t *ilTable) forEach(e graph.EdgeID, fn func(*monitor)) {
-	for _, q := range t.byEdge[e] {
-		fn(q)
-	}
-}
-
 // entries returns the total number of (edge, query) registrations.
 func (t *ilTable) entries() int {
 	n := 0

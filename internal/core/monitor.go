@@ -48,7 +48,7 @@ import (
 // across timestamps.
 type monitor struct {
 	net *roadnet.Network
-	il  *ilTable // nil to disable influence bookkeeping (OVH)
+	il  *ilTable // the owning engine's influence table
 
 	id   monKey
 	k    int
@@ -93,20 +93,18 @@ type monitor struct {
 	// pendingEdges lists the non-tree edges whose weight changed: the
 	// objects on them are re-derived at finalize.
 	pendingEdges []graph.EdgeID
-	// touched accumulates the objects classified against this monitor
-	// during the serial pipeline's update phase (the parallel pipeline
-	// keeps its own per-shard buffer); consumed and reset by finalize.
+	// touched accumulates the objects classified into this monitor during
+	// the running step; consumed and reset by its finalize.
 	touched []touch
-	// stamp marks the monitor as routed to in step number stamp of its set;
-	// slot is then its index in the parallel pipeline's work list.
+	// stamp marks the monitor as reached in step number stamp of its set;
+	// slot is then its index in the step's work list.
 	stamp uint64
 	slot  int32
 
 	// ilDefer, when set, redirects influence-table writes into the given
-	// buffer instead of mutating the shared table: the parallel pipeline
-	// points it at the monitor's shard buffer around finalize so that
-	// shards never write shared state (the buffered ops are applied in the
-	// merge stage).
+	// buffer instead of mutating the shared table: a sharded step points it
+	// at the monitor's work entry around finalize so that workers never
+	// write shared state (the buffered ops are applied when they are done).
 	ilDefer *[]ilOp
 }
 
@@ -127,7 +125,7 @@ const (
 )
 
 // ilAdd registers edge e for this monitor in the influence table, or defers
-// the write to the shard buffer under the parallel pipeline.
+// the write while ilDefer is set.
 func (m *monitor) ilAdd(e graph.EdgeID) {
 	if m.ilDefer != nil {
 		*m.ilDefer = append(*m.ilDefer, ilOp{add: true, edge: e})
@@ -455,9 +453,6 @@ func (m *monitor) classifySub(n graph.NodeID, sc *scratch) bool {
 // endpoint closer than kNN_dist, plus the query's own edge) and diffs it
 // against the influence table.
 func (m *monitor) rebuildIL() {
-	if m.il == nil {
-		return
-	}
 	g := m.net.G
 	newAff := m.affScratch[:0]
 	newAff = append(newAff, m.pos.Edge)
@@ -493,9 +488,6 @@ func (m *monitor) rebuildIL() {
 
 // clearIL removes all influence registrations (query termination).
 func (m *monitor) clearIL() {
-	if m.il == nil {
-		return
-	}
 	for _, eid := range m.affEdges {
 		m.ilRemove(eid)
 	}

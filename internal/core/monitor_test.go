@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"roadknn/internal/geom"
@@ -275,9 +276,7 @@ func TestInfluenceRegistrationLifecycle(t *testing.T) {
 			len(m.affEdges), il.entries())
 	}
 	// The query's own edge is always registered.
-	found := false
-	il.forEach(0, func(q *monitor) { found = found || q == m })
-	if !found {
+	if !slices.Contains(il.byEdge[0], m) {
 		t.Fatal("own edge not in influence table")
 	}
 	m.clearIL()

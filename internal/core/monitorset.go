@@ -33,40 +33,39 @@ type monitorSet struct {
 	il   *ilTable
 	mons map[monKey]*monitor
 	// unfiltered disables influence-list lookups: every update is offered
-	// to every monitor (the IMA-NF ablation).
+	// to every monitor (the IMA-NF ablation), listed in everyone.
 	unfiltered bool
-	// workers selects the step pipeline: > 1 routes updates through the
-	// sharded parallel pipeline of parallel.go, <= 1 runs serially. Engines
-	// set it (with the pool and shardFn) via configure; the zero value
-	// keeps the serial pipeline.
+	everyone   []*monitor
+	// workers is the size of the worker pool. Engines set it (with the pool
+	// and shardFn) via configure; the zero value never shards.
 	workers int
-	// pool is the persistent worker pool of the shard stages, shared by
-	// every parallel stage of the owning engine (the grouped queries'
-	// evaluations run on it too — the stages never overlap).
+	// pool is the persistent worker pool of the shard stage, shared by every
+	// parallel stage of the owning engine (the grouped queries' evaluations
+	// run on it too — the stages never overlap).
 	pool *pool.Pool
 	// shardFn is s.runShard bound once, so pool dispatch never allocates.
 	shardFn func(worker, i int)
-	// works is the parallel pipeline's per-monitor work list, reused across
-	// steps to amortize allocations.
+	// sharded is the running step's delivery policy (parallel.go): queue the
+	// routed ops per monitor for the pool, or apply each where it is routed.
+	sharded bool
+	// works is the running step's work list, one entry per monitor reached,
+	// in first-touch order; reused across steps to amortize allocations.
 	works []monWork
-	// arenas holds the per-worker scratch arenas: arena 0 serves every
-	// serial code path, arenas 1..workers-1 the extra shard workers.
+	// arenas holds the per-worker scratch arenas: arena 0 serves everything
+	// that runs on the caller, arenas 1..workers-1 the extra shard workers.
 	arenas arenaPool
 
-	// epoch numbers the steps: a monitor whose stamp equals it has been
-	// routed to in the running step (it is in affected, or in works at its
-	// slot). late makes the running step's touched entries defer to the
-	// object registry (see lateEdge); seen is what finds that out. A stream
-	// with one report per object and timestamp (the paper's model) and no
-	// edge removals never sets it.
+	// epoch numbers the steps: a monitor whose stamp equals it has an entry
+	// in the running step's works, at its slot. late makes the running step's
+	// touched entries defer to the object registry (see lateEdge); seen is
+	// what finds that out. A stream with one report per object and timestamp
+	// (the paper's model) and no edge removals never sets it.
 	epoch uint64
 	late  bool
 	seen  idSet
 
 	// Per-step buffers, reused across steps so a steady-state timestamp
-	// allocates nothing. affected lists the serial pipeline's monitors to
-	// finalize, in first-touch order.
-	affected     []*monitor
+	// allocates nothing.
 	changed      []*monitor
 	pendingMoves []queryMove
 	aggW         map[graph.EdgeID]float64
@@ -98,7 +97,7 @@ func newMonitorSet(net *roadnet.Network) *monitorSet {
 
 // configure sizes the worker pool from the engine options and binds the
 // shard callback. The persistent pool starts no goroutines until the
-// first parallel step; it is released by the engine's Close or, as a
+// first sharded step; it is released by the engine's Close or, as a
 // backstop, by a GC cleanup when the owning set becomes unreachable (the
 // pool never retains a reference back into the set between runs).
 func (s *monitorSet) configure(o Options) {
@@ -108,7 +107,7 @@ func (s *monitorSet) configure(o Options) {
 	runtime.AddCleanup(s, func(p *pool.Pool) { p.Close() }, s.pool)
 }
 
-// arena returns the scratch arena for worker i (0 = serial paths).
+// arena returns the scratch arena for worker i (0 = the caller).
 func (s *monitorSet) arena(i int) *scratch {
 	return s.arenas.get(i, s.net.G.NumNodes())
 }
@@ -178,8 +177,8 @@ type queryMove struct {
 // from-scratch recomputation. It always runs serially, before any routing
 // or sharding: edits restructure the CSR adjacency, which every later
 // phase reads. The flagged monitors and the re-snapped objects are left in
-// topoMarks / topoMoves for the step that follows: the marks enter its
-// affected set (or work list), the re-snaps classify as incoming object moves.
+// topoMarks / topoMoves for the step that follows: the marks enter its work
+// list, the re-snaps classify as incoming object moves.
 // The grouped layer deactivates its node monitors before calling this and
 // re-attaches after, so only direct monitors are ever marked here.
 //
@@ -196,6 +195,11 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 		m.needRecompute = true
 		s.topoMarks = append(s.topoMarks, m.id)
 	}
+	recomputeOn := func(e graph.EdgeID) {
+		for _, m := range s.influenced(e) {
+			recompute(m)
+		}
+	}
 	for i := range topo {
 		// Earlier ops in this batch may have appended edge ids; the incident
 		// lists read below can already contain them.
@@ -203,13 +207,13 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 		switch topo[i].Op {
 		case TopoRemove:
 			// Mark while the edge's influence list is still populated.
-			s.forInfluenced(topo[i].Edge, recompute)
+			recomputeOn(topo[i].Edge)
 		case TopoAdd:
 			// Mark through the pre-insertion incident lists of the new
 			// endpoints (ForEachIncident reads through the pending overlay
 			// without forcing a merge mid-batch).
-			g.ForEachIncident(topo[i].U, func(eid graph.EdgeID) { s.forInfluenced(eid, recompute) })
-			g.ForEachIncident(topo[i].V, func(eid graph.EdgeID) { s.forInfluenced(eid, recompute) })
+			g.ForEachIncident(topo[i].U, recomputeOn)
+			g.ForEachIncident(topo[i].V, recomputeOn)
 		}
 		s.topoMoves = applyTopologyOps(s.net, topo[i:i+1], s.topoMoves)
 	}
@@ -238,74 +242,58 @@ func resnap(net *roadnet.Network, pos roadnet.Position) roadnet.Position {
 }
 
 // step processes one timestamp of object updates, edge updates and query
-// moves in the order mandated by §4.5 (topology first — applied by
-// applyTopology before the call — then out-of-tree moves — full
-// recomputation, all other updates for them ignored — then edge weight
-// decreases, then increases, then in-tree query moves, then object
-// updates, and finally the per-query finalize). It returns the
-// change-tracking monitors whose results changed; the returned slice is
-// reused by the next step call.
+// moves: route walks it in the order §4.5 mandates and finish restores every
+// monitor an update reached. Topology comes first and is applied by
+// applyTopology before the call. step returns the change-tracking monitors
+// whose results changed; the returned slice is reused by the next step call.
 //
-// With workers > 1 the per-monitor work runs on the sharded parallel
-// pipeline (parallel.go), which produces identical results.
+// Routing is the same whatever the worker count. With workers > 1 (and more
+// than one monitor) the routed ops are queued per monitor and replayed on the
+// worker pool; otherwise each is applied where it is routed. Every monitor
+// sees the same calls in the same order either way.
 func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) []*monitor {
 	s.epoch++
 	// A position travels with its touched entry only if it is the object's
 	// last this timestamp.
 	s.late = len(s.topoMoves) > 0 || s.seen.repeats(objs)
+	s.sharded = s.workers > 1 && len(s.mons) > 1
+	s.works = s.works[:0]
 
-	var changed []*monitor
-	if s.workers > 1 && len(s.mons) > 1 {
-		changed = s.stepParallel(objs, edges, moves)
-	} else {
-		changed = s.stepSerial(objs, edges, moves)
-	}
+	s.route(objs, edges, moves)
+	changed := s.finish()
 	s.topoMarks, s.topoMoves = s.topoMarks[:0], s.topoMoves[:0]
 	return changed
 }
 
-// mark puts m among the serial step's affected monitors.
-func (s *monitorSet) mark(m *monitor) {
-	if m.stamp != s.epoch {
-		m.stamp = s.epoch
-		s.affected = append(s.affected, m)
-	}
-}
-
-// touchAt is the touched entry of object id seen at pos (goneEdge for a
-// deleted one) by the running step.
-func (s *monitorSet) touchAt(id roadnet.ObjectID, pos roadnet.Position) touch {
-	if s.late {
-		pos = roadnet.Position{Edge: lateEdge}
-	}
-	return touch{obj: id, pos: pos}
-}
-
-func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) []*monitor {
-	sc := s.arena(0)
-	s.affected = s.affected[:0]
-
-	// Monitors flagged by this timestamp's topology edits. The re-snapped
-	// objects need no outgoing marks — every query that could hold an
-	// object of a removed edge is in that edge's influence list and already
-	// recomputes from scratch — and classify as incomers after the edge
-	// phase, below.
+// route is §4.5's processing order (Fig. 10), written once: shared network
+// state (edge weights, the object registry) is mutated here, serially, while
+// every update is offered — through the influence lists — to the monitors it
+// can concern. Out-of-tree query moves come first (full recomputation, all
+// other updates for them ignored), then edge weight decreases, then
+// increases, then in-tree moves, then object updates; finish closes with the
+// per-monitor finalize.
+func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) {
+	// Monitors flagged by this timestamp's topology edits recompute from
+	// scratch. The re-snapped objects need no outgoing offers — every query
+	// that could hold an object of a removed edge is in that edge's influence
+	// list and among the flagged — and arrive after the edge phase, below.
 	for _, q := range s.topoMarks {
 		if m, ok := s.mons[q]; ok {
-			s.mark(m)
+			s.work(m).affected = true
 		}
 	}
 
 	// Fig. 10 lines 1-3: queries moving outside their expansion tree are
-	// recomputed from scratch; flag them before any pruning so the later
-	// phases skip work on their (discarded) trees.
+	// recomputed from scratch. They are resolved here — the region test must
+	// see pre-update weights and trees — and flagged before any pruning, so
+	// the later phases skip work on their (discarded) trees.
 	pendingMoves := s.pendingMoves[:0]
 	for _, mv := range moves {
 		m, ok := s.mons[mv.id]
 		if !ok {
 			continue
 		}
-		s.mark(m)
+		s.work(m).affected = true
 		if !m.inRegion(mv.pos) {
 			m.pos = mv.pos
 			m.needRecompute = true
@@ -315,47 +303,64 @@ func (s *monitorSet) stepSerial(objs []ObjectUpdate, edges []EdgeUpdate, moves [
 	}
 	s.pendingMoves = pendingMoves
 
-	// Lines 4-13: edge updates, decreases strictly before increases.
-	for _, ec := range s.classifyEdgeUpdates(edges) {
+	// Lines 4-13: edge updates, decreases strictly before increases. The
+	// weight is applied to the shared graph now; the tree-pruning handlers
+	// never read it — they look the change up in the change list, which is
+	// frozen from here.
+	for i, ec := range s.classifyEdgeUpdates(edges) {
 		s.net.G.SetWeight(ec.eid, ec.newW)
-		s.forInfluenced(ec.eid, func(m *monitor) {
-			s.mark(m)
-			if ec.decrease {
-				m.onEdgeDecrease(ec.eid, ec.oldW, ec.newW, sc)
-			} else {
-				m.onEdgeIncrease(ec.eid, sc)
-			}
-		})
-	}
-
-	// Topology re-snaps classify as incomers at their new positions, with
-	// the timestamp's weights already applied — the same point at which the
-	// parallel pipeline's shards replay them.
-	for _, mv := range s.topoMoves {
-		s.markIncoming(mv.ID, mv.New)
-	}
-
-	// Lines 14-15: in-tree query moves, re-rooting the valid subtree. The
-	// region test is repeated because edge pruning may have invalidated
-	// the part of the tree containing the new location.
-	for _, mv := range pendingMoves {
-		s.mons[mv.id].onMove(mv.pos, sc)
-	}
-
-	// Lines 16-19: object updates. The touched objects accumulate on the
-	// monitors themselves (m.touched), not in a per-step map.
-	s.applyObjects(objs, s.markOutgoing, s.markIncoming)
-
-	// Lines 20-26: restore every affected query.
-	changed := s.changed[:0]
-	for _, m := range s.affected {
-		if m.finalize(m.touched, sc) && m.track {
-			changed = append(changed, m)
+		kind := opEdgeInc
+		if ec.decrease {
+			kind = opEdgeDec
 		}
-		m.touched = m.touched[:0]
+		s.offer(ec.eid, monOp{kind: kind, n: int32(i)})
 	}
-	s.changed = changed
-	return changed
+
+	// Topology re-snaps arrive at their new positions with the timestamp's
+	// weights already applied.
+	for _, mv := range s.topoMoves {
+		s.offer(mv.New.Edge, monOp{kind: opIncoming, n: int32(mv.ID), pos: mv.New})
+	}
+
+	// Lines 14-15: in-tree query moves, re-rooting the valid subtree (onMove
+	// repeats the region test: edge pruning may have invalidated the part of
+	// the tree containing the new location).
+	for _, mv := range pendingMoves {
+		m := [1]*monitor{s.mons[mv.id]}
+		s.deliver(m[:], monOp{kind: opMove, pos: mv.pos})
+	}
+
+	// Lines 16-19: object updates. This is the one place the incremental
+	// engines mutate the object registry; each update's departure (with where
+	// the object is now) and arrival are classified per influenced monitor as
+	// outgoing, incoming or moving (§4.2) from monitor state alone.
+	for _, ou := range objs {
+		switch {
+		case ou.Insert:
+			s.net.AddObject(ou.ID, ou.New)
+			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
+		case ou.Delete:
+			if old, ok := s.net.RemoveObject(ou.ID); ok {
+				s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: roadnet.Position{Edge: goneEdge}})
+			}
+		default:
+			old := s.net.MoveObject(ou.ID, ou.New)
+			s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: ou.New})
+			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
+		}
+	}
+}
+
+// offer delivers op to the monitors to consider for an update on edge e.
+func (s *monitorSet) offer(e graph.EdgeID, op monOp) { s.deliver(s.influenced(e), op) }
+
+// touchAt is the touched entry of object id seen at pos (goneEdge for a
+// deleted one) by the running step.
+func (s *monitorSet) touchAt(id roadnet.ObjectID, pos roadnet.Position) touch {
+	if s.late {
+		pos = roadnet.Position{Edge: lateEdge}
+	}
+	return touch{obj: id, pos: pos}
 }
 
 // edgeChange is one aggregated edge-weight change of a timestamp.
@@ -368,8 +373,8 @@ type edgeChange struct {
 // classifyEdgeUpdates aggregates duplicate per-edge updates (§4.5: multiple
 // weight updates per edge per timestamp collapse into the overall change)
 // and splits them into decreases and increases, each sorted by edge id,
-// decreases first — the processing order both pipelines must follow. No-op
-// updates (new weight equals current) are dropped. Weights are not applied.
+// decreases first — the order route processes them in. No-op updates (new
+// weight equals current) are dropped. Weights are not applied.
 // The returned slice is reused by the next call.
 func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 	if len(edges) == 0 {
@@ -405,66 +410,19 @@ func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 	return s.changeBuf
 }
 
-// forInfluenced visits the queries to consider for an update on edge e:
-// the edge's influence list normally, or every query when filtering is
-// ablated away.
-func (s *monitorSet) forInfluenced(e graph.EdgeID, fn func(*monitor)) {
-	if s.unfiltered {
-		for _, m := range s.mons {
-			fn(m)
-		}
-		return
+// influenced returns the monitors to consider for an update on edge e: the
+// edge's influence list normally, or every monitor when filtering is ablated
+// away. The slice is the table's own (or a buffer the next call reuses):
+// callers only read it, and must not touch the table while they do.
+func (s *monitorSet) influenced(e graph.EdgeID) []*monitor {
+	if !s.unfiltered {
+		return s.il.byEdge[e]
 	}
-	s.il.forEach(e, fn)
-}
-
-// applyObjects applies object movements to the network — the one place the
-// incremental engines mutate the object registry — and hands each update's
-// departure (with where the object is now) and arrival to the running
-// pipeline, which classifies it per affected query as outgoing, incoming or
-// moving (§4.2): the serial pipeline marks queries on the spot, the parallel
-// one routes ops to the shards. Neither hook reads the registry, only
-// monitor state.
-func (s *monitorSet) applyObjects(objs []ObjectUpdate, outgoing func(id roadnet.ObjectID, old, now roadnet.Position), incoming func(roadnet.ObjectID, roadnet.Position)) {
-	for _, ou := range objs {
-		switch {
-		case ou.Insert:
-			s.net.AddObject(ou.ID, ou.New)
-			incoming(ou.ID, ou.New)
-		case ou.Delete:
-			old, ok := s.net.RemoveObject(ou.ID)
-			if !ok {
-				continue
-			}
-			outgoing(ou.ID, old, roadnet.Position{Edge: goneEdge})
-		default:
-			old := s.net.MoveObject(ou.ID, ou.New)
-			outgoing(ou.ID, old, ou.New)
-			incoming(ou.ID, ou.New)
-		}
+	s.everyone = s.everyone[:0]
+	for _, m := range s.mons {
+		s.everyone = append(s.everyone, m)
 	}
-}
-
-// markOutgoing flags the queries that held the object as a candidate; the
-// influence list of the object's previous edge bounds the search.
-func (s *monitorSet) markOutgoing(id roadnet.ObjectID, old, now roadnet.Position) {
-	s.forInfluenced(old.Edge, func(m *monitor) {
-		if m.cand.contains(id) {
-			s.mark(m)
-			m.touched = append(m.touched, s.touchAt(id, now))
-		}
-	})
-}
-
-// markIncoming flags the queries whose covered radius now contains the
-// object and records the object as an incomer for them.
-func (s *monitorSet) markIncoming(id roadnet.ObjectID, pos roadnet.Position) {
-	s.forInfluenced(pos.Edge, func(m *monitor) {
-		if m.covers(pos) {
-			s.mark(m)
-			m.touched = append(m.touched, s.touchAt(id, pos))
-		}
-	})
+	return s.everyone
 }
 
 // idSet detects a timestamp that reports one object more than once: an

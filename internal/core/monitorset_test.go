@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"roadknn/internal/roadnet"
@@ -17,20 +18,20 @@ func TestILTableAddRemove(t *testing.T) {
 		t.Fatalf("entries = %d, want 3", il.entries())
 	}
 	seen := map[monKey]bool{}
-	il.forEach(0, func(q *monitor) { seen[q.id] = true })
+	for _, q := range il.byEdge[0] {
+		seen[q.id] = true
+	}
 	if !seen[1] || !seen[2] || len(seen) != 2 {
-		t.Fatalf("forEach(0) saw %v", seen)
+		t.Fatalf("edge 0 lists %v", seen)
 	}
 	il.remove(0, m1)
 	il.remove(0, absent) // absent: no-op
 	if il.entries() != 2 {
 		t.Fatalf("entries after remove = %d, want 2", il.entries())
 	}
-	il.forEach(0, func(q *monitor) {
-		if q == m1 {
-			t.Fatal("removed query still listed")
-		}
-	})
+	if slices.Contains(il.byEdge[0], m1) {
+		t.Fatal("removed query still listed")
+	}
 }
 
 // TestEdgeUpdateAggregation: multiple weight updates for one edge within a

@@ -127,17 +127,22 @@ func (e *OVH) Step(u Updates) {
 			e.net.MoveObject(ou.ID, ou.New)
 		}
 	}
+	// Terminations and moves in batch order, installations after them all
+	// (the rule of Updates).
 	for _, qu := range u.Queries {
 		switch {
 		case qu.Delete:
 			e.unregister(qu.ID)
 		case qu.Insert:
-			m := newMonitor(e.net, e.il, directKey(qu.ID), qu.New, qu.K)
-			e.mons[qu.ID] = m
 		default:
 			if m, ok := e.mons[qu.ID]; ok {
 				m.pos = qu.New
 			}
+		}
+	}
+	for _, qu := range u.Queries {
+		if qu.Insert {
+			e.mons[qu.ID] = newMonitor(e.net, e.il, directKey(qu.ID), qu.New, qu.K)
 		}
 	}
 	// Recompute every query from scratch. Queries are independent here —

@@ -9,34 +9,35 @@ import (
 	"roadknn/internal/roadnet"
 )
 
-// This file implements the parallel sharded Step pipeline of the monitor
-// set. One timestamp is processed in three stages:
+// This file holds what happens to an update once monitorSet.route
+// (monitorset.go) has routed it to a monitor as a monOp. There is one
+// interpreter, apply, and two delivery policies, chosen per step:
 //
-//  1. route (serial): shared network state is mutated exactly as in serial
-//     execution (edge weights, object registry) while every update is routed
-//     — via the influence lists — to the monitors it can affect, producing
-//     one ordered op list per monitor;
-//  2. shard (parallel): each affected monitor replays its op list and runs
-//     finalize on a bounded worker pool. Monitors only read shared state
-//     (which is frozen after routing) and write their own; the one shared
-//     structure they would write — the influence table — is redirected into
-//     a per-shard buffer;
-//  3. merge (serial): the per-shard influence-table buffers are applied in
-//     ascending monitor order and the per-shard change flags are collected.
+//   - unsharded (Workers == 1, or a single monitor): deliver applies the op
+//     on the spot. Nothing is materialised: an op that does not concern the
+//     monitor — most (object, monitor) offers fail the predicate — leaves no
+//     trace, and one that does creates the monitor's work entry.
+//   - sharded: deliver queues the op on the monitor's work entry; finish sorts
+//     the entries by monitor id and each is replayed through apply on the
+//     worker pool. Monitors only read shared state (frozen once routing is
+//     over) and write their own; the one shared structure they would write —
+//     the influence table — is redirected into a per-entry buffer, applied
+//     in ascending monitor order when the workers are done.
 //
-// Replaying a monitor's ops in routing order reproduces the exact call
-// sequence serial execution would have made on that monitor (edge decreases,
-// then increases, then in-tree moves, then object classifications), and the
-// classification predicates (candStore.contains, monitor.covers) read
-// only the monitor's own state plus frozen shared state, so the parallel
-// pipeline produces results identical to serial execution.
+// Either way finish finalizes the entries through runShard. Replaying a
+// monitor's ops in routing order reproduces the exact call sequence applying
+// them on the spot makes on that monitor (edge decreases, then increases,
+// then in-tree moves, then object classifications), and the classification
+// predicates (candStore.contains, monitor.covers) read only the monitor's own
+// state plus frozen shared state, so the two policies produce identical
+// results.
 
 // Options configures engine construction.
 type Options struct {
 	// Workers is the number of goroutines used for the per-shard phases of
-	// Step. 0 means runtime.GOMAXPROCS(0); 1 selects the serial pipeline.
-	// Workers > 1 engines own a persistent worker pool (started lazily,
-	// released by Close or when the engine is garbage collected).
+	// Step. 0 means runtime.GOMAXPROCS(0); 1 applies each op where it is
+	// routed. Workers > 1 engines own a persistent worker pool (started
+	// lazily, released by Close or when the engine is garbage collected).
 	Workers int
 	// Serving enables the epoch-versioned snapshot read path: after every
 	// Step, Register and Unregister the engine publishes an immutable
@@ -99,20 +100,20 @@ type ilOp struct {
 type opKind uint8
 
 const (
-	// opEdgeDec replays monitor.onEdgeDecrease for the step's n-th
-	// aggregated edge change.
+	// opEdgeDec is monitor.onEdgeDecrease for the step's n-th aggregated edge
+	// change.
 	opEdgeDec opKind = iota
-	// opEdgeInc replays monitor.onEdgeIncrease likewise.
+	// opEdgeInc is monitor.onEdgeIncrease likewise.
 	opEdgeInc
-	// opMove replays monitor.onMove(pos) (in-tree moves only; out-of-tree
-	// moves are resolved during routing by flagging needRecompute).
+	// opMove is monitor.onMove(pos) (in-tree moves only; out-of-tree moves
+	// are resolved during routing by flagging needRecompute).
 	opMove
 	// opOutgoing classifies object n, which left its position and is now at
-	// pos, against the monitor's candidates (markOutgoing deferred to the
-	// shard).
+	// pos, against the monitor's candidates: the influence list of the
+	// object's previous edge bounds who is asked.
 	opOutgoing
 	// opIncoming classifies object n appearing at pos against the monitor's
-	// covered radius (markIncoming deferred to the shard).
+	// covered radius.
 	opIncoming
 )
 
@@ -124,18 +125,21 @@ type monOp struct {
 	pos  roadnet.Position
 }
 
-// monWork is one shard: a monitor's routed ops plus its per-shard outputs.
+// monWork is one monitor's share of the running step: what routing left for
+// it and what its finalize produced. The objects classified into the monitor
+// are not here but on the monitor (touched), next to the stamp that finds the
+// entry: the unsharded hot path then never comes back to an entry it created.
 type monWork struct {
-	m   *monitor
+	m *monitor
+	// ops are the queued ops of a sharded step; an unsharded one queues none.
 	ops []monOp
-	// pre marks monitors affected during routing itself (query moves),
-	// which must finalize even with an empty op list.
-	pre bool
-
-	// shard outputs, written only by the worker processing this entry
-	touched []touch
-	ilOps   []ilOp
-	changed bool
+	// ilOps and changed are outputs, written only by the worker processing
+	// this entry.
+	ilOps []ilOp
+	// affected means the monitor must finalize. An unsharded step only
+	// creates entries for such monitors; a sharded one finds out at replay.
+	affected bool
+	changed  bool
 }
 
 // work returns the (possibly new) entry for m in the running step's work
@@ -150,96 +154,77 @@ func (s *monitorSet) work(m *monitor) *monWork {
 		// Reuse the retained entry's slice capacity.
 		s.works = s.works[:len(s.works)+1]
 		w := &s.works[len(s.works)-1]
-		*w = monWork{m: m, ops: w.ops[:0], touched: w.touched[:0], ilOps: w.ilOps[:0]}
+		*w = monWork{m: m, ops: w.ops[:0], ilOps: w.ilOps[:0], affected: !s.sharded}
 		return w
 	}
-	s.works = append(s.works, monWork{m: m})
+	s.works = append(s.works, monWork{m: m, affected: !s.sharded})
 	return &s.works[len(s.works)-1]
 }
 
-// stepParallel is the parallel counterpart of monitorSet.stepSerial: same
-// update semantics, per-monitor work fanned out over the worker pool.
-func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) []*monitor {
-	s.works = s.works[:0]
-
-	// The monitors flagged by this timestamp's topology edits (applied
-	// serially before the step — they restructure the CSR the shards
-	// traverse) recompute from scratch in their shards; the re-snapped
-	// objects route as incomers after the edge phase, mirroring stepSerial.
-	for _, q := range s.topoMarks {
-		if m, ok := s.mons[q]; ok {
-			s.work(m).pre = true
-		}
-	}
-
-	// Route stage. Order mirrors stepSerial exactly.
-	//
-	// Fig. 10 lines 1-3: out-of-tree query moves are resolved here — the
-	// region test must see pre-update weights and trees — while in-tree
-	// moves are held back until after the edge ops, as in serial execution.
-	pendingMoves := s.pendingMoves[:0]
-	for _, mv := range moves {
-		m, ok := s.mons[mv.id]
-		if !ok {
-			continue
-		}
-		s.work(m).pre = true
-		if !m.inRegion(mv.pos) {
-			m.pos = mv.pos
-			m.needRecompute = true
-			continue
-		}
-		pendingMoves = append(pendingMoves, mv)
-	}
-	s.pendingMoves = pendingMoves
-
-	// Lines 4-13: edge updates. Weights are applied to the shared graph now;
-	// the tree-pruning handlers are queued (they never read edge weights —
-	// the changed weight is looked up in the change list, frozen from here).
-	for i, ec := range s.classifyEdgeUpdates(edges) {
-		s.net.G.SetWeight(ec.eid, ec.newW)
-		kind := opEdgeInc
-		if ec.decrease {
-			kind = opEdgeDec
-		}
-		s.forInfluenced(ec.eid, func(m *monitor) {
+// deliver hands a routed op to each of ms: queued for the shard stage, or
+// applied at once. Unsharded, the op is classified before the work entry is
+// created, so an offer the monitor declines costs no entry. This loop is the
+// step's hot path — one iteration per (update, influenced monitor) pair.
+func (s *monitorSet) deliver(ms []*monitor, op monOp) {
+	if s.sharded {
+		for _, m := range ms {
 			w := s.work(m)
-			w.ops = append(w.ops, monOp{kind: kind, n: int32(i)})
-		})
+			w.ops = append(w.ops, op)
+		}
+		return
 	}
-
-	// Topology re-snaps route as incomers at their new positions, after the
-	// edge ops (their shard replay therefore sees the timestamp's weights,
-	// exactly like stepSerial's immediate evaluation at this point).
-	for _, mv := range s.topoMoves {
-		s.routeIncoming(mv.ID, mv.New)
+	for _, m := range ms {
+		if s.apply(m, op, 0) {
+			s.work(m)
+		}
 	}
+}
 
-	// Lines 14-15: in-tree query moves, queued after the edge ops.
-	for _, mv := range pendingMoves {
-		w := s.work(s.mons[mv.id])
-		w.ops = append(w.ops, monOp{kind: opMove, pos: mv.pos})
+// apply interprets one routed op on m, on worker wk, and reports whether it
+// concerns m, which must then finalize: an edge or move op always does (its
+// handler has run), an object op when the monitor holds the object or covers
+// its new position — the one place the classification predicates are
+// evaluated — and is then recorded as touched.
+func (s *monitorSet) apply(m *monitor, op monOp, wk int) bool {
+	switch op.kind {
+	case opEdgeDec:
+		ec := &s.changeBuf[op.n]
+		m.onEdgeDecrease(ec.eid, ec.oldW, ec.newW, s.arena(wk))
+		return true
+	case opEdgeInc:
+		m.onEdgeIncrease(s.changeBuf[op.n].eid, s.arena(wk))
+		return true
+	case opMove:
+		m.onMove(op.pos, s.arena(wk))
+		return true
+	case opOutgoing:
+		if !m.cand.contains(roadnet.ObjectID(op.n)) {
+			return false
+		}
+	case opIncoming:
+		if !m.covers(op.pos) {
+			return false
+		}
 	}
+	m.touched = append(m.touched, s.touchAt(roadnet.ObjectID(op.n), op.pos))
+	return true
+}
 
-	// Lines 16-19: object updates. The registry is mutated now; the
-	// per-monitor classification predicates (contains / covers) read only
-	// monitor state and are deferred to the shard, where they run with the
-	// same per-monitor state as in serial execution.
-	s.applyObjects(objs, s.routeOutgoing, s.routeIncoming)
-
-	// Shard stage: replay each monitor's ops and finalize (lines 20-26).
-	// Worker wk owns arena wk for the whole stage, so the monitors it
-	// processes sequentially reuse one set of expansion buffers.
-	// Shards run in ascending monitor id, so that worker scheduling and the
-	// merge are deterministic; the monitors' slots are void from here.
-	slices.SortFunc(s.works, func(a, b monWork) int { return cmp.Compare(a.m.id, b.m.id) })
-	for w := 0; w < min(s.workers, len(s.works)); w++ {
-		s.arena(w) // pre-create outside the workers (arenas is not locked)
+// finish restores every monitor the step reached (Fig. 10 lines 20-26) and
+// returns the change-tracking ones whose result changed. A sharded step runs
+// the entries in ascending monitor id, so that worker scheduling and the
+// merge of the deferred influence-table writes are deterministic (the
+// monitors' slots are void from the sort on); an unsharded one runs them in
+// first-touch order on the caller, writing the table directly.
+func (s *monitorSet) finish() []*monitor {
+	if s.sharded {
+		slices.SortFunc(s.works, func(a, b monWork) int { return cmp.Compare(a.m.id, b.m.id) })
+		for w := 0; w < min(s.workers, len(s.works)); w++ {
+			s.arena(w) // pre-create outside the workers (arenas is not locked)
+		}
 	}
 	s.pool.Run(len(s.works), s.shardFn)
 
-	// Merge stage: apply influence-table mutations in ascending monitor
-	// order and collect the change flags.
 	changed := s.changed[:0]
 	for i := range s.works {
 		w := &s.works[i]
@@ -258,56 +243,28 @@ func (s *monitorSet) stepParallel(objs []ObjectUpdate, edges []EdgeUpdate, moves
 	return changed
 }
 
-// runShard processes one shard of the current step on pool worker wk:
-// replay the monitor's routed ops, then finalize with influence-table
-// writes deferred into the shard buffer. It is bound once as s.shardFn
-// (a stored method value) so the per-step pool dispatch allocates nothing.
+// runShard processes entry i of the current step on pool worker wk: replay
+// the monitor's queued ops, then finalize — with influence-table writes
+// deferred into the entry's buffer when other workers run beside this one.
+// Worker wk owns arena wk for the whole stage, so the monitors it processes
+// sequentially reuse one set of expansion buffers. It is bound once as
+// s.shardFn (a stored method value) so the per-step pool dispatch allocates
+// nothing.
 func (s *monitorSet) runShard(wk, i int) {
-	sc := s.arena(wk)
 	w := &s.works[i]
 	m := w.m
-	affected := w.pre
 	for _, op := range w.ops {
-		switch op.kind {
-		case opEdgeDec:
-			affected = true
-			ec := &s.changeBuf[op.n]
-			m.onEdgeDecrease(ec.eid, ec.oldW, ec.newW, sc)
-		case opEdgeInc:
-			affected = true
-			m.onEdgeIncrease(s.changeBuf[op.n].eid, sc)
-		case opMove:
-			m.onMove(op.pos, sc)
-		case opOutgoing:
-			if id := roadnet.ObjectID(op.n); m.cand.contains(id) {
-				affected = true
-				w.touched = append(w.touched, s.touchAt(id, op.pos))
-			}
-		case opIncoming:
-			if id := roadnet.ObjectID(op.n); m.covers(op.pos) {
-				affected = true
-				w.touched = append(w.touched, s.touchAt(id, op.pos))
-			}
+		if s.apply(m, op, wk) {
+			w.affected = true
 		}
 	}
-	if !affected {
+	if !w.affected {
 		return
 	}
-	m.ilDefer = &w.ilOps
-	w.changed = m.finalize(w.touched, sc) && m.track
+	if s.sharded {
+		m.ilDefer = &w.ilOps
+	}
+	w.changed = m.finalize(m.touched, s.arena(wk)) && m.track
+	m.touched = m.touched[:0]
 	m.ilDefer = nil
-}
-
-func (s *monitorSet) routeOutgoing(id roadnet.ObjectID, old, now roadnet.Position) {
-	s.forInfluenced(old.Edge, func(m *monitor) {
-		w := s.work(m)
-		w.ops = append(w.ops, monOp{kind: opOutgoing, n: int32(id), pos: now})
-	})
-}
-
-func (s *monitorSet) routeIncoming(id roadnet.ObjectID, pos roadnet.Position) {
-	s.forInfluenced(pos.Edge, func(m *monitor) {
-		w := s.work(m)
-		w.ops = append(w.ops, monOp{kind: opIncoming, n: int32(id), pos: pos})
-	})
 }

@@ -123,7 +123,7 @@ func (sc *scratch) memoGet(n graph.NodeID) (bool, bool) {
 }
 
 // arenaPool lazily grows a slice of per-worker arenas; index 0 is the
-// serial pipeline's arena.
+// calling goroutine's.
 type arenaPool struct {
 	arenas []*scratch
 }

@@ -121,13 +121,6 @@ func (t *treeStore) deleteAt(i int) {
 	t.idxDelete(n)
 }
 
-// deleteNode removes node n if present.
-func (t *treeStore) deleteNode(n graph.NodeID) {
-	if i := t.lookup(n); i >= 0 {
-		t.deleteAt(int(i))
-	}
-}
-
 // clear empties the store, retaining capacity.
 func (t *treeStore) clear() {
 	t.entries = t.entries[:0]

@@ -48,7 +48,9 @@ func TestTreeStoreMatchesMap(t *testing.T) {
 			ts.put(n, e.dist, e.parent, e.parentEdge)
 			ref[n] = e
 		case r < 90: // delete by node
-			ts.deleteNode(n)
+			if i := ts.lookup(n); i >= 0 {
+				ts.deleteAt(int(i))
+			}
 			delete(ref, n)
 		case r < 97: // delete by index (swap-remove path)
 			if ts.len() > 0 {

@@ -85,6 +85,12 @@ type TopologyUpdate struct {
 }
 
 // Updates is the batch of events arriving at one timestamp.
+//
+// Within Queries the order of entries does not decide who wins (§4.5): every
+// engine terminates before any other update and installs after all of them.
+// A batch that both installs and terminates an id therefore drops the id's
+// old registration, if any, and leaves the new one registered; a move of an
+// id the batch installs or terminates is ignored.
 type Updates struct {
 	Topology []TopologyUpdate
 	Objects  []ObjectUpdate

@@ -187,9 +187,6 @@ func (b *Batcher) PendingOnEdge(e roadknn.EdgeID) bool {
 	return false
 }
 
-// PendingTopo returns the number of pending topology ops.
-func (b *Batcher) PendingTopo() int { return len(b.topoPend) }
-
 // SimSnapshot returns a copy of the id simulator's freelist (stack order)
 // and the next fresh id, so validation can dry-run a request's topology
 // ops — including the exact ids its insertions would be assigned —
@@ -222,16 +219,6 @@ func (b *Batcher) DeleteObject(id roadknn.ObjectID) bool {
 	return true
 }
 
-// HasObject reports whether id is currently known (applied or pending
-// non-deleted).
-func (b *Batcher) HasObject(id roadknn.ObjectID) bool {
-	if p, ok := b.objPend[id]; ok {
-		return !p.del
-	}
-	_, ok := b.objApplied[id]
-	return ok
-}
-
 // Query reports query id at pos; k is used only if this installs (or,
 // after an end within the same tick, re-installs) the query — on plain
 // moves the registered k is kept, matching the engine protocol.
@@ -261,16 +248,6 @@ func (b *Batcher) EndQuery(id roadknn.QueryID) bool {
 	}
 	b.qryPend[id] = pendingQry{end: true}
 	return true
-}
-
-// HasQuery reports whether id is currently known (applied or pending
-// non-terminated).
-func (b *Batcher) HasQuery(id roadknn.QueryID) bool {
-	if p, ok := b.qryPend[id]; ok {
-		return !p.end
-	}
-	_, ok := b.qryApplied[id]
-	return ok
 }
 
 // NeedsK reports whether a (non-end) Query report for id right now would
@@ -315,39 +292,21 @@ func (b *Batcher) PendingEdge(edge roadknn.EdgeID) bool { _, ok := b.edgePend[ed
 // Drain converts the pending reports into one Updates batch, advances the
 // applied state accordingly, and clears the pending state. The returned
 // batch is ready for Engine.Step.
-func (b *Batcher) Drain() roadknn.Updates { return b.build(true) }
+func (b *Batcher) Drain() roadknn.Updates {
+	u := b.Preview()
+	b.commit(u)
+	return u
+}
 
 // Preview returns the batch the next Drain would produce without
 // advancing any state: pending reports stay pending and the applied maps
 // are untouched. The WAL path uses it to log the batch before committing
 // — if the append fails, nothing was consumed and the batch survives for
 // a retry (or a shutdown flush).
-func (b *Batcher) Preview() roadknn.Updates { return b.build(false) }
-
-func (b *Batcher) build(commit bool) roadknn.Updates {
+func (b *Batcher) Preview() roadknn.Updates {
 	var u roadknn.Updates
 	if len(b.topoPend) > 0 {
 		u.Topology = append([]roadknn.TopologyUpdate(nil), b.topoPend...)
-		if commit {
-			for _, tp := range b.topoPend {
-				if tp.Op == roadknn.TopoRemove {
-					b.topoAlive[tp.Edge] = false
-					// The removal invalidates any recorded weight override:
-					// should the id be reused, the reincarnated edge's weight
-					// comes from its TopoAdd op, not from the dead road's
-					// last traffic report.
-					delete(b.edgeApplied, tp.Edge)
-				} else {
-					for int(tp.Edge) >= len(b.topoAlive) {
-						b.topoAlive = append(b.topoAlive, false)
-					}
-					b.topoAlive[tp.Edge] = true
-				}
-			}
-			b.topoApplied = append(b.topoApplied, b.topoPend...)
-			b.topoPend = b.topoPend[:0]
-			clear(b.simState)
-		}
 	}
 	for _, id := range b.objOrder {
 		p := b.objPend[id]
@@ -355,23 +314,14 @@ func (b *Batcher) build(commit bool) roadknn.Updates {
 		switch {
 		case p.del && existed:
 			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, Old: old, Delete: true})
-			if commit {
-				delete(b.objApplied, id)
-			}
 		case p.del:
 			// Inserted and deleted within one tick: nothing to apply.
 		case existed:
 			if old != p.pos {
 				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, Old: old, New: p.pos})
-				if commit {
-					b.objApplied[id] = p.pos
-				}
 			}
 		default:
 			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, New: p.pos, Insert: true})
-			if commit {
-				b.objApplied[id] = p.pos
-			}
 		}
 	}
 	for _, id := range b.qryOrder {
@@ -380,9 +330,6 @@ func (b *Batcher) build(commit bool) roadknn.Updates {
 		switch {
 		case p.end && existed:
 			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, Delete: true})
-			if commit {
-				delete(b.qryApplied, id)
-			}
 		case p.end:
 			// Installed and terminated within one tick.
 		case existed && p.reinstall:
@@ -391,43 +338,74 @@ func (b *Batcher) build(commit bool) roadknn.Updates {
 			// installations within a batch).
 			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, Delete: true})
 			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: p.pos, K: p.k, Insert: true})
-			if commit {
-				b.qryApplied[id] = appliedQry{pos: p.pos, k: p.k}
-			}
 		case existed:
 			if old.pos != p.pos {
 				u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: p.pos})
-				if commit {
-					b.qryApplied[id] = appliedQry{pos: p.pos, k: old.k}
-				}
 			}
 		default:
 			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: p.pos, K: p.k, Insert: true})
-			if commit {
-				b.qryApplied[id] = appliedQry{pos: p.pos, k: p.k}
-			}
 		}
 	}
 	for _, eid := range b.edgeOrd {
 		u.Edges = append(u.Edges, roadknn.EdgeUpdate{Edge: eid, NewW: b.edgePend[eid]})
+	}
+	return u
+}
+
+// commit makes u, the batch Preview built from the current pending reports,
+// the applied state, and clears the pending state.
+func (b *Batcher) commit(u roadknn.Updates) {
+	for _, tp := range u.Topology {
+		if tp.Op == roadknn.TopoRemove {
+			b.topoAlive[tp.Edge] = false
+			// The removal invalidates any recorded weight override:
+			// should the id be reused, the reincarnated edge's weight
+			// comes from its TopoAdd op, not from the dead road's
+			// last traffic report.
+			delete(b.edgeApplied, tp.Edge)
+		} else {
+			for int(tp.Edge) >= len(b.topoAlive) {
+				b.topoAlive = append(b.topoAlive, false)
+			}
+			b.topoAlive[tp.Edge] = true
+		}
+	}
+	b.topoApplied = append(b.topoApplied, u.Topology...)
+	b.topoPend = b.topoPend[:0]
+	clear(b.simState)
+	for _, ou := range u.Objects {
+		if ou.Delete {
+			delete(b.objApplied, ou.ID)
+		} else {
+			b.objApplied[ou.ID] = ou.New
+		}
+	}
+	for _, qu := range u.Queries {
+		switch {
+		case qu.Delete:
+			delete(b.qryApplied, qu.ID)
+		case qu.Insert:
+			b.qryApplied[qu.ID] = appliedQry{pos: qu.New, k: qu.K}
+		default:
+			b.qryApplied[qu.ID] = appliedQry{pos: qu.New, k: b.qryApplied[qu.ID].k}
+		}
+	}
+	for _, eu := range u.Edges {
 		// A weight report raced a same-tick removal of its edge: the engine
 		// drops it (stale sensor report), so the applied view must not
 		// record it either. It is still emitted — replay must reproduce the
 		// logged batch byte for byte, and the engine's drop is
 		// deterministic.
-		if commit && b.TopoAlive(eid) {
-			b.edgeApplied[eid] = b.edgePend[eid]
+		if b.TopoAlive(eu.Edge) {
+			b.edgeApplied[eu.Edge] = eu.NewW
 		}
 	}
-	if commit {
-		clear(b.objPend)
-		clear(b.qryPend)
-		clear(b.edgePend)
-		b.objOrder = b.objOrder[:0]
-		b.qryOrder = b.qryOrder[:0]
-		b.edgeOrd = b.edgeOrd[:0]
-	}
-	return u
+	clear(b.objPend)
+	clear(b.qryPend)
+	clear(b.edgePend)
+	b.objOrder = b.objOrder[:0]
+	b.qryOrder = b.qryOrder[:0]
+	b.edgeOrd = b.edgeOrd[:0]
 }
 
 // Replay feeds one recovered Updates batch back in as reports, so the

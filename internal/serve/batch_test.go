@@ -73,9 +73,6 @@ func TestBatcherQueriesAndEdges(t *testing.T) {
 	if len(u.Queries) != 1 || !u.Queries[0].Insert || u.Queries[0].K != 9 || u.Queries[0].New != pos(1, 0.2) {
 		t.Fatalf("bad install: %+v", u.Queries)
 	}
-	if !b.HasQuery(7) || b.HasQuery(8) {
-		t.Fatal("HasQuery wrong")
-	}
 
 	// Move (k ignored), then end in a later tick.
 	b.Query(7, 1, pos(2, 0.3))

@@ -155,7 +155,7 @@ func (s *Server) Tick() *roadknn.Snapshot {
 			s.setReadOnly(err)
 			return s.broker.newest()
 		}
-		s.batch.Drain() // same batch, now committed
+		s.batch.commit(u)
 	} else {
 		u = s.batch.Drain()
 	}

@@ -33,7 +33,7 @@ func buildCross(t *testing.T) (*roadknn.Network, []roadknn.EdgeID) {
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	for _, mk := range []func(*roadknn.Network) roadknn.Engine{
-		roadknn.NewOVH, roadknn.NewIMA, roadknn.NewGMA,
+		roadknn.NewOVH, roadknn.NewIMA, roadknn.NewGMA, roadknn.NewAuto,
 	} {
 		net, edges := buildCross(t)
 		net.AddObject(1, roadknn.Position{Edge: edges[1], Frac: 0.5})
@@ -56,6 +56,51 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		res = eng.Result(7)
 		if res[0].Obj != 2 || math.Abs(res[0].Dist-0.6) > 1e-9 {
 			t.Fatalf("%s: after move = %v, want obj 2 at 0.6", eng.Name(), res)
+		}
+
+		// Batches that install and terminate one id: every engine terminates
+		// first and installs last, whatever the order of the entries.
+		type reg struct {
+			pos roadknn.Position
+			k   int
+		}
+		at := func(e, tenths int) roadknn.Position {
+			return roadknn.Position{Edge: edges[e], Frac: float64(tenths) / 10}
+		}
+		ins := func(id roadknn.QueryID, r reg) roadknn.QueryUpdate {
+			return roadknn.QueryUpdate{ID: id, New: r.pos, K: r.k, Insert: true}
+		}
+		del := func(id roadknn.QueryID) roadknn.QueryUpdate { return roadknn.QueryUpdate{ID: id, Delete: true} }
+		a, b, c, d := reg{at(2, 3), 2}, reg{at(1, 8), 2}, reg{at(3, 4), 1}, reg{at(0, 1), 2}
+		for _, tc := range []struct {
+			name  string
+			batch []roadknn.QueryUpdate
+			want  map[roadknn.QueryID]reg
+		}{
+			{"insert, delete: new id", []roadknn.QueryUpdate{ins(9, a), del(9)},
+				map[roadknn.QueryID]reg{7: {at(0, 5), 1}, 9: a}},
+			{"delete, insert: registered id", []roadknn.QueryUpdate{del(7), ins(7, b)},
+				map[roadknn.QueryID]reg{7: b, 9: a}},
+			{"insert, delete: registered id", []roadknn.QueryUpdate{ins(9, c), del(9)},
+				map[roadknn.QueryID]reg{7: b, 9: c}},
+			{"insert, move: new id", []roadknn.QueryUpdate{ins(11, d), {ID: 11, New: at(3, 9)}},
+				map[roadknn.QueryID]reg{7: b, 9: c, 11: d}},
+		} {
+			eng.Step(roadknn.Updates{Queries: tc.batch})
+			if got := eng.Queries(); len(got) != len(tc.want) {
+				t.Fatalf("%s, %s: registered %v, want %d queries", eng.Name(), tc.name, got, len(tc.want))
+			}
+			for id, r := range tc.want {
+				got, want := eng.Result(id), roadknn.SnapshotKNN(eng.Network(), r.pos, r.k)
+				if len(got) != len(want) {
+					t.Fatalf("%s, %s: query %d = %v, want %v", eng.Name(), tc.name, id, got, want)
+				}
+				for i := range want {
+					if got[i].Obj != want[i].Obj || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+						t.Fatalf("%s, %s: query %d = %v, want %v", eng.Name(), tc.name, id, got, want)
+					}
+				}
+			}
 		}
 	}
 }
