@@ -84,6 +84,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -309,12 +311,23 @@ func routeHTTP(addr string, followers []string, primaryURL string) error {
 	return hs.Shutdown(ctx)
 }
 
+// usage is the stream protocol. Every argument is a 32-bit integer (ids and
+// k are int32 in the engine) except the trailing frac or weight of obj, qry
+// and w, which follows the edge it is on.
+var usage = map[string]string{
+	"obj": "obj <id> <edge> <frac>", "del": "del <id>", "qry": "qry <id> <k> <edge> <frac>",
+	"end": "end <id>", "w": "w <edge> <weight>", "tick": "tick",
+}
+
 // replay consumes the update stream, batching commands between ticks
-// through the same coalescing Batcher the HTTP front-end uses.
-func replay(srv roadknn.Engine, in *os.File, out *os.File) error {
+// through the same coalescing Batcher the HTTP front-end uses. Like the
+// HTTP front-end it checks every line against the engine's network before
+// admitting it: a bad line is an error naming it, never a panic in Step.
+func replay(srv roadknn.Engine, in io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
+	g := srv.Network().G
 	batch := serve.NewBatcher()
 	prev := map[roadknn.QueryID]string{}
 	ts := 0
@@ -328,44 +341,68 @@ func replay(srv roadknn.Engine, in *os.File, out *os.File) error {
 		}
 		f := strings.Fields(line)
 		fail := func(msg string) error { return fmt.Errorf("line %d: %s: %q", lineNo, msg, line) }
+		want, ok := usage[f[0]]
+		if !ok {
+			return fail("unknown command")
+		}
+		if len(f) != len(strings.Fields(want)) {
+			return fail(f[0] + " wants: " + want)
+		}
+		var n [3]int32
+		var x float64
+		var edge roadknn.EdgeID
+		ints := f[1:]
+		onEdge := f[0] == "obj" || f[0] == "qry" || f[0] == "w" // a frac or weight follows the edge
+		if onEdge {
+			ints = ints[:len(ints)-1]
+		}
+		for i, arg := range ints {
+			v, err := strconv.ParseInt(arg, 10, 32)
+			if err != nil {
+				return fail(fmt.Sprintf("bad 32-bit integer %q", arg))
+			}
+			n[i] = int32(v)
+		}
+		if onEdge {
+			var err error
+			if x, err = strconv.ParseFloat(f[len(f)-1], 64); err != nil {
+				return fail(fmt.Sprintf("bad number %q", f[len(f)-1]))
+			}
+			edge = roadknn.EdgeID(n[len(ints)-1])
+			switch {
+			case !g.EdgeAlive(edge):
+				return fail(fmt.Sprintf("edge %d is not a live edge of the network", edge))
+			case f[0] == "w" && (!(x > 0) || math.IsInf(x, 1)):
+				return fail("weight must be finite and positive")
+			case f[0] != "w" && !(x >= 0 && x <= 1):
+				return fail("frac outside [0,1]")
+			}
+		}
+		pos := roadknn.Position{Edge: edge, Frac: x}
 		switch f[0] {
 		case "obj":
-			if len(f) != 4 {
-				return fail("obj wants: obj <id> <edge> <frac>")
-			}
-			batch.Object(roadknn.ObjectID(atoi(f[1])),
-				roadknn.Position{Edge: roadknn.EdgeID(atoi(f[2])), Frac: atof(f[3])})
+			batch.Object(roadknn.ObjectID(n[0]), pos)
 		case "del":
-			if len(f) != 2 {
-				return fail("del wants: del <id>")
-			}
-			if !batch.DeleteObject(roadknn.ObjectID(atoi(f[1]))) {
+			if !batch.DeleteObject(roadknn.ObjectID(n[0])) {
 				return fail("unknown object")
 			}
 		case "qry":
-			if len(f) != 5 {
-				return fail("qry wants: qry <id> <k> <edge> <frac>")
+			id := roadknn.QueryID(n[0])
+			if batch.NeedsK(id) && n[1] < 1 {
+				return fail("installing a query wants k >= 1")
 			}
-			id := roadknn.QueryID(atoi(f[1]))
-			batch.Query(id, atoi(f[2]),
-				roadknn.Position{Edge: roadknn.EdgeID(atoi(f[3])), Frac: atof(f[4])})
+			batch.Query(id, int(n[1]), pos)
 			if _, exists := prev[id]; !exists {
 				prev[id] = ""
 			}
 		case "end":
-			if len(f) != 2 {
-				return fail("end wants: end <id>")
-			}
-			id := roadknn.QueryID(atoi(f[1]))
+			id := roadknn.QueryID(n[0])
 			// Ending an unknown query is a no-op, as it always was: engines
 			// ignore deletions of unregistered ids.
 			batch.EndQuery(id)
 			delete(prev, id)
 		case "w":
-			if len(f) != 3 {
-				return fail("w wants: w <edge> <weight>")
-			}
-			batch.Edge(roadknn.EdgeID(atoi(f[1])), atof(f[2]))
+			batch.Edge(edge, x)
 		case "tick":
 			ts++
 			srv.Step(batch.Drain())
@@ -376,8 +413,6 @@ func replay(srv roadknn.Engine, in *os.File, out *os.File) error {
 					prev[id] = cur
 				}
 			}
-		default:
-			return fail("unknown command")
 		}
 	}
 	return sc.Err()
@@ -394,24 +429,6 @@ func formatResult(res []roadknn.Neighbor) string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-func atoi(s string) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "monitor: bad integer %q\n", s)
-		os.Exit(1)
-	}
-	return v
-}
-
-func atof(s string) float64 {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "monitor: bad number %q\n", s)
-		os.Exit(1)
-	}
-	return v
 }
 
 // loadNetwork reads the JSON format written by cmd/netgen.

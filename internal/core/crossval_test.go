@@ -167,17 +167,17 @@ func (w *replayWorld) dump(e Engine, qid QueryID, u Updates) {
 		}
 		switch _, _, mode, _ := eng.Placement(qid); mode {
 		case Direct:
-			m := eng.set.mons[directKey(qid)]
+			m := eng.qt.find(qid).mon
 			reg := slices.Contains(m.affEdges, op.Edge)
 			fmt.Printf("    IMA distanceTo=%g kdist=%g tree=%d regOnEdge=%v\n",
 				m.distanceTo(op), m.kdist, m.tree.len(), reg)
 		case Grouped:
-			q := eng.grp.queries[qid]
+			q := eng.qt.find(qid).grp
 			seq := &eng.grp.seqs.Seqs[q.seq]
 			fmt.Printf("    GMA kdist=%g seq=%d reachA=%v(%g) reachB=%v(%g) endA=%d endB=%d objSeq=%d\n",
 				q.kdist, q.seq, q.reachA, q.distA, q.reachB, q.distB, seq.EndA, seq.EndB, eng.grp.seqs.ByEdge[op.Edge])
 			for _, n := range []graph.NodeID{seq.EndA, seq.EndB} {
-				if mon, ok := eng.set.mons[nodeKey(n)]; ok {
+				if mon := eng.grp.nodeMon[n]; mon != nil {
 					inRes := false
 					var nd float64
 					for _, nb := range mon.result {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 
 	"roadknn/internal/roadnet"
@@ -27,8 +26,9 @@ const (
 )
 
 // Incremental is the one incremental monitoring engine under IMA, GMA and
-// AUTO. It owns the network, one monitor set (one influence table, one
-// worker pool and arena set) and one publisher. The set holds a direct
+// AUTO. It owns the network, the query table, one monitor set (one influence
+// table, one worker pool and arena set) and one publisher. The table has one
+// row per registered query, whichever its mode; the set holds a direct
 // monitor per Direct query and a node monitor per active sequence endpoint;
 // a Grouped query is a client of node monitors, evaluated by the sequence
 // walk of gma_eval.go after the set has stepped. IMA and GMA are the two
@@ -45,6 +45,7 @@ const (
 // publication (Commit).
 type Incremental struct {
 	name string
+	qt   queryTable
 	set  *monitorSet
 	// grp is the grouped layer, materialised at the first grouped query and
 	// dropped at the first tick boundary with none left.
@@ -52,25 +53,23 @@ type Incremental struct {
 	place     func(roadnet.Position) Mode
 	naiveEval bool // handed to the grouped layer (the GMA-naive ablation)
 	pub       publisher
-	// ids is e.queryIDs bound once, so publishing allocates no closure.
-	ids iter.Seq[QueryID]
 
-	// Per-step buffers, reused across steps.
-	moves   []queryMove
-	inserts []QueryUpdate
-	// batchIns maps the ids a batch installs to whether it also terminates
-	// them (checkInserts).
-	batchIns map[QueryID]bool
+	// Per-step buffers, reused across steps: the direct moves and the
+	// installations of the running step, and the ids a batch installs and
+	// terminates (checkInserts).
+	moves          []queryMove
+	inserts        []QueryUpdate
+	insIDs, delIDs []QueryID
 }
 
 // NewIncremental creates an engine over net that places each newly
 // registered query by place (consulted once, at registration). The engine
 // takes ownership of the network's object registry and edge weights.
 func NewIncremental(name string, net *roadnet.Network, o Options, place func(roadnet.Position) Mode) *Incremental {
-	e := &Incremental{name: name, set: newMonitorSet(net), place: place, batchIns: make(map[QueryID]bool)}
+	e := &Incremental{name: name, place: place}
+	e.set = newMonitorSet(net, &e.qt)
 	e.set.configure(o)
-	e.ids = e.queryIDs
-	e.pub.init(o, e.resultOf)
+	e.pub.init(o)
 	return e
 }
 
@@ -118,25 +117,30 @@ func (e *Incremental) grouped() *groupLayer {
 // re-snaps queries off removed edges, so it may differ from where the
 // query was registered or last moved.
 func (e *Incremental) Placement(id QueryID) (pos roadnet.Position, k int, mode Mode, ok bool) {
-	if m, ok := e.set.mons[directKey(id)]; ok {
-		return m.pos, m.k, Direct, true
-	}
-	if e.grp != nil {
-		if q, ok := e.grp.queries[id]; ok {
-			return q.pos, q.k, Grouped, true
-		}
+	if r := e.qt.find(id); r != nil {
+		pos, k, mode = r.placement()
+		return pos, k, mode, true
 	}
 	return roadnet.Position{}, 0, Direct, false
+}
+
+// Placements calls yield with every registered query's id, position, k and
+// mode, ascending by id.
+func (e *Incremental) Placements(yield func(id QueryID, pos roadnet.Position, k int, mode Mode)) {
+	for i := range e.qt.rows {
+		pos, k, mode := e.qt.rows[i].placement()
+		yield(e.qt.rows[i].id, pos, k, mode)
+	}
 }
 
 func dupMsg(id QueryID) string { return fmt.Sprintf("core: query %d already registered", id) }
 
 // Register implements Engine.
 func (e *Incremental) Register(id QueryID, pos roadnet.Position, k int) {
-	if _, _, _, dup := e.Placement(id); dup {
+	if e.qt.find(id) != nil {
 		panic(dupMsg(id))
 	}
-	e.install(id, pos, k, e.place(pos))
+	e.qt.insert(e.install(id, pos, k, e.place(pos)))
 	e.publish()
 }
 
@@ -147,40 +151,49 @@ func (e *Incremental) Unregister(id QueryID) {
 }
 
 // install computes a new query's state from scratch in the given mode,
-// outside a step.
-func (e *Incremental) install(id QueryID, pos roadnet.Position, k int, mode Mode) {
+// outside a step, and returns its row.
+func (e *Incremental) install(id QueryID, pos roadnet.Position, k int, mode Mode) queryRow {
 	if mode == Grouped {
 		g := e.grouped()
-		g.evaluate(g.add(id, pos, k, false), e.set.arena(0))
-		return
+		q := g.add(id, pos, k, false)
+		g.evaluate(q, e.set.arena(0))
+		return queryRow{id: id, grp: q}
 	}
-	e.set.register(directKey(id), pos, k, false)
+	return queryRow{id: id, mon: e.set.register(int32(id), pos, k, false)}
 }
 
-// remove drops a query's state, whichever mode holds it; unknown ids are
-// ignored.
-func (e *Incremental) remove(id QueryID, inStep bool) {
-	if e.grp != nil {
-		if q, ok := e.grp.queries[id]; ok {
-			e.grp.remove(q, inStep)
-			return
-		}
+// drop discards the state behind a row, whichever mode holds it.
+func (e *Incremental) drop(r queryRow, inStep bool) {
+	if r.grp != nil {
+		e.grp.remove(r.grp, inStep)
+	} else {
+		e.set.unregister(r.mon)
 	}
-	e.set.unregister(directKey(id))
+}
+
+// remove terminates a query; unknown ids are ignored.
+func (e *Incremental) remove(id QueryID, inStep bool) {
+	if r, ok := e.qt.remove(id); ok {
+		e.drop(r, inStep)
+	}
 }
 
 // SetMode moves a registered query's state into mode: its old state is
 // dropped and the new one computed from scratch at the current position and
-// network, exactly as a fresh registration in that mode would. Nothing is
-// published; callers flip modes at a tick boundary, between Advance and
-// Commit or ahead of Rebuild.
+// network, exactly as a fresh registration in that mode would; its row stays
+// where it is. Nothing is published; callers flip modes at a tick boundary,
+// between Advance and Commit or ahead of Rebuild.
 func (e *Incremental) SetMode(id QueryID, mode Mode) {
-	pos, k, cur, ok := e.Placement(id)
-	if !ok || cur == mode {
+	r := e.qt.find(id)
+	if r == nil {
 		return
 	}
-	e.remove(id, false)
-	e.install(id, pos, k, mode)
+	pos, k, cur := r.placement()
+	if cur == mode {
+		return
+	}
+	e.drop(*r, false)
+	*r = e.install(id, pos, k, mode)
 }
 
 // Step implements Engine.
@@ -193,26 +206,24 @@ func (e *Incremental) Step(u Updates) {
 // installs an id that is registered and not terminated by the same batch,
 // or installs one id twice: the same rule, and message, as Register.
 func (e *Incremental) checkInserts(qs []QueryUpdate) {
-	ins := e.batchIns
-	clear(ins)
+	ins, del := e.insIDs[:0], e.delIDs[:0]
 	for _, qu := range qs {
 		if qu.Insert {
-			if _, twice := ins[qu.ID]; twice {
-				panic(dupMsg(qu.ID))
-			}
-			ins[qu.ID] = false
+			ins = append(ins, qu.ID)
+		}
+		if qu.Delete {
+			del = append(del, qu.ID)
 		}
 	}
+	e.insIDs, e.delIDs = ins, del
 	if len(ins) == 0 {
 		return
 	}
-	for _, qu := range qs {
-		if _, installed := ins[qu.ID]; installed && qu.Delete {
-			ins[qu.ID] = true
-		}
-	}
-	for id, terminated := range ins {
-		if _, _, _, registered := e.Placement(id); registered && !terminated {
+	slices.Sort(ins)
+	slices.Sort(del)
+	for i, id := range ins {
+		_, terminated := slices.BinarySearch(del, id)
+		if (i > 0 && ins[i-1] == id) || (e.qt.find(id) != nil && !terminated) {
 			panic(dupMsg(id))
 		}
 	}
@@ -238,33 +249,39 @@ func (e *Incremental) Advance(u Updates) {
 		}
 	}
 
-	// Query updates: terminations and moves in batch order, every
-	// installation after them, so an id the batch both installs and
-	// terminates loses its old registration and keeps the new one (and a move
-	// of it is ignored) whatever the order and the mode. A Grouped
+	// Query updates: every termination, then the moves, then every
+	// installation, so an id the batch both installs and terminates loses its
+	// old registration and keeps the new one, and a move of an id the batch
+	// terminates finds no row and is ignored, whatever the order and the
+	// mode. A direct move carries the monitor its row resolved to. A Grouped
 	// installation joins the step's evaluation stage, a Direct one is
 	// computed once the step is over.
+	for _, qu := range u.Queries {
+		if qu.Delete {
+			e.remove(qu.ID, true)
+		}
+	}
 	moves, inserts := e.moves[:0], e.inserts[:0]
 	for _, qu := range u.Queries {
 		switch {
 		case qu.Delete:
-			e.remove(qu.ID, true)
 		case qu.Insert:
 			inserts = append(inserts, qu)
 		default:
-			if e.grp != nil {
-				if q, ok := e.grp.queries[qu.ID]; ok {
-					e.grp.move(q, qu.New)
-					continue
-				}
+			r := e.qt.find(qu.ID)
+			switch {
+			case r == nil: // unknown, or terminated by this batch
+			case r.grp != nil:
+				e.grp.move(r.grp, qu.New)
+			default:
+				moves = append(moves, queryMove{m: r.mon, pos: qu.New})
 			}
-			moves = append(moves, queryMove{id: directKey(qu.ID), pos: qu.New})
 		}
 	}
 	direct := inserts[:0]
 	for _, qu := range inserts {
 		if e.place(qu.New) == Grouped {
-			e.grouped().add(qu.ID, qu.New, qu.K, true)
+			e.qt.insert(queryRow{id: qu.ID, grp: e.grouped().add(qu.ID, qu.New, qu.K, true)})
 		} else {
 			direct = append(direct, qu)
 		}
@@ -276,7 +293,7 @@ func (e *Incremental) Advance(u Updates) {
 		e.grp.reevaluate(changed, u)
 	}
 	for _, qu := range direct {
-		e.set.register(directKey(qu.ID), qu.New, qu.K, false)
+		e.qt.insert(queryRow{id: qu.ID, mon: e.set.register(int32(qu.ID), qu.New, qu.K, false)})
 	}
 }
 
@@ -289,53 +306,17 @@ func (e *Incremental) Commit() {
 }
 
 func (e *Incremental) dropIdleLayer() {
-	if e.grp != nil && len(e.grp.queries) == 0 {
+	if e.grp != nil && e.grp.n == 0 {
 		e.grp = nil
 	}
 }
 
-// queryIDs yields the registered queries of both modes, in no particular
-// order.
-func (e *Incremental) queryIDs(yield func(QueryID) bool) {
-	for key := range e.set.mons {
-		if !key.isNode() && !yield(QueryID(key)) {
-			return
-		}
-	}
-	if e.grp != nil {
-		for id := range e.grp.queries {
-			if !yield(id) {
-				return
-			}
-		}
-	}
-}
-
-// resultOf reads the engine-side current result of one query (the
-// publisher's accessor; bound once at construction).
-func (e *Incremental) resultOf(id QueryID) []Neighbor {
-	if m, ok := e.set.mons[directKey(id)]; ok {
-		return m.result
-	}
-	if e.grp != nil {
-		if q, ok := e.grp.queries[id]; ok {
-			return q.result
-		}
-	}
-	return nil
-}
-
-// publish installs a fresh snapshot over the registered queries (no-op
-// unless the engine is serving).
-func (e *Incremental) publish() { e.pub.publishSet(e.ids) }
+// publish installs a fresh snapshot over the query table (no-op unless the
+// engine is serving).
+func (e *Incremental) publish() { e.pub.publish(&e.qt) }
 
 // Result implements Engine.
-func (e *Incremental) Result(id QueryID) []Neighbor {
-	if snap := e.pub.snapshot(); snap != nil {
-		return snap.Result(id)
-	}
-	return e.resultOf(id)
-}
+func (e *Incremental) Result(id QueryID) []Neighbor { return e.pub.result(&e.qt, id) }
 
 // Snapshot implements Engine.
 func (e *Incremental) Snapshot() *Snapshot { return e.pub.snapshot() }
@@ -353,22 +334,15 @@ func (e *Incremental) Rebuild() {
 	e.dropIdleLayer()
 	e.set.rebuildAll()
 	if g := e.grp; g != nil {
-		sc := e.set.arena(0)
-		for _, id := range g.sortedIDs() {
-			g.evaluate(g.queries[id], sc)
+		for q := range g.queries {
+			g.evaluate(q, e.set.arena(0))
 		}
 	}
 	e.publish()
 }
 
 // Queries implements Engine.
-func (e *Incremental) Queries() []QueryID {
-	n := len(e.set.mons)
-	if e.grp != nil {
-		n += len(e.grp.queries)
-	}
-	return slices.AppendSeq(make([]QueryID, 0, n), e.ids)
-}
+func (e *Incremental) Queries() []QueryID { return e.qt.ids() }
 
 // SizeBytes implements Engine: the monitors' trees, candidates and
 // influence lists, plus the grouped layer's own structures while it exists.

@@ -326,7 +326,7 @@ func TestDuplicateInsertInStepPanics(t *testing.T) {
 			t.Fatalf("%s: Delete+Insert left query 1 at %+v", e.Name(), pos)
 		}
 		e.Step(Updates{Queries: []QueryUpdate{{ID: 1, Delete: true}}})
-		if n := len(e.set.mons); n != 0 {
+		if n := len(e.set.list); n != 0 {
 			t.Fatalf("%s: %d monitors left after the last query was deleted", e.Name(), n)
 		}
 		e.Step(Updates{Objects: []ObjectUpdate{{ID: 7, Old: roadnet.Position{Edge: 1, Frac: 0.5}, New: roadnet.Position{Edge: 3, Frac: 0.5}}}})
@@ -363,8 +363,8 @@ func TestResultMatchesOracleAfterEachKindOfUpdate(t *testing.T) {
 func findQueryPos(e Engine, id QueryID) (roadnet.Position, bool) {
 	switch eng := e.(type) {
 	case *OVH:
-		if m, ok := eng.mons[id]; ok {
-			return m.pos, true
+		if r := eng.qt.find(id); r != nil {
+			return r.mon.pos, true
 		}
 	case *Incremental:
 		pos, _, _, ok := eng.Placement(id)

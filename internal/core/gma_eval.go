@@ -93,8 +93,8 @@ func (g *groupLayer) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
 	if g.net.G.Degree(n) <= 1 {
 		return
 	}
-	mon, ok := g.set.mons[nodeKey(n)]
-	if !ok {
+	mon := g.nodeMon[n]
+	if mon == nil {
 		panic("core: grouped query depends on inactive node")
 	}
 	for _, nb := range mon.result {

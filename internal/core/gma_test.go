@@ -56,8 +56,8 @@ func TestGMAActiveNodesForChainQuery(t *testing.T) {
 
 	// Both chain endpoints n1 and n5 must be active with k=2.
 	for _, name := range []string{"n1", "n5"} {
-		mon, ok := e.set.mons[nodeKey(nodes[name])]
-		if !ok {
+		mon := e.grp.nodeMon[nodes[name]]
+		if mon == nil {
 			t.Fatalf("%s not active", name)
 		}
 		if mon.k != 2 {
@@ -65,7 +65,7 @@ func TestGMAActiveNodesForChainQuery(t *testing.T) {
 		}
 	}
 	// n2 has no query in an adjacent sequence: inactive.
-	if _, ok := e.set.mons[nodeKey(nodes["n2"])]; ok {
+	if e.grp.nodeMon[nodes["n2"]] != nil {
 		t.Fatal("n2 wrongly active")
 	}
 	// Result must match the oracle.
@@ -82,10 +82,10 @@ func TestGMATerminalEndpointNotActivated(t *testing.T) {
 	// q3 of the paper sits on sequence {n5n4}: endpoint n4 is a terminal
 	// and must not be activated; n5 must be.
 	e.Register(3, roadnet.Position{Edge: edges["n5n4"], Frac: 0.8}, 3)
-	if _, ok := e.set.mons[nodeKey(nodes["n4"])]; ok {
+	if e.grp.nodeMon[nodes["n4"]] != nil {
 		t.Fatal("terminal n4 wrongly activated")
 	}
-	if _, ok := e.set.mons[nodeKey(nodes["n5"])]; !ok {
+	if e.grp.nodeMon[nodes["n5"]] == nil {
 		t.Fatal("n5 not activated")
 	}
 	want := BruteForceKNN(net, roadnet.Position{Edge: edges["n5n4"], Frac: 0.8}, 3)
@@ -101,18 +101,18 @@ func TestGMANodeKIsMaxOverQueries(t *testing.T) {
 	e.Register(1, roadnet.Position{Edge: edges["n1n7"], Frac: 0.5}, 2)
 	e.Register(3, roadnet.Position{Edge: edges["n5n4"], Frac: 0.8}, 3)
 	// n5 serves q1 (k=2, chain) and q3 (k=3): n.k = 3.
-	if mon := e.set.mons[nodeKey(nodes["n5"])]; mon.k != 3 {
+	if mon := e.grp.nodeMon[nodes["n5"]]; mon.k != 3 {
 		t.Fatalf("n5 k = %d, want 3", mon.k)
 	}
 	// Removing q3 must lower n5's k back to 2 and keep results valid.
 	e.Unregister(3)
-	if mon := e.set.mons[nodeKey(nodes["n5"])]; mon.k != 2 {
+	if mon := e.grp.nodeMon[nodes["n5"]]; mon.k != 2 {
 		t.Fatalf("after unregister, n5 k = %d, want 2", mon.k)
 	}
 	// Removing q1 must deactivate n1, n5 entirely.
 	e.Unregister(1)
-	if len(e.set.mons) != 0 {
-		t.Fatalf("%d active nodes remain after last unregister", len(e.set.mons))
+	if len(e.set.list) != 0 {
+		t.Fatalf("%d active nodes remain after last unregister", len(e.set.list))
 	}
 	if e.set.il.entries() != 0 {
 		t.Fatalf("influence table not empty: %d", e.set.il.entries())
@@ -128,13 +128,13 @@ func TestGMAQueryMoveBetweenSequences(t *testing.T) {
 	newPos := roadnet.Position{Edge: edges["n2n3"], Frac: 0.5}
 	e.Step(Updates{Queries: []QueryUpdate{{ID: 1, New: newPos}}})
 	// Old chain endpoints should be deactivated, n2 activated.
-	if _, ok := e.set.mons[nodeKey(nodes["n7"])]; ok {
+	if e.grp.nodeMon[nodes["n7"]] != nil {
 		t.Fatal("degree-2 node activated")
 	}
-	if _, ok := e.set.mons[nodeKey(nodes["n2"])]; !ok {
+	if e.grp.nodeMon[nodes["n2"]] == nil {
 		t.Fatal("n2 not activated after move")
 	}
-	if _, ok := e.set.mons[nodeKey(nodes["n1"])]; ok {
+	if e.grp.nodeMon[nodes["n1"]] != nil {
 		t.Fatal("n1 still active after the query left its sequences")
 	}
 	want := BruteForceKNN(net, newPos, 2)
@@ -148,7 +148,7 @@ func TestGMAIntervalRegistrationWithinSequenceOnly(t *testing.T) {
 	figure11Objects(net, edges)
 	e := NewGMA(net)
 	e.Register(1, roadnet.Position{Edge: edges["n1n7"], Frac: 0.5}, 2)
-	q := e.grp.queries[1]
+	q := e.qt.find(1).grp
 	seq := &e.grp.seqs.Seqs[q.seq]
 	if len(seq.Edges) != 3 || seq.Edges[q.idx] != edges["n1n7"] {
 		t.Fatalf("query sits at index %d of sequence %v, want edge %d of the three-edge chain", q.idx, seq.Edges, edges["n1n7"])
@@ -250,7 +250,7 @@ func TestGMAFewerObjectsThanK(t *testing.T) {
 	e := NewGMA(net)
 	pos := roadnet.Position{Edge: edges["n1n7"], Frac: 0.2}
 	e.Register(1, pos, 4)
-	q := e.grp.queries[1]
+	q := e.qt.find(1).grp
 	if !q.reachA || !q.reachB {
 		t.Fatalf("with kNN_dist=inf both endpoints must be reached: %+v", q)
 	}

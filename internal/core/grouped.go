@@ -18,10 +18,11 @@ import (
 // never decomposes the network into sequences.
 type groupLayer struct {
 	net  *roadnet.Network
-	set  *monitorSet // holds the node monitors, under nodeKey
+	set  *monitorSet // holds the node monitors, and the engine's query table
 	seqs *roadnet.Sequences
 
-	queries map[QueryID]*gmaQuery
+	// n counts the grouped queries (their rows are in the query table).
+	n int
 	// seqQ lists the queries on each sequence, by SeqID. It is the grouped
 	// side's influence list: a query's influencing intervals never leave its
 	// sequence, so an update on an edge concerns at most the queries of that
@@ -29,9 +30,10 @@ type groupLayer struct {
 	// evaluation reached (gmaQuery.influenced).
 	seqQ [][]*gmaQuery
 	// nodeQ is n.Q, by NodeID (topology edits never add nodes). A node is
-	// active exactly while its entry is non-empty, and is monitored with the
-	// largest k among its members.
-	nodeQ [][]*gmaQuery
+	// active exactly while its entry is non-empty, and is then monitored, with
+	// the largest k among its members, by its entry of nodeMon (nil otherwise).
+	nodeQ   [][]*gmaQuery
+	nodeMon []*monitor
 	// naiveEval disables the bounded in-sequence walk: evaluations scan the
 	// whole sequence and always merge both endpoint NN sets (the GMA-naive
 	// ablation, §5's strawman).
@@ -101,8 +103,8 @@ func newGroupLayer(set *monitorSet, naiveEval bool) *groupLayer {
 		net:       set.net,
 		set:       set,
 		seqs:      roadnet.DecomposeSequences(set.net.G),
-		queries:   make(map[QueryID]*gmaQuery),
 		nodeQ:     make([][]*gmaQuery, set.net.G.NumNodes()),
+		nodeMon:   make([]*monitor, set.net.G.NumNodes()),
 		naiveEval: naiveEval,
 	}
 	g.seqQ = make([][]*gmaQuery, len(g.seqs.Seqs))
@@ -118,15 +120,15 @@ func (g *groupLayer) flag(q *gmaQuery) {
 	}
 }
 
-// add installs a grouped query and attaches it to its sequence. Within a
-// step the query is only flagged for the evaluation stage; outside one the
-// caller evaluates it.
+// add creates a grouped query (the caller gives it its row) and attaches it
+// to its sequence. Within a step the query is only flagged for the evaluation
+// stage; outside one the caller evaluates it.
 func (g *groupLayer) add(id QueryID, pos roadnet.Position, k int, inStep bool) *gmaQuery {
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
 	q := &gmaQuery{id: id, k: k, pos: pos, kdist: math.Inf(1)}
-	g.queries[id] = q
+	g.n++
 	g.attach(q, inStep)
 	if inStep {
 		g.flag(q)
@@ -137,7 +139,7 @@ func (g *groupLayer) add(id QueryID, pos roadnet.Position, k int, inStep bool) *
 // remove detaches and forgets a grouped query.
 func (g *groupLayer) remove(q *gmaQuery, inStep bool) {
 	g.detach(q, inStep)
-	delete(g.queries, q.id)
+	g.n--
 	q.gone = true
 }
 
@@ -175,8 +177,8 @@ func (g *groupLayer) attach(q *gmaQuery, inStep bool) {
 	g.seqQ[q.seq] = append(g.seqQ[q.seq], q)
 	ends, cnt := g.endpoints(q)
 	for _, n := range ends[:cnt] {
-		if mon, active := g.set.mons[nodeKey(n)]; !active {
-			g.set.register(nodeKey(n), g.nodePosition(n), q.k, true)
+		if mon := g.nodeMon[n]; mon == nil {
+			g.nodeMon[n] = g.set.register(int32(n), g.nodePosition(n), q.k, true)
 		} else if mon.k < q.k {
 			g.setNodeK(n, mon, q.k, inStep)
 		}
@@ -195,17 +197,23 @@ func (g *groupLayer) detach(q *gmaQuery, inStep bool) {
 		qs := dropQuery(g.nodeQ[n], q)
 		g.nodeQ[n] = qs
 		if len(qs) == 0 {
-			g.set.unregister(nodeKey(n))
+			g.deactivateNode(n)
 			continue
 		}
 		maxK := 0
 		for _, o := range qs {
 			maxK = max(maxK, o.k)
 		}
-		if mon := g.set.mons[nodeKey(n)]; mon.k != maxK {
+		if mon := g.nodeMon[n]; mon.k != maxK {
 			g.setNodeK(n, mon, maxK, inStep)
 		}
 	}
+}
+
+// deactivateNode drops the monitor of node n, left without dependents.
+func (g *groupLayer) deactivateNode(n graph.NodeID) {
+	g.set.unregister(g.nodeMon[n])
+	g.nodeMon[n] = nil
 }
 
 // dropQuery removes q from qs, which holds it, without keeping the order.
@@ -249,7 +257,7 @@ func (g *groupLayer) deactivate() {
 		if len(qs) > 0 {
 			clear(qs)
 			g.nodeQ[n] = qs[:0]
-			g.set.unregister(nodeKey(graph.NodeID(n)))
+			g.deactivateNode(graph.NodeID(n))
 		}
 	}
 }
@@ -273,9 +281,8 @@ func (g *groupLayer) redecompose() {
 	}
 
 	// Re-snap queries stranded on removed edges (the objects' deterministic
-	// rule), then re-attach everything to the new sequences.
-	for _, id := range g.sortedIDs() {
-		q := g.queries[id]
+	// rule), then re-attach everything to the new sequences, in id order.
+	for q := range g.queries {
 		if !g.net.G.EdgeAlive(q.pos.Edge) {
 			q.pos = resnap(g.net, q.pos)
 		}
@@ -284,13 +291,14 @@ func (g *groupLayer) redecompose() {
 	}
 }
 
-func (g *groupLayer) sortedIDs() []QueryID {
-	ids := make([]QueryID, 0, len(g.queries))
-	for id := range g.queries {
-		ids = append(ids, id)
+// queries yields the grouped queries, ascending by id: the query table's
+// rows that hold one.
+func (g *groupLayer) queries(yield func(*gmaQuery) bool) {
+	for _, r := range g.set.qt.rows {
+		if r.grp != nil && !yield(r.grp) {
+			return
+		}
 	}
-	slices.Sort(ids)
-	return ids
 }
 
 // reevaluate is the grouped half of a step, run after the monitor set has
@@ -302,7 +310,7 @@ func (g *groupLayer) sortedIDs() []QueryID {
 func (g *groupLayer) reevaluate(changed []*monitor, u Updates) {
 	// Lines 7-8: queries influenced by changed active nodes.
 	for _, mon := range changed {
-		n := mon.id.node()
+		n := graph.NodeID(mon.id)
 		for _, q := range g.nodeQ[n] {
 			seq := &g.seqs.Seqs[q.seq]
 			if (seq.EndA == n && q.reachA) || (seq.EndB == n && q.reachB) {
@@ -373,7 +381,7 @@ func (g *groupLayer) markAt(e graph.EdgeID, f float64, whole bool) {
 // and influence lists are the monitor set's.
 func (g *groupLayer) sizeBytes() int {
 	n := 0
-	for _, q := range g.queries {
+	for q := range g.queries {
 		// 64: idx, ext and the three intervals; 8: the seqQ entry.
 		n += q.cand.len()*candEntrySize + 96 + 64 + 8
 	}

@@ -22,16 +22,16 @@ func flipState(e *Incremental) []string {
 	var out []string
 	for eid, l := range e.set.il.byEdge {
 		if len(l) > 0 {
-			var keys []monKey
+			var keys []int64
 			for _, m := range l {
-				keys = append(keys, m.id)
+				keys = append(keys, m.order())
 			}
 			slices.Sort(keys)
 			out = append(out, fmt.Sprintf("il %d %v", eid, keys))
 		}
 	}
-	for key, m := range e.set.mons {
-		out = append(out, fmt.Sprintf("mon %d node=%v k=%d at %+v", key, key.isNode(), m.k, m.pos))
+	for _, m := range e.set.list {
+		out = append(out, fmt.Sprintf("mon %d node=%v k=%d at %+v", m.id, m.track, m.k, m.pos))
 	}
 	if e.grp != nil {
 		ids := func(qs []*gmaQuery) []QueryID {
@@ -42,7 +42,7 @@ func flipState(e *Incremental) []string {
 			slices.Sort(out)
 			return out
 		}
-		for _, q := range e.grp.queries {
+		for q := range e.grp.queries {
 			out = append(out, fmt.Sprintf("reach %d: edge %d of %v, A %d %v, own %v, B %d %v",
 				q.id, q.idx, e.grp.seqs.Seqs[q.seq].Edges, q.extA, q.ivA, q.ivOwn, q.extB, q.ivB))
 		}
@@ -209,17 +209,17 @@ func TestStaticPlacementsKeepToTheirMode(t *testing.T) {
 	if ima.grp != nil {
 		t.Fatal("IMA built the grouped layer")
 	}
-	for key := range ima.set.mons {
-		if key.isNode() {
-			t.Fatalf("IMA holds node monitor %d", key)
+	for _, m := range ima.set.list {
+		if m.track {
+			t.Fatalf("IMA holds node monitor %d", m.id)
 		}
 	}
-	if gma.grp == nil || len(gma.grp.queries) != len(w.qPos) {
+	if gma.grp == nil || gma.grp.n != len(w.qPos) {
 		t.Fatal("GMA's queries are not all grouped")
 	}
-	for key := range gma.set.mons {
-		if !key.isNode() {
-			t.Fatalf("GMA holds direct monitor %d", key)
+	for _, m := range gma.set.list {
+		if !m.track {
+			t.Fatalf("GMA holds direct monitor %d", m.id)
 		}
 	}
 }

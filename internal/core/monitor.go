@@ -50,13 +50,18 @@ type monitor struct {
 	net *roadnet.Network
 	il  *ilTable // the owning engine's influence table
 
-	id   monKey
+	// id is the QueryID of a direct monitor, the NodeID of a node monitor.
+	// Nothing is looked up by it: it names the monitor and, with track,
+	// orders it (order).
+	id   int32
 	k    int
 	pos  roadnet.Position
 	cand candStore
 	// track makes step report this monitor when its result changed: set on
 	// node monitors, whose changes wake their dependent grouped queries.
 	track bool
+	// at is the monitor's index in its set's list.
+	at int32
 	// result aliases cand's storage after finalize; kdist mirrors cand.kth.
 	result []Neighbor
 	kdist  float64
@@ -143,7 +148,17 @@ func (m *monitor) ilRemove(e graph.EdgeID) {
 	m.il.remove(e, m)
 }
 
-func newMonitor(net *roadnet.Network, il *ilTable, id monKey, pos roadnet.Position, k int) *monitor {
+// order is the total order over a set's monitors wherever one is needed (the
+// shard order of a sharded finish, rebuildAll): direct monitors by QueryID,
+// then node monitors by NodeID.
+func (m *monitor) order() int64 {
+	if m.track {
+		return 1<<32 + int64(m.id)
+	}
+	return int64(m.id)
+}
+
+func newMonitor(net *roadnet.Network, il *ilTable, id int32, pos roadnet.Position, k int) *monitor {
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
@@ -155,7 +170,7 @@ func newMonitor(net *roadnet.Network, il *ilTable, id monKey, pos roadnet.Positi
 // reset re-initializes a pooled monitor for a fresh registration, retaining
 // every buffer (tree storage, candidate set, influence scratch). The caller
 // must run computeInitial before the monitor is consulted.
-func (m *monitor) reset(id monKey, pos roadnet.Position, k int) {
+func (m *monitor) reset(id int32, pos roadnet.Position, k int) {
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}

@@ -10,32 +10,22 @@ import (
 	"roadknn/internal/roadnet"
 )
 
-// monKey identifies a monitor within a monitorSet. Direct monitors (user
-// queries with their own expansion tree) are keyed by their QueryID; node
-// monitors (active sequence endpoints serving grouped queries) by their
-// node id shifted past the QueryID range, so the two kinds share one map,
-// one influence table and one route pass without colliding.
-type monKey int64
-
-const nodeKeyBase monKey = 1 << 32
-
-func directKey(id QueryID) monKey   { return monKey(id) }
-func nodeKey(n graph.NodeID) monKey { return nodeKeyBase + monKey(n) }
-func (k monKey) isNode() bool       { return k >= nodeKeyBase }
-func (k monKey) node() graph.NodeID { return graph.NodeID(k - nodeKeyBase) }
-
 // monitorSet runs the complete IMA pipeline of Fig. 10 over a collection of
 // monitored points: the user queries placed in Direct mode and the active
 // nodes (whose positions never move) behind the Grouped ones, all in one
-// map, routed through one influence table in one pass per timestamp.
+// list, routed through one influence table in one pass per timestamp.
 type monitorSet struct {
-	net  *roadnet.Network
-	il   *ilTable
-	mons map[monKey]*monitor
+	net *roadnet.Network
+	il  *ilTable
+	// list holds every registered monitor, in no order a result depends on
+	// (each knows its place, monitor.at). Nothing is looked up in it: a direct
+	// monitor is found through its query's row in qt, the owning engine's
+	// query table, a node monitor through the grouped layer's nodeMon.
+	list []*monitor
+	qt   *queryTable
 	// unfiltered disables influence-list lookups: every update is offered
-	// to every monitor (the IMA-NF ablation), listed in everyone.
+	// to every monitor (the IMA-NF ablation).
 	unfiltered bool
-	everyone   []*monitor
 	// workers is the size of the worker pool. Engines set it (with the pool
 	// and shardFn) via configure; the zero value never shards.
 	workers int
@@ -75,10 +65,11 @@ type monitorSet struct {
 	changeBuf    []edgeChange
 
 	// topoMoves / topoMarks carry a topology phase's object re-snaps and
-	// flagged monitors from applyTopology to the step that follows it; both
-	// are reused across steps.
+	// flagged queries from applyTopology to the step that follows it, which
+	// resolves the marks through qt (a marked query can be terminated in
+	// between); both are reused across steps.
 	topoMoves []roadnet.ObjectMove
-	topoMarks []monKey
+	topoMarks []QueryID
 
 	// free recycles unregistered monitors, trees/candidate sets and all:
 	// the active-node layer churns registrations on every grouped query
@@ -86,11 +77,11 @@ type monitorSet struct {
 	free []*monitor
 }
 
-func newMonitorSet(net *roadnet.Network) *monitorSet {
+func newMonitorSet(net *roadnet.Network, qt *queryTable) *monitorSet {
 	return &monitorSet{
 		net:  net,
 		il:   newILTable(net.G.NumEdges()),
-		mons: make(map[monKey]*monitor),
+		qt:   qt,
 		aggW: make(map[graph.EdgeID]float64),
 	}
 }
@@ -112,11 +103,12 @@ func (s *monitorSet) arena(i int) *scratch {
 	return s.arenas.get(i, s.net.G.NumNodes())
 }
 
-// register installs a monitor under key and computes its initial result.
-// track enables result-change reporting from step for this monitor: node
-// monitors need it to wake their dependent grouped queries, direct monitors
-// leave it off so no result is copied per timestamp.
-func (s *monitorSet) register(id monKey, pos roadnet.Position, k int, track bool) *monitor {
+// register installs a monitor and computes its initial result. id is the
+// QueryID of a direct monitor or the NodeID of a node monitor (see
+// monitor.order). track enables result-change reporting from step for this
+// monitor: node monitors need it to wake their dependent grouped queries,
+// direct monitors leave it off so no result is copied per timestamp.
+func (s *monitorSet) register(id int32, pos roadnet.Position, k int, track bool) *monitor {
 	var m *monitor
 	if n := len(s.free); n > 0 {
 		m = s.free[n-1]
@@ -125,8 +117,8 @@ func (s *monitorSet) register(id monKey, pos roadnet.Position, k int, track bool
 	} else {
 		m = newMonitor(s.net, s.il, id, pos, k)
 	}
-	m.track = track
-	s.mons[id] = m
+	m.track, m.at = track, int32(len(s.list))
+	s.list = append(s.list, m)
 	m.computeInitial(s.arena(0))
 	return m
 }
@@ -140,35 +132,33 @@ func (s *monitorSet) register(id monKey, pos roadnet.Position, k int, track bool
 // logical state through different update sequences can disagree in the
 // last bits; rebuildAll canonicalizes the state so that a from-scratch
 // replica built at this instant is bit-identical. The durability layer
-// calls it at checkpoint boundaries.
+// calls it at checkpoint boundaries. The monitors are recomputed — and left
+// listed — in monitor.order: the list, too, forgets its history.
 func (s *monitorSet) rebuildAll() {
-	ids := make([]monKey, 0, len(s.mons))
-	for id := range s.mons {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	slices.SortFunc(s.list, func(a, b *monitor) int { return cmp.Compare(a.order(), b.order()) })
 	sc := s.arena(0)
-	for _, id := range ids {
-		m := s.mons[id]
+	for i, m := range s.list {
 		m.clearIL()
-		m.reset(id, m.pos, m.k)
+		m.reset(m.id, m.pos, m.k)
+		m.at = int32(i)
 		m.computeInitial(sc)
 	}
 }
 
-func (s *monitorSet) unregister(id monKey) {
-	m, ok := s.mons[id]
-	if !ok {
-		return
-	}
+// unregister drops m, moving the list's last monitor into its place.
+func (s *monitorSet) unregister(m *monitor) {
 	m.clearIL()
-	delete(s.mons, id)
+	last := len(s.list) - 1
+	s.list[m.at] = s.list[last]
+	s.list[m.at].at = m.at
+	s.list[last] = nil
+	s.list = s.list[:last]
 	s.free = append(s.free, m)
 }
 
-// queryMove is a pending query relocation within a step.
+// queryMove is a pending relocation of a direct query within a step.
 type queryMove struct {
-	id  monKey
+	m   *monitor
 	pos roadnet.Position
 }
 
@@ -193,7 +183,7 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 	g := s.net.G
 	recompute := func(m *monitor) {
 		m.needRecompute = true
-		s.topoMarks = append(s.topoMarks, m.id)
+		s.topoMarks = append(s.topoMarks, QueryID(m.id))
 	}
 	recomputeOn := func(e graph.EdgeID) {
 		for _, m := range s.influenced(e) {
@@ -224,7 +214,7 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 	// Queries sitting on a removed edge re-snap onto the nearest live
 	// position, by the same deterministic rule as the edge's resident
 	// objects, and recompute from there.
-	for _, m := range s.mons {
+	for _, m := range s.list {
 		if !g.EdgeAlive(m.pos.Edge) {
 			m.pos = resnap(s.net, m.pos)
 			recompute(m)
@@ -256,7 +246,7 @@ func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []query
 	// A position travels with its touched entry only if it is the object's
 	// last this timestamp.
 	s.late = len(s.topoMoves) > 0 || s.seen.repeats(objs)
-	s.sharded = s.workers > 1 && len(s.mons) > 1
+	s.sharded = s.workers > 1 && len(s.list) > 1
 	s.works = s.works[:0]
 
 	s.route(objs, edges, moves)
@@ -277,9 +267,9 @@ func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []quer
 	// scratch. The re-snapped objects need no outgoing offers — every query
 	// that could hold an object of a removed edge is in that edge's influence
 	// list and among the flagged — and arrive after the edge phase, below.
-	for _, q := range s.topoMarks {
-		if m, ok := s.mons[q]; ok {
-			s.work(m).affected = true
+	for _, id := range s.topoMarks {
+		if r := s.qt.find(id); r != nil && r.mon != nil {
+			s.work(r.mon).affected = true
 		}
 	}
 
@@ -289,14 +279,10 @@ func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []quer
 	// the later phases skip work on their (discarded) trees.
 	pendingMoves := s.pendingMoves[:0]
 	for _, mv := range moves {
-		m, ok := s.mons[mv.id]
-		if !ok {
-			continue
-		}
-		s.work(m).affected = true
-		if !m.inRegion(mv.pos) {
-			m.pos = mv.pos
-			m.needRecompute = true
+		s.work(mv.m).affected = true
+		if !mv.m.inRegion(mv.pos) {
+			mv.m.pos = mv.pos
+			mv.m.needRecompute = true
 			continue
 		}
 		pendingMoves = append(pendingMoves, mv)
@@ -326,7 +312,7 @@ func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []quer
 	// repeats the region test: edge pruning may have invalidated the part of
 	// the tree containing the new location).
 	for _, mv := range pendingMoves {
-		m := [1]*monitor{s.mons[mv.id]}
+		m := [1]*monitor{mv.m}
 		s.deliver(m[:], monOp{kind: opMove, pos: mv.pos})
 	}
 
@@ -412,17 +398,13 @@ func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 
 // influenced returns the monitors to consider for an update on edge e: the
 // edge's influence list normally, or every monitor when filtering is ablated
-// away. The slice is the table's own (or a buffer the next call reuses):
-// callers only read it, and must not touch the table while they do.
+// away. The slice is the table's own (or the set's list): callers only read
+// it, and must not touch the table or register monitors while they do.
 func (s *monitorSet) influenced(e graph.EdgeID) []*monitor {
-	if !s.unfiltered {
-		return s.il.byEdge[e]
+	if s.unfiltered {
+		return s.list
 	}
-	s.everyone = s.everyone[:0]
-	for _, m := range s.mons {
-		s.everyone = append(s.everyone, m)
-	}
-	return s.everyone
+	return s.il.byEdge[e]
 }
 
 // idSet detects a timestamp that reports one object more than once: an
@@ -471,7 +453,7 @@ func (t *idSet) repeats(objs []ObjectUpdate) bool {
 
 func (s *monitorSet) sizeBytes() int {
 	n := 0
-	for _, m := range s.mons {
+	for _, m := range s.list {
 		n += m.sizeBytes()
 	}
 	n += s.il.entries() * (4 + 16)

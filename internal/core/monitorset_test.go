@@ -17,7 +17,7 @@ func TestILTableAddRemove(t *testing.T) {
 	if il.entries() != 3 {
 		t.Fatalf("entries = %d, want 3", il.entries())
 	}
-	seen := map[monKey]bool{}
+	seen := map[int32]bool{}
 	for _, q := range il.byEdge[0] {
 		seen[q.id] = true
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"maps"
 	"runtime"
-	"slices"
 
 	"roadknn/internal/pool"
 	"roadknn/internal/roadnet"
@@ -15,9 +13,10 @@ import (
 // (lines 10 and 28), so OVH maintains the edge table's influence lists like
 // the original — it just never exploits them.
 type OVH struct {
-	net     *roadnet.Network
-	il      *ilTable
-	mons    map[QueryID]*monitor
+	net *roadnet.Network
+	il  *ilTable
+	// qt is the query table; every row holds a monitor.
+	qt      queryTable
 	workers int
 	// pool is the persistent worker pool of the recompute stage; recFn is
 	// e.recomputeShard bound once so pool dispatch never allocates.
@@ -27,10 +26,8 @@ type OVH struct {
 	// arenas holds the per-worker scratch arenas for the from-scratch
 	// searches (arena 0 serves the serial paths).
 	arenas arenaPool
-	// stepIDs / stepBufs are the parallel recompute stage's shard list and
-	// per-shard influence-op buffers, retained across steps to amortize
-	// allocations.
-	stepIDs  []QueryID
+	// stepBufs are the parallel recompute stage's per-shard (per-row)
+	// influence-op buffers, retained across steps to amortize allocations.
 	stepBufs [][]ilOp
 }
 
@@ -50,12 +47,11 @@ func NewOVHWith(net *roadnet.Network, o Options) *OVH {
 	e := &OVH{
 		net:     net,
 		il:      newILTable(net.G.NumEdges()),
-		mons:    make(map[QueryID]*monitor),
 		workers: o.workers(),
 	}
 	e.pool = pool.New(e.workers)
 	e.recFn = e.recomputeShard
-	e.pub.init(o, e.resultOf)
+	e.pub.init(o)
 	runtime.AddCleanup(e, func(p *pool.Pool) { p.Close() }, e.pool)
 	return e
 }
@@ -68,11 +64,8 @@ func (e *OVH) Network() *roadnet.Network { return e.net }
 
 // Register implements Engine.
 func (e *OVH) Register(id QueryID, pos roadnet.Position, k int) {
-	if _, dup := e.mons[id]; dup {
-		panic("core: query already registered")
-	}
-	m := newMonitor(e.net, e.il, directKey(id), pos, k)
-	e.mons[id] = m
+	m := newMonitor(e.net, e.il, int32(id), pos, k)
+	e.qt.insert(queryRow{id: id, mon: m})
 	m.computeInitial(e.arena(0))
 	e.publish()
 }
@@ -84,9 +77,8 @@ func (e *OVH) Unregister(id QueryID) {
 }
 
 func (e *OVH) unregister(id QueryID) {
-	if m, ok := e.mons[id]; ok {
-		m.clearIL()
-		delete(e.mons, id)
+	if r, ok := e.qt.remove(id); ok {
+		r.mon.clearIL()
 	}
 }
 
@@ -99,9 +91,9 @@ func (e *OVH) applyTopology(topo []TopologyUpdate) {
 	applyTopologyOps(e.net, topo, nil)
 	g.Freeze()
 	e.il.grow(g.NumEdges())
-	for _, m := range e.mons {
-		if !g.EdgeAlive(m.pos.Edge) {
-			m.pos = resnap(e.net, m.pos)
+	for _, r := range e.qt.rows {
+		if !g.EdgeAlive(r.mon.pos.Edge) {
+			r.mon.pos = resnap(e.net, r.mon.pos)
 		}
 	}
 }
@@ -127,22 +119,23 @@ func (e *OVH) Step(u Updates) {
 			e.net.MoveObject(ou.ID, ou.New)
 		}
 	}
-	// Terminations and moves in batch order, installations after them all
-	// (the rule of Updates).
+	// Every termination, then the moves, then every installation (the rule
+	// of Updates).
 	for _, qu := range u.Queries {
-		switch {
-		case qu.Delete:
+		if qu.Delete {
 			e.unregister(qu.ID)
-		case qu.Insert:
-		default:
-			if m, ok := e.mons[qu.ID]; ok {
-				m.pos = qu.New
+		}
+	}
+	for _, qu := range u.Queries {
+		if !qu.Delete && !qu.Insert {
+			if r := e.qt.find(qu.ID); r != nil {
+				r.mon.pos = qu.New
 			}
 		}
 	}
 	for _, qu := range u.Queries {
-		if qu.Insert {
-			e.mons[qu.ID] = newMonitor(e.net, e.il, directKey(qu.ID), qu.New, qu.K)
+		if qu.Insert && !qu.Delete {
+			e.qt.insert(queryRow{id: qu.ID, mon: newMonitor(e.net, e.il, int32(qu.ID), qu.New, qu.K)})
 		}
 	}
 	// Recompute every query from scratch. Queries are independent here —
@@ -150,72 +143,59 @@ func (e *OVH) Step(u Updates) {
 	// monitor — so the per-query searches fan out over the worker pool,
 	// with influence-table writes deferred into per-shard buffers and
 	// merged in ascending query order.
-	ids := e.stepIDs[:0]
-	for id := range e.mons {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	e.stepIDs = ids
-	if e.workers > 1 && len(ids) > 1 {
-		for len(e.stepBufs) < len(ids) {
+	rows := e.qt.rows
+	if e.workers > 1 && len(rows) > 1 {
+		for len(e.stepBufs) < len(rows) {
 			e.stepBufs = append(e.stepBufs, nil)
 		}
-		bufs := e.stepBufs[:len(ids)]
+		bufs := e.stepBufs[:len(rows)]
 		for i := range bufs {
 			bufs[i] = bufs[i][:0]
 		}
-		for w := 0; w < min(e.workers, len(ids)); w++ {
+		for w := 0; w < min(e.workers, len(rows)); w++ {
 			e.arena(w) // pre-create outside the workers
 		}
-		e.pool.Run(len(ids), e.recFn)
-		for i, id := range ids {
-			m := e.mons[id]
+		e.pool.Run(len(rows), e.recFn)
+		for i, r := range rows {
 			for _, op := range bufs[i] {
 				if op.add {
-					e.il.add(op.edge, m)
+					e.il.add(op.edge, r.mon)
 				} else {
-					e.il.remove(op.edge, m)
+					e.il.remove(op.edge, r.mon)
 				}
 			}
 		}
 	} else {
-		sc := e.arena(0)
-		for _, id := range ids {
-			e.mons[id].computeInitial(sc)
-		}
+		e.recomputeAll()
 	}
 	e.pub.tick()
 	e.publish()
 }
 
-// recomputeShard recomputes query e.stepIDs[i] from scratch on pool worker
+// recomputeAll recomputes every query from scratch on the caller, in id
+// order.
+func (e *OVH) recomputeAll() {
+	sc := e.arena(0)
+	for _, r := range e.qt.rows {
+		r.mon.computeInitial(sc)
+	}
+}
+
+// recomputeShard recomputes the query of row i from scratch on pool worker
 // wk, deferring its influence-table writes into the shard buffer.
 func (e *OVH) recomputeShard(wk, i int) {
-	m := e.mons[e.stepIDs[i]]
+	m := e.qt.rows[i].mon
 	m.ilDefer = &e.stepBufs[i]
 	m.computeInitial(e.arena(wk))
 	m.ilDefer = nil
 }
 
-// resultOf reads the engine-side current result of one query.
-func (e *OVH) resultOf(id QueryID) []Neighbor {
-	if m, ok := e.mons[id]; ok {
-		return m.result
-	}
-	return nil
-}
-
-// publish installs a fresh snapshot over the registered queries (no-op
-// unless the engine is serving).
-func (e *OVH) publish() { e.pub.publishSet(maps.Keys(e.mons)) }
+// publish installs a fresh snapshot over the query table (no-op unless the
+// engine is serving).
+func (e *OVH) publish() { e.pub.publish(&e.qt) }
 
 // Result implements Engine.
-func (e *OVH) Result(id QueryID) []Neighbor {
-	if snap := e.pub.snapshot(); snap != nil {
-		return snap.Result(id)
-	}
-	return e.resultOf(id)
-}
+func (e *OVH) Result(id QueryID) []Neighbor { return e.pub.result(&e.qt, id) }
 
 // Snapshot implements Engine.
 func (e *OVH) Snapshot() *Snapshot { return e.pub.snapshot() }
@@ -229,34 +209,20 @@ func (e *OVH) RestoreClock(epoch, stamp uint64) { e.pub.restore(epoch, stamp) }
 // a serial recompute pass plus a fresh publication keeps the checkpoint
 // contract uniform across engines.
 func (e *OVH) Rebuild() {
-	ids := make([]QueryID, 0, len(e.mons))
-	for id := range e.mons {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	sc := e.arena(0)
-	for _, id := range ids {
-		e.mons[id].computeInitial(sc)
-	}
+	e.recomputeAll()
 	e.publish()
 }
 
 // Queries implements Engine.
-func (e *OVH) Queries() []QueryID {
-	out := make([]QueryID, 0, len(e.mons))
-	for id := range e.mons {
-		out = append(out, id)
-	}
-	return out
-}
+func (e *OVH) Queries() []QueryID { return e.qt.ids() }
 
 // SizeBytes implements Engine. OVH needs only the result sets between
 // timestamps; what it holds is each monitor's candidate store, the result
 // and whatever the last expansion scanned beyond it.
 func (e *OVH) SizeBytes() int {
 	n := 0
-	for _, m := range e.mons {
-		n += m.cand.len() * candEntrySize
+	for _, r := range e.qt.rows {
+		n += r.mon.cand.len() * candEntrySize
 	}
 	return n
 }

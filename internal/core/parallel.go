@@ -218,7 +218,7 @@ func (s *monitorSet) apply(m *monitor, op monOp, wk int) bool {
 // first-touch order on the caller, writing the table directly.
 func (s *monitorSet) finish() []*monitor {
 	if s.sharded {
-		slices.SortFunc(s.works, func(a, b monWork) int { return cmp.Compare(a.m.id, b.m.id) })
+		slices.SortFunc(s.works, func(a, b monWork) int { return cmp.Compare(a.m.order(), b.m.order()) })
 		for w := 0; w < min(s.workers, len(s.works)); w++ {
 			s.arena(w) // pre-create outside the workers (arenas is not locked)
 		}

@@ -138,9 +138,9 @@ func runReserveChurn(t *testing.T, name string, workers int) {
 
 	check := func(label string) {
 		t.Helper()
-		for key, m := range e.set.mons {
+		for _, m := range e.set.list {
 			if err := checkReserve(m); err != nil {
-				t.Fatalf("%s: monitor %d (k=%d, at %+v): %v", label, key, m.k, m.pos, err)
+				t.Fatalf("%s: monitor %d (k=%d, at %+v): %v", label, m.order(), m.k, m.pos, err)
 			}
 		}
 		for _, id := range qrys {
@@ -285,7 +285,7 @@ func TestShortComponentIsNotRewalked(t *testing.T) {
 	defer e.Close()
 	qpos := roadnet.Position{Edge: 0, Frac: 0.25}
 	e.Register(1, qpos, 3)
-	m := e.set.mons[directKey(1)]
+	m := e.qt.find(1).mon
 	if len(m.result) != 2 || !math.IsInf(m.kdist, 1) || !math.IsInf(m.cand.cover, 1) || m.tree.len() != 3 {
 		t.Fatalf("initial: result %v, kdist %g, cover %g, tree %d nodes", m.result, m.kdist, m.cand.cover, m.tree.len())
 	}
@@ -354,7 +354,7 @@ func TestBurstAtCapacityKeepsReserveComplete(t *testing.T) {
 				qpos := at(0)
 				e.Register(1, qpos, k)
 				e.Register(2, at(90), 1) // a second monitor, for the parallel pipeline
-				m := e.set.mons[directKey(1)]
+				m := e.qt.find(1).mon
 				if m.cand.len() != reserveCap(k) || m.kdist != k {
 					t.Fatalf("initial: %d candidates (cap %d), kdist %g", m.cand.len(), reserveCap(k), m.kdist)
 				}
@@ -382,9 +382,9 @@ func TestBurstAtCapacityKeepsReserveComplete(t *testing.T) {
 				if err := compareResults(e.Result(1), BruteForceKNN(net, qpos, k)); err != nil {
 					t.Fatal(err)
 				}
-				for id, m := range e.set.mons {
+				for _, m := range e.set.list {
 					if err := checkReserve(m); err != nil {
-						t.Fatalf("monitor %d: %v", id, err)
+						t.Fatalf("monitor %d: %v", m.order(), err)
 					}
 				}
 			})
@@ -412,7 +412,7 @@ func TestCoverStopsAtUnregisteredNode(t *testing.T) {
 	defer e.Close()
 	qpos := roadnet.Position{Edge: 0, Frac: 0}
 	e.Register(1, qpos, 2)
-	m := e.set.mons[directKey(1)]
+	m := e.qt.find(1).mon
 	step := func(label string, cover float64, objs ...ObjectUpdate) {
 		t.Helper()
 		e.Step(Updates{Objects: objs})

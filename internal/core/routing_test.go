@@ -28,7 +28,7 @@ func TestGroupedRoutingIsComplete(t *testing.T) {
 		w.step(ts, 0.3, 0.3, 0.05)
 		for _, e := range w.engines {
 			g := e.(*Incremental).grp
-			for _, q := range g.queries {
+			for q := range g.queries {
 				checked += checkRouting(t, w.label(ts)+" "+e.Name(), g, q)
 			}
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"iter"
 	"math"
 	"slices"
 	"sync"
@@ -21,9 +20,9 @@ import (
 // copies only the result slices of queries whose k-NN set actually changed
 // this step — unchanged queries share the previous snapshot's (immutable)
 // slices — so the steady-state *allocation* cost is proportional to the
-// result churn. (The publish itself still walks all Q registered queries:
-// id collection + sort plus a content comparison per query, a few hundred
-// nanoseconds per thousand queries.) The affected-query set that walk
+// result churn. (The publish itself still walks all Q rows of the engine's
+// query table, in order: a content comparison per query, nothing collected
+// or sorted.) The affected-query set that walk
 // computes is no longer discarded: with Options{Deltas: true} it is
 // published as a per-epoch Delta on the new Snapshot (see delta.go), the
 // churn-proportional currency of the serving layer's delta streaming.
@@ -100,13 +99,10 @@ type publisher struct {
 	// deltas additionally attaches a per-epoch Delta to every published
 	// snapshot, derived from the COW diff below.
 	deltas bool
-	// get reads the engine's current result for one query; bound once at
-	// construction so publishing allocates no closure per step.
-	get   func(QueryID) []Neighbor
-	epoch uint64
-	stamp uint64
-	// idBuf is the reused per-publish id collection buffer.
-	idBuf []QueryID
+	epoch  uint64
+	stamp  uint64
+	// version is the query table's at the last publication.
+	version uint64
 	// updBuf/leftBuf are the reused work lists of the per-query delta diff.
 	updBuf  []Neighbor
 	leftBuf []roadnet.ObjectID
@@ -117,10 +113,9 @@ type publisher struct {
 // snapshot is installed immediately so Snapshot() is never nil on a
 // serving engine. Deltas implies serving (a delta without the snapshot
 // read path has no consumer).
-func (p *publisher) init(o Options, get func(QueryID) []Neighbor) {
+func (p *publisher) init(o Options) {
 	p.serving = o.Serving || o.Deltas
 	p.deltas = o.Deltas
-	p.get = get
 	if p.serving {
 		p.cur.Store(&Snapshot{})
 	}
@@ -149,103 +144,81 @@ func (p *publisher) restore(epoch, stamp uint64) {
 	p.cur.Store(&Snapshot{epoch: epoch, stamp: stamp, ids: cur.ids, res: cur.res})
 }
 
-// publishSet collects the registered query ids from seq into the reused
-// buffer, sorts them, and publishes a snapshot over them. This is the one
-// publication entry point the engines call (each supplies its own query
-// map's keys). No-op when serving is disabled.
-func (p *publisher) publishSet(seq iter.Seq[QueryID]) {
-	if !p.serving {
-		return
+// result is Engine.Result: the latest snapshot's row on a serving engine,
+// the engine-side result found through the query table otherwise.
+func (p *publisher) result(t *queryTable, id QueryID) []Neighbor {
+	if snap := p.snapshot(); snap != nil {
+		return snap.Result(id)
 	}
-	ids := p.idBuf[:0]
-	for id := range seq {
-		ids = append(ids, id)
+	if r := t.find(id); r != nil {
+		return r.result()
 	}
-	slices.Sort(ids)
-	p.idBuf = ids
-	p.publish(ids)
+	return nil
 }
 
-// publish installs a new snapshot over the given ascending query ids,
-// reading each query's current result through get. Results whose content
-// is unchanged from the previous snapshot share its slices; changed ones
-// are copied, because the engine-side slices are rewritten in place by
-// the next finalize. No-op when serving is disabled.
-func (p *publisher) publish(ids []QueryID) {
+// publish installs a new snapshot over the query table, walked in order:
+// each row supplies its id and its query's current result. Results whose
+// content is unchanged from the previous snapshot share its slices; changed
+// ones are copied, because the engine-side slices are rewritten in place by
+// the next finalize. This is the one publication entry point the engines
+// call. No-op when serving is disabled.
+func (p *publisher) publish(t *queryTable) {
 	if !p.serving {
 		return
 	}
-	prev := p.cur.Load()
+	rows, prev := t.rows, p.cur.Load()
 	p.epoch++
-	snap := &Snapshot{epoch: p.epoch, stamp: p.stamp}
+	snap := &Snapshot{epoch: p.epoch, stamp: p.stamp, ids: prev.ids}
+	// While no query was installed or terminated since the last publication
+	// — the common steady-state shape — the previous (immutable) ids are
+	// shared outright and res stays nil until the first changed result: a
+	// quiet step publishes a new epoch with zero slice allocation.
+	var res [][]Neighbor
+	if t.version != p.version {
+		p.version = t.version
+		snap.ids, res = t.ids(), make([][]Neighbor, len(rows))
+	}
 	// dq accumulates the per-epoch delta (ascending by id, the walk order)
 	// when delta emission is on; churn-proportional allocation, like the
 	// COW copies themselves.
 	var dq []QueryDelta
-	if slices.Equal(ids, prev.ids) {
-		// Common steady-state shape: the query set is unchanged, so the
-		// previous (immutable) ids are shared outright and the res array is
-		// allocated only if some result actually changed — a quiet step
-		// publishes a new epoch with zero slice allocation.
-		snap.ids = prev.ids
-		var res [][]Neighbor // nil until the first changed result
-		for i, id := range ids {
-			cur := p.get(id)
-			if slices.Equal(prev.res[i], cur) {
-				if res != nil {
-					res[i] = prev.res[i]
-				}
-				continue
-			}
-			if res == nil {
-				res = make([][]Neighbor, len(ids))
-				copy(res[:i], prev.res[:i])
-			}
-			res[i] = slices.Clone(cur)
-			if p.deltas {
-				dq = append(dq, p.diffResult(id, prev.res[i], res[i]))
-			}
-		}
-		if res == nil {
-			res = prev.res
-		}
-		snap.res = res
-		if p.deltas {
-			snap.delta = &Delta{epoch: snap.epoch, stamp: snap.stamp, Queries: dq}
-		}
-		p.cur.Store(snap)
-		return
-	}
-	snap.ids = slices.Clone(ids)
-	snap.res = make([][]Neighbor, len(ids))
 	j := 0 // merge cursor into prev.ids (both lists ascend)
-	for i, id := range ids {
-		cur := p.get(id)
-		for j < len(prev.ids) && prev.ids[j] < id {
+	for i := range rows {
+		id, cur := rows[i].id, rows[i].result()
+		for ; j < len(prev.ids) && prev.ids[j] < id; j++ {
 			if p.deltas {
 				dq = append(dq, QueryDelta{ID: prev.ids[j], Removed: true})
 			}
-			j++
 		}
-		if j < len(prev.ids) && prev.ids[j] == id {
-			if slices.Equal(prev.res[j], cur) {
-				snap.res[i] = prev.res[j]
-				j++
-				continue
+		known := j < len(prev.ids) && prev.ids[j] == id
+		var row []Neighbor
+		if known && slices.Equal(prev.res[j], cur) {
+			row = prev.res[j]
+		} else {
+			row = slices.Clone(cur)
+			if res == nil { // same ids as prev's: rows i and j coincide
+				res = make([][]Neighbor, len(rows))
+				copy(res[:i], prev.res[:i])
 			}
-			snap.res[i] = slices.Clone(cur)
-			if p.deltas {
-				dq = append(dq, p.diffResult(id, prev.res[j], snap.res[i]))
+			switch {
+			case !p.deltas:
+			case known:
+				dq = append(dq, p.diffResult(id, prev.res[j], row))
+			default: // newly registered query: its whole result enters
+				dq = append(dq, QueryDelta{ID: id, Updated: row})
 			}
-			j++
-			continue
 		}
-		// Newly registered query: its whole result enters.
-		snap.res[i] = slices.Clone(cur)
-		if p.deltas {
-			dq = append(dq, QueryDelta{ID: id, Updated: snap.res[i]})
+		if res != nil {
+			res[i] = row
+		}
+		if known {
+			j++
 		}
 	}
+	if res == nil {
+		res = prev.res
+	}
+	snap.res = res
 	if p.deltas {
 		for ; j < len(prev.ids); j++ {
 			dq = append(dq, QueryDelta{ID: prev.ids[j], Removed: true})

@@ -127,9 +127,9 @@ type Engine interface {
 	// Options{Serving: true}; on a serving engine it is a lock-free
 	// atomic load, safe concurrently with Step and never blocking it.
 	Snapshot() *Snapshot
-	// Queries returns the ids of the registered queries, in no particular
-	// order. Like Step, it must not race Step; concurrent readers should
-	// enumerate queries through Snapshot instead.
+	// Queries returns the ids of the registered queries, ascending. Like
+	// Step, it must not race Step; concurrent readers should enumerate
+	// queries through Snapshot instead.
 	Queries() []QueryID
 	// Close releases the engine's persistent worker pool. It does not
 	// invalidate published snapshots, but no Step/Register call may be in

@@ -19,12 +19,6 @@ func (p Point) Dist(o Point) float64 {
 	return math.Hypot(p.X-o.X, p.Y-o.Y)
 }
 
-// DistSq returns the squared Euclidean distance between p and o.
-func (p Point) DistSq(o Point) float64 {
-	dx, dy := p.X-o.X, p.Y-o.Y
-	return dx*dx + dy*dy
-}
-
 // Lerp returns the point a fraction t of the way from p to o.
 // t=0 yields p, t=1 yields o; t outside [0,1] extrapolates.
 func (p Point) Lerp(o Point, t float64) Point {
@@ -116,11 +110,6 @@ func (s Segment) ClosestFrac(p Point) float64 {
 // DistTo returns the Euclidean distance from p to the closest point of s.
 func (s Segment) DistTo(p Point) float64 {
 	return s.At(s.ClosestFrac(p)).Dist(p)
-}
-
-// DistSqTo returns the squared Euclidean distance from p to s.
-func (s Segment) DistSqTo(p Point) float64 {
-	return s.At(s.ClosestFrac(p)).DistSq(p)
 }
 
 // IntersectsRect reports whether any point of s lies inside or on r.

@@ -15,9 +15,6 @@ func TestPointDist(t *testing.T) {
 	if !almostEq(a.Dist(b), 5) {
 		t.Fatalf("Dist = %g, want 5", a.Dist(b))
 	}
-	if !almostEq(a.DistSq(b), 25) {
-		t.Fatalf("DistSq = %g, want 25", a.DistSq(b))
-	}
 }
 
 func TestLerp(t *testing.T) {

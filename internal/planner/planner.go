@@ -283,17 +283,13 @@ func (p *Planner) Step(u core.Updates) {
 // paths run at deterministic tick numbers on every replica, so window
 // contents match too.
 func (p *Planner) replan(useWindow bool) {
+	// One walk of the core's query table: the rows arrive ascending by id,
+	// and grouping them by cell keeps that order within each cell.
 	rows := p.rows[:0]
-	for _, id := range p.Queries() {
-		pos, k, mode, _ := p.Placement(id)
+	p.Placements(func(id core.QueryID, pos roadnet.Position, k int, mode core.Mode) {
 		rows = append(rows, cellQuery{cell: p.cellOf(pos), id: id, k: int32(k), mode: mode, pos: pos})
-	}
-	slices.SortFunc(rows, func(a, b cellQuery) int {
-		if a.cell != b.cell {
-			return cmp.Compare(a.cell, b.cell)
-		}
-		return cmp.Compare(a.id, b.id)
 	})
+	slices.SortStableFunc(rows, func(a, b cellQuery) int { return cmp.Compare(a.cell, b.cell) })
 	p.rows = rows
 
 	st := &Stats{}

@@ -96,15 +96,6 @@ func (q *Dense) Push(key int32, p float64) bool {
 	return true
 }
 
-// PeekMin returns the minimum item without removing it.
-// ok is false when the queue is empty.
-func (q *Dense) PeekMin() (key int32, p float64, ok bool) {
-	if len(q.keys) == 0 {
-		return 0, 0, false
-	}
-	return q.keys[0], q.prio[0], true
-}
-
 // PopMin removes and returns the minimum item.
 // ok is false when the queue is empty.
 func (q *Dense) PopMin() (key int32, p float64, ok bool) {

@@ -238,14 +238,6 @@ func (s *Server) ApplyReplicated(b wal.BatchRecord) error {
 	return nil
 }
 
-// AppliedSeq returns the follower's replication cursor: the highest
-// primary sequence applied so far.
-func (s *Server) AppliedSeq() uint64 {
-	s.stepMu.Lock()
-	defer s.stepMu.Unlock()
-	return s.seq
-}
-
 // walErrString returns the recorded failure cause (empty when healthy).
 func (s *Server) walErrString() string {
 	s.walErrMu.Lock()

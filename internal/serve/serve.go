@@ -699,7 +699,13 @@ func (s *Server) validateBatch(req *batchRequest) error {
 		}
 		return nil
 	}
+	// Ids and k are wider on the wire than in the engine and the WAL (int32
+	// both): a value that does not survive the conversion would alias another
+	// id, or be logged as a k the live engine never ran.
 	for _, o := range req.Objects {
+		if o.ID != int64(int32(o.ID)) {
+			return fmt.Errorf("object %d: id outside the 32-bit range", o.ID)
+		}
 		if o.Delete {
 			continue
 		}
@@ -723,6 +729,9 @@ func (s *Server) validateBatch(req *batchRequest) error {
 		}
 		if err := okPos(q.Edge, q.Frac); err != nil {
 			return fmt.Errorf("query %d: %w", q.ID, err)
+		}
+		if q.K != int(int32(q.K)) {
+			return fmt.Errorf("query %d: k %d outside the 32-bit range", q.ID, q.K)
 		}
 		nk, seen := needsK[id]
 		if !seen {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -258,6 +259,44 @@ func rawPost(t *testing.T, url, body string) (int, string) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	return resp.StatusCode, buf.String()
+}
+
+// TestServeWALRoundTripLargestK: the largest k admission accepts is the
+// largest the WAL and the checkpoint can carry (int32), so a query installed
+// with it over HTTP recovers byte-identically, from the log alone and from a
+// checkpoint plus its tail.
+func TestServeWALRoundTripLargestK(t *testing.T) {
+	for _, every := range []int{0, 2} {
+		mem := wal.NewMemFS()
+		s, _, rec := newWALServer(t, mem, every)
+		if _, err := s.Recover(rec); err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(s.Handler())
+		body := fmt.Sprintf(`{"queries":[{"id":3,"k":%d,"edge":7,"frac":0.5}]}`, math.MaxInt32)
+		if code, msg := rawPost(t, hs.URL+"/v1/updates", body); code != http.StatusOK {
+			t.Fatalf("k = MaxInt32 rejected: %d %s", code, msg)
+		}
+		for i := 1; i <= 3; i++ {
+			scriptTick(s, i)
+		}
+		_, qs, _, _ := s.batch.CheckpointState()
+		if i := slices.IndexFunc(qs, func(q wal.QueryState) bool { return q.ID == 3 }); i < 0 || qs[i].K != math.MaxInt32 {
+			t.Fatalf("checkpoint state holds queries %+v", qs)
+		}
+		want := snapBytes(s)
+		hs.Close()
+		s.Close()
+
+		s2, _, rec2 := newWALServer(t, mem, every)
+		if _, err := s2.Recover(rec2); err != nil {
+			t.Fatalf("checkpoint every %d: recover: %v", every, err)
+		}
+		if !s2.Ready() || !bytes.Equal(snapBytes(s2), want) {
+			t.Fatalf("checkpoint every %d: recovered snapshot differs from the pre-crash one", every)
+		}
+		s2.Close()
+	}
 }
 
 func TestServeHealthzRecoveryTransition(t *testing.T) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
@@ -309,4 +310,51 @@ func batchesEqual(a, b *batchRequest) bool {
 		}
 	}
 	return true
+}
+
+// TestServeRejectsUnrepresentableIDAndK: object ids are 64-bit and a JSON k
+// is a Go int on the wire, but both are int32 in the engine and the WAL.
+// Admission used to convert silently: object 2^32+5 aliased object 5, and an
+// install with k = 2^32+1 ran live with that k while the WAL logged k = 1, so
+// recovery failed its tick CRC. All three encodings reach the one check.
+func TestServeRejectsUnrepresentableIDAndK(t *testing.T) {
+	s, hs := newTestServer(t)
+	url := hs.URL + "/v1/updates"
+	home := roadknn.Position{Edge: 0, Frac: 0.5}
+	post(t, url, `{"objects":[{"id":5,"edge":0,"frac":0.5}]}`)
+	s.Tick()
+
+	bad := []*batchRequest{
+		{Objects: []objectReport{{ID: 1<<32 + 5, Edge: 1, Frac: 0.25}}},
+		{Objects: []objectReport{{ID: 1<<32 + 5, Delete: true}}},
+		{Objects: []objectReport{{ID: math.MinInt32 - 1, Edge: 1, Frac: 0.25}}},
+		{Queries: []queryReport{{ID: 1, K: 1<<32 + 1, Edge: 0, Frac: 0.5}}},
+		{Queries: []queryReport{{ID: 1, K: math.MaxInt32 + 1, Edge: 0, Frac: 0.5}}},
+	}
+	for i, req := range bad {
+		js, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nd bytes.Buffer
+		if err := WriteNDJSON(&nd, req); err != nil {
+			t.Fatal(err)
+		}
+		bodies := map[string][]byte{"application/json": js, "application/x-ndjson": nd.Bytes()}
+		if len(req.Queries) == 0 { // the binary form carries k as an int32: nothing to reject
+			bodies["application/x-roadknn-updates"] = EncodeWire(req)
+		}
+		for ct, body := range bodies {
+			if code := postRaw(t, url, ct, body); code != http.StatusBadRequest {
+				t.Errorf("batch %d as %s: status %d, want 400", i, ct, code)
+			}
+		}
+	}
+	s.Tick()
+	if pos, ok := s.eng.Network().ObjectPos(5); !ok || pos != home {
+		t.Fatalf("object 5 is at %+v (%v) after the rejected batches, want %+v", pos, ok, home)
+	}
+	if n := s.eng.Snapshot().Len(); n != 0 {
+		t.Fatalf("%d queries installed by rejected batches", n)
+	}
 }

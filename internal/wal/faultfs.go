@@ -74,9 +74,6 @@ func (f *FaultFS) Crashed() bool {
 	return f.crashed
 }
 
-// Inner returns the wrapped FS (the post-crash disk image).
-func (f *FaultFS) Inner() FS { return f.inner }
-
 func (f *FaultFS) check() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -122,7 +122,7 @@ func DecodeRecords(data []byte) ([]BatchRecord, error) {
 }
 
 // DecodeCheckpoint parses an encoded checkpoint image (as produced by
-// WriteCheckpoint and returned by CheckpointImage), verifying its magic,
+// WriteCheckpoint and streamed by CheckpointReader), verifying its magic,
 // version and CRC.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return decodeCheckpoint(data)

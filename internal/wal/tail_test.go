@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"io"
 	"testing"
 	"time"
 )
@@ -150,15 +151,30 @@ func TestEncodeDecodeRecords(t *testing.T) {
 	}
 }
 
+// checkpointImage reads the newest checkpoint's raw image through
+// CheckpointReader, checking the size it declares.
+func checkpointImage(t *testing.T, l *Log) ([]byte, uint64) {
+	t.Helper()
+	rc, size, stamp, err := l.CheckpointReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	img, err := io.ReadAll(rc)
+	if err != nil || int64(len(img)) != size {
+		t.Fatalf("checkpoint image: read %d of the %d bytes declared, %v", len(img), size, err)
+	}
+	return img, stamp
+}
+
 func TestCheckpointImageRoundTrip(t *testing.T) {
 	fs := NewMemFS()
 	l, _, err := Open(fs, noSleep(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, stamp, err := l.CheckpointImage()
-	if err != nil || img != nil || stamp != 0 {
-		t.Fatalf("fresh log checkpoint image = (%v, %d, %v), want none", img, stamp, err)
+	if rc, size, stamp, err := l.CheckpointReader(); rc != nil || size != 0 || stamp != 0 || err != nil {
+		t.Fatalf("fresh log checkpoint reader = (%v, %d, %d, %v), want none", rc, size, stamp, err)
 	}
 	if err := l.AppendBatch(1, testUpdates(1)); err != nil {
 		t.Fatal(err)
@@ -167,9 +183,9 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 	if err := l.WriteCheckpoint(want); err != nil {
 		t.Fatal(err)
 	}
-	img, stamp, err = l.CheckpointImage()
-	if err != nil || stamp != 1 {
-		t.Fatalf("checkpoint image stamp = %d, err %v", stamp, err)
+	img, stamp := checkpointImage(t, l)
+	if stamp != 1 {
+		t.Fatalf("checkpoint image stamp = %d", stamp)
 	}
 	got, err := DecodeCheckpoint(img)
 	if err != nil {

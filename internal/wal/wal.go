@@ -553,31 +553,9 @@ func (l *Log) Appended() <-chan struct{} {
 	return l.appendc
 }
 
-// CheckpointImage returns the raw encoded bytes of the newest checkpoint
-// and its stamp, or (nil, 0, nil) when no checkpoint exists yet. The
-// image is self-verifying (DecodeCheckpoint re-checks its CRC), so it can
-// be shipped to a bootstrapping follower as-is.
-func (l *Log) CheckpointImage() ([]byte, uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	stamp := l.ckStamp.Load()
-	if stamp == 0 {
-		return nil, 0, nil
-	}
-	r, err := l.fs.Open(checkpointName(stamp))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, stamp, nil
-}
-
 // CheckpointReader opens the newest checkpoint for streaming: the reader
-// yields the same self-verifying image CheckpointImage buffers, without
+// yields the raw encoded image — self-verifying (DecodeCheckpoint re-checks
+// its CRC), so it is shipped to a bootstrapping follower as-is — without
 // holding it in memory. The returned size is declared by the image's own
 // length header, so a consumer can detect a torn transfer; DecodeCheckpoint
 // re-checks the CRC regardless. Returns (nil, 0, 0, nil) when no checkpoint
