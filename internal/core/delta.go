@@ -211,6 +211,16 @@ func (d *Delta) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
+// EncodedLen returns len(d.AppendBinary(nil)) without encoding: what the
+// delta weighs on the wire and, near enough, in memory.
+func (d *Delta) EncodedLen() int {
+	n := 20 // epoch, stamp, query count
+	for i := range d.Queries {
+		n += 13 + 4*len(d.Queries[i].Left) + 12*len(d.Queries[i].Updated)
+	}
+	return n
+}
+
 // UnmarshalDelta decodes a canonical delta encoding. Arbitrary input is
 // safe: malformed bytes produce an error, never a panic or an oversized
 // allocation.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"roadknn/internal/gen"
@@ -131,6 +132,23 @@ func checkDeltaStep(t *testing.T, eng Engine, prev *Snapshot, ts int) *Snapshot 
 	}
 	if !bytes.Equal(dec.AppendBinary(nil), enc) {
 		t.Fatalf("ts %d: delta codec round trip differs", ts)
+	}
+	if d.EncodedLen() != len(enc) {
+		t.Fatalf("ts %d: EncodedLen %d, encoding is %d bytes", ts, d.EncodedLen(), len(enc))
+	}
+	// The emitted delta is value-equal to its decoded form — nil, not empty,
+	// where a query has no Left or no Updated — and no entry can grow into
+	// its neighbour in the epoch's shared arena.
+	if !reflect.DeepEqual(dec.Queries, d.Queries) {
+		t.Fatalf("ts %d: emitted delta differs from its decoded form\n got %+v\nwant %+v", ts, d.Queries, dec.Queries)
+	}
+	for _, qd := range d.Queries {
+		if cap(qd.Left) != len(qd.Left) {
+			t.Fatalf("ts %d: query %d's Left has spare capacity %d", ts, qd.ID, cap(qd.Left)-len(qd.Left))
+		}
+		if _, added := prev.Lookup(qd.ID); added && cap(qd.Updated) != len(qd.Updated) {
+			t.Fatalf("ts %d: query %d's Updated has spare capacity %d", ts, qd.ID, cap(qd.Updated)-len(qd.Updated))
+		}
 	}
 	return snap
 }

@@ -74,5 +74,8 @@ func FuzzDeltaCodec(f *testing.F) {
 		if got := d.AppendBinary(nil); !bytes.Equal(got, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(got))
 		}
+		if n := d.EncodedLen(); n != len(data) {
+			t.Fatalf("EncodedLen %d for a %d-byte encoding", n, len(data))
+		}
 	})
 }

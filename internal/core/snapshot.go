@@ -40,7 +40,10 @@ type Snapshot struct {
 	// delta describes the change from the previous epoch (nil on the
 	// initial snapshot, after a recovery restore, or when the engine was
 	// built without Options.Deltas). Each snapshot holds only its own
-	// delta, never a chain, so retaining old snapshots stays O(1) extra.
+	// delta, never a chain: a reader that wants history keeps the deltas (the
+	// serving layer's broker does) and lets the old snapshots go — at high
+	// churn copy-on-write shares nothing, and every retained snapshot pins
+	// its own full set of rows.
 	delta *Delta
 	// crcOnce/crcVal memoize CRC32: with replication the same snapshot's
 	// checksum is needed by the WAL tick, the follower verification and
@@ -103,11 +106,20 @@ type publisher struct {
 	stamp  uint64
 	// version is the query table's at the last publication.
 	version uint64
-	// updBuf/leftBuf are the reused work lists of the per-query delta diff.
+	// updBuf/leftBuf are the reused arenas one epoch's diffResult calls
+	// append to, and spans where each diffed query's entries end in them;
+	// sealDelta copies both out at their exact size when the walk ends.
 	updBuf  []Neighbor
 	leftBuf []roadnet.ObjectID
+	spans   []deltaSpan
 	cur     atomic.Pointer[Snapshot]
 }
+
+// deltaSpan locates one diffed query's entries in the publisher's arenas:
+// the query is the epoch's q-th QueryDelta, its Left entries end at leftBuf
+// [left] and its Updated entries at updBuf[upd]; each starts where the span
+// before it ends.
+type deltaSpan struct{ q, left, upd int }
 
 // init configures the publisher. With serving enabled an empty epoch-0
 // snapshot is installed immediately so Snapshot() is never nil on a
@@ -203,7 +215,9 @@ func (p *publisher) publish(t *queryTable) {
 			switch {
 			case !p.deltas:
 			case known:
-				dq = append(dq, p.diffResult(id, prev.res[j], row))
+				p.diffResult(prev.res[j], row)
+				p.spans = append(p.spans, deltaSpan{q: len(dq), left: len(p.leftBuf), upd: len(p.updBuf)})
+				dq = append(dq, QueryDelta{ID: id})
 			default: // newly registered query: its whole result enters
 				dq = append(dq, QueryDelta{ID: id, Updated: row})
 			}
@@ -223,21 +237,22 @@ func (p *publisher) publish(t *queryTable) {
 		for ; j < len(prev.ids); j++ {
 			dq = append(dq, QueryDelta{ID: prev.ids[j], Removed: true})
 		}
+		p.sealDelta(dq)
 		snap.delta = &Delta{epoch: snap.epoch, stamp: snap.stamp, Queries: dq}
 	}
 	p.cur.Store(snap)
 }
 
-// diffResult computes one changed query's delta entry: which objects left
-// its result and which entries entered or changed distance. Both inputs
-// are in canonical (distance, object) order, so the entries that kept their
-// exact distance pair up in one merge; what it leaves over of cur is Updated,
-// and what it leaves over of prev, less the objects among those, is Left. The
-// emitted slices follow the inputs' orders, so identical histories produce
-// byte-identical deltas on every replica, and are fresh (they outlive the
-// engine's buffers): one allocation each, at their final size.
-func (p *publisher) diffResult(id QueryID, prev, cur []Neighbor) QueryDelta {
-	upd, left := p.updBuf[:0], p.leftBuf[:0]
+// diffResult computes one changed query's delta entries — which objects left
+// its result and which entries entered or changed distance — and appends them
+// to the epoch's arenas. Both inputs are in canonical (distance, object)
+// order, so the entries that kept their exact distance pair up in one merge;
+// what it leaves over of cur is Updated, and what it leaves over of prev, less
+// the objects among those, is Left. The entries follow the inputs' orders, so
+// identical histories produce byte-identical deltas on every replica.
+func (p *publisher) diffResult(prev, cur []Neighbor) {
+	l0, u0 := len(p.leftBuf), len(p.updBuf)
+	upd, left := p.updBuf, p.leftBuf
 	for i, j := 0, 0; i < len(prev) || j < len(cur); {
 		switch {
 		case j == len(cur) || (i < len(prev) && neighborBefore(prev[i], cur[j])):
@@ -253,18 +268,35 @@ func (p *publisher) diffResult(id QueryID, prev, cur []Neighbor) QueryDelta {
 			i, j = i+1, j+1
 		}
 	}
-	gone := left[:0] // an object left over on both sides only changed distance
-	for _, obj := range left {
-		if !slices.ContainsFunc(upd, func(nb Neighbor) bool { return nb.Obj == obj }) {
+	gone := left[:l0] // an object left over on both sides only changed distance
+	for _, obj := range left[l0:] {
+		if !slices.ContainsFunc(upd[u0:], func(nb Neighbor) bool { return nb.Obj == obj }) {
 			gone = append(gone, obj)
 		}
 	}
-	p.updBuf, p.leftBuf = upd, left
-	return QueryDelta{ // nil where empty
-		ID:      id,
-		Left:    append([]roadnet.ObjectID(nil), gone...),
-		Updated: append([]Neighbor(nil), upd...),
+	p.updBuf, p.leftBuf = upd, gone
+}
+
+// sealDelta ends an epoch's diff: the arenas are copied into one []Neighbor
+// and one []ObjectID of exactly their size — the delta outlives the
+// publisher's buffers, and two allocations an epoch replace two per changed
+// query — and every diffed QueryDelta is handed its capped sub-slice, nil
+// where empty (a decoded delta has nil there, and equality tests and the
+// JSON encoders' omitempty tell the two apart).
+func (p *publisher) sealDelta(dq []QueryDelta) {
+	left := append(make([]roadnet.ObjectID, 0, len(p.leftBuf)), p.leftBuf...)
+	upd := append(make([]Neighbor, 0, len(p.updBuf)), p.updBuf...)
+	l0, u0 := 0, 0
+	for _, sp := range p.spans {
+		if sp.left > l0 {
+			dq[sp.q].Left = left[l0:sp.left:sp.left]
+		}
+		if sp.upd > u0 {
+			dq[sp.q].Updated = upd[u0:sp.upd:sp.upd]
+		}
+		l0, u0 = sp.left, sp.upd
 	}
+	p.leftBuf, p.updBuf, p.spans = p.leftBuf[:0], p.updBuf[:0], p.spans[:0]
 }
 
 // neighborBefore is the canonical result order: by distance, ties by object

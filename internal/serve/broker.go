@@ -7,28 +7,34 @@ import (
 	"roadknn"
 )
 
-// broker is the one source every read endpoint answers from: it retains
-// the last ringSize published snapshots (each carrying its per-epoch
-// Delta, see core.Snapshot.Delta) and answers per-subscriber cursor
-// advances. A subscriber at epoch E asks for everything after E and gets
-// either
+// broker is the one source every read endpoint answers from. It retains
+// what subscribers are sent and nothing else: head, the newest published
+// snapshot (the engine's current one, so the only full result set the
+// serving layer keeps alive), and a ring of the per-epoch Deltas (see
+// core.Snapshot.Delta) of the last ringSize epochs — a resident epoch costs
+// its delta, not a snapshot. A subscriber at epoch E asks for everything
+// after E and gets either
 //
-//   - the contiguous snapshot chain E+1..hi, whose deltas are the
-//     churn-proportional bytes to send, or
-//   - a resync: the newest full snapshot, when the cursor has fallen off
-//     the ring (slow consumer), when an epoch in the chain carries no delta
-//     (engine without Options{Deltas: true}, or the post-recovery restore),
-//     or when publication itself jumped epochs (ring reset).
+//   - the contiguous delta chain E+1..hi, the churn-proportional bytes to
+//     send, or
+//   - a resync: head, when the cursor has fallen off the ring (slow
+//     consumer), when an epoch in the chain carries no delta (engine without
+//     Options{Deltas: true}, or the post-recovery restore), or when
+//     publication itself jumped epochs (ring reset).
 //
 // The stepper publishes under stepMu and then wakes the waiters, so a
 // released waiter always finds its epoch resident. Readers never block the
 // stepper for longer than the ring-slot store.
 type broker struct {
-	mu     sync.Mutex
-	ring   []*roadknn.Snapshot // ring[e % len] holds the snapshot at epoch e
-	lo     uint64              // oldest resident epoch
-	hi     uint64              // newest resident epoch
-	notify chan struct{}       // closed and replaced by wake
+	mu   sync.Mutex
+	head *roadknn.Snapshot // the newest published snapshot, at epoch hi
+	// ring[e % len] holds epoch e's delta for lo < e <= hi (nil when the
+	// epoch was published without one): what takes a cursor from e-1 to e.
+	ring      []*roadknn.Delta
+	lo        uint64        // oldest epoch a cursor can still advance from
+	hi        uint64        // newest published epoch
+	ringBytes int           // sum of the resident deltas' EncodedLen
+	notify    chan struct{} // closed and replaced by wake
 
 	// counters for /v1/stats.
 	deltasOut atomic.Int64 // chain epochs handed to subscribers
@@ -38,29 +44,36 @@ type broker struct {
 
 // newBroker returns a broker holding snap as its only resident epoch.
 func newBroker(ringSize int, snap *roadknn.Snapshot) *broker {
-	b := &broker{ring: make([]*roadknn.Snapshot, max(ringSize, 1)), notify: make(chan struct{})}
+	b := &broker{ring: make([]*roadknn.Delta, max(ringSize, 1)), notify: make(chan struct{})}
 	b.reset(snap)
 	return b
 }
 
-// publish makes snap available to subscribers. Epochs must arrive in
-// order; a gap restarts the ring at snap, forcing every parked cursor
-// through a resync — correct, never silent divergence.
+// publish makes snap available to subscribers: its delta takes the ring
+// slot of the epoch that falls out of reach, and snap replaces head. Epochs
+// must arrive in order; a gap restarts the ring at snap, forcing every
+// parked cursor through a resync — correct, never silent divergence.
 func (b *broker) publish(snap *roadknn.Snapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e := snap.Epoch()
+	e, n := snap.Epoch(), uint64(len(b.ring))
 	switch {
 	case e == b.hi:
 		return // duplicate publish of the current epoch: keep the ring
 	case e != b.hi+1:
-		clear(b.ring)
-		b.lo = e
-	case e-b.lo >= uint64(len(b.ring)):
-		b.lo = e - uint64(len(b.ring)) + 1
+		b.restart(snap)
+		return
+	case e-b.lo > n:
+		b.lo = e - n
 	}
-	b.ring[e%uint64(len(b.ring))] = snap
-	b.hi = e
+	if old := b.ring[e%n]; old != nil { // epoch e-n, just fallen below lo
+		b.ringBytes -= old.EncodedLen()
+	}
+	d := snap.Delta()
+	if d != nil {
+		b.ringBytes += d.EncodedLen()
+	}
+	b.ring[e%n], b.head, b.hi = d, snap, e
 }
 
 // reset makes snap the only resident epoch (used after WAL recovery and
@@ -68,10 +81,14 @@ func (b *broker) publish(snap *roadknn.Snapshot) {
 func (b *broker) reset(snap *roadknn.Snapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.restart(snap)
+}
+
+// restart (mu held) empties the ring and makes snap the head: no cursor
+// below snap's epoch can advance incrementally.
+func (b *broker) restart(snap *roadknn.Snapshot) {
 	clear(b.ring)
-	b.lo = snap.Epoch()
-	b.hi = snap.Epoch()
-	b.ring[b.lo%uint64(len(b.ring))] = snap
+	b.head, b.lo, b.hi, b.ringBytes = snap, snap.Epoch(), snap.Epoch(), 0
 }
 
 // wake releases everyone waiting for a new epoch.
@@ -86,32 +103,39 @@ func (b *broker) wake() {
 func (b *broker) newest() *roadknn.Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.ring[b.hi%uint64(len(b.ring))]
+	return b.head
+}
+
+// weight returns how many epochs' deltas the ring holds and the sum of
+// their encoded sizes — what retention costs, for /v1/stats.
+func (b *broker) weight() (epochs uint64, bytes int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.hi - b.lo, b.ringBytes
 }
 
 // collect advances a cursor at epoch since. head is always the newest
 // published snapshot. When it is newer than since, chain is the contiguous
-// run since+1..head (freshly allocated; the snapshots are immutable shared
-// state), or nil when that run is not reconstructible and the subscriber
-// must resync from head. When nothing newer exists yet, wait is the
-// channel the next wake closes — taken under the same lock as the check,
-// so a publish in between cannot be missed.
-func (b *broker) collect(since uint64) (chain []*roadknn.Snapshot, head *roadknn.Snapshot, wait <-chan struct{}) {
+// run of deltas since+1..head (freshly allocated; the deltas are immutable
+// shared state), or nil when that run is not reconstructible and the
+// subscriber must resync from head. When nothing newer exists yet, wait is
+// the channel the next wake closes — taken under the same lock as the
+// check, so a publish in between cannot be missed.
+func (b *broker) collect(since uint64) (chain []*roadknn.Delta, head *roadknn.Snapshot, wait <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	head = b.ring[b.hi%uint64(len(b.ring))]
 	if b.hi <= since {
-		return nil, head, b.notify
+		return nil, b.head, b.notify
 	}
-	if since+1 >= b.lo {
-		chain = make([]*roadknn.Snapshot, 0, b.hi-since)
+	if since >= b.lo {
+		chain = make([]*roadknn.Delta, 0, b.hi-since)
 		for e := since + 1; e <= b.hi; e++ {
-			snap := b.ring[e%uint64(len(b.ring))]
-			if snap == nil || snap.Epoch() != e || snap.Delta() == nil {
+			d := b.ring[e%uint64(len(b.ring))]
+			if d == nil || d.Epoch() != e {
 				chain = nil
 				break
 			}
-			chain = append(chain, snap)
+			chain = append(chain, d)
 		}
 	}
 	if chain == nil {
@@ -119,5 +143,5 @@ func (b *broker) collect(since uint64) (chain []*roadknn.Snapshot, head *roadknn
 	} else {
 		b.deltasOut.Add(int64(len(chain)))
 	}
-	return chain, head, nil
+	return chain, b.head, nil
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -53,8 +54,7 @@ func (c *deltaCursor) advance(t *testing.T, s *Server, oracle map[uint64][]byte)
 		c.snap = adv.head
 		c.resyncs++
 	}
-	for _, snap := range adv.chain {
-		d := snap.Delta()
+	for _, d := range adv.chain {
 		next, err := d.Apply(c.snap)
 		if err != nil {
 			t.Fatalf("%s: apply delta for epoch %d: %v", c.name, d.Epoch(), err)
@@ -254,6 +254,13 @@ func TestDeltaLongPoll(t *testing.T) {
 		t.Fatalf("response epoch %v, want %d", resp["epoch"], since+1)
 	}
 
+	// /v1/stats reports what the ring retains: that one epoch's delta.
+	_, stats := get(t, hs.URL+"/v1/stats")
+	ringStats := stats["delta"].(map[string]any)
+	if want := s.Engine().Snapshot().Delta().EncodedLen(); ringStats["ring_epochs"].(float64) != 1 || int(ringStats["ring_bytes"].(float64)) != want {
+		t.Fatalf("stats report a ring of %v epochs, %v bytes; want 1 epoch, %d bytes", ringStats["ring_epochs"], ringStats["ring_bytes"], want)
+	}
+
 	// Future epoch: times out empty, reporting the real newest epoch.
 	status, resp = get(t, hs.URL+"/v1/delta?since=999999&wait_ms=50")
 	if status != http.StatusOK {
@@ -326,9 +333,11 @@ func TestDeltaStreamSSE(t *testing.T) {
 }
 
 // TestStreamRowsDeltaAware: with a delta-emitting engine, /v1/stream sends
-// one "rows" event per epoch carrying only the changed query rows, and
-// skips epochs in which nothing changed for the subscribed query — the
-// churn-proportional upgrade over the full-resend fallback.
+// "rows" events carrying only the changed query rows, and skips epochs in
+// which nothing changed for the subscribed query — the churn-proportional
+// upgrade over the full-resend fallback. Each event is read before the next
+// tick that touches the query: a subscriber that keeps up gets one event per
+// epoch (one that lags gets them folded, see TestStreamRowsLaggingCursor).
 func TestStreamRowsDeltaAware(t *testing.T) {
 	s, hs := newDeltaTestServer(t, 8)
 	post(t, hs.URL+"/v1/updates", `{
@@ -352,19 +361,6 @@ func TestStreamRowsDeltaAware(t *testing.T) {
 	// Epoch A: only query 3's neighborhood changes -> a rows event.
 	post(t, hs.URL+"/v1/updates", `{"objects":[{"id":1,"edge":0,"frac":0.9}]}`)
 	snapA := s.Tick()
-	// Epoch B: only query 5's neighborhood changes -> frame skipped for
-	// this subscriber (verify the premise against the published delta).
-	post(t, hs.URL+"/v1/updates", `{"objects":[{"id":2,"edge":200,"frac":0.9}]}`)
-	snapB := s.Tick()
-	for i := range snapB.Delta().Queries {
-		if snapB.Delta().Queries[i].ID == 3 {
-			t.Fatalf("test premise broken: epoch %d delta touches query 3", snapB.Epoch())
-		}
-	}
-	// Epoch C: query 3 again -> next rows event jumps over epoch B.
-	post(t, hs.URL+"/v1/updates", `{"objects":[{"id":1,"edge":0,"frac":0.1}]}`)
-	snapC := s.Tick()
-
 	rowsA := nextStreamEvent(t, events)
 	if rowsA.name != "rows" || uint64(rowsA.data["epoch"].(float64)) != snapA.Epoch() {
 		t.Fatalf("first rows event %q at epoch %v, want rows at %d", rowsA.name, rowsA.data["epoch"], snapA.Epoch())
@@ -376,6 +372,18 @@ func TestStreamRowsDeltaAware(t *testing.T) {
 	if _, hasNb := ch[0].(map[string]any)["neighbors"]; !hasNb {
 		t.Fatalf("changed row carries no full neighbor list: %v", ch[0])
 	}
+
+	// Epoch B: only query 5's neighborhood changes -> nothing is sent to
+	// this subscriber (verify the premise against the published delta).
+	post(t, hs.URL+"/v1/updates", `{"objects":[{"id":2,"edge":200,"frac":0.9}]}`)
+	snapB := s.Tick()
+	if deltaTouches(snapB, 3) {
+		t.Fatalf("test premise broken: epoch %d delta touches query 3", snapB.Epoch())
+	}
+	// Epoch C: query 3 again -> the next rows event is at C, whether the
+	// stream had already advanced over B or folds B and C into one advance.
+	post(t, hs.URL+"/v1/updates", `{"objects":[{"id":1,"edge":0,"frac":0.1}]}`)
+	snapC := s.Tick()
 	rowsC := nextStreamEvent(t, events)
 	if rowsC.name != "rows" || uint64(rowsC.data["epoch"].(float64)) != snapC.Epoch() {
 		t.Fatalf("second rows event %q at epoch %v, want rows at %d (epoch %d skipped)",
@@ -392,6 +400,119 @@ func TestStreamRowsDeltaAware(t *testing.T) {
 	rm := gone.data["removed"].([]any)
 	if len(rm) != 1 || rm[0].(float64) != 3 {
 		t.Fatalf("removal frame %v, want removed [3]", gone.data)
+	}
+}
+
+// deltaTouches reports whether snap's own delta names query id.
+func deltaTouches(snap *roadknn.Snapshot, id roadknn.QueryID) bool {
+	for _, qd := range snap.Delta().Queries {
+		if qd.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStreamRowsLaggingCursor: a /v1/stream cursor several epochs behind is
+// brought to the newest epoch by one "rows" event, folded over the deltas in
+// between and read from the newest snapshot — the only place full rows
+// exist, since the broker retains deltas, not old snapshots. Three ticks are
+// published before the subscriber's first read: A (10) changes at E+1 and
+// E+3, B (11) changes at E+1 and is ended at E+2, C (12) is ended at E+1 and
+// re-installed at E+3, D (13) changes only at E+2 and is not subscribed.
+// Serving an intermediate epoch's rows from anywhere but head — empty,
+// stale, or the delta's own entries — fails the replay against
+// /v1/snapshot.
+func TestStreamRowsLaggingCursor(t *testing.T) {
+	s, hs := newDeltaTestServer(t, 8)
+	const subscribed = "queries=10,11,12"
+	// Two objects under every k=2 query, so a row is more than one entry
+	// and one moved object is less than the row.
+	post(t, hs.URL+"/v1/updates", `{
+		"objects":[{"id":1,"edge":0,"frac":0.5},{"id":5,"edge":0,"frac":0.7},
+			{"id":2,"edge":100,"frac":0.5},{"id":6,"edge":100,"frac":0.7},
+			{"id":3,"edge":200,"frac":0.5},{"id":7,"edge":200,"frac":0.7},
+			{"id":4,"edge":280,"frac":0.5},{"id":8,"edge":280,"frac":0.7}],
+		"queries":[{"id":10,"k":2,"edge":0,"frac":0.2},{"id":11,"k":2,"edge":100,"frac":0.2},
+			{"id":12,"k":2,"edge":200,"frac":0.2},{"id":13,"k":2,"edge":280,"frac":0.2}]
+	}`)
+	base := s.Tick()
+	_, view := get(t, hs.URL+"/v1/snapshot?"+subscribed) // the client's epoch-E view
+
+	tick := func(body string, touched, untouched []roadknn.QueryID) *roadknn.Snapshot {
+		t.Helper()
+		post(t, hs.URL+"/v1/updates", body)
+		snap := s.Tick()
+		for _, id := range touched {
+			if !deltaTouches(snap, id) {
+				t.Fatalf("test premise broken: epoch %d's delta does not touch query %d", snap.Epoch(), id)
+			}
+		}
+		for _, id := range untouched {
+			if deltaTouches(snap, id) {
+				t.Fatalf("test premise broken: epoch %d's delta touches query %d", snap.Epoch(), id)
+			}
+		}
+		return snap
+	}
+	tick(`{"objects":[{"id":1,"edge":0,"frac":0.9},{"id":2,"edge":100,"frac":0.9}],"queries":[{"id":12,"end":true}]}`,
+		[]roadknn.QueryID{10, 11, 12}, []roadknn.QueryID{13})
+	tick(`{"objects":[{"id":4,"edge":280,"frac":0.9}],"queries":[{"id":11,"end":true}]}`,
+		[]roadknn.QueryID{11, 13}, []roadknn.QueryID{10, 12})
+	head := tick(`{"objects":[{"id":5,"edge":0,"frac":0.3}],"queries":[{"id":12,"k":2,"edge":200,"frac":0.4}]}`,
+		[]roadknn.QueryID{10, 12}, []roadknn.QueryID{11, 13})
+	if head.Epoch() != base.Epoch()+3 {
+		t.Fatalf("three ticks took epoch %d to %d", base.Epoch(), head.Epoch())
+	}
+
+	resp, err := http.Get(hs.URL + fmt.Sprintf("/v1/stream?since=%d&%s", base.Epoch(), subscribed))
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	defer resp.Body.Close()
+	events := readStream(t, resp.Body)
+	ev := nextStreamEvent(t, events)
+	if ev.name != "rows" || uint64(ev.data["epoch"].(float64)) != head.Epoch() {
+		t.Fatalf("first event %q at epoch %v, want rows at %d", ev.name, ev.data["epoch"], head.Epoch())
+	}
+
+	// The event names A and C as changed, B as removed, and not D.
+	rows := map[float64]any{}
+	for _, q := range view["queries"].([]any) {
+		rows[q.(map[string]any)["id"].(float64)] = q
+	}
+	var changed []float64
+	for _, q := range ev.data["changed"].([]any) {
+		id := q.(map[string]any)["id"].(float64)
+		changed = append(changed, id)
+		rows[id] = q
+	}
+	if fmt.Sprint(changed) != "[10 12]" || fmt.Sprint(ev.data["removed"]) != "[11]" {
+		t.Fatalf("event changed %v removed %v, want changed [10 12] removed [11]", changed, ev.data["removed"])
+	}
+	delete(rows, 11)
+
+	// Replayed on top of the epoch-E view, it yields the newest snapshot.
+	_, want := get(t, hs.URL+"/v1/snapshot?"+subscribed)
+	if uint64(want["epoch"].(float64)) != head.Epoch() || len(want["queries"].([]any)) != len(rows) {
+		t.Fatalf("snapshot at epoch %v with %d rows, replay at %d has %d",
+			want["epoch"], len(want["queries"].([]any)), head.Epoch(), len(rows))
+	}
+	for _, q := range want["queries"].([]any) {
+		id := q.(map[string]any)["id"].(float64)
+		if nb := q.(map[string]any)["neighbors"].([]any); len(nb) != 2 {
+			t.Fatalf("test premise broken: query %v has %d neighbors at head", id, len(nb))
+		}
+		if !reflect.DeepEqual(rows[id], q) {
+			t.Errorf("query %v after replay: %v, /v1/snapshot has %v", id, rows[id], q)
+		}
+	}
+
+	// One event, not one per epoch: the stream is idle until the next tick.
+	post(t, hs.URL+"/v1/updates", `{"objects":[{"id":1,"edge":0,"frac":0.6}]}`)
+	last := s.Tick()
+	if ev := nextStreamEvent(t, events); ev.name != "rows" || uint64(ev.data["epoch"].(float64)) != last.Epoch() {
+		t.Fatalf("event after the fold: %q at epoch %v, want rows at %d", ev.name, ev.data["epoch"], last.Epoch())
 	}
 }
 

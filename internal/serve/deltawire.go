@@ -6,6 +6,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"slices"
 	"strings"
 
 	"roadknn"
@@ -78,12 +79,18 @@ var binaryDeltas = streamEncoding{
 		case adv.chain == nil:
 			return appendHeartbeatFrame(b, adv.head.Epoch()), nil
 		}
-		for _, snap := range adv.chain {
-			if d := filterDelta(snap.Delta(), only); d != nil {
-				b = frame.Append(b, func(p []byte) []byte {
-					return d.AppendBinary(append(p, DeltaFrameDelta))
-				})
-			}
+		// One growth to the chain's exact size: doubling from empty to a
+		// high-churn epoch's delta would copy it several times per
+		// subscriber per tick.
+		chain, n := filterChain(adv.chain, only), 0
+		for _, d := range chain {
+			n += frame.Overhead + 1 + d.EncodedLen()
+		}
+		b = slices.Grow(b, n)
+		for _, d := range chain {
+			b = frame.Append(b, func(p []byte) []byte {
+				return d.AppendBinary(append(p, DeltaFrameDelta))
+			})
 		}
 		return b, nil
 	},
@@ -177,4 +184,19 @@ func filterDelta(d *roadknn.Delta, only querySet) *roadknn.Delta {
 		}
 	}
 	return &fd
+}
+
+// filterChain is filterDelta over a delta chain: the chain itself when only
+// is nil, else the filtered deltas that have something for the subscriber.
+func filterChain(chain []*roadknn.Delta, only querySet) []*roadknn.Delta {
+	if only == nil {
+		return chain
+	}
+	var out []*roadknn.Delta
+	for _, d := range chain {
+		if fd := filterDelta(d, only); fd != nil {
+			out = append(out, fd)
+		}
+	}
+	return out
 }

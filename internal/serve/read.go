@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -41,13 +42,13 @@ type subscription struct {
 }
 
 // advance is what one step of a subscription yields, exactly one of: a
-// snapshot chain (chain non-empty: the epochs since+1..head, each carrying
-// its Delta), a resync (the cursor cannot advance incrementally and is
-// re-seeded from head), or a heartbeat (neither: nothing newer arrived in
-// time). head is the newest published snapshot in all three, and the
-// epoch the cursor now stands at in the first two.
+// delta chain (chain non-empty: the deltas of the epochs since+1..head), a
+// resync (the cursor cannot advance incrementally and is re-seeded from
+// head), or a heartbeat (neither: nothing newer arrived in time). head is
+// the newest published snapshot in all three, and the epoch the cursor now
+// stands at in the first two.
 type advance struct {
-	chain  []*roadknn.Snapshot
+	chain  []*roadknn.Delta
 	resync bool
 	head   *roadknn.Snapshot
 }
@@ -240,8 +241,8 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, r, sseDeltas)
 }
 
-// handleStream streams SSE "rows" events: per published epoch, the full
-// current rows of exactly the queries whose results changed.
+// handleStream streams SSE "rows" events: per advance, the full current
+// rows of exactly the queries whose results changed since the cursor.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, r, sseRows)
 }
@@ -300,7 +301,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, enc streamEncodi
 // deadline DeltaSendTimeout ahead, so an idle stream never trips over the
 // deadline its last event left behind, and a subscriber that cannot absorb
 // a write in time is evicted: the write errors out, the connection closes,
-// and the broker's ring stops being pinned on its behalf.
+// and its handler goroutine and the advance it was sending are released.
 func (s *Server) send(w http.ResponseWriter, rc *http.ResponseController, b []byte) bool {
 	s.reads.Add(1)
 	rc.SetWriteDeadline(time.Now().Add(s.cfg.DeltaSendTimeout))
@@ -360,9 +361,9 @@ func resultToJSON(id roadknn.QueryID, res []roadknn.Neighbor) queryResultJSON {
 	return q
 }
 
-// rowsJSON is one epoch's /v1/stream event: the full current results of
-// exactly the queries whose results changed at that epoch, plus the ids of
-// queries removed — churn-proportional like a delta, but self-contained
+// rowsJSON is one /v1/stream event: the full current results of exactly the
+// queries whose results changed since the subscriber's cursor, plus the ids
+// of queries removed — churn-proportional like a delta, but self-contained
 // per query (no client-side delta application needed).
 type rowsJSON struct {
 	Epoch     uint64            `json:"epoch"`
@@ -371,19 +372,29 @@ type rowsJSON struct {
 	Removed   []int64           `json:"removed,omitempty"`
 }
 
-// rowsToJSON renders the rows event of one snapshot from its own delta;
-// it is empty when nothing changed for the subscribed queries.
-func rowsToJSON(snap *roadknn.Snapshot, only querySet) rowsJSON {
-	d := snap.Delta()
-	out := rowsJSON{Epoch: snap.Epoch(), Timestamp: snap.Timestamp()}
-	for i := range d.Queries {
-		qd := &d.Queries[i]
-		switch {
-		case !only.has(qd.ID):
-		case qd.Removed:
-			out.Removed = append(out.Removed, int64(qd.ID))
-		default:
-			out.Changed = append(out.Changed, resultToJSON(qd.ID, snap.Result(qd.ID)))
+// rowsToJSON folds a delta chain into the one rows event that brings a
+// subscriber to head: every subscribed query some delta of the chain names,
+// ascending, with its row read from head — or its id under removed when head
+// no longer has it. Old epochs' rows are retained nowhere, and a client that
+// replaces its rows by the event's ends at head's view whatever happened in
+// between. It is empty when nothing changed for the subscribed queries.
+func rowsToJSON(adv advance, only querySet) rowsJSON {
+	var ids []roadknn.QueryID
+	for _, d := range adv.chain {
+		for i := range d.Queries {
+			if id := d.Queries[i].ID; only.has(id) {
+				ids = append(ids, id)
+			}
+		}
+	}
+	slices.Sort(ids) // one delta's ids already ascend; several interleave and repeat
+	ids = slices.Compact(ids)
+	out := rowsJSON{Epoch: adv.head.Epoch(), Timestamp: adv.head.Timestamp()}
+	for _, id := range ids {
+		if res, ok := adv.head.Lookup(id); ok {
+			out.Changed = append(out.Changed, resultToJSON(id, res))
+		} else {
+			out.Removed = append(out.Removed, int64(id))
 		}
 	}
 	return out
@@ -440,19 +451,17 @@ func deltaPollToJSON(adv advance, only querySet) deltaPollJSON {
 	// The cursor advances over the whole chain even when filtering leaves
 	// nothing to send: a skipped delta carries zero changes for the
 	// subscribed queries.
-	for _, snap := range adv.chain {
-		if d := filterDelta(snap.Delta(), only); d != nil {
-			out.Deltas = append(out.Deltas, deltaToJSON(d))
-		}
+	for _, d := range filterChain(adv.chain, only) {
+		out.Deltas = append(out.Deltas, deltaToJSON(d))
 	}
 	return out
 }
 
 // sseEncoding is the server-sent-events form of a JSON encoder: a "resync"
-// event carries the (filtered) full snapshot, each chain epoch becomes one
-// event named after the encoder, rendered by payload (nil: nothing to say
+// event carries the (filtered) full snapshot, a chain becomes the events
+// named after the encoder whose payloads chain renders (none: nothing to say
 // to this subscriber), and a heartbeat is a keep-alive comment.
-func sseEncoding(event string, payload func(*roadknn.Snapshot, querySet) any) streamEncoding {
+func sseEncoding(event string, chain func(advance, querySet) []any) streamEncoding {
 	appendEvent := func(b []byte, event string, payload any) ([]byte, error) {
 		data, err := json.Marshal(payload)
 		if err != nil {
@@ -471,12 +480,10 @@ func sseEncoding(event string, payload func(*roadknn.Snapshot, querySet) any) st
 			case adv.chain == nil:
 				return append(b, ": keep-alive\n\n"...), nil
 			}
-			for _, snap := range adv.chain {
-				if p := payload(snap, only); p != nil {
-					var err error
-					if b, err = appendEvent(b, event, p); err != nil {
-						return b, err
-					}
+			for _, p := range chain(adv, only) {
+				var err error
+				if b, err = appendEvent(b, event, p); err != nil {
+					return b, err
 				}
 			}
 			return b, nil
@@ -485,15 +492,18 @@ func sseEncoding(event string, payload func(*roadknn.Snapshot, querySet) any) st
 }
 
 var (
-	sseDeltas = sseEncoding("delta", func(snap *roadknn.Snapshot, only querySet) any {
-		if d := filterDelta(snap.Delta(), only); d != nil {
-			return deltaToJSON(d)
+	// One delta event per chain epoch that touches a subscribed query.
+	sseDeltas = sseEncoding("delta", func(adv advance, only querySet) []any {
+		var events []any
+		for _, d := range filterChain(adv.chain, only) {
+			events = append(events, deltaToJSON(d))
 		}
-		return nil
+		return events
 	})
-	sseRows = sseEncoding("rows", func(snap *roadknn.Snapshot, only querySet) any {
-		if rows := rowsToJSON(snap, only); len(rows.Changed)+len(rows.Removed) > 0 {
-			return rows
+	// One rows event per advance, however many epochs it spans.
+	sseRows = sseEncoding("rows", func(adv advance, only querySet) []any {
+		if rows := rowsToJSON(adv, only); len(rows.Changed)+len(rows.Removed) > 0 {
+			return []any{rows}
 		}
 		return nil
 	})

@@ -27,7 +27,9 @@
 //
 // Read endpoints (read.go) — each is one transport times one encoder over
 // the same subscription, and all answer from the same source, the broker's
-// newest published snapshot and delta ring:
+// newest published snapshot and its ring of the last Config.DeltaRing
+// epochs' deltas (what subscribers are sent is what is retained; no older
+// snapshot is kept alive):
 //
 //	route          transport  encoder
 //	/v1/snapshot   long-poll  rows JSON: the full result set
@@ -36,7 +38,8 @@
 //	/v1/deltas     stream     delta JSON as SSE "delta" events, or a
 //	                          continuous binary frame stream by Accept
 //	/v1/stream     stream     rows JSON as SSE "rows" events: the full
-//	                          rows of the queries that changed that epoch
+//	                          current rows of the queries that changed
+//	                          since the cursor, one event per advance
 //
 // All five take the same parameters: ?since=E is the subscriber's cursor
 // (without it the answer is the newest snapshot — on the delta and stream
@@ -102,16 +105,18 @@ type Config struct {
 	// rejected whole with 429, bounding memory an untrusted client can
 	// pin with updates that are never ticked.
 	MaxPending int
-	// DeltaRing is how many recent epochs the delta broker retains
-	// (default 64). A delta subscriber lagging further than this is
-	// resynchronized from the full snapshot instead of replaying deltas.
+	// DeltaRing is how many epochs a subscriber's cursor may lag before it
+	// is resynchronized from the full snapshot instead of replaying deltas
+	// (default 64). The broker retains that many epochs' deltas — what
+	// /v1/stats reports as delta.ring_bytes — and no snapshot but the
+	// newest.
 	DeltaRing int
 
 	// DeltaSendTimeout bounds one write to a delta subscriber (default
 	// 10s). A stalled SSE or binary-stream client that cannot absorb a
 	// frame within the deadline is evicted (connection closed, counted in
-	// /v1/stats delta.evicted) instead of pinning broker memory and a
-	// handler goroutine indefinitely.
+	// /v1/stats delta.evicted) instead of pinning a handler goroutine, and
+	// the advance it was being sent, indefinitely.
 	DeltaSendTimeout time.Duration
 	// MaxResyncStrikes evicts a connected delta subscriber that needs a
 	// ring-lag resync this many consecutive times (default 3): a client
@@ -765,6 +770,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Like every read route, stats answers from the broker: the engine's own
 	// snapshot flips at Step, before the durability policy lets it out.
 	snap := s.broker.newest()
+	ringEpochs, ringBytes := s.broker.weight()
 	steps := s.steps.Load()
 	var avgMs float64
 	if steps > 0 {
@@ -790,11 +796,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"reads":          s.reads.Load(),
 		"streams_active": s.streamsActive.Load(),
 		"delta": map[string]any{
-			"ring":       s.cfg.DeltaRing,
-			"epoch":      snap.Epoch(),
-			"deltas_out": s.broker.deltasOut.Load(),
-			"resyncs":    s.broker.resyncs.Load(),
-			"evicted":    s.broker.evicted.Load(),
+			"ring": s.cfg.DeltaRing,
+			// What retention costs right now: the epochs whose deltas are
+			// resident and the sum of their encoded sizes.
+			"ring_epochs": ringEpochs,
+			"ring_bytes":  ringBytes,
+			"epoch":       snap.Epoch(),
+			"deltas_out":  s.broker.deltasOut.Load(),
+			"resyncs":     s.broker.resyncs.Load(),
+			"evicted":     s.broker.evicted.Load(),
 		},
 	}
 	if sp, ok := s.eng.(planner.StatsProvider); ok {
