@@ -58,11 +58,13 @@ type monitorSet struct {
 	// allocates nothing.
 	changed      []*monitor
 	pendingMoves []queryMove
-	aggW         map[graph.EdgeID]float64
-	aggOrder     []graph.EdgeID
-	decBuf       []edgeChange
-	incBuf       []edgeChange
-	changeBuf    []edgeChange
+	// agg aggregates the step's edge reports per edge: agg[e].w is edge e's
+	// last reported weight while agg[e].epoch is the running step's.
+	agg       []edgeAgg
+	aggOrder  []graph.EdgeID
+	decBuf    []edgeChange
+	incBuf    []edgeChange
+	changeBuf []edgeChange
 
 	// topoMoves / topoMarks carry a topology phase's object re-snaps and
 	// flagged queries from applyTopology to the step that follows it, which
@@ -79,10 +81,9 @@ type monitorSet struct {
 
 func newMonitorSet(net *roadnet.Network, qt *queryTable) *monitorSet {
 	return &monitorSet{
-		net:  net,
-		il:   newILTable(net.G.NumEdges()),
-		qt:   qt,
-		aggW: make(map[graph.EdgeID]float64),
+		net: net,
+		il:  newILTable(net.G.NumEdges()),
+		qt:  qt,
 	}
 }
 
@@ -356,6 +357,12 @@ type edgeChange struct {
 	decrease   bool
 }
 
+// edgeAgg is one edge's slot in a step's edge-report aggregation.
+type edgeAgg struct {
+	epoch uint64
+	w     float64
+}
+
 // classifyEdgeUpdates aggregates duplicate per-edge updates (§4.5: multiple
 // weight updates per edge per timestamp collapse into the overall change)
 // and splits them into decreases and increases, each sorted by edge id,
@@ -366,27 +373,31 @@ func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 	if len(edges) == 0 {
 		return nil
 	}
-	agg := s.aggW
-	clear(agg)
+	// The aggregation array follows the edge id space, which AddEdge grows.
+	if n := s.net.G.NumEdges(); len(s.agg) < n {
+		s.agg = append(s.agg, make([]edgeAgg, n-len(s.agg))...)
+	}
 	order := s.aggOrder[:0]
 	for _, eu := range edges {
 		if !s.net.G.EdgeAlive(eu.Edge) {
 			continue // edge removed earlier this timestamp; stale sensor report
 		}
-		if _, seen := agg[eu.Edge]; !seen {
+		a := &s.agg[eu.Edge]
+		if a.epoch != s.epoch {
+			a.epoch = s.epoch
 			order = append(order, eu.Edge)
 		}
-		agg[eu.Edge] = eu.NewW // last update wins: it is the final weight
+		a.w = eu.NewW // last update wins: it is the final weight
 	}
 	s.aggOrder = order
 	decs, incs := s.decBuf[:0], s.incBuf[:0]
 	for _, eid := range order {
-		oldW := s.net.G.Edge(eid).W
+		oldW, newW := s.net.G.Edge(eid).W, s.agg[eid].w
 		switch {
-		case agg[eid] < oldW:
-			decs = append(decs, edgeChange{eid: eid, oldW: oldW, newW: agg[eid], decrease: true})
-		case agg[eid] > oldW:
-			incs = append(incs, edgeChange{eid: eid, oldW: oldW, newW: agg[eid]})
+		case newW < oldW:
+			decs = append(decs, edgeChange{eid: eid, oldW: oldW, newW: newW, decrease: true})
+		case newW > oldW:
+			incs = append(incs, edgeChange{eid: eid, oldW: oldW, newW: newW})
 		}
 	}
 	slices.SortFunc(decs, func(a, b edgeChange) int { return cmp.Compare(a.eid, b.eid) })

@@ -13,6 +13,7 @@ import (
 
 	"roadknn/internal/geom"
 	"roadknn/internal/graph"
+	"roadknn/internal/idtable"
 	"roadknn/internal/quadtree"
 )
 
@@ -30,20 +31,36 @@ type Position struct {
 
 // Network is the runtime model: graph + spatial index + object registry.
 // It is not safe for concurrent mutation.
+//
+// The object registry is the edge table's per-edge object lists plus one
+// record per object saying where in them it sits: objIdx maps an object id
+// to its record's row, and each list entry carries its record's row back.
+// A lookup is one table probe; a move or removal is O(1) — the entry at
+// the record's slot is rewritten in place or swap-removed, with the entry
+// swapped into its place re-pointed through its own record. Lists keep
+// append / swap-remove order, which is what expansions iterate.
 type Network struct {
 	G  *graph.Graph
 	SI *quadtree.Tree
 
-	objPos  map[ObjectID]Position
+	objIdx  idtable.Table
+	objRec  []objRecord     // by objIdx row
 	edgeObj [][]ObjectEntry // objects per edge, unordered
 }
 
 // ObjectEntry is an object stored in an edge's object list, with its
 // fraction along the edge duplicated so that network expansions can scan
-// edge lists without per-object map lookups.
+// edge lists without per-object lookups.
 type ObjectEntry struct {
 	ID   ObjectID
+	rec  int32 // row of the object's record; fills what would be padding
 	Frac float64
+}
+
+// objRecord locates a registered object: edgeObj[edge][slot] is its entry.
+type objRecord struct {
+	edge graph.EdgeID
+	slot int32
 }
 
 // NewNetwork wraps g with a spatial index and empty object registry.
@@ -65,7 +82,6 @@ func NewNetwork(g *graph.Graph) *Network {
 	return &Network{
 		G:       g,
 		SI:      si,
-		objPos:  make(map[ObjectID]Position),
 		edgeObj: make([][]ObjectEntry, g.NumEdges()),
 	}
 }
@@ -202,21 +218,25 @@ func (n *Network) ArcCost(a, b Position) float64 {
 
 // AddObject registers object id at pos. Re-adding an existing id panics.
 func (n *Network) AddObject(id ObjectID, pos Position) {
-	if _, dup := n.objPos[id]; dup {
+	row, added := n.objIdx.Insert(int32(id))
+	if !added {
 		panic(fmt.Sprintf("roadnet: object %d already registered", id))
 	}
-	n.objPos[id] = pos
-	n.edgeObj[pos.Edge] = append(n.edgeObj[pos.Edge], ObjectEntry{ID: id, Frac: pos.Frac})
+	if int(row) == len(n.objRec) {
+		n.objRec = append(n.objRec, objRecord{})
+	}
+	n.link(row, id, pos)
 }
 
 // RemoveObject unregisters object id and returns its last position.
 func (n *Network) RemoveObject(id ObjectID) (Position, bool) {
-	pos, ok := n.objPos[id]
+	row, ok := n.objIdx.Delete(int32(id))
 	if !ok {
 		return Position{}, false
 	}
-	delete(n.objPos, id)
-	n.removeFromEdge(id, pos.Edge)
+	r := n.objRec[row]
+	pos := n.at(r)
+	n.unlink(r)
 	return pos, true
 }
 
@@ -224,42 +244,50 @@ func (n *Network) RemoveObject(id ObjectID) (Position, bool) {
 // Moving an unknown object panics: updates carry old coordinates in the
 // paper's protocol, so an unknown id indicates upstream corruption.
 func (n *Network) MoveObject(id ObjectID, pos Position) Position {
-	old, ok := n.objPos[id]
+	row, ok := n.objIdx.Find(int32(id))
 	if !ok {
 		panic(fmt.Sprintf("roadnet: MoveObject of unknown object %d", id))
 	}
-	if old.Edge != pos.Edge {
-		n.removeFromEdge(id, old.Edge)
-		n.edgeObj[pos.Edge] = append(n.edgeObj[pos.Edge], ObjectEntry{ID: id, Frac: pos.Frac})
-	} else {
-		list := n.edgeObj[pos.Edge]
-		for i := range list {
-			if list[i].ID == id {
-				list[i].Frac = pos.Frac
-				break
-			}
-		}
+	r := n.objRec[row]
+	old := n.at(r)
+	if old.Edge == pos.Edge {
+		n.edgeObj[r.edge][r.slot].Frac = pos.Frac
+		return old
 	}
-	n.objPos[id] = pos
+	n.unlink(r)
+	n.link(row, id, pos)
 	return old
 }
 
-func (n *Network) removeFromEdge(id ObjectID, e graph.EdgeID) {
-	list := n.edgeObj[e]
-	for i := range list {
-		if list[i].ID == id {
-			list[i] = list[len(list)-1]
-			n.edgeObj[e] = list[:len(list)-1]
-			return
-		}
-	}
-	panic(fmt.Sprintf("roadnet: object %d missing from edge %d list", id, e))
+// at is the position record r points at.
+func (n *Network) at(r objRecord) Position {
+	return Position{Edge: r.edge, Frac: n.edgeObj[r.edge][r.slot].Frac}
+}
+
+// link appends object id, whose record is row, to pos's edge list.
+func (n *Network) link(row int32, id ObjectID, pos Position) {
+	list := n.edgeObj[pos.Edge]
+	n.objRec[row] = objRecord{edge: pos.Edge, slot: int32(len(list))}
+	n.edgeObj[pos.Edge] = append(list, ObjectEntry{ID: id, rec: row, Frac: pos.Frac})
+}
+
+// unlink swap-removes the entry r points at: the list's last entry takes
+// its slot, and that entry's record follows it there.
+func (n *Network) unlink(r objRecord) {
+	list := n.edgeObj[r.edge]
+	last := len(list) - 1
+	list[r.slot] = list[last]
+	n.objRec[list[r.slot].rec].slot = r.slot
+	n.edgeObj[r.edge] = list[:last]
 }
 
 // ObjectPos returns the position of object id.
 func (n *Network) ObjectPos(id ObjectID) (Position, bool) {
-	p, ok := n.objPos[id]
-	return p, ok
+	row, ok := n.objIdx.Find(int32(id))
+	if !ok {
+		return Position{}, false
+	}
+	return n.at(n.objRec[row]), true
 }
 
 // ObjectsOn returns the objects currently on edge e with their fractions.
@@ -267,12 +295,14 @@ func (n *Network) ObjectPos(id ObjectID) (Position, bool) {
 func (n *Network) ObjectsOn(e graph.EdgeID) []ObjectEntry { return n.edgeObj[e] }
 
 // NumObjects returns the number of registered objects.
-func (n *Network) NumObjects() int { return len(n.objPos) }
+func (n *Network) NumObjects() int { return n.objIdx.Len() }
 
-// ForEachObject calls fn for every registered object.
+// ForEachObject calls fn for every registered object, edge by edge.
 func (n *Network) ForEachObject(fn func(ObjectID, Position)) {
-	for id, pos := range n.objPos {
-		fn(id, pos)
+	for e, list := range n.edgeObj {
+		for _, oe := range list {
+			fn(oe.ID, Position{Edge: graph.EdgeID(e), Frac: oe.Frac})
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"roadknn"
+	"roadknn/internal/idtable"
 	"roadknn/internal/wal"
 )
 
@@ -33,16 +34,22 @@ import (
 //
 // A Batcher is not safe for concurrent use; the Server serializes access.
 type Batcher struct {
+	// Objects live in one row table: objIdx maps an id to its row in
+	// objRows, which holds both what the engine has applied and what is
+	// pending this tick. An id has a row exactly while it is applied or
+	// pending; a row whose object is gone is zeroed and recycled. objOrder
+	// lists the pending rows in first-report order.
+	objIdx   idtable.Table
+	objRows  []objRow
+	objOrder []int32
+
 	// applied state: what the engine has after the last Drain'd batch.
-	objApplied map[roadknn.ObjectID]roadknn.Position
 	qryApplied map[roadknn.QueryID]appliedQry
 	// edgeApplied tracks edge weights overridden from the network file
 	// since startup, so checkpoints can rebuild them.
 	edgeApplied map[roadknn.EdgeID]float64
 
 	// pending state for the current tick.
-	objPend  map[roadknn.ObjectID]pendingPos
-	objOrder []roadknn.ObjectID
 	qryPend  map[roadknn.QueryID]pendingQry
 	qryOrder []roadknn.QueryID
 	edgePend map[roadknn.EdgeID]float64
@@ -68,10 +75,23 @@ type Batcher struct {
 	simLive   int
 }
 
-type pendingPos struct {
-	pos roadknn.Position
-	del bool
+// objRow is one object's applied and pending state.
+type objRow struct {
+	id      roadknn.ObjectID
+	applied bool
+	pend    pendKind
+	at      roadknn.Position // applied position, when applied
+	to      roadknn.Position // reported position, when pend is pendMove
 }
+
+// pendKind is what an object's row has pending this tick.
+type pendKind uint8
+
+const (
+	pendNone pendKind = iota
+	pendMove          // reported at objRow.to
+	pendDel           // reported gone
+)
 
 type appliedQry struct {
 	pos roadknn.Position
@@ -92,10 +112,8 @@ type pendingQry struct {
 // must seed the edge-id simulator with InitTopology first.
 func NewBatcher() *Batcher {
 	return &Batcher{
-		objApplied:  make(map[roadknn.ObjectID]roadknn.Position),
 		qryApplied:  make(map[roadknn.QueryID]appliedQry),
 		edgeApplied: make(map[roadknn.EdgeID]float64),
-		objPend:     make(map[roadknn.ObjectID]pendingPos),
 		qryPend:     make(map[roadknn.QueryID]pendingQry),
 		edgePend:    make(map[roadknn.EdgeID]float64),
 		simState:    make(map[roadknn.EdgeID]bool),
@@ -174,8 +192,8 @@ func (b *Batcher) RemoveEdge(e roadknn.EdgeID) {
 // one is — the report was validated against e being live, and the engine
 // would otherwise place the entity on a dead edge.
 func (b *Batcher) PendingOnEdge(e roadknn.EdgeID) bool {
-	for _, p := range b.objPend {
-		if !p.del && p.pos.Edge == e {
+	for _, row := range b.objOrder {
+		if r := &b.objRows[row]; r.pend == pendMove && r.to.Edge == e {
 			return true
 		}
 	}
@@ -198,25 +216,34 @@ func (b *Batcher) SimSnapshot() ([]roadknn.EdgeID, int) {
 // Object reports object id at pos (insert or move — the batcher decides
 // which from the applied state).
 func (b *Batcher) Object(id roadknn.ObjectID, pos roadknn.Position) {
-	if _, seen := b.objPend[id]; !seen {
-		b.objOrder = append(b.objOrder, id)
+	row, _ := b.objIdx.Insert(int32(id))
+	if int(row) == len(b.objRows) {
+		b.objRows = append(b.objRows, objRow{})
 	}
-	b.objPend[id] = pendingPos{pos: pos}
+	r := b.report(row, pendMove)
+	r.id, r.to = id, pos
 }
 
 // DeleteObject reports object id gone. It returns false if the object is
 // neither applied nor pending (an unknown id).
 func (b *Batcher) DeleteObject(id roadknn.ObjectID) bool {
-	_, applied := b.objApplied[id]
-	_, pending := b.objPend[id]
-	if !applied && !pending {
+	row, ok := b.objIdx.Find(int32(id))
+	if !ok {
 		return false
 	}
-	if !pending {
-		b.objOrder = append(b.objOrder, id)
-	}
-	b.objPend[id] = pendingPos{del: true}
+	b.report(row, pendDel)
 	return true
+}
+
+// report marks row's object as having kind pending, listing it in
+// objOrder at its first report this tick, and returns the row.
+func (b *Batcher) report(row int32, kind pendKind) *objRow {
+	r := &b.objRows[row]
+	if r.pend == pendNone {
+		b.objOrder = append(b.objOrder, row)
+	}
+	r.pend = kind
+	return r
 }
 
 // Query reports query id at pos; k is used only if this installs (or,
@@ -274,14 +301,17 @@ func (b *Batcher) Edge(edge roadknn.EdgeID, w float64) {
 
 // Pending returns the number of entities with pending changes.
 func (b *Batcher) Pending() int {
-	return len(b.objPend) + len(b.qryPend) + len(b.edgePend) + len(b.topoPend)
+	return len(b.objOrder) + len(b.qryPend) + len(b.edgePend) + len(b.topoPend)
 }
 
 // PendingObject, PendingQuery and PendingEdge report whether the entity
 // already has a pending entry this tick. Admission control uses them:
 // re-reporting a pending entity overwrites in place and does not grow
 // the batcher.
-func (b *Batcher) PendingObject(id roadknn.ObjectID) bool { _, ok := b.objPend[id]; return ok }
+func (b *Batcher) PendingObject(id roadknn.ObjectID) bool {
+	row, ok := b.objIdx.Find(int32(id))
+	return ok && b.objRows[row].pend != pendNone
+}
 
 // PendingQuery reports whether query id has a pending entry this tick.
 func (b *Batcher) PendingQuery(id roadknn.QueryID) bool { _, ok := b.qryPend[id]; return ok }
@@ -299,8 +329,8 @@ func (b *Batcher) Drain() roadknn.Updates {
 }
 
 // Preview returns the batch the next Drain would produce without
-// advancing any state: pending reports stay pending and the applied maps
-// are untouched. The WAL path uses it to log the batch before committing
+// advancing any state: pending reports stay pending and the applied state
+// is untouched. The WAL path uses it to log the batch before committing
 // — if the append fails, nothing was consumed and the batch survives for
 // a retry (or a shutdown flush).
 func (b *Batcher) Preview() roadknn.Updates {
@@ -308,20 +338,19 @@ func (b *Batcher) Preview() roadknn.Updates {
 	if len(b.topoPend) > 0 {
 		u.Topology = append([]roadknn.TopologyUpdate(nil), b.topoPend...)
 	}
-	for _, id := range b.objOrder {
-		p := b.objPend[id]
-		old, existed := b.objApplied[id]
+	for _, row := range b.objOrder {
+		r := &b.objRows[row]
 		switch {
-		case p.del && existed:
-			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, Old: old, Delete: true})
-		case p.del:
+		case r.pend == pendDel && r.applied:
+			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, Old: r.at, Delete: true})
+		case r.pend == pendDel:
 			// Inserted and deleted within one tick: nothing to apply.
-		case existed:
-			if old != p.pos {
-				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, Old: old, New: p.pos})
+		case r.applied:
+			if r.at != r.to {
+				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, Old: r.at, New: r.to})
 			}
 		default:
-			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, New: p.pos, Insert: true})
+			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, New: r.to, Insert: true})
 		}
 	}
 	for _, id := range b.qryOrder {
@@ -373,12 +402,17 @@ func (b *Batcher) commit(u roadknn.Updates) {
 	b.topoApplied = append(b.topoApplied, u.Topology...)
 	b.topoPend = b.topoPend[:0]
 	clear(b.simState)
-	for _, ou := range u.Objects {
-		if ou.Delete {
-			delete(b.objApplied, ou.ID)
-		} else {
-			b.objApplied[ou.ID] = ou.New
+	// Objects commit from their rows, which u's object section was built
+	// from: a reported position becomes the applied one, and a deleted
+	// object's row is zeroed and released.
+	for _, row := range b.objOrder {
+		r := &b.objRows[row]
+		if r.pend == pendDel {
+			b.objIdx.Delete(int32(r.id))
+			*r = objRow{}
+			continue
 		}
+		r.applied, r.at, r.pend = true, r.to, pendNone
 	}
 	for _, qu := range u.Queries {
 		switch {
@@ -400,7 +434,6 @@ func (b *Batcher) commit(u roadknn.Updates) {
 			b.edgeApplied[eu.Edge] = eu.NewW
 		}
 	}
-	clear(b.objPend)
 	clear(b.qryPend)
 	clear(b.edgePend)
 	b.objOrder = b.objOrder[:0]
@@ -467,13 +500,13 @@ func (b *Batcher) ReconcileTopology(topo []roadknn.TopologyUpdate, net *roadknn.
 	if len(removed) == 0 {
 		return
 	}
-	for id, pos := range b.objApplied {
-		if removed[pos.Edge] {
+	for i := range b.objRows {
+		if r := &b.objRows[i]; r.applied && removed[r.at.Edge] {
 			// Residents re-snap at the moment their edge is removed, so the
 			// registry holds the authoritative position even if the id was
 			// reused by a later insertion in the same batch.
-			if np, ok := net.ObjectPos(id); ok {
-				b.objApplied[id] = np
+			if np, ok := net.ObjectPos(r.id); ok {
+				r.at = np
 			}
 		}
 	}
@@ -496,9 +529,11 @@ func (b *Batcher) ReconcileTopology(topo []roadknn.TopologyUpdate, net *roadknn.
 // are not included; the caller checkpoints at a tick boundary where
 // applied state and engine state coincide.
 func (b *Batcher) CheckpointState() ([]wal.ObjectState, []wal.QueryState, []wal.EdgeState, []roadknn.TopologyUpdate) {
-	objs := make([]wal.ObjectState, 0, len(b.objApplied))
-	for id, pos := range b.objApplied {
-		objs = append(objs, wal.ObjectState{ID: id, Pos: pos})
+	objs := make([]wal.ObjectState, 0, b.objIdx.Len())
+	for i := range b.objRows {
+		if r := &b.objRows[i]; r.applied {
+			objs = append(objs, wal.ObjectState{ID: r.id, Pos: r.at})
+		}
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
 	qrys := make([]wal.QueryState, 0, len(b.qryApplied))

@@ -80,6 +80,7 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,6 +168,9 @@ type Server struct {
 	// running Step (the stepper holds batchMu only for the Drain itself).
 	batchMu sync.Mutex
 	batch   *Batcher
+	// admitIDs is admission's scratch, guarded by batchMu: a request's ids,
+	// sorted to count the distinct ones and to group query reports by id.
+	admitIDs []int64
 
 	// stepMu serializes ticks (wall-clock and HTTP-triggered); see tick.go.
 	// It also guards enc, the one encoding buffer every tick's checksum,
@@ -470,37 +474,27 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	var decode func(*wireScratch) error
 	switch mt {
 	case "", "application/json":
-		var req batchRequest
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			failDecode(w, err)
-			return
-		}
-		s.ingest(w, &req)
+		decode = (*wireScratch).decodeJSON
 	case "application/x-ndjson":
-		sc := getWireScratch(body)
-		defer putWireScratch(sc)
-		if err := sc.decodeNDJSON(); err != nil {
-			failDecode(w, err)
-			return
-		}
-		s.ingest(w, &sc.req)
+		decode = (*wireScratch).decodeNDJSON
 	case "application/x-roadknn-updates", "application/octet-stream":
-		sc := getWireScratch(body)
-		defer putWireScratch(sc)
-		if err := sc.decodeWire(); err != nil {
-			failDecode(w, err)
-			return
-		}
-		s.ingest(w, &sc.req)
+		decode = (*wireScratch).decodeWire
 	default:
 		http.Error(w, "unsupported Content-Type "+mt+
 			" (want application/json, application/x-ndjson or application/x-roadknn-updates)",
 			http.StatusUnsupportedMediaType)
+		return
 	}
+	sc := getWireScratch(body)
+	defer putWireScratch(sc)
+	if err := decode(sc); err != nil {
+		failDecode(w, err)
+		return
+	}
+	s.ingest(w, &sc.req)
 }
 
 // failDecode answers a batch decode failure: body-size overruns with 413,
@@ -587,37 +581,35 @@ func (s *Server) ingest(w http.ResponseWriter, req *batchRequest) {
 func (s *Server) pendingGrowth(req *batchRequest) int {
 	// Topology ops are never coalesced: each one grows the pending list.
 	grow := len(req.Topology)
-	objs := make(map[int64]struct{}, len(req.Objects))
+	ids := s.admitIDs[:0]
 	for _, o := range req.Objects {
-		if _, dup := objs[o.ID]; dup {
-			continue
-		}
-		objs[o.ID] = struct{}{}
-		if !s.batch.PendingObject(roadknn.ObjectID(o.ID)) {
-			grow++
-		}
+		ids = append(ids, o.ID)
 	}
-	qrys := make(map[int32]struct{}, len(req.Queries))
+	grow += s.countNew(ids, func(id int64) bool { return s.batch.PendingObject(roadknn.ObjectID(id)) })
+	ids = s.admitIDs[:0]
 	for _, q := range req.Queries {
-		if _, dup := qrys[q.ID]; dup {
-			continue
-		}
-		qrys[q.ID] = struct{}{}
-		if !s.batch.PendingQuery(roadknn.QueryID(q.ID)) {
-			grow++
-		}
+		ids = append(ids, int64(q.ID))
 	}
-	edges := make(map[int32]struct{}, len(req.Edges))
+	grow += s.countNew(ids, func(id int64) bool { return s.batch.PendingQuery(roadknn.QueryID(id)) })
+	ids = s.admitIDs[:0]
 	for _, e := range req.Edges {
-		if _, dup := edges[e.Edge]; dup {
-			continue
-		}
-		edges[e.Edge] = struct{}{}
-		if !s.batch.PendingEdge(roadknn.EdgeID(e.Edge)) {
-			grow++
+		ids = append(ids, int64(e.Edge))
+	}
+	return grow + s.countNew(ids, func(id int64) bool { return s.batch.PendingEdge(roadknn.EdgeID(id)) })
+}
+
+// countNew sorts ids, which live in admitIDs' array, keeps that array for
+// the next request, and counts the distinct ids that pending rejects.
+func (s *Server) countNew(ids []int64, pending func(int64) bool) int {
+	slices.Sort(ids)
+	s.admitIDs = ids
+	n := 0
+	for i, id := range ids {
+		if (i == 0 || id != ids[i-1]) && !pending(id) {
+			n++
 		}
 	}
-	return grow
+	return n
 }
 
 // validateBatch bounds-checks an ingestion batch against the network and
@@ -718,18 +710,9 @@ func (s *Server) validateBatch(req *batchRequest) error {
 			return fmt.Errorf("object %d: %w", o.ID, err)
 		}
 	}
-	// needsK mirrors the Batcher's install semantics report by report: a
-	// query that is not applied (or was ended — pre-batch, by an earlier
-	// batch this tick, or earlier in THIS batch) is on an install/reinstall
-	// chain, where the last report's k is what Drain hands to
-	// Engine.Register, so every report on the chain must carry k >= 1.
-	// An End report puts the id on that chain; it never leaves it until
-	// the batch is drained.
-	needsK := make(map[roadknn.QueryID]bool)
-	for _, q := range req.Queries {
-		id := roadknn.QueryID(q.ID)
+	badK := s.firstMissingK(req.Queries)
+	for i, q := range req.Queries {
 		if q.End {
-			needsK[id] = true
 			continue
 		}
 		if err := okPos(q.Edge, q.Frac); err != nil {
@@ -738,12 +721,7 @@ func (s *Server) validateBatch(req *batchRequest) error {
 		if q.K != int(int32(q.K)) {
 			return fmt.Errorf("query %d: k %d outside the 32-bit range", q.ID, q.K)
 		}
-		nk, seen := needsK[id]
-		if !seen {
-			nk = s.batch.NeedsK(id)
-			needsK[id] = nk
-		}
-		if nk && q.K < 1 {
+		if i == badK {
 			return fmt.Errorf("query %d: install requires k >= 1, got %d", q.ID, q.K)
 		}
 	}
@@ -759,6 +737,43 @@ func (s *Server) validateBatch(req *batchRequest) error {
 		}
 	}
 	return nil
+}
+
+// firstMissingK returns the index of the first report in qs that would hand
+// Engine.Register a k below 1, or -1. It mirrors the Batcher's install
+// semantics report by report: a query that is not applied (or was ended —
+// pre-batch, by an earlier batch this tick, or earlier in THIS batch) is on
+// an install/reinstall chain, where the last report's k is what Drain hands
+// to Engine.Register, so every report on the chain must carry k >= 1. An
+// End report puts the id on that chain; it never leaves it until the batch
+// is drained. Only ends and reports with k < 1 can matter; they are grouped
+// by id, in request order within an id, by sorting (id, index) keys in
+// admitIDs. Caller holds batchMu.
+func (s *Server) firstMissingK(qs []queryReport) int {
+	keys := s.admitIDs[:0]
+	for i, q := range qs {
+		if q.End || q.K < 1 {
+			keys = append(keys, int64(q.ID)<<32|int64(i))
+		}
+	}
+	slices.Sort(keys)
+	s.admitIDs = keys
+	bad, chain := -1, false
+	for j, key := range keys {
+		id, i := key>>32, int(uint32(key))
+		if j == 0 || id != keys[j-1]>>32 {
+			chain = false
+		}
+		switch {
+		case qs[i].End:
+			chain = true
+		case chain || s.batch.NeedsK(roadknn.QueryID(id)):
+			if bad < 0 || i < bad {
+				bad = i
+			}
+		}
+	}
+	return bad
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {

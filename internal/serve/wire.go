@@ -192,9 +192,15 @@ type wireScratch struct {
 
 var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
 
-// getWireScratch leases a scratch with an empty (capacity-retaining) batch.
+// getWireScratch leases a scratch reading r.
 func getWireScratch(r io.Reader) *wireScratch {
 	sc := wirePool.Get().(*wireScratch)
+	sc.reset(r)
+	return sc
+}
+
+// reset points sc at r with an empty (capacity-retaining) batch.
+func (sc *wireScratch) reset(r io.Reader) {
 	sc.req.Topology = sc.req.Topology[:0]
 	sc.req.Objects = sc.req.Objects[:0]
 	sc.req.Queries = sc.req.Queries[:0]
@@ -205,7 +211,6 @@ func getWireScratch(r io.Reader) *wireScratch {
 	} else {
 		sc.br.Reset(r)
 	}
-	return sc
 }
 
 // putWireScratch returns a scratch to the pool. The caller must be done
@@ -294,6 +299,22 @@ func (sc *wireScratch) decodeFrame(p []byte) error {
 		}
 	}
 	return d.Done()
+}
+
+// decodeJSON reads one batchRequest document into sc.req, rejecting
+// unknown fields. encoding/json decodes array elements into a reused
+// slice's spare capacity without zeroing them, so a field an element does
+// not mention would keep the previous request's value (a stale
+// "delete":true would turn a move into a delete): the spare capacity is
+// zeroed first.
+func (sc *wireScratch) decodeJSON() error {
+	clear(sc.req.Topology[:cap(sc.req.Topology)])
+	clear(sc.req.Objects[:cap(sc.req.Objects)])
+	clear(sc.req.Queries[:cap(sc.req.Queries)])
+	clear(sc.req.Edges[:cap(sc.req.Edges)])
+	dec := json.NewDecoder(sc.br)
+	dec.DisallowUnknownFields()
+	return dec.Decode(&sc.req)
 }
 
 // decodeNDJSON reads newline-delimited JSON records into sc.req.
@@ -391,8 +412,8 @@ func EncodeUpdates(encoding string, u core.Updates) ([]byte, error) {
 }
 
 // DecodeUpdates runs the server-side decode path of POST /v1/updates on a
-// complete body, returning the number of decoded reports. Like the
-// handler, it decodes into pooled per-connection buffers — this is the
+// complete body, returning the number of decoded reports. It calls the
+// handler's decoders on the handler's pooled buffers — this is the
 // function the ingestion benchmark times.
 func DecodeUpdates(encoding string, body []byte) (int, error) {
 	sc := getWireScratch(bytes.NewReader(body))
@@ -400,7 +421,7 @@ func DecodeUpdates(encoding string, body []byte) (int, error) {
 	var err error
 	switch encoding {
 	case "json":
-		err = json.NewDecoder(sc.br).Decode(&sc.req)
+		err = sc.decodeJSON()
 	case "ndjson":
 		err = sc.decodeNDJSON()
 	case "binary":
