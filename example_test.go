@@ -52,25 +52,3 @@ func ExampleSnapshotKNN() {
 	fmt.Println(len(res))
 	// Output: 3
 }
-
-// ExampleNewReverseMonitor shows continuous reverse-NN monitoring: which
-// objects consider each query their nearest.
-func ExampleNewReverseMonitor() {
-	b := roadknn.NewNetworkBuilder()
-	a := b.AddNode(0, 0)
-	c := b.AddNode(1, 0)
-	d := b.AddNode(2, 0)
-	e0 := b.AddEdge(a, c, 1)
-	e1 := b.AddEdge(c, d, 1)
-	net := b.Build()
-	net.AddObject(1, roadknn.Position{Edge: e0, Frac: 0.1})
-	net.AddObject(2, roadknn.Position{Edge: e1, Frac: 0.9})
-
-	mon := roadknn.NewReverseMonitor(net)
-	mon.Register(10, roadknn.Position{Edge: e0, Frac: 0.0}) // left end
-	mon.Register(20, roadknn.Position{Edge: e1, Frac: 1.0}) // right end
-	mon.Refresh()
-
-	fmt.Println(len(mon.ReverseNN(10)), len(mon.ReverseNN(20)))
-	// Output: 1 1
-}
