@@ -76,8 +76,8 @@ func BenchmarkFig18bMemoryVsK(b *testing.B)         { benchmarkExperimentPoint(b
 func BenchmarkFig19aBrinkhoffQ(b *testing.B)        { benchmarkExperimentPoint(b, "f19a", 3) }
 func BenchmarkFig19bBrinkhoffK(b *testing.B)        { benchmarkExperimentPoint(b, "f19b", 2) }
 
-// Ablations (DESIGN.md §7): influence-list filtering and the bounded
-// in-sequence walk.
+// Ablations (experiments abl-il and abl-seq): influence-list filtering and
+// the bounded in-sequence walk.
 func BenchmarkAblationInfluenceFiltering(b *testing.B) { benchmarkExperimentPoint(b, "abl-il", 1) }
 func BenchmarkAblationBoundedWalk(b *testing.B)        { benchmarkExperimentPoint(b, "abl-seq", 1) }
 
@@ -202,7 +202,7 @@ func BenchmarkInitialComputation(b *testing.B) {
 			cfg := workload.Default().Scale(benchScale)
 			cfg.K = k
 			cfg.NumQueries = 1 // registration cost is measured separately below
-			r, _ := workload.NewRunner(cfg, experiments.Engines()["OVH"])
+			r, _ := workload.NewRunner(cfg, experiments.EngineFor("OVH", 0))
 			eng := r.Engine()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -41,22 +41,9 @@ type Experiment struct {
 	Metric  Metric
 	Engines []string // engine names to run
 	Points  []Point
-	// Shape documents the qualitative result the paper reports, recorded
-	// in EXPERIMENTS.md next to the measured numbers.
+	// Shape documents the qualitative result the paper reports;
+	// cmd/benchrunner prints it next to the measured series.
 	Shape string
-}
-
-// Engines maps names to constructors with default options, including the
-// ablation variants (IMA without influence-list filtering, GMA with the
-// naive Lemma-1 evaluation).
-func Engines() map[string]func(*roadnet.Network) core.Engine {
-	return map[string]func(*roadnet.Network) core.Engine{
-		"OVH":       EngineFor("OVH", 0),
-		"IMA":       EngineFor("IMA", 0),
-		"GMA":       EngineFor("GMA", 0),
-		"IMA-NF":    EngineFor("IMA-NF", 0),
-		"GMA-naive": EngineFor("GMA-naive", 0),
-	}
 }
 
 // EngineFor returns the constructor for the named engine with the given
@@ -341,7 +328,7 @@ func All(scale float64, timestamps int, seed int64) []Experiment {
 		exps = append(exps, e)
 	}
 
-	// Ablation A1: value of influence-list filtering (DESIGN.md §7).
+	// Ablation A1: value of influence-list filtering (paper §4.2).
 	{
 		e := Experiment{
 			ID: "abl-il", Title: "Ablation: IMA with vs without influence-list filtering",
