@@ -1,5 +1,6 @@
 // Command netgen generates a synthetic road network (San-Francisco-like or
-// Oldenburg-like statistics, see DESIGN.md §3) and writes it as JSON, along
+// Oldenburg-like statistics, see package internal/gen for what the
+// generators reproduce of the paper's two maps) and writes it as JSON, along
 // with summary statistics on stderr.
 //
 // Usage:

@@ -5,8 +5,9 @@ import (
 )
 
 // This file contains ablation variants of the two fixed placements, used
-// by the ablation benchmarks to quantify the design choices DESIGN.md calls
-// out. They are correct engines — only slower — so the correctness suite
+// by the ablation experiments abl-il (influence-list filtering) and abl-seq
+// (GMA's bounded in-sequence walk) to quantify those two design choices.
+// They are correct engines — only slower — so the correctness suite
 // runs them too.
 
 // NewIMAUnfiltered creates IMA with influence-list filtering disabled, with

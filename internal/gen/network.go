@@ -3,10 +3,10 @@
 // used by the paper, object/query placements (uniform and Gaussian), and a
 // Brinkhoff-style network-based moving-object simulator.
 //
-// The substitutions are documented in DESIGN.md §3: the experiments depend
-// on edge counts, connectivity, the mix of intersections and degree-2
-// chains, and weight = segment length — all of which the generators
-// reproduce — not on the particular city geometry.
+// The substitutions are sound because the experiments depend on edge
+// counts, connectivity, the mix of intersections and degree-2 chains, and
+// weight = segment length — all of which the generators reproduce — not on
+// the particular city geometry.
 package gen
 
 import (

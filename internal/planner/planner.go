@@ -83,7 +83,7 @@ const (
 	// core the fixed cost left is the sequence decomposition and the
 	// active-node monitors, so the floor is likely too conservative. It is
 	// kept value-for-value here — placements are part of the replayed
-	// state — and re-deriving it is a measurement of its own (ROADMAP D).
+	// state — and re-deriving it is a measurement of its own (ROADMAP item 3).
 	minGmaShare = 0.35
 	// gmaTakeoverShare is the symmetric consolidation bound (sticky, with
 	// hysteresis — see replan): once GMA would win more than this fraction
