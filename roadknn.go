@@ -10,7 +10,7 @@
 // location and edge-weight updates and refreshes every query's k nearest
 // objects under shortest-path distance.
 //
-// Three monitoring engines are provided behind the Engine interface:
+// Four monitoring engines are provided behind the Engine interface:
 //
 //   - NewOVH: the overhaul baseline — recompute every query from scratch
 //     each timestamp;
@@ -18,7 +18,10 @@
 //     trees and influence lists, so only relevant updates are processed and
 //     valid tree parts are reused (paper §4);
 //   - NewGMA: the group monitoring algorithm — shared execution per network
-//     sequence using monitored intersection nodes (paper §5).
+//     sequence using monitored intersection nodes (paper §5);
+//   - NewAuto: the adaptive engine ("AUTO") — IMA and GMA as two modes of
+//     one core, each spatial group of queries monitored in whichever mode
+//     the paper's §6 crossover predicts is cheaper.
 //
 // # Quick start
 //
