@@ -451,9 +451,16 @@ func loadNetwork(path string) (*roadknn.Network, error) {
 	for _, n := range ff.Nodes {
 		b.AddNode(n.X, n.Y)
 	}
+	// The graph panics on a bad edge; the file is input, so it is an error.
+	nodes := int32(len(ff.Nodes))
 	for i, e := range ff.Edges {
-		if e.W <= 0 {
-			return nil, fmt.Errorf("edge %d has non-positive weight", i)
+		switch {
+		case e.U < 0 || e.U >= nodes || e.V < 0 || e.V >= nodes:
+			return nil, fmt.Errorf("edge %d: endpoint %d-%d outside the %d nodes", i, e.U, e.V, nodes)
+		case e.U == e.V:
+			return nil, fmt.Errorf("edge %d: self-loop at node %d", i, e.U)
+		case !(e.W > 0) || math.IsInf(e.W, 1):
+			return nil, fmt.Errorf("edge %d: weight must be finite and positive, got %v", i, e.W)
 		}
 		b.AddEdge(roadknn.NodeID(e.U), roadknn.NodeID(e.V), e.W)
 	}

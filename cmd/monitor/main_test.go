@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,6 +41,30 @@ tick
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[0], "ts 1 query 9 -> [") || !strings.HasPrefix(lines[1], "ts 2 query 9 -> [") {
 		t.Fatalf("output:\n%s", out)
+	}
+}
+
+// TestLoadNetworkRejectsBadEdges: the graph panics on an edge it cannot
+// hold, so a network file naming one used to crash the process ("panic:
+// graph: AddEdge with invalid endpoint 0-5"). Each is now an error naming
+// the edge.
+func TestLoadNetworkRejectsBadEdges(t *testing.T) {
+	nodes := `"nodes":[{"X":0,"Y":0},{"X":1,"Y":0}]`
+	for edge, want := range map[string]string{
+		`{"U":0,"V":5,"W":1}`:  "edge 1: endpoint 0-5 outside the 2 nodes",
+		`{"U":-1,"V":1,"W":1}`: "edge 1: endpoint -1-1 outside the 2 nodes",
+		`{"U":1,"V":1,"W":1}`:  "edge 1: self-loop at node 1",
+		`{"U":0,"V":1,"W":0}`:  "edge 1: weight must be finite and positive",
+		`{"U":0,"V":1,"W":-2}`: "edge 1: weight must be finite and positive",
+	} {
+		path := filepath.Join(t.TempDir(), "net.json")
+		body := `{` + nodes + `,"edges":[{"U":0,"V":1,"W":1},` + edge + `]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadNetwork(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("edge %s: error %v, want %q", edge, err, want)
+		}
 	}
 }
 
