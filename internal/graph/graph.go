@@ -425,8 +425,8 @@ func (g *Graph) NumLiveEdges() int { return len(g.edges) - len(g.free) }
 
 // FreeEdgeIDs returns a copy of the tombstone freelist in stack order (the
 // last element is the id the next AddEdge will reuse). Callers that predict
-// future id assignment — the serving layer's ingestion validator — seed
-// their simulation from it.
+// future id assignment — the serving layer's ingestion batcher — seed
+// their edge view from it.
 func (g *Graph) FreeEdgeIDs() []EdgeID { return append([]EdgeID(nil), g.free...) }
 
 // EdgeAlive reports whether id names a live edge.

@@ -61,18 +61,61 @@ type Batcher struct {
 	// (checkpoints store it so recovery can rebuild the exact edge set).
 	topoPend    []roadknn.TopologyUpdate
 	topoApplied []roadknn.TopologyUpdate
-	// The batcher mirrors the engine's edge-id allocator so insertions can
-	// be assigned their id at admission time (and liveness validated)
-	// without ever touching the live graph from a handler: topoAlive is
-	// edge liveness after all committed ops, simFree/simNext the freelist
-	// and next-fresh-id after committed AND pending ops, simState the
-	// pending ops' liveness overrides, and simLive the live-edge count
-	// after committed and pending ops.
-	topoAlive []bool
-	simFree   []roadknn.EdgeID
-	simNext   int
-	simState  map[roadknn.EdgeID]bool
-	simLive   int
+	// The edge view mirrors the engine's edge-id allocator after the
+	// committed and the pending ops, so insertions are assigned their id
+	// (and reports checked against liveness) at admission, without a
+	// handler ever touching the live graph: alive is each id's liveness and
+	// its length the next fresh id, free the tombstone freelist in stack
+	// order, live the number of live edges.
+	alive []bool
+	free  []roadknn.EdgeID
+	live  int
+
+	// undo can take back the reports since openLog, while one is open.
+	undo undoLog
+}
+
+// undoLog takes back one admission's reports (see openLog). Each kind of
+// report touches only its own state, so each is undone on its own. An
+// entity first reported since openLog is listed in its order list past the
+// mark: undoing it drops its pending entry (and the row of an object that
+// is not applied either, which the admission created). Only a report that
+// overwrites a pending entry logs the entry, so the log holds a request's
+// re-reports, not its reports.
+type undoLog struct {
+	open                                 bool
+	objMark, qryMark, edgeMark, topoMark int
+	objs                                 []objUndo
+	qrys                                 []entryUndo[roadknn.QueryID, pendingQry]
+	edges                                []entryUndo[roadknn.EdgeID, float64]
+	// reused holds, per insertion since the mark, whether it took its id
+	// off the freelist rather than a fresh one.
+	reused []bool
+}
+
+// objUndo is a pending object row's report before another overwrote it.
+type objUndo struct {
+	row  int32
+	pend pendKind
+	to   roadknn.Position
+}
+
+// entryUndo is a pending map entry before a report overwrote it.
+type entryUndo[K comparable, V any] struct {
+	key  K
+	prev V
+}
+
+// restore undoes the reports on m since the mark: the logged entries get
+// their values back, newest first, and the keys first reported since the
+// mark (the order list's tail) are dropped.
+func restore[K comparable, V any](m map[K]V, log []entryUndo[K, V], added []K) {
+	for i := len(log) - 1; i >= 0; i-- {
+		m[log[i].key] = log[i].prev
+	}
+	for _, k := range added {
+		delete(m, k)
+	}
 }
 
 // objRow is one object's applied and pending state.
@@ -109,70 +152,60 @@ type pendingQry struct {
 }
 
 // NewBatcher returns an empty batcher. Callers that admit topology edits
-// must seed the edge-id simulator with InitTopology first.
+// must seed the edge view with InitTopology first.
 func NewBatcher() *Batcher {
 	return &Batcher{
 		qryApplied:  make(map[roadknn.QueryID]appliedQry),
 		edgeApplied: make(map[roadknn.EdgeID]float64),
 		qryPend:     make(map[roadknn.QueryID]pendingQry),
 		edgePend:    make(map[roadknn.EdgeID]float64),
-		simState:    make(map[roadknn.EdgeID]bool),
 	}
 }
 
 // InitTopology seeds the batcher's view of the engine's edge-id space:
 // numEdges is the id-space size and free the graph's tombstone freelist in
 // stack order. Called once at server construction — afterwards the batcher
-// evolves the view itself as ops are admitted and committed, so handlers
-// never read the live graph.
+// evolves the view itself as ops are admitted, so handlers never read the
+// live graph.
 func (b *Batcher) InitTopology(numEdges int, free []roadknn.EdgeID) {
-	b.topoAlive = make([]bool, numEdges)
-	for i := range b.topoAlive {
-		b.topoAlive[i] = true
+	b.alive = make([]bool, numEdges)
+	for i := range b.alive {
+		b.alive[i] = true
 	}
 	for _, e := range free {
-		b.topoAlive[e] = false
+		b.alive[e] = false
 	}
-	b.simFree = append(b.simFree[:0], free...)
-	b.simNext = numEdges
-	b.simLive = numEdges - len(free)
-	clear(b.simState)
+	b.free = append(b.free[:0], free...)
+	b.live = numEdges - len(free)
 }
 
 // TopoAlive reports whether edge e will be live once the pending topology
 // ops apply — the liveness every position or weight report in the current
 // tick is validated against.
 func (b *Batcher) TopoAlive(e roadknn.EdgeID) bool {
-	if st, ok := b.simState[e]; ok {
-		return st
-	}
-	if b.topoAlive == nil {
+	if b.alive == nil {
 		return true // topology tracking not initialized: everything is live
 	}
-	return e >= 0 && int(e) < len(b.topoAlive) && b.topoAlive[e]
+	return e >= 0 && int(e) < len(b.alive) && b.alive[e]
 }
-
-// NumEdgesView returns the edge id-space size including pending
-// insertions — the exclusive upper bound on any edge id a client may
-// reference this tick.
-func (b *Batcher) NumEdgesView() int { return b.simNext }
-
-// LiveEdges returns the live-edge count after pending ops.
-func (b *Batcher) LiveEdges() int { return b.simLive }
 
 // AddEdge admits an edge insertion between u and v with weight w and
 // returns the id the engine will deterministically assign it (reusing the
 // most recently tombstoned id, exactly as the graph's allocator does).
 func (b *Batcher) AddEdge(u, v roadknn.NodeID, w float64) roadknn.EdgeID {
-	id := roadknn.EdgeID(b.simNext)
-	if n := len(b.simFree); n > 0 {
-		id = b.simFree[n-1]
-		b.simFree = b.simFree[:n-1]
+	id := roadknn.EdgeID(len(b.alive))
+	n := len(b.free)
+	if n > 0 {
+		id = b.free[n-1]
+		b.free = b.free[:n-1]
+		b.alive[id] = true
 	} else {
-		b.simNext++
+		b.alive = append(b.alive, true)
 	}
-	b.simState[id] = true
-	b.simLive++
+	b.live++
+	if b.undo.open {
+		b.undo.reused = append(b.undo.reused, n > 0)
+	}
 	b.topoPend = append(b.topoPend, roadknn.TopologyUpdate{Op: roadknn.TopoAdd, Edge: id, U: u, V: v, W: w})
 	return id
 }
@@ -181,9 +214,9 @@ func (b *Batcher) AddEdge(u, v roadknn.NodeID, w float64) roadknn.EdgeID {
 // live in the pending view (TopoAlive) and that removing it leaves at
 // least one live edge.
 func (b *Batcher) RemoveEdge(e roadknn.EdgeID) {
-	b.simFree = append(b.simFree, e)
-	b.simState[e] = false
-	b.simLive--
+	b.free = append(b.free, e)
+	b.alive[e] = false
+	b.live--
 	b.topoPend = append(b.topoPend, roadknn.TopologyUpdate{Op: roadknn.TopoRemove, Edge: e})
 }
 
@@ -203,14 +236,6 @@ func (b *Batcher) PendingOnEdge(e roadknn.EdgeID) bool {
 		}
 	}
 	return false
-}
-
-// SimSnapshot returns a copy of the id simulator's freelist (stack order)
-// and the next fresh id, so validation can dry-run a request's topology
-// ops — including the exact ids its insertions would be assigned —
-// without mutating the batcher.
-func (b *Batcher) SimSnapshot() ([]roadknn.EdgeID, int) {
-	return append([]roadknn.EdgeID(nil), b.simFree...), b.simNext
 }
 
 // Object reports object id at pos (insert or move — the batcher decides
@@ -241,6 +266,8 @@ func (b *Batcher) report(row int32, kind pendKind) *objRow {
 	r := &b.objRows[row]
 	if r.pend == pendNone {
 		b.objOrder = append(b.objOrder, row)
+	} else if b.undo.open {
+		b.undo.objs = append(b.undo.objs, objUndo{row, r.pend, r.to})
 	}
 	r.pend = kind
 	return r
@@ -251,9 +278,7 @@ func (b *Batcher) report(row int32, kind pendKind) *objRow {
 // moves the registered k is kept, matching the engine protocol.
 func (b *Batcher) Query(id roadknn.QueryID, k int, pos roadknn.Position) {
 	prev, seen := b.qryPend[id]
-	if !seen {
-		b.qryOrder = append(b.qryOrder, id)
-	}
+	b.listQuery(id, prev, seen)
 	next := pendingQry{pos: pos, k: k}
 	// An end earlier in this tick makes the re-report a reinstall (and a
 	// reinstall stays one through further moves).
@@ -266,15 +291,24 @@ func (b *Batcher) Query(id roadknn.QueryID, k int, pos roadknn.Position) {
 // EndQuery terminates query id. It returns false for unknown ids.
 func (b *Batcher) EndQuery(id roadknn.QueryID) bool {
 	_, applied := b.qryApplied[id]
-	_, pending := b.qryPend[id]
+	prev, pending := b.qryPend[id]
 	if !applied && !pending {
 		return false
 	}
-	if !pending {
-		b.qryOrder = append(b.qryOrder, id)
-	}
+	b.listQuery(id, prev, pending)
 	b.qryPend[id] = pendingQry{end: true}
 	return true
+}
+
+// listQuery lists query id in qryOrder at its first report this tick, or,
+// while the undo log is open, logs the pending entry prev that the report
+// is about to overwrite.
+func (b *Batcher) listQuery(id roadknn.QueryID, prev pendingQry, pending bool) {
+	if !pending {
+		b.qryOrder = append(b.qryOrder, id)
+	} else if b.undo.open {
+		b.undo.qrys = append(b.undo.qrys, entryUndo[roadknn.QueryID, pendingQry]{id, prev})
+	}
 }
 
 // NeedsK reports whether a (non-end) Query report for id right now would
@@ -293,8 +327,10 @@ func (b *Batcher) NeedsK(id roadknn.QueryID) bool {
 
 // Edge reports edge's new weight (last report within a tick wins).
 func (b *Batcher) Edge(edge roadknn.EdgeID, w float64) {
-	if _, seen := b.edgePend[edge]; !seen {
+	if prev, seen := b.edgePend[edge]; !seen {
 		b.edgeOrd = append(b.edgeOrd, edge)
+	} else if b.undo.open {
+		b.undo.edges = append(b.undo.edges, entryUndo[roadknn.EdgeID, float64]{edge, prev})
 	}
 	b.edgePend[edge] = w
 }
@@ -304,20 +340,64 @@ func (b *Batcher) Pending() int {
 	return len(b.objOrder) + len(b.qryPend) + len(b.edgePend) + len(b.topoPend)
 }
 
-// PendingObject, PendingQuery and PendingEdge report whether the entity
-// already has a pending entry this tick. Admission control uses them:
-// re-reporting a pending entity overwrites in place and does not grow
-// the batcher.
-func (b *Batcher) PendingObject(id roadknn.ObjectID) bool {
-	row, ok := b.objIdx.Find(int32(id))
-	return ok && b.objRows[row].pend != pendNone
+// openLog marks where one admission starts, so that its reports can be
+// applied, checked against the state they leave, and taken back whole with
+// rollback — or kept with closeLog. Only admission opens the log; every
+// other caller pays one untaken branch per re-report. Drain must not run
+// while it is open.
+func (b *Batcher) openLog() {
+	b.undo.open = true
+	b.undo.objMark, b.undo.qryMark, b.undo.edgeMark, b.undo.topoMark =
+		len(b.objOrder), len(b.qryOrder), len(b.edgeOrd), len(b.topoPend)
 }
 
-// PendingQuery reports whether query id has a pending entry this tick.
-func (b *Batcher) PendingQuery(id roadknn.QueryID) bool { _, ok := b.qryPend[id]; return ok }
+// closeLog keeps the reports since openLog and stops recording.
+func (b *Batcher) closeLog() {
+	l := &b.undo
+	l.open = false
+	l.objs, l.qrys, l.edges, l.reused = l.objs[:0], l.qrys[:0], l.edges[:0], l.reused[:0]
+}
 
-// PendingEdge reports whether edge has a pending weight this tick.
-func (b *Batcher) PendingEdge(edge roadknn.EdgeID) bool { _, ok := b.edgePend[edge]; return ok }
+// rollback undoes every report since openLog, leaving the batcher as it
+// was then in all that it reads or returns, and closes the log.
+func (b *Batcher) rollback() {
+	l := &b.undo
+	for i := len(l.objs) - 1; i >= 0; i-- {
+		u := l.objs[i]
+		b.objRows[u.row].pend, b.objRows[u.row].to = u.pend, u.to
+	}
+	for _, row := range b.objOrder[l.objMark:] {
+		r := &b.objRows[row]
+		r.pend = pendNone // to is read only while a move is pending
+		if !r.applied {   // the admission created the row
+			b.objIdx.Delete(int32(r.id))
+			*r = objRow{}
+		}
+	}
+	restore(b.qryPend, l.qrys, b.qryOrder[l.qryMark:])
+	restore(b.edgePend, l.edges, b.edgeOrd[l.edgeMark:])
+	adds := len(l.reused)
+	for i := len(b.topoPend) - 1; i >= l.topoMark; i-- {
+		e := b.topoPend[i].Edge
+		if b.topoPend[i].Op == roadknn.TopoRemove {
+			b.free = b.free[:len(b.free)-1]
+			b.alive[e] = true
+			b.live++
+			continue
+		}
+		adds--
+		if l.reused[adds] {
+			b.free = append(b.free, e)
+			b.alive[e] = false
+		} else {
+			b.alive = b.alive[:e] // a fresh id is the newest
+		}
+		b.live--
+	}
+	b.objOrder, b.qryOrder, b.edgeOrd, b.topoPend =
+		b.objOrder[:l.objMark], b.qryOrder[:l.qryMark], b.edgeOrd[:l.edgeMark], b.topoPend[:l.topoMark]
+	b.closeLog()
+}
 
 // Drain converts the pending reports into one Updates batch, advances the
 // applied state accordingly, and clears the pending state. The returned
@@ -384,24 +464,18 @@ func (b *Batcher) Preview() roadknn.Updates {
 // commit makes u, the batch Preview built from the current pending reports,
 // the applied state, and clears the pending state.
 func (b *Batcher) commit(u roadknn.Updates) {
+	// The edge view already includes u's topology ops.
 	for _, tp := range u.Topology {
 		if tp.Op == roadknn.TopoRemove {
-			b.topoAlive[tp.Edge] = false
 			// The removal invalidates any recorded weight override:
 			// should the id be reused, the reincarnated edge's weight
 			// comes from its TopoAdd op, not from the dead road's
 			// last traffic report.
 			delete(b.edgeApplied, tp.Edge)
-		} else {
-			for int(tp.Edge) >= len(b.topoAlive) {
-				b.topoAlive = append(b.topoAlive, false)
-			}
-			b.topoAlive[tp.Edge] = true
 		}
 	}
 	b.topoApplied = append(b.topoApplied, u.Topology...)
 	b.topoPend = b.topoPend[:0]
-	clear(b.simState)
 	// Objects commit from their rows, which u's object section was built
 	// from: a reported position becomes the applied one, and a deleted
 	// object's row is zeroed and released.
@@ -488,8 +562,9 @@ func (b *Batcher) Replay(u roadknn.Updates) {
 // silently gone stale; left alone, the next report for such an entity
 // would coalesce against the wrong position (and a replayed run would
 // drift from the live one). net is the engine's network after the Step.
-// The scan is churn-proportional: only entities whose applied position
-// lies on an edge the batch removed are touched.
+// Each tick with a removal scans every object row and every applied query,
+// O(objects + queries); only the writes are churn-proportional: just the
+// entities whose applied position lies on an edge the batch removed.
 func (b *Batcher) ReconcileTopology(topo []roadknn.TopologyUpdate, net *roadknn.Network) {
 	removed := make(map[roadknn.EdgeID]bool, len(topo))
 	for _, tp := range topo {

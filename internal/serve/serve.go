@@ -80,7 +80,6 @@ import (
 	"math"
 	"mime"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,9 +101,10 @@ type Config struct {
 	// bodies are rejected with 413 before decoding can buffer them.
 	MaxBodyBytes int64
 	// MaxPending caps how many entities may sit in the ingestion batcher
-	// between ticks (default 1<<20). Batches that would push past it are
-	// rejected whole with 429, bounding memory an untrusted client can
-	// pin with updates that are never ticked.
+	// between ticks (default 1<<20). A valid batch that leaves more pending
+	// is undone and rejected whole with 429, bounding memory an untrusted
+	// client can pin with updates that are never ticked. Re-reports of
+	// pending entities, and deletes or ends of unknown ids, add nothing.
 	MaxPending int
 	// DeltaRing is how many epochs a subscriber's cursor may lag before it
 	// is resynchronized from the full snapshot instead of replaying deltas
@@ -168,9 +168,6 @@ type Server struct {
 	// running Step (the stepper holds batchMu only for the Drain itself).
 	batchMu sync.Mutex
 	batch   *Batcher
-	// admitIDs is admission's scratch, guarded by batchMu: a request's ids,
-	// sorted to count the distinct ones and to group query reports by id.
-	admitIDs []int64
 
 	// stepMu serializes ticks (wall-clock and HTTP-triggered); see tick.go.
 	// It also guards enc, the one encoding buffer every tick's checksum,
@@ -508,60 +505,31 @@ func failDecode(w http.ResponseWriter, err error) {
 	http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 }
 
-// ingest admits one decoded batch: bound pending growth (429), validate
-// (400), coalesce into the batcher, acknowledge. req is only read.
+// ingest admits one decoded batch: apply it to the batcher report by
+// report, undo it whole if a report is invalid (400) or the pending set
+// ends above MaxPending (429), acknowledge. req is only read.
 func (s *Server) ingest(w http.ResponseWriter, req *batchRequest) {
 	n := len(req.Topology) + len(req.Objects) + len(req.Queries) + len(req.Edges)
 	s.batchMu.Lock()
-	// Bound batcher memory between ticks: count the distinct entities this
-	// batch would newly add (re-reports of pending entities overwrite in
-	// place), so steady-state move traffic over a large fleet is never
-	// throttled while the pending set itself stays capped.
-	if s.batch.Pending()+s.pendingGrowth(req) > s.cfg.MaxPending {
+	s.batch.openLog()
+	addedEdges, err := s.admit(req)
+	if err != nil {
+		s.batch.rollback()
+		s.batchMu.Unlock()
+		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	// Bound batcher memory between ticks. The count is exact: re-reports of
+	// pending entities overwrite in place, so steady-state move traffic over
+	// a large fleet is never throttled while the pending set stays capped.
+	if s.batch.Pending() > s.cfg.MaxPending {
+		s.batch.rollback()
 		s.batchMu.Unlock()
 		http.Error(w, fmt.Sprintf("too many pending updates (cap %d); tick or retry later", s.cfg.MaxPending),
 			http.StatusTooManyRequests)
 		return
 	}
-	// Validate before touching the batcher: the network edge set is fixed,
-	// and a single out-of-range id or non-finite value reaching Step would
-	// panic the stepper — HTTP input is untrusted, so a bad batch is
-	// rejected whole with 400 and nothing is applied.
-	if err := s.validateBatch(req); err != nil {
-		s.batchMu.Unlock()
-		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Topology first: ops are ordered and drive the id simulator that
-	// validated the rest of the request.
-	var addedEdges []int64
-	for _, tp := range req.Topology {
-		if tp.Op == topoOpRemove {
-			s.batch.RemoveEdge(roadknn.EdgeID(*tp.Edge))
-			continue
-		}
-		id := s.batch.AddEdge(roadknn.NodeID(tp.U), roadknn.NodeID(tp.V), tp.W)
-		addedEdges = append(addedEdges, int64(id))
-	}
-	for _, o := range req.Objects {
-		id := roadknn.ObjectID(o.ID)
-		if o.Delete {
-			s.batch.DeleteObject(id) // unknown ids are a no-op, not an error
-			continue
-		}
-		s.batch.Object(id, roadknn.Position{Edge: roadknn.EdgeID(o.Edge), Frac: o.Frac})
-	}
-	for _, q := range req.Queries {
-		id := roadknn.QueryID(q.ID)
-		if q.End {
-			s.batch.EndQuery(id)
-			continue
-		}
-		s.batch.Query(id, q.K, roadknn.Position{Edge: roadknn.EdgeID(q.Edge), Frac: q.Frac})
-	}
-	for _, e := range req.Edges {
-		s.batch.Edge(roadknn.EdgeID(e.Edge), e.W)
-	}
+	s.batch.closeLog()
 	pending := s.batch.Pending()
 	s.batchMu.Unlock()
 	s.ingested.Add(int64(n))
@@ -574,121 +542,60 @@ func (s *Server) ingest(w http.ResponseWriter, req *batchRequest) {
 	writeJSON(w, resp)
 }
 
-// pendingGrowth returns an upper bound on how many new pending entities
-// the batch would add to the batcher: one per distinct id per kind that
-// has no pending entry yet. (No-op deletes/ends of unknown ids are
-// counted too — a harmless overcount.) Caller holds batchMu.
-func (s *Server) pendingGrowth(req *batchRequest) int {
-	// Topology ops are never coalesced: each one grows the pending list.
-	grow := len(req.Topology)
-	ids := s.admitIDs[:0]
-	for _, o := range req.Objects {
-		ids = append(ids, o.ID)
-	}
-	grow += s.countNew(ids, func(id int64) bool { return s.batch.PendingObject(roadknn.ObjectID(id)) })
-	ids = s.admitIDs[:0]
-	for _, q := range req.Queries {
-		ids = append(ids, int64(q.ID))
-	}
-	grow += s.countNew(ids, func(id int64) bool { return s.batch.PendingQuery(roadknn.QueryID(id)) })
-	ids = s.admitIDs[:0]
-	for _, e := range req.Edges {
-		ids = append(ids, int64(e.Edge))
-	}
-	return grow + s.countNew(ids, func(id int64) bool { return s.batch.PendingEdge(roadknn.EdgeID(id)) })
-}
-
-// countNew sorts ids, which live in admitIDs' array, keeps that array for
-// the next request, and counts the distinct ids that pending rejects.
-func (s *Server) countNew(ids []int64, pending func(int64) bool) int {
-	slices.Sort(ids)
-	s.admitIDs = ids
-	n := 0
-	for i, id := range ids {
-		if (i == 0 || id != ids[i-1]) && !pending(id) {
-			n++
-		}
-	}
-	return n
-}
-
-// validateBatch bounds-checks an ingestion batch against the network and
-// engine invariants. Caller holds batchMu (query-install detection and
-// topology liveness read the batcher's applied/pending state). Topology
-// ops are dry-run first through a copy of the batcher's id simulator —
-// each op changes edge liveness for everything after it, and an
-// insertion's assigned id must be known to honor expected-id assertions
-// and to admit positions on the new edge within the same request — so a
-// bad batch is rejected whole before anything is admitted.
-func (s *Server) validateBatch(req *batchRequest) error {
-	var ov map[roadknn.EdgeID]bool // request-local liveness overlay
-	if len(req.Topology) > 0 {
-		ov = make(map[roadknn.EdgeID]bool, len(req.Topology))
-	}
-	alive := func(e roadknn.EdgeID) bool {
-		if st, ok := ov[e]; ok {
-			return st
-		}
-		return s.batch.TopoAlive(e)
-	}
-	edgeSpace := s.batch.NumEdgesView()
-	if len(req.Topology) > 0 {
-		free, next := s.batch.SimSnapshot()
-		live := s.batch.LiveEdges()
-		for i, tp := range req.Topology {
-			switch tp.Op {
-			case topoOpRemove:
-				if tp.Edge == nil {
-					return fmt.Errorf("topology[%d]: remove requires \"edge\"", i)
-				}
-				e := roadknn.EdgeID(*tp.Edge)
-				if !alive(e) {
-					return fmt.Errorf("topology[%d]: edge %d is not live", i, e)
-				}
-				if live <= 1 {
-					return fmt.Errorf("topology[%d]: removing edge %d would leave no live edge", i, e)
-				}
-				if _, inReq := ov[e]; !inReq && s.batch.PendingOnEdge(e) {
-					return fmt.Errorf("topology[%d]: edge %d has pending reports positioned on it; tick first", i, e)
-				}
-				ov[e] = false
-				free = append(free, e)
-				live--
-			case topoOpAdd:
-				if tp.U < 0 || int(tp.U) >= s.numNodes || tp.V < 0 || int(tp.V) >= s.numNodes {
-					return fmt.Errorf("topology[%d]: node out of range [0,%d)", i, s.numNodes)
-				}
-				if tp.U == tp.V {
-					return fmt.Errorf("topology[%d]: self-loop %d-%d", i, tp.U, tp.V)
-				}
-				if !(tp.W > 0) || math.IsInf(tp.W, 1) {
-					return fmt.Errorf("topology[%d]: weight must be finite and positive, got %v", i, tp.W)
-				}
-				id := roadknn.EdgeID(next)
-				if n := len(free); n > 0 {
-					id = free[n-1]
-					free = free[:n-1]
-				} else {
-					next++
-				}
-				if tp.Edge != nil && roadknn.EdgeID(*tp.Edge) != id {
-					return fmt.Errorf("topology[%d]: insertion will be assigned edge %d, not %d", i, id, *tp.Edge)
-				}
-				ov[id] = true
-				live++
-			default:
-				return fmt.Errorf("topology[%d]: unknown op %q (want %q or %q)", i, tp.Op, topoOpAdd, topoOpRemove)
+// admit applies req to the batcher through its own methods, topology ops
+// first, then objects, queries and edge weights, each in request order.
+// Each report is checked against the state the reports before it left —
+// the network edge set, which the topology ops change for everything after
+// them, and the batcher's pending reports — because a single out-of-range
+// id, dead edge, non-finite value or missing k reaching Step would panic
+// the stepper. It returns the ids assigned to the insertions, or the first
+// invalid report's error, after which the caller rolls the batcher back.
+// Caller holds batchMu with the batcher's undo log open.
+func (s *Server) admit(req *batchRequest) ([]int64, error) {
+	b := s.batch
+	var added []int64
+	for i, tp := range req.Topology {
+		switch tp.Op {
+		case topoOpRemove:
+			if tp.Edge == nil {
+				return nil, fmt.Errorf("topology[%d]: remove requires \"edge\"", i)
 			}
-		}
-		if next > edgeSpace {
-			edgeSpace = next
+			e := roadknn.EdgeID(*tp.Edge)
+			if !b.TopoAlive(e) {
+				return nil, fmt.Errorf("topology[%d]: edge %d is not live", i, e)
+			}
+			if b.live <= 1 {
+				return nil, fmt.Errorf("topology[%d]: removing edge %d would leave no live edge", i, e)
+			}
+			if b.PendingOnEdge(e) {
+				return nil, fmt.Errorf("topology[%d]: edge %d has pending reports positioned on it; tick first", i, e)
+			}
+			b.RemoveEdge(e)
+		case topoOpAdd:
+			if tp.U < 0 || int(tp.U) >= s.numNodes || tp.V < 0 || int(tp.V) >= s.numNodes {
+				return nil, fmt.Errorf("topology[%d]: node out of range [0,%d)", i, s.numNodes)
+			}
+			if tp.U == tp.V {
+				return nil, fmt.Errorf("topology[%d]: self-loop %d-%d", i, tp.U, tp.V)
+			}
+			if !(tp.W > 0) || math.IsInf(tp.W, 1) {
+				return nil, fmt.Errorf("topology[%d]: weight must be finite and positive, got %v", i, tp.W)
+			}
+			id := b.AddEdge(roadknn.NodeID(tp.U), roadknn.NodeID(tp.V), tp.W)
+			if tp.Edge != nil && roadknn.EdgeID(*tp.Edge) != id {
+				return nil, fmt.Errorf("topology[%d]: insertion will be assigned edge %d, not %d", i, id, *tp.Edge)
+			}
+			added = append(added, int64(id))
+		default:
+			return nil, fmt.Errorf("topology[%d]: unknown op %q (want %q or %q)", i, tp.Op, topoOpAdd, topoOpRemove)
 		}
 	}
+	edgeSpace := len(b.alive)
 	okPos := func(edge int32, frac float64) error {
 		if edge < 0 || int(edge) >= edgeSpace {
 			return fmt.Errorf("edge %d out of range [0,%d)", edge, edgeSpace)
 		}
-		if !alive(roadknn.EdgeID(edge)) {
+		if !b.TopoAlive(roadknn.EdgeID(edge)) {
 			return fmt.Errorf("edge %d is not live", edge)
 		}
 		if !(frac >= 0 && frac <= 1) { // rejects NaN too
@@ -701,79 +608,50 @@ func (s *Server) validateBatch(req *batchRequest) error {
 	// id, or be logged as a k the live engine never ran.
 	for _, o := range req.Objects {
 		if o.ID != int64(int32(o.ID)) {
-			return fmt.Errorf("object %d: id outside the 32-bit range", o.ID)
+			return nil, fmt.Errorf("object %d: id outside the 32-bit range", o.ID)
 		}
+		id := roadknn.ObjectID(o.ID)
 		if o.Delete {
+			b.DeleteObject(id) // unknown ids are a no-op, not an error
 			continue
 		}
 		if err := okPos(o.Edge, o.Frac); err != nil {
-			return fmt.Errorf("object %d: %w", o.ID, err)
+			return nil, fmt.Errorf("object %d: %w", o.ID, err)
 		}
+		b.Object(id, roadknn.Position{Edge: roadknn.EdgeID(o.Edge), Frac: o.Frac})
 	}
-	badK := s.firstMissingK(req.Queries)
-	for i, q := range req.Queries {
+	for _, q := range req.Queries {
+		id := roadknn.QueryID(q.ID)
 		if q.End {
+			b.EndQuery(id)
 			continue
 		}
 		if err := okPos(q.Edge, q.Frac); err != nil {
-			return fmt.Errorf("query %d: %w", q.ID, err)
+			return nil, fmt.Errorf("query %d: %w", q.ID, err)
 		}
 		if q.K != int(int32(q.K)) {
-			return fmt.Errorf("query %d: k %d outside the 32-bit range", q.ID, q.K)
+			return nil, fmt.Errorf("query %d: k %d outside the 32-bit range", q.ID, q.K)
 		}
-		if i == badK {
-			return fmt.Errorf("query %d: install requires k >= 1, got %d", q.ID, q.K)
+		// On an install or reinstall chain — including one an end earlier in
+		// this request started — the last report's k reaches Engine.Register.
+		if q.K < 1 && b.NeedsK(id) {
+			return nil, fmt.Errorf("query %d: install requires k >= 1, got %d", q.ID, q.K)
 		}
+		b.Query(id, q.K, roadknn.Position{Edge: roadknn.EdgeID(q.Edge), Frac: q.Frac})
 	}
 	for _, e := range req.Edges {
 		if e.Edge < 0 || int(e.Edge) >= edgeSpace {
-			return fmt.Errorf("edge update: edge %d out of range [0,%d)", e.Edge, edgeSpace)
+			return nil, fmt.Errorf("edge update: edge %d out of range [0,%d)", e.Edge, edgeSpace)
 		}
-		if !alive(roadknn.EdgeID(e.Edge)) {
-			return fmt.Errorf("edge update: edge %d is not live", e.Edge)
+		if !b.TopoAlive(roadknn.EdgeID(e.Edge)) {
+			return nil, fmt.Errorf("edge update: edge %d is not live", e.Edge)
 		}
 		if !(e.W > 0) || math.IsInf(e.W, 1) { // rejects NaN, zero, negative, +Inf
-			return fmt.Errorf("edge %d: weight must be finite and positive, got %v", e.Edge, e.W)
+			return nil, fmt.Errorf("edge %d: weight must be finite and positive, got %v", e.Edge, e.W)
 		}
+		b.Edge(roadknn.EdgeID(e.Edge), e.W)
 	}
-	return nil
-}
-
-// firstMissingK returns the index of the first report in qs that would hand
-// Engine.Register a k below 1, or -1. It mirrors the Batcher's install
-// semantics report by report: a query that is not applied (or was ended —
-// pre-batch, by an earlier batch this tick, or earlier in THIS batch) is on
-// an install/reinstall chain, where the last report's k is what Drain hands
-// to Engine.Register, so every report on the chain must carry k >= 1. An
-// End report puts the id on that chain; it never leaves it until the batch
-// is drained. Only ends and reports with k < 1 can matter; they are grouped
-// by id, in request order within an id, by sorting (id, index) keys in
-// admitIDs. Caller holds batchMu.
-func (s *Server) firstMissingK(qs []queryReport) int {
-	keys := s.admitIDs[:0]
-	for i, q := range qs {
-		if q.End || q.K < 1 {
-			keys = append(keys, int64(q.ID)<<32|int64(i))
-		}
-	}
-	slices.Sort(keys)
-	s.admitIDs = keys
-	bad, chain := -1, false
-	for j, key := range keys {
-		id, i := key>>32, int(uint32(key))
-		if j == 0 || id != keys[j-1]>>32 {
-			chain = false
-		}
-		switch {
-		case qs[i].End:
-			chain = true
-		case chain || s.batch.NeedsK(roadknn.QueryID(id)):
-			if bad < 0 || i < bad {
-				bad = i
-			}
-		}
-	}
-	return bad
+	return added, nil
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {

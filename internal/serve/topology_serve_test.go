@@ -110,7 +110,7 @@ func TestServeTopologyValidation(t *testing.T) {
 	// bearing for every position and must refuse to die. One batch drains
 	// the network down to a single edge.
 	var drain []map[string]any
-	for e := 0; e < s.batch.NumEdgesView(); e++ {
+	for e := 0; e < len(s.batch.alive); e++ {
 		id := roadknn.EdgeID(e)
 		if e == 8 || e == 0 || !s.batch.TopoAlive(id) {
 			continue // 8 is pending-removed above; 0 is the survivor

@@ -203,22 +203,9 @@ func flipByte(b []byte, i int) []byte {
 // every successful decode must re-encode to a stream that decodes to the
 // identical batch (the codec is canonical).
 func FuzzDecodeUpdates(f *testing.F) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 8; i++ {
-		req := randomBatch(rng, 1+i*3)
-		f.Add(EncodeWire(req))
-		body := AppendWireHeader(nil)
-		body = AppendWireBatch(body, req)
-		body = AppendWireBatch(body, randomBatch(rng, 2))
-		f.Add(body)
+	for _, seed := range wireSeeds() {
+		f.Add(seed)
 	}
-	f.Add(AppendWireHeader(nil))
-	f.Add([]byte("RKUP"))
-	f.Add([]byte{})
-	valid := EncodeWire(randomBatch(rng, 5))
-	f.Add(valid[:len(valid)-2])
-	f.Add(flipByte(valid, len(valid)/2))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := getWireScratch(bytes.NewReader(data))
 		err := sc.decodeWire()
@@ -239,6 +226,25 @@ func FuzzDecodeUpdates(f *testing.F) {
 		putWireScratch(sc2)
 		putWireScratch(sc)
 	})
+}
+
+// wireSeeds is the binary decoder's seed corpus: random batches as one
+// frame and as two, a bare header, a truncated header, an empty body, a
+// torn frame and a flipped byte.
+func wireSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(7))
+	var seeds [][]byte
+	for i := 0; i < 8; i++ {
+		req := randomBatch(rng, 1+i*3)
+		seeds = append(seeds, EncodeWire(req))
+		body := AppendWireHeader(nil)
+		body = AppendWireBatch(body, req)
+		body = AppendWireBatch(body, randomBatch(rng, 2))
+		seeds = append(seeds, body)
+	}
+	seeds = append(seeds, AppendWireHeader(nil), []byte("RKUP"), []byte{})
+	valid := EncodeWire(randomBatch(rng, 5))
+	return append(seeds, valid[:len(valid)-2], flipByte(valid, len(valid)/2))
 }
 
 // randomBatch builds an arbitrary (not necessarily valid) batch — the
