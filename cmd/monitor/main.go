@@ -66,16 +66,17 @@
 // comments):
 //
 //	obj <id> <edge> <frac>        # insert or move object
-//	del <id>                      # remove object
+//	del <id>                      # remove object (unknown id: no-op)
 //	qry <id> <k> <edge> <frac>    # install or move query (k ignored on move)
-//	end <id>                      # terminate query
+//	end <id>                      # terminate query (unknown id: no-op)
 //	w   <edge> <weight>           # set edge weight
 //	tick                          # end of timestamp: apply batch, report
 //
 // Results are reported after every tick for queries whose k-NN set
 // changed. Both modes coalesce updates through the same ingestion batcher
-// (serve.Batcher), so a replayed stream and an HTTP-fed replica stay
-// exactly consistent.
+// (serve.Batcher) and admit them by its checks, so a replayed stream and an
+// HTTP-fed replica stay exactly consistent, and a report one mode rejects
+// the other rejects with the same message.
 package main
 
 import (
@@ -85,7 +86,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -96,6 +96,7 @@ import (
 
 	"roadknn"
 	"roadknn/internal/cluster"
+	"roadknn/internal/graph"
 	"roadknn/internal/serve"
 	"roadknn/internal/wal"
 )
@@ -320,15 +321,16 @@ var usage = map[string]string{
 }
 
 // replay consumes the update stream, batching commands between ticks
-// through the same coalescing Batcher the HTTP front-end uses. Like the
-// HTTP front-end it checks every line against the engine's network before
-// admitting it: a bad line is an error naming it, never a panic in Step.
+// through the same coalescing Batcher the HTTP front-end uses, seeded with
+// the engine's edge set and fed through the same checked mutators: a bad
+// line is an error naming it, never a panic in Step.
 func replay(srv roadknn.Engine, in io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
 	g := srv.Network().G
 	batch := serve.NewBatcher()
+	batch.InitTopology(g.NumEdges(), g.FreeEdgeIDs())
 	prev := map[roadknn.QueryID]string{}
 	ts := 0
 	lineNo := 0
@@ -364,45 +366,32 @@ func replay(srv roadknn.Engine, in io.Reader, out io.Writer) error {
 			n[i] = int32(v)
 		}
 		if onEdge {
-			var err error
-			if x, err = strconv.ParseFloat(f[len(f)-1], 64); err != nil {
+			v, err := strconv.ParseFloat(f[len(f)-1], 64)
+			if err != nil {
 				return fail(fmt.Sprintf("bad number %q", f[len(f)-1]))
 			}
-			edge = roadknn.EdgeID(n[len(ints)-1])
-			switch {
-			case !g.EdgeAlive(edge):
-				return fail(fmt.Sprintf("edge %d is not a live edge of the network", edge))
-			case f[0] == "w" && (!(x > 0) || math.IsInf(x, 1)):
-				return fail("weight must be finite and positive")
-			case f[0] != "w" && !(x >= 0 && x <= 1):
-				return fail("frac outside [0,1]")
-			}
+			x, edge = v, roadknn.EdgeID(n[len(ints)-1])
 		}
 		pos := roadknn.Position{Edge: edge, Frac: x}
+		var err error
 		switch f[0] {
 		case "obj":
-			batch.Object(roadknn.ObjectID(n[0]), pos)
+			err = batch.Object(roadknn.ObjectID(n[0]), pos)
 		case "del":
-			if !batch.DeleteObject(roadknn.ObjectID(n[0])) {
-				return fail("unknown object")
-			}
+			batch.DeleteObject(roadknn.ObjectID(n[0]))
 		case "qry":
 			id := roadknn.QueryID(n[0])
-			if batch.NeedsK(id) && n[1] < 1 {
-				return fail("installing a query wants k >= 1")
-			}
-			batch.Query(id, int(n[1]), pos)
-			if _, exists := prev[id]; !exists {
-				prev[id] = ""
+			if err = batch.Query(id, int(n[1]), pos); err == nil {
+				if _, exists := prev[id]; !exists {
+					prev[id] = ""
+				}
 			}
 		case "end":
 			id := roadknn.QueryID(n[0])
-			// Ending an unknown query is a no-op, as it always was: engines
-			// ignore deletions of unregistered ids.
 			batch.EndQuery(id)
 			delete(prev, id)
 		case "w":
-			batch.Edge(edge, x)
+			err = batch.Edge(edge, x)
 		case "tick":
 			ts++
 			srv.Step(batch.Drain())
@@ -413,6 +402,9 @@ func replay(srv roadknn.Engine, in io.Reader, out io.Writer) error {
 					prev[id] = cur
 				}
 			}
+		}
+		if err != nil {
+			return fail(err.Error())
 		}
 	}
 	return sc.Err()
@@ -452,17 +444,12 @@ func loadNetwork(path string) (*roadknn.Network, error) {
 		b.AddNode(n.X, n.Y)
 	}
 	// The graph panics on a bad edge; the file is input, so it is an error.
-	nodes := int32(len(ff.Nodes))
 	for i, e := range ff.Edges {
-		switch {
-		case e.U < 0 || e.U >= nodes || e.V < 0 || e.V >= nodes:
-			return nil, fmt.Errorf("edge %d: endpoint %d-%d outside the %d nodes", i, e.U, e.V, nodes)
-		case e.U == e.V:
-			return nil, fmt.Errorf("edge %d: self-loop at node %d", i, e.U)
-		case !(e.W > 0) || math.IsInf(e.W, 1):
-			return nil, fmt.Errorf("edge %d: weight must be finite and positive, got %v", i, e.W)
+		u, v := roadknn.NodeID(e.U), roadknn.NodeID(e.V)
+		if err := graph.CheckEdge(len(ff.Nodes), u, v, e.W); err != nil {
+			return nil, fmt.Errorf("edge %d: %w", i, err)
 		}
-		b.AddEdge(roadknn.NodeID(e.U), roadknn.NodeID(e.V), e.W)
+		b.AddEdge(u, v, e.W)
 	}
 	return b.Build(), nil
 }

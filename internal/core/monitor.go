@@ -464,20 +464,38 @@ func (m *monitor) classifySub(n graph.NodeID, sc *scratch) bool {
 	return v
 }
 
-// rebuildIL recomputes the set of affecting edges (edges with a tree
-// endpoint closer than kNN_dist, plus the query's own edge) and diffs it
-// against the influence table.
+// rebuildIL recomputes the set of affecting edges and diffs it against the
+// influence table: the edges with a tree endpoint at most kNN_dist away,
+// the query's own edge, and the edges of the candidates at exactly
+// kNN_dist. Every neighbor lies on one of them, so its departure reaches
+// the monitor. The last clause covers a neighbor sitting on a node at
+// exactly kNN_dist (frac 0 or 1 of its edge) that is no longer in the tree:
+// a prune can drop the node, and the expansion that follows stops at
+// kNN_dist without verifying it again. A candidate past the k-th that ties
+// with it counts too: it becomes a neighbor, with kNN_dist unchanged and so
+// without a rebuild, when the k-th departs.
 func (m *monitor) rebuildIL() {
 	g := m.net.G
 	newAff := m.affScratch[:0]
 	newAff = append(newAff, m.pos.Edge)
 	entries := m.tree.entriesSlice()
 	for i := range entries {
-		if entries[i].dist >= m.kdist {
-			m.cand.lowerCover(entries[i].dist) // invariant 2, last clause
+		d := entries[i].dist
+		if d >= m.kdist {
+			m.cand.lowerCover(d) // invariant 2, last clause
+		}
+		if d > m.kdist {
 			continue
 		}
 		newAff = append(newAff, g.Incident(entries[i].node)...)
+	}
+	for _, c := range m.cand.entries() {
+		if c.dist > m.kdist {
+			break
+		}
+		if c.dist == m.kdist {
+			newAff = append(newAff, c.edge)
+		}
 	}
 	slices.Sort(newAff)
 	newAff = slices.Compact(newAff)

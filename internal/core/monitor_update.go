@@ -131,8 +131,12 @@ func (m *monitor) onEdgeIncrease(eid graph.EdgeID, sc *scratch) {
 		m.fullRefresh = true
 	} else {
 		// Node distances are intact; only the objects on this edge changed
-		// travel cost.
+		// travel cost. Unless a handler pruned the tree earlier this step:
+		// eid may have been a tree edge then, and a candidate reached
+		// across it keeps its old, now too short, distance through the
+		// expansion's min-merge unless every candidate is re-derived.
 		m.pendingEdges = append(m.pendingEdges, eid)
+		m.fullRefresh = m.fullRefresh || m.treeDirty
 	}
 	m.needFinalize = true
 }

@@ -1,6 +1,5 @@
 // Package graph defines the road-network graph: nodes with coordinates and
-// weighted edges with adjacency. Edges are bidirectional by default (the
-// paper's setting); unidirectional edges are supported as an extension.
+// weighted bidirectional edges with adjacency (the paper's setting).
 //
 // The package also provides a textbook Dijkstra implementation that the rest
 // of the repository uses as a correctness oracle for the incremental
@@ -40,14 +39,11 @@ type Node struct {
 // Edge is a weighted road segment between two nodes. The weight models
 // travel cost (e.g. time or length) and may change over time; Length is the
 // immutable geometric length used for positioning objects along the edge.
-//
-// When Directed is true the edge can only be traversed from U to V.
 type Edge struct {
-	ID       EdgeID
-	U, V     NodeID
-	W        float64 // current weight (travel cost), > 0
-	Length   float64 // Euclidean length of the segment, fixed at creation
-	Directed bool
+	ID     EdgeID
+	U, V   NodeID
+	W      float64 // current weight (travel cost), > 0
+	Length float64 // Euclidean length of the segment, fixed at creation
 }
 
 // Other returns the endpoint of e opposite to n.
@@ -317,29 +313,15 @@ func (g *Graph) AddNode(pt geom.Point) NodeID {
 
 // AddEdge inserts a bidirectional edge between u and v with weight w and
 // returns its id. The geometric length is the Euclidean distance between
-// the endpoints. It panics on invalid endpoints or non-positive weight.
+// the endpoints. It panics with CheckEdge's error on an edge the graph
+// cannot hold.
 //
 // On a frozen graph the insert lands in the delta overlay (visible to
 // ForEachIncident/Dijkstra immediately) and is merged into the CSR rows by
 // the next Freeze; the id of the most recently removed edge is reused.
 func (g *Graph) AddEdge(u, v NodeID, w float64) EdgeID {
-	return g.addEdge(u, v, w, false)
-}
-
-// AddDirectedEdge inserts an edge traversable only from u to v.
-func (g *Graph) AddDirectedEdge(u, v NodeID, w float64) EdgeID {
-	return g.addEdge(u, v, w, true)
-}
-
-func (g *Graph) addEdge(u, v NodeID, w float64, directed bool) EdgeID {
-	if !g.validNode(u) || !g.validNode(v) {
-		panic(fmt.Sprintf("graph: AddEdge with invalid endpoint %d-%d", u, v))
-	}
-	if u == v {
-		panic("graph: self-loop edges are not supported")
-	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		panic(fmt.Sprintf("graph: AddEdge with invalid weight %g", w))
+	if err := CheckEdge(len(g.nodes), u, v, w); err != nil {
+		panic("graph: AddEdge: " + err.Error())
 	}
 	var id EdgeID
 	if n := len(g.free); n > 0 {
@@ -352,11 +334,7 @@ func (g *Graph) addEdge(u, v NodeID, w float64, directed bool) EdgeID {
 		g.dead = append(g.dead, false)
 		g.pendStamp = append(g.pendStamp, 0)
 	}
-	g.edges[id] = Edge{
-		ID: id, U: u, V: v, W: w,
-		Length:   g.nodes[u].Pt.Dist(g.nodes[v].Pt),
-		Directed: directed,
-	}
+	g.edges[id] = Edge{ID: id, U: u, V: v, W: w, Length: g.nodes[u].Pt.Dist(g.nodes[v].Pt)}
 	if g.frozen {
 		g.pendAdd = append(g.pendAdd, id)
 		g.pendStamp[id] = g.pendEpoch
@@ -411,7 +389,26 @@ func removeFromRow(row *[]EdgeID, id EdgeID) {
 	}
 }
 
-func (g *Graph) validNode(n NodeID) bool { return n >= 0 && int(n) < len(g.nodes) }
+// CheckEdge returns an error unless an edge u-v of weight w can join a graph
+// of nodes nodes: both endpoints exist, they differ, and the weight passes
+// CheckWeight. Every path that adds an edge from input checks it here.
+func CheckEdge(nodes int, u, v NodeID, w float64) error {
+	if u < 0 || int(u) >= nodes || v < 0 || int(v) >= nodes {
+		return fmt.Errorf("node out of range [0,%d): %d-%d", nodes, u, v)
+	}
+	if u == v {
+		return fmt.Errorf("self-loop %d-%d", u, v)
+	}
+	return CheckWeight(w)
+}
+
+// CheckWeight returns an error unless w is a usable edge weight.
+func CheckWeight(w float64) error {
+	if !(w > 0) || math.IsInf(w, 1) { // rejects NaN, zero, negative, +Inf
+		return fmt.Errorf("weight must be finite and positive, got %v", w)
+	}
+	return nil
+}
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -501,12 +498,12 @@ func (g *Graph) Degree(n NodeID) int {
 	return int(g.csrLen[n])
 }
 
-// SetWeight updates the weight of edge id. It panics on invalid weights or
-// a tombstoned edge. Weights are not part of the CSR layout, so this never
-// touches the overlay.
+// SetWeight updates the weight of edge id. It panics with CheckWeight's
+// error, or on a tombstoned edge. Weights are not part of the CSR layout,
+// so this never touches the overlay.
 func (g *Graph) SetWeight(id EdgeID, w float64) {
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		panic(fmt.Sprintf("graph: SetWeight with invalid weight %g", w))
+	if err := CheckWeight(w); err != nil {
+		panic("graph: SetWeight: " + err.Error())
 	}
 	if g.dead[id] {
 		panic(fmt.Sprintf("graph: SetWeight on removed edge %d", id))
@@ -536,9 +533,9 @@ func (g *Graph) Bounds() geom.Rect {
 	return r
 }
 
-// Validate checks structural invariants (endpoint validity, adjacency
-// consistency, positive weights, tombstone bookkeeping) and returns the
-// first violation found.
+// Validate checks structural invariants (every live edge passes CheckEdge,
+// adjacency consistency, tombstone bookkeeping) and returns the first
+// violation found.
 func (g *Graph) Validate() error {
 	if len(g.free) != g.deadCount() {
 		return fmt.Errorf("freelist holds %d ids but %d edges are tombstoned", len(g.free), g.deadCount())
@@ -548,11 +545,8 @@ func (g *Graph) Validate() error {
 			continue
 		}
 		e := &g.edges[i]
-		if !g.validNode(e.U) || !g.validNode(e.V) {
-			return fmt.Errorf("edge %d has invalid endpoint", e.ID)
-		}
-		if e.W <= 0 {
-			return fmt.Errorf("edge %d has non-positive weight %g", e.ID, e.W)
+		if err := CheckEdge(len(g.nodes), e.U, e.V, e.W); err != nil {
+			return fmt.Errorf("edge %d: %w", e.ID, err)
 		}
 		if !containsEdge(g.Incident(e.U), e.ID) || !containsEdge(g.Incident(e.V), e.ID) {
 			return fmt.Errorf("edge %d missing from endpoint adjacency", e.ID)
@@ -673,9 +667,6 @@ func (g *Graph) Dijkstra(sources []NodeID, seed []float64, maxDist float64) (dis
 	var du float64
 	relax := func(eid EdgeID) {
 		e := &g.edges[eid]
-		if e.Directed && e.U != u {
-			return
-		}
 		v := e.Other(u)
 		nd := du + e.W
 		if nd <= maxDist && nd < dist[v] {

@@ -156,21 +156,6 @@ func TestDijkstraDisconnected(t *testing.T) {
 	}
 }
 
-func TestDirectedEdge(t *testing.T) {
-	g := New(2, 1)
-	a := g.AddNode(geom.Point{})
-	b := g.AddNode(geom.Point{X: 1})
-	g.AddDirectedEdge(a, b, 1)
-	dist, _ := g.Dijkstra([]NodeID{a}, nil, math.Inf(1))
-	if dist[b] != 1 {
-		t.Fatalf("forward dist = %g, want 1", dist[b])
-	}
-	dist, _ = g.Dijkstra([]NodeID{b}, nil, math.Inf(1))
-	if !math.IsInf(dist[a], 1) {
-		t.Fatalf("backward dist = %g, want +Inf", dist[a])
-	}
-}
-
 // randomGraph builds a connected random graph with extra random edges.
 func randomGraph(rng *rand.Rand, n int) *Graph {
 	g := New(n, 3*n)
@@ -206,7 +191,7 @@ func bellmanFord(g *Graph, src NodeID) []float64 {
 				dist[e.V] = dist[e.U] + e.W
 				changed = true
 			}
-			if !e.Directed && dist[e.V]+e.W < dist[e.U] {
+			if dist[e.V]+e.W < dist[e.U] {
 				dist[e.U] = dist[e.V] + e.W
 				changed = true
 			}

@@ -225,24 +225,31 @@ func (p *Planner) cellOf(pos roadnet.Position) int32 {
 // mode of its cell's label (Direct until a re-plan decides otherwise).
 func (p *Planner) place(pos roadnet.Position) core.Mode { return p.cellOwner[p.cellOf(pos)] }
 
-// Step implements Engine. The windowed per-cell statistics are advanced
-// from the batch, the core applies it in one pass — a move keeps its mode
-// even when it lands in a cell labeled for the other one, and the next
-// re-plan reconciles — and, every PlanEvery-th tick, placements are
-// re-evaluated and groups migrated before the tick is published.
+// Step implements Engine. The core applies the batch in one pass — a move
+// keeps its mode even when it lands in a cell labeled for the other one,
+// and the next re-plan reconciles — the windowed per-cell statistics are
+// advanced from the batch, and, every PlanEvery-th tick, placements are
+// re-evaluated and groups migrated before the tick is published. A move
+// counts with the mode its query holds before the batch, but every cell is
+// looked up once the core has applied the batch's topology section: a
+// position may lie on an edge that section inserts.
 func (p *Planner) Step(u core.Updates) {
 	p.ticks++
+	moves := p.rows[:0] // the re-plan's scratch, free until then
 	for _, qu := range u.Queries {
 		if qu.Insert || qu.Delete {
 			continue
 		}
-		_, _, mode, ok := p.Placement(qu.ID)
-		if !ok {
-			continue // unknown id: the core ignores the move
+		if _, _, mode, ok := p.Placement(qu.ID); ok { // else: unknown id, the core ignores the move
+			moves = append(moves, cellQuery{mode: mode, pos: qu.New})
 		}
-		cell := p.cellOf(qu.New)
+	}
+	p.rows = moves
+	p.Advance(u)
+	for _, mv := range moves {
+		cell := p.cellOf(mv.pos)
 		p.winMove[cell]++
-		if p.cellOwner[cell] != mode {
+		if p.cellOwner[cell] != mv.mode {
 			// The query drifted into a cell labeled for the other mode. Its
 			// mode deliberately does NOT follow the label mid-tick: a flip
 			// is a from-scratch k-NN computation, and an agile group
@@ -260,8 +267,6 @@ func (p *Planner) Step(u core.Updates) {
 		p.winObj[p.cellOf(pos)]++
 	}
 	p.windowTicks++
-
-	p.Advance(u)
 
 	// The first tick re-plans too: queries registered before any Step all
 	// start Direct, and making a dense group wait a full period before its

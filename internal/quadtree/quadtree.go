@@ -7,12 +7,9 @@
 // threshold the leaf is split once (not recursively), bounding the tree
 // depth in practice; a hard MaxDepth is enforced as well.
 //
-// The index answers two questions for the monitoring server:
-//
-//   - Candidates(p): the segment ids stored in the leaf covering p, used to
-//     identify the edge containing an object from its coordinates;
-//   - Nearest(p): the segment closest to p, used to snap arbitrary
-//     coordinates (e.g. Gaussian-sampled locations) onto the network.
+// The index answers one question for the monitoring server: Nearest(p),
+// the segment closest to p, used to snap arbitrary coordinates (e.g.
+// Gaussian-sampled locations) onto the network.
 package quadtree
 
 import (
@@ -44,32 +41,15 @@ type node struct {
 	depth    int
 }
 
-// Option customizes tree construction.
-type Option func(*Tree)
-
-// WithSplitThreshold sets the leaf occupancy that triggers a split.
-func WithSplitThreshold(n int) Option {
-	return func(t *Tree) { t.splitThreshold = n }
-}
-
-// WithMaxDepth sets the maximum tree depth.
-func WithMaxDepth(d int) Option {
-	return func(t *Tree) { t.maxDepth = d }
-}
-
 // New returns an empty PMR quadtree covering bounds.
-func New(bounds geom.Rect, opts ...Option) *Tree {
-	t := &Tree{
+func New(bounds geom.Rect) *Tree {
+	return &Tree{
 		root:           &node{rect: bounds},
 		bounds:         bounds,
 		segs:           make(map[int32]geom.Segment),
 		splitThreshold: DefaultSplitThreshold,
 		maxDepth:       DefaultMaxDepth,
 	}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
 }
 
 // Len returns the number of indexed segments.
@@ -151,30 +131,6 @@ func (t *Tree) remove(n *node, id int32, s geom.Segment) {
 			return
 		}
 	}
-}
-
-// Candidates returns the ids stored in the leaf quad covering p. Points
-// outside the tree bounds yield nil. The returned slice is owned by the
-// tree and must not be modified.
-func (t *Tree) Candidates(p geom.Point) []int32 {
-	if !t.bounds.Contains(p) {
-		return nil
-	}
-	n := t.root
-	for n.children != nil {
-		found := false
-		for _, c := range n.children {
-			if c.rect.Contains(p) {
-				n = c
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil
-		}
-	}
-	return n.items
 }
 
 // Nearest returns the id of the segment closest to p (in Euclidean

@@ -29,9 +29,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, ok := tr.Nearest(geom.Point{X: 50, Y: 50}); ok {
 		t.Fatal("Nearest on empty tree returned ok")
 	}
-	if c := tr.Candidates(geom.Point{X: 50, Y: 50}); len(c) != 0 {
-		t.Fatalf("Candidates on empty tree = %v", c)
-	}
 }
 
 func TestDuplicateInsertPanics(t *testing.T) {
@@ -44,42 +41,6 @@ func TestDuplicateInsertPanics(t *testing.T) {
 		}
 	}()
 	tr.Insert(1, s)
-}
-
-func TestCandidatesContainCoveringSegment(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := New(unitBounds())
-	segs := make([]geom.Segment, 200)
-	for i := range segs {
-		segs[i] = randSeg(rng)
-		tr.Insert(int32(i), segs[i])
-	}
-	// Any point sampled on a segment must list that segment as a candidate
-	// of its covering leaf.
-	for i, s := range segs {
-		for _, f := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			p := s.At(f)
-			cands := tr.Candidates(p)
-			found := false
-			for _, id := range cands {
-				if id == int32(i) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("segment %d at frac %g: not in candidates %v", i, f, cands)
-			}
-		}
-	}
-}
-
-func TestCandidatesOutsideBounds(t *testing.T) {
-	tr := New(unitBounds())
-	tr.Insert(0, geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}})
-	if c := tr.Candidates(geom.Point{X: -5, Y: 50}); c != nil {
-		t.Fatalf("Candidates outside bounds = %v, want nil", c)
-	}
 }
 
 func TestNearestMatchesBruteForce(t *testing.T) {
@@ -113,7 +74,8 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 
 func TestSplitKeepsAllIncidences(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := New(unitBounds(), WithSplitThreshold(2), WithMaxDepth(10))
+	tr := New(unitBounds())
+	tr.splitThreshold, tr.maxDepth = 2, 10
 	for i := 0; i < 100; i++ {
 		tr.Insert(int32(i), randSeg(rng))
 	}
@@ -127,7 +89,8 @@ func TestSplitKeepsAllIncidences(t *testing.T) {
 }
 
 func TestMaxDepthRespected(t *testing.T) {
-	tr := New(unitBounds(), WithSplitThreshold(1), WithMaxDepth(3))
+	tr := New(unitBounds())
+	tr.splitThreshold, tr.maxDepth = 1, 3
 	// Insert many nearly-identical segments that all fall in one point; the
 	// depth cap must stop recursion even though the threshold is exceeded.
 	for i := 0; i < 50; i++ {
@@ -140,8 +103,11 @@ func TestMaxDepthRespected(t *testing.T) {
 		t.Fatalf("MaxDepth = %d, want <= 3", st.MaxDepth)
 	}
 	// Lookups must still find the segments.
-	if c := tr.Candidates(geom.Point{X: 10, Y: 10}); len(c) != 50 {
-		t.Fatalf("candidates = %d, want 50", len(c))
+	if tr.Len() != 50 {
+		t.Fatalf("Len = %d, want 50", tr.Len())
+	}
+	if id, dist, ok := tr.Nearest(geom.Point{X: 10, Y: 10}); !ok || id < 0 || id >= 50 || dist != 0 {
+		t.Fatalf("Nearest = (%d, %g, %v), want a segment at distance 0", id, dist, ok)
 	}
 }
 
@@ -170,21 +136,5 @@ func BenchmarkNearest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Nearest(pts[i&1023])
-	}
-}
-
-func BenchmarkCandidates(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tr := New(unitBounds())
-	for i := 0; i < 10000; i++ {
-		tr.Insert(int32(i), randSeg(rng))
-	}
-	pts := make([]geom.Point, 1024)
-	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Candidates(pts[i&1023])
 	}
 }

@@ -161,29 +161,6 @@ func (n *Network) Snap(pt geom.Point) (Position, bool) {
 	return Position{Edge: eid, Frac: n.G.Segment(eid).ClosestFrac(pt)}, true
 }
 
-// Locate returns the position of pt assuming pt lies (almost) exactly on
-// some edge: it first checks the candidates of the covering quadtree leaf
-// and falls back to Snap. This mirrors the paper's use of SI to identify
-// the edge containing an object from an update's coordinates.
-func (n *Network) Locate(pt geom.Point) (Position, bool) {
-	const eps = 1e-9
-	bestD := math.Inf(1)
-	var best Position
-	for _, id := range n.SI.Candidates(pt) {
-		eid := graph.EdgeID(id)
-		s := n.G.Segment(eid)
-		f := s.ClosestFrac(pt)
-		if d := s.At(f).Dist(pt); d < bestD {
-			bestD = d
-			best = Position{Edge: eid, Frac: f}
-		}
-	}
-	if bestD <= eps {
-		return best, true
-	}
-	return n.Snap(pt)
-}
-
 // CostFromU returns the travel cost from edge's U endpoint to pos.
 func (n *Network) CostFromU(pos Position) float64 {
 	return pos.Frac * n.G.Edge(pos.Edge).W

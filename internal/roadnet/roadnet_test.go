@@ -57,7 +57,7 @@ func TestCostFromEndpointDispatch(t *testing.T) {
 	n.CostFrom(nodes[0], pos)
 }
 
-func TestSnapAndLocate(t *testing.T) {
+func TestSnap(t *testing.T) {
 	g, _, edges := lineGraph()
 	n := NewNetwork(g)
 	// Snap a point hovering above the middle of edge 1.
@@ -67,11 +67,6 @@ func TestSnapAndLocate(t *testing.T) {
 	}
 	if math.Abs(pos.Frac-0.5) > 1e-9 {
 		t.Fatalf("Snap frac = %g, want 0.5", pos.Frac)
-	}
-	// Locate a point exactly on edge 0.
-	pos, ok = n.Locate(geom.Point{X: 1.0, Y: 0})
-	if !ok || pos.Edge != edges[0] || math.Abs(pos.Frac-0.5) > 1e-9 {
-		t.Fatalf("Locate = %+v, %v", pos, ok)
 	}
 }
 

@@ -238,8 +238,8 @@ func TestAdmissionMatchesReference(t *testing.T) {
 			t.Fatalf("step %d: Pending %d, reference %d", step, s.batch.Pending(), ref.Pending())
 		}
 		for e := roadknn.EdgeID(-1); int(e) <= max(len(s.batch.alive), len(ref.alive)); e++ {
-			if s.batch.TopoAlive(e) != ref.TopoAlive(e) {
-				t.Fatalf("step %d: TopoAlive(%d) = %v, reference %v", step, e, s.batch.TopoAlive(e), ref.TopoAlive(e))
+			if s.batch.topoAlive(e) != ref.topoAlive(e) {
+				t.Fatalf("step %d: topoAlive(%d) = %v, reference %v", step, e, s.batch.topoAlive(e), ref.topoAlive(e))
 			}
 		}
 		if len(s.batch.alive) != len(ref.alive) || !slices.Equal(s.batch.free, ref.free) || s.batch.live != ref.live {

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"sort"
 
 	"roadknn"
+	"roadknn/internal/graph"
 	"roadknn/internal/idtable"
 	"roadknn/internal/wal"
 )
@@ -31,6 +33,13 @@ import (
 // so identical input sequences produce byte-identical batches — feeding
 // two replicas the same stream keeps them exactly consistent (the Step
 // pipeline itself is deterministic).
+//
+// The exported mutators are the admission contract every front door loops
+// over: each checks its report against the Batcher's own edge view and the
+// reports before it, and returns an error, changing nothing, if the report
+// could panic or corrupt the engine's Step. Deleting an unknown object or
+// ending an unknown query is a no-op. Replay and checkpoint installation
+// re-feed logged state through the unchecked appliers the mutators wrap.
 //
 // A Batcher is not safe for concurrent use; the Server serializes access.
 type Batcher struct {
@@ -151,8 +160,8 @@ type pendingQry struct {
 	reinstall bool
 }
 
-// NewBatcher returns an empty batcher. Callers that admit topology edits
-// must seed the edge view with InitTopology first.
+// NewBatcher returns an empty batcher with an empty edge view: every report
+// that names an edge is rejected until InitTopology seeds it.
 func NewBatcher() *Batcher {
 	return &Batcher{
 		qryApplied:  make(map[roadknn.QueryID]appliedQry),
@@ -179,19 +188,41 @@ func (b *Batcher) InitTopology(numEdges int, free []roadknn.EdgeID) {
 	b.live = numEdges - len(free)
 }
 
-// TopoAlive reports whether edge e will be live once the pending topology
+// topoAlive reports whether edge e will be live once the pending topology
 // ops apply — the liveness every position or weight report in the current
-// tick is validated against.
-func (b *Batcher) TopoAlive(e roadknn.EdgeID) bool {
-	if b.alive == nil {
-		return true // topology tracking not initialized: everything is live
-	}
+// tick is checked against.
+func (b *Batcher) topoAlive(e roadknn.EdgeID) bool {
 	return e >= 0 && int(e) < len(b.alive) && b.alive[e]
+}
+
+// checkLive returns an error unless edge e is live in the edge view.
+func (b *Batcher) checkLive(e roadknn.EdgeID) error {
+	switch {
+	case b.topoAlive(e):
+		return nil
+	case e < 0 || int(e) >= len(b.alive):
+		return fmt.Errorf("edge %d out of range [0,%d)", e, len(b.alive))
+	}
+	return fmt.Errorf("edge %d is not live", e)
+}
+
+// checkPos returns an error unless pos lies on a live edge, at a frac in
+// [0,1] (NaN is not).
+func (b *Batcher) checkPos(pos roadknn.Position) error {
+	if b.topoAlive(pos.Edge) && pos.Frac >= 0 && pos.Frac <= 1 {
+		return nil
+	}
+	if err := b.checkLive(pos.Edge); err != nil {
+		return err
+	}
+	return fmt.Errorf("frac %v outside [0,1]", pos.Frac)
 }
 
 // AddEdge admits an edge insertion between u and v with weight w and
 // returns the id the engine will deterministically assign it (reusing the
-// most recently tombstoned id, exactly as the graph's allocator does).
+// most recently tombstoned id, exactly as the graph's allocator does). The
+// caller has checked the edge with graph.CheckEdge: the batcher does not
+// know the node set.
 func (b *Batcher) AddEdge(u, v roadknn.NodeID, w float64) roadknn.EdgeID {
 	id := roadknn.EdgeID(len(b.alive))
 	n := len(b.free)
@@ -210,21 +241,34 @@ func (b *Batcher) AddEdge(u, v roadknn.NodeID, w float64) roadknn.EdgeID {
 	return id
 }
 
-// RemoveEdge admits an edge removal. The caller has validated that e is
-// live in the pending view (TopoAlive) and that removing it leaves at
-// least one live edge.
-func (b *Batcher) RemoveEdge(e roadknn.EdgeID) {
+// RemoveEdge admits an edge removal. It returns an error unless e is live,
+// is not the last live edge, and has no pending report positioned on it.
+func (b *Batcher) RemoveEdge(e roadknn.EdgeID) error {
+	if err := b.checkLive(e); err != nil {
+		return err
+	}
+	if b.live <= 1 {
+		return fmt.Errorf("removing edge %d would leave no live edge", e)
+	}
+	if b.pendingOnEdge(e) {
+		return fmt.Errorf("edge %d has pending reports positioned on it; tick first", e)
+	}
+	b.removeEdge(e)
+	return nil
+}
+
+func (b *Batcher) removeEdge(e roadknn.EdgeID) {
 	b.free = append(b.free, e)
 	b.alive[e] = false
 	b.live--
 	b.topoPend = append(b.topoPend, roadknn.TopologyUpdate{Op: roadknn.TopoRemove, Edge: e})
 }
 
-// PendingOnEdge reports whether any pending (non-delete) object or query
+// pendingOnEdge reports whether any pending (non-delete) object or query
 // report is positioned on edge e; a removal of e must be rejected while
-// one is — the report was validated against e being live, and the engine
+// one is — the report was checked against e being live, and the engine
 // would otherwise place the entity on a dead edge.
-func (b *Batcher) PendingOnEdge(e roadknn.EdgeID) bool {
+func (b *Batcher) pendingOnEdge(e roadknn.EdgeID) bool {
 	for _, row := range b.objOrder {
 		if r := &b.objRows[row]; r.pend == pendMove && r.to.Edge == e {
 			return true
@@ -239,8 +283,17 @@ func (b *Batcher) PendingOnEdge(e roadknn.EdgeID) bool {
 }
 
 // Object reports object id at pos (insert or move — the batcher decides
-// which from the applied state).
-func (b *Batcher) Object(id roadknn.ObjectID, pos roadknn.Position) {
+// which from the applied state). It returns an error unless pos is on a
+// live edge at a frac in [0,1].
+func (b *Batcher) Object(id roadknn.ObjectID, pos roadknn.Position) error {
+	if err := b.checkPos(pos); err != nil {
+		return err
+	}
+	b.object(id, pos)
+	return nil
+}
+
+func (b *Batcher) object(id roadknn.ObjectID, pos roadknn.Position) {
 	row, _ := b.objIdx.Insert(int32(id))
 	if int(row) == len(b.objRows) {
 		b.objRows = append(b.objRows, objRow{})
@@ -249,8 +302,8 @@ func (b *Batcher) Object(id roadknn.ObjectID, pos roadknn.Position) {
 	r.id, r.to = id, pos
 }
 
-// DeleteObject reports object id gone. It returns false if the object is
-// neither applied nor pending (an unknown id).
+// DeleteObject reports object id gone. Deleting an id that is neither
+// applied nor pending is a no-op that returns false.
 func (b *Batcher) DeleteObject(id roadknn.ObjectID) bool {
 	row, ok := b.objIdx.Find(int32(id))
 	if !ok {
@@ -275,8 +328,25 @@ func (b *Batcher) report(row int32, kind pendKind) *objRow {
 
 // Query reports query id at pos; k is used only if this installs (or,
 // after an end within the same tick, re-installs) the query — on plain
-// moves the registered k is kept, matching the engine protocol.
-func (b *Batcher) Query(id roadknn.QueryID, k int, pos roadknn.Position) {
+// moves the registered k is kept, matching the engine protocol. It returns
+// an error unless pos is on a live edge at a frac in [0,1] and k fits the
+// engine's int32, and, where the report's k will reach Engine.Register,
+// k >= 1.
+func (b *Batcher) Query(id roadknn.QueryID, k int, pos roadknn.Position) error {
+	if err := b.checkPos(pos); err != nil {
+		return err
+	}
+	if k != int(int32(k)) {
+		return fmt.Errorf("k %d outside the 32-bit range", k)
+	}
+	if k < 1 && b.needsK(id) {
+		return fmt.Errorf("install requires k >= 1, got %d", k)
+	}
+	b.query(id, k, pos)
+	return nil
+}
+
+func (b *Batcher) query(id roadknn.QueryID, k int, pos roadknn.Position) {
 	prev, seen := b.qryPend[id]
 	b.listQuery(id, prev, seen)
 	next := pendingQry{pos: pos, k: k}
@@ -288,7 +358,8 @@ func (b *Batcher) Query(id roadknn.QueryID, k int, pos roadknn.Position) {
 	b.qryPend[id] = next
 }
 
-// EndQuery terminates query id. It returns false for unknown ids.
+// EndQuery terminates query id. Ending an id that is neither applied nor
+// pending is a no-op that returns false.
 func (b *Batcher) EndQuery(id roadknn.QueryID) bool {
 	_, applied := b.qryApplied[id]
 	prev, pending := b.qryPend[id]
@@ -311,13 +382,13 @@ func (b *Batcher) listQuery(id roadknn.QueryID, prev pendingQry, pending bool) {
 	}
 }
 
-// NeedsK reports whether a (non-end) Query report for id right now would
+// needsK reports whether a (non-end) Query report for id right now would
 // have its k consumed at Drain — i.e. whether it starts or continues an
 // install/reinstall chain rather than moving an applied query. Within a
 // chain the last report's k wins, so every report on it must carry a
-// valid k; validation layers use this to reject k < 1 before it can
-// reach Engine.Register.
-func (b *Batcher) NeedsK(id roadknn.QueryID) bool {
+// valid k; Query uses this to reject k < 1 before it can reach
+// Engine.Register.
+func (b *Batcher) needsK(id roadknn.QueryID) bool {
 	if p, ok := b.qryPend[id]; ok && (p.end || p.reinstall) {
 		return true
 	}
@@ -325,8 +396,20 @@ func (b *Batcher) NeedsK(id roadknn.QueryID) bool {
 	return !applied
 }
 
-// Edge reports edge's new weight (last report within a tick wins).
-func (b *Batcher) Edge(edge roadknn.EdgeID, w float64) {
+// Edge reports edge's new weight (last report within a tick wins). It
+// returns an error unless the edge is live and w passes graph.CheckWeight.
+func (b *Batcher) Edge(edge roadknn.EdgeID, w float64) error {
+	if err := b.checkLive(edge); err != nil {
+		return err
+	}
+	if err := graph.CheckWeight(w); err != nil {
+		return fmt.Errorf("edge %d: %w", edge, err)
+	}
+	b.edge(edge, w)
+	return nil
+}
+
+func (b *Batcher) edge(edge roadknn.EdgeID, w float64) {
 	if prev, seen := b.edgePend[edge]; !seen {
 		b.edgeOrd = append(b.edgeOrd, edge)
 	} else if b.undo.open {
@@ -504,7 +587,7 @@ func (b *Batcher) commit(u roadknn.Updates) {
 		// record it either. It is still emitted — replay must reproduce the
 		// logged batch byte for byte, and the engine's drop is
 		// deterministic.
-		if b.TopoAlive(eu.Edge) {
+		if b.topoAlive(eu.Edge) {
 			b.edgeApplied[eu.Edge] = eu.NewW
 		}
 	}
@@ -519,11 +602,15 @@ func (b *Batcher) commit(u roadknn.Updates) {
 // next Drain reproduces exactly the batch that was logged: recovery runs
 // the same Batcher→Engine path a live tick does. The batcher must be in
 // the applied state the batch was drained from (the checkpoint state, or
-// the state after replaying the preceding batches).
+// the state after replaying the preceding batches). The reports go to the
+// unchecked appliers: the batch was admitted once already, and its
+// topology section now applies first, so a weight report that a later
+// request in its tick outdated by removing the edge must be kept, not
+// rejected — the engine drops it deterministically.
 func (b *Batcher) Replay(u roadknn.Updates) {
 	for _, tp := range u.Topology {
 		if tp.Op == roadknn.TopoRemove {
-			b.RemoveEdge(tp.Edge)
+			b.removeEdge(tp.Edge)
 			continue
 		}
 		id := b.AddEdge(tp.U, tp.V, tp.W)
@@ -536,20 +623,20 @@ func (b *Batcher) Replay(u roadknn.Updates) {
 		}
 	}
 	for _, e := range u.Edges {
-		b.Edge(e.Edge, e.NewW)
+		b.edge(e.Edge, e.NewW)
 	}
 	for _, o := range u.Objects {
 		if o.Delete {
 			b.DeleteObject(o.ID)
 		} else {
-			b.Object(o.ID, o.New)
+			b.object(o.ID, o.New)
 		}
 	}
 	for _, q := range u.Queries {
 		if q.Delete {
 			b.EndQuery(q.ID)
 		} else {
-			b.Query(q.ID, q.K, q.New)
+			b.query(q.ID, q.K, q.New)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func (m *mapBatcher) checkpoint() []wal.ObjectState {
 // deletes of unknown ids, deletes followed by re-reports, re-reports of
 // the applied position — over a small id pool, so rows are released and
 // reused every few ticks. Every Preview and Drain must encode to the same
-// WAL bytes, and Pending, PendingObject, PendingOnEdge, DeleteObject's
+// WAL bytes, and Pending, PendingObject, pendingOnEdge, DeleteObject's
 // answer and the checkpointed objects must agree throughout.
 func TestBatcherMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -113,6 +113,7 @@ func TestBatcherMatchesMapModel(t *testing.T) {
 	}
 
 	b, ref := NewBatcher(), newMapBatcher()
+	b.InitTopology(6, nil)
 	for tick := uint64(1); tick <= 400; tick++ {
 		for n := rng.Intn(30); n > 0; n-- {
 			id := pool[rng.Intn(len(pool))]
@@ -153,8 +154,8 @@ func TestBatcherMatchesMapModel(t *testing.T) {
 			for _, p := range ref.pend {
 				want = want || (!p.del && p.pos.Edge == e)
 			}
-			if got := b.PendingOnEdge(e); got != want {
-				t.Fatalf("tick %d: PendingOnEdge(%d) = %v, reference %v", tick, e, got, want)
+			if got := b.pendingOnEdge(e); got != want {
+				t.Fatalf("tick %d: pendingOnEdge(%d) = %v, reference %v", tick, e, got, want)
 			}
 		}
 		if got, want := encode(tick, b.Preview().Objects), encode(tick, ref.preview()); !bytes.Equal(got, want) {

@@ -12,6 +12,7 @@ func pos(e int32, f float64) roadknn.Position {
 
 func TestBatcherCoalescesMoves(t *testing.T) {
 	b := NewBatcher()
+	b.InitTopology(8, nil)
 	b.Object(1, pos(0, 0.1))
 	u := b.Drain()
 	if len(u.Objects) != 1 || !u.Objects[0].Insert {
@@ -40,6 +41,7 @@ func TestBatcherCoalescesMoves(t *testing.T) {
 
 func TestBatcherInsertDeleteWithinTick(t *testing.T) {
 	b := NewBatcher()
+	b.InitTopology(8, nil)
 	b.Object(9, pos(0, 0.5))
 	if !b.DeleteObject(9) {
 		t.Fatal("pending object unknown to DeleteObject")
@@ -67,6 +69,7 @@ func TestBatcherInsertDeleteWithinTick(t *testing.T) {
 
 func TestBatcherQueriesAndEdges(t *testing.T) {
 	b := NewBatcher()
+	b.InitTopology(8, nil)
 	b.Query(7, 4, pos(0, 0.1))
 	b.Query(7, 9, pos(1, 0.2)) // same tick: still an install, final pos, first k... last report wins
 	u := b.Drain()
@@ -123,6 +126,7 @@ func TestBatcherQueriesAndEdges(t *testing.T) {
 // k takes effect — not degrade to a move that keeps the old k.
 func TestBatcherEndReinstallWithinTick(t *testing.T) {
 	b := NewBatcher()
+	b.InitTopology(8, nil)
 	b.Query(7, 2, pos(0, 0.1))
 	b.Drain()
 
@@ -156,6 +160,7 @@ func TestBatcherEndReinstallWithinTick(t *testing.T) {
 	eng := roadknn.NewIMAWith(net, roadknn.Options{Workers: 1, Serving: true})
 	defer eng.Close()
 	eb := NewBatcher()
+	eb.InitTopology(net.G.NumEdges(), nil)
 	for i := 0; i < 20; i++ {
 		eb.Object(roadknn.ObjectID(i), pos(int32(i%40), 0.5))
 	}
@@ -172,32 +177,33 @@ func TestBatcherEndReinstallWithinTick(t *testing.T) {
 	}
 }
 
-// TestBatcherNeedsK: NeedsK must be true exactly when a report's k would
+// TestBatcherNeedsK: needsK must be true exactly when a report's k would
 // reach Engine.Register at Drain — fresh installs, pending installs
 // (last report's k wins), and anything after an end.
 func TestBatcherNeedsK(t *testing.T) {
 	b := NewBatcher()
-	if !b.NeedsK(1) {
+	b.InitTopology(8, nil)
+	if !b.needsK(1) {
 		t.Fatal("unknown query should need k")
 	}
 	b.Query(1, 2, pos(0, 0.1))
-	if !b.NeedsK(1) {
+	if !b.needsK(1) {
 		t.Fatal("pending install still consumes the last report's k")
 	}
 	b.Drain()
-	if b.NeedsK(1) {
+	if b.needsK(1) {
 		t.Fatal("applied query moves without k")
 	}
 	b.EndQuery(1)
-	if !b.NeedsK(1) {
+	if !b.needsK(1) {
 		t.Fatal("ended query re-installs, needs k")
 	}
 	b.Query(1, 3, pos(1, 0.2))
-	if !b.NeedsK(1) {
+	if !b.needsK(1) {
 		t.Fatal("reinstall chain still consumes the last report's k")
 	}
 	b.Drain()
-	if b.NeedsK(1) {
+	if b.needsK(1) {
 		t.Fatal("re-applied query moves without k")
 	}
 }
@@ -219,6 +225,8 @@ func TestBatcherDeterministicReplicas(t *testing.T) {
 	defer e2.Close()
 
 	b1, b2 := NewBatcher(), NewBatcher()
+	b1.InitTopology(net1.G.NumEdges(), nil)
+	b2.InitTopology(net2.G.NumEdges(), nil)
 	feed := func(b *Batcher, i int) {
 		b.Object(roadknn.ObjectID(i%13), pos(int32(i%50), float64(i%10)/10))
 		if i%4 == 0 {

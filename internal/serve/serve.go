@@ -77,7 +77,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"mime"
 	"net/http"
 	"sync"
@@ -85,6 +84,7 @@ import (
 	"time"
 
 	"roadknn"
+	"roadknn/internal/graph"
 	"roadknn/internal/planner"
 	"roadknn/internal/wal"
 )
@@ -542,114 +542,64 @@ func (s *Server) ingest(w http.ResponseWriter, req *batchRequest) {
 	writeJSON(w, resp)
 }
 
-// admit applies req to the batcher through its own methods, topology ops
-// first, then objects, queries and edge weights, each in request order.
-// Each report is checked against the state the reports before it left —
-// the network edge set, which the topology ops change for everything after
-// them, and the batcher's pending reports — because a single out-of-range
-// id, dead edge, non-finite value or missing k reaching Step would panic
-// the stepper. It returns the ids assigned to the insertions, or the first
+// admit applies req to the batcher through its checked mutators, topology
+// ops first, then objects, queries and edge weights, each in request order,
+// so each report is checked against the state the reports before it left.
+// Two checks are facts of the wire, made here: an object id must fit the
+// engine's int32, and an insertion's expected id must be the one it is
+// assigned. It returns the ids assigned to the insertions, or the first
 // invalid report's error, after which the caller rolls the batcher back.
 // Caller holds batchMu with the batcher's undo log open.
 func (s *Server) admit(req *batchRequest) ([]int64, error) {
 	b := s.batch
 	var added []int64
 	for i, tp := range req.Topology {
+		var err error
 		switch tp.Op {
 		case topoOpRemove:
 			if tp.Edge == nil {
-				return nil, fmt.Errorf("topology[%d]: remove requires \"edge\"", i)
+				err = errors.New(`remove requires "edge"`)
+			} else {
+				err = b.RemoveEdge(roadknn.EdgeID(*tp.Edge))
 			}
-			e := roadknn.EdgeID(*tp.Edge)
-			if !b.TopoAlive(e) {
-				return nil, fmt.Errorf("topology[%d]: edge %d is not live", i, e)
-			}
-			if b.live <= 1 {
-				return nil, fmt.Errorf("topology[%d]: removing edge %d would leave no live edge", i, e)
-			}
-			if b.PendingOnEdge(e) {
-				return nil, fmt.Errorf("topology[%d]: edge %d has pending reports positioned on it; tick first", i, e)
-			}
-			b.RemoveEdge(e)
 		case topoOpAdd:
-			if tp.U < 0 || int(tp.U) >= s.numNodes || tp.V < 0 || int(tp.V) >= s.numNodes {
-				return nil, fmt.Errorf("topology[%d]: node out of range [0,%d)", i, s.numNodes)
-			}
-			if tp.U == tp.V {
-				return nil, fmt.Errorf("topology[%d]: self-loop %d-%d", i, tp.U, tp.V)
-			}
-			if !(tp.W > 0) || math.IsInf(tp.W, 1) {
-				return nil, fmt.Errorf("topology[%d]: weight must be finite and positive, got %v", i, tp.W)
+			if err = graph.CheckEdge(s.numNodes, graph.NodeID(tp.U), graph.NodeID(tp.V), tp.W); err != nil {
+				break
 			}
 			id := b.AddEdge(roadknn.NodeID(tp.U), roadknn.NodeID(tp.V), tp.W)
 			if tp.Edge != nil && roadknn.EdgeID(*tp.Edge) != id {
-				return nil, fmt.Errorf("topology[%d]: insertion will be assigned edge %d, not %d", i, id, *tp.Edge)
+				err = fmt.Errorf("insertion will be assigned edge %d, not %d", id, *tp.Edge)
 			}
 			added = append(added, int64(id))
 		default:
-			return nil, fmt.Errorf("topology[%d]: unknown op %q (want %q or %q)", i, tp.Op, topoOpAdd, topoOpRemove)
+			err = fmt.Errorf("unknown op %q (want %q or %q)", tp.Op, topoOpAdd, topoOpRemove)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("topology[%d]: %w", i, err)
 		}
 	}
-	edgeSpace := len(b.alive)
-	okPos := func(edge int32, frac float64) error {
-		if edge < 0 || int(edge) >= edgeSpace {
-			return fmt.Errorf("edge %d out of range [0,%d)", edge, edgeSpace)
-		}
-		if !b.TopoAlive(roadknn.EdgeID(edge)) {
-			return fmt.Errorf("edge %d is not live", edge)
-		}
-		if !(frac >= 0 && frac <= 1) { // rejects NaN too
-			return fmt.Errorf("frac %v outside [0,1]", frac)
-		}
-		return nil
-	}
-	// Ids and k are wider on the wire than in the engine and the WAL (int32
-	// both): a value that does not survive the conversion would alias another
-	// id, or be logged as a k the live engine never ran.
 	for _, o := range req.Objects {
+		// A wire id that does not survive the conversion would alias another.
 		if o.ID != int64(int32(o.ID)) {
 			return nil, fmt.Errorf("object %d: id outside the 32-bit range", o.ID)
 		}
-		id := roadknn.ObjectID(o.ID)
 		if o.Delete {
-			b.DeleteObject(id) // unknown ids are a no-op, not an error
-			continue
-		}
-		if err := okPos(o.Edge, o.Frac); err != nil {
+			b.DeleteObject(roadknn.ObjectID(o.ID))
+		} else if err := b.Object(roadknn.ObjectID(o.ID), roadknn.Position{Edge: roadknn.EdgeID(o.Edge), Frac: o.Frac}); err != nil {
 			return nil, fmt.Errorf("object %d: %w", o.ID, err)
 		}
-		b.Object(id, roadknn.Position{Edge: roadknn.EdgeID(o.Edge), Frac: o.Frac})
 	}
 	for _, q := range req.Queries {
-		id := roadknn.QueryID(q.ID)
 		if q.End {
-			b.EndQuery(id)
-			continue
-		}
-		if err := okPos(q.Edge, q.Frac); err != nil {
+			b.EndQuery(roadknn.QueryID(q.ID))
+		} else if err := b.Query(roadknn.QueryID(q.ID), q.K, roadknn.Position{Edge: roadknn.EdgeID(q.Edge), Frac: q.Frac}); err != nil {
 			return nil, fmt.Errorf("query %d: %w", q.ID, err)
 		}
-		if q.K != int(int32(q.K)) {
-			return nil, fmt.Errorf("query %d: k %d outside the 32-bit range", q.ID, q.K)
-		}
-		// On an install or reinstall chain — including one an end earlier in
-		// this request started — the last report's k reaches Engine.Register.
-		if q.K < 1 && b.NeedsK(id) {
-			return nil, fmt.Errorf("query %d: install requires k >= 1, got %d", q.ID, q.K)
-		}
-		b.Query(id, q.K, roadknn.Position{Edge: roadknn.EdgeID(q.Edge), Frac: q.Frac})
 	}
 	for _, e := range req.Edges {
-		if e.Edge < 0 || int(e.Edge) >= edgeSpace {
-			return nil, fmt.Errorf("edge update: edge %d out of range [0,%d)", e.Edge, edgeSpace)
+		if err := b.Edge(roadknn.EdgeID(e.Edge), e.W); err != nil {
+			return nil, fmt.Errorf("edge update: %w", err)
 		}
-		if !b.TopoAlive(roadknn.EdgeID(e.Edge)) {
-			return nil, fmt.Errorf("edge update: edge %d is not live", e.Edge)
-		}
-		if !(e.W > 0) || math.IsInf(e.W, 1) { // rejects NaN, zero, negative, +Inf
-			return nil, fmt.Errorf("edge %d: weight must be finite and positive, got %v", e.Edge, e.W)
-		}
-		b.Edge(roadknn.EdgeID(e.Edge), e.W)
 	}
 	return added, nil
 }

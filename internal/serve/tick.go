@@ -234,13 +234,13 @@ func (s *Server) installCheckpoint(c *wal.Checkpoint) error {
 	// positions and weight overrides refer to.
 	s.batch.Replay(roadknn.Updates{Topology: c.Topology})
 	for _, e := range c.Edges {
-		s.batch.Edge(e.Edge, e.W)
+		s.batch.edge(e.Edge, e.W)
 	}
 	for _, o := range c.Objects {
-		s.batch.Object(o.ID, o.Pos)
+		s.batch.object(o.ID, o.Pos)
 	}
 	for _, q := range c.Queries {
-		s.batch.Query(roadknn.QueryID(q.ID), int(q.K), q.Pos)
+		s.batch.query(roadknn.QueryID(q.ID), int(q.K), q.Pos)
 	}
 	u := s.batch.Drain()
 	s.batchMu.Unlock()

@@ -112,7 +112,7 @@ func TestServeTopologyValidation(t *testing.T) {
 	var drain []map[string]any
 	for e := 0; e < len(s.batch.alive); e++ {
 		id := roadknn.EdgeID(e)
-		if e == 8 || e == 0 || !s.batch.TopoAlive(id) {
+		if e == 8 || e == 0 || !s.batch.topoAlive(id) {
 			continue // 8 is pending-removed above; 0 is the survivor
 		}
 		drain = append(drain, map[string]any{"op": "remove", "edge": e})

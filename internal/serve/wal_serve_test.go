@@ -157,7 +157,7 @@ func TestServeCloseFlushesPending(t *testing.T) {
 	if res, ok := snap.Lookup(9); !ok || len(res) == 0 {
 		t.Fatalf("flushed pending query lost: ok=%v res=%v", ok, res)
 	}
-	if !s2.batch.TopoAlive(97) {
+	if !s2.batch.topoAlive(97) {
 		t.Fatal("flushed pending edge insertion lost")
 	}
 }
@@ -575,4 +575,72 @@ func TestServeCrashRecoveryDeterministicAtEveryBoundary(t *testing.T) {
 
 func TestServeCrashRecoveryAutoAtMigrationBoundary(t *testing.T) {
 	runCrashCases(t, crashCases[3:])
+}
+
+// TestRecoverWeightReportOnRemovedEdge: a tick may log a weight report for
+// an edge that a later request in the same tick removed; the engine drops
+// the report. Recovery feeds the logged batch back through Batcher.Replay,
+// which applies the topology section first, so it must not re-check the
+// edge's liveness. The batch is recovered twice: re-queued from the pending
+// record a shutdown flushed, and replayed from the log after it was ticked.
+// Both times the batch's WAL bytes and the snapshot must be the pre-crash
+// run's.
+func TestRecoverWeightReportOnRemovedEdge(t *testing.T) {
+	const e = 41
+	// admitWeightThenRemoval admits the two requests through the HTTP path
+	// after the first scripted tick and returns the pending batch's WAL bytes.
+	admitWeightThenRemoval := func(s *Server, rec *wal.Recovery) []byte {
+		t.Helper()
+		if _, err := s.Recover(rec); err != nil {
+			t.Fatal(err)
+		}
+		scriptTick(s, 1)
+		for _, req := range []*batchRequest{
+			{Edges: []edgeReport{{Edge: e, W: 9}}},
+			{Topology: []topoReport{{Op: topoOpRemove, Edge: i32ptr(e)}}},
+		} {
+			rec := httptest.NewRecorder()
+			if s.ingest(rec, req); rec.Code != http.StatusOK {
+				t.Fatalf("request rejected: %d %s", rec.Code, rec.Body)
+			}
+		}
+		return wal.EncodeRecords(nil, []wal.BatchRecord{{Seq: 2, Updates: s.batch.Preview()}})
+	}
+	ref, _, rec := newWALServer(t, wal.NewMemFS(), 0)
+	want := admitWeightThenRemoval(ref, rec)
+	if u := ref.batch.Preview(); len(u.Edges) != 1 || len(u.Topology) != 1 {
+		t.Fatalf("premise: the tick holds %+v, want one weight report and one removal", u)
+	}
+	ref.Tick()
+	wantSnap, wantCRC := snapBytes(ref), ref.eng.Snapshot().CRC32()
+	ref.Close()
+
+	mem := wal.NewMemFS()
+	s, _, rec1 := newWALServer(t, mem, 0)
+	admitWeightThenRemoval(s, rec1)
+	s.Close() // flushes the pending batch
+
+	s2, _, rec2 := newWALServer(t, mem, 0)
+	if st, err := s2.Recover(rec2); err != nil || !st.PendingReplayed {
+		t.Fatalf("recover: %+v, %v", st, err)
+	}
+	if got := wal.EncodeRecords(nil, []wal.BatchRecord{{Seq: 2, Updates: s2.batch.Preview()}}); !bytes.Equal(got, want) {
+		t.Fatal("the re-queued batch differs from the pre-crash one")
+	}
+	s2.Tick()
+	s2.Close()
+
+	s3, _, rec3 := newWALServer(t, mem, 0)
+	defer s3.Close()
+	st, err := s3.Recover(rec3)
+	if err != nil || st.VerifiedTicks != 2 {
+		t.Fatalf("recover: %+v, %v", st, err)
+	}
+	logged := rec3.Batches[1]
+	if got := wal.EncodeRecords(nil, []wal.BatchRecord{{Seq: logged.Seq, Updates: logged.Updates}}); !bytes.Equal(got, want) {
+		t.Fatal("the logged batch differs from the pre-crash one")
+	}
+	if !bytes.Equal(snapBytes(s3), wantSnap) || s3.eng.Snapshot().CRC32() != wantCRC {
+		t.Fatal("recovered snapshot differs from the pre-crash one")
+	}
 }
