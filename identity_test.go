@@ -128,21 +128,14 @@ func identityConfig() workload.Config {
 	return cfg
 }
 
-// identityRun steps one engine over the stream and returns its golden
-// block — one CRC per tick, plus the planner counters for AUTO — and the
-// engine's work counters after every tick.
-func identityRun(t *testing.T, engine string, workers int) (string, []core.StepStats) {
-	t.Helper()
+// identityDrive builds one engine and steps it over the stream, calling
+// tick after every Step. The caller closes the returned engine.
+func identityDrive(engine string, workers int, tick func(ts int, eng core.Engine)) core.Engine {
 	cfg := identityConfig()
 	opts := core.Options{Workers: workers, Serving: true, Planner: core.PlannerOptions{PlanEvery: 5}}
 	r, _ := workload.NewRunner(cfg, experiments.EngineWith(engine, opts))
 	eng := r.Engine()
-	defer eng.Close()
 	churn := newIdentityChurn(cfg, eng.Network())
-
-	var out bytes.Buffer
-	var stats []core.StepStats
-	fmt.Fprintf(&out, "%s workers=%d\n", engine, workers)
 	for ts := 1; ts <= identityTicks; ts++ {
 		u := r.GenerateStep()
 		if ts%3 != 0 {
@@ -153,8 +146,27 @@ func identityRun(t *testing.T, engine string, workers int) (string, []core.StepS
 		}
 		churn.add(ts, &u)
 		eng.Step(u)
+		tick(ts, eng)
+	}
+	return eng
+}
+
+// identityRun steps one engine over the stream and returns its golden
+// block — one CRC per tick, plus the planner counters for AUTO — and the
+// engine's work counters after every tick. The Rebuild at tick 30 must
+// change no published row.
+func identityRun(t *testing.T, engine string, workers int) (string, []core.StepStats) {
+	t.Helper()
+	var out bytes.Buffer
+	var stats []core.StepStats
+	fmt.Fprintf(&out, "%s workers=%d\n", engine, workers)
+	eng := identityDrive(engine, workers, func(ts int, eng core.Engine) {
 		if ts == identityRebuild {
+			before := eng.Snapshot()
 			eng.(core.Rebuilder).Rebuild()
+			if d := rowDiffs(before, eng.Snapshot()); d != 0 {
+				t.Errorf("%s workers=%d: the Rebuild at tick %d changed %d rows", engine, workers, ts, d)
+			}
 		}
 		fmt.Fprintf(&out, "%08x", eng.Snapshot().CRC32())
 		stats = append(stats, eng.(interface{ StepStats() core.StepStats }).StepStats())
@@ -163,7 +175,8 @@ func identityRun(t *testing.T, engine string, workers int) (string, []core.StepS
 		} else {
 			out.WriteByte(' ')
 		}
-	}
+	})
+	defer eng.Close()
 	if sp, ok := eng.(planner.StatsProvider); ok {
 		st := sp.PlannerStats()
 		fmt.Fprintf(&out, "migrations=%d migrated_queries=%d cross_moves=%d replans=%d groups_gma=%d\n",

@@ -327,9 +327,8 @@ func (e *Incremental) RestoreClock(epoch, stamp uint64) { e.pub.restore(epoch, s
 
 // Rebuild implements Rebuilder: every monitor — direct and node alike — is
 // recomputed from scratch at the current positions, then every grouped
-// query is re-evaluated serially in ascending id order against the
-// canonical node results, and the result republished, canonicalizing the
-// incremental state for checkpointing.
+// query is re-evaluated serially in ascending id order against the node
+// results, and the result republished. The rows do not change.
 func (e *Incremental) Rebuild() {
 	e.dropIdleLayer()
 	e.set.rebuildAll()

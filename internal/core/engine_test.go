@@ -89,9 +89,10 @@ func TestObjectMoveUpdatesResult(t *testing.T) {
 		e.Step(Updates{Objects: []ObjectUpdate{{
 			ID: 2, Old: roadnet.Position{Edge: 3, Frac: 1.0}, New: roadnet.Position{Edge: 1, Frac: 0.6},
 		}}})
+		// Offsets 0.5 and 0.6 of a unit edge, each rounded to the quantum.
 		res := e.Result(1)
-		if res[0].Obj != 2 || math.Abs(res[0].Dist-0.1) > 1e-9 {
-			t.Fatalf("%s: after move NN = %+v, want obj 2 at 0.1", e.Name(), res[0])
+		if want := graph.Quantise(0.6) - 0.5; res[0].Obj != 2 || res[0].Dist != want {
+			t.Fatalf("%s: after move NN = %+v, want obj 2 at %v", e.Name(), res[0], want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 
 	ownEdge := g.net.G.Edge(q.pos.Edge)
 	for _, oe := range g.net.ObjectsOn(q.pos.Edge) {
-		q.cand.add(oe.ID, math.Abs(oe.Frac-q.pos.Frac)*ownEdge.W, roadnet.Position{Edge: q.pos.Edge, Frac: oe.Frac})
+		q.cand.add(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), roadnet.Position{Edge: q.pos.Edge, Frac: oe.Frac})
 	}
 
 	seq := &g.seqs.Seqs[q.seq]
@@ -41,8 +41,8 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 	q.result, _ = q.cand.finalize()
 	q.kdist = q.cand.kth()
 
-	span := fracSpan(q.kdist, ownEdge.W)
-	q.ivOwn = qInterval{lo: math.Max(0, q.pos.Frac-span), hi: math.Min(1, q.pos.Frac+span)}
+	at := roadnet.CostFromU(ownEdge, q.pos.Frac)
+	q.ivOwn = qInterval{lo: at - q.kdist, hi: at + q.kdist}
 	q.extB, q.ivB = reach(q.kdist, covered[:nB])
 	q.extA, q.ivA = reach(q.kdist, covered[nB:])
 }
@@ -63,10 +63,10 @@ func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covere
 		node = seq.Nodes[idx]
 		j = idx - 1
 	}
-	d := g.net.CostFrom(node, q.pos)
+	d := roadnet.CostFrom(g.net.G.Edge(q.pos.Edge), node, q.pos.Frac)
 
 	for {
-		if !g.naiveEval && d >= q.cand.kth() {
+		if !g.naiveEval && d > q.cand.kth() {
 			return false, math.Inf(1)
 		}
 		atEnd := (dir > 0 && j == len(seq.Edges)) || (dir < 0 && j == -1)
@@ -77,7 +77,7 @@ func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covere
 		eid := seq.Edges[j]
 		ed := g.net.G.Edge(eid)
 		for _, oe := range g.net.ObjectsOn(eid) {
-			q.cand.add(oe.ID, d+costFrom(ed, node, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
+			q.cand.add(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
 		}
 		*covered = append(*covered, walkEdge{w: ed.W, dEntry: d, fromU: ed.U == node})
 		d += ed.W
@@ -118,28 +118,15 @@ func (g *groupLayer) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
 func reach(kdist float64, covered []walkEdge) (ext int32, iv qInterval) {
 	for _, we := range covered {
 		remain := kdist - we.dEntry
-		if remain <= -distEps {
+		if remain < 0 {
 			break
 		}
-		f := fracSpan(remain, we.w)
 		if we.fromU {
-			iv = qInterval{lo: 0, hi: f}
+			iv = qInterval{lo: 0, hi: remain}
 		} else {
-			iv = qInterval{lo: 1 - f, hi: 1}
+			iv = qInterval{lo: we.w - remain, hi: we.w}
 		}
 		ext++
 	}
 	return ext, iv
-}
-
-// fracSpan converts a travel-cost span into edge-fraction units, clipped
-// to one full edge.
-func fracSpan(cost, w float64) float64 {
-	if math.IsInf(cost, 1) || cost >= w {
-		return 1
-	}
-	if cost <= 0 {
-		return 0
-	}
-	return cost / w
 }

@@ -160,7 +160,8 @@ func TestGMAIntervalRegistrationWithinSequenceOnly(t *testing.T) {
 	}
 	// The query's own edge must always be influencing, at the query itself
 	// and as a whole.
-	if !q.influenced(q.idx, q.pos.Frac, false) || !q.influenced(q.idx, 0, true) {
+	own := net.G.Edge(q.pos.Edge)
+	if !q.influenced(q.idx, roadnet.CostFromU(own, q.pos.Frac), false) || !q.influenced(q.idx, 0, true) {
 		t.Fatal("own edge not influencing")
 	}
 	// kNN_dist is 2.5 (p1 beyond n1 and p4 mid n7n6 tie there): the chain
@@ -169,7 +170,8 @@ func TestGMAIntervalRegistrationWithinSequenceOnly(t *testing.T) {
 		t.Fatalf("reach beyond the own edge = %d edges (A %d, B %d), want 1", toward, q.extA, q.extB)
 	}
 	j := e.grp.seqs.EdgeIndex[edges["n7n6"]]
-	if !q.influenced(j, 0.5, false) || q.influenced(j, 0.9, false) || !q.influenced(j, 0.9, true) {
+	at := func(f float64) float64 { return roadnet.CostFromU(net.G.Edge(edges["n7n6"]), f) }
+	if !q.influenced(j, at(0.5), false) || q.influenced(j, at(0.9), false) || !q.influenced(j, at(0.9), true) {
 		t.Fatal("n7n6 must be influencing up to p4 only (and as a whole for a weight change)")
 	}
 	if q.influenced(e.grp.seqs.EdgeIndex[edges["n6n5"]], 0.5, true) {

@@ -74,17 +74,16 @@ type gmaQuery struct {
 	gone bool // removed; evalShard skips it
 }
 
-// qInterval is an influencing interval in edge-fraction space.
+// qInterval is an influencing interval on an edge, in travel cost from the
+// edge's U endpoint (roadnet.CostFromU): exact, like the costs it bounds.
 type qInterval struct{ lo, hi float64 }
 
-func (iv qInterval) contains(f float64) bool {
-	return f >= iv.lo-distEps && f <= iv.hi+distEps
-}
+func (iv qInterval) contains(c float64) bool { return iv.lo <= c && c <= iv.hi }
 
-// influenced reports whether the point at fraction f of its sequence's j-th
-// edge — or, with whole, any point of that edge — lies in q's influence
-// region.
-func (q *gmaQuery) influenced(j int32, f float64, whole bool) bool {
+// influenced reports whether the point at cost c from the U endpoint of its
+// sequence's j-th edge — or, with whole, any point of that edge — lies in
+// q's influence region.
+func (q *gmaQuery) influenced(j int32, c float64, whole bool) bool {
 	// The edge is d edges from the query's own; ext edges are influencing
 	// in that direction, the last of them over iv.
 	d, ext, iv := j-q.idx, int32(0), q.ivOwn
@@ -93,7 +92,7 @@ func (q *gmaQuery) influenced(j int32, f float64, whole bool) bool {
 	} else if d < 0 {
 		d, ext, iv = -d, q.extA, q.ivA
 	}
-	return d < ext || (d == ext && (whole || iv.contains(f)))
+	return d < ext || (d == ext && (whole || iv.contains(c)))
 }
 
 // newGroupLayer decomposes the network into sequences and returns an empty
@@ -367,8 +366,9 @@ func (g *groupLayer) markAt(e graph.EdgeID, f float64, whole bool) {
 		return
 	}
 	j := g.seqs.EdgeIndex[e]
+	c := roadnet.CostFromU(g.net.G.Edge(e), f)
 	for _, q := range g.seqQ[sid] {
-		if !q.mark && q.influenced(j, f, whole) {
+		if !q.mark && q.influenced(j, c, whole) {
 			g.flag(q)
 		}
 	}

@@ -19,8 +19,7 @@ import (
 //     for every tree node n, and every node with true distance < kNN_dist
 //     is in the tree;
 //  2. cand is exact and complete below cover: every object at true distance
-//     below cand.cover >= kdist (less the distEps finalize's re-search
-//     trigger tolerates) is in it, at that distance, and past its first k
+//     below cand.cover >= kdist is in it, at that distance, and past its first k
 //     entries it holds nothing at or beyond cover. result is those
 //     first k entries (fewer only when fewer are reachable) and kdist the
 //     k-th distance (+Inf when short). cover is what the search has
@@ -95,6 +94,12 @@ type monitor struct {
 	// 1.5*slack against the previous kNN_dist so it stays sound under
 	// current values; weight increases only make the test stricter.
 	slack float64
+	// floor bounds from below the current distance of every node a weight
+	// decrease pruned from the tree in the running step (+Inf when none
+	// was). Before the step a node outside the tree lies beyond every tree
+	// node; after a prune it may lie closer than some, though not closer
+	// than floor.
+	floor float64
 	// pendingEdges lists the non-tree edges whose weight changed: the
 	// objects on them are re-derived at finalize.
 	pendingEdges []graph.EdgeID
@@ -162,7 +167,7 @@ func newMonitor(net *roadnet.Network, il *ilTable, id int32, pos roadnet.Positio
 	if k <= 0 {
 		panic("core: query k must be positive")
 	}
-	m := &monitor{net: net, il: il, id: id, k: k, pos: pos, kdist: math.Inf(1)}
+	m := &monitor{net: net, il: il, id: id, k: k, pos: pos, kdist: math.Inf(1), floor: math.Inf(1)}
 	m.cand.reset(k)
 	return m
 }
@@ -183,20 +188,11 @@ func (m *monitor) reset(id int32, pos roadnet.Position, k int) {
 	m.needRecompute, m.needFinalize, m.needExpand = false, false, false
 	m.fullRefresh, m.treeDirty = false, false
 	m.ilKdist = 0
-	m.slack = 0
+	m.slack, m.floor = 0, math.Inf(1)
 	m.pendingEdges = m.pendingEdges[:0]
 	m.touched = m.touched[:0]
 	m.stamp = 0
 	m.ilDefer = nil
-}
-
-// costFrom returns the travel cost from endpoint n of edge e to the point
-// at fraction frac along e.
-func costFrom(e *graph.Edge, n graph.NodeID, frac float64) float64 {
-	if n == e.U {
-		return frac * e.W
-	}
-	return (1 - frac) * e.W
 }
 
 // distanceTo returns the network distance from the query to p, exact
@@ -207,15 +203,15 @@ func (m *monitor) distanceTo(p roadnet.Position) float64 {
 	e := m.net.G.Edge(p.Edge)
 	d := math.Inf(1)
 	if tn, ok := m.tree.get(e.U); ok {
-		d = tn.dist + p.Frac*e.W
+		d = tn.dist + roadnet.CostFromU(e, p.Frac)
 	}
 	if tn, ok := m.tree.get(e.V); ok {
-		if alt := tn.dist + (1-p.Frac)*e.W; alt < d {
+		if alt := tn.dist + roadnet.CostFromV(e, p.Frac); alt < d {
 			d = alt
 		}
 	}
 	if p.Edge == m.pos.Edge {
-		if direct := math.Abs(p.Frac-m.pos.Frac) * e.W; direct < d {
+		if direct := roadnet.ArcCost(e, p.Frac, m.pos.Frac); direct < d {
 			d = direct
 		}
 	}
@@ -226,13 +222,13 @@ func (m *monitor) distanceTo(p roadnet.Position) float64 {
 // inside an influencing interval of some affecting edge: where a query may
 // move to and keep part of its tree.
 func (m *monitor) inRegion(p roadnet.Position) bool {
-	return m.distanceTo(p) <= m.kdist+distEps
+	return m.distanceTo(p) <= m.kdist
 }
 
 // covers reports whether an object at p belongs in cand: p lies within the
 // radius cand is complete below.
 func (m *monitor) covers(p roadnet.Position) bool {
-	return m.distanceTo(p) <= m.cand.cover+distEps
+	return m.distanceTo(p) <= m.cand.cover
 }
 
 // dropReserve gives up what cand holds past the k-th: the handlers that
@@ -253,17 +249,17 @@ func (m *monitor) computeInitial(sc *scratch) bool {
 	m.needFinalize = false
 	m.needExpand = false
 	m.fullRefresh = false
-	m.slack = 0
+	m.slack, m.floor = 0, math.Inf(1)
 	m.pendingEdges = m.pendingEdges[:0]
 
 	e := m.net.G.Edge(m.pos.Edge)
 	for _, oe := range m.net.ObjectsOn(m.pos.Edge) {
-		m.cand.add(oe.ID, math.Abs(oe.Frac-m.pos.Frac)*e.W, roadnet.Position{Edge: m.pos.Edge, Frac: oe.Frac})
+		m.cand.add(oe.ID, roadnet.ArcCost(e, oe.Frac, m.pos.Frac), roadnet.Position{Edge: m.pos.Edge, Frac: oe.Frac})
 	}
 	sc.heap.Reset()
-	sc.heap.Push(int32(e.U), m.pos.Frac*e.W)
+	sc.heap.Push(int32(e.U), roadnet.CostFromU(e, m.pos.Frac))
 	sc.tentParent[e.U], sc.tentEdge[e.U] = graph.NoNode, m.pos.Edge
-	sc.heap.Push(int32(e.V), (1-m.pos.Frac)*e.W)
+	sc.heap.Push(int32(e.V), roadnet.CostFromV(e, m.pos.Frac))
 	sc.tentParent[e.V], sc.tentEdge[e.V] = graph.NoNode, m.pos.Edge
 
 	m.runExpansion(sc)
@@ -276,11 +272,12 @@ func (m *monitor) computeInitial(sc *scratch) bool {
 }
 
 // runExpansion continues a Dijkstra expansion: it pops nodes from the heap
-// while their key is below the moving bound kNN_dist, verifying each popped
-// node (inserting it into the tree) and scanning the objects on its
-// incident edges. Already-verified nodes are never re-verified. The key it
-// stops at is the nearest thing not seen: cover. It returns the number of
-// nodes verified.
+// while their key is at most the moving bound kNN_dist, verifying each
+// popped node (inserting it into the tree) and scanning the objects on its
+// incident edges. A node at exactly kNN_dist is verified too: an object
+// sitting on it ties with the k-th, and the smaller id ranks first.
+// Already-verified nodes are never re-verified. The key it stops at is the
+// nearest thing not seen: cover. It returns the number of nodes verified.
 func (m *monitor) runExpansion(sc *scratch) int {
 	g := m.net.G
 	verified := 0
@@ -289,7 +286,7 @@ func (m *monitor) runExpansion(sc *scratch) int {
 		if !ok {
 			break
 		}
-		if d >= m.cand.kth() {
+		if d > m.cand.kth() {
 			m.cand.lowerCover(d)
 			break
 		}
@@ -304,7 +301,7 @@ func (m *monitor) runExpansion(sc *scratch) int {
 			e := g.Edge(eid)
 			nadj := e.Other(n)
 			for _, oe := range m.net.ObjectsOn(eid) {
-				m.cand.add(oe.ID, d+costFrom(e, n, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
+				m.cand.add(oe.ID, d+roadnet.CostFrom(e, n, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
 			}
 			if !m.tree.has(nadj) {
 				if sc.heap.Push(int32(nadj), d+e.W) {
@@ -333,19 +330,19 @@ func (m *monitor) reexpand(sc *scratch) int {
 	sc.heap.Reset()
 	// Distances and weights may have dropped by at most slack each since
 	// the scans cover vouches for.
-	seen := m.cand.cover - 1.5*m.slack - distEps
+	seen := m.cand.cover - 1.5*m.slack
 	m.cand.cover = math.Inf(1)
 
 	e := g.Edge(m.pos.Edge)
 	for _, oe := range m.net.ObjectsOn(m.pos.Edge) {
-		m.cand.add(oe.ID, math.Abs(oe.Frac-m.pos.Frac)*e.W, roadnet.Position{Edge: m.pos.Edge, Frac: oe.Frac})
+		m.cand.add(oe.ID, roadnet.ArcCost(e, oe.Frac, m.pos.Frac), roadnet.Position{Edge: m.pos.Edge, Frac: oe.Frac})
 	}
 	if !m.tree.has(e.U) {
-		sc.heap.Push(int32(e.U), m.pos.Frac*e.W)
+		sc.heap.Push(int32(e.U), roadnet.CostFromU(e, m.pos.Frac))
 		sc.tentParent[e.U], sc.tentEdge[e.U] = graph.NoNode, m.pos.Edge
 	}
 	if !m.tree.has(e.V) {
-		sc.heap.Push(int32(e.V), (1-m.pos.Frac)*e.W)
+		sc.heap.Push(int32(e.V), roadnet.CostFromV(e, m.pos.Frac))
 		sc.tentParent[e.V], sc.tentEdge[e.V] = graph.NoNode, m.pos.Edge
 	}
 	entries := m.tree.entriesSlice()
@@ -357,13 +354,13 @@ func (m *monitor) reexpand(sc *scratch) int {
 			covered := false
 			if tnAdj, ok := m.tree.get(nadj); ok && eid != m.pos.Edge {
 				// The farthest point of an edge reached from both endpoints
-				// lies at (du+dv+w)/2; within cover, the edge was fully
+				// lies at (du+dv+w)/2; below cover, the edge was fully
 				// scanned before and its objects are already candidates.
-				covered = (nDist+tnAdj.dist+ed.W)/2 <= seen
+				covered = (nDist+tnAdj.dist+ed.W)/2 < seen
 			}
 			if !covered {
 				for _, oe := range m.net.ObjectsOn(eid) {
-					m.cand.add(oe.ID, nDist+costFrom(ed, n, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
+					m.cand.add(oe.ID, nDist+roadnet.CostFrom(ed, n, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
 				}
 			}
 			if !m.tree.has(nadj) {
@@ -385,10 +382,10 @@ func (m *monitor) frontierMin() float64 {
 	best := math.Inf(1)
 	e := g.Edge(m.pos.Edge)
 	if !m.tree.has(e.U) {
-		best = math.Min(best, m.pos.Frac*e.W)
+		best = math.Min(best, roadnet.CostFromU(e, m.pos.Frac))
 	}
 	if !m.tree.has(e.V) {
-		best = math.Min(best, (1-m.pos.Frac)*e.W)
+		best = math.Min(best, roadnet.CostFromV(e, m.pos.Frac))
 	}
 	entries := m.tree.entriesSlice()
 	for i := range entries {

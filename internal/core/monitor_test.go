@@ -79,7 +79,7 @@ func checkTreeExact(t *testing.T, m *monitor) {
 	e := g.Edge(m.pos.Edge)
 	dist, _ := g.Dijkstra(
 		[]graph.NodeID{e.U, e.V},
-		[]float64{m.net.CostFromU(m.pos), m.net.CostFromV(m.pos)},
+		[]float64{roadnet.CostFromU(e, m.pos.Frac), roadnet.CostFromV(e, m.pos.Frac)},
 		math.Inf(1),
 	)
 	for _, tn := range m.tree.entriesSlice() {
@@ -116,19 +116,19 @@ func BruteForceKNNposDist(net *roadnet.Network, a, b roadnet.Position) float64 {
 	ea := g.Edge(a.Edge)
 	dist, _ := g.Dijkstra(
 		[]graph.NodeID{ea.U, ea.V},
-		[]float64{net.CostFromU(a), net.CostFromV(a)},
+		[]float64{roadnet.CostFromU(ea, a.Frac), roadnet.CostFromV(ea, a.Frac)},
 		math.Inf(1),
 	)
 	eb := g.Edge(b.Edge)
 	d := math.Inf(1)
-	if v := dist[eb.U] + b.Frac*eb.W; v < d {
+	if v := dist[eb.U] + roadnet.CostFromU(eb, b.Frac); v < d {
 		d = v
 	}
-	if v := dist[eb.V] + (1-b.Frac)*eb.W; v < d {
+	if v := dist[eb.V] + roadnet.CostFromV(eb, b.Frac); v < d {
 		d = v
 	}
 	if a.Edge == b.Edge {
-		if v := math.Abs(a.Frac-b.Frac) * eb.W; v < d {
+		if v := roadnet.ArcCost(eb, a.Frac, b.Frac); v < d {
 			d = v
 		}
 	}

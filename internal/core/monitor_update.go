@@ -30,8 +30,9 @@ func (m *monitor) treeEdgeChild(eid graph.EdgeID) graph.NodeID {
 // weight has been updated.
 //
 // Validity argument: any path improved by the decrease crosses eid, so its
-// length is at least bound = (distance of eid's nearer tree endpoint) +
-// newW; nodes closer than bound keep exact distances. When eid is a tree
+// length is at least bound = (distance of eid's nearer endpoint) + newW,
+// where an endpoint outside the tree counts as floor; nodes closer than
+// bound keep exact distances. When eid is a tree
 // edge a->b, the whole subtree under b additionally stays valid with
 // distances reduced by oldW-newW, because its paths cross eid exactly once
 // and remain optimal when they get uniformly cheaper.
@@ -64,6 +65,7 @@ func (m *monitor) onEdgeDecrease(eid graph.EdgeID, oldW, newW float64, sc *scrat
 				m.tree.deleteAt(i)
 			}
 		}
+		m.floor = min(m.floor, bound)
 		// Candidates reached through the subtree carry distances that are
 		// now too high by delta; re-derive everything.
 		m.fullRefresh = true
@@ -73,19 +75,25 @@ func (m *monitor) onEdgeDecrease(eid graph.EdgeID, oldW, newW float64, sc *scrat
 		m.needExpand = true
 		m.treeDirty = true
 	} else {
-		bound := math.Inf(1)
+		// An endpoint a handler pruned earlier in this step may now be
+		// closer than the tree nodes left, though not closer than floor.
+		du, dv := m.floor, m.floor
 		if tn, ok := m.tree.get(e.U); ok {
-			bound = tn.dist + newW
+			du = tn.dist
 		}
-		if tn, ok := m.tree.get(e.V); ok && tn.dist+newW < bound {
-			bound = tn.dist + newW
+		if tn, ok := m.tree.get(e.V); ok {
+			dv = tn.dist
 		}
+		bound := min(du, dv) + newW
 		pruned := false
 		for i := m.tree.len() - 1; i >= 0; i-- {
 			if m.tree.at(i).dist > bound {
 				m.tree.deleteAt(i)
 				pruned = true
 			}
+		}
+		if pruned {
+			m.floor = min(m.floor, bound)
 		}
 		// No node distance changed: only the objects on this edge got
 		// cheaper to reach. Candidates whose paths improve through the
@@ -95,7 +103,7 @@ func (m *monitor) onEdgeDecrease(eid graph.EdgeID, oldW, newW float64, sc *scrat
 		// pruned, the result cannot change through it and no re-search
 		// is needed once this edge's own objects are re-derived.
 		m.pendingEdges = append(m.pendingEdges, eid)
-		if pruned || bound < m.kdist+distEps {
+		if pruned || bound <= m.kdist {
 			m.needExpand = true
 			m.treeDirty = m.treeDirty || pruned
 		}
@@ -183,7 +191,7 @@ func (m *monitor) onMove(newPos roadnet.Position, sc *scratch) {
 			m.needRecompute = true
 			return
 		}
-		delta := m.net.ArcCost(m.pos, newPos)
+		delta := roadnet.ArcCost(e, m.pos.Frac, newPos.Frac)
 		m.computeSubtree(side, sc)
 		m.retainSubtreeShifted(delta, sc)
 		m.slack += delta
@@ -197,7 +205,7 @@ func (m *monitor) onMove(newPos roadnet.Position, sc *scratch) {
 		e := m.net.G.Edge(newPos.Edge)
 		a := e.Other(b)
 		an, _ := m.tree.get(a)
-		dq := an.dist + costFrom(e, a, newPos.Frac)
+		dq := an.dist + roadnet.CostFrom(e, a, newPos.Frac)
 		m.computeSubtree(b, sc)
 		m.retainSubtreeShifted(dq, sc)
 		m.slack += dq
@@ -295,7 +303,7 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	// covers: below cover the k-th's replacement is already in cand, and a
 	// search that ran dry (cover +Inf) has nothing left to find.
 	kth := m.cand.kth()
-	reexpanded := m.needExpand || (kth > oldKdist+distEps && kth >= m.cand.cover && !math.IsInf(m.cand.cover, 1))
+	reexpanded := m.needExpand || (kth > oldKdist && kth >= m.cand.cover && !math.IsInf(m.cand.cover, 1))
 	if reexpanded {
 		sc.stats.Reexpansions++
 		if m.needExpand {
@@ -329,7 +337,7 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	m.needFinalize = false
 	m.needExpand = false
 	m.fullRefresh = false
-	m.slack = 0
+	m.slack, m.floor = 0, math.Inf(1)
 	m.pendingEdges = m.pendingEdges[:0]
 	return changed
 }

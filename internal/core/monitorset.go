@@ -127,14 +127,9 @@ func (s *monitorSet) register(id int32, pos roadnet.Position, k int, track bool)
 // rebuildAll discards every monitor's incremental state — expansion
 // trees, cached distances, influence lists — and recomputes it from
 // scratch at the current positions and weights, exactly as a fresh
-// registration would. Incremental maintenance (retained subtrees shifted
-// by deltas, §4.3-4.4) accumulates floating-point sums in history-
-// dependent association orders, so two engines that arrived at the same
-// logical state through different update sequences can disagree in the
-// last bits; rebuildAll canonicalizes the state so that a from-scratch
-// replica built at this instant is bit-identical. The durability layer
-// calls it at checkpoint boundaries. The monitors are recomputed — and left
-// listed — in monitor.order: the list, too, forgets its history.
+// registration would. Path costs are exact, so the published rows do not
+// change; what it measures is the cost of a from-scratch pass (Rebuilder).
+// The monitors are recomputed — and left listed — in monitor.order.
 func (s *monitorSet) rebuildAll() {
 	slices.SortFunc(s.list, func(a, b *monitor) int { return cmp.Compare(a.order(), b.order()) })
 	sc := s.arena(0)
@@ -392,7 +387,9 @@ func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 	s.aggOrder = order
 	decs, incs := s.decBuf[:0], s.incBuf[:0]
 	for _, eid := range order {
-		oldW, newW := s.net.G.Edge(eid).W, s.agg[eid].w
+		// Compared as the graph will store it: a change below the quantum
+		// is no change.
+		oldW, newW := s.net.G.Edge(eid).W, graph.QuantiseWeight(s.agg[eid].w)
 		switch {
 		case newW < oldW:
 			decs = append(decs, edgeChange{eid: eid, oldW: oldW, newW: newW, decrease: true})

@@ -18,7 +18,7 @@ func BruteForceKNN(net *roadnet.Network, pos roadnet.Position, k int) []Neighbor
 	e := g.Edge(pos.Edge)
 	dist, _ := g.Dijkstra(
 		[]graph.NodeID{e.U, e.V},
-		[]float64{net.CostFromU(pos), net.CostFromV(pos)},
+		[]float64{roadnet.CostFromU(e, pos.Frac), roadnet.CostFromV(e, pos.Frac)},
 		math.Inf(1),
 	)
 	var out []Neighbor
@@ -26,15 +26,15 @@ func BruteForceKNN(net *roadnet.Network, pos roadnet.Position, k int) []Neighbor
 		oe := g.Edge(op.Edge)
 		d := math.Inf(1)
 		if du := dist[oe.U]; !math.IsInf(du, 1) {
-			d = du + op.Frac*oe.W
+			d = du + roadnet.CostFromU(oe, op.Frac)
 		}
 		if dv := dist[oe.V]; !math.IsInf(dv, 1) {
-			if alt := dv + (1-op.Frac)*oe.W; alt < d {
+			if alt := dv + roadnet.CostFromV(oe, op.Frac); alt < d {
 				d = alt
 			}
 		}
 		if op.Edge == pos.Edge {
-			if direct := math.Abs(op.Frac-pos.Frac) * oe.W; direct < d {
+			if direct := roadnet.ArcCost(oe, op.Frac, pos.Frac); direct < d {
 				d = direct
 			}
 		}

@@ -204,10 +204,8 @@ func (e *OVH) Snapshot() *Snapshot { return e.pub.snapshot() }
 // counters after a recovery rebuild (see internal/wal).
 func (e *OVH) RestoreClock(epoch, stamp uint64) { e.pub.restore(epoch, stamp) }
 
-// Rebuild implements Rebuilder. OVH already recomputes every query from
-// scratch on each Step, so its monitor state is canonical by construction;
-// a serial recompute pass plus a fresh publication keeps the checkpoint
-// contract uniform across engines.
+// Rebuild implements Rebuilder: a serial recompute pass plus a fresh
+// publication, as for the incremental engines.
 func (e *OVH) Rebuild() {
 	e.recomputeAll()
 	e.publish()

@@ -23,7 +23,7 @@ func checkReserve(m *monitor) error {
 	const tol = 1e-6
 	net := m.net
 	cover := m.cand.cover
-	if cover < m.kdist-distEps { // finalize's re-search trigger tolerates distEps
+	if cover < m.kdist {
 		return fmt.Errorf("cover %g below kdist %g", cover, m.kdist)
 	}
 	if fm := m.frontierMin(); cover > fm+tol {

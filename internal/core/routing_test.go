@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -64,7 +63,7 @@ func checkRouting(t *testing.T, label string, g *groupLayer, q *gmaQuery) (check
 		for _, oe := range g.net.ObjectsOn(seq.Edges[j]) {
 			if od := d + away(oe.Frac); od <= q.kdist {
 				checked++
-				if !q.influenced(int32(j), oe.Frac, false) {
+				if !q.influenced(int32(j), roadnet.CostFromU(g.net.G.Edge(seq.Edges[j]), oe.Frac), false) {
 					t.Fatalf("%s: query %d (kNN_dist %g, own %v A %d %v B %d %v from %d): object %d at %g of edge %d of its sequence is %g away and not influencing",
 						label, q.id, q.kdist, q.ivOwn, q.extA, q.ivA, q.extB, q.ivB, q.idx, oe.ID, oe.Frac, j, od)
 				}
@@ -72,15 +71,15 @@ func checkRouting(t *testing.T, label string, g *groupLayer, q *gmaQuery) (check
 		}
 	}
 	idx := int(q.idx)
-	ownW := g.net.G.Edge(q.pos.Edge).W
-	must(idx, 0, func(frac float64) float64 { return math.Abs(frac-q.pos.Frac) * ownW })
+	own := g.net.G.Edge(q.pos.Edge)
+	must(idx, 0, func(frac float64) float64 { return roadnet.ArcCost(own, frac, q.pos.Frac) })
 	for _, dir := range []int{+1, -1} {
 		// near is the node through which edge j is entered coming from q.
 		near := idx + (1+dir)/2
-		d := g.net.CostFrom(seq.Nodes[near], q.pos)
+		d := roadnet.CostFrom(own, seq.Nodes[near], q.pos.Frac)
 		for j := idx + dir; j >= 0 && j < len(seq.Edges); j += dir {
 			ed, node := g.net.G.Edge(seq.Edges[j]), seq.Nodes[near]
-			must(j, d, func(frac float64) float64 { return costFrom(ed, node, frac) })
+			must(j, d, func(frac float64) float64 { return roadnet.CostFrom(ed, node, frac) })
 			d += ed.W
 			near += dir
 		}

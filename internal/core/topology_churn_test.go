@@ -230,7 +230,7 @@ func TestTopologyChurnCrossEngine(t *testing.T) {
 			world.G.SetWeight(eid, w)
 		}
 		if ts%3 == 0 && len(u.Topology) > 0 && u.Topology[0].Op == TopoRemove {
-			u.Edges = append(u.Edges, EdgeUpdate{Edge: u.Topology[0].Edge, NewW: 1e9})
+			u.Edges = append(u.Edges, EdgeUpdate{Edge: u.Topology[0].Edge, NewW: graph.MaxWeight})
 		}
 
 		all(func(e Engine) { e.Step(u) })

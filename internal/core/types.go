@@ -152,23 +152,15 @@ type ClockRestorer interface {
 	RestoreClock(epoch, stamp uint64)
 }
 
-// Rebuilder is the optional engine interface used by checkpointing
-// (internal/serve): Rebuild discards all incrementally maintained per-query
-// state and recomputes it from scratch at the current object positions and
-// edge weights, then publishes a fresh snapshot. Incremental maintenance
-// accumulates floating-point sums in history-dependent orders, so an engine
-// rebuilt from a checkpoint's positions can differ from the original in the
-// last bits of its distances; calling Rebuild at the checkpoint boundary
-// canonicalizes the live engine to exactly the state a from-scratch replica
-// would compute, making recovery bit-reproducible. All engines in this
-// package implement it. Like Step, it must only be called from the engine's
-// single mutator goroutine.
+// Rebuilder is the optional engine interface that times a from-scratch
+// pass: Rebuild discards all incrementally maintained per-query state and
+// recomputes it at the current object positions and edge weights, then
+// publishes a fresh snapshot with the same rows — path costs are exact
+// (graph.Quantum), so a live engine already equals a rebuilt one and
+// nothing in the serving stack calls it. It is kept for the benchmark's
+// core.rebuild_ms, which type-asserts it. All engines in this package
+// implement it. Like Step, it must only be called from the engine's single
+// mutator goroutine.
 type Rebuilder interface {
 	Rebuild()
 }
-
-// distEps is the tolerance used when comparing network distances against
-// kNN_dist boundaries: influence tests over-include by distEps so that
-// floating-point jitter can never cause a relevant update to be dropped
-// (over-inclusion only costs a little extra work).
-const distEps = 1e-9

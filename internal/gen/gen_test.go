@@ -80,8 +80,8 @@ func TestWeightsEqualLengths(t *testing.T) {
 	g := SanFranciscoLike(300, 5)
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(graph.EdgeID(i))
-		if math.Abs(e.W-e.Length) > 1e-9 && e.W > 1e-9 {
-			t.Fatalf("edge %d: weight %g != length %g", i, e.W, e.Length)
+		if e.W != graph.QuantiseWeight(max(e.Length, 1e-9)) {
+			t.Fatalf("edge %d: weight %g != length %g rounded to the quantum", i, e.W, e.Length)
 		}
 	}
 }

@@ -42,9 +42,31 @@ type Node struct {
 type Edge struct {
 	ID     EdgeID
 	U, V   NodeID
-	W      float64 // current weight (travel cost), > 0
+	W      float64 // current weight (travel cost): a whole number of quanta, >= Quantum
 	Length float64 // Euclidean length of the segment, fixed at creation
 }
+
+// Quantum is the unit of travel cost. AddEdge and SetWeight round every
+// weight to a whole number of quanta, and roadnet rounds a position's offset
+// along its edge the same way, so every path cost is an integer multiple of
+// a power of two. Sums and differences of such values are exact in float64
+// below 2^53 quanta: a shortest-path distance is then the same number
+// whichever order it was summed in, which is what makes an incrementally
+// maintained result equal one computed from scratch, bit for bit.
+const Quantum = 1.0 / (1 << 20)
+
+// MaxWeight is the largest weight CheckWeight accepts: 2^40 quanta, so a
+// path of 8,192 edges at the ceiling still sums exactly.
+const MaxWeight = 1 << 20
+
+// Quantise rounds x to the nearest whole number of quanta, a half to even:
+// one branch-free instruction where the CPU has it, which matters because
+// the expansions round a position cost for every object they scan.
+func Quantise(x float64) float64 { return math.RoundToEven(x/Quantum) * Quantum }
+
+// QuantiseWeight is the weight a graph stores for w: rounded to the
+// quantum, and at least one quantum.
+func QuantiseWeight(w float64) float64 { return max(Quantise(w), Quantum) }
 
 // Other returns the endpoint of e opposite to n.
 // It panics if n is not an endpoint of e.
@@ -312,9 +334,9 @@ func (g *Graph) AddNode(pt geom.Point) NodeID {
 }
 
 // AddEdge inserts a bidirectional edge between u and v with weight w and
-// returns its id. The geometric length is the Euclidean distance between
-// the endpoints. It panics with CheckEdge's error on an edge the graph
-// cannot hold.
+// returns its id. The weight is stored quantised (see Quantum); the
+// geometric length is the Euclidean distance between the endpoints. It
+// panics with CheckEdge's error on an edge the graph cannot hold.
 //
 // On a frozen graph the insert lands in the delta overlay (visible to
 // ForEachIncident/Dijkstra immediately) and is merged into the CSR rows by
@@ -334,7 +356,7 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) EdgeID {
 		g.dead = append(g.dead, false)
 		g.pendStamp = append(g.pendStamp, 0)
 	}
-	g.edges[id] = Edge{ID: id, U: u, V: v, W: w, Length: g.nodes[u].Pt.Dist(g.nodes[v].Pt)}
+	g.edges[id] = Edge{ID: id, U: u, V: v, W: QuantiseWeight(w), Length: g.nodes[u].Pt.Dist(g.nodes[v].Pt)}
 	if g.frozen {
 		g.pendAdd = append(g.pendAdd, id)
 		g.pendStamp[id] = g.pendEpoch
@@ -402,10 +424,14 @@ func CheckEdge(nodes int, u, v NodeID, w float64) error {
 	return CheckWeight(w)
 }
 
-// CheckWeight returns an error unless w is a usable edge weight.
+// CheckWeight returns an error unless w is a usable edge weight: finite,
+// positive and at most MaxWeight.
 func CheckWeight(w float64) error {
 	if !(w > 0) || math.IsInf(w, 1) { // rejects NaN, zero, negative, +Inf
 		return fmt.Errorf("weight must be finite and positive, got %v", w)
+	}
+	if w > MaxWeight {
+		return fmt.Errorf("weight %v exceeds the maximum %d", w, MaxWeight)
 	}
 	return nil
 }
@@ -498,9 +524,9 @@ func (g *Graph) Degree(n NodeID) int {
 	return int(g.csrLen[n])
 }
 
-// SetWeight updates the weight of edge id. It panics with CheckWeight's
-// error, or on a tombstoned edge. Weights are not part of the CSR layout,
-// so this never touches the overlay.
+// SetWeight updates the weight of edge id, stored quantised (see Quantum).
+// It panics with CheckWeight's error, or on a tombstoned edge. Weights are
+// not part of the CSR layout, so this never touches the overlay.
 func (g *Graph) SetWeight(id EdgeID, w float64) {
 	if err := CheckWeight(w); err != nil {
 		panic("graph: SetWeight: " + err.Error())
@@ -508,7 +534,7 @@ func (g *Graph) SetWeight(id EdgeID, w float64) {
 	if g.dead[id] {
 		panic(fmt.Sprintf("graph: SetWeight on removed edge %d", id))
 	}
-	g.edges[id].W = w
+	g.edges[id].W = QuantiseWeight(w)
 }
 
 // Segment returns the geometry of edge id.

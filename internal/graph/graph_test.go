@@ -73,6 +73,7 @@ func TestAddEdgePanics(t *testing.T) {
 		{"zero weight", func() { g.AddEdge(a, b, 0) }},
 		{"negative weight", func() { g.AddEdge(a, b, -1) }},
 		{"nan weight", func() { g.AddEdge(a, b, math.NaN()) }},
+		{"weight above the ceiling", func() { g.AddEdge(a, b, 2*MaxWeight) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,6 +99,42 @@ func TestSetWeight(t *testing.T) {
 		}
 	}()
 	g.SetWeight(0, 0)
+}
+
+// TestWeightsAreQuantised: AddEdge and SetWeight store whole numbers of
+// quanta, a weight below one quantum becomes one, and the ceiling itself is
+// accepted.
+func TestWeightsAreQuantised(t *testing.T) {
+	g := New(2, 2)
+	a := g.AddNode(geom.Point{})
+	b := g.AddNode(geom.Point{X: 1})
+	for _, c := range []struct{ in, want float64 }{
+		{0.1, 104858 * Quantum}, // 0.1 * 2^20 = 104857.6
+		{1e-9, Quantum},
+		{0.75, 0.75},
+		{MaxWeight, MaxWeight},
+	} {
+		e := g.AddEdge(a, b, c.in)
+		if got := g.Edge(e).W; got != c.want {
+			t.Errorf("AddEdge(%v): W = %v, want %v", c.in, got, c.want)
+		}
+		g.SetWeight(e, c.in/3)
+		if got, want := g.Edge(e).W, QuantiseWeight(c.in/3); got != want || got/Quantum != math.Trunc(got/Quantum) {
+			t.Errorf("SetWeight(%v): W = %v, want %v", c.in/3, got, want)
+		}
+		g.RemoveEdge(e)
+	}
+	if err := CheckWeight(math.Nextafter(MaxWeight, math.Inf(1))); err == nil {
+		t.Error("CheckWeight accepts a weight above MaxWeight")
+	}
+	// A half quantum rounds to the even neighbour.
+	for _, c := range []struct{ in, want float64 }{
+		{0.5 * Quantum, 0}, {1.5 * Quantum, 2 * Quantum}, {2.5 * Quantum, 2 * Quantum}, {1.4 * Quantum, Quantum},
+	} {
+		if got := Quantise(c.in); got != c.want {
+			t.Errorf("Quantise(%v quanta) = %v quanta, want %v", c.in/Quantum, got/Quantum, c.want/Quantum)
+		}
+	}
 }
 
 func TestDijkstraTriangle(t *testing.T) {

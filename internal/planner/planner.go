@@ -13,14 +13,12 @@
 // Every input to a placement decision is a deterministic function of the
 // replayed update stream: per-group query counts, distinct query-hosting
 // edges, and windowed counts of object updates and query moves routed into
-// each cell. No wall-clock, no sampling. Two planners
-// fed the same stream therefore make identical decisions, which is what
-// keeps WAL crash-recovery, checkpoint rebuild and follower replication
-// byte-identical under AUTO exactly as under a static engine. Checkpoint
-// Rebuilds (and recovery's RestoreClock) additionally re-derive placements
-// from current state only — zero window, no hysteresis — so a replica
-// bootstrapped from a checkpoint converges to the primary's placements
-// without needing its pre-checkpoint ownership history.
+// each cell. No wall-clock, no sampling. Two planners fed the same stream
+// therefore make identical decisions. Published results do not depend on
+// placements at all — path costs are exact, so a query's k-NN row is the
+// same in either mode — which is why a replica bootstrapped from a
+// checkpoint can start from whatever modes its own first re-plan chose and
+// still publish the primary's bytes.
 //
 // Everything but the policy is the core's: the planner holds no per-query
 // state, applies no update and publishes nothing itself.
@@ -43,7 +41,7 @@ const (
 	gridDepth = 3
 	// margin is the migration hysteresis: an in-step re-plan moves a group
 	// only when the other mode's predicted cost is below margin times the
-	// current one's. Checkpoint Rebuilds re-derive placements without it.
+	// current one's.
 	margin = 0.85
 )
 
@@ -74,7 +72,7 @@ const (
 	// under heavy object churn the model's objRate×sharing term would
 	// otherwise flip near-sparse groups to GMA, where measurement says
 	// they lose. The floor is a pure function of current query state, so
-	// it applies identically to windowed and state-only re-plans.
+	// it applies at every re-plan.
 	minSharing = 2.0
 	// minGmaShare is the engine-level activation floor: the fraction of
 	// all registered queries GMA must tentatively win before any group is
@@ -154,10 +152,10 @@ type planGroup struct {
 }
 
 // Planner is the adaptive engine: the core it embeds does all the
-// monitoring — and provides Register, Unregister, Result, Snapshot, Queries
-// and Close — while the planner decides modes. With the ClockRestorer and
-// Rebuilder extensions the full serving stack — WAL checkpointing, crash
-// recovery, follower replication — runs under it unchanged.
+// monitoring — and provides Register, Unregister, Result, Snapshot, Queries,
+// Close, Rebuild and RestoreClock — while the planner decides modes. The
+// full serving stack — WAL checkpointing, crash recovery, follower
+// replication — runs under it unchanged.
 type Planner struct {
 	*core.Incremental
 
@@ -168,8 +166,8 @@ type Planner struct {
 	// Direct.
 	cellOwner []core.Mode
 
-	// Windowed per-cell update counts since the last re-plan or Rebuild —
-	// the deterministic agility inputs of the cost model.
+	// Windowed per-cell update counts since the last re-plan — the
+	// deterministic agility inputs of the cost model.
 	winObj      []uint32
 	winMove     []uint32
 	windowTicks uint32
@@ -183,9 +181,7 @@ type Planner struct {
 	// takeover is the sticky engine-level consolidation mode: true while
 	// the tentative GMA share has crossed gmaTakeoverShare and not yet
 	// fallen back below it by the hysteresis margin. Stream-deterministic
-	// like every placement input — windowed re-plans evolve it from the
-	// replayed stream, state-only re-plans recompute it from the tentative
-	// share alone — so replicas agree on it at every tick.
+	// like every placement input.
 	takeover bool
 
 	migrations      uint64
@@ -272,22 +268,17 @@ func (p *Planner) Step(u core.Updates) {
 	// start Direct, and making a dense group wait a full period before its
 	// first placement would charge the whole warmup to the wrong mode.
 	if p.ticks == 1 || p.ticks%uint64(p.planEvery) == 0 {
-		p.replan(true)
+		p.replan()
 	}
 	p.Commit()
 }
 
-// replan re-derives every cell's placement from the cost model and
-// migrates groups whose cheaper mode changed, flipping their queries'
-// mode (ascending cell, then ascending id — a fixed order, so replicas
-// migrate identically). With useWindow the decision
-// uses the windowed agility statistics and hysteresis against the current
-// owner; without (checkpoint Rebuild, recovery restore) it is a pure
-// function of current query state, so replicas without the window converge
-// to identical placements. Either way the window resets afterwards: both
-// paths run at deterministic tick numbers on every replica, so window
-// contents match too.
-func (p *Planner) replan(useWindow bool) {
+// replan re-derives every cell's placement from the cost model — the
+// windowed agility statistics, with hysteresis against the current owner —
+// and migrates groups whose cheaper mode changed, flipping their queries'
+// mode (ascending cell, then ascending id — a fixed order, so replicas fed
+// one stream migrate identically). The window resets afterwards.
+func (p *Planner) replan() {
 	// One walk of the core's query table: the rows arrive ascending by id,
 	// and grouping them by cell keeps that order within each cell.
 	rows := p.rows[:0]
@@ -298,11 +289,6 @@ func (p *Planner) replan(useWindow bool) {
 	p.rows = rows
 
 	st := &Stats{}
-	if !useWindow {
-		// State-only re-plan: ownership of empty cells must not leak
-		// pre-checkpoint history into future placements either.
-		clear(p.cellOwner)
-	}
 
 	// Pass 1: per-group cost evaluation and tentative placement.
 	groups := p.groupBuf[:0]
@@ -331,7 +317,7 @@ func (p *Planner) replan(useWindow bool) {
 		}
 
 		var objRate, movRate float64
-		if useWindow && p.windowTicks > 0 {
+		if p.windowTicks > 0 {
 			w := float64(p.windowTicks)
 			objRate = float64(p.winObj[cell]) / w
 			movRate = float64(p.winMove[cell]) / w
@@ -345,17 +331,10 @@ func (p *Planner) replan(useWindow bool) {
 
 		cur := p.cellOwner[cell]
 		want := cur
-		if useWindow {
-			if cur == core.Direct && costGMA < costIMA*margin {
-				want = core.Grouped
-			} else if cur == core.Grouped && costIMA < costGMA*margin {
-				want = core.Direct
-			}
-		} else {
+		if cur == core.Direct && costGMA < costIMA*margin {
+			want = core.Grouped
+		} else if cur == core.Grouped && costIMA < costGMA*margin {
 			want = core.Direct
-			if costGMA < costIMA {
-				want = core.Grouped
-			}
 		}
 		if sharing < minSharing {
 			want = core.Direct
@@ -373,18 +352,17 @@ func (p *Planner) replan(useWindow bool) {
 
 	// The activation floor: unless GMA would win a meaningful fraction of
 	// all queries, everything stays Direct (see minGmaShare). Pure function
-	// of the tentative placements — deterministic in both re-plan modes.
+	// of the tentative placements.
 	var share float64
 	if len(rows) > 0 {
 		share = float64(gmaQueries) / float64(len(rows))
 	}
 	// The takeover mode is sticky: entering (or leaving) it migrates a
 	// large query volume at once, so a share oscillating around the bound
-	// would mass-migrate every period. Windowed re-plans therefore leave
-	// takeover only when the share falls below the bound by the same
-	// hysteresis margin groups use; state-only re-plans recompute the mode
-	// from the tentative share alone (pure function of current state).
-	if useWindow && p.takeover {
+	// would mass-migrate every period. Takeover is therefore left only when
+	// the share falls below the bound by the same hysteresis margin groups
+	// use.
+	if p.takeover {
 		p.takeover = share > gmaTakeoverShare*margin
 	} else {
 		p.takeover = share > gmaTakeoverShare
@@ -404,18 +382,17 @@ func (p *Planner) replan(useWindow bool) {
 
 	// Pass 2: commit labels, reconcile modes, publish stats. A group is
 	// reconciled (members flipped to the label's mode) only when its label
-	// flipped, when the activation floor zeroed GMA, or on a state-only
-	// re-plan. An unchanged label leaves drifted-in stragglers in their
-	// current mode: an agile cluster's tail queries re-snap across the
-	// cluster boundary every tick, and conforming them at every re-plan
-	// would pay two from-scratch computations per query per period just to
-	// ping-pong. Stragglers serve correctly in either mode; the next label
-	// flip or checkpoint Rebuild conforms them.
+	// flipped or when the activation floor or takeover forced it. An
+	// unchanged label leaves drifted-in stragglers in their current mode: an
+	// agile cluster's tail queries re-snap across the cluster boundary every
+	// tick, and conforming them at every re-plan would pay two from-scratch
+	// computations per query per period just to ping-pong. Stragglers serve
+	// correctly in either mode; the next label flip conforms them.
 	for _, g := range groups {
 		group := rows[g.lo:g.hi]
 		cell := group[0].cell
 		p.cellOwner[cell] = g.want
-		if g.want != g.cur || forced || !useWindow {
+		if g.want != g.cur || forced {
 			p.migrateGroup(group, g.want)
 		}
 		q := len(group)
@@ -471,28 +448,12 @@ func (p *Planner) resetWindow() {
 	p.windowTicks = 0
 }
 
-// Rebuild implements core.Rebuilder, the checkpoint-boundary
-// canonicalization. Placements are re-derived from current state only (no
-// window, no hysteresis) and groups migrated accordingly, then the core
-// rebuilds every monitor from scratch — erasing any bookkeeping residue of
-// departed queries — and republishes (one epoch bump, as in the static
-// engines). A replica restoring from the checkpoint performs the identical
-// sequence in RestoreClock, which is the crux of the byte-identity
-// argument: after both sides rebuild, placements, monitor states and
-// published results coincide exactly.
-func (p *Planner) Rebuild() {
-	p.replan(false)
-	p.Incremental.Rebuild()
-}
-
 // RestoreClock implements core.ClockRestorer: called once after a recovery
 // or follower bootstrap installed the checkpoint state as one batch. The
-// checkpointed snapshot was taken right after the primary's Rebuild, so
-// the restored engine runs the same canonicalization before re-stamping
-// the publication clock, and the byte-for-byte verification against the
-// checkpointed snapshot holds under AUTO exactly as under a static engine.
+// installed queries keep the modes that batch's step left them in (it was
+// this planner's first, so it re-planned); the tick count resumes at the
+// checkpoint's, so later re-plans fall on the schedule's ticks.
 func (p *Planner) RestoreClock(epoch, stamp uint64) {
-	p.Rebuild()
 	p.Incremental.RestoreClock(epoch, stamp)
 	p.ticks = stamp
 }

@@ -80,7 +80,7 @@ func TestQueryTableMatchesModel(t *testing.T) {
 				for i, id := range want {
 					q := model[id]
 					oracle := core.BruteForceKNN(net, q.pos, q.k)
-					if sid, res := snap.At(i); sid != id || !neighborsClose(res, oracle) {
+					if sid, res := snap.At(i); sid != id || !sameNeighbors(res, oracle) {
 						t.Fatalf("%s: snapshot row %d is query %d with %v, want query %d with %v", label, i, sid, res, id, oracle)
 					}
 					if pl == nil {

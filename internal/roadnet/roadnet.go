@@ -23,7 +23,8 @@ type ObjectID int32
 // Position locates a point on the network: a fraction Frac in [0,1] along
 // edge Edge, measured from the edge's U endpoint. Distances along an edge
 // are proportional to the edge weight: a point at Frac f is f*W from U in
-// travel cost, and f*Length from U geometrically.
+// travel cost (rounded to the quantum, CostFromU), and f*Length from U
+// geometrically.
 type Position struct {
 	Edge graph.EdgeID
 	Frac float64
@@ -161,36 +162,34 @@ func (n *Network) Snap(pt geom.Point) (Position, bool) {
 	return Position{Edge: eid, Frac: n.G.Segment(eid).ClosestFrac(pt)}, true
 }
 
-// CostFromU returns the travel cost from edge's U endpoint to pos.
-func (n *Network) CostFromU(pos Position) float64 {
-	return pos.Frac * n.G.Edge(pos.Edge).W
-}
+// CostFromU returns the travel cost from e's U endpoint to the point at
+// fraction frac along e: frac·W rounded to graph.Quantum. Every position's
+// cost is derived here, so it is a whole number of quanta like the weights,
+// and path sums through it are exact.
+func CostFromU(e *graph.Edge, frac float64) float64 { return graph.Quantise(frac * e.W) }
 
-// CostFromV returns the travel cost from edge's V endpoint to pos.
-func (n *Network) CostFromV(pos Position) float64 {
-	return (1 - pos.Frac) * n.G.Edge(pos.Edge).W
-}
+// CostFromV returns the travel cost from e's V endpoint to the point at
+// fraction frac along e: the rest of the edge.
+func CostFromV(e *graph.Edge, frac float64) float64 { return e.W - CostFromU(e, frac) }
 
-// CostFrom returns the travel cost from endpoint node to pos; node must be
-// an endpoint of pos.Edge.
-func (n *Network) CostFrom(node graph.NodeID, pos Position) float64 {
-	e := n.G.Edge(pos.Edge)
-	switch node {
+// CostFrom returns the travel cost from endpoint n of e to the point at
+// fraction frac along e; n must be an endpoint of e. It is small enough to
+// inline into the expansions, which call it once per object scanned.
+func CostFrom(e *graph.Edge, n graph.NodeID, frac float64) float64 {
+	c := CostFromU(e, frac)
+	switch n {
 	case e.U:
-		return n.CostFromU(pos)
+		return c
 	case e.V:
-		return n.CostFromV(pos)
+		return e.W - c
 	}
-	panic(fmt.Sprintf("roadnet: node %d not an endpoint of edge %d", node, pos.Edge))
+	panic("roadnet: CostFrom from a node that is not an endpoint of the edge")
 }
 
-// ArcCost returns the travel cost between two positions on the same edge.
-// It panics when the positions are on different edges.
-func (n *Network) ArcCost(a, b Position) float64 {
-	if a.Edge != b.Edge {
-		panic("roadnet: ArcCost across edges")
-	}
-	return math.Abs(a.Frac-b.Frac) * n.G.Edge(a.Edge).W
+// ArcCost returns the travel cost between the points at fractions a and b
+// along e.
+func ArcCost(e *graph.Edge, a, b float64) float64 {
+	return math.Abs(CostFromU(e, a) - CostFromU(e, b))
 }
 
 // AddObject registers object id at pos. Re-adding an existing id panics.

@@ -28,25 +28,24 @@ func TestPointAndCosts(t *testing.T) {
 	if math.Abs(pt.X-0.5) > 1e-12 || pt.Y != 0 {
 		t.Fatalf("Point = %+v, want (0.5,0)", pt)
 	}
-	if got := n.CostFromU(pos); math.Abs(got-0.5) > 1e-12 {
+	if got := CostFromU(g.Edge(pos.Edge), pos.Frac); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("CostFromU = %g, want 0.5", got)
 	}
-	if got := n.CostFromV(pos); math.Abs(got-1.5) > 1e-12 {
+	if got := CostFromV(g.Edge(pos.Edge), pos.Frac); math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("CostFromV = %g, want 1.5", got)
 	}
-	if got := n.ArcCost(pos, Position{Edge: edges[0], Frac: 0.75}); math.Abs(got-1) > 1e-12 {
+	if got := ArcCost(g.Edge(pos.Edge), pos.Frac, 0.75); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("ArcCost = %g, want 1", got)
 	}
 }
 
 func TestCostFromEndpointDispatch(t *testing.T) {
 	g, nodes, edges := lineGraph()
-	n := NewNetwork(g)
 	pos := Position{Edge: edges[1], Frac: 0.5}
-	if got := n.CostFrom(nodes[1], pos); math.Abs(got-1.5) > 1e-12 {
+	if got := CostFrom(g.Edge(pos.Edge), nodes[1], pos.Frac); math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("CostFrom(b) = %g, want 1.5", got)
 	}
-	if got := n.CostFrom(nodes[2], pos); math.Abs(got-1.5) > 1e-12 {
+	if got := CostFrom(g.Edge(pos.Edge), nodes[2], pos.Frac); math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("CostFrom(c) = %g, want 1.5", got)
 	}
 	defer func() {
@@ -54,7 +53,7 @@ func TestCostFromEndpointDispatch(t *testing.T) {
 			t.Fatal("expected panic for non-endpoint node")
 		}
 	}()
-	n.CostFrom(nodes[0], pos)
+	CostFrom(g.Edge(pos.Edge), nodes[0], pos.Frac)
 }
 
 func TestSnap(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // end and reinstall, weights, and invalid values of each — and whatever the
 // Batcher accepts is drained and stepped into OVH, IMA, GMA and AUTO. No
 // Step may panic, and after every tick each engine's results must equal
-// core.BruteForceKNN.
+// core.BruteForceKNN exactly. Weights reach graph.MaxWeight.
 //
 // Each input byte is consumed as an opcode or an argument; an exhausted
 // input reads as zeros. Opcodes (byte % 8): 0 object, 1 delete object,
@@ -42,7 +42,7 @@ func FuzzStep(f *testing.F) {
 		roadknn.NewOVHWith, roadknn.NewIMAWith, roadknn.NewGMAWith, roadknn.NewAutoWith,
 	}
 	fracs := []float64{0, 0.25, 0.5, 1, 0.999, 1.5, -0.25, math.NaN()}
-	weights := []float64{0.5, 1, 3, 40, 0, -1, math.NaN(), math.Inf(1)}
+	weights := []float64{0.5, 1, 3, 40, 0, graph.MaxWeight, math.NaN(), math.Inf(1)}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
@@ -117,28 +117,16 @@ func FuzzStep(f *testing.F) {
 	})
 }
 
-// sameKNN reports whether got is a correct k-NN answer given the oracle's
-// want: as long, distances equal rank by rank within the oracle tolerance,
-// no object twice, and an object only one of them lists lies at the k-th
-// distance (a tie the two broke differently).
+// sameKNN reports whether got equals the oracle's want exactly: the same
+// objects in the same order, at the same distances bit for bit.
 func sameKNN(got, want []roadknn.Neighbor) bool {
-	const tol = 1e-6
 	if len(got) != len(want) {
 		return false
 	}
-	in := make(map[roadknn.ObjectID]bool, len(want))
 	for i := range want {
-		if math.Abs(got[i].Dist-want[i].Dist) > tol {
+		if got[i].Obj != want[i].Obj || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
 			return false
 		}
-		in[want[i].Obj] = true
-	}
-	seen := make(map[roadknn.ObjectID]bool, len(got))
-	for _, nb := range got {
-		if seen[nb.Obj] || (!in[nb.Obj] && math.Abs(nb.Dist-want[len(want)-1].Dist) > tol) {
-			return false
-		}
-		seen[nb.Obj] = true
 	}
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"roadknn"
+	"roadknn/internal/graph"
 )
 
 // buildCross constructs a small cross-shaped network:
@@ -53,9 +54,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			Old: roadknn.Position{Edge: edges[3], Frac: 0.9},
 			New: roadknn.Position{Edge: edges[3], Frac: 0.1},
 		}}})
+		// 0.5 to n0, then 0.1 of a unit edge rounded to the quantum.
 		res = eng.Result(7)
-		if res[0].Obj != 2 || math.Abs(res[0].Dist-0.6) > 1e-9 {
-			t.Fatalf("%s: after move = %v, want obj 2 at 0.6", eng.Name(), res)
+		if want := 0.5 + graph.Quantise(0.1); res[0].Obj != 2 || res[0].Dist != want {
+			t.Fatalf("%s: after move = %v, want obj 2 at %v", eng.Name(), res, want)
 		}
 
 		// Batches that install and terminate one id: every engine terminates
