@@ -237,7 +237,7 @@ func serveHTTP(eng roadknn.Engine, addr string, tick time.Duration, walDir strin
 }
 
 // followHTTP runs a follower replica: handshake with the primary (the
-// engine and checkpoint cadence must mirror it), bring the listener up
+// engine must mirror it), bring the listener up
 // (healthz answers 503 until bootstrapped), bootstrap from the newest
 // checkpoint and tail the shipped log until SIGINT/SIGTERM. A terminal
 // replication error (divergence, pruned cursor) is reported but the
@@ -252,7 +252,7 @@ func followHTTP(eng roadknn.Engine, addr, primaryURL string) error {
 	if info.Engine != eng.Name() {
 		return fmt.Errorf("primary runs engine %s, this replica %s", info.Engine, eng.Name())
 	}
-	s := serve.New(eng, serve.Config{Follower: true, CheckpointEvery: info.CheckpointEvery})
+	s := serve.New(eng, serve.Config{Follower: true})
 	hs := &http.Server{Addr: addr, Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"roadknn"
+	"roadknn/internal/graph"
 	"roadknn/internal/serve"
 )
 
@@ -150,6 +151,8 @@ func TestFrontDoorsAgree(t *testing.T) {
 		{"weight 0", "w 0 0", weight(0), "edge 0: weight must be finite and positive, got 0"},
 		{"weight NaN", "w 0 NaN", weight(math.NaN()), "edge 0: weight must be finite and positive, got NaN"},
 		{"weight +Inf", "w 0 +Inf", weight(math.Inf(1)), "edge 0: weight must be finite and positive, got +Inf"},
+		{"weight above the ceiling", fmt.Sprintf("w 0 %d", 2*graph.MaxWeight), weight(2 * graph.MaxWeight),
+			"edge 0: weight 2.097152e+06 exceeds the maximum 1048576"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lines := strings.Split(tc.script, "\n")

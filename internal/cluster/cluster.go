@@ -11,9 +11,8 @@
 // caught-up follower is not merely convergent: its snapshot at epoch e
 // is byte-identical to the primary's.
 //
-// Follower lifecycle: fetch /v1/replication/info (engine name and
-// checkpoint cadence — CheckpointEvery must match for epoch alignment),
-// bootstrap from /v1/replication/checkpoint (the newest checkpoint
+// Follower lifecycle: fetch /v1/replication/info (the engine name must
+// match; the follower's own CheckpointEvery plays no part), bootstrap from /v1/replication/checkpoint (the newest checkpoint
 // image, byte-verified on install), then tail /v1/replication/log with
 // long-polls. A 410 Gone means the log was pruned past the follower's
 // cursor (it lagged across a checkpoint rotation): the follower
@@ -92,8 +91,8 @@ type Follower struct {
 	err      error
 }
 
-// NewFollower wraps a follower-mode server (serve.Config{Follower: true},
-// with CheckpointEvery matching the primary's). Call Bootstrap, then
+// NewFollower wraps a follower-mode server (serve.Config{Follower: true}).
+// Call Bootstrap, then
 // either Start for a background tail loop or SyncOnce for synchronous
 // stepping (tests, controlled drills).
 func NewFollower(srv *serve.Server, cfg FollowerConfig) *Follower {

@@ -56,12 +56,13 @@ func newPrimary(t *testing.T, mk engineMaker, edges, checkpointEvery int) (*serv
 }
 
 // newFollowerNode builds a follower-mode server mirroring the primary's
-// engine and checkpoint cadence, serves it over HTTP, and wraps it in a
-// Follower driver. Bootstrap is left to the caller.
-func newFollowerNode(t *testing.T, mk engineMaker, edges, checkpointEvery int, primaryURL string) (*Follower, *httptest.Server) {
+// engine, serves it over HTTP, and wraps it in a Follower driver. It sets
+// no CheckpointEvery, whatever the primary's: epochs do not depend on it.
+// Bootstrap is left to the caller.
+func newFollowerNode(t *testing.T, mk engineMaker, edges int, primaryURL string) (*Follower, *httptest.Server) {
 	t.Helper()
 	eng := newEngine(mk, edges)
-	s := serve.New(eng, serve.Config{Follower: true, CheckpointEvery: checkpointEvery})
+	s := serve.New(eng, serve.Config{Follower: true})
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -183,7 +184,9 @@ func migrations(s *serve.Server) uint64 {
 // newest checkpoint and tailing the rest of the log; at ts 60 every live
 // follower's snapshot is byte-identical to the primary's. Under AUTO the
 // synchronous follower must also have made the primary's migrations at the
-// primary's ticks, and the run must have migrated at all.
+// primary's ticks, and the run must have migrated at all. The primary
+// checkpoints every 20 ticks; the followers are configured with no
+// checkpoint cadence at all.
 func TestClusterDivergenceThreeFollowers(t *testing.T) {
 	for _, eng := range []struct {
 		name string
@@ -208,9 +211,9 @@ func clusterDivergence(t *testing.T, mk engineMaker, wantMigrations bool) {
 
 	// All three followers join before the first tick: no checkpoint exists
 	// yet, so they bootstrap empty and tail from sequence 0.
-	fSync, hSync := newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
-	fBg, _ := newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
-	fDoomed, _ := newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
+	fSync, hSync := newFollowerNode(t, mk, edges, hp.URL)
+	fBg, _ := newFollowerNode(t, mk, edges, hp.URL)
+	fDoomed, _ := newFollowerNode(t, mk, edges, hp.URL)
 	for _, f := range []*Follower{fSync, fBg, fDoomed} {
 		if err := f.Bootstrap(); err != nil {
 			t.Fatalf("bootstrap: %v", err)
@@ -281,7 +284,7 @@ func clusterDivergence(t *testing.T, mk engineMaker, wantMigrations bool) {
 		case 20: // kill one background follower mid-run
 			fDoomed.Stop()
 		case 40: // a replacement joins: checkpoint bootstrap, then log tail
-			fJoin, _ = newFollowerNode(t, mk, edges, checkpointEvery, hp.URL)
+			fJoin, _ = newFollowerNode(t, mk, edges, hp.URL)
 			if err := fJoin.Bootstrap(); err != nil {
 				t.Fatalf("rejoin bootstrap: %v", err)
 			}
@@ -331,7 +334,7 @@ func clusterDivergence(t *testing.T, mk engineMaker, wantMigrations bool) {
 // bootstrap — the late-joiner path.
 func TestFollowerPrunedLogRebootstrap(t *testing.T) {
 	prim, hp := newPrimary(t, roadknn.NewIMAWith, 150, 2)
-	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 2, hp.URL)
+	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, hp.URL)
 	if err := f.Bootstrap(); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
@@ -344,7 +347,7 @@ func TestFollowerPrunedLogRebootstrap(t *testing.T) {
 	if _, err := f.SyncOnce(0); err != ErrLogPruned {
 		t.Fatalf("lagged follower got %v, want ErrLogPruned", err)
 	}
-	f2, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 2, hp.URL)
+	f2, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, hp.URL)
 	if err := f2.Bootstrap(); err != nil {
 		t.Fatalf("re-bootstrap: %v", err)
 	}
@@ -362,8 +365,8 @@ func TestFollowerPrunedLogRebootstrap(t *testing.T) {
 // failed over without the client seeing an error.
 func TestRouterEpochConsistency(t *testing.T) {
 	prim, hp := newPrimary(t, roadknn.NewIMAWith, 150, 4)
-	fa, ha := newFollowerNode(t, roadknn.NewIMAWith, 150, 4, hp.URL)
-	fb, hb := newFollowerNode(t, roadknn.NewIMAWith, 150, 4, hp.URL)
+	fa, ha := newFollowerNode(t, roadknn.NewIMAWith, 150, hp.URL)
+	fb, hb := newFollowerNode(t, roadknn.NewIMAWith, 150, hp.URL)
 	for _, f := range []*Follower{fa, fb} {
 		if err := f.Bootstrap(); err != nil {
 			t.Fatalf("bootstrap: %v", err)
@@ -536,7 +539,7 @@ func TestBootstrapTornCheckpointRejected(t *testing.T) {
 	}))
 	defer proxy.Close()
 
-	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 2, proxy.URL)
+	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, proxy.URL)
 	err := f.Bootstrap()
 	if err == nil {
 		t.Fatal("bootstrap accepted a torn checkpoint")
@@ -567,7 +570,7 @@ func TestBootstrapTornCheckpointRejected(t *testing.T) {
 func TestFollowerTransportErrorRetries(t *testing.T) {
 	prim, hp := newPrimary(t, roadknn.NewIMAWith, 150, 4)
 	_ = prim
-	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, 4, hp.URL)
+	f, _ := newFollowerNode(t, roadknn.NewIMAWith, 150, hp.URL)
 	if err := f.Bootstrap(); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}

@@ -18,8 +18,8 @@ import (
 // per-tick snapshot-CRC verification — so a caught-up follower's
 // snapshot at epoch e is byte-identical to the primary's.
 //
-//	GET /v1/replication/info        JSON handshake: engine name,
-//	                                checkpoint cadence, log position
+//	GET /v1/replication/info        JSON handshake: engine name, log
+//	                                position
 //	GET /v1/replication/checkpoint  the newest checkpoint image, raw
 //	                                (204 when none exists yet)
 //	GET /v1/replication/log?since=S the WAL records after sequence S: a
@@ -31,11 +31,10 @@ import (
 //	                                (the follower must re-bootstrap from
 //	                                the current checkpoint)
 //
-// Epoch alignment needs no extra protocol: in serve mode epochs advance
-// only per applied tick plus per checkpoint-boundary Rebuild, a pure
-// function of (sequence, CheckpointEvery), so a follower configured with
-// the primary's CheckpointEvery reproduces the primary's epoch numbering
-// by construction — and the tick records prove it, carrying the expected
+// Epoch alignment needs no extra protocol: in serve mode an applied tick
+// advances the epoch by exactly one, so a follower reproduces the
+// primary's epoch numbering by construction, whatever either side's
+// CheckpointEvery — and the tick records prove it, carrying the expected
 // epoch and snapshot CRC for every applied batch.
 
 const (
@@ -55,7 +54,6 @@ const (
 // follower needs before constructing its mirror server.
 type ReplicationInfo struct {
 	Engine          string `json:"engine"`
-	CheckpointEvery int    `json:"checkpoint_every"`
 	LastSeq         uint64 `json:"last_seq"`
 	CheckpointStamp uint64 `json:"checkpoint_stamp"`
 	CheckpointEpoch uint64 `json:"checkpoint_epoch"`
@@ -66,7 +64,6 @@ func (s *Server) handleReplicationInfo(w http.ResponseWriter, r *http.Request) {
 	l := s.cfg.WAL
 	writeJSON(w, ReplicationInfo{
 		Engine:          s.eng.Name(),
-		CheckpointEvery: s.cfg.CheckpointEvery,
 		LastSeq:         l.LastSeq(),
 		CheckpointStamp: l.CheckpointStamp(),
 		CheckpointEpoch: l.CheckpointEpoch(),
@@ -207,9 +204,9 @@ func (s *Server) BootstrapFollower(c *wal.Checkpoint) error {
 }
 
 // ApplyReplicated replays one shipped batch record as a tick: the tick
-// protocol of tick.go under a follower's policies. Every epoch is published,
-// the boundary's extra one included, so epochs stay aligned with the
-// primary's; a failed check poisons the follower (healthz turns 503, the
+// protocol of tick.go under a follower's policies. Every tick's epoch is
+// published, so epochs stay aligned with the primary's; a failed check
+// poisons the follower (healthz turns 503, the
 // router stops routing to it) — divergence must never be served.
 func (s *Server) ApplyReplicated(b wal.BatchRecord) error {
 	s.stepMu.Lock()

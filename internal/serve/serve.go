@@ -135,13 +135,11 @@ type Config struct {
 	// of each tick until its log records are durable (group commit), so
 	// no client ever observes results a power cut could lose.
 	WAL *wal.Log
-	// CheckpointEvery canonicalises the engine (Rebuild) every N ticks
-	// (0 = never) and, with a WAL, writes a checkpoint there and rotates
-	// the log. Checkpoint failures are recorded in /v1/stats and retried
-	// at the next interval; logging continues either way. On a follower
-	// it must match the primary's value: the Rebuild bumps the epoch, so
-	// epoch alignment depends on both sides rebuilding at the same tick
-	// numbers.
+	// CheckpointEvery, with a WAL, writes a checkpoint of every N-th tick's
+	// state (0 = never) and rotates the log. Checkpoint failures are
+	// recorded in /v1/stats and retried at the next interval; logging
+	// continues either way. Epochs do not depend on it, so a follower —
+	// which has no WAL — ignores it.
 	CheckpointEvery int
 
 	// Follower puts the server in replica mode: it has no WAL of its own,

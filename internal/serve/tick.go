@@ -20,35 +20,29 @@ import (
 //     batcher's applied state, sequence and counters advanced;
 //  3. the tick's snapshot is checked against its tick record — epoch,
 //     timestamp, CRC of the canonical encoding — when there is one, and
-//     the CRC is what a live primary writes into that record;
-//  4. at every CheckpointEvery-th sequence the engine is canonicalised with
-//     Rebuild, which publishes one extra epoch at an unchanged timestamp.
+//     the CRC is what a live primary writes into that record.
 //
-// advance is steps 2-4. What differs between the three is policy and stays
+// A tick publishes exactly one epoch. Path costs are exact (graph.Quantum),
+// so an engine's rows are a function of its network, objects and queries,
+// not of the history that led there: an engine seeded from a checkpoint
+// equals the one that wrote it, and nothing is canonicalised at a
+// checkpoint. CheckpointEvery is the primary's business alone.
+//
+// advance is steps 2-3. What differs between the three is policy and stays
 // with the caller: where the batch comes from (pending reports, logged
 // before they are committed, or a logged batch replayed into the batcher),
 // what a failed check does (recovery aborts and the server stays not-ready;
-// a follower is poisoned read-only), and whether the tick's epochs reach
-// the broker (live and follower: each one; recovery: none, the broker is
-// reset once at the end — a replayed epoch never had a subscriber, and
-// filling the ring would cost recovery a collection cycle).
+// a follower is poisoned read-only), and whether the tick's epoch reaches
+// the broker (live and follower: yes; recovery: no, the broker is reset
+// once at the end — a replayed epoch never had a subscriber, and filling
+// the ring would cost recovery a collection cycle).
 
-// ticked is what one tick produced.
+// ticked is what one tick produced: snap is the snapshot the tick record
+// describes, crc the checksum of its canonical encoding (0 when nothing
+// needed one).
 type ticked struct {
-	// snap is the snapshot the tick record describes, crc the checksum of
-	// its canonical encoding (0 when nothing needed one).
 	snap *roadknn.Snapshot
 	crc  uint32
-	// canon is the extra epoch the boundary Rebuild published after snap;
-	// nil off the boundary.
-	canon *roadknn.Snapshot
-}
-
-// boundary reports whether tick seq ends a checkpoint interval. The rule is
-// a pure function of the tick number, so every replica applies it at the
-// same ticks without a marker in the log (which a torn write could lose).
-func (s *Server) boundary(seq uint64) bool {
-	return s.cfg.CheckpointEvery > 0 && seq%uint64(s.cfg.CheckpointEvery) == 0
 }
 
 // step applies u as tick seq (stepMu held): the one place the engine steps.
@@ -73,12 +67,6 @@ func (s *Server) step(seq uint64, u roadknn.Updates) {
 // different network file than the record was written against. With no
 // record to check (a live tick, or a replayed batch whose tick record was
 // lost to a torn write) advance cannot fail.
-//
-// At a boundary the engine is then canonicalised: incremental maintenance
-// accumulates floats in history-dependent orders, so without the Rebuild a
-// replica built from the checkpoint's positions could differ from this one
-// in the last bits. After it both continue from the same bit-exact base,
-// which is what lets installCheckpoint verify instead of trust.
 func (s *Server) advance(seq uint64, u roadknn.Updates, want *wal.TickRecord) (ticked, error) {
 	s.step(seq, u)
 	t := ticked{snap: s.eng.Snapshot()}
@@ -97,10 +85,6 @@ func (s *Server) advance(seq uint64, u roadknn.Updates, want *wal.TickRecord) (t
 				"(is this the network file the log was written against?)", seq, t.crc, want.SnapCRC)
 		}
 	}
-	if rb, ok := s.eng.(core.Rebuilder); ok && s.boundary(seq) {
-		rb.Rebuild()
-		t.canon = s.eng.Snapshot()
-	}
 	return t, nil
 }
 
@@ -115,14 +99,9 @@ func (s *Server) replay(b wal.BatchRecord) (ticked, error) {
 	return s.advance(b.Seq, u, b.Tick)
 }
 
-// publish hands a tick's epochs to the broker and wakes the waiters. The
-// boundary's extra epoch carries an empty delta; publishing it keeps
-// subscriber cursors on a contiguous chain.
+// publish hands a tick's epoch to the broker and wakes the waiters.
 func (s *Server) publish(t ticked) {
 	s.broker.publish(t.snap)
-	if t.canon != nil {
-		s.broker.publish(t.canon)
-	}
 	s.broker.wake()
 }
 
@@ -177,36 +156,31 @@ func (s *Server) Tick() *roadknn.Snapshot {
 		}
 	}
 	s.publish(t)
-	if w != nil && s.boundary(s.seq) {
-		s.writeCheckpoint(t.canon)
+	if w != nil && s.cfg.CheckpointEvery > 0 && s.seq%uint64(s.cfg.CheckpointEvery) == 0 {
+		s.writeCheckpoint(t.snap)
 	}
 	return s.broker.newest()
 }
 
-// writeCheckpoint (stepMu held) persists the boundary's state: the
-// batcher's applied state, which coincides with the engine's at a tick
-// boundary, and canon's encoding for installCheckpoint to verify against.
-// Failures are recorded for /v1/stats and retried at the next boundary —
-// the log keeps growing meanwhile, so nothing is lost.
-func (s *Server) writeCheckpoint(canon *roadknn.Snapshot) {
-	var err error
-	if canon == nil {
-		err = fmt.Errorf("engine %s cannot rebuild for checkpointing", s.eng.Name())
-	} else {
-		s.batchMu.Lock()
-		objs, qrys, edges, topo := s.batch.CheckpointState()
-		s.batchMu.Unlock()
-		s.enc = canon.AppendBinary(s.enc[:0])
-		err = s.cfg.WAL.WriteCheckpoint(&wal.Checkpoint{
-			Epoch:    canon.Epoch(),
-			Stamp:    s.seq,
-			Objects:  objs,
-			Queries:  qrys,
-			Edges:    edges,
-			Topology: topo,
-			Snapshot: s.enc,
-		})
-	}
+// writeCheckpoint (stepMu held) persists the tick's state: the batcher's
+// applied state, which coincides with the engine's at a tick boundary, and
+// snap's encoding for installCheckpoint to verify against. Failures are
+// recorded for /v1/stats and retried at the next interval — the log keeps
+// growing meanwhile, so nothing is lost.
+func (s *Server) writeCheckpoint(snap *roadknn.Snapshot) {
+	s.batchMu.Lock()
+	objs, qrys, edges, topo := s.batch.CheckpointState()
+	s.batchMu.Unlock()
+	s.enc = snap.AppendBinary(s.enc[:0])
+	err := s.cfg.WAL.WriteCheckpoint(&wal.Checkpoint{
+		Epoch:    snap.Epoch(),
+		Stamp:    s.seq,
+		Objects:  objs,
+		Queries:  qrys,
+		Edges:    edges,
+		Topology: topo,
+		Snapshot: s.enc,
+	})
 	s.walErrMu.Lock()
 	s.ckptErr = ""
 	if err != nil {
@@ -220,8 +194,9 @@ func (s *Server) writeCheckpoint(canon *roadknn.Snapshot) {
 
 // installCheckpoint (stepMu held) seeds a never-stepped engine from c: the
 // applied state goes through the batcher as one batch, the clock is
-// restored to the checkpoint's epoch and timestamp, and the rebuilt
-// snapshot must match the checkpointed one byte for byte.
+// restored to the checkpoint's epoch and timestamp, and the engine's
+// snapshot, computed from scratch, must match the checkpointed one byte for
+// byte.
 func (s *Server) installCheckpoint(c *wal.Checkpoint) error {
 	cr, ok := s.eng.(core.ClockRestorer)
 	if !ok {

@@ -117,6 +117,40 @@ func TestServeWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointTickPublishesOneEpoch: a tick advances the epoch by exactly
+// one whether or not it writes a checkpoint, the checkpoint holds that
+// tick's own epoch, and a server recovering from it with another cadence —
+// here none — reaches the same bytes.
+func TestCheckpointTickPublishesOneEpoch(t *testing.T) {
+	mem := wal.NewMemFS()
+	s, l, rec := newWALServer(t, mem, 3)
+	if _, err := s.Recover(rec); err != nil {
+		t.Fatalf("recover empty: %v", err)
+	}
+	base := s.eng.Snapshot().Epoch()
+	const ticks = 7 // across the checkpoints at ticks 3 and 6
+	for i := 1; i <= ticks; i++ {
+		scriptTick(s, i)
+		if got := s.eng.Snapshot().Epoch(); got != base+uint64(i) {
+			t.Fatalf("after %d ticks the epoch advanced by %d", i, got-base)
+		}
+	}
+	if l.CheckpointStamp() != 6 || l.CheckpointEpoch() != base+6 {
+		t.Fatalf("checkpoint at stamp %d epoch %d, want stamp 6 epoch %d", l.CheckpointStamp(), l.CheckpointEpoch(), base+6)
+	}
+	want := snapBytes(s)
+	s.Close()
+
+	s2, _, rec2 := newWALServer(t, mem, 0)
+	defer s2.Close()
+	if st, err := s2.Recover(rec2); err != nil || st.CheckpointStamp != 6 {
+		t.Fatalf("recover: %+v, %v", st, err)
+	}
+	if got := snapBytes(s2); !bytes.Equal(got, want) {
+		t.Fatal("recovered snapshot differs from the pre-crash one")
+	}
+}
+
 func TestServeCloseFlushesPending(t *testing.T) {
 	mem := wal.NewMemFS()
 	s, _, rec := newWALServer(t, mem, 0)
@@ -443,8 +477,8 @@ func staticCrashCase(name string, mk func(*roadknn.Network, roadknn.Options) roa
 // crashCases is the engine table of the crash-recovery tests. AUTO runs a
 // workload that forces a group migration exactly at the checkpoint boundary
 // (PlanEvery == CheckpointEvery == 3): a replica recovered from any torn
-// prefix must re-derive the same placements — including groups that
-// migrated IMA->GMA just before the crash.
+// prefix must publish the same bytes whatever placements it starts from —
+// including when groups migrated IMA->GMA just before the crash.
 var crashCases = []crashCase{
 	staticCrashCase("IMA", roadknn.NewIMAWith),
 	staticCrashCase("GMA", roadknn.NewGMAWith),
