@@ -12,9 +12,9 @@
 // is byte-identical to the primary's.
 //
 // Follower lifecycle: fetch /v1/replication/info (the engine name must
-// match; the follower's own CheckpointEvery plays no part), bootstrap from /v1/replication/checkpoint (the newest checkpoint
-// image, byte-verified on install), then tail /v1/replication/log with
-// long-polls. A 410 Gone means the log was pruned past the follower's
+// match; the follower's own CheckpointEvery plays no part), bootstrap from
+// /v1/replication/checkpoint (the newest checkpoint image, byte-verified
+// on install), then tail /v1/replication/log with long-polls. A 410 Gone means the log was pruned past the follower's
 // cursor (it lagged across a checkpoint rotation): the follower
 // re-bootstraps from the current checkpoint and resumes tailing — the
 // same path a late joiner takes from scratch.

@@ -153,7 +153,7 @@ type planGroup struct {
 
 // Planner is the adaptive engine: the core it embeds does all the
 // monitoring — and provides Register, Unregister, Result, Snapshot, Queries,
-// Close, Rebuild and RestoreClock — while the planner decides modes. The
+// Close and Rebuild — while the planner decides modes. The
 // full serving stack — WAL checkpointing, crash recovery, follower
 // replication — runs under it unchanged.
 type Planner struct {
