@@ -19,11 +19,14 @@ import (
 // Three content types are negotiated (see Server.handleUpdates):
 //
 //   - application/json: the original batchRequest document;
-//   - application/x-ndjson: one JSON record per line, each {"top":{...}},
-//     {"obj":{...}}, {"qry":{...}} or {"edge":{...}} — append-friendly for
-//     producers that emit reports as they happen;
+//   - application/x-ndjson: one JSON record per line (any whitespace
+//     separates records), each {"top":{...}}, {"obj":{...}}, {"qry":{...}}
+//     or {"edge":{...}} — append-friendly for producers that emit reports
+//     as they happen;
 //   - application/x-roadknn-updates (or application/octet-stream): the
 //     binary stream below — the wire-speed path.
+//
+// The two JSON forms are decoded by the cursor in wirejson.go.
 //
 // Binary stream layout. A body is a frame stream (see internal/frame)
 // under the header "RKUP" | version 2 (v1 bodies still decode), holding one
@@ -181,13 +184,14 @@ type ndjsonRecord struct {
 
 // ---- decoding (server side) ----
 
-// wireScratch is the per-request decode state, pooled so sustained binary
-// ingestion reuses the frame buffer and the report slices instead of
-// allocating per request.
+// wireScratch is the per-request decode state, pooled so sustained
+// ingestion reuses the frame buffer, the body buffer and the report slices
+// instead of allocating per request.
 type wireScratch struct {
-	req batchRequest
-	br  *bufio.Reader
-	fr  *frame.Reader // over br; owns the reused frame payload buffer
+	req  batchRequest
+	br   *bufio.Reader
+	fr   *frame.Reader // over br; owns the reused frame payload buffer
+	body bytes.Buffer  // a whole JSON or NDJSON body (wirejson.go)
 }
 
 var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
@@ -218,6 +222,14 @@ func (sc *wireScratch) reset(r io.Reader) {
 func putWireScratch(sc *wireScratch) {
 	sc.br.Reset(nil) // drop the request body reference
 	wirePool.Put(sc)
+}
+
+// readBody reads the rest of the body into sc.body. A body that overruns
+// the size cap surfaces as the *http.MaxBytesError the reader returned.
+func (sc *wireScratch) readBody() error {
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(sc.br)
+	return err
 }
 
 // decodeWire reads a complete binary update stream into sc.req. It never
@@ -299,62 +311,6 @@ func (sc *wireScratch) decodeFrame(p []byte) error {
 		}
 	}
 	return d.Done()
-}
-
-// decodeJSON reads one batchRequest document into sc.req, rejecting
-// unknown fields. encoding/json decodes array elements into a reused
-// slice's spare capacity without zeroing them, so a field an element does
-// not mention would keep the previous request's value (a stale
-// "delete":true would turn a move into a delete): the spare capacity is
-// zeroed first.
-func (sc *wireScratch) decodeJSON() error {
-	clear(sc.req.Topology[:cap(sc.req.Topology)])
-	clear(sc.req.Objects[:cap(sc.req.Objects)])
-	clear(sc.req.Queries[:cap(sc.req.Queries)])
-	clear(sc.req.Edges[:cap(sc.req.Edges)])
-	dec := json.NewDecoder(sc.br)
-	dec.DisallowUnknownFields()
-	return dec.Decode(&sc.req)
-}
-
-// decodeNDJSON reads newline-delimited JSON records into sc.req.
-func (sc *wireScratch) decodeNDJSON() error {
-	dec := json.NewDecoder(sc.br)
-	dec.DisallowUnknownFields()
-	line := 0
-	for {
-		var rec ndjsonRecord
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				if line == 0 {
-					return errors.New("empty NDJSON body")
-				}
-				return nil
-			}
-			return err // size overruns must surface as *http.MaxBytesError
-		}
-		line++
-		set := 0
-		if rec.Top != nil {
-			sc.req.Topology = append(sc.req.Topology, *rec.Top)
-			set++
-		}
-		if rec.Obj != nil {
-			sc.req.Objects = append(sc.req.Objects, *rec.Obj)
-			set++
-		}
-		if rec.Qry != nil {
-			sc.req.Queries = append(sc.req.Queries, *rec.Qry)
-			set++
-		}
-		if rec.Edge != nil {
-			sc.req.Edges = append(sc.req.Edges, *rec.Edge)
-			set++
-		}
-		if set != 1 {
-			return fmt.Errorf("record %d: want exactly one of top/obj/qry/edge, got %d", line, set)
-		}
-	}
 }
 
 // ---- bench bridge ----
