@@ -22,11 +22,11 @@
 // every -checkpoint-every ticks, and a restart pointed at the same
 // directory replays the log and resumes bit-identically where the previous
 // process stopped (healthz answers 503 "recovering" until replay
-// finishes). -fsync picks the durability/throughput trade-off: "always"
-// fsyncs every record, "tick" (default) once per tick, "never" leaves
-// flushing to the OS, and "interval=<duration>" syncs from a background
-// timer — bounding loss on power failure to one interval of ticks while
-// keeping the append path free of fsyncs.
+// finishes). -fsync picks the durability/throughput trade-off: "tick"
+// (default) fsyncs once per tick and publishes a tick only once it is
+// durable, "never" leaves flushing to the OS, and "interval=<duration>"
+// syncs from a background timer — bounding loss on power failure to one
+// interval of ticks while keeping the append path free of fsyncs.
 //
 // -engine auto runs the adaptive planner: queries are partitioned into
 // spatial groups and each group is routed to whichever of IMA/GMA a cost
@@ -86,9 +86,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -110,7 +112,7 @@ func main() {
 		tick    = flag.Duration("tick", 100*time.Millisecond, "serve mode: stepping period (0 = step only on POST /v1/tick)")
 		walDir  = flag.String("wal-dir", "", "serve mode: directory for the write-ahead log (enables crash recovery)")
 		ckEvery = flag.Int("checkpoint-every", 60, "serve mode: write a checkpoint every N ticks (0 = never; needs -wal-dir)")
-		fsync   = flag.String("fsync", "tick", "serve mode: WAL fsync policy: always, tick, never or interval=<duration>")
+		fsync   = flag.String("fsync", "tick", "serve mode: WAL fsync policy: tick, never or interval=<duration>")
 		follow  = flag.String("follow", "", "follower mode: primary base URL to replicate from (needs -serve)")
 		repl    = flag.String("replicate", "", "router mode: comma-separated follower base URLs to balance reads across (needs -serve)")
 		primary = flag.String("primary", "", "router mode: primary base URL for forwarded writes")
@@ -202,9 +204,7 @@ func serveHTTP(eng roadknn.Engine, addr string, tick time.Duration, walDir strin
 		cfg.WAL, cfg.CheckpointEvery, rec = l, ckEvery, r
 	}
 	s := serve.New(eng, cfg)
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	wait := listen(addr, s.Handler())
 	fmt.Fprintf(os.Stderr, "monitor: serving %s engine on http://%s (tick %v)\n",
 		eng.Name(), addr, tick)
 	if cfg.WAL != nil {
@@ -219,21 +219,9 @@ func serveHTTP(eng roadknn.Engine, addr string, tick time.Duration, walDir strin
 			st.ReplayedBatches, st.ReplayedUpdates, st.VerifiedTicks, st.TruncatedBytes)
 	}
 	s.Start()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "monitor: %v, shutting down\n", sig)
-	}
 	// Close first: it wakes parked long-pollers and streamers so the
 	// graceful listener shutdown drains instead of timing out on them.
-	s.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return hs.Shutdown(ctx)
+	return wait(s.Close)
 }
 
 // followHTTP runs a follower replica: handshake with the primary (the
@@ -253,9 +241,7 @@ func followHTTP(eng roadknn.Engine, addr, primaryURL string) error {
 		return fmt.Errorf("primary runs engine %s, this replica %s", info.Engine, eng.Name())
 	}
 	s := serve.New(eng, serve.Config{Follower: true})
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	wait := listen(addr, s.Handler())
 	fmt.Fprintf(os.Stderr, "monitor: follower of %s serving %s engine on http://%s\n",
 		primaryURL, eng.Name(), addr)
 
@@ -266,23 +252,13 @@ func followHTTP(eng roadknn.Engine, addr, primaryURL string) error {
 	fmt.Fprintf(os.Stderr, "monitor: bootstrapped at sequence %d (checkpoint stamp %d), tailing log\n",
 		f.Cursor(), info.CheckpointStamp)
 	f.Start()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "monitor: %v, shutting down\n", sig)
-	}
-	f.Stop()
-	if err := f.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "monitor: replication stopped: %v\n", err)
-	}
-	s.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return hs.Shutdown(ctx)
+	return wait(func() {
+		f.Stop()
+		if err := f.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "monitor: replication stopped: %v\n", err)
+		}
+		s.Close()
+	})
 }
 
 // routeHTTP runs the read-side router over follower replicas.
@@ -293,23 +269,33 @@ func routeHTTP(addr string, followers []string, primaryURL string) error {
 	rt := cluster.NewRouter(cluster.RouterConfig{Followers: followers, Primary: primaryURL})
 	rt.Start()
 	defer rt.Close()
-	hs := &http.Server{Addr: addr, Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	wait := listen(addr, rt.Handler())
 	fmt.Fprintf(os.Stderr, "monitor: routing reads across %d followers on http://%s\n",
 		len(followers), addr)
+	return wait(func() {})
+}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "monitor: %v, shutting down\n", sig)
+// listen serves h on addr in the background. The returned wait blocks
+// until SIGINT/SIGTERM or a listener error; after a signal it runs stop and
+// then shuts the listener down gracefully, within 5 s.
+func listen(addr string, h http.Handler) (wait func(stop func()) error) {
+	hs := &http.Server{Addr: addr, Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.ListenAndServe() }()
+	return func(stop func()) error {
+		sigc := make(chan os.Signal, 1)
+		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+		select {
+		case err := <-errc:
+			return err
+		case sig := <-sigc:
+			fmt.Fprintf(os.Stderr, "monitor: %v, shutting down\n", sig)
+		}
+		stop()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return hs.Shutdown(ctx)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return hs.Shutdown(ctx)
 }
 
 // usage is the stream protocol. Every argument is a 32-bit integer (ids and
@@ -395,7 +381,7 @@ func replay(srv roadknn.Engine, in io.Reader, out io.Writer) error {
 		case "tick":
 			ts++
 			srv.Step(batch.Drain())
-			for id := range prev {
+			for _, id := range slices.Sorted(maps.Keys(prev)) {
 				cur := fmt.Sprint(srv.Result(id))
 				if cur != prev[id] {
 					fmt.Fprintf(out, "ts %d query %d -> %s\n", ts, id, formatResult(srv.Result(id)))

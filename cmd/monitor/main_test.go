@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,33 @@ tick
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[0], "ts 1 query 9 -> [") || !strings.HasPrefix(lines[1], "ts 2 query 9 -> [") {
 		t.Fatalf("output:\n%s", out)
+	}
+}
+
+// TestReplayReportsInQueryOrder: a tick's changed queries are printed in
+// ascending id order, so one script prints the same lines on every run.
+// They were printed in map order.
+func TestReplayReportsInQueryOrder(t *testing.T) {
+	var script strings.Builder
+	script.WriteString("obj 1 0 0.5\n")
+	for i := range 24 {
+		fmt.Fprintf(&script, "qry %d 1 %d 0.5\n", (i*7)%24+100, i%10)
+	}
+	script.WriteString("tick\nobj 2 0 0.25\ntick\n")
+	out, err := replayScript(t, script.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var ts, id int
+		if _, err := fmt.Sscanf(line, "ts %d query %d", &ts, &id); err != nil || ts != 1 {
+			break
+		}
+		ids = append(ids, id)
+	}
+	if len(ids) != 24 || !slices.IsSorted(ids) {
+		t.Fatalf("tick 1 reported queries %v, want all 24 in ascending order; output:\n%s", ids, out)
 	}
 }
 

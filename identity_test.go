@@ -7,11 +7,18 @@ package roadknn_test
 // prove the planner made the same decisions at the same ticks — must pass
 // unmodified. Regenerate only with a deliberate behaviour change
 // (go test -run TestIdentityGoldens -update-identity .).
+//
+// OVH, which recomputes every query from scratch at every tick, is the
+// reference: path costs are exact multiples of one quantum, so every
+// shortest-path distance is a function of the network alone, not of the
+// update history that led to it, and every run must publish OVH's bytes at
+// every tick.
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,7 +36,7 @@ var updateIdentity = flag.Bool("update-identity", false, "rewrite testdata/ident
 
 const (
 	identityTicks   = 64
-	identityRebuild = 30 // mid-run checkpoint canonicalization
+	identityRebuild = 30 // a mid-run Rebuild: it must change no row, and later ticks must still match OVH
 )
 
 // identityChurn layers object and query insert/delete traffic, with mixed
@@ -124,7 +131,6 @@ func identityConfig() workload.Config {
 	cfg.HotspotFrac = 0.4
 	cfg.HotspotDrift = 0.04
 	cfg.TopoAgility = 0.005 // one structural edit per generated batch
-	cfg.Serving = true
 	return cfg
 }
 
@@ -151,13 +157,43 @@ func identityDrive(engine string, workers int, tick func(ts int, eng core.Engine
 	return eng
 }
 
+// sameRow reports whether two results agree in objects, order and the bits
+// of every distance.
+func sameRow(a, b []core.Neighbor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Obj != b[i].Obj || math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowDiffs counts the queries of a whose row in b differs or is missing.
+func rowDiffs(a, b *core.Snapshot) int {
+	n := 0
+	for i := range a.Len() {
+		id, row := a.At(i)
+		if other, ok := b.Lookup(id); !ok || !sameRow(row, other) {
+			n++
+		}
+	}
+	return n
+}
+
 // identityRun steps one engine over the stream and returns its golden
-// block — one CRC per tick, plus the planner counters for AUTO — and the
-// engine's work counters after every tick. The Rebuild at tick 30 must
-// change no published row.
-func identityRun(t *testing.T, engine string, workers int) (string, []core.StepStats) {
+// block — one CRC per tick, plus the planner counters for AUTO — its
+// snapshot after every tick, and its work counters after every tick (none
+// for OVH). The Rebuild at tick 30 must change no published row. Given the
+// snapshots OVH published over the stream, every tick's snapshot must
+// encode byte for byte as OVH's did; the first tick that does not is
+// reported.
+func identityRun(t *testing.T, engine string, workers int, ovh []*core.Snapshot) (string, []*core.Snapshot, []core.StepStats) {
 	t.Helper()
 	var out bytes.Buffer
+	var snaps []*core.Snapshot
 	var stats []core.StepStats
 	fmt.Fprintf(&out, "%s workers=%d\n", engine, workers)
 	eng := identityDrive(engine, workers, func(ts int, eng core.Engine) {
@@ -168,8 +204,17 @@ func identityRun(t *testing.T, engine string, workers int) (string, []core.StepS
 				t.Errorf("%s workers=%d: the Rebuild at tick %d changed %d rows", engine, workers, ts, d)
 			}
 		}
-		fmt.Fprintf(&out, "%08x", eng.Snapshot().CRC32())
-		stats = append(stats, eng.(interface{ StepStats() core.StepStats }).StepStats())
+		snap := eng.Snapshot()
+		if ovh != nil && !bytes.Equal(snap.AppendBinary(nil), ovh[ts-1].AppendBinary(nil)) {
+			t.Errorf("%s workers=%d: tick %d (epoch %d, stamp %d) differs from OVH's (epoch %d, stamp %d) in %d of %d rows",
+				engine, workers, ts, snap.Epoch(), snap.Timestamp(), ovh[ts-1].Epoch(), ovh[ts-1].Timestamp(), rowDiffs(ovh[ts-1], snap), ovh[ts-1].Len())
+			ovh = nil // one report per run: its first tick that differs
+		}
+		snaps = append(snaps, snap)
+		if s, ok := eng.(interface{ StepStats() core.StepStats }); ok {
+			stats = append(stats, s.StepStats())
+		}
+		fmt.Fprintf(&out, "%08x", snap.CRC32())
 		if ts%8 == 0 {
 			out.WriteByte('\n')
 		} else {
@@ -181,14 +226,15 @@ func identityRun(t *testing.T, engine string, workers int) (string, []core.StepS
 		st := sp.PlannerStats()
 		fmt.Fprintf(&out, "migrations=%d migrated_queries=%d cross_moves=%d replans=%d groups_gma=%d\n",
 			st.Migrations, st.MigratedQueries, st.CrossMoves, st.Replans, st.GroupsGMA)
-		if st.Migrations == 0 || st.GroupsGMA == 0 {
+		if st.Migrations == 0 || st.GroupsGMA == 0 || st.QueriesIMA == 0 || st.QueriesGMA == 0 || st.Replans == 0 {
 			t.Errorf("%s workers=%d: the stream never split the workload: %+v", engine, workers, st)
 		}
 	}
-	return out.String(), stats
+	return out.String(), snaps, stats
 }
 
 func TestIdentityGoldens(t *testing.T) {
+	_, ovh, _ := identityRun(t, "OVH", 1, nil)
 	var got bytes.Buffer
 	for _, engine := range []string{"IMA", "GMA", "AUTO"} {
 		// The counters count per-monitor calls (finalizes, the reports handed
@@ -198,7 +244,7 @@ func TestIdentityGoldens(t *testing.T) {
 		// here even when the results still agree.
 		var serial []core.StepStats
 		for _, workers := range []int{1, 4} {
-			block, stats := identityRun(t, engine, workers)
+			block, _, stats := identityRun(t, engine, workers, ovh)
 			got.WriteString(block)
 			if serial == nil {
 				serial = stats

@@ -374,41 +374,18 @@ func findQueryPos(e Engine, id QueryID) (roadnet.Position, bool) {
 	return roadnet.Position{}, false
 }
 
-// compareResults checks two sorted neighbor lists for equality up to
-// floating-point tolerance, allowing object swaps between equal distances.
+// compareResults checks two neighbor lists for exact equality: the same
+// objects in the same order at the same distances, bit for bit. Path costs
+// are whole numbers of graph.Quantum, so every engine and the oracle sum
+// them exactly, whatever the order.
 func compareResults(got, want []Neighbor) error {
-	const tol = 1e-6
 	if len(got) != len(want) {
 		return fmt.Errorf("length %d, want %d (got %v, want %v)", len(got), len(want), got, want)
 	}
 	for i := range got {
-		if math.Abs(got[i].Dist-want[i].Dist) > tol {
-			return fmt.Errorf("entry %d: dist %.9f, want %.9f (got %v, want %v)", i, got[i].Dist, want[i].Dist, got, want)
-		}
-	}
-	// Distances agree pairwise; ids must agree as multisets (ties may swap).
-	gm := map[roadnet.ObjectID]int{}
-	for _, nb := range got {
-		gm[nb.Obj]++
-	}
-	for _, nb := range want {
-		gm[nb.Obj]--
-	}
-	for id, n := range gm {
-		if n != 0 {
-			// A mismatched id is fine only if its distance ties with the
-			// boundary distance.
-			boundary := want[len(want)-1].Dist
-			var d float64 = math.Inf(1)
-			for _, nb := range append(got, want...) {
-				if nb.Obj == id {
-					d = nb.Dist
-					break
-				}
-			}
-			if math.Abs(d-boundary) > tol {
-				return fmt.Errorf("object %d mismatch (count %+d): got %v, want %v", id, n, got, want)
-			}
+		if got[i].Obj != want[i].Obj || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+			return fmt.Errorf("entry %d: (%d, %.17g), want (%d, %.17g) (got %v, want %v)",
+				i, got[i].Obj, got[i].Dist, want[i].Obj, want[i].Dist, got, want)
 		}
 	}
 	return nil

@@ -183,7 +183,7 @@ func TestModeFlipLeavesNoResidue(t *testing.T) {
 						t.Fatalf("state differs after the flips: %d entries, want %d", len(got), len(want))
 					}
 					for i := 0; i < nQry; i++ {
-						if err := bitEqualResults(flip.Result(QueryID(i)), bare.Result(QueryID(i))); err != nil {
+						if err := compareResults(flip.Result(QueryID(i)), bare.Result(QueryID(i))); err != nil {
 							t.Fatalf("query %d after the flips: %v", i, err)
 						}
 					}

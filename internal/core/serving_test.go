@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"roadknn/internal/gen"
-	"roadknn/internal/graph"
 	"roadknn/internal/roadnet"
 )
 
@@ -95,17 +94,9 @@ func TestSnapshotPublication(t *testing.T) {
 // the race detector, which additionally proves the reads are performed
 // without locking against Step.
 func TestConcurrentSnapshotReadersChurn(t *testing.T) {
-	engines := []struct {
-		name string
-		mk   func(*roadnet.Network, Options) Engine
-	}{
-		{"OVH", func(n *roadnet.Network, o Options) Engine { return NewOVHWith(n, o) }},
-		{"IMA", func(n *roadnet.Network, o Options) Engine { return NewIMAWith(n, o) }},
-		{"GMA", func(n *roadnet.Network, o Options) Engine { return NewGMAWith(n, o) }},
-	}
-	for _, ec := range engines {
-		t.Run(ec.name, func(t *testing.T) {
-			testConcurrentReaders(t, ec.mk)
+	for _, k := range paperEngines {
+		t.Run(k.name, func(t *testing.T) {
+			testConcurrentReaders(t, k.mk)
 		})
 	}
 }
@@ -116,122 +107,18 @@ type refState map[QueryID][]Neighbor
 
 func testConcurrentReaders(t *testing.T, mk func(*roadnet.Network, Options) Engine) {
 	const (
-		seed    = 4242
-		edges   = 80
-		nObj    = 40
-		nQry    = 10
-		maxK    = 4
 		nSteps  = 60
 		readers = 4
 	)
-	build := func() *roadnet.Network {
-		return roadnet.NewNetwork(gen.SanFranciscoLike(edges, seed))
-	}
-
-	// Generate the full churn stream up front on a private world copy,
-	// recording the initial placement so both engine instances see
-	// byte-identical input.
-	world := build()
-	rng := rand.New(rand.NewSource(seed))
-	objPos := make(map[roadnet.ObjectID]roadnet.Position)
-	qPos := make(map[QueryID]roadnet.Position)
-	qK := make(map[QueryID]int)
-	for i := 0; i < nObj; i++ {
-		id := roadnet.ObjectID(i)
-		pos := world.UniformPosition(rng)
-		objPos[id] = pos
-		world.AddObject(id, pos)
-	}
-	initObj := make(map[roadnet.ObjectID]roadnet.Position, len(objPos))
-	for id, pos := range objPos {
-		initObj[id] = pos
-	}
-	for i := 0; i < nQry; i++ {
-		id := QueryID(i)
-		qPos[id] = world.UniformPosition(rng)
-		qK[id] = 1 + rng.Intn(maxK)
-	}
-	initQry := make(map[QueryID]roadnet.Position, len(qPos))
-	initK := make(map[QueryID]int, len(qK))
-	for id, pos := range qPos {
-		initQry[id], initK[id] = pos, qK[id]
-	}
-
-	nextObj := roadnet.ObjectID(nObj)
-	steps := make([]Updates, nSteps)
-	for ts := 0; ts < nSteps; ts++ {
-		var u Updates
-		for _, id := range sortedObjIDs(objPos) {
-			pos := objPos[id]
-			switch r := rng.Float64(); {
-			case r < 0.3:
-				np := world.RandomWalk(pos, rng.Float64()*3*world.AvgEdgeLength(), 0, rng)
-				u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: pos, New: np})
-				objPos[id] = np
-				world.MoveObject(id, np)
-			case r < 0.33 && len(objPos) > 2:
-				u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: pos, Delete: true})
-				delete(objPos, id)
-				world.RemoveObject(id)
-			}
-		}
-		if rng.Float64() < 0.5 {
-			id := nextObj
-			nextObj++
-			pos := world.UniformPosition(rng)
-			u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: pos, Insert: true})
-			objPos[id] = pos
-			world.AddObject(id, pos)
-		}
-		for _, id := range sortedQryIDs(qPos) {
-			if rng.Float64() < 0.3 {
-				np := world.RandomWalk(qPos[id], rng.Float64()*3*world.AvgEdgeLength(), 0, rng)
-				u.Queries = append(u.Queries, QueryUpdate{ID: id, New: np})
-				qPos[id] = np
-			}
-		}
-		if ts%7 == 0 {
-			id := QueryID(100 + ts)
-			pos := world.UniformPosition(rng)
-			k := 1 + rng.Intn(maxK)
-			u.Queries = append(u.Queries, QueryUpdate{ID: id, New: pos, K: k, Insert: true})
-			qPos[id], qK[id] = pos, k
-		}
-		if ts%9 == 0 {
-			for _, id := range sortedQryIDs(qPos) {
-				u.Queries = append(u.Queries, QueryUpdate{ID: id, Delete: true})
-				delete(qPos, id)
-				delete(qK, id)
-				break
-			}
-		}
-		m := world.G.NumEdges()
-		for i := 0; i < m/10+1; i++ {
-			eid := graph.EdgeID(rng.Intn(m))
-			nw := world.G.Edge(eid).W * 1.1
-			if rng.Intn(2) == 0 {
-				nw = world.G.Edge(eid).W * 0.9
-			}
-			u.Edges = append(u.Edges, EdgeUpdate{Edge: eid, NewW: nw})
-			world.G.SetWeight(eid, nw)
-		}
-		steps[ts] = u
-	}
-
-	setup := func(e Engine) {
-		for id, pos := range initObj {
-			e.Network().AddObject(id, pos)
-		}
-		for _, id := range sortedQryIDs(initQry) {
-			e.Register(id, initQry[id], initK[id])
-		}
-	}
-
-	// Reference run: a serial non-serving instance records, per timestamp,
-	// every live query's exact result.
-	ref := mk(build(), Options{Workers: 1})
-	defer ref.Close()
-	setup(ref)
+	// The reference (serial, not serving) and the serving engine (parallel
+	// pipeline) start from the same state; the whole stream is generated up
+	// front so that the reference can record every timestamp's results
+	// before the serving run's readers look for them.
+	w := newLockstepWorldOf(t, 4242, 80, 40, 10, 4, func(build func() *roadnet.Network) []Engine {
+		return []Engine{mk(build(), Options{Workers: 1}), mk(build(), Options{Workers: 4, Serving: true})}
+	})
+	w.churn = true
+	ref, eng := w.engines[0], w.engines[1]
 	refAt := make([]refState, nSteps+1)
 	record := func(ts int) {
 		st := make(refState)
@@ -241,16 +128,14 @@ func testConcurrentReaders(t *testing.T, mk func(*roadnet.Network, Options) Engi
 		refAt[ts] = st
 	}
 	record(0)
-	for ts := 0; ts < nSteps; ts++ {
+	steps := make([]Updates, nSteps)
+	for ts := range steps {
+		steps[ts] = w.next(ts+1, 0.3, 0.3, 0.1)
 		ref.Step(steps[ts])
 		record(ts + 1)
 	}
 
-	// Serving run: parallel pipeline with concurrent readers.
-	eng := mk(build(), Options{Workers: 4, Serving: true})
-	defer eng.Close()
-	setup(eng)
-
+	// Serving run: concurrent readers.
 	stopc := make(chan struct{})
 	var wg sync.WaitGroup
 	var reads atomic.Int64

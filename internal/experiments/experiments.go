@@ -423,9 +423,9 @@ func ByID(exps []Experiment, id string) *Experiment {
 
 // Cell runs one engine at one point and returns the measured value in the
 // experiment's metric: seconds/ts for CPU, KBytes for Mem. The point's
-// Workers and Serving settings are threaded into the engine constructor.
+// Workers setting is threaded into the engine constructor.
 func Cell(e *Experiment, p Point, engine string) float64 {
-	o := core.Options{Workers: p.Cfg.Workers, Serving: p.Cfg.Serving}
+	o := core.Options{Workers: p.Cfg.Workers}
 	res := workload.Run(p.Cfg, EngineWith(engine, o))
 	if e.Metric == Mem {
 		return float64(res.AvgSizeBytes) / 1024.0

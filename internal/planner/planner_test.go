@@ -1,7 +1,6 @@
 package planner_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -39,90 +38,6 @@ func sameNeighbors(got, want []core.Neighbor) bool {
 		}
 	}
 	return true
-}
-
-// TestPlannerOracleAgainstStaticEngines is the adaptive engine's
-// end-to-end correctness property, checked at every timestamp of a 60-ts
-// mixed-density churn run (40% of the queries in a dense drifting hotspot
-// over a uniform sparse base — the workload that forces group migrations):
-//
-//   - Two planners over the same stream — one serial, one with a 4-worker
-//     pool — publish byte-identical snapshots at every epoch, including
-//     across a mid-run Rebuild. Placement decisions depend only on the
-//     replayed stream, never on scheduling.
-//   - Every query's row equals the rows of the static OVH, IMA and GMA
-//     engines fed the same stream exactly, at every timestamp, no matter
-//     which mode holds it or how often it migrated.
-//   - The run actually exercised the planner: groups migrated, and both
-//     children ended up owning queries.
-func TestPlannerOracleAgainstStaticEngines(t *testing.T) {
-	cfg := workload.Default().Scale(0.02) // 200 edges, 2000 objects, 100 queries
-	cfg.K = 8
-	cfg.Timestamps = 60
-	// A genuinely mixed workload: a uniform sparse base (the default
-	// QryDist is Gaussian, i.e. already clustered) with 40% of the queries
-	// in a tight drifting hotspot — above the planner's activation floor,
-	// below its (sticky) takeover bound, so the run stays split: the
-	// regime where both children own queries and migrations actually move
-	// work between live engines.
-	cfg.QryDist = gen.Uniform
-	cfg.HotspotFrac = 0.4
-	cfg.HotspotDrift = 0.04
-	cfg.Serving = true
-
-	auto, _ := workload.NewRunner(cfg, autoMk(1))
-	twin, _ := workload.NewRunner(cfg, autoMk(4))
-	imaRef, _ := workload.NewRunner(cfg, func(n *roadnet.Network) core.Engine {
-		return core.NewIMAWith(n, core.Options{Workers: 1, Serving: true})
-	})
-	gmaRef, _ := workload.NewRunner(cfg, func(n *roadnet.Network) core.Engine {
-		return core.NewGMAWith(n, core.Options{Workers: 1, Serving: true})
-	})
-	ovhRef, _ := workload.NewRunner(cfg, func(n *roadnet.Network) core.Engine {
-		return core.NewOVHWith(n, core.Options{Workers: 1, Serving: true})
-	})
-	runners := []*workload.Runner{auto, twin, imaRef, gmaRef, ovhRef}
-	defer func() {
-		for _, r := range runners {
-			r.Engine().Close()
-		}
-	}()
-
-	for ts := 1; ts <= cfg.Timestamps; ts++ {
-		for _, r := range runners {
-			r.Engine().Step(r.GenerateStep())
-		}
-		if ts == 30 {
-			// A mid-run Rebuild must leave the two planners in lockstep
-			// too.
-			auto.Engine().(core.Rebuilder).Rebuild()
-			twin.Engine().(core.Rebuilder).Rebuild()
-		}
-		a := auto.Engine().Snapshot()
-		b := twin.Engine().Snapshot()
-		if !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
-			t.Fatalf("ts %d: serial and 4-worker planners published different snapshots", ts)
-		}
-		for id := 0; id < cfg.NumQueries; id++ {
-			got := a.Result(core.QueryID(id))
-			for _, ref := range []*workload.Runner{imaRef, gmaRef, ovhRef} {
-				if want := ref.Engine().Result(core.QueryID(id)); !sameNeighbors(got, want) {
-					t.Fatalf("ts %d query %d: planner %v vs %s reference %v", ts, id, got, ref.Engine().Name(), want)
-				}
-			}
-		}
-	}
-
-	st := auto.Engine().(planner.StatsProvider).PlannerStats()
-	if st.Migrations == 0 {
-		t.Error("60 timestamps of drifting hotspot never migrated a group")
-	}
-	if st.QueriesGMA == 0 || st.QueriesIMA == 0 {
-		t.Errorf("planner did not split the workload: %d IMA / %d GMA queries", st.QueriesIMA, st.QueriesGMA)
-	}
-	if st.Replans == 0 || st.LastPlanTick == 0 {
-		t.Errorf("planner never re-planned: %+v", st)
-	}
 }
 
 // TestPlannerRegisterUnregisterEpochs pins the planner's epoch discipline

@@ -57,7 +57,7 @@ type advance struct {
 // something newer. This is the one wait loop of the read path. Waiting is
 // on the broker, never on the engine: the stepper publishes an epoch to
 // the broker only once the durability policy allows clients to see it
-// (under wal.SyncAlways, after its tick record is fsynced), while the
+// (under wal.SyncTick, after its tick record is fsynced), while the
 // engine's own snapshot flips at Step. A wait cut short — timeout, client
 // gone, server closing — yields a heartbeat; the caller tells the three
 // apart.

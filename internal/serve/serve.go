@@ -63,7 +63,7 @@
 //     Options{Deltas: true} — which has no deltas to send and resyncs at
 //     every epoch by design — are not lag and never count;
 //   - durability: an epoch reaches the broker, and with it any reader, only
-//     when the WAL policy allows (under wal.SyncAlways, after its tick
+//     when the WAL policy allows (under wal.SyncTick, after its tick
 //     record is fsynced), although the engine's own snapshot flips at Step.
 //
 // With Config.WAL set, the server is crash-safe: see the wal package for the
@@ -131,7 +131,7 @@ type Config struct {
 	// but /v1/stats answers 503) until Recover has replayed the log. If
 	// an append exhausts its retries the server degrades to read-only:
 	// writes answer 503, reads keep serving the last published snapshot.
-	// With wal.SyncAlways the server additionally withholds publication
+	// With wal.SyncTick the server additionally withholds publication
 	// of each tick until its log records are durable (group commit), so
 	// no client ever observes results a power cut could lose.
 	WAL *wal.Log

@@ -213,13 +213,13 @@ func (f *gateFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestSyncAlwaysReadsWaitForDurability: under wal.SyncAlways no endpoint
+// TestSyncTickReadsWaitForDurability: under wal.SyncTick no endpoint
 // may show an epoch whose tick record is not fsynced yet — not the delta
 // subscribers, not /v1/snapshot, /v1/result or a bootstrap resync, and not
 // the epoch /v1/stats and /v1/replication/info report either.
-func TestSyncAlwaysReadsWaitForDurability(t *testing.T) {
+func TestSyncTickReadsWaitForDurability(t *testing.T) {
 	gate := &gateFS{FS: wal.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
-	l, rec, err := wal.Open(gate, wal.Options{Sync: wal.SyncAlways})
+	l, rec, err := wal.Open(gate, wal.Options{Sync: wal.SyncTick})
 	if err != nil {
 		t.Fatal(err)
 	}

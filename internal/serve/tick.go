@@ -142,14 +142,15 @@ func (s *Server) Tick() *roadknn.Snapshot {
 	t, _ := s.advance(s.seq+1, u, nil) // no record to verify against
 	if w != nil {
 		if err := w.AppendTick(t.snap.Epoch(), t.snap.Timestamp(), t.crc); err != nil {
-			// Further writes must stop. Under tick/never the batch is as
+			// Further writes must stop. Under SyncTick the batch's fsync was
+			// deferred to this append: the epoch is exactly what "no client
+			// observes results a power cut could lose" forbids, and it is
+			// never published. Under never and interval the batch is as
 			// durable as the policy promises and only the applied marker is
 			// lost (recovery replays the batch unverified), so the epoch is
-			// served. Under SyncAlways the batch's fsync was deferred to this
-			// append: the epoch is exactly what "no client observes results a
-			// power cut could lose" forbids, and it is never published.
+			// served.
 			s.setReadOnly(err)
-			if w.Policy() != wal.SyncAlways {
+			if w.Policy() != wal.SyncTick {
 				s.publish(t)
 			}
 			return s.broker.newest()

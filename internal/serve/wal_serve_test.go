@@ -240,14 +240,14 @@ func TestServeWALFailureReadOnly(t *testing.T) {
 	}
 }
 
-// TestSyncAlwaysFailedTickIsNotPublished: under wal.SyncAlways the batch's
+// TestSyncTickFailedTickIsNotPublished: under wal.SyncTick the batch's
 // fsync is deferred to its tick record, so a tick whose AppendTick failed
 // is one a power cut could lose. The server must go read-only without ever
 // showing it: /v1/tick acknowledges the last durable epoch and every read
 // keeps answering with it.
-func TestSyncAlwaysFailedTickIsNotPublished(t *testing.T) {
+func TestSyncTickFailedTickIsNotPublished(t *testing.T) {
 	ffs := wal.NewFaultFS(wal.NewMemFS())
-	l, rec, err := wal.Open(ffs, wal.Options{Sync: wal.SyncAlways, Retries: 2, Sleep: func(time.Duration) {}})
+	l, rec, err := wal.Open(ffs, wal.Options{Sync: wal.SyncTick, Retries: 2, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

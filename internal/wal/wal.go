@@ -20,15 +20,12 @@ type SyncPolicy int
 
 const (
 	// SyncTick fsyncs at tick boundaries, pending flushes and checkpoints:
-	// a crash loses at most the in-flight tick (default).
+	// a crash loses at most the in-flight tick (default). Batch appends
+	// within a tick share the one fsync issued at the tick boundary (group
+	// commit), and the serving layer withholds publication of a tick's
+	// results until its records are durable, so nothing a client can
+	// observe is ever lost to a power cut.
 	SyncTick SyncPolicy = iota
-	// SyncAlways group-commits: batch appends within a tick share the one
-	// fsync issued at the tick boundary, so high tick rates stop paying a
-	// separate fsync per batch. Durability matches SyncTick at the log
-	// level — the difference is upstream: the serving layer withholds
-	// publication of a tick's results until its records are durable, so
-	// nothing a client can observe is ever lost to a power cut.
-	SyncAlways
 	// SyncNever leaves flushing to the OS: fastest, survives process
 	// crashes (page cache persists) but not power cuts.
 	SyncNever
@@ -47,12 +44,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "tick", "":
 		return SyncTick, nil
-	case "always":
-		return SyncAlways, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, tick, never or interval=<duration>)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want tick, never or interval=<duration>)", s)
 }
 
 // ParseSyncSpec parses the full -fsync flag syntax: the ParseSyncPolicy
@@ -72,8 +67,6 @@ func ParseSyncSpec(s string) (SyncPolicy, time.Duration, error) {
 
 func (p SyncPolicy) String() string {
 	switch p {
-	case SyncAlways:
-		return "always"
 	case SyncNever:
 		return "never"
 	case SyncInterval:
@@ -346,7 +339,7 @@ func (l *Log) append(rec []byte, syncNow bool) error {
 // AppendBatch logs one drained per-tick batch under its sequence number
 // (the timestamp the engine will apply it at). It must be called before
 // the engine steps. Batches are never fsync'd individually: under
-// SyncAlways the tick-boundary fsync in AppendTick covers them
+// SyncTick the tick-boundary fsync in AppendTick covers them
 // (group commit) — a mid-tick power cut losing the batch is
 // indistinguishable from the tick never having happened, because the
 // serving layer does not publish results before the tick is durable.
@@ -363,14 +356,13 @@ func (l *Log) AppendBatch(seq uint64, u core.Updates) error {
 
 // AppendTick logs the post-step epoch/timestamp and result-snapshot CRC,
 // marking the preceding batch fully applied. snapCRC 0 disables replay
-// verification for this tick. Under SyncAlways and SyncTick its fsync is
-// the group-commit point covering every batch appended since the last
+// verification for this tick. Under SyncTick its fsync is the
+// group-commit point covering every batch appended since the last
 // tick.
 func (l *Log) AppendTick(epoch, stamp uint64, snapCRC uint32) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	syncNow := l.opts.Sync == SyncTick || l.opts.Sync == SyncAlways
-	if err := l.append(encodeTick(epoch, stamp, snapCRC), syncNow); err != nil {
+	if err := l.append(encodeTick(epoch, stamp, snapCRC), l.opts.Sync == SyncTick); err != nil {
 		return err
 	}
 	l.notifyAppend()
@@ -384,7 +376,7 @@ func (l *Log) AppendPending(u core.Updates) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Under SyncInterval the clean-shutdown Close fsync covers the record.
-	return l.append(encodePending(u), l.opts.Sync == SyncTick || l.opts.Sync == SyncAlways)
+	return l.append(encodePending(u), l.opts.Sync == SyncTick)
 }
 
 // WriteCheckpoint atomically persists c as a checkpoint sidecar, rotates

@@ -55,7 +55,7 @@ func noSleep(opts Options) Options {
 
 func TestLogRoundTrip(t *testing.T) {
 	fs := NewMemFS()
-	l, rec, err := Open(fs, noSleep(Options{Sync: SyncAlways}))
+	l, rec, err := Open(fs, noSleep(Options{Sync: SyncTick}))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -416,44 +416,27 @@ func TestLogCrashDuringCheckpointLeavesOldOne(t *testing.T) {
 
 func TestLogPowerCutRespectsFsyncPolicy(t *testing.T) {
 	mem := NewMemFS()
-	l, _, err := Open(mem, noSleep(Options{Sync: SyncAlways}))
+	l, _, err := Open(mem, noSleep(Options{Sync: SyncTick}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.AppendBatch(1, testUpdates(1))
 	l.AppendTick(1, 1, 0) // group-commit point: one fsync covers batch 1 + tick
 	l.AppendBatch(2, testUpdates(2))
-	// Power cut: only fsync'd bytes survive. With SyncAlways group commit
-	// that is everything up to the last tick; the un-ticked batch 2 may be
-	// lost — indistinguishable from its tick never happening, since the
-	// serving layer withholds publication until the tick is durable.
+	// Power cut: only fsync'd bytes survive, which is everything up to the
+	// last tick; the un-ticked batch 2 may be lost — indistinguishable from
+	// its tick never happening, since the serving layer withholds
+	// publication until the tick is durable.
 	cut := mem.CrashClone(true)
 	_, rec, err := Open(cut, noSleep(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Batches) != 1 || rec.Batches[0].Seq != 1 || rec.Batches[0].Tick == nil {
-		t.Fatalf("SyncAlways power cut should keep exactly the ticked batch, got %+v", rec.Batches)
-	}
-
-	mem2 := NewMemFS()
-	l2, _, err := Open(mem2, noSleep(Options{Sync: SyncTick}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.AppendBatch(1, testUpdates(1))
-	l2.AppendTick(1, 1, 0) // tick fsyncs under SyncTick
-	l2.AppendBatch(2, testUpdates(2))
-	cut2 := mem2.CrashClone(true)
-	_, rec, err = Open(cut2, noSleep(Options{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Batches) != 1 || rec.Batches[0].Seq != 1 {
 		t.Fatalf("SyncTick power cut should keep exactly the ticked batch, got %+v", rec.Batches)
 	}
 	// A plain process kill keeps everything regardless of policy.
-	kill := mem2.CrashClone(false)
+	kill := mem.CrashClone(false)
 	_, rec, err = Open(kill, noSleep(Options{}))
 	if err != nil {
 		t.Fatal(err)
@@ -464,19 +447,21 @@ func TestLogPowerCutRespectsFsyncPolicy(t *testing.T) {
 }
 
 func TestParseSyncPolicy(t *testing.T) {
-	for in, want := range map[string]SyncPolicy{"always": SyncAlways, "tick": SyncTick, "": SyncTick, "never": SyncNever} {
+	for in, want := range map[string]SyncPolicy{"tick": SyncTick, "": SyncTick, "never": SyncNever} {
 		got, err := ParseSyncPolicy(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseSyncPolicy("bogus"); err == nil {
-		t.Fatal("bogus policy accepted")
+	for _, bad := range []string{"always", "bogus"} {
+		if _, err := ParseSyncPolicy(bad); err == nil {
+			t.Fatalf("policy %q accepted", bad)
+		}
 	}
 }
 
 func TestParseSyncSpec(t *testing.T) {
-	for in, want := range map[string]SyncPolicy{"always": SyncAlways, "tick": SyncTick, "": SyncTick, "never": SyncNever} {
+	for in, want := range map[string]SyncPolicy{"tick": SyncTick, "": SyncTick, "never": SyncNever} {
 		pol, every, err := ParseSyncSpec(in)
 		if err != nil || pol != want || every != 0 {
 			t.Fatalf("ParseSyncSpec(%q) = %v, %v, %v", in, pol, every, err)
@@ -486,7 +471,7 @@ func TestParseSyncSpec(t *testing.T) {
 	if err != nil || pol != SyncInterval || every != 5*time.Millisecond {
 		t.Fatalf("ParseSyncSpec(interval=5ms) = %v, %v, %v", pol, every, err)
 	}
-	for _, bad := range []string{"interval=", "interval=0", "interval=-3ms", "interval=fast", "bogus"} {
+	for _, bad := range []string{"interval=", "interval=0", "interval=-3ms", "interval=fast", "always", "bogus"} {
 		if _, _, err := ParseSyncSpec(bad); err == nil {
 			t.Fatalf("ParseSyncSpec(%q) accepted", bad)
 		}

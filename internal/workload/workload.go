@@ -74,9 +74,6 @@ type Config struct {
 	// Workers is the engine worker-pool size for the run (0 = GOMAXPROCS,
 	// 1 = serial); it parameterizes the scalability sweeps.
 	Workers int
-	// Serving enables the engine's epoch-versioned snapshot read path for
-	// the run.
-	Serving bool
 }
 
 // Default returns the paper's default setting (Table 2).
