@@ -36,7 +36,7 @@ type lockstepWorld struct {
 	last    Updates // the latest batch, for verify's report
 	// topoChurn makes every step open or close a road as well, both at once
 	// on every 5th (the opening reuses the closed road's id), and reports a
-	// weight on the road closed by every 3rd.
+	// weight on the road closed by every 3rd (on every 15th, the reopened one).
 	topoChurn bool
 	// churn makes every step insert an object and report one edge twice,
 	// installs a query every 5th step and ends one every 7th.
@@ -237,10 +237,14 @@ func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 	if w.churn && len(u.Edges) > 0 { // a second report on one edge: the last one holds
 		w.reweigh(&u, u.Edges[w.rng.Intn(len(u.Edges))].Edge)
 	}
-	if w.topoChurn && ts%3 == 0 && len(u.Topology) > 0 && u.Topology[0].Op == TopoRemove && !w.world.G.EdgeAlive(u.Topology[0].Edge) {
-		// A report on the road this batch closes (and does not reopen under
-		// the same id), which every engine drops.
-		u.Edges = append(u.Edges, EdgeUpdate{Edge: u.Topology[0].Edge, NewW: graph.MaxWeight})
+	if w.topoChurn && ts%3 == 0 && len(u.Topology) > 0 && u.Topology[0].Op == TopoRemove {
+		// A report on the road this batch closes: every engine drops it,
+		// unless the batch reopened the id, whose new road it reweighs.
+		eid, nw := u.Topology[0].Edge, 2*w.world.AvgEdgeLength()
+		u.Edges = append(u.Edges, EdgeUpdate{Edge: eid, NewW: nw})
+		if w.world.G.EdgeAlive(eid) {
+			w.world.G.SetWeight(eid, nw)
+		}
 	}
 	w.last = u
 	return u
