@@ -124,6 +124,8 @@ func checkDeltaStep(t *testing.T, eng Engine, prev *Snapshot, ts int) *Snapshot 
 		t.Fatalf("ts %d: delta-reconstructed snapshot differs from published epoch %d\ndelta: %+v",
 			ts, snap.Epoch(), d.Queries)
 	}
+	checkEncodedLen(t, "published", snap)
+	checkEncodedLen(t, "delta-applied", got)
 	// A delta codec round trip must reproduce the delta and still apply.
 	enc := d.AppendBinary(nil)
 	dec, err := UnmarshalDelta(enc)

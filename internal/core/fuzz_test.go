@@ -46,6 +46,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		if got := s.AppendBinary(nil); !bytes.Equal(got, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(got))
 		}
+		checkEncodedLen(t, "decoded", s)
 	})
 }
 

@@ -46,6 +46,16 @@ func (s *Snapshot) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
+// EncodedLen returns len(s.AppendBinary(nil)) without encoding: what the
+// snapshot weighs on the wire, and what a resync from it costs.
+func (s *Snapshot) EncodedLen() int {
+	n := 20 // epoch, stamp, query count
+	for _, row := range s.res {
+		n += 8 + 12*len(row)
+	}
+	return n
+}
+
 // MarshalBinary returns the snapshot's canonical encoding.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	return s.AppendBinary(nil), nil

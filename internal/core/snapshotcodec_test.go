@@ -48,6 +48,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, reenc) {
 		t.Fatal("re-encoding a decoded snapshot changed the bytes")
 	}
+	checkEncodedLen(t, "published", snap)
+	checkEncodedLen(t, "decoded", dec)
 
 	// The encoding is deterministic and content-sensitive.
 	enc2, _ := e.Snapshot().AppendBinary(nil), error(nil)
@@ -64,6 +66,16 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	crc2, _ := snap.CRC(make([]byte, 0, 64))
 	if crc1 != crc2 {
 		t.Fatalf("CRC depends on the scratch buffer: %08x vs %08x", crc1, crc2)
+	}
+}
+
+// checkEncodedLen fails unless s.EncodedLen() is the length of its encoding.
+// Published snapshots, decoded ones and those Delta.Apply builds each have
+// their own constructor, so each kind is checked where it is made.
+func checkEncodedLen(t *testing.T, kind string, s *Snapshot) {
+	t.Helper()
+	if n, enc := s.EncodedLen(), s.AppendBinary(nil); n != len(enc) {
+		t.Fatalf("%s snapshot at epoch %d: EncodedLen %d, encoding is %d bytes", kind, s.Epoch(), n, len(enc))
 	}
 }
 

@@ -7,18 +7,26 @@ import (
 	"roadknn"
 )
 
+// deltaRing is the most epochs a server's delta ring holds, whatever they
+// weigh.
+const deltaRing = 64
+
 // broker is the one source every read endpoint answers from. It retains
 // what subscribers are sent and nothing else: head, the newest published
 // snapshot (the engine's current one, so the only full result set the
 // serving layer keeps alive), and a ring of the per-epoch Deltas (see
-// core.Snapshot.Delta) of the last ringSize epochs — a resident epoch costs
-// its delta, not a snapshot. A subscriber at epoch E asks for everything
+// core.Snapshot.Delta) of the last epochs — a resident epoch costs its
+// delta, not a snapshot. The ring always holds the newest epoch's delta,
+// and older ones only while the chain's encoded bytes are at most head's
+// and it has a slot for them: a longer chain would be heavier than the
+// resync that replaces it. A subscriber at epoch E asks for everything
 // after E and gets either
 //
 //   - the contiguous delta chain E+1..hi, the churn-proportional bytes to
 //     send, or
-//   - a resync: head, when the cursor has fallen off the ring (slow
-//     consumer), when an epoch in the chain carries no delta (engine without
+//   - a resync: head, when the cursor has fallen off the ring (its chain
+//     would outweigh head, or span more epochs than the ring has slots),
+//     when an epoch in the chain carries no delta (engine without
 //     Options{Deltas: true}, or the post-recovery restore), or when
 //     publication itself jumped epochs (ring reset).
 //
@@ -30,6 +38,7 @@ type broker struct {
 	head *roadknn.Snapshot // the newest published snapshot, at epoch hi
 	// ring[e % len] holds epoch e's delta for lo < e <= hi (nil when the
 	// epoch was published without one): what takes a cursor from e-1 to e.
+	// Every other slot is nil.
 	ring      []*roadknn.Delta
 	lo        uint64        // oldest epoch a cursor can still advance from
 	hi        uint64        // newest published epoch
@@ -39,41 +48,54 @@ type broker struct {
 	// counters for /v1/stats.
 	deltasOut atomic.Int64 // chain epochs handed to subscribers
 	resyncs   atomic.Int64 // cursor advances answered with a full snapshot
-	evicted   atomic.Int64 // subscribers dropped: stalled send or chronic ring lag
+	evicted   atomic.Int64 // subscribers dropped: a stalled send
 }
 
-// newBroker returns a broker holding snap as its only resident epoch.
+// newBroker returns a broker with ringSize delta slots, holding snap as its
+// only resident epoch.
 func newBroker(ringSize int, snap *roadknn.Snapshot) *broker {
 	b := &broker{ring: make([]*roadknn.Delta, max(ringSize, 1)), notify: make(chan struct{})}
 	b.reset(snap)
 	return b
 }
 
-// publish makes snap available to subscribers: its delta takes the ring
-// slot of the epoch that falls out of reach, and snap replaces head. Epochs
-// must arrive in order; a gap restarts the ring at snap, forcing every
-// parked cursor through a resync — correct, never silent divergence.
+// publish makes snap available to subscribers: its delta joins the ring,
+// snap replaces head, and the oldest deltas leave the ring until it fits
+// its bounds. Epochs must arrive in order; a gap restarts the ring at snap,
+// forcing every parked cursor through a resync — correct, never silent
+// divergence.
 func (b *broker) publish(snap *roadknn.Snapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, n := snap.Epoch(), uint64(len(b.ring))
-	switch {
+	switch e := snap.Epoch(); {
 	case e == b.hi:
 		return // duplicate publish of the current epoch: keep the ring
 	case e != b.hi+1:
 		b.restart(snap)
 		return
-	case e-b.lo > n:
-		b.lo = e - n
 	}
-	if old := b.ring[e%n]; old != nil { // epoch e-n, just fallen below lo
-		b.ringBytes -= old.EncodedLen()
+	n := uint64(len(b.ring))
+	if b.hi++; b.hi-b.lo > n {
+		b.drop() // epoch hi-n, whose slot the new delta takes
 	}
 	d := snap.Delta()
 	if d != nil {
 		b.ringBytes += d.EncodedLen()
 	}
-	b.ring[e%n], b.head, b.hi = d, snap, e
+	b.ring[b.hi%n], b.head = d, snap
+	for limit := snap.EncodedLen(); b.hi-b.lo > 1 && b.ringBytes > limit; {
+		b.drop()
+	}
+}
+
+// drop (mu held) takes the oldest resident epoch's delta off the ring.
+func (b *broker) drop() {
+	b.lo++
+	slot := &b.ring[b.lo%uint64(len(b.ring))]
+	if *slot != nil {
+		b.ringBytes -= (*slot).EncodedLen()
+		*slot = nil
+	}
 }
 
 // reset makes snap the only resident epoch (used after WAL recovery and
@@ -106,12 +128,13 @@ func (b *broker) newest() *roadknn.Snapshot {
 	return b.head
 }
 
-// weight returns how many epochs' deltas the ring holds and the sum of
-// their encoded sizes — what retention costs, for /v1/stats.
-func (b *broker) weight() (epochs uint64, bytes int) {
+// weight returns head, how many epochs' deltas the ring holds and the sum
+// of their encoded sizes — what retention costs, for /v1/stats — read
+// together, so the ring is reported against the head that bounds it.
+func (b *broker) weight() (head *roadknn.Snapshot, epochs uint64, bytes int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.hi - b.lo, b.ringBytes
+	return b.head, b.hi - b.lo, b.ringBytes
 }
 
 // collect advances a cursor at epoch since. head is always the newest

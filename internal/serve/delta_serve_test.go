@@ -18,13 +18,14 @@ import (
 	"roadknn"
 )
 
-// newDeltaTestServer builds a server whose engine emits per-epoch deltas,
-// with a deliberately tiny broker ring so the resync path is reachable.
-func newDeltaTestServer(t *testing.T, ring int) (*Server, *httptest.Server) {
+// newDeltaTestServer builds a server whose engine emits per-epoch deltas.
+// Its result sets are small, so a few epochs of churn outweigh the snapshot
+// and a lagging cursor reaches the resync path.
+func newDeltaTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	net := roadknn.GenerateNetwork(300, 7)
 	eng := roadknn.NewIMAWith(net, roadknn.Options{Workers: 2, Serving: true, Deltas: true})
-	s := New(eng, Config{DeltaRing: ring}) // manual ticks
+	s := New(eng, Config{}) // manual ticks
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -75,11 +76,11 @@ func (c *deltaCursor) advance(t *testing.T, s *Server, oracle map[uint64][]byte)
 // TestDeltaOracle is the end-to-end correctness property of the delta
 // protocol: over 60 timestamps of churn — ingested through all three wire
 // encodings — every subscriber cadence reconstructs the exact published
-// snapshot at every epoch it visits. The laggiest cursor falls off the
-// 4-slot ring and must recover via resync, not diverge.
+// snapshot at every epoch it visits. The laggiest cursor's nine deltas
+// outweigh the snapshot, so it falls off the ring and must recover via
+// resync, not diverge.
 func TestDeltaOracle(t *testing.T) {
-	const ring = 4
-	s, hs := newDeltaTestServer(t, ring)
+	s, hs := newDeltaTestServer(t)
 	rng := rand.New(rand.NewSource(42))
 	// Reports stay on edges < 340 so the topology churn below can cycle
 	// edge 349 without ever colliding with a pending report on it.
@@ -93,7 +94,7 @@ func TestDeltaOracle(t *testing.T) {
 	cursors := []*deltaCursor{
 		{name: "every-tick", snap: base},
 		{name: "every-3", snap: base},
-		{name: "every-9", snap: base}, // lag 9 > ring 4: must hit resyncs
+		{name: "every-9", snap: base}, // nine epochs of churn outweigh head: must hit resyncs
 	}
 
 	const nObj = 40
@@ -207,8 +208,8 @@ func TestDeltaOracle(t *testing.T) {
 			cursors[0].deltas, cursors[0].resyncs)
 	}
 	if cursors[2].resyncs == 0 {
-		t.Errorf("every-9 cursor never fell off the %d-slot ring: %d deltas, %d resyncs",
-			ring, cursors[2].deltas, cursors[2].resyncs)
+		t.Errorf("every-9 cursor never fell off the ring: %d deltas, %d resyncs",
+			cursors[2].deltas, cursors[2].resyncs)
 	}
 }
 
@@ -217,7 +218,7 @@ func TestDeltaOracle(t *testing.T) {
 // holding a future epoch (which must time out with the true newest epoch,
 // not hang or resync).
 func TestDeltaLongPoll(t *testing.T) {
-	s, hs := newDeltaTestServer(t, 8)
+	s, hs := newDeltaTestServer(t)
 
 	// Bootstrap: resync of the current snapshot.
 	status, boot := get(t, hs.URL+"/v1/delta")
@@ -310,7 +311,7 @@ func sseEvents(ctx context.Context, t *testing.T, url string, limit int) []strin
 // off the stream before the first Tick, so the subscriber is known to be
 // attached at the pre-tick epoch however the goroutines are scheduled.
 func TestDeltaStreamSSE(t *testing.T) {
-	s, hs := newDeltaTestServer(t, 8)
+	s, hs := newDeltaTestServer(t)
 	resp, err := http.Get(hs.URL + "/v1/deltas")
 	if err != nil {
 		t.Fatalf("deltas: %v", err)
@@ -339,10 +340,11 @@ func TestDeltaStreamSSE(t *testing.T) {
 // tick that touches the query: a subscriber that keeps up gets one event per
 // epoch (one that lags gets them folded, see TestStreamRowsLaggingCursor).
 func TestStreamRowsDeltaAware(t *testing.T) {
-	s, hs := newDeltaTestServer(t, 8)
+	s, hs := newDeltaTestServer(t)
+	objs, qrys := ballast(5) // epochs B and C fit the ring, if the stream folds them
 	post(t, hs.URL+"/v1/updates", `{
-		"objects":[{"id":1,"edge":0,"frac":0.5},{"id":2,"edge":200,"frac":0.5}],
-		"queries":[{"id":3,"k":1,"edge":0,"frac":0.2},{"id":5,"k":1,"edge":200,"frac":0.2}]
+		"objects":[{"id":1,"edge":0,"frac":0.5},{"id":2,"edge":200,"frac":0.5}`+objs+`],
+		"queries":[{"id":3,"k":1,"edge":0,"frac":0.2},{"id":5,"k":1,"edge":200,"frac":0.2}`+qrys+`]
 	}`)
 	s.Tick()
 
@@ -403,6 +405,19 @@ func TestStreamRowsDeltaAware(t *testing.T) {
 	}
 }
 
+// ballast returns the JSON array elements, each with a leading comma, of n
+// k=2 queries (ids 20..) on edges 30, 35, ... with two objects (ids 100..)
+// of their own at their position. Their rows never change, so they add to a
+// snapshot's bytes and nothing to its deltas: a ring of a few epochs fits.
+func ballast(n int) (objs, qrys string) {
+	for i := 0; i < n; i++ {
+		edge := 30 + 5*i
+		objs += fmt.Sprintf(`,{"id":%d,"edge":%d,"frac":0.5},{"id":%d,"edge":%d,"frac":0.5}`, 100+2*i, edge, 101+2*i, edge)
+		qrys += fmt.Sprintf(`,{"id":%d,"k":2,"edge":%d,"frac":0.5}`, 20+i, edge)
+	}
+	return objs, qrys
+}
+
 // deltaTouches reports whether snap's own delta names query id.
 func deltaTouches(snap *roadknn.Snapshot, id roadknn.QueryID) bool {
 	for _, qd := range snap.Delta().Queries {
@@ -420,21 +435,25 @@ func deltaTouches(snap *roadknn.Snapshot, id roadknn.QueryID) bool {
 // published before the subscriber's first read: A (10) changes at E+1 and
 // E+3, B (11) changes at E+1 and is ended at E+2, C (12) is ended at E+1 and
 // re-installed at E+3, D (13) changes only at E+2 and is not subscribed.
-// Serving an intermediate epoch's rows from anywhere but head — empty,
-// stale, or the delta's own entries — fails the replay against
-// /v1/snapshot.
+// Ten ballast queries make the snapshot outweigh the three deltas, so the
+// chain is resident. Serving an intermediate epoch's rows
+// from anywhere but head — empty, stale, or the delta's own entries — fails
+// the replay against /v1/snapshot. A cursor one epoch further back, whose
+// chain starts with the registration of every query, outweighs the
+// snapshot and is resynced instead.
 func TestStreamRowsLaggingCursor(t *testing.T) {
-	s, hs := newDeltaTestServer(t, 8)
+	s, hs := newDeltaTestServer(t)
 	const subscribed = "queries=10,11,12"
 	// Two objects under every k=2 query, so a row is more than one entry
 	// and one moved object is less than the row.
+	objs, qrys := ballast(10)
 	post(t, hs.URL+"/v1/updates", `{
 		"objects":[{"id":1,"edge":0,"frac":0.5},{"id":5,"edge":0,"frac":0.7},
 			{"id":2,"edge":100,"frac":0.5},{"id":6,"edge":100,"frac":0.7},
 			{"id":3,"edge":200,"frac":0.5},{"id":7,"edge":200,"frac":0.7},
-			{"id":4,"edge":280,"frac":0.5},{"id":8,"edge":280,"frac":0.7}],
+			{"id":4,"edge":280,"frac":0.5},{"id":8,"edge":280,"frac":0.7}`+objs+`],
 		"queries":[{"id":10,"k":2,"edge":0,"frac":0.2},{"id":11,"k":2,"edge":100,"frac":0.2},
-			{"id":12,"k":2,"edge":200,"frac":0.2},{"id":13,"k":2,"edge":280,"frac":0.2}]
+			{"id":12,"k":2,"edge":200,"frac":0.2},{"id":13,"k":2,"edge":280,"frac":0.2}`+qrys+`]
 	}`)
 	base := s.Tick()
 	_, view := get(t, hs.URL+"/v1/snapshot?"+subscribed) // the client's epoch-E view
@@ -463,6 +482,12 @@ func TestStreamRowsLaggingCursor(t *testing.T) {
 		[]roadknn.QueryID{10, 12}, []roadknn.QueryID{11, 13})
 	if head.Epoch() != base.Epoch()+3 {
 		t.Fatalf("three ticks took epoch %d to %d", base.Epoch(), head.Epoch())
+	}
+	if _, epochs, bytes := s.broker.weight(); epochs != 3 || bytes > head.EncodedLen() {
+		t.Fatalf("test premise broken: the ring holds %d epochs of %d bytes, head weighs %d", epochs, bytes, head.EncodedLen())
+	}
+	if ev := nextStreamEvent(t, readStream(t, openStream(t, hs.URL+fmt.Sprintf("/v1/stream?since=%d", base.Epoch()-1), ""))); ev.name != "resync" {
+		t.Fatalf("a cursor whose chain outweighs the snapshot got %q, want resync", ev.name)
 	}
 
 	resp, err := http.Get(hs.URL + fmt.Sprintf("/v1/stream?since=%d&%s", base.Epoch(), subscribed))
@@ -520,7 +545,7 @@ func TestStreamRowsLaggingCursor(t *testing.T) {
 // release the handler — streams_active (surfaced in /v1/stats) drains back
 // to zero, proving no goroutine is parked forever on a dead connection.
 func TestDeltaStreamDisconnect(t *testing.T) {
-	s, hs := newDeltaTestServer(t, 8)
+	s, hs := newDeltaTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -557,7 +582,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // unwound (streams_active back to zero) and the broker's counters must
 // show both delivery paths were exercised.
 func TestDeltaBrokerChurn(t *testing.T) {
-	s, hs := newDeltaTestServer(t, 4)
+	s, hs := newDeltaTestServer(t)
 	subscribers := 200
 	if testing.Short() {
 		subscribers = 40
@@ -613,7 +638,7 @@ func TestDeltaBrokerChurn(t *testing.T) {
 		t.Error("no deltas were delivered during the churn")
 	}
 	if rs := s.broker.resyncs.Load(); rs == 0 {
-		t.Error("no subscriber was resynced during the churn (ring is 4, cursors were stale)")
+		t.Error("no subscriber was resynced during the churn (cursors were stale)")
 	}
 }
 

@@ -31,14 +31,12 @@ func (qs querySet) has(id roadknn.QueryID) bool {
 }
 
 // subscription is one reader's cursor over the broker: the epoch it has
-// been brought to, the queries it wants, and how many times in a row it
-// had to be resynced because it lagged off the delta ring.
+// been brought to and the queries it wants.
 type subscription struct {
-	s       *Server
-	since   uint64
-	boot    bool // no cursor yet: the first advance re-seeds it from the newest snapshot
-	only    querySet
-	strikes int
+	s     *Server
+	since uint64
+	boot  bool // no cursor yet: the first advance re-seeds it from the newest snapshot
+	only  querySet
 }
 
 // advance is what one step of a subscription yields, exactly one of: a
@@ -58,9 +56,11 @@ type advance struct {
 // on the broker, never on the engine: the stepper publishes an epoch to
 // the broker only once the durability policy allows clients to see it
 // (under wal.SyncTick, after its tick record is fsynced), while the
-// engine's own snapshot flips at Step. A wait cut short — timeout, client
-// gone, server closing — yields a heartbeat; the caller tells the three
-// apart.
+// engine's own snapshot flips at Step. A cursor the broker cannot serve a
+// chain — fallen off the delta ring, or behind an epoch without a delta —
+// is resynced, however often that happens in a row. A wait cut short —
+// timeout, client gone, server closing — yields a heartbeat; the caller
+// tells the three apart.
 func (sub *subscription) next(ctx context.Context, wait time.Duration) advance {
 	b := sub.s.broker
 	if sub.boot {
@@ -75,18 +75,7 @@ func (sub *subscription) next(ctx context.Context, wait time.Duration) advance {
 		chain, head, notify := b.collect(sub.since)
 		if notify == nil {
 			sub.since = head.Epoch()
-			if chain != nil {
-				sub.strikes = 0
-				return advance{chain: chain, head: head}
-			}
-			// A delta-emitting engine resyncing a connected subscriber over
-			// and over is a consumer lagging off the DeltaRing. An engine
-			// that never attaches deltas resyncs every epoch by design (the
-			// full-resend fallback), which is not lag.
-			if head.Delta() != nil {
-				sub.strikes++
-			}
-			return advance{resync: true, head: head}
+			return advance{chain: chain, resync: chain == nil, head: head}
 		}
 		select {
 		case <-notify:
@@ -252,10 +241,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // with a resync, so the client has a base to advance from; a resync also
 // re-seeds it whenever its cursor cannot advance incrementally. There is
 // one eviction rule: a subscriber is dropped (and counted in
-// delta.evicted) when it cannot absorb one write within DeltaSendTimeout,
-// or when it needs MaxResyncStrikes ring-lag resyncs in a row — it cannot
-// keep up, and pushing ever-larger full snapshots at it only makes it lag
-// harder. Reconnecting starts a fresh count.
+// delta.evicted) when it cannot absorb one write within DeltaSendTimeout
+// (see send). Lagging off the delta ring is not a reason: the ring lets a
+// delta go only once the chain through it would outweigh head, so the
+// resync a lagging subscriber gets weighs no more than the chain it
+// replaces (short of deltaRing epochs of lag).
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, enc streamEncoding) {
 	if _, ok := w.(http.Flusher); !ok {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
@@ -282,10 +272,6 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, enc streamEncodi
 		case <-s.stopc: // server closing: end the stream
 			return
 		default:
-		}
-		if sub.strikes >= s.cfg.MaxResyncStrikes {
-			s.broker.evicted.Add(1)
-			return
 		}
 		// A fresh buffer per advance: one reused across them would pin the
 		// size of the largest resync for the life of every stream.

@@ -27,9 +27,10 @@
 //
 // Read endpoints (read.go) — each is one transport times one encoder over
 // the same subscription, and all answer from the same source, the broker's
-// newest published snapshot and its ring of the last Config.DeltaRing
-// epochs' deltas (what subscribers are sent is what is retained; no older
-// snapshot is kept alive):
+// newest published snapshot and its ring of the last epochs' deltas: the
+// newest one, plus older ones while all of them weigh no more than that
+// snapshot, up to 64 epochs (what subscribers are sent is what is
+// retained; no older snapshot is kept alive):
 //
 //	route          transport  encoder
 //	/v1/snapshot   long-poll  rows JSON: the full result set
@@ -48,9 +49,9 @@
 // listed query ids. Accept: application/x-roadknn-delta negotiates the
 // binary encoder (deltawire.go). A long-poll waits until something newer
 // than the cursor is published and answers once: the snapshot, or the
-// delta chain E+1..newest, or a resync when that chain is not
-// reconstructible; when the wait runs out it answers with the newest epoch
-// and nothing else. (Deltas need an engine built with Options{Deltas:
+// delta chain E+1..newest, or a resync when the ring no longer holds that
+// chain; when the wait runs out it answers with the newest epoch and
+// nothing else. (Deltas need an engine built with Options{Deltas:
 // true}; without it the delta and stream routes still work but answer
 // every advance with a resync.) A stream repeats that until the client
 // leaves, with three rules that hold for every encoder:
@@ -58,10 +59,9 @@
 //   - keep-alive: an idle stream gets a heartbeat every Config.MaxWait,
 //     written, like every event, under a fresh DeltaSendTimeout deadline;
 //   - eviction: a subscriber is dropped (delta.evicted in /v1/stats) when
-//     one write misses that deadline, or when it needs MaxResyncStrikes
-//     ring-lag resyncs in a row. Resyncs of an engine built without
-//     Options{Deltas: true} — which has no deltas to send and resyncs at
-//     every epoch by design — are not lag and never count;
+//     one write misses that deadline, and for nothing else. One that lags
+//     off the delta ring is resynced, which, short of 64 epochs of lag,
+//     costs no more bytes than the chain it replaces;
 //   - durability: an epoch reaches the broker, and with it any reader, only
 //     when the WAL policy allows (under wal.SyncTick, after its tick
 //     record is fsynced), although the engine's own snapshot flips at Step.
@@ -106,24 +106,14 @@ type Config struct {
 	// client can pin with updates that are never ticked. Re-reports of
 	// pending entities, and deletes or ends of unknown ids, add nothing.
 	MaxPending int
-	// DeltaRing is how many epochs a subscriber's cursor may lag before it
-	// is resynchronized from the full snapshot instead of replaying deltas
-	// (default 64). The broker retains that many epochs' deltas — what
-	// /v1/stats reports as delta.ring_bytes — and no snapshot but the
-	// newest.
-	DeltaRing int
-
-	// DeltaSendTimeout bounds one write to a delta subscriber (default
+	// DeltaSendTimeout bounds one write to a stream subscriber (default
 	// 10s). A stalled SSE or binary-stream client that cannot absorb a
 	// frame within the deadline is evicted (connection closed, counted in
 	// /v1/stats delta.evicted) instead of pinning a handler goroutine, and
-	// the advance it was being sent, indefinitely.
+	// the advance it was being sent, indefinitely. It is the one eviction
+	// rule: a subscriber that lags off the delta ring is resynced from the
+	// newest snapshot and stays connected.
 	DeltaSendTimeout time.Duration
-	// MaxResyncStrikes evicts a connected delta subscriber that needs a
-	// ring-lag resync this many consecutive times (default 3): a client
-	// that repeatedly falls off the DeltaRing cannot keep up, and pushing
-	// ever-larger full snapshots at it only makes it lag harder.
-	MaxResyncStrikes int
 
 	// WAL, when set, makes the server durable: every drained batch is
 	// appended to the log before the engine steps, the pending batch is
@@ -220,21 +210,15 @@ func New(eng roadknn.Engine, cfg Config) *Server {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 1 << 20
 	}
-	if cfg.DeltaRing <= 0 {
-		cfg.DeltaRing = 64
-	}
 	if cfg.DeltaSendTimeout <= 0 {
 		cfg.DeltaSendTimeout = 10 * time.Second
-	}
-	if cfg.MaxResyncStrikes <= 0 {
-		cfg.MaxResyncStrikes = 3
 	}
 	s := &Server{
 		eng:      eng,
 		cfg:      cfg,
 		numNodes: eng.Network().G.NumNodes(),
 		batch:    NewBatcher(),
-		broker:   newBroker(cfg.DeltaRing, eng.Snapshot()),
+		broker:   newBroker(deltaRing, eng.Snapshot()),
 		stopc:    make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -610,8 +594,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Like every read route, stats answers from the broker: the engine's own
 	// snapshot flips at Step, before the durability policy lets it out.
-	snap := s.broker.newest()
-	ringEpochs, ringBytes := s.broker.weight()
+	snap, ringEpochs, ringBytes := s.broker.weight()
 	steps := s.steps.Load()
 	var avgMs float64
 	if steps > 0 {
@@ -637,15 +620,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"reads":          s.reads.Load(),
 		"streams_active": s.streamsActive.Load(),
 		"delta": map[string]any{
-			"ring": s.cfg.DeltaRing,
+			"ring": deltaRing,
 			// What retention costs right now: the epochs whose deltas are
-			// resident and the sum of their encoded sizes.
-			"ring_epochs": ringEpochs,
-			"ring_bytes":  ringBytes,
-			"epoch":       snap.Epoch(),
-			"deltas_out":  s.broker.deltasOut.Load(),
-			"resyncs":     s.broker.resyncs.Load(),
-			"evicted":     s.broker.evicted.Load(),
+			// resident and the sum of their encoded sizes, which exceeds
+			// snapshot_bytes (head's encoded size) only when the ring holds
+			// the newest epoch alone.
+			"ring_epochs":    ringEpochs,
+			"ring_bytes":     ringBytes,
+			"snapshot_bytes": snap.EncodedLen(),
+			"epoch":          snap.Epoch(),
+			"deltas_out":     s.broker.deltasOut.Load(),
+			"resyncs":        s.broker.resyncs.Load(),
+			"evicted":        s.broker.evicted.Load(),
 		},
 	}
 	if sp, ok := s.eng.(planner.StatsProvider); ok {

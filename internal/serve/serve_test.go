@@ -226,8 +226,8 @@ func nextStreamEvent(t *testing.T, events chan streamEvent) streamEvent {
 // TestServeStreamDeliversEpochs covers the delta-less fallback of
 // /v1/stream: an engine without Options{Deltas} has no per-epoch change
 // sets, so the subscriber gets the full (filtered) snapshot as a "resync"
-// event at every epoch — the pre-delta behavior, minus any eviction
-// strikes.
+// event at every epoch — the pre-delta behavior — and is never evicted for
+// it.
 func TestServeStreamDeliversEpochs(t *testing.T) {
 	s, hs := newTestServer(t)
 	post(t, hs.URL+"/v1/updates", `{"objects":[{"id":1,"edge":0,"frac":0.5}],"queries":[{"id":3,"k":1,"edge":0,"frac":0.2}]}`)

@@ -189,7 +189,7 @@ func TestServeTopologyEncodingEquivalence(t *testing.T) {
 // its cursor still advances past the filtered epochs, and a bad filter is
 // a 400.
 func TestServeDeltaQueryFilter(t *testing.T) {
-	s, hs := newDeltaTestServer(t, 8)
+	s, hs := newDeltaTestServer(t)
 
 	// Two queries on far-apart edges, each with a dedicated object.
 	post(t, hs.URL+"/v1/updates", `{
