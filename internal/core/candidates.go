@@ -30,13 +30,13 @@ func (e *candEntry) before(d float64, obj roadnet.ObjectID) bool {
 }
 
 // candStore is the one candidate store behind direct monitors, node
-// monitors, grouped-query evaluation and OVH. It de-duplicates by object id
-// keeping the minimum distance per object (paper §4.1: an object may be
-// reached from both endpoints of a non-tree edge) and holds its entries in
-// ascending (dist, obj) order at all times: kth() — the expansion's moving
-// stop bound q.kNN_dist, consulted after every offer and every heap pop —
-// is a read of rank k, and finalize rewrites the result only from the first
-// rank that changed.
+// monitors, grouped-query evaluation (one per worker arena) and OVH. It
+// de-duplicates by object id keeping the minimum distance per object (paper
+// §4.1: an object may be reached from both endpoints of a non-tree edge)
+// and holds its entries in ascending (dist, obj) order at all times: kth()
+// — the expansion's moving stop bound q.kNN_dist, consulted after every
+// offer and every heap pop — is a read of rank k, and finalize rewrites the
+// result only from the first rank that changed.
 //
 // Beyond the k-th the store keeps a reserve: what an expansion scanned
 // farther out is retained instead of rejected, up to reserveCap(k) entries.

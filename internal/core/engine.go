@@ -292,15 +292,20 @@ func (e *Incremental) Advance(u Updates) {
 	if e.grp != nil {
 		e.grp.reevaluate(changed, u)
 	}
+	// Neither reused buffer may keep a monitor released later reachable.
+	clear(moves)
+	clear(changed)
 	for _, qu := range direct {
 		e.qt.insert(queryRow{id: qu.ID, mon: e.set.register(int32(qu.ID), qu.New, qu.K, false)})
 	}
 }
 
 // Commit closes the timestamp opened by Advance: it counts the tick and
-// publishes. A grouped layer left without queries is dropped here.
+// publishes. A grouped layer left without queries is dropped here, and the
+// monitor pool trimmed to the tick's registrations.
 func (e *Incremental) Commit() {
 	e.dropIdleLayer()
+	e.set.trimFree()
 	e.pub.tick()
 	e.publish()
 }

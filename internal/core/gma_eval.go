@@ -20,26 +20,29 @@ type walkEdge struct {
 // sequence in both directions, scanning edge object lists and merging the
 // NN set of an endpoint active node when it is reached within kNN_dist.
 // The query's reach along the sequence is then re-derived from the final
-// kNN_dist. Nothing but q is written — evaluations of distinct queries run
-// concurrently — and the scratch arena supplies the walk's covered-edge
-// buffer.
+// kNN_dist. Only q and the worker's scratch are written — evaluations of
+// distinct queries run concurrently, each on its own worker's arena — and
+// the scratch supplies the candidate store and the walk's covered-edge
+// buffer: a grouped query keeps nothing of an evaluation but its result.
 func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
-	q.cand.reset(q.k)
+	cand := &sc.cand
+	cand.reset(q.k)
 
 	ownEdge := g.net.G.Edge(q.pos.Edge)
 	for _, oe := range g.net.ObjectsOn(q.pos.Edge) {
-		q.cand.add(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), roadnet.Position{Edge: q.pos.Edge, Frac: oe.Frac})
+		cand.add(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), roadnet.Position{Edge: q.pos.Edge, Frac: oe.Frac})
 	}
 
 	seq := &g.seqs.Seqs[q.seq]
 	covered := sc.covered[:0]
-	q.reachB, q.distB = g.walkDir(q, seq, +1, &covered)
+	q.reachB, q.distB = g.walkDir(q, cand, seq, +1, &covered)
 	nB := len(covered)
-	q.reachA, q.distA = g.walkDir(q, seq, -1, &covered)
+	q.reachA, q.distA = g.walkDir(q, cand, seq, -1, &covered)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
-	q.result, _ = q.cand.finalize()
-	q.kdist = q.cand.kth()
+	res, _ := cand.finalize()
+	q.result = append(q.result[:0], res...)
+	q.kdist = cand.kth()
 
 	at := roadnet.CostFromU(ownEdge, q.pos.Frac)
 	q.ivOwn = qInterval{lo: at - q.kdist, hi: at + q.kdist}
@@ -49,9 +52,9 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 
 // walkDir expands along the sequence from q's edge: dir=+1 walks toward
 // EndB (increasing edge index), dir=-1 toward EndA. It reports whether the
-// endpoint was reached within the moving bound kNN_dist and at what arc
-// distance.
-func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covered *[]walkEdge) (bool, float64) {
+// endpoint was reached within the moving bound kNN_dist (cand's k-th) and
+// at what arc distance.
+func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, seq *roadnet.Sequence, dir int, covered *[]walkEdge) (bool, float64) {
 	idx := int(q.idx)
 
 	var node graph.NodeID
@@ -66,18 +69,18 @@ func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covere
 	d := roadnet.CostFrom(g.net.G.Edge(q.pos.Edge), node, q.pos.Frac)
 
 	for {
-		if !g.naiveEval && d > q.cand.kth() {
+		if !g.naiveEval && d > cand.kth() {
 			return false, math.Inf(1)
 		}
 		atEnd := (dir > 0 && j == len(seq.Edges)) || (dir < 0 && j == -1)
 		if atEnd {
-			g.mergeNodeSet(q, node, d)
+			g.mergeNodeSet(q, cand, node, d)
 			return true, d
 		}
 		eid := seq.Edges[j]
 		ed := g.net.G.Edge(eid)
 		for _, oe := range g.net.ObjectsOn(eid) {
-			q.cand.add(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
+			cand.add(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
 		}
 		*covered = append(*covered, walkEdge{w: ed.W, dEntry: d, fromU: ed.U == node})
 		d += ed.W
@@ -87,9 +90,9 @@ func (g *groupLayer) walkDir(q *gmaQuery, seq *roadnet.Sequence, dir int, covere
 }
 
 // mergeNodeSet folds the NN set of active node n (at arc distance d from
-// the query) into q's candidates. Terminal nodes have no monitored set —
-// nothing lies beyond them.
-func (g *groupLayer) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
+// the query) into q's candidates, cand. Terminal nodes have no monitored
+// set — nothing lies beyond them.
+func (g *groupLayer) mergeNodeSet(q *gmaQuery, cand *candStore, n graph.NodeID, d float64) {
 	if g.net.G.Degree(n) <= 1 {
 		return
 	}
@@ -101,12 +104,12 @@ func (g *groupLayer) mergeNodeSet(q *gmaQuery, n graph.NodeID, d float64) {
 		// The list ascends and the bound only tightens, so from the first
 		// entry beyond kNN_dist on nothing can rank among the k (at an equal
 		// distance a smaller object id still can).
-		if d+nb.Dist > q.cand.kth() {
+		if d+nb.Dist > cand.kth() {
 			break
 		}
 		// The merged object's own position is unknown here and irrelevant:
 		// grouped queries are re-evaluated from scratch, never re-derived.
-		q.cand.add(nb.Obj, d+nb.Dist, roadnet.Position{Edge: q.pos.Edge, Frac: q.pos.Frac})
+		cand.add(nb.Obj, d+nb.Dist, roadnet.Position{Edge: q.pos.Edge, Frac: q.pos.Frac})
 	}
 }
 

@@ -49,12 +49,13 @@ type groupLayer struct {
 // only the result, the sequence, and how far along it the evaluation
 // reached.
 type gmaQuery struct {
-	id   QueryID
-	k    int
-	pos  roadnet.Position
-	seq  roadnet.SeqID
-	cand candStore
+	id  QueryID
+	k   int
+	pos roadnet.Position
+	seq roadnet.SeqID
 
+	// result is the last evaluation's, copied out of the worker's candidate
+	// store into this query's own buffer (rewritten in place).
 	result []Neighbor
 	kdist  float64
 
@@ -374,16 +375,20 @@ func (g *groupLayer) markAt(e graph.EdgeID, f float64, whole bool) {
 	}
 }
 
-// sizeBytes charges the per-query candidates — the result and whatever the
-// last evaluation left in the store beyond it, at monitor.sizeBytes' nominal
-// cost per entry — and reach, the sequence and node lists, plus the static
-// sequence table (paper §5: GMA's extra structure). The active-node trees
-// and influence lists are the monitor set's.
+// neighborSize is one result entry: a Neighbor's padded 16 bytes.
+const neighborSize = 16
+
+// sizeBytes charges each query's result (paper §5: a grouped query keeps
+// its k-NN set and nothing of the search behind it — the candidate store an
+// evaluation runs in is the worker's, transient like the rest of scratch,
+// and not charged) and reach, the sequence and node lists, plus the static
+// sequence table (GMA's extra structure). The active-node trees and
+// influence lists are the monitor set's.
 func (g *groupLayer) sizeBytes() int {
 	n := 0
 	for q := range g.queries {
 		// 64: idx, ext and the three intervals; 8: the seqQ entry.
-		n += q.cand.len()*candEntrySize + 96 + 64 + 8
+		n += len(q.result)*neighborSize + 96 + 64 + 8
 	}
 	for _, qs := range g.nodeQ {
 		n += 24 + len(qs)*8

@@ -41,8 +41,9 @@ func (t *ilTable) remove(e graph.EdgeID, q *monitor) {
 	l := t.byEdge[e]
 	for i, x := range l {
 		if x == q {
-			l[i] = l[len(l)-1]
-			t.byEdge[e] = l[:len(l)-1]
+			last := len(l) - 1
+			l[i], l[last] = l[last], nil // the vacated slot must not pin q
+			t.byEdge[e] = l[:last]
 			return
 		}
 	}

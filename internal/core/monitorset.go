@@ -76,7 +76,11 @@ type monitorSet struct {
 	// free recycles unregistered monitors, trees/candidate sets and all:
 	// the active-node layer churns registrations on every grouped query
 	// move, and a pooled monitor re-expands without a single allocation.
+	// trimFree bounds it, at every tick's close, by the tick's churn (regs,
+	// the registrations since the last trim): what a mode flip releases
+	// beyond that is left to the collector.
 	free []*monitor
+	regs int
 }
 
 func newMonitorSet(net *roadnet.Network, qt *queryTable) *monitorSet {
@@ -110,9 +114,11 @@ func (s *monitorSet) arena(i int) *scratch {
 // monitor: node monitors need it to wake their dependent grouped queries,
 // direct monitors leave it off so no result is copied per timestamp.
 func (s *monitorSet) register(id int32, pos roadnet.Position, k int, track bool) *monitor {
+	s.regs++
 	var m *monitor
 	if n := len(s.free); n > 0 {
 		m = s.free[n-1]
+		s.free[n-1] = nil // trimFree only clears what is left in the pool
 		s.free = s.free[:n-1]
 		m.reset(id, pos, k)
 	} else {
@@ -122,6 +128,16 @@ func (s *monitorSet) register(id int32, pos roadnet.Position, k int, track bool)
 	s.list = append(s.list, m)
 	m.computeInitial(s.arena(0))
 	return m
+}
+
+// trimFree closes a tick on the pool: it keeps at most as many monitors as
+// were registered since the last trim, and drops the rest.
+func (s *monitorSet) trimFree() {
+	if len(s.free) > s.regs {
+		clear(s.free[s.regs:])
+		s.free = s.free[:s.regs]
+	}
+	s.regs = 0
 }
 
 // rebuildAll discards every monitor's incremental state — expansion
@@ -248,6 +264,12 @@ func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []query
 	s.route(objs, edges, moves)
 	changed := s.finish()
 	s.topoMarks, s.topoMoves = s.topoMarks[:0], s.topoMoves[:0]
+	// The reused buffers must not keep a monitor the next tick releases
+	// reachable.
+	for i := range s.works {
+		s.works[i].m = nil
+	}
+	clear(s.pendingMoves)
 	return changed
 }
 

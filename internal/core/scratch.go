@@ -42,7 +42,11 @@ type scratch struct {
 	// stack is the parent-chain walk buffer of computeSubtree.
 	stack []graph.NodeID
 
-	// covered is the sequence-walk buffer of grouped-query evaluations.
+	// cand is the candidate store of grouped-query evaluations, and covered
+	// their sequence-walk buffer: an evaluation runs from scratch, so the
+	// store is the worker's, reset by each, and the query keeps only a copy
+	// of the result.
+	cand    candStore
 	covered []walkEdge
 
 	// stats counts the work done with this arena (see StepStats): plain
