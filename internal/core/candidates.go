@@ -82,9 +82,19 @@ const candMinTable = 16
 // for k from 10 to 200), hence the constant part.
 func reserveCap(k int) int { return k + k/4 + 12 }
 
-// reset clears the store, retaining capacity, and re-targets it to k. The
-// previous result stays readable for finalize's change report.
+// reset clears the store and re-targets it to k, retaining capacity unless
+// it exceeds reserveCap(k). The previous result stays readable for
+// finalize's change report.
 func (c *candStore) reset(k int) {
+	if cap(c.ents) > reserveCap(k) {
+		c.ents = nil // sized for a larger k
+	}
+	c.reuse(k)
+}
+
+// reuse is reset retaining capacity whatever k: a worker's store serves
+// grouped queries of every k in turn, so it keeps room for the largest.
+func (c *candStore) reuse(k int) {
 	c.k = k
 	c.ents = c.ents[:0]
 	c.cover = math.Inf(1)
@@ -171,8 +181,11 @@ func (c *candStore) rank(d float64, obj roadnet.ObjectID) int {
 
 // insert places a new object by binary insertion. A store at capacity keeps
 // the reserveCap smallest: whichever entry falls off the end lowers cover.
+// The entries grow by doubling from 16 but never past reserveCap(k), the
+// most they can hold; a store is not sized up front, since k may be huge.
 func (c *candStore) insert(obj roadnet.ObjectID, d float64, pos roadnet.Position) bool {
-	if n := len(c.ents); n == reserveCap(c.k) {
+	n := len(c.ents)
+	if n == reserveCap(c.k) {
 		last := &c.ents[n-1]
 		if last.before(d, obj) {
 			c.lowerCover(d)
@@ -180,10 +193,15 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, pos roadnet.Position
 		}
 		c.lowerCover(last.dist)
 		c.tabDelete(last.obj)
-		c.ents = c.ents[:n-1]
+		n--
+		c.ents = c.ents[:n]
+	} else if n == cap(c.ents) {
+		ents := make([]candEntry, n, min(reserveCap(c.k), max(2*n, 16)))
+		copy(ents, c.ents)
+		c.ents = ents
 	}
 	r := c.rank(d, obj)
-	c.ents = append(c.ents, candEntry{})
+	c.ents = c.ents[:n+1]
 	copy(c.ents[r+1:], c.ents[r:])
 	c.ents[r] = candEntry{dist: d, frac: pos.Frac, obj: obj, edge: pos.Edge}
 	c.tabPut(obj, d)

@@ -52,7 +52,7 @@ var candModelIDs = []roadnet.ObjectID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 
 // runCandModel interprets ops as a stream of store operations, applies it
 // to a candStore and to the model, and compares them after every op:
 // order, kth, membership, cached positions, cover, and finalize's result
-// and change report.
+// and change report. The store's capacity must stay within reserveCap(k).
 func runCandModel(t *testing.T, ops []byte) {
 	next := func() int {
 		if len(ops) == 0 {
@@ -144,6 +144,9 @@ func runCandModel(t *testing.T, ops []byte) {
 		if c.kth() != wantKth || c.len() != len(want) || c.cover != m.cover {
 			t.Fatalf("step %d (op %d): kth %g len %d cover %g, want %g %d %g",
 				step, op, c.kth(), c.len(), c.cover, wantKth, len(want), m.cover)
+		}
+		if cap(c.ents) > reserveCap(k) {
+			t.Fatalf("step %d (op %d): capacity %d past reserveCap(%d) = %d", step, op, cap(c.ents), k, reserveCap(k))
 		}
 		for _, id := range candModelIDs {
 			if _, in := m.ents[id]; c.contains(id) != in {

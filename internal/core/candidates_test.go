@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"roadknn/internal/roadnet"
@@ -137,5 +138,32 @@ func TestCandidateSetReset(t *testing.T) {
 	c.add(1, 1, pz)
 	if res, changed := c.finalize(); changed || len(res) != 1 {
 		t.Fatalf("same result after reset: %v, changed %v", res, changed)
+	}
+}
+
+// TestCandidateStoreCapacity holds a store's entries to what it may use: a
+// store offered far more objects than it keeps stops growing at
+// reserveCap(k), and one whose k is huge grows with what it holds, not with
+// k — nor does a store re-targeted to a smaller k keep the larger one's room.
+func TestCandidateStoreCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := newCandStore(50)
+	for i := 0; i < 200; i++ {
+		c.add(roadnet.ObjectID(i), rng.Float64()*100, pz)
+	}
+	if c.len() != reserveCap(50) || cap(c.ents) != reserveCap(50) {
+		t.Fatalf("200 offers at k=50: len %d cap %d, want both %d", c.len(), cap(c.ents), reserveCap(50))
+	}
+	c.reset(10)
+	if cap(c.ents) > reserveCap(10) {
+		t.Fatalf("re-targeted to k=10: cap %d past %d", cap(c.ents), reserveCap(10))
+	}
+
+	huge := newCandStore(math.MaxInt32)
+	for i := 0; i < 3; i++ {
+		huge.add(roadnet.ObjectID(i), float64(i), pz)
+	}
+	if huge.len() != 3 || cap(huge.ents) > 16 {
+		t.Fatalf("3 entries at k=MaxInt32: len %d cap %d, want cap <= 16", huge.len(), cap(huge.ents))
 	}
 }

@@ -115,6 +115,9 @@ func checkDeltaStep(t *testing.T, eng Engine, prev *Snapshot, ts int) *Snapshot 
 		t.Fatalf("ts %d: delta clock %d/%d vs snapshot %d/%d",
 			ts, d.Epoch(), d.Timestamp(), snap.Epoch(), snap.Timestamp())
 	}
+	if cap(d.Queries) != len(d.Queries) {
+		t.Fatalf("ts %d: delta holds %d queries in room for %d", ts, len(d.Queries), cap(d.Queries))
+	}
 	got, err := d.Apply(prev)
 	if err != nil {
 		t.Fatalf("ts %d: apply delta to epoch %d: %v", ts, prev.Epoch(), err)

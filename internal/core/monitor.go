@@ -69,8 +69,7 @@ type monitor struct {
 	tree treeStore
 	// affEdges is the sorted list of edges currently registered in the
 	// influence table for this query.
-	affEdges   []graph.EdgeID
-	affScratch []graph.EdgeID
+	affEdges []graph.EdgeID
 
 	needRecompute bool // tree discarded; compute from scratch at finalize
 	needFinalize  bool // tree pruned or result dirtied; restore at finalize
@@ -120,11 +119,15 @@ type monitor struct {
 
 // touch is one object classified against a monitor this timestamp, with the
 // position the route stage saw it arrive at: finalize re-derives it without
-// asking the object registry.
+// asking the object registry. The position is flattened, as in candEntry,
+// so an entry is 16 bytes.
 type touch struct {
-	obj roadnet.ObjectID
-	pos roadnet.Position // Edge is goneEdge for a deleted object, lateEdge when only the registry knows
+	obj  roadnet.ObjectID
+	edge graph.EdgeID // goneEdge for a deleted object, lateEdge when only the registry knows
+	frac float64
 }
+
+func (t *touch) pos() roadnet.Position { return roadnet.Position{Edge: t.edge, Frac: t.frac} }
 
 const (
 	goneEdge = graph.NoEdge
@@ -173,8 +176,9 @@ func newMonitor(net *roadnet.Network, il *ilTable, id int32, pos roadnet.Positio
 }
 
 // reset re-initializes a pooled monitor for a fresh registration, retaining
-// every buffer (tree storage, candidate set, influence scratch). The caller
-// must run computeInitial before the monitor is consulted.
+// every buffer (tree storage, influence list, the candidate set where k
+// fits it). The caller must run computeInitial before the monitor is
+// consulted.
 func (m *monitor) reset(id int32, pos roadnet.Position, k int) {
 	if k <= 0 {
 		panic("core: query k must be positive")
@@ -265,7 +269,7 @@ func (m *monitor) computeInitial(sc *scratch) bool {
 	m.runExpansion(sc)
 	m.kdist = m.cand.kth()
 	m.pruneToKdist()
-	m.rebuildIL()
+	m.rebuildIL(sc)
 	var changed bool
 	m.result, changed = m.cand.finalize()
 	return changed
@@ -470,10 +474,11 @@ func (m *monitor) classifySub(n graph.NodeID, sc *scratch) bool {
 // a prune can drop the node, and the expansion that follows stops at
 // kNN_dist without verifying it again. A candidate past the k-th that ties
 // with it counts too: it becomes a neighbor, with kNN_dist unchanged and so
-// without a rebuild, when the k-th departs.
-func (m *monitor) rebuildIL() {
+// without a rebuild, when the k-th departs. The new list is built in the
+// worker's sc.aff and copied into affEdges.
+func (m *monitor) rebuildIL(sc *scratch) {
 	g := m.net.G
-	newAff := m.affScratch[:0]
+	newAff := sc.aff[:0]
 	newAff = append(newAff, m.pos.Edge)
 	entries := m.tree.entriesSlice()
 	for i := range entries {
@@ -511,7 +516,8 @@ func (m *monitor) rebuildIL() {
 			j++
 		}
 	}
-	m.affEdges, m.affScratch = newAff, m.affEdges
+	m.affEdges = append(m.affEdges[:0], newAff...)
+	sc.aff = newAff
 	m.ilKdist = m.kdist
 	m.treeDirty = false
 }

@@ -323,7 +323,7 @@ func TestLazyILShrinkKeepsFiltering(t *testing.T) {
 	m, _ := newTestMonitor(net, roadnet.Position{Edge: 0, Frac: 0.0}, 1)
 	// An object appears right next to the query: kdist shrinks a lot.
 	net.AddObject(3, roadnet.Position{Edge: 0, Frac: 0.05})
-	m.finalize([]touch{{obj: 3, pos: roadnet.Position{Edge: 0, Frac: 0.05}}}, testScratch(m))
+	m.finalize([]touch{{obj: 3, edge: 0, frac: 0.05}}, testScratch(m))
 	if m.result[0].Obj != 3 {
 		t.Fatalf("result = %v", m.result)
 	}

@@ -257,11 +257,12 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	}
 	oldKdist := m.kdist
 	for i := range touched {
-		if touched[i].pos.Edge == lateEdge {
-			var ok bool
-			if touched[i].pos, ok = m.net.ObjectPos(touched[i].obj); !ok {
-				touched[i].pos.Edge = goneEdge
+		if t := &touched[i]; t.edge == lateEdge {
+			p, ok := m.net.ObjectPos(t.obj)
+			if !ok {
+				p.Edge = goneEdge
 			}
+			t.edge, t.frac = p.Edge, p.Frac
 		}
 	}
 
@@ -292,8 +293,8 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 				m.rederive(oe.ID, roadnet.Position{Edge: eid, Frac: oe.Frac}, offer)
 			}
 		}
-		for _, t := range touched {
-			m.rederive(t.obj, t.pos, offer)
+		for i := range touched {
+			m.rederive(touched[i].obj, touched[i].pos(), offer)
 		}
 	}
 
@@ -320,7 +321,7 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	// 2x hysteresis and rebuild eagerly only on growth or tree change.
 	if m.treeDirty || m.kdist > m.ilKdist || m.kdist < m.ilKdist/2 {
 		m.pruneToKdist()
-		m.rebuildIL()
+		m.rebuildIL(sc)
 	} else if reexpanded {
 		// reexpand started cover over from the frontier, while the
 		// registrations stand as rebuilt for ilKdist: past a tree node at or

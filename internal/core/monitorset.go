@@ -269,6 +269,9 @@ func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []query
 	for i := range s.works {
 		s.works[i].m = nil
 	}
+	// Entries past this step's count drop the op lists an earlier, larger
+	// step left them: only as many entries as this step used keep theirs.
+	clear(s.works[len(s.works):cap(s.works)])
 	clear(s.pendingMoves)
 	return changed
 }
@@ -362,9 +365,9 @@ func (s *monitorSet) offer(e graph.EdgeID, op monOp) { s.deliver(s.influenced(e)
 // deleted one) by the running step.
 func (s *monitorSet) touchAt(id roadnet.ObjectID, pos roadnet.Position) touch {
 	if s.late {
-		pos = roadnet.Position{Edge: lateEdge}
+		return touch{obj: id, edge: lateEdge}
 	}
-	return touch{obj: id, pos: pos}
+	return touch{obj: id, edge: pos.Edge, frac: pos.Frac}
 }
 
 // edgeChange is one aggregated edge-weight change of a timestamp.

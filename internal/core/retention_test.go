@@ -87,3 +87,47 @@ func TestReleasedMonitorsAreCollectable(t *testing.T) {
 		})
 	}
 }
+
+// TestStepBuffersBoundedByUse checks the capacity side of what the core
+// keeps: after every tick, no direct monitor's candidate store has room
+// past reserveCap(k), and no entry of the step's work list beyond the
+// tick's count still holds the op lists of an earlier, larger tick. Most
+// queries flip to Grouped at one tick, so the work list shrinks under a
+// sharded step's queued ops.
+func TestStepBuffersBoundedByUse(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			w := newLockstepWorldOf(t, 707, 200, 600, 150, 20, func(build func() *roadnet.Network) []Engine {
+				return []Engine{NewIMAWith(build(), Options{Workers: workers})}
+			})
+			e := w.engines[0].(*Incremental)
+			check := func(ts int) {
+				for _, m := range e.set.list {
+					if !m.track && cap(m.cand.ents) > reserveCap(m.k) {
+						t.Errorf("ts %d: query %d (k=%d) has candidate capacity %d, past reserveCap %d",
+							ts, m.id, m.k, cap(m.cand.ents), reserveCap(m.k))
+					}
+				}
+				works := e.set.works
+				for i, wk := range works[len(works):cap(works)] {
+					if wk.ops != nil || wk.ilOps != nil {
+						t.Errorf("ts %d: stale work entry %d of %d keeps %d op and %d influence-op slots",
+							ts, len(works)+i, len(works), cap(wk.ops), cap(wk.ilOps))
+					}
+				}
+			}
+			ids := sortedQryIDs(w.qPos)
+			for ts := 1; ts <= 16; ts++ {
+				e.Advance(w.next(ts, 0.1, 0.9, 0.1))
+				if ts == 8 {
+					for _, id := range ids[:len(ids)*4/5] {
+						e.SetMode(id, Grouped)
+					}
+				}
+				e.Commit()
+				w.verify(w.label(ts))
+				check(ts)
+			}
+		})
+	}
+}

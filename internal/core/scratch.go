@@ -42,6 +42,9 @@ type scratch struct {
 	// stack is the parent-chain walk buffer of computeSubtree.
 	stack []graph.NodeID
 
+	// aff is the influence-list rebuild's buffer (monitor.rebuildIL).
+	aff []graph.EdgeID
+
 	// cand is the candidate store of grouped-query evaluations, and covered
 	// their sequence-walk buffer: an evaluation runs from scratch, so the
 	// store is the worker's, reset by each, and the query keeps only a copy

@@ -106,9 +106,11 @@ type publisher struct {
 	stamp  uint64
 	// version is the query table's at the last publication.
 	version uint64
-	// updBuf/leftBuf are the reused arenas one epoch's diffResult calls
-	// append to, and spans where each diffed query's entries end in them;
-	// sealDelta copies both out at their exact size when the walk ends.
+	// dqBuf accumulates one epoch's QueryDeltas, updBuf/leftBuf are the
+	// reused arenas its diffResult calls append to, and spans where each
+	// diffed query's entries end in them; sealDelta copies all three out at
+	// their exact size when the walk ends.
+	dqBuf   []QueryDelta
 	updBuf  []Neighbor
 	leftBuf []roadnet.ObjectID
 	spans   []deltaSpan
@@ -191,9 +193,8 @@ func (p *publisher) publish(t *queryTable) {
 		snap.ids, res = t.ids(), make([][]Neighbor, len(rows))
 	}
 	// dq accumulates the per-epoch delta (ascending by id, the walk order)
-	// when delta emission is on; churn-proportional allocation, like the
-	// COW copies themselves.
-	var dq []QueryDelta
+	// when delta emission is on, in the publisher's reused buffer.
+	dq := p.dqBuf[:0]
 	j := 0 // merge cursor into prev.ids (both lists ascend)
 	for i := range rows {
 		id, cur := rows[i].id, rows[i].result()
@@ -237,8 +238,7 @@ func (p *publisher) publish(t *queryTable) {
 		for ; j < len(prev.ids); j++ {
 			dq = append(dq, QueryDelta{ID: prev.ids[j], Removed: true})
 		}
-		p.sealDelta(dq)
-		snap.delta = &Delta{epoch: snap.epoch, stamp: snap.stamp, Queries: dq}
+		snap.delta = &Delta{epoch: snap.epoch, stamp: snap.stamp, Queries: p.sealDelta(dq)}
 	}
 	p.cur.Store(snap)
 }
@@ -277,26 +277,34 @@ func (p *publisher) diffResult(prev, cur []Neighbor) {
 	p.updBuf, p.leftBuf = upd, gone
 }
 
-// sealDelta ends an epoch's diff: the arenas are copied into one []Neighbor
-// and one []ObjectID of exactly their size — the delta outlives the
-// publisher's buffers, and two allocations an epoch replace two per changed
-// query — and every diffed QueryDelta is handed its capped sub-slice, nil
-// where empty (a decoded delta has nil there, and equality tests and the
-// JSON encoders' omitempty tell the two apart).
-func (p *publisher) sealDelta(dq []QueryDelta) {
+// sealDelta ends an epoch's diff and returns its QueryDeltas: dq and the
+// arenas are copied into one []QueryDelta, one []Neighbor and one
+// []ObjectID of exactly their size — the delta outlives the publisher's
+// buffers, and three allocations an epoch replace two per changed query and
+// a growing list — and every diffed QueryDelta is handed its capped
+// sub-slice, nil where empty (a decoded delta has nil there, and equality
+// tests and the JSON encoders' omitempty tell the two apart).
+func (p *publisher) sealDelta(dq []QueryDelta) []QueryDelta {
+	var out []QueryDelta
+	if len(dq) > 0 {
+		out = append(make([]QueryDelta, 0, len(dq)), dq...)
+	}
+	clear(dq) // the buffer must not keep this epoch's rows reachable
+	p.dqBuf = dq[:0]
 	left := append(make([]roadnet.ObjectID, 0, len(p.leftBuf)), p.leftBuf...)
 	upd := append(make([]Neighbor, 0, len(p.updBuf)), p.updBuf...)
 	l0, u0 := 0, 0
 	for _, sp := range p.spans {
 		if sp.left > l0 {
-			dq[sp.q].Left = left[l0:sp.left:sp.left]
+			out[sp.q].Left = left[l0:sp.left:sp.left]
 		}
 		if sp.upd > u0 {
-			dq[sp.q].Updated = upd[u0:sp.upd:sp.upd]
+			out[sp.q].Updated = upd[u0:sp.upd:sp.upd]
 		}
 		l0, u0 = sp.left, sp.upd
 	}
 	p.leftBuf, p.updBuf, p.spans = p.leftBuf[:0], p.updBuf[:0], p.spans[:0]
+	return out
 }
 
 // neighborBefore is the canonical result order: by distance, ties by object
