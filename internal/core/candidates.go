@@ -82,19 +82,9 @@ const candMinTable = 16
 // for k from 10 to 200), hence the constant part.
 func reserveCap(k int) int { return k + k/4 + 12 }
 
-// reset clears the store and re-targets it to k, retaining capacity unless
-// it exceeds reserveCap(k). The previous result stays readable for
-// finalize's change report.
+// reset clears the store, retaining capacity, and re-targets it to k. The
+// previous result stays readable for finalize's change report.
 func (c *candStore) reset(k int) {
-	if cap(c.ents) > reserveCap(k) {
-		c.ents = nil // sized for a larger k
-	}
-	c.reuse(k)
-}
-
-// reuse is reset retaining capacity whatever k: a worker's store serves
-// grouped queries of every k in turn, so it keeps room for the largest.
-func (c *candStore) reuse(k int) {
 	c.k = k
 	c.ents = c.ents[:0]
 	c.cover = math.Inf(1)

@@ -52,7 +52,8 @@ var candModelIDs = []roadnet.ObjectID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 
 // runCandModel interprets ops as a stream of store operations, applies it
 // to a candStore and to the model, and compares them after every op:
 // order, kth, membership, cached positions, cover, and finalize's result
-// and change report. The store's capacity must stay within reserveCap(k).
+// and change report. The store's capacity must stay within reserveCap of
+// the largest k it has served.
 func runCandModel(t *testing.T, ops []byte) {
 	next := func() int {
 		if len(ops) == 0 {
@@ -63,6 +64,7 @@ func runCandModel(t *testing.T, ops []byte) {
 		return int(b)
 	}
 	k := 1 + next()%5
+	maxK := k
 	c := newCandStore(k)
 	m := &candModel{k: k, ents: map[roadnet.ObjectID]candEntry{}, cover: math.Inf(1)}
 
@@ -130,6 +132,7 @@ func runCandModel(t *testing.T, ops []byte) {
 		default:
 			k = 1 + next()%5
 			m.k, m.ents, m.cover = k, map[roadnet.ObjectID]candEntry{}, math.Inf(1)
+			maxK = max(maxK, k)
 			c.reset(k)
 		}
 
@@ -145,8 +148,8 @@ func runCandModel(t *testing.T, ops []byte) {
 			t.Fatalf("step %d (op %d): kth %g len %d cover %g, want %g %d %g",
 				step, op, c.kth(), c.len(), c.cover, wantKth, len(want), m.cover)
 		}
-		if cap(c.ents) > reserveCap(k) {
-			t.Fatalf("step %d (op %d): capacity %d past reserveCap(%d) = %d", step, op, cap(c.ents), k, reserveCap(k))
+		if cap(c.ents) > reserveCap(maxK) {
+			t.Fatalf("step %d (op %d): capacity %d past reserveCap(%d) = %d", step, op, cap(c.ents), maxK, reserveCap(maxK))
 		}
 		for _, id := range candModelIDs {
 			if _, in := m.ents[id]; c.contains(id) != in {

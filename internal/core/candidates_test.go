@@ -143,8 +143,9 @@ func TestCandidateSetReset(t *testing.T) {
 
 // TestCandidateStoreCapacity holds a store's entries to what it may use: a
 // store offered far more objects than it keeps stops growing at
-// reserveCap(k), and one whose k is huge grows with what it holds, not with
-// k — nor does a store re-targeted to a smaller k keep the larger one's room.
+// reserveCap(k), a store re-targeted to a smaller k keeps the room it has
+// and grows no further, and one whose k is huge grows with what it holds,
+// not with k.
 func TestCandidateStoreCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := newCandStore(50)
@@ -155,8 +156,12 @@ func TestCandidateStoreCapacity(t *testing.T) {
 		t.Fatalf("200 offers at k=50: len %d cap %d, want both %d", c.len(), cap(c.ents), reserveCap(50))
 	}
 	c.reset(10)
-	if cap(c.ents) > reserveCap(10) {
-		t.Fatalf("re-targeted to k=10: cap %d past %d", cap(c.ents), reserveCap(10))
+	for i := 0; i < 200; i++ {
+		c.add(roadnet.ObjectID(i), rng.Float64()*100, pz)
+	}
+	if c.len() != reserveCap(10) || cap(c.ents) != reserveCap(50) {
+		t.Fatalf("200 offers re-targeted to k=10: len %d cap %d, want %d and %d",
+			c.len(), cap(c.ents), reserveCap(10), reserveCap(50))
 	}
 
 	huge := newCandStore(math.MaxInt32)

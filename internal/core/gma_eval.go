@@ -26,7 +26,7 @@ type walkEdge struct {
 // buffer: a grouped query keeps nothing of an evaluation but its result.
 func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 	cand := &sc.cand
-	cand.reuse(q.k)
+	cand.reset(q.k)
 
 	ownEdge := g.net.G.Edge(q.pos.Edge)
 	for _, oe := range g.net.ObjectsOn(q.pos.Edge) {

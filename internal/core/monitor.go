@@ -176,9 +176,8 @@ func newMonitor(net *roadnet.Network, il *ilTable, id int32, pos roadnet.Positio
 }
 
 // reset re-initializes a pooled monitor for a fresh registration, retaining
-// every buffer (tree storage, influence list, the candidate set where k
-// fits it). The caller must run computeInitial before the monitor is
-// consulted.
+// every buffer (tree storage, candidate set, influence list). The caller
+// must run computeInitial before the monitor is consulted.
 func (m *monitor) reset(id int32, pos roadnet.Position, k int) {
 	if k <= 0 {
 		panic("core: query k must be positive")

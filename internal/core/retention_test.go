@@ -90,7 +90,7 @@ func TestReleasedMonitorsAreCollectable(t *testing.T) {
 
 // TestStepBuffersBoundedByUse checks the capacity side of what the core
 // keeps: after every tick, no direct monitor's candidate store has room
-// past reserveCap(k), and no entry of the step's work list beyond the
+// past reserveCap of the largest k it has served, and no entry of the step's work list beyond the
 // tick's count still holds the op lists of an earlier, larger tick. Most
 // queries flip to Grouped at one tick, so the work list shrinks under a
 // sharded step's queued ops.
@@ -101,11 +101,13 @@ func TestStepBuffersBoundedByUse(t *testing.T) {
 				return []Engine{NewIMAWith(build(), Options{Workers: workers})}
 			})
 			e := w.engines[0].(*Incremental)
+			served := make(map[*monitor]int) // the largest k each monitor has served
 			check := func(ts int) {
 				for _, m := range e.set.list {
-					if !m.track && cap(m.cand.ents) > reserveCap(m.k) {
+					served[m] = max(served[m], m.k)
+					if k := served[m]; !m.track && cap(m.cand.ents) > reserveCap(k) {
 						t.Errorf("ts %d: query %d (k=%d) has candidate capacity %d, past reserveCap %d",
-							ts, m.id, m.k, cap(m.cand.ents), reserveCap(m.k))
+							ts, m.id, k, cap(m.cand.ents), reserveCap(k))
 					}
 				}
 				works := e.set.works
