@@ -25,7 +25,6 @@ func Example() {
 
 	srv.Step(roadknn.Updates{Objects: []roadknn.ObjectUpdate{{
 		ID:  1,
-		Old: roadknn.Position{Edge: e1, Frac: 0.5},
 		New: roadknn.Position{Edge: e0, Frac: 0.5},
 	}}})
 	fmt.Printf("after move: obj %d at %.1f\n", srv.Result(100)[0].Obj, srv.Result(100)[0].Dist)

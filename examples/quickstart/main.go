@@ -59,9 +59,9 @@ func main() {
 	report(srv, dispatcher, "initial result")
 
 	// Timestamp 1: courier A drives two blocks east.
+	// An update says where to; the server knows where from.
 	srv.Step(roadknn.Updates{Objects: []roadknn.ObjectUpdate{{
 		ID:  courierA,
-		Old: roadknn.Position{Edge: streets[0], Frac: 0.25},
 		New: roadknn.Position{Edge: streets[3], Frac: 0.75},
 	}}})
 	report(srv, dispatcher, "after courier A moved")

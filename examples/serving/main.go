@@ -57,20 +57,14 @@ func main() {
 
 	// Writer: 50 timestamps of movement, full speed, never waiting for
 	// readers.
-	objPos := make([]roadknn.Position, 500)
-	for i := range objPos {
-		p, _ := net.ObjectPos(roadknn.ObjectID(i))
-		objPos[i] = p
-	}
 	for ts := 0; ts < 50; ts++ {
 		var u roadknn.Updates
-		for i := range objPos {
+		for i := range 500 {
 			if rng.Float64() < 0.2 {
-				np := net.RandomWalk(objPos[i], net.AvgEdgeLength(), 0, rng)
-				u.Objects = append(u.Objects, roadknn.ObjectUpdate{
-					ID: roadknn.ObjectID(i), Old: objPos[i], New: np,
-				})
-				objPos[i] = np
+				id := roadknn.ObjectID(i)
+				pos, _ := net.ObjectPos(id) // the writer owns the network
+				np := net.RandomWalk(pos, net.AvgEdgeLength(), 0, rng)
+				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, New: np})
 			}
 		}
 		srv.Step(u)

@@ -74,7 +74,7 @@ func main() {
 			if rng.Float64() < 0.2 {
 				np := net.RandomWalk(pos, 0.3*avgLen, 0, rng)
 				riderPos[id] = np
-				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, Old: pos, New: np})
+				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, New: np})
 			}
 		}
 		// A few new ride requests per timestamp.
@@ -141,9 +141,7 @@ func dispatch(srv roadknn.Engine, riderPos map[roadknn.ObjectID]roadknn.Position
 		busy[best.cab] = true
 		*totalWait += best.dist
 		pickups++
-		removed = append(removed, roadknn.ObjectUpdate{
-			ID: best.rider, Old: riderPos[best.rider], Delete: true,
-		})
+		removed = append(removed, roadknn.ObjectUpdate{ID: best.rider, Delete: true})
 		delete(riderPos, best.rider)
 	}
 	if len(removed) > 0 {

@@ -94,9 +94,7 @@ func (c *identityChurn) add(ts int, u *core.Updates) {
 		i := c.rng.Intn(len(c.extras) - 2) // never one of this tick's arrivals
 		id := c.extras[i]
 		c.extras = append(c.extras[:i], c.extras[i+1:]...)
-		if old, ok := c.net.ObjectPos(id); ok {
-			u.Objects = append(u.Objects, core.ObjectUpdate{ID: id, Old: old, Delete: true})
-		}
+		u.Objects = append(u.Objects, core.ObjectUpdate{ID: id, Delete: true})
 	}
 	// Queries: a termination every 4th tick (the generator keeps sending
 	// moves for terminated ids — the unknown-move path), a same-batch

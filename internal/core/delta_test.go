@@ -59,9 +59,7 @@ func TestDeltaReconstructsEveryEpoch(t *testing.T) {
 						continue
 					}
 					id := roadnet.ObjectID(i)
-					if old, ok := net.ObjectPos(id); ok {
-						u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: old, New: net.UniformPosition(rng)})
-					}
+					u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: net.UniformPosition(rng)})
 				}
 				for q := QueryID(0); q < nextQID; q++ {
 					if live[q] && rng.Float64() < 0.2 {
@@ -176,8 +174,7 @@ func TestDeltaQuietStepIsEmpty(t *testing.T) {
 		t.Fatalf("quiet step delta = %+v, want empty", d)
 	}
 
-	old, _ := net.ObjectPos(0)
-	eng.Step(Updates{Objects: []ObjectUpdate{{ID: 0, Old: old, New: net.UniformPosition(rng)}}})
+	eng.Step(Updates{Objects: []ObjectUpdate{{ID: 0, New: net.UniformPosition(rng)}}})
 	snap := eng.Snapshot()
 	deltaBytes, snapBytes := len(snap.Delta().AppendBinary(nil)), len(snap.AppendBinary(nil))
 	if snap.Delta().Len() == 0 || 2*deltaBytes >= snapBytes {

@@ -300,6 +300,12 @@ func (e *Incremental) Advance(u Updates) {
 	}
 }
 
+// Departures lists where the last Advance found its object updates, in
+// batch order, insertions left out: the position each object left, or
+// graph.NoEdge for a delete of an unknown id. The next Advance reuses the
+// slice.
+func (e *Incremental) Departures() []roadnet.Position { return e.set.departed }
+
 // Commit closes the timestamp opened by Advance: it counts the tick and
 // publishes. A grouped layer left without queries is dropped here, and the
 // monitor pool trimmed to the tick's registrations.

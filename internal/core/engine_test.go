@@ -87,7 +87,7 @@ func TestObjectMoveUpdatesResult(t *testing.T) {
 		}
 		// Object 2 jumps next to the query; object 1 drifts away is implied.
 		e.Step(Updates{Objects: []ObjectUpdate{{
-			ID: 2, Old: roadnet.Position{Edge: 3, Frac: 1.0}, New: roadnet.Position{Edge: 1, Frac: 0.6},
+			ID: 2, New: roadnet.Position{Edge: 1, Frac: 0.6},
 		}}})
 		// Offsets 0.5 and 0.6 of a unit edge, each rounded to the quantum.
 		res := e.Result(1)
@@ -110,7 +110,7 @@ func TestOutgoingTriggersExpansion(t *testing.T) {
 		}
 		// The only nearby object leaves; result must be re-expanded to find 2.
 		e.Step(Updates{Objects: []ObjectUpdate{{
-			ID: 1, Old: roadnet.Position{Edge: 1, Frac: 0.4}, New: roadnet.Position{Edge: 3, Frac: 1.0},
+			ID: 1, New: roadnet.Position{Edge: 3, Frac: 1.0},
 		}}})
 		res := e.Result(1)
 		if res[0].Obj != 2 || math.Abs(res[0].Dist-2) > 1e-9 {
@@ -130,7 +130,7 @@ func TestObjectInsertAndDelete(t *testing.T) {
 			t.Fatalf("%s: after insert NN = %d, want 9", e.Name(), got)
 		}
 		e.Step(Updates{Objects: []ObjectUpdate{{
-			ID: 9, Old: roadnet.Position{Edge: 0, Frac: 0.75}, Delete: true,
+			ID: 9, Delete: true,
 		}}})
 		if got := e.Result(1)[0].Obj; got != 1 {
 			t.Fatalf("%s: after delete NN = %d, want 1", e.Name(), got)
@@ -306,7 +306,7 @@ func TestDuplicateInsertInStepPanics(t *testing.T) {
 					}
 				}()
 				e.Step(Updates{
-					Objects: []ObjectUpdate{{ID: 7, Old: roadnet.Position{Edge: 1, Frac: 0.5}, New: roadnet.Position{Edge: 2, Frac: 0.5}}},
+					Objects: []ObjectUpdate{{ID: 7, New: roadnet.Position{Edge: 2, Frac: 0.5}}},
 					Queries: batch,
 				})
 			}()
@@ -330,7 +330,7 @@ func TestDuplicateInsertInStepPanics(t *testing.T) {
 		if n := len(e.set.list); n != 0 {
 			t.Fatalf("%s: %d monitors left after the last query was deleted", e.Name(), n)
 		}
-		e.Step(Updates{Objects: []ObjectUpdate{{ID: 7, Old: roadnet.Position{Edge: 1, Frac: 0.5}, New: roadnet.Position{Edge: 3, Frac: 0.5}}}})
+		e.Step(Updates{Objects: []ObjectUpdate{{ID: 7, New: roadnet.Position{Edge: 3, Frac: 0.5}}}})
 	}
 }
 
@@ -342,11 +342,11 @@ func TestResultMatchesOracleAfterEachKindOfUpdate(t *testing.T) {
 		})
 		e.Register(1, roadnet.Position{Edge: 1, Frac: 0.2}, 3)
 		steps := []Updates{
-			{Objects: []ObjectUpdate{{ID: 3, Old: roadnet.Position{Edge: 2, Frac: 0.5}, New: roadnet.Position{Edge: 0, Frac: 0.9}}}},
+			{Objects: []ObjectUpdate{{ID: 3, New: roadnet.Position{Edge: 0, Frac: 0.9}}}},
 			{Edges: []EdgeUpdate{{Edge: 1, NewW: 0.5}}},
 			{Edges: []EdgeUpdate{{Edge: 0, NewW: 3}}},
 			{Queries: []QueryUpdate{{ID: 1, New: roadnet.Position{Edge: 2, Frac: 0.9}}}},
-			{Objects: []ObjectUpdate{{ID: 4, Old: roadnet.Position{Edge: 3, Frac: 0.1}, Delete: true}}},
+			{Objects: []ObjectUpdate{{ID: 4, Delete: true}}},
 		}
 		for si, u := range steps {
 			e.Step(u)

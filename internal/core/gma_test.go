@@ -189,7 +189,6 @@ func TestGMAActiveNodeChangePropagates(t *testing.T) {
 	// NN set; the query result must follow via the active-node change.
 	e.Step(Updates{Objects: []ObjectUpdate{{
 		ID:  1,
-		Old: roadnet.Position{Edge: edges["n1n8"], Frac: 0.5},
 		New: roadnet.Position{Edge: edges["n1n9"], Frac: 0.1},
 	}}})
 	want := BruteForceKNN(net, pos, 2)
@@ -221,7 +220,7 @@ func TestGMAPureCycleNetwork(t *testing.T) {
 	}
 	// Drive a few updates through the cycle topology.
 	e.Step(Updates{Objects: []ObjectUpdate{{
-		ID: 1, Old: roadnet.Position{Edge: 1, Frac: 0.5}, New: roadnet.Position{Edge: 2, Frac: 0.9},
+		ID: 1, New: roadnet.Position{Edge: 2, Frac: 0.9},
 	}}})
 	want = BruteForceKNN(net, pos, 2)
 	if err := compareResults(e.Result(1), want); err != nil {

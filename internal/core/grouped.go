@@ -319,10 +319,15 @@ func (g *groupLayer) reevaluate(changed []*monitor, u Updates) {
 		}
 	}
 
-	// Lines 9-12: object updates inside influencing intervals.
+	// Lines 9-12: object updates inside influencing intervals. A departure
+	// is where the monitor set's routing found the object.
+	departed := g.set.departed
 	for _, ou := range u.Objects {
 		if !ou.Insert {
-			g.markAt(ou.Old.Edge, ou.Old.Frac, false)
+			if from := departed[0]; from.Edge != graph.NoEdge {
+				g.markAt(from.Edge, from.Frac, false)
+			}
+			departed = departed[1:]
 		}
 		if !ou.Delete {
 			g.markAt(ou.New.Edge, ou.New.Frac, false)

@@ -172,7 +172,8 @@ func (w *lockstepWorld) editTopology(ts int) []TopologyUpdate {
 // next generates one timestamp of random updates (with topoChurn a road
 // opening or closure first; object walks, inserts, deletes; query walks and,
 // with churn, installs and ends; edge weight +-10%) and applies it to the
-// world only.
+// world only. An object update names where the object goes, never where it
+// was: every engine finds that in its own object table.
 func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 	var u Updates
 	if w.topoChurn {
@@ -184,11 +185,11 @@ func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 		switch {
 		case r < fObj:
 			np := w.walk(pos)
-			u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: pos, New: np})
+			u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: np})
 			w.objPos[id] = np
 			w.world.MoveObject(id, np)
 		case r < fObj+0.01 && len(w.objPos) > 2: // occasional deletion
-			u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: pos, Delete: true})
+			u.Objects = append(u.Objects, ObjectUpdate{ID: id, Delete: true})
 			delete(w.objPos, id)
 			w.world.RemoveObject(id)
 		}

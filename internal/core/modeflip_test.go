@@ -114,7 +114,7 @@ func TestModeFlipLeavesNoResidue(t *testing.T) {
 								old, _ := net.ObjectPos(roadnet.ObjectID(i))
 								np := net.RandomWalk(old, rng.Float64()*2*net.AvgEdgeLength(), 0, rng)
 								if old.Edge != avoid && np.Edge != avoid {
-									u.Objects = append(u.Objects, ObjectUpdate{ID: roadnet.ObjectID(i), Old: old, New: np})
+									u.Objects = append(u.Objects, ObjectUpdate{ID: roadnet.ObjectID(i), New: np})
 								}
 							}
 						}

@@ -73,6 +73,12 @@ type monitorSet struct {
 	topoMoves []roadnet.ObjectMove
 	topoMarks []QueryID
 
+	// departed holds, in batch order, where route found each object update
+	// of the step that is not an insertion: the position the network handed
+	// back, or graph.NoEdge for a delete of an unknown id. The grouped layer
+	// and the planner read it after the step; the next step refills it.
+	departed []roadnet.Position
+
 	// free recycles unregistered monitors, trees/candidate sets and all:
 	// the active-node layer churns registrations on every grouped query
 	// move, and a pooled monitor re-expands without a single allocation.
@@ -340,22 +346,30 @@ func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []quer
 	// Lines 16-19: object updates. This is the one place the incremental
 	// engines mutate the object registry; each update's departure (with where
 	// the object is now) and arrival are classified per influenced monitor as
-	// outgoing, incoming or moving (§4.2) from monitor state alone.
+	// outgoing, incoming or moving (§4.2) from monitor state alone. The
+	// registry hands back every departure, which departed keeps.
+	departed := s.departed[:0]
 	for _, ou := range objs {
 		switch {
 		case ou.Insert:
 			s.net.AddObject(ou.ID, ou.New)
 			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
 		case ou.Delete:
-			if old, ok := s.net.RemoveObject(ou.ID); ok {
+			old, ok := s.net.RemoveObject(ou.ID)
+			if ok {
 				s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: roadnet.Position{Edge: goneEdge}})
+			} else {
+				old.Edge = graph.NoEdge
 			}
+			departed = append(departed, old)
 		default:
 			old := s.net.MoveObject(ou.ID, ou.New)
+			departed = append(departed, old)
 			s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: ou.New})
 			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
 		}
 	}
+	s.departed = departed
 }
 
 // offer delivers op to the monitors to consider for an update on edge e.

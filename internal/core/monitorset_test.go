@@ -88,8 +88,7 @@ func TestSimultaneousMixedUpdates(t *testing.T) {
 			},
 			Queries: []QueryUpdate{{ID: 1, New: newQ}},
 			Objects: []ObjectUpdate{{
-				ID: 2, Old: roadnet.Position{Edge: 3, Frac: 0.75},
-				New: roadnet.Position{Edge: 2, Frac: 0.9},
+				ID: 2, New: roadnet.Position{Edge: 2, Frac: 0.9},
 			}},
 		})
 		want := BruteForceKNN(net, newQ, 2)
@@ -134,6 +133,22 @@ func TestStepWithNoUpdatesKeepsResults(t *testing.T) {
 		if err := compareResults(e.Result(1), before); err != nil {
 			t.Fatalf("%s: result drifted with no updates: %v", e.Name(), err)
 		}
+	}
+}
+
+// TestDeleteOfUnknownObjectIgnored: a delete of an id the network does not
+// hold changes nothing in any engine. It has no departure, so the grouped
+// layer has nothing to mark for it.
+func TestDeleteOfUnknownObjectIgnored(t *testing.T) {
+	for _, e := range pathEngines() {
+		e.Network().AddObject(1, roadnet.Position{Edge: 0, Frac: 0.5})
+		qpos := roadnet.Position{Edge: 3, Frac: 0.5}
+		e.Register(1, qpos, 1)
+		e.Step(Updates{Objects: []ObjectUpdate{{ID: 42, Delete: true}, {ID: 1, New: roadnet.Position{Edge: 2, Frac: 0.5}}}})
+		if err := compareResults(e.Result(1), BruteForceKNN(e.Network(), qpos, 1)); err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		e.Close()
 	}
 }
 

@@ -180,7 +180,7 @@ func runReserveChurn(t *testing.T, name string, workers int) {
 			for i, oe := range net.ObjectsOn(removed) {
 				resnapped[oe.ID] = true
 				if np := net.UniformPosition(rng); i == 0 && alive(np) {
-					u.Objects = append(u.Objects, ObjectUpdate{ID: oe.ID, Old: roadnet.Position{Edge: removed, Frac: oe.Frac}, New: np})
+					u.Objects = append(u.Objects, ObjectUpdate{ID: oe.ID, New: np})
 				}
 			}
 		}
@@ -191,15 +191,15 @@ func runReserveChurn(t *testing.T, name string, workers int) {
 			case resnapped[id]:
 			case r < 0.22:
 				if np := walk(pos); alive(np) {
-					u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: pos, New: np})
+					u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: np})
 					if r < 0.02 { // and once more, from there
 						if np2 := walk(np); alive(np2) {
-							u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: np, New: np2})
+							u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: np2})
 						}
 					}
 				}
 			case r < 0.25:
-				u.Objects = append(u.Objects, ObjectUpdate{ID: id, Old: pos, Delete: true})
+				u.Objects = append(u.Objects, ObjectUpdate{ID: id, Delete: true})
 				if r < 0.235 { // back under the same id, elsewhere
 					if np := net.UniformPosition(rng); alive(np) {
 						u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: np, Insert: true})
@@ -308,15 +308,15 @@ func TestShortComponentIsNotRewalked(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 	}
-	step("move", 2, ObjectUpdate{ID: 2, Old: roadnet.Position{Edge: 2, Frac: 0.5}, New: roadnet.Position{Edge: 2, Frac: 0.9}})
+	step("move", 2, ObjectUpdate{ID: 2, New: roadnet.Position{Edge: 2, Frac: 0.9}})
 	// The third lands on the far point: k-th at 1.5, every node inside it,
 	// nothing to prune.
 	step("insert", 3, ObjectUpdate{ID: 3, New: roadnet.Position{Edge: 1, Frac: 0.75}, Insert: true})
 	if m.kdist != 1.5 || !math.IsInf(m.cand.cover, 1) {
 		t.Fatalf("full: kdist %g, cover %g", m.kdist, m.cand.cover)
 	}
-	step("delete", 2, ObjectUpdate{ID: 1, Old: roadnet.Position{Edge: 0, Frac: 0.5}, Delete: true})
-	step("move again", 2, ObjectUpdate{ID: 3, Old: roadnet.Position{Edge: 1, Frac: 0.75}, New: roadnet.Position{Edge: 0, Frac: 0.1}})
+	step("delete", 2, ObjectUpdate{ID: 1, Delete: true})
+	step("move again", 2, ObjectUpdate{ID: 3, New: roadnet.Position{Edge: 0, Frac: 0.1}})
 }
 
 // TestBurstAtCapacityKeepsReserveComplete replays, inside one timestamp, a
@@ -361,7 +361,7 @@ func TestBurstAtCapacityKeepsReserveComplete(t *testing.T) {
 
 				var u Updates
 				del := func(i int) {
-					u.Objects = append(u.Objects, ObjectUpdate{ID: roadnet.ObjectID(i), Old: at(float64(i)), Delete: true})
+					u.Objects = append(u.Objects, ObjectUpdate{ID: roadnet.ObjectID(i), Delete: true})
 				}
 				del(k)
 				if viaEdge {
@@ -432,7 +432,7 @@ func TestCoverStopsAtUnregisteredNode(t *testing.T) {
 	// ... and grows back to 10 by a re-expansion that verifies nothing and
 	// stops at c, 20 away, with edge 1 still unregistered.
 	before := e.StepStats()
-	step("departure", 10, ObjectUpdate{ID: 3, Old: roadnet.Position{Edge: 0, Frac: 0.7}, Delete: true})
+	step("departure", 10, ObjectUpdate{ID: 3, Delete: true})
 	if s := e.StepStats(); s.Reexpansions != before.Reexpansions+1 || s.NodesVerified != before.NodesVerified {
 		t.Fatalf("departure: %+v -> %+v", before, s)
 	}

@@ -26,15 +26,17 @@ type Neighbor struct {
 	Dist float64
 }
 
-// ObjectUpdate reports an object location change. Following the paper's
-// protocol the update carries the object id and both coordinates.
-// Insert marks an object appearing in the system (Old ignored); Delete
-// marks one disappearing (New ignored).
+// ObjectUpdate reports an object location change. The paper's protocol
+// sends the object id with both its old and new coordinates, but the
+// server's object table (the network's registry) already knows the old
+// one, so an update carries the new position only: every engine takes the
+// departure from the table. Insert marks an object appearing in the
+// system; Delete marks one disappearing (New ignored).
 type ObjectUpdate struct {
-	ID       roadnet.ObjectID
-	Old, New roadnet.Position
-	Insert   bool
-	Delete   bool
+	ID     roadnet.ObjectID
+	New    roadnet.Position
+	Insert bool
+	Delete bool
 }
 
 // QueryUpdate reports a query location change. Insert registers a new

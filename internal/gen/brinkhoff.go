@@ -57,10 +57,10 @@ func (b *Brinkhoff) Position(i int) roadnet.Position { return b.movers[i].pos }
 // Count returns the number of movers.
 func (b *Brinkhoff) Count() int { return len(b.movers) }
 
-// Move is one simulator mover update: (index, old position, new position).
+// Move is one simulator mover update: (index, new position).
 type Move struct {
-	Index    int
-	Old, New roadnet.Position
+	Index int
+	New   roadnet.Position
 }
 
 // Step advances every mover by one timestamp and returns the moves of the
@@ -76,7 +76,7 @@ func (b *Brinkhoff) Step(agility float64) []Move {
 		old := m.pos
 		b.advance(m, b.classes[m.class]*b.avgLen)
 		if m.pos != old {
-			out = append(out, Move{Index: i, Old: old, New: m.pos})
+			out = append(out, Move{Index: i, New: m.pos})
 		}
 	}
 	return out

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"roadknn/internal/core"
+	"roadknn/internal/graph"
 	"roadknn/internal/roadnet"
 )
 
@@ -255,12 +256,20 @@ func (p *Planner) Step(u core.Updates) {
 			p.crossMoves++
 		}
 	}
+	// A delete counts where the core found the object, and not at all when
+	// the id was unknown.
+	departed := p.Departures()
 	for _, ou := range u.Objects {
 		pos := ou.New
-		if ou.Delete {
-			pos = ou.Old
+		if !ou.Insert {
+			if ou.Delete {
+				pos = departed[0]
+			}
+			departed = departed[1:]
 		}
-		p.winObj[p.cellOf(pos)]++
+		if pos.Edge != graph.NoEdge {
+			p.winObj[p.cellOf(pos)]++
+		}
 	}
 	p.windowTicks++
 

@@ -147,9 +147,8 @@ func TestQueryTableMatchesModel(t *testing.T) {
 				u.Queries = append(u.Queries, core.QueryUpdate{ID: 1000, New: net.UniformPosition(rng)}) // unknown
 				for range 20 {
 					o := roadnet.ObjectID(rng.Intn(150))
-					old, _ := net.ObjectPos(o)
 					if !slices.ContainsFunc(u.Objects, func(ou core.ObjectUpdate) bool { return ou.ID == o }) {
-						u.Objects = append(u.Objects, core.ObjectUpdate{ID: o, Old: old, New: net.UniformPosition(rng)})
+						u.Objects = append(u.Objects, core.ObjectUpdate{ID: o, New: net.UniformPosition(rng)})
 					}
 				}
 
@@ -205,8 +204,7 @@ func TestUnfilteredIMAIsDeterministic(t *testing.T) {
 		for ts := 0; ts < 25; ts++ {
 			var u core.Updates
 			for o := ts % 3; o < 80; o += 3 {
-				old, _ := net.ObjectPos(roadnet.ObjectID(o))
-				u.Objects = append(u.Objects, core.ObjectUpdate{ID: roadnet.ObjectID(o), Old: old, New: net.UniformPosition(rng)})
+				u.Objects = append(u.Objects, core.ObjectUpdate{ID: roadnet.ObjectID(o), New: net.UniformPosition(rng)})
 			}
 			for q := ts % 4; q < 25; q += 4 {
 				u.Queries = append(u.Queries, core.QueryUpdate{ID: core.QueryID(q), New: net.UniformPosition(rng)})
@@ -221,6 +219,44 @@ func TestUnfilteredIMAIsDeterministic(t *testing.T) {
 	for ts := range a {
 		if !slices.Equal(a[ts], b[ts]) {
 			t.Fatalf("ts %d: two runs of IMA-NF over one stream published different snapshots", ts+1)
+		}
+	}
+}
+
+// TestDeleteWindowCountsDepartureCell: a delete counts in the planner's
+// object window at the cell the object left, which the core's object table
+// knows and the update does not say, and a delete of an unknown id counts
+// nowhere.
+func TestDeleteWindowCountsDepartureCell(t *testing.T) {
+	net := roadnet.NewNetwork(gen.SanFranciscoLike(400, 1))
+	rng := rand.New(rand.NewSource(1))
+	for o := 0; o < 50; o++ {
+		net.AddObject(roadnet.ObjectID(o), net.UniformPosition(rng))
+	}
+	p := planner.NewWith(net, core.Options{Workers: 1, Planner: core.PlannerOptions{PlanEvery: 1000}})
+	defer p.Close()
+	p.Register(0, net.UniformPosition(rng), 3)
+	p.Step(core.Updates{}) // the first tick re-plans, which empties the window
+
+	// An object away from edge 0's start, where a zero position would count.
+	id, from := roadnet.ObjectID(-1), roadnet.Position{}
+	for o := range roadnet.ObjectID(50) {
+		if pos, _ := net.ObjectPos(o); p.CellOf(pos) != p.CellOf(roadnet.Position{}) {
+			id, from = o, pos
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("every object lies in edge 0's cell")
+	}
+	p.Step(core.Updates{Objects: []core.ObjectUpdate{{ID: id, Delete: true}, {ID: 999, Delete: true}}})
+	for cell, n := range p.WindowObjects() {
+		want := uint32(0)
+		if int32(cell) == p.CellOf(from) {
+			want = 1
+		}
+		if n != want {
+			t.Errorf("cell %d counts %d object updates, want %d (object %d left cell %d)", cell, n, want, id, p.CellOf(from))
 		}
 	}
 }

@@ -217,8 +217,8 @@ func (n *Network) RemoveObject(id ObjectID) (Position, bool) {
 }
 
 // MoveObject updates object id to pos and returns its previous position.
-// Moving an unknown object panics: updates carry old coordinates in the
-// paper's protocol, so an unknown id indicates upstream corruption.
+// Moving an unknown object panics: a move reports an object the server
+// already tracks, so an unknown id indicates upstream corruption.
 func (n *Network) MoveObject(id ObjectID, pos Position) Position {
 	row, ok := n.objIdx.Find(int32(id))
 	if !ok {

@@ -505,12 +505,12 @@ func (b *Batcher) Preview() roadknn.Updates {
 		r := &b.objRows[row]
 		switch {
 		case r.pend == pendDel && r.applied:
-			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, Old: r.at, Delete: true})
+			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, Delete: true})
 		case r.pend == pendDel:
 			// Inserted and deleted within one tick: nothing to apply.
 		case r.applied:
 			if r.at != r.to {
-				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, Old: r.at, New: r.to})
+				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, New: r.to})
 			}
 		default:
 			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, New: r.to, Insert: true})

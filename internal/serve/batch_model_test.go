@@ -57,11 +57,11 @@ func (m *mapBatcher) preview() []roadknn.ObjectUpdate {
 		old, existed := m.applied[id]
 		switch {
 		case p.del && existed:
-			out = append(out, roadknn.ObjectUpdate{ID: id, Old: old, Delete: true})
+			out = append(out, roadknn.ObjectUpdate{ID: id, Delete: true})
 		case p.del:
 		case existed:
 			if old != p.pos {
-				out = append(out, roadknn.ObjectUpdate{ID: id, Old: old, New: p.pos})
+				out = append(out, roadknn.ObjectUpdate{ID: id, New: p.pos})
 			}
 		default:
 			out = append(out, roadknn.ObjectUpdate{ID: id, New: p.pos, Insert: true})

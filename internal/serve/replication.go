@@ -24,8 +24,10 @@ import (
 //	                                (204 when none exists yet)
 //	GET /v1/replication/log?since=S the WAL records after sequence S: a
 //	                                frame stream (internal/frame) under
-//	                                the header "RKRL" | version 1, the
-//	                                frames being wal.EncodeRecords'.
+//	                                the header "RKRL" | version 2, the
+//	                                frames being wal.EncodeRecords'
+//	                                (version 1 carried the RKWL v1
+//	                                object entry).
 //	                                Long-polls up to ?wait_ms; answers
 //	                                410 Gone when S has been pruned away
 //	                                (the follower must re-bootstrap from
@@ -40,7 +42,7 @@ import (
 const (
 	// replLogMagic/replLogVersion frame the /v1/replication/log body.
 	replLogMagic   = "RKRL"
-	replLogVersion = 1
+	replLogVersion = 2
 	// replLogMaxRecords caps records per log response, bounding response
 	// size; the follower simply asks again from its advanced cursor.
 	replLogMaxRecords = 512

@@ -13,12 +13,13 @@ import (
 
 // On-disk format. A segment is a frame stream (internal/frame documents
 // the header and the len | crc32c | payload frame) under the header
-// "RKWL" | version 1, one record per frame, payload[0] the record type. A
+// "RKWL" | version 2, one record per frame, payload[0] the record type. A
 // record is written with a single Write call, so a crash tears at most the
-// last one — which recovery detects and truncates.
+// last one — which recovery detects and truncates. Version-1 segments are
+// still read (see readUpdates); the log never appends to one.
 const (
 	segMagic   = "RKWL"
-	segVersion = 1
+	segVersion = 2
 	headerLen  = frame.HeaderLen
 	frameLen   = frame.Overhead
 
@@ -60,8 +61,6 @@ func appendUpdates(b []byte, u core.Updates) []byte {
 			fl |= flagDelete
 		}
 		b = append(b, fl)
-		b = appendI32(b, int32(o.Old.Edge))
-		b = appendF64(b, o.Old.Frac)
 		b = appendI32(b, int32(o.New.Edge))
 		b = appendF64(b, o.New.Frac)
 	}
@@ -85,25 +84,37 @@ func appendUpdates(b []byte, u core.Updates) []byte {
 		b = appendI32(b, int32(e.Edge))
 		b = appendF64(b, e.NewW)
 	}
-	// Topology trails the record so segments written before live network
-	// editing existed (no section at all) still decode, with an empty op
-	// list. New writers always emit the section, even when it is empty.
+	// Topology trails the record: version-1 records written before live
+	// network editing existed have no section at all.
 	return appendTopology(b, u.Topology)
 }
 
 // Encoded sizes of one object, query, edge and topology entry: what
 // appendUpdates writes per element, and the least a count can claim.
 const (
-	objBytes  = 4 + 1 + 4 + 8 + 4 + 8
+	objBytes  = 4 + 1 + 4 + 8
 	qryBytes  = 4 + 1 + 4 + 4 + 8
 	edgeBytes = 4 + 8
 	topoBytes = 1 + 4 + 4 + 4 + 8
 )
 
-// readUpdates decodes what appendUpdates wrote; the caller checks c.Done.
-func readUpdates(c *frame.Cursor) core.Updates {
+// v1OldBytes is what a version-1 object entry holds beyond objBytes: the
+// position the object left, which the engine takes from its own object
+// table.
+const v1OldBytes = 4 + 8
+
+// readUpdates decodes what appendUpdates wrote into a segment of version v;
+// the caller checks c.Done. A version-1 record is read by the same code: its
+// object entries carry v1OldBytes more, which are skipped, and it may end
+// before the topology section.
+func readUpdates(c *frame.Cursor, v uint32) core.Updates {
 	var u core.Updates
-	if n := c.Count(objBytes); n > 0 {
+	v1 := v == 1
+	entry := objBytes
+	if v1 {
+		entry += v1OldBytes
+	}
+	if n := c.Count(entry); n > 0 {
 		u.Objects = make([]core.ObjectUpdate, n)
 		for i := range u.Objects {
 			o := &u.Objects[i]
@@ -111,8 +122,9 @@ func readUpdates(c *frame.Cursor) core.Updates {
 			fl := c.Byte()
 			o.Insert = fl&flagInsert != 0
 			o.Delete = fl&flagDelete != 0
-			o.Old.Edge = graph.EdgeID(c.I32())
-			o.Old.Frac = c.F64()
+			if v1 {
+				c.Bytes(v1OldBytes)
+			}
 			o.New.Edge = graph.EdgeID(c.I32())
 			o.New.Frac = c.F64()
 		}
@@ -136,9 +148,7 @@ func readUpdates(c *frame.Cursor) core.Updates {
 			u.Edges[i] = core.EdgeUpdate{Edge: graph.EdgeID(c.I32()), NewW: c.F64()}
 		}
 	}
-	// Topology section is optional: records written before live network
-	// editing end here.
-	if c.Len() > 0 {
+	if !v1 || c.Len() > 0 {
 		u.Topology = readTopology(c)
 	}
 	return u
@@ -189,18 +199,18 @@ type record struct {
 	tick    TickRecord   // recTick
 }
 
-// decodeRecord parses one verified frame payload.
-func decodeRecord(payload []byte) (record, error) {
+// decodeRecord parses one verified frame payload of a segment of version v.
+func decodeRecord(payload []byte, v uint32) (record, error) {
 	c := frame.NewCursor(payload)
 	r := record{typ: c.Byte()}
 	switch r.typ {
 	case recBatch:
 		r.seq = c.U64()
-		r.updates = readUpdates(&c)
+		r.updates = readUpdates(&c, v)
 	case recTick:
 		r.tick = TickRecord{Epoch: c.U64(), Stamp: c.U64(), SnapCRC: c.U32()}
 	case recPending:
-		r.updates = readUpdates(&c)
+		r.updates = readUpdates(&c, v)
 	default:
 		return r, fmt.Errorf("wal: unknown record type %d", r.typ)
 	}

@@ -10,11 +10,13 @@ import (
 
 // FuzzWALRecord feeds arbitrary payloads to the record-replay path a real
 // recovery runs after CRC verification — the layer that must hold even
-// when the checksum collides or a test hand-crafts a segment. Whatever the
-// bytes: no panic, no oversized allocation, and a payload that applies
+// when the checksum collides or a test hand-crafts a segment. Each input is
+// replayed as a record of a version-1 and of a current segment. Whatever
+// the bytes: no panic, no oversized allocation, and a payload that applies
 // cleanly must apply identically to a fresh recovery state (replay is
 // deterministic).
 func FuzzWALRecord(f *testing.F) {
+	f.Add(v1Frames(f)[0]) // a version-1 batch: the golden batch with departures
 	f.Add(encodeBatch(1, testUpdates(3)))
 	f.Add(encodeBatch(1, core.Updates{}))
 	f.Add(encodeTick(7, 7, 0xdeadbeef))
@@ -26,32 +28,35 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(seed[:len(seed)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		apply := func() (Recovery, uint64, error) {
-			rec := Recovery{}
-			prevSeq := uint64(0)
-			err := applyRecord(data, &rec, &prevSeq)
-			return rec, prevSeq, err
-		}
-		rec1, seq1, err1 := apply()
-		rec2, seq2, err2 := apply()
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("replay not deterministic: %v vs %v", err1, err2)
-		}
-		if err1 != nil {
-			return
-		}
-		if seq1 != seq2 || len(rec1.Batches) != len(rec2.Batches) ||
-			(rec1.Pending == nil) != (rec2.Pending == nil) {
-			t.Fatalf("replay not deterministic: seq %d/%d, %d/%d batches",
-				seq1, seq2, len(rec1.Batches), len(rec2.Batches))
-		}
-		for i := range rec1.Batches {
-			// Compare through the encoder: float fields may hold NaN payloads
-			// (updatesEqual's == would call identical NaNs unequal).
-			a := encodeBatch(rec1.Batches[i].Seq, rec1.Batches[i].Updates)
-			b := encodeBatch(rec2.Batches[i].Seq, rec2.Batches[i].Updates)
-			if !bytes.Equal(a, b) {
-				t.Fatalf("replay not deterministic at batch %d", i)
+		for _, v := range []uint32{1, segVersion} {
+			apply := func() (Recovery, uint64, error) {
+				rec := Recovery{}
+				prevSeq := uint64(0)
+				err := applyRecord(data, v, &rec, &prevSeq)
+				return rec, prevSeq, err
+			}
+			rec1, seq1, err1 := apply()
+			rec2, seq2, err2 := apply()
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("v%d replay not deterministic: %v vs %v", v, err1, err2)
+			}
+			if err1 != nil {
+				continue
+			}
+			if seq1 != seq2 || len(rec1.Batches) != len(rec2.Batches) ||
+				(rec1.Pending == nil) != (rec2.Pending == nil) {
+				t.Fatalf("v%d replay not deterministic: seq %d/%d, %d/%d batches",
+					v, seq1, seq2, len(rec1.Batches), len(rec2.Batches))
+			}
+			for i := range rec1.Batches {
+				// Compare through the encoder: float fields may hold NaN
+				// payloads (updatesEqual's == would call identical NaNs
+				// unequal).
+				a := encodeBatch(rec1.Batches[i].Seq, rec1.Batches[i].Updates)
+				b := encodeBatch(rec2.Batches[i].Seq, rec2.Batches[i].Updates)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("v%d replay not deterministic at batch %d", v, i)
+				}
 			}
 		}
 	})

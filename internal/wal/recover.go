@@ -48,8 +48,9 @@ type Recovery struct {
 	// Segments is how many log segments were scanned.
 	Segments int
 
-	lastSeq     uint64
-	lastSegSize int64
+	lastSeq        uint64
+	lastSegSize    int64
+	lastSegVersion uint32
 }
 
 // NextSeq returns the sequence number the next appended batch must use.
@@ -122,13 +123,13 @@ func scanStore(fs FS, opts Options) (*Recovery, uint64, error) {
 		}
 		rec.Segments++
 		lastSegStart = start
-		size, lastGood, err := readSegment(fs, segmentName(start), func(payload []byte) error {
-			return applyRecord(payload, rec, &prevSeq)
+		v, size, lastGood, err := readSegment(fs, segmentName(start), func(payload []byte, v uint32) error {
+			return applyRecord(payload, v, rec, &prevSeq)
 		})
 		if err != nil {
 			return nil, 0, err
 		}
-		rec.lastSegSize = size
+		rec.lastSegSize, rec.lastSegVersion = size, v
 		if lastGood < size || size < headerLen {
 			// Bad record: cut the segment back to its last good byte.
 			if lastGood < size {
@@ -157,45 +158,47 @@ func scanStore(fs FS, opts Options) (*Recovery, uint64, error) {
 }
 
 // readSegment reads the named segment and hands fn each verified record
-// payload in order. It returns the file size and the offset just past the
-// last good record: short of size when a torn or corrupt frame stopped the
-// walk, zero when the file has no valid header. What to do about a short
-// walk is the caller's policy (recovery truncates, tailing stops); an
-// unsupported version or an error from fn aborts.
-func readSegment(fs FS, name string, fn func(payload []byte) error) (size, good int64, err error) {
+// payload in order, with the segment's version. It returns the version, the
+// file size and the offset just past the last good record: short of size
+// when a torn or corrupt frame stopped the walk, zero when the file has no
+// valid header. What to do about a short walk is the caller's policy
+// (recovery truncates, tailing stops); an unsupported version or an error
+// from fn aborts.
+func readSegment(fs FS, name string, fn func(payload []byte, v uint32) error) (v uint32, size, good int64, err error) {
 	r, err := fs.Open(name)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer r.Close()
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	size = int64(len(data))
-	v, err := frame.ParseHeader(data, segMagic)
+	v, err = frame.ParseHeader(data, segMagic)
 	if err != nil {
-		return size, 0, nil
+		return 0, size, 0, nil
 	}
-	if v != segVersion {
-		return size, 0, fmt.Errorf("wal: %s: unsupported segment version %d", name, v)
+	if v < 1 || v > segVersion {
+		return v, size, 0, fmt.Errorf("wal: %s: unsupported segment version %d", name, v)
 	}
 	rest := data[headerLen:]
 	for {
 		payload, next, err := frame.Next(rest, maxRecordLen)
 		if err != nil { // io.EOF at the end, else the tail is torn or corrupt
-			return size, size - int64(len(rest)), nil
+			return v, size, size - int64(len(rest)), nil
 		}
-		if err := fn(payload); err != nil {
-			return size, size - int64(len(rest)), err
+		if err := fn(payload, v); err != nil {
+			return v, size, size - int64(len(rest)), err
 		}
 		rest = next
 	}
 }
 
-// applyRecord folds one verified record into the recovery state.
-func applyRecord(payload []byte, rec *Recovery, prevSeq *uint64) error {
-	r, err := decodeRecord(payload)
+// applyRecord folds one verified record of a segment of version v into the
+// recovery state.
+func applyRecord(payload []byte, v uint32, rec *Recovery, prevSeq *uint64) error {
+	r, err := decodeRecord(payload, v)
 	if err != nil {
 		return err
 	}

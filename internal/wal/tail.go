@@ -44,8 +44,8 @@ func (l *Log) ReadSince(afterSeq uint64, max int) ([]BatchRecord, error) {
 
 	var out []BatchRecord
 	for _, start := range segStarts {
-		size, good, err := readSegment(l.fs, segmentName(start), func(payload []byte) error {
-			return tailRecord(payload, afterSeq, &out)
+		_, size, good, err := readSegment(l.fs, segmentName(start), func(payload []byte, v uint32) error {
+			return tailRecord(payload, v, afterSeq, &out)
 		})
 		if err != nil {
 			return nil, err
@@ -63,11 +63,11 @@ func (l *Log) ReadSince(afterSeq uint64, max int) ([]BatchRecord, error) {
 	return out, nil
 }
 
-// tailRecord folds one verified record into out, skipping batches at or
-// below the cursor and pending records (they are a shutdown artifact, not
-// part of the replicated stream).
-func tailRecord(payload []byte, afterSeq uint64, out *[]BatchRecord) error {
-	r, err := decodeRecord(payload)
+// tailRecord folds one verified record of a segment of version v into out,
+// skipping batches at or below the cursor and pending records (they are a
+// shutdown artifact, not part of the replicated stream).
+func tailRecord(payload []byte, v uint32, afterSeq uint64, out *[]BatchRecord) error {
+	r, err := decodeRecord(payload, v)
 	if err != nil {
 		return err
 	}
@@ -100,8 +100,9 @@ func EncodeRecords(buf []byte, recs []BatchRecord) []byte {
 	return buf
 }
 
-// DecodeRecords parses a framed record stream produced by EncodeRecords.
-// Unlike segment recovery, any torn frame or CRC mismatch is a hard
+// DecodeRecords parses a framed record stream produced by EncodeRecords
+// (records of the current segment version, whatever segment they were
+// read from). Unlike segment recovery, any torn frame or CRC mismatch is a hard
 // error: transports deliver byte streams intact or not at all, so
 // corruption here means a protocol bug, not a crash artifact.
 func DecodeRecords(data []byte) ([]BatchRecord, error) {
@@ -114,7 +115,7 @@ func DecodeRecords(data []byte) ([]BatchRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: record stream at offset %d: %w", len(data)-len(rest), err)
 		}
-		if err := tailRecord(payload, 0, &out); err != nil {
+		if err := tailRecord(payload, segVersion, 0, &out); err != nil {
 			return nil, err
 		}
 		rest = next

@@ -199,19 +199,27 @@ func Open(fs FS, opts Options) (*Log, *Recovery, error) {
 		l.ckStamp.Store(rec.Checkpoint.Stamp)
 	}
 
-	if lastSegStart == 0 {
-		// Fresh store (or everything pruned): start a segment at the next
-		// sequence number.
-		if err := l.startSegment(rec.lastSeq + 1); err != nil {
-			return nil, nil, err
-		}
-	} else {
+	if lastSegStart != 0 && rec.lastSegVersion == segVersion {
 		name := segmentName(lastSegStart)
 		f, err := fs.Append(name)
 		if err != nil {
 			return nil, nil, err
 		}
 		l.cur, l.curName, l.curSize = f, name, rec.lastSegSize
+	} else {
+		// Fresh store (or everything pruned), or a last segment of an older
+		// version, which takes no records of this one: start a segment at
+		// the next sequence number.
+		if err := l.startSegment(rec.lastSeq + 1); err != nil {
+			return nil, nil, err
+		}
+		if lastSegStart == rec.lastSeq+1 && rec.Pending != nil {
+			// The older segment held no batch, so the new one took its name
+			// and replaced it: keep the pending record its shutdown flushed.
+			if err := l.append(encodePending(*rec.Pending), l.opts.Sync != SyncNever); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 	if opts.Sync == SyncInterval {
 		l.flushStop = make(chan struct{})

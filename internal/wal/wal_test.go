@@ -15,7 +15,7 @@ func testUpdates(seed int) core.Updates {
 	var u core.Updates
 	u.Objects = append(u.Objects,
 		core.ObjectUpdate{ID: roadnet.ObjectID(seed), New: roadnet.Position{Edge: graph.EdgeID(seed % 7), Frac: 0.25}, Insert: true},
-		core.ObjectUpdate{ID: roadnet.ObjectID(seed + 100), Old: roadnet.Position{Edge: 1, Frac: 0.5}, New: roadnet.Position{Edge: 2, Frac: 0.75}},
+		core.ObjectUpdate{ID: roadnet.ObjectID(seed + 100), New: roadnet.Position{Edge: 2, Frac: 0.75}},
 	)
 	if seed%2 == 0 {
 		u.Queries = append(u.Queries, core.QueryUpdate{ID: core.QueryID(seed), New: roadnet.Position{Edge: 3, Frac: 0.1}, K: 4, Insert: true})

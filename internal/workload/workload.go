@@ -264,7 +264,7 @@ func (r *Runner) GenerateStep() core.Updates {
 	if cfg.Movement == Brinkhoff {
 		for _, mv := range r.objSim.Step(cfg.ObjAgility) {
 			u.Objects = append(u.Objects, core.ObjectUpdate{
-				ID: roadnet.ObjectID(mv.Index), Old: mv.Old, New: mv.New,
+				ID: roadnet.ObjectID(mv.Index), New: mv.New,
 			})
 		}
 		for _, mv := range r.qrySim.Step(cfg.QryAgility) {
@@ -284,7 +284,7 @@ func (r *Runner) GenerateStep() core.Updates {
 				continue
 			}
 			np := r.net.RandomWalk(old, cfg.ObjSpeed*r.avgLen, 0, r.rng)
-			u.Objects = append(u.Objects, core.ObjectUpdate{ID: id, Old: old, New: np})
+			u.Objects = append(u.Objects, core.ObjectUpdate{ID: id, New: np})
 		}
 		// Hotspot queries re-snap around the (possibly drifting) cluster
 		// center every timestamp, before the agility-gated walkers.
@@ -344,7 +344,8 @@ func (r *Runner) GenerateStep() core.Updates {
 		}
 		used := make(map[graph.EdgeID]bool)
 		for _, o := range u.Objects {
-			used[o.Old.Edge] = true
+			old, _ := r.net.ObjectPos(o.ID) // the batch is not applied yet
+			used[old.Edge] = true
 			used[o.New.Edge] = true
 		}
 		for _, q := range u.Queries {

@@ -51,7 +51,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		// Object 2 approaches along the vertical arm.
 		eng.Step(roadknn.Updates{Objects: []roadknn.ObjectUpdate{{
 			ID:  2,
-			Old: roadknn.Position{Edge: edges[3], Frac: 0.9},
 			New: roadknn.Position{Edge: edges[3], Frac: 0.1},
 		}}})
 		// 0.5 to n0, then 0.1 of a unit edge rounded to the quantum.
