@@ -55,7 +55,7 @@ func TestStepAllocationRegressionAuto(t *testing.T) {
 
 // TestStepAllocationRegressionTopologyChurn repeats the guard with live
 // network editing in every step. A structural edit legitimately allocates
-// (CSR overlay rows, influence recomputation, freelist bookkeeping), but
+// (a grown adjacency row, influence recomputation, freelist bookkeeping), but
 // the cost must stay churn-proportional: one edit per step should add a
 // bounded constant, never an O(V+E) rebuild's worth of allocations.
 func TestStepAllocationRegressionTopologyChurn(t *testing.T) {

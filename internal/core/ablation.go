@@ -20,7 +20,7 @@ func NewIMAUnfiltered(net *roadnet.Network) *Incremental {
 
 // NewIMAUnfilteredWith creates the ablation engine with the given options.
 func NewIMAUnfilteredWith(net *roadnet.Network, o Options) *Incremental {
-	e := NewIncremental("IMA-NF", net, o, fixed(Direct))
+	e := newIncremental("IMA-NF", net, o, fixed(Direct))
 	e.set.unfiltered = true
 	return e
 }
@@ -36,7 +36,7 @@ func NewGMANaive(net *roadnet.Network) *Incremental {
 
 // NewGMANaiveWith creates the ablation engine with the given options.
 func NewGMANaiveWith(net *roadnet.Network, o Options) *Incremental {
-	e := NewIncremental("GMA-naive", net, o, fixed(Grouped))
+	e := newIncremental("GMA-naive", net, o, fixed(Grouped))
 	e.naiveEval = true
 	return e
 }

@@ -52,7 +52,12 @@ type Incremental struct {
 	grp       *groupLayer
 	place     func(roadnet.Position) Mode
 	naiveEval bool // handed to the grouped layer (the GMA-naive ablation)
-	pub       publisher
+	// departures makes every step record Departures, grouped layer or not:
+	// set on engines built by NewIncremental, whose owner (the planner)
+	// reads them. The fixed placements record them only while a grouped
+	// layer, their one reader, exists.
+	departures bool
+	pub        publisher
 
 	// Per-step buffers, reused across steps: the direct moves and the
 	// installations of the running step, and the ids a batch installs and
@@ -66,6 +71,14 @@ type Incremental struct {
 // registered query by place (consulted once, at registration). The engine
 // takes ownership of the network's object registry and edge weights.
 func NewIncremental(name string, net *roadnet.Network, o Options, place func(roadnet.Position) Mode) *Incremental {
+	e := newIncremental(name, net, o, place)
+	e.departures = true
+	return e
+}
+
+// newIncremental is NewIncremental for a fixed placement, which records
+// Departures only for its grouped layer.
+func newIncremental(name string, net *roadnet.Network, o Options, place func(roadnet.Position) Mode) *Incremental {
 	e := &Incremental{name: name, place: place}
 	e.set = newMonitorSet(net, &e.qt)
 	e.set.configure(o)
@@ -84,7 +97,7 @@ func NewIMA(net *roadnet.Network) *Incremental { return NewIMAWith(net, Options{
 
 // NewIMAWith creates an IMA engine over net with the given options.
 func NewIMAWith(net *roadnet.Network, o Options) *Incremental {
-	return NewIncremental("IMA", net, o, fixed(Direct))
+	return newIncremental("IMA", net, o, fixed(Direct))
 }
 
 // NewGMA creates the group monitoring algorithm (paper §5) over net with
@@ -93,7 +106,7 @@ func NewGMA(net *roadnet.Network) *Incremental { return NewGMAWith(net, Options{
 
 // NewGMAWith creates a GMA engine over net with the given options.
 func NewGMAWith(net *roadnet.Network, o Options) *Incremental {
-	return NewIncremental("GMA", net, o, fixed(Grouped))
+	return newIncremental("GMA", net, o, fixed(Grouped))
 }
 
 // Name implements Engine.
@@ -288,6 +301,7 @@ func (e *Incremental) Advance(u Updates) {
 	}
 	e.moves, e.inserts = moves, inserts
 
+	e.set.keepDeparted = e.departures || e.grp != nil
 	changed := e.set.step(u.Objects, u.Edges, moves)
 	if e.grp != nil {
 		e.grp.reevaluate(changed, u)
@@ -303,7 +317,9 @@ func (e *Incremental) Advance(u Updates) {
 // Departures lists where the last Advance found its object updates, in
 // batch order, insertions left out: the position each object left, or
 // graph.NoEdge for a delete of an unknown id. The next Advance reuses the
-// slice.
+// slice. Only an engine built by NewIncremental records them at every
+// step; IMA and GMA record them while they hold a grouped query, and
+// return nil otherwise.
 func (e *Incremental) Departures() []roadnet.Position { return e.set.departed }
 
 // Commit closes the timestamp opened by Advance: it counts the tick and

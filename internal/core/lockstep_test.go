@@ -156,7 +156,6 @@ func (w *lockstepWorld) editTopology(ts int) []TopologyUpdate {
 			topo = append(topo, TopologyUpdate{Op: TopoAdd, Edge: w.world.AddEdge(u, v, wgt), U: u, V: v, W: wgt})
 		}
 	}
-	w.world.G.Freeze()
 	for _, id := range sortedQryIDs(w.qPos) {
 		if !w.world.G.EdgeAlive(w.qPos[id].Edge) {
 			np, ok := w.world.Resnap(w.qPos[id])

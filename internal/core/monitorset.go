@@ -76,8 +76,11 @@ type monitorSet struct {
 	// departed holds, in batch order, where route found each object update
 	// of the step that is not an insertion: the position the network handed
 	// back, or graph.NoEdge for a delete of an unknown id. The grouped layer
-	// and the planner read it after the step; the next step refills it.
-	departed []roadnet.Position
+	// and the planner read it after the step; the next step refills it. It
+	// is filled only while keepDeparted is set (the owning engine has a
+	// reader), and nil otherwise.
+	departed     []roadnet.Position
+	keepDeparted bool
 
 	// free recycles unregistered monitors, trees/candidate sets and all:
 	// the active-node layer churns registrations on every grouped query
@@ -183,7 +186,7 @@ type queryMove struct {
 // applyTopology applies one timestamp's edge edits to the shared network
 // and flags every monitor whose result can depend on them for a
 // from-scratch recomputation. It always runs serially, before any routing
-// or sharding: edits restructure the CSR adjacency, which every later
+// or sharding: edits restructure the adjacency rows, which every later
 // phase reads. The flagged monitors and the re-snapped objects are left in
 // topoMarks / topoMoves for the step that follows: the marks enter its work
 // list, the re-snaps classify as incoming object moves.
@@ -218,17 +221,17 @@ func (s *monitorSet) applyTopology(topo []TopologyUpdate) {
 			recomputeOn(topo[i].Edge)
 		case TopoAdd:
 			// Mark through the pre-insertion incident lists of the new
-			// endpoints (ForEachIncident reads through the pending overlay
-			// without forcing a merge mid-batch).
-			g.ForEachIncident(topo[i].U, recomputeOn)
-			g.ForEachIncident(topo[i].V, recomputeOn)
+			// endpoints.
+			for _, e := range g.Incident(topo[i].U) {
+				recomputeOn(e)
+			}
+			for _, e := range g.Incident(topo[i].V) {
+				recomputeOn(e)
+			}
 		}
 		s.topoMoves = applyTopologyOps(s.net, topo[i:i+1], s.topoMoves)
 	}
 	s.il.grow(g.NumEdges())
-	// Merge the patches now, in the serial phase, so the parallel shards —
-	// and every later traversal — see a clean frozen CSR.
-	g.Freeze()
 	// Queries sitting on a removed edge re-snap onto the nearest live
 	// position, by the same deterministic rule as the edge's resident
 	// objects, and recompute from there.
@@ -347,26 +350,32 @@ func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []quer
 	// engines mutate the object registry; each update's departure (with where
 	// the object is now) and arrival are classified per influenced monitor as
 	// outgoing, incoming or moving (§4.2) from monitor state alone. The
-	// registry hands back every departure, which departed keeps.
-	departed := s.departed[:0]
+	// registry hands back every departure, which departed keeps when asked.
+	var departed []roadnet.Position
+	if s.keepDeparted {
+		departed = s.departed[:0]
+	}
 	for _, ou := range objs {
+		var old roadnet.Position
 		switch {
 		case ou.Insert:
 			s.net.AddObject(ou.ID, ou.New)
 			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
+			continue
 		case ou.Delete:
-			old, ok := s.net.RemoveObject(ou.ID)
-			if ok {
+			var ok bool
+			if old, ok = s.net.RemoveObject(ou.ID); ok {
 				s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: roadnet.Position{Edge: goneEdge}})
 			} else {
 				old.Edge = graph.NoEdge
 			}
-			departed = append(departed, old)
 		default:
-			old := s.net.MoveObject(ou.ID, ou.New)
-			departed = append(departed, old)
+			old = s.net.MoveObject(ou.ID, ou.New)
 			s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: ou.New})
 			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
+		}
+		if s.keepDeparted {
+			departed = append(departed, old)
 		}
 	}
 	s.departed = departed

@@ -89,7 +89,6 @@ func (e *OVH) unregister(id QueryID) {
 func (e *OVH) applyTopology(topo []TopologyUpdate) {
 	g := e.net.G
 	applyTopologyOps(e.net, topo, nil)
-	g.Freeze()
 	e.il.grow(g.NumEdges())
 	for _, r := range e.qt.rows {
 		if !g.EdgeAlive(r.mon.pos.Edge) {

@@ -91,9 +91,10 @@ func TestReleasedMonitorsAreCollectable(t *testing.T) {
 // TestStepBuffersBoundedByUse checks the capacity side of what the core
 // keeps: after every tick, no direct monitor's candidate store has room
 // past reserveCap of the largest k it has served, and no entry of the step's work list beyond the
-// tick's count still holds the op lists of an earlier, larger tick. Most
-// queries flip to Grouped at one tick, so the work list shrinks under a
-// sharded step's queued ops.
+// tick's count still holds the op lists of an earlier, larger tick, and the
+// departures buffer holds nothing while no grouped layer reads it (one entry
+// per reported move or delete once one does). Most queries flip to Grouped
+// at one tick, so the work list shrinks under a sharded step's queued ops.
 func TestStepBuffersBoundedByUse(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -120,7 +121,20 @@ func TestStepBuffersBoundedByUse(t *testing.T) {
 			}
 			ids := sortedQryIDs(w.qPos)
 			for ts := 1; ts <= 16; ts++ {
-				e.Advance(w.next(ts, 0.1, 0.9, 0.1))
+				u := w.next(ts, 0.1, 0.9, 0.1)
+				e.Advance(u)
+				departures := 0
+				for _, ou := range u.Objects {
+					if !ou.Insert {
+						departures++
+					}
+				}
+				switch got := e.Departures(); {
+				case ts <= 8 && cap(got) != 0:
+					t.Errorf("ts %d: IMA without a grouped layer keeps a departures buffer of capacity %d", ts, cap(got))
+				case ts > 8 && len(got) != departures:
+					t.Errorf("ts %d: grouped layer reads %d departures, the batch reported %d", ts, len(got), departures)
+				}
 				if ts == 8 {
 					for _, id := range ids[:len(ids)*4/5] {
 						e.SetMode(id, Grouped)

@@ -359,53 +359,57 @@ func All(scale float64, timestamps int, seed int64) []Experiment {
 	return exps
 }
 
-// TopoMicroResult is the incremental-CSR micro measurement (the benchmark's
-// graph.refreeze_incremental_us / graph.compact_cold_us): the per-call cost
-// of re-freezing the CSR adjacency after a single edge edit versus
-// recompacting it from scratch.
+// TopoMicroResult is the live topology-edit micro measurement (the
+// benchmark's graph.refreeze_incremental_us / graph.compact_cold_us): the
+// per-call cost of one in-place edge edit versus rebuilding the graph from
+// scratch, the alternative a graph without in-place edits would pay.
 type TopoMicroResult struct {
 	Edges         int
-	ColdNs        float64 // full recompaction (Compact) per call
-	IncrementalNs float64 // single-edit overlay merge (Freeze) per call
+	ColdNs        float64 // from-scratch rebuild of the same graph per call
+	IncrementalNs float64 // one in-place RemoveEdge + AddEdge cycle per call
 	Speedup       float64
 }
 
-// TopoMicro measures the patch-vs-recompact ratio on a SanFranciscoLike
+// TopoMicro measures the edit-vs-rebuild ratio on a SanFranciscoLike
 // network with the given edge count: a loop of single-edge remove/re-add
-// cycles, each followed by Freeze (which merges the one-op overlay into
-// the frozen CSR), against repeated Compact calls (the full O(V+E)
-// rebuild a non-incremental design would pay per edit).
+// cycles, each patching its endpoints' adjacency rows in place, against
+// repeated rebuilds of a graph holding the same nodes and live edges (the
+// full O(V+E) cost a non-incremental design would pay per edit).
 func TopoMicro(edges int, seed int64) TopoMicroResult {
 	g := gen.SanFranciscoLike(edges, seed)
-	g.Freeze()
 	rng := rand.New(rand.NewSource(seed + 31))
 
 	cycle := func(eid graph.EdgeID) {
 		e := g.Edge(eid)
 		u, v, w := e.U, e.V, e.W
 		g.RemoveEdge(eid)
-		g.Freeze()
 		g.AddEdge(u, v, w) // the freelist hands eid straight back
-		g.Freeze()
 	}
 	pick := func() graph.EdgeID { return graph.EdgeID(rng.Intn(g.NumEdges())) }
 
 	const edits = 256
-	for i := 0; i < 16; i++ { // steady-state: warm the merge scratch
+	for i := 0; i < 16; i++ { // steady state: warm the touched rows
 		cycle(pick())
 	}
 	start := time.Now()
 	for i := 0; i < edits; i++ {
 		cycle(pick())
 	}
-	inc := float64(time.Since(start).Nanoseconds()) / float64(2*edits)
+	inc := float64(time.Since(start).Nanoseconds()) / edits
 
+	rebuild := func() {
+		r := graph.New(g.NumNodes(), g.NumLiveEdges())
+		for i := 0; i < g.NumNodes(); i++ {
+			r.AddNode(g.Node(graph.NodeID(i)).Pt)
+		}
+		g.ForEachEdge(func(e *graph.Edge) { r.AddEdge(e.U, e.V, e.W) })
+	}
 	const colds = 32
 	start = time.Now()
 	for i := 0; i < colds; i++ {
-		g.Compact()
+		rebuild()
 	}
-	cold := float64(time.Since(start).Nanoseconds()) / float64(colds)
+	cold := float64(time.Since(start).Nanoseconds()) / colds
 	return TopoMicroResult{
 		Edges: g.NumEdges(), ColdNs: cold, IncrementalNs: inc, Speedup: cold / inc,
 	}

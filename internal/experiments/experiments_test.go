@@ -70,8 +70,8 @@ func TestBrinkhoffFiguresConfigured(t *testing.T) {
 }
 
 // TestTopoMicroIncrementalWins is the CI-scale version of the perf claim
-// behind live topology edits: re-freezing after one edit must be
-// dramatically cheaper than a cold compaction. The benchmark's graph.*
+// behind live topology edits: patching the adjacency for one edit must be
+// dramatically cheaper than rebuilding the graph. The benchmark's graph.*
 // metrics carry the full-size evidence; here a modest threshold avoids
 // timer flake on loaded runners while still catching any regression to
 // O(V+E) per edit.
@@ -84,7 +84,7 @@ func TestTopoMicroIncrementalWins(t *testing.T) {
 		t.Fatalf("timings not measured: %+v", m)
 	}
 	if m.Speedup < 5 {
-		t.Fatalf("single-edit re-freeze only %.1fx cheaper than cold compaction, want >= 5x", m.Speedup)
+		t.Fatalf("single-edit patch only %.1fx cheaper than a from-scratch rebuild, want >= 5x", m.Speedup)
 	}
 }
 

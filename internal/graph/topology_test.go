@@ -4,22 +4,23 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"roadknn/internal/geom"
 )
 
-// overlayModel mirrors the live edge set of a mutated graph, keyed by the
+// edgeModel mirrors the live edge set of an edited graph, keyed by the
 // graph's assigned edge ids, so tests can rebuild a from-scratch reference
 // graph with identical logical content.
-type overlayModel map[EdgeID]struct {
+type edgeModel map[EdgeID]struct {
 	u, v NodeID
 	w    float64
 }
 
 // rebuild constructs a fresh graph holding exactly the model's live edges
 // (fresh sequential ids) over the same node set.
-func (m overlayModel) rebuild(g *Graph) *Graph {
+func (m edgeModel) rebuild(g *Graph) *Graph {
 	r := New(g.NumNodes(), len(m))
 	for i := 0; i < g.NumNodes(); i++ {
 		r.AddNode(g.Node(NodeID(i)).Pt)
@@ -33,7 +34,6 @@ func (m overlayModel) rebuild(g *Graph) *Graph {
 		e := m[id]
 		r.AddEdge(e.u, e.v, e.w)
 	}
-	r.Freeze()
 	return r
 }
 
@@ -41,10 +41,10 @@ func (m overlayModel) rebuild(g *Graph) *Graph {
 // (opposite endpoint, weight bits), id-independent.
 func neighborSet(g *Graph, n NodeID) [][2]uint64 {
 	var out [][2]uint64
-	g.ForEachIncident(n, func(eid EdgeID) {
+	for _, eid := range g.Incident(n) {
 		e := g.Edge(eid)
 		out = append(out, [2]uint64{uint64(e.Other(n)), math.Float64bits(e.W)})
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i][0] != out[j][0] {
 			return out[i][0] < out[j][0]
@@ -54,10 +54,14 @@ func neighborSet(g *Graph, n NodeID) [][2]uint64 {
 	return out
 }
 
-// assertOracleEqual checks the overlay-patched graph against the
-// from-scratch rebuild: adjacency sets and Dijkstra distances bit-equal.
+// assertOracleEqual checks the edited graph against the from-scratch
+// rebuild: Validate passes (rows ascending, no tombstone listed), adjacency
+// sets and Dijkstra distances are bit-equal.
 func assertOracleEqual(t *testing.T, g, ref *Graph) {
 	t.Helper()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
 	if g.NumLiveEdges() != ref.NumLiveEdges() {
 		t.Fatalf("live edges: got %d, rebuild has %d", g.NumLiveEdges(), ref.NumLiveEdges())
 	}
@@ -83,10 +87,10 @@ func assertOracleEqual(t *testing.T, g, ref *Graph) {
 	}
 }
 
-// gridGraph builds a w×h grid with unit-ish weights, frozen.
-func gridGraph(w, h int) (*Graph, overlayModel) {
+// gridGraph builds a w×h grid with unit-ish weights.
+func gridGraph(w, h int) (*Graph, edgeModel) {
 	g := New(w*h, 2*w*h)
-	m := overlayModel{}
+	m := edgeModel{}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			g.AddNode(geom.Point{X: float64(x), Y: float64(y)})
@@ -113,7 +117,6 @@ func gridGraph(w, h int) (*Graph, overlayModel) {
 			}
 		}
 	}
-	g.Freeze()
 	return g, m
 }
 
@@ -131,28 +134,14 @@ func TestOverlayBasics(t *testing.T) {
 	if g.EdgeAlive(0) {
 		t.Fatal("removed edge still alive")
 	}
-	if !g.Overlay() {
-		t.Fatal("overlay should be pending after a frozen-state removal")
-	}
-	// Traversal sees the patch before the freeze.
-	seen := false
-	g.ForEachIncident(u, func(eid EdgeID) {
-		if eid == 0 {
-			seen = true
-		}
-	})
-	if seen {
-		t.Fatal("ForEachIncident yielded a tombstoned edge pre-freeze")
-	}
-	g.Freeze()
-	if g.Overlay() {
-		t.Fatal("overlay still pending after Freeze")
+	if containsEdge(g.Incident(u), 0) || containsEdge(g.Incident(v), 0) {
+		t.Fatal("Incident yields a tombstoned edge")
 	}
 	if g.Degree(u) != degU-1 {
 		t.Fatalf("Degree(u) = %d, want %d", g.Degree(u), degU-1)
 	}
 	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate after remove+freeze: %v", err)
+		t.Fatalf("Validate after remove: %v", err)
 	}
 
 	// LIFO id reuse keeps the id space dense.
@@ -163,9 +152,8 @@ func TestOverlayBasics(t *testing.T) {
 	if g.NumEdges() != before {
 		t.Fatalf("NumEdges = %d, want %d (id space must not grow on reuse)", g.NumEdges(), before)
 	}
-	g.Freeze()
 	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate after reuse+freeze: %v", err)
+		t.Fatalf("Validate after reuse: %v", err)
 	}
 	if g.Edge(0).W != 2.5 {
 		t.Fatalf("reused edge weight = %g, want 2.5", g.Edge(0).W)
@@ -174,8 +162,8 @@ func TestOverlayBasics(t *testing.T) {
 
 func TestOverlayAddRemoveWithinOneWindow(t *testing.T) {
 	g, m := gridGraph(4, 4)
-	// Insert, remove, and re-insert (reusing the id) without freezing in
-	// between: the merge must neither drop nor duplicate entries.
+	// Insert, remove, and re-insert (reusing the id) back to back: the rows
+	// must neither drop nor duplicate entries.
 	id := g.AddEdge(0, 5, 3)
 	g.RemoveEdge(id)
 	id2 := g.AddEdge(1, 4, 4)
@@ -186,11 +174,6 @@ func TestOverlayAddRemoveWithinOneWindow(t *testing.T) {
 		u, v NodeID
 		w    float64
 	}{1, 4, 4}
-	assertOracleEqual(t, g, m.rebuild(g)) // pre-freeze (overlay consulted)
-	g.Freeze()
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
 	assertOracleEqual(t, g, m.rebuild(g))
 }
 
@@ -205,17 +188,12 @@ func TestOverlayAddNodeFrozen(t *testing.T) {
 		u, v NodeID
 		w    float64
 	}{n, 0, 1.5}
-	g.Freeze()
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
 	assertOracleEqual(t, g, m.rebuild(g))
 }
 
-// TestOverlayRandomChurn drives long random mutation sequences with
-// interleaved freezes and checks the overlay graph against the
-// rebuild-from-scratch oracle at every freeze boundary — the unit-test twin
-// of FuzzCSROverlay.
+// TestOverlayRandomChurn drives long random edit sequences with interleaved
+// checks of the edited graph against the rebuild-from-scratch oracle — the
+// unit-test twin of FuzzTopologyEdits.
 func TestOverlayRandomChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
@@ -261,27 +239,18 @@ func TestOverlayRandomChurn(t *testing.T) {
 				e := m[id]
 				e.w = w
 				m[id] = e
-			default: // freeze boundary
-				g.Freeze()
-				if err := g.Validate(); err != nil {
-					t.Fatalf("trial %d step %d: Validate: %v", trial, step, err)
-				}
+			default: // check
 				assertOracleEqual(t, g, m.rebuild(g))
 			}
-		}
-		assertOracleEqual(t, g, m.rebuild(g)) // pre-freeze overlay state
-		g.Freeze()
-		if err := g.Validate(); err != nil {
-			t.Fatalf("trial %d final Validate: %v", trial, err)
 		}
 		assertOracleEqual(t, g, m.rebuild(g))
 	}
 }
 
-// FuzzCSROverlay feeds arbitrary mutation scripts to the overlay and
-// cross-checks every freeze boundary against a from-scratch rebuild:
+// FuzzTopologyEdits feeds arbitrary edit scripts to a graph and cross-checks
+// it at every check op, and at the end, against a from-scratch rebuild:
 // adjacency sets and Dijkstra distances must be bit-equal.
-func FuzzCSROverlay(f *testing.F) {
+func FuzzTopologyEdits(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 0, 0, 3, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 3, 9, 3, 0, 0, 1, 1, 1, 2, 0, 0})
 	f.Add([]byte{2, 5, 5, 0, 2, 7, 1, 2, 2, 3, 3, 3, 0, 11, 4})
@@ -329,19 +298,55 @@ func FuzzCSROverlay(f *testing.F) {
 				e := m[id]
 				e.w = w
 				m[id] = e
-			case 3: // freeze boundary + oracle check
-				g.Freeze()
-				if err := g.Validate(); err != nil {
-					t.Fatalf("Validate: %v", err)
-				}
+			case 3: // check
 				assertOracleEqual(t, g, m.rebuild(g))
 			}
 		}
-		assertOracleEqual(t, g, m.rebuild(g)) // overlay state
-		g.Freeze()
-		if err := g.Validate(); err != nil {
-			t.Fatalf("final Validate: %v", err)
-		}
 		assertOracleEqual(t, g, m.rebuild(g))
 	})
+}
+
+// TestConcurrentReadsNeverWrite reads a graph built with New/AddEdge alone
+// (nothing prepares it for sharing) from four goroutines at once: under
+// -race any write on the read path — a lazily built index, a cache —
+// fails it.
+func TestConcurrentReadsNeverWrite(t *testing.T) {
+	const side = 6
+	g := New(side*side, 2*side*side)
+	for i := 0; i < side*side; i++ {
+		g.AddNode(geom.Point{X: float64(i % side), Y: float64(i / side)})
+	}
+	for i := 0; i < side*side; i++ {
+		if i%side+1 < side {
+			g.AddEdge(NodeID(i), NodeID(i+1), 1+0.01*float64(i))
+		}
+		if i+side < side*side {
+			g.AddEdge(NodeID(i), NodeID(i+side), 1+0.02*float64(i))
+		}
+	}
+	g.RemoveEdge(3)
+	id := g.AddEdge(7, 28, 1.5) // reuses id 3, below its rows' other ids
+	want, _ := g.Dijkstra([]NodeID{0}, nil, math.Inf(1))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < g.NumNodes(); n++ {
+				if d, row := g.Degree(NodeID(n)), g.Incident(NodeID(n)); d != len(row) {
+					t.Errorf("node %d: Degree %d, Incident lists %d", n, d, len(row))
+				}
+			}
+			if !containsEdge(g.Incident(28), id) {
+				t.Errorf("edge %d missing from node 28's row", id)
+			}
+			got, _ := g.Dijkstra([]NodeID{0}, nil, math.Inf(1))
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("dist(0→%d) = %g, want %g", i, got[i], want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

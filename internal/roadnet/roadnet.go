@@ -69,10 +69,6 @@ type objRecord struct {
 // use AddEdge/RemoveEdge on the network for live topology editing so the
 // spatial index and per-edge object lists stay consistent.
 func NewNetwork(g *graph.Graph) *Network {
-	// Compact the adjacency into the CSR layout now, before the graph is
-	// shared with the engines' parallel shard workers (the lazy freeze
-	// inside graph.Incident must not race).
-	g.Freeze()
 	b := g.Bounds().Expand(1e-9)
 	si := quadtree.New(b)
 	for i := 0; i < g.NumEdges(); i++ {
