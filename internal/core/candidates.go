@@ -8,41 +8,28 @@ import (
 	"roadknn/internal/roadnet"
 )
 
-// candEntry is one candidate: the object, its network distance from the
-// query, and its cached position (flattened so an entry is 24 bytes). The
-// cache lets re-derivation loops skip the object-registry lookup: a
-// candidate's position can only go stale by the object moving, and a moving
-// candidate always appears in the touched list — it lies on a registered
-// edge — which refreshes the cache.
-type candEntry struct {
-	dist float64
-	frac float64
-	obj  roadnet.ObjectID
-	edge graph.EdgeID
-}
-
-func (e *candEntry) pos() roadnet.Position { return roadnet.Position{Edge: e.edge, Frac: e.frac} }
-
-// before reports whether e sorts before an entry (d, obj): by distance, ties
-// by object id.
-func (e *candEntry) before(d float64, obj roadnet.ObjectID) bool {
-	return e.dist < d || (e.dist == d && e.obj < obj)
-}
-
 // candStore is the one candidate store behind direct monitors, node
 // monitors, grouped-query evaluation (one per worker arena) and OVH. It
 // de-duplicates by object id keeping the minimum distance per object (paper
 // §4.1: an object may be reached from both endpoints of a non-tree edge)
-// and holds its entries in ascending (dist, obj) order at all times: kth()
-// — the expansion's moving stop bound q.kNN_dist, consulted after every
-// offer and every heap pop — is a read of rank k, and finalize rewrites the
-// result only from the first rank that changed.
+// and holds its keys in ascending (Dist, Obj) order at all times: kth() —
+// the expansion's moving stop bound q.kNN_dist, consulted after every offer
+// and every heap pop — is a read of rank k, and the result is the first k
+// keys themselves: finalize returns a prefix of nb, so a monitor's k-NN
+// exists once.
+//
+// Each key carries, in the parallel edges array, the edge its object was
+// last offered on. rebuildIL reads it for the candidates at kNN_dist, and a
+// full refresh finds the object's fraction on it (monitor.refreshDist): a
+// candidate's position can only go stale by the object moving, and a moving
+// candidate always appears in the touched list — it lies on a registered
+// edge — which re-keys it.
 //
 // Beyond the k-th the store keeps a reserve: what an expansion scanned
-// farther out is retained instead of rejected, up to reserveCap(k) entries.
+// farther out is retained instead of rejected, up to reserveCap(k) keys.
 // cover bounds what that is worth: every object the owner ever offered at a
 // distance below cover is present at its minimum offered distance. Dropping
-// an entry for capacity lowers cover to its distance; the owner lowers it
+// a key for capacity lowers cover to its distance; the owner lowers it
 // to what its search did not reach (monitor invariant 2). Owners that
 // recompute from scratch every time (grouped evaluation, OVH) ignore it.
 //
@@ -54,7 +41,8 @@ func (e *candEntry) before(d float64, obj roadnet.ObjectID) bool {
 // after reset.
 type candStore struct {
 	k     int
-	ents  []candEntry
+	nb    []Neighbor     // ascending by (Dist, Obj); the first k are the result
+	edges []graph.EdgeID // edges[i] is where nb[i].Obj was last offered
 	cover float64
 
 	tabObj  []roadnet.ObjectID // noObj marks an empty slot
@@ -65,8 +53,14 @@ type candStore struct {
 	oddIn   bool
 	oddDist float64
 
-	result []Neighbor // what finalize last returned; rewritten in place
-	dirty  int        // lowest rank changed since
+	// The change report. last is the length of what finalize last returned
+	// and dirty the lowest rank written since (k when none below it was).
+	// An owner that tracks changes points prev at a buffer of its own before
+	// writing: the first write below last copies the returned result there,
+	// and finalize compares against it.
+	last  int
+	dirty int
+	prev  *[]Neighbor
 }
 
 // noObj marks an empty table slot. Object ids are arbitrary int32s, so the
@@ -75,18 +69,19 @@ const noObj = roadnet.ObjectID(math.MinInt32)
 
 const candMinTable = 16
 
-// reserveCap is the most entries a store targeting k neighbors holds: the
+// reserveCap is the most keys a store targeting k neighbors holds: the
 // k-NN set plus a reserve of a quarter as many again and a dozen. What lies
 // between the k-th and the nearest unverified node is a matter of object
 // density and frontier width, not of k (about ten objects under Table 2
 // for k from 10 to 200), hence the constant part.
 func reserveCap(k int) int { return k + k/4 + 12 }
 
-// reset clears the store, retaining capacity, and re-targets it to k. The
-// previous result stays readable for finalize's change report.
+// reset clears the store, retaining capacity, and re-targets it to k. For
+// the change report it is a write of every rank.
 func (c *candStore) reset(k int) {
+	c.written(0)
 	c.k = k
-	c.ents = c.ents[:0]
+	c.nb, c.edges = c.nb[:0], c.edges[:0]
 	c.cover = math.Inf(1)
 	if c.tabObj == nil {
 		c.tabObj = make([]roadnet.ObjectID, candMinTable)
@@ -94,19 +89,30 @@ func (c *candStore) reset(k int) {
 		c.mask = candMinTable - 1
 	}
 	c.clearTable()
-	c.dirty = 0
+}
+
+// written records that rank r is about to be written. The first write below
+// the last result's length saves that result for a tracking owner.
+func (c *candStore) written(r int) {
+	if r >= c.dirty {
+		return
+	}
+	if c.prev != nil && r < c.last && c.dirty >= c.last {
+		*c.prev = append((*c.prev)[:0], c.nb[:c.last]...)
+	}
+	c.dirty = r
 }
 
 // len returns the number of candidates, reserve included.
-func (c *candStore) len() int { return len(c.ents) }
+func (c *candStore) len() int { return len(c.nb) }
 
 // kth returns the current k-th smallest distance (+Inf with fewer than k
 // candidates).
 func (c *candStore) kth() float64 {
-	if len(c.ents) < c.k {
+	if len(c.nb) < c.k {
 		return math.Inf(1)
 	}
-	return c.ents[c.k-1].dist
+	return c.nb[c.k-1].Dist
 }
 
 // contains reports whether obj is currently a candidate.
@@ -122,28 +128,28 @@ func (c *candStore) lowerCover(r float64) {
 	}
 }
 
-// add offers object obj at distance d and position pos, keeping the minimum
+// add offers object obj at distance d on edge e, keeping the minimum
 // distance per object. It reports whether the store changed.
-func (c *candStore) add(obj roadnet.ObjectID, d float64, pos roadnet.Position) bool {
+func (c *candStore) add(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool {
 	cur, ok := c.lookup(obj)
 	if !ok {
-		return c.insert(obj, d, pos)
+		return c.insert(obj, d, e)
 	}
 	if d >= cur {
 		return false
 	}
-	c.move(c.rank(cur, obj), d, pos)
+	c.move(c.rank(cur, obj), d, e)
 	return true
 }
 
-// setExact overwrites the entry of obj regardless of the previous distance
-// (used when stale entries are re-derived from fresh positions). obj need
+// setExact overwrites the key of obj regardless of the previous distance
+// (used when stale keys are re-derived from fresh positions). obj need
 // not be present yet.
-func (c *candStore) setExact(obj roadnet.ObjectID, d float64, pos roadnet.Position) {
+func (c *candStore) setExact(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
 	if cur, ok := c.lookup(obj); ok {
-		c.move(c.rank(cur, obj), d, pos)
+		c.move(c.rank(cur, obj), d, e)
 	} else {
-		c.insert(obj, d, pos)
+		c.insert(obj, d, e)
 	}
 }
 
@@ -154,13 +160,19 @@ func (c *candStore) remove(obj roadnet.ObjectID) {
 	}
 }
 
-// rank returns the first rank whose entry does not sort before (d, obj): the
-// rank of obj's entry when d is its distance, its insertion point otherwise.
+// before reports whether key a sorts before (d, obj): by distance, ties by
+// object id.
+func before(a Neighbor, d float64, obj roadnet.ObjectID) bool {
+	return a.Dist < d || (a.Dist == d && a.Obj < obj)
+}
+
+// rank returns the first rank whose key does not sort before (d, obj): the
+// rank of obj's key when d is its distance, its insertion point otherwise.
 func (c *candStore) rank(d float64, obj roadnet.ObjectID) int {
-	lo, hi := 0, len(c.ents)
+	lo, hi := 0, len(c.nb)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.ents[mid].before(d, obj) {
+		if before(c.nb[mid], d, obj) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -170,131 +182,135 @@ func (c *candStore) rank(d float64, obj roadnet.ObjectID) int {
 }
 
 // insert places a new object by binary insertion. A store at capacity keeps
-// the reserveCap smallest: whichever entry falls off the end lowers cover.
-// The entries grow by doubling from 16 but never past reserveCap(k), the
-// most they can hold; a store is not sized up front, since k may be huge.
-func (c *candStore) insert(obj roadnet.ObjectID, d float64, pos roadnet.Position) bool {
-	n := len(c.ents)
+// the reserveCap smallest: whichever key falls off the end lowers cover.
+// The arrays grow fourfold from 16, and straight to reserveCap(k), the most
+// they can hold, once that is at most twice the size: each growth
+// allocates both, so a store at Table 2's k = 50 grows once past 16. A
+// store is not sized up front, since k may be huge.
+func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool {
+	n := len(c.nb)
 	if n == reserveCap(c.k) {
-		last := &c.ents[n-1]
-		if last.before(d, obj) {
+		last := c.nb[n-1]
+		if before(last, d, obj) {
 			c.lowerCover(d)
 			return false
 		}
-		c.lowerCover(last.dist)
-		c.tabDelete(last.obj)
+		c.lowerCover(last.Dist)
+		c.tabDelete(last.Obj)
 		n--
-		c.ents = c.ents[:n]
-	} else if n == cap(c.ents) {
-		ents := make([]candEntry, n, min(reserveCap(c.k), max(2*n, 16)))
-		copy(ents, c.ents)
-		c.ents = ents
+		c.nb, c.edges = c.nb[:n], c.edges[:n]
+	} else if n == cap(c.nb) {
+		size := max(4*n, 16)
+		if limit := reserveCap(c.k); size >= limit/2 {
+			size = limit
+		}
+		c.nb = append(make([]Neighbor, 0, size), c.nb...)
+		c.edges = append(make([]graph.EdgeID, 0, size), c.edges...)
 	}
 	r := c.rank(d, obj)
-	c.ents = c.ents[:n+1]
-	copy(c.ents[r+1:], c.ents[r:])
-	c.ents[r] = candEntry{dist: d, frac: pos.Frac, obj: obj, edge: pos.Edge}
+	c.written(r)
+	c.nb, c.edges = c.nb[:n+1], c.edges[:n+1]
+	copy(c.nb[r+1:], c.nb[r:])
+	copy(c.edges[r+1:], c.edges[r:])
+	c.nb[r], c.edges[r] = Neighbor{Obj: obj, Dist: d}, e
 	c.tabPut(obj, d)
-	c.dirty = min(c.dirty, r)
 	return true
 }
 
-// move re-ranks the entry at rank r to distance d and refreshes its cached
-// position.
-func (c *candStore) move(r int, d float64, pos roadnet.Position) {
-	e := c.ents[r]
-	e.frac, e.edge = pos.Frac, pos.Edge
-	if d == e.dist {
-		c.ents[r] = e
+// move re-ranks the key at rank r to distance d on edge e.
+func (c *candStore) move(r int, d float64, e graph.EdgeID) {
+	key := c.nb[r]
+	if d == key.Dist {
+		c.edges[r] = e
 		return
 	}
-	to := c.rank(d, e.obj)
+	to := c.rank(d, key.Obj)
 	if to > r {
-		to-- // the insertion point counted the entry itself
-		copy(c.ents[r:to], c.ents[r+1:to+1])
+		to-- // the insertion point counted the key itself
+		c.written(r)
+		copy(c.nb[r:to], c.nb[r+1:to+1])
+		copy(c.edges[r:to], c.edges[r+1:to+1])
 	} else {
-		copy(c.ents[to+1:r+1], c.ents[to:r])
+		c.written(to)
+		copy(c.nb[to+1:r+1], c.nb[to:r])
+		copy(c.edges[to+1:r+1], c.edges[to:r])
 	}
-	e.dist = d
-	c.ents[to] = e
-	c.tabPut(e.obj, d)
-	c.dirty = min(c.dirty, r, to)
+	key.Dist = d
+	c.nb[to], c.edges[to] = key, e
+	c.tabPut(key.Obj, d)
 }
 
 func (c *candStore) removeAt(r int) {
-	c.tabDelete(c.ents[r].obj)
-	c.ents = append(c.ents[:r], c.ents[r+1:]...)
-	c.dirty = min(c.dirty, r)
+	c.written(r)
+	c.tabDelete(c.nb[r].Obj)
+	c.nb = append(c.nb[:r], c.nb[r+1:]...)
+	c.edges = append(c.edges[:r], c.edges[r+1:]...)
 }
 
-// entries exposes the ordered entries to a bulk re-derivation, which may
-// overwrite every dist (+Inf to evict) and must call restore afterwards.
-func (c *candStore) entries() []candEntry { return c.ents }
+// rekey exposes the keys and their edges to a bulk re-derivation, which may
+// overwrite every Dist (+Inf to evict) and edge and must call restore
+// afterwards.
+func (c *candStore) rekey() ([]Neighbor, []graph.EdgeID) {
+	c.written(0)
+	return c.nb, c.edges
+}
 
 // restore re-establishes order and membership after the distances were
-// overwritten in place: an insertion sort (the entries were ordered before
-// and mostly still are), then +Inf entries are dropped off the end and the
-// table is rebuilt.
+// overwritten in place: an insertion sort (the keys were ordered before and
+// mostly still are), then +Inf keys are dropped off the end and the table
+// is rebuilt.
 func (c *candStore) restore() {
-	for i := 1; i < len(c.ents); i++ {
-		e := c.ents[i]
+	for i := 1; i < len(c.nb); i++ {
+		key, e := c.nb[i], c.edges[i]
 		j := i
-		for ; j > 0; j-- {
-			if c.ents[j-1].before(e.dist, e.obj) {
-				break
-			}
-			c.ents[j] = c.ents[j-1]
+		for ; j > 0 && !before(c.nb[j-1], key.Dist, key.Obj); j-- {
+			c.nb[j], c.edges[j] = c.nb[j-1], c.edges[j-1]
 		}
-		c.ents[j] = e
+		c.nb[j], c.edges[j] = key, e
 	}
-	n := len(c.ents)
-	for n > 0 && math.IsInf(c.ents[n-1].dist, 1) {
+	n := len(c.nb)
+	for n > 0 && math.IsInf(c.nb[n-1].Dist, 1) {
 		n--
 	}
-	c.ents = c.ents[:n]
+	c.nb, c.edges = c.nb[:n], c.edges[:n]
 	c.clearTable()
-	for i := range c.ents {
-		c.tabPut(c.ents[i].obj, c.ents[i].dist)
+	for _, key := range c.nb {
+		c.tabPut(key.Obj, key.Dist)
 	}
-	c.dirty = 0
 }
 
-// trim drops what the reserve cannot vouch for: every entry beyond the k-th
-// at or beyond cover.
+// trim drops what the reserve cannot vouch for: every key beyond the k-th
+// at or beyond cover. The result is not written.
 func (c *candStore) trim() {
-	n := len(c.ents)
-	for n > c.k && c.ents[n-1].dist >= c.cover {
+	n := len(c.nb)
+	for n > c.k && c.nb[n-1].Dist >= c.cover {
 		n--
-		c.tabDelete(c.ents[n].obj)
+		c.tabDelete(c.nb[n].Obj)
 	}
-	c.ents = c.ents[:n]
+	c.nb, c.edges = c.nb[:n], c.edges[:n]
 }
 
-// finalize trims the reserve to cover and returns the best k (ties broken
-// by object id for determinism), rewriting the result from the first rank
-// that changed. The slice remains owned by the store and is valid until the
-// next finalize; changed reports whether it differs from what the previous
-// finalize returned.
+// finalize trims the reserve to cover and returns the best k (ties broken by
+// object id for determinism): the prefix of the store's keys, capped so
+// that an append cannot reach the reserve, and valid until the store is next
+// written. changed reports whether the result differs from what the
+// previous finalize returned: exactly while the owner tracks (prev), and
+// otherwise whenever a rank of it was written.
 func (c *candStore) finalize() (result []Neighbor, changed bool) {
 	c.trim()
-	n := min(c.k, len(c.ents))
-	old := len(c.result)
-	if n != old {
+	n := min(c.k, len(c.nb))
+	result = c.nb[:n:n]
+	switch {
+	case n != c.last:
 		changed = true
-		if n > cap(c.result) {
-			c.result = slices.Grow(c.result[:old], n-old)
-		}
-		c.result = c.result[:n]
+	case c.dirty >= n:
+	case c.prev == nil:
+		changed = true
+	default:
+		changed = !slices.Equal((*c.prev)[c.dirty:], result[c.dirty:])
 	}
-	for i := c.dirty; i < n; i++ {
-		nb := Neighbor{Obj: c.ents[i].obj, Dist: c.ents[i].dist}
-		if i >= old || c.result[i] != nb {
-			c.result[i] = nb
-			changed = true
-		}
-	}
-	c.dirty = c.k
-	return c.result, changed
+	c.last, c.dirty = n, c.k
+	return result, changed
 }
 
 // candHash spreads object ids multiplicatively (Fibonacci hashing).
@@ -328,7 +344,7 @@ func (c *candStore) tabPut(obj roadnet.ObjectID, d float64) {
 			return
 		case noObj:
 			c.tabObj[i], c.tabDist[i] = obj, d
-			if uint32(len(c.ents))*4 > uint32(len(c.tabObj))*3 {
+			if uint32(len(c.nb))*4 > uint32(len(c.tabObj))*3 {
 				c.grow()
 			}
 			return
@@ -367,15 +383,15 @@ func (c *candStore) tabDelete(obj roadnet.ObjectID) {
 	}
 }
 
-// grow doubles the table and rehashes it from the entries.
+// grow doubles the table and rehashes it from the keys.
 func (c *candStore) grow() {
 	size := uint32(len(c.tabObj)) * 2
 	c.tabObj = make([]roadnet.ObjectID, size)
 	c.tabDist = make([]float64, size)
 	c.mask = size - 1
 	c.clearTable()
-	for i := range c.ents {
-		c.tabPut(c.ents[i].obj, c.ents[i].dist)
+	for _, key := range c.nb {
+		c.tabPut(key.Obj, key.Dist)
 	}
 }
 

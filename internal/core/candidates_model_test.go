@@ -17,31 +17,37 @@ import (
 // at or beyond cover.
 type candModel struct {
 	k      int
-	ents   map[roadnet.ObjectID]candEntry
+	ents   map[roadnet.ObjectID]candKey
 	cover  float64
 	result []Neighbor
 }
 
-func (m *candModel) sorted() []candEntry {
-	out := make([]candEntry, 0, len(m.ents))
+// candKey is one model entry: the key and the edge it was offered on.
+type candKey struct {
+	nb   Neighbor
+	edge graph.EdgeID
+}
+
+func (m *candModel) sorted() []candKey {
+	out := make([]candKey, 0, len(m.ents))
 	for _, e := range m.ents {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].dist != out[j].dist {
-			return out[i].dist < out[j].dist
+		if out[i].nb.Dist != out[j].nb.Dist {
+			return out[i].nb.Dist < out[j].nb.Dist
 		}
-		return out[i].obj < out[j].obj
+		return out[i].nb.Obj < out[j].nb.Obj
 	})
 	return out
 }
 
-func (m *candModel) put(obj roadnet.ObjectID, d float64, pos roadnet.Position) {
-	m.ents[obj] = candEntry{dist: d, frac: pos.Frac, obj: obj, edge: pos.Edge}
+func (m *candModel) put(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
+	m.ents[obj] = candKey{nb: Neighbor{Obj: obj, Dist: d}, edge: e}
 	if s := m.sorted(); len(s) > reserveCap(m.k) {
 		last := s[len(s)-1]
-		delete(m.ents, last.obj)
-		m.cover = math.Min(m.cover, last.dist)
+		delete(m.ents, last.nb.Obj)
+		m.cover = math.Min(m.cover, last.nb.Dist)
 	}
 }
 
@@ -50,10 +56,12 @@ func (m *candModel) put(obj roadnet.ObjectID, d float64, pos roadnet.Position) {
 var candModelIDs = []roadnet.ObjectID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 32, -1, noObj}
 
 // runCandModel interprets ops as a stream of store operations, applies it
-// to a candStore and to the model, and compares them after every op:
-// order, kth, membership, cached positions, cover, and finalize's result
-// and change report. The store's capacity must stay within reserveCap of
-// the largest k it has served.
+// to two candStores — one tracking changes, one not — and to the model,
+// and compares them after every op: keys and their edges in order, kth,
+// membership, cover, and finalize's result, which must be the prefix of
+// the store's own keys, and change report, which must be exact for the
+// tracking store and never miss a change for the other. Each store's
+// arrays must stay within reserveCap of the largest k it has served.
 func runCandModel(t *testing.T, ops []byte) {
 	next := func() int {
 		if len(ops) == 0 {
@@ -65,95 +73,128 @@ func runCandModel(t *testing.T, ops []byte) {
 	}
 	k := 1 + next()%5
 	maxK := k
-	c := newCandStore(k)
-	m := &candModel{k: k, ents: map[roadnet.ObjectID]candEntry{}, cover: math.Inf(1)}
+	var prev []Neighbor
+	tracked, untracked := newCandStore(k), newCandStore(k)
+	tracked.prev = &prev
+	stores := [2]*candStore{tracked, untracked}
+	m := &candModel{k: k, ents: map[roadnet.ObjectID]candKey{}, cover: math.Inf(1)}
 
 	for step := 0; len(ops) > 0; step++ {
 		op := next() % 16
 		obj := candModelIDs[next()%len(candModelIDs)]
 		d := float64(next()%24) / 2
-		pos := roadnet.Position{Edge: graph.EdgeID(next() % 7), Frac: d / 16}
+		e := graph.EdgeID(next() % 7)
 		switch {
 		case op < 6: // add keeps the minimum
 			cur, ok := m.ents[obj]
-			want := !ok || d < cur.dist
+			want := !ok || d < cur.nb.Dist
 			if want {
-				m.put(obj, d, pos)
+				m.put(obj, d, e)
 				_, want = m.ents[obj] // dropped again at once: unchanged
 			}
-			if got := c.add(obj, d, pos); got != want {
-				t.Fatalf("step %d: add(%d, %g) = %v, want %v", step, obj, d, got, want)
+			for _, c := range stores {
+				if got := c.add(obj, d, e); got != want {
+					t.Fatalf("step %d: add(%d, %g) = %v, want %v", step, obj, d, got, want)
+				}
 			}
 		case op < 9: // setExact overwrites
-			m.put(obj, d, pos)
-			c.setExact(obj, d, pos)
+			m.put(obj, d, e)
+			for _, c := range stores {
+				c.setExact(obj, d, e)
+			}
 		case op < 11:
 			delete(m.ents, obj)
-			c.remove(obj)
+			for _, c := range stores {
+				c.remove(obj)
+			}
 		case op < 12:
 			m.cover = math.Min(m.cover, d)
-			c.lowerCover(d)
+			for _, c := range stores {
+				c.lowerCover(d)
+			}
 		case op < 14: // finalize: trim to cover, report the best k
 			s := m.sorted()
-			for len(s) > k && s[len(s)-1].dist >= m.cover {
-				delete(m.ents, s[len(s)-1].obj)
+			for len(s) > k && s[len(s)-1].nb.Dist >= m.cover {
+				delete(m.ents, s[len(s)-1].nb.Obj)
 				s = s[:len(s)-1]
 			}
 			var want []Neighbor
 			for _, e := range s[:min(k, len(s))] {
-				want = append(want, Neighbor{Obj: e.obj, Dist: e.dist})
+				want = append(want, e.nb)
 			}
-			got, changed := c.finalize()
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d: finalize = %v, want %v", step, got, want)
-			}
-			if changed != !slices.Equal(want, m.result) {
-				t.Fatalf("step %d: finalize reported changed=%v for %v -> %v", step, changed, m.result, want)
+			diff := !slices.Equal(want, m.result)
+			for i, c := range stores {
+				got, changed := c.finalize()
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: finalize = %v, want %v", step, got, want)
+				}
+				if len(got) > 0 && (&got[0] != &c.nb[0] || cap(got) != len(got)) {
+					t.Fatalf("step %d: finalize's result is not the capped prefix of the store's keys", step)
+				}
+				if i == 0 && changed != diff || i == 1 && diff && !changed {
+					t.Fatalf("step %d: finalize (tracking %v) reported changed=%v for %v -> %v",
+						step, i == 0, changed, m.result, want)
+				}
 			}
 			m.result = want
-		case op < 15: // bulk re-derivation: new distances in place, +Inf evicts
-			ents := c.entries()
-			for i := range ents {
-				nd := float64((int(ents[i].obj)*7+step)%24) / 2
-				if (int(ents[i].obj)+step)%5 == 0 {
-					nd = math.Inf(1)
+		case op < 15: // bulk re-derivation: new distances and edges in place, +Inf evicts
+			for _, c := range stores {
+				nb, edges := c.rekey()
+				for i := range nb {
+					nd := float64((int(nb[i].Obj)*7+step)%24) / 2
+					if (int(nb[i].Obj)+step)%5 == 0 {
+						nd = math.Inf(1)
+					}
+					nb[i].Dist, edges[i] = nd, graph.EdgeID((int(nb[i].Obj)+step)%7)
 				}
-				ents[i].dist = nd
-				e := m.ents[ents[i].obj]
-				e.dist = nd
-				m.ents[e.obj] = e
+				c.restore()
 			}
 			for obj, e := range m.ents {
-				if math.IsInf(e.dist, 1) {
+				e.nb.Dist = float64((int(obj)*7+step)%24) / 2
+				if (int(obj)+step)%5 == 0 {
 					delete(m.ents, obj)
+					continue
 				}
+				e.edge = graph.EdgeID((int(obj) + step) % 7)
+				m.ents[obj] = e
 			}
-			c.restore()
 		default:
 			k = 1 + next()%5
-			m.k, m.ents, m.cover = k, map[roadnet.ObjectID]candEntry{}, math.Inf(1)
+			m.k, m.ents, m.cover = k, map[roadnet.ObjectID]candKey{}, math.Inf(1)
 			maxK = max(maxK, k)
-			c.reset(k)
+			for _, c := range stores {
+				c.reset(k)
+			}
 		}
 
 		want := m.sorted()
-		if !slices.Equal(c.entries(), want) {
-			t.Fatalf("step %d (op %d): entries %v, want %v", step, op, c.entries(), want)
-		}
 		wantKth := math.Inf(1)
 		if len(want) >= k {
-			wantKth = want[k-1].dist
+			wantKth = want[k-1].nb.Dist
 		}
-		if c.kth() != wantKth || c.len() != len(want) || c.cover != m.cover {
-			t.Fatalf("step %d (op %d): kth %g len %d cover %g, want %g %d %g",
-				step, op, c.kth(), c.len(), c.cover, wantKth, len(want), m.cover)
-		}
-		if cap(c.ents) > reserveCap(maxK) {
-			t.Fatalf("step %d (op %d): capacity %d past reserveCap(%d) = %d", step, op, cap(c.ents), maxK, reserveCap(maxK))
-		}
-		for _, id := range candModelIDs {
-			if _, in := m.ents[id]; c.contains(id) != in {
-				t.Fatalf("step %d (op %d): contains(%d) = %v", step, op, id, !in)
+		for _, c := range stores {
+			if len(c.edges) != len(c.nb) {
+				t.Fatalf("step %d (op %d): %d edges for %d keys", step, op, len(c.edges), len(c.nb))
+			}
+			got := make([]candKey, len(c.nb))
+			for i := range got {
+				got[i] = candKey{nb: c.nb[i], edge: c.edges[i]}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d (op %d): keys %v, want %v", step, op, got, want)
+			}
+			if c.kth() != wantKth || c.len() != len(want) || c.cover != m.cover {
+				t.Fatalf("step %d (op %d): kth %g len %d cover %g, want %g %d %g",
+					step, op, c.kth(), c.len(), c.cover, wantKth, len(want), m.cover)
+			}
+			if cap(c.nb) > reserveCap(maxK) || cap(c.edges) > reserveCap(maxK) {
+				t.Fatalf("step %d (op %d): capacity %d/%d past reserveCap(%d) = %d",
+					step, op, cap(c.nb), cap(c.edges), maxK, reserveCap(maxK))
+			}
+			for _, id := range candModelIDs {
+				if _, in := m.ents[id]; c.contains(id) != in {
+					t.Fatalf("step %d (op %d): contains(%d) = %v", step, op, id, !in)
+				}
 			}
 		}
 	}
@@ -187,7 +228,7 @@ func TestQuickCandidateAddRejectionIsSafe(t *testing.T) {
 			if cur, ok := all[obj]; !ok || d < cur {
 				all[obj] = d
 			}
-			c.add(obj, d, pz)
+			c.add(obj, d, 0)
 		}
 		res, _ := c.finalize()
 		// Expected top-k from the full multiset.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"roadknn/internal/graph"
 	"roadknn/internal/roadnet"
 )
@@ -30,14 +28,14 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 
 	ownEdge := g.net.G.Edge(q.pos.Edge)
 	for _, oe := range g.net.ObjectsOn(q.pos.Edge) {
-		cand.add(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), roadnet.Position{Edge: q.pos.Edge, Frac: oe.Frac})
+		cand.add(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), q.pos.Edge)
 	}
 
 	seq := &g.seqs.Seqs[q.seq]
 	covered := sc.covered[:0]
-	q.reachB, q.distB = g.walkDir(q, cand, seq, +1, &covered)
+	q.reachB = g.walkDir(q, cand, seq, +1, &covered)
 	nB := len(covered)
-	q.reachA, q.distA = g.walkDir(q, cand, seq, -1, &covered)
+	q.reachA = g.walkDir(q, cand, seq, -1, &covered)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
 	res, _ := cand.finalize()
@@ -52,9 +50,8 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 
 // walkDir expands along the sequence from q's edge: dir=+1 walks toward
 // EndB (increasing edge index), dir=-1 toward EndA. It reports whether the
-// endpoint was reached within the moving bound kNN_dist (cand's k-th) and
-// at what arc distance.
-func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, seq *roadnet.Sequence, dir int, covered *[]walkEdge) (bool, float64) {
+// endpoint was reached within the moving bound kNN_dist (cand's k-th).
+func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, seq *roadnet.Sequence, dir int, covered *[]walkEdge) bool {
 	idx := int(q.idx)
 
 	var node graph.NodeID
@@ -70,17 +67,17 @@ func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, seq *roadnet.Sequence
 
 	for {
 		if !g.naiveEval && d > cand.kth() {
-			return false, math.Inf(1)
+			return false
 		}
 		atEnd := (dir > 0 && j == len(seq.Edges)) || (dir < 0 && j == -1)
 		if atEnd {
 			g.mergeNodeSet(q, cand, node, d)
-			return true, d
+			return true
 		}
 		eid := seq.Edges[j]
 		ed := g.net.G.Edge(eid)
 		for _, oe := range g.net.ObjectsOn(eid) {
-			cand.add(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
+			cand.add(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), eid)
 		}
 		*covered = append(*covered, walkEdge{w: ed.W, dEntry: d, fromU: ed.U == node})
 		d += ed.W
@@ -107,9 +104,9 @@ func (g *groupLayer) mergeNodeSet(q *gmaQuery, cand *candStore, n graph.NodeID, 
 		if d+nb.Dist > cand.kth() {
 			break
 		}
-		// The merged object's own position is unknown here and irrelevant:
+		// The merged object's own edge is unknown here and irrelevant:
 		// grouped queries are re-evaluated from scratch, never re-derived.
-		cand.add(nb.Obj, d+nb.Dist, roadnet.Position{Edge: q.pos.Edge, Frac: q.pos.Frac})
+		cand.add(nb.Obj, d+nb.Dist, q.pos.Edge)
 	}
 }
 

@@ -59,8 +59,7 @@ type gmaQuery struct {
 	result []Neighbor
 	kdist  float64
 
-	reachA, reachB bool    // whether the walk reached each endpoint
-	distA, distB   float64 // arc distance to the endpoints when reached
+	reachA, reachB bool // whether the walk reached each endpoint
 
 	// The influence region of the last evaluation, in sequence coordinates:
 	// the query's edge is seq.Edges[idx], and extA / extB further edges

@@ -86,10 +86,15 @@ func newLockstepWorld(t *testing.T, seed int64, edges, nObj, nQry, maxK int) *lo
 // its own copy of the network. The engines are closed when the test ends.
 func newLockstepWorldOf(t *testing.T, seed int64, edges, nObj, nQry, maxK int, mk func(build func() *roadnet.Network) []Engine) *lockstepWorld {
 	t.Helper()
+	return newLockstepWorldOn(t, seed, func() *graph.Graph { return gen.SanFranciscoLike(edges, seed) }, nObj, nQry, maxK, mk)
+}
+
+// newLockstepWorldOn is newLockstepWorldOf on the graphs graphOf builds.
+// mk builds the engines before any object is placed.
+func newLockstepWorldOn(t *testing.T, seed int64, graphOf func() *graph.Graph, nObj, nQry, maxK int, mk func(build func() *roadnet.Network) []Engine) *lockstepWorld {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	build := func() *roadnet.Network {
-		return roadnet.NewNetwork(gen.SanFranciscoLike(edges, seed))
-	}
+	build := func() *roadnet.Network { return roadnet.NewNetwork(graphOf()) }
 	w := &lockstepWorld{
 		t:       t,
 		seed:    seed,
@@ -331,8 +336,8 @@ func (w *lockstepWorld) report(e Engine, qid QueryID, want []Neighbor) string {
 		case Grouped:
 			q := eng.qt.find(qid).grp
 			seq := &eng.grp.seqs.Seqs[q.seq]
-			fmt.Fprintf(&b, "    GMA kdist=%g seq=%d reachA=%v(%g) reachB=%v(%g) endA=%d endB=%d objSeq=%d\n",
-				q.kdist, q.seq, q.reachA, q.distA, q.reachB, q.distB, seq.EndA, seq.EndB, eng.grp.seqs.ByEdge[op.Edge])
+			fmt.Fprintf(&b, "    GMA kdist=%g seq=%d reachA=%v reachB=%v endA=%d endB=%d objSeq=%d\n",
+				q.kdist, q.seq, q.reachA, q.reachB, seq.EndA, seq.EndB, eng.grp.seqs.ByEdge[op.Edge])
 			for _, n := range []graph.NodeID{seq.EndA, seq.EndB} {
 				mon := eng.grp.nodeMon[n]
 				if mon == nil {
@@ -345,6 +350,55 @@ func (w *lockstepWorld) report(e Engine, qid QueryID, want []Neighbor) string {
 		}
 	}
 	return b.String()
+}
+
+// TestCountsIndependentOfEditHistory runs one IMA stream over two networks
+// with the same edge table: one built directly, the other edited into it
+// before any object is placed — a third of its edges removed and re-added
+// in reverse order, so that the free list hands back the same ids. Every
+// tick must publish the same snapshot bytes and count the same StepStats.
+// The network is a grid of unit-length roads (no jitter, no chains) with
+// objects sparse enough that trees span several blocks, so equal-cost
+// paths abound: which one the expansion keeps, and so the tree and the
+// work counted, follows the order of the adjacency rows, which an edit
+// history must not change. (Results cannot tell: path costs are exact and
+// ties rank by object id.)
+func TestCountsIndependentOfEditHistory(t *testing.T) {
+	const seed = 17
+	cfg := gen.SanFranciscoLikeConfig(400, seed)
+	cfg.Jitter, cfg.ChainFraction = 0, 0
+	edited := func() *graph.Graph {
+		g := gen.RoadNetwork(cfg)
+		var removed []graph.EdgeID
+		for id := graph.EdgeID(0); int(id) < g.NumEdges(); id += 3 {
+			g.RemoveEdge(id)
+			removed = append(removed, id)
+		}
+		for i := len(removed) - 1; i >= 0; i-- {
+			e := *g.Edge(removed[i]) // a tombstone stays readable until reused
+			if id := g.AddEdge(e.U, e.V, e.W); id != removed[i] {
+				t.Fatalf("re-added edge %d got id %d", removed[i], id)
+			}
+		}
+		return g
+	}
+	opts := Options{Workers: 1, Serving: true}
+	w := newLockstepWorldOn(t, seed, func() *graph.Graph { return gen.RoadNetwork(cfg) }, 150, 60, 20,
+		func(build func() *roadnet.Network) []Engine {
+			return []Engine{NewIMAWith(build(), opts), NewIMAWith(roadnet.NewNetwork(edited()), opts)}
+		})
+	a, b := w.engines[0].(*Incremental), w.engines[1].(*Incremental)
+	for ts := 1; ts <= 30; ts++ {
+		w.step(ts, 0.2, 0.2, 0.05)
+		if sa, sb := a.StepStats(), b.StepStats(); sa != sb {
+			t.Fatalf("ts %d: StepStats built %+v, edited %+v", ts, sa, sb)
+		}
+		ba, _ := a.Snapshot().MarshalBinary()
+		bb, _ := b.Snapshot().MarshalBinary()
+		if !slices.Equal(ba, bb) {
+			t.Fatalf("ts %d: snapshots differ", ts)
+		}
+	}
 }
 
 func TestLockstepSmallDenseNetwork(t *testing.T) {

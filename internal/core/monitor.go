@@ -61,7 +61,8 @@ type monitor struct {
 	track bool
 	// at is the monitor's index in its set's list.
 	at int32
-	// result aliases cand's storage after finalize; kdist mirrors cand.kth.
+	// result is cand's first k keys as the last finalize left them; kdist
+	// mirrors cand.kth.
 	result []Neighbor
 	kdist  float64
 
@@ -119,8 +120,8 @@ type monitor struct {
 
 // touch is one object classified against a monitor this timestamp, with the
 // position the route stage saw it arrive at: finalize re-derives it without
-// asking the object registry. The position is flattened, as in candEntry,
-// so an entry is 16 bytes.
+// asking the object registry. The position is flattened so that an entry
+// is 16 bytes.
 type touch struct {
 	obj  roadnet.ObjectID
 	edge graph.EdgeID // goneEdge for a deleted object, lateEdge when only the registry knows
@@ -257,7 +258,7 @@ func (m *monitor) computeInitial(sc *scratch) bool {
 
 	e := m.net.G.Edge(m.pos.Edge)
 	for _, oe := range m.net.ObjectsOn(m.pos.Edge) {
-		m.cand.add(oe.ID, roadnet.ArcCost(e, oe.Frac, m.pos.Frac), roadnet.Position{Edge: m.pos.Edge, Frac: oe.Frac})
+		m.cand.add(oe.ID, roadnet.ArcCost(e, oe.Frac, m.pos.Frac), m.pos.Edge)
 	}
 	sc.heap.Reset()
 	sc.heap.Push(int32(e.U), roadnet.CostFromU(e, m.pos.Frac))
@@ -304,7 +305,7 @@ func (m *monitor) runExpansion(sc *scratch) int {
 			e := g.Edge(eid)
 			nadj := e.Other(n)
 			for _, oe := range m.net.ObjectsOn(eid) {
-				m.cand.add(oe.ID, d+roadnet.CostFrom(e, n, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
+				m.cand.add(oe.ID, d+roadnet.CostFrom(e, n, oe.Frac), eid)
 			}
 			if !m.tree.has(nadj) {
 				if sc.heap.Push(int32(nadj), d+e.W) {
@@ -338,7 +339,7 @@ func (m *monitor) reexpand(sc *scratch) int {
 
 	e := g.Edge(m.pos.Edge)
 	for _, oe := range m.net.ObjectsOn(m.pos.Edge) {
-		m.cand.add(oe.ID, roadnet.ArcCost(e, oe.Frac, m.pos.Frac), roadnet.Position{Edge: m.pos.Edge, Frac: oe.Frac})
+		m.cand.add(oe.ID, roadnet.ArcCost(e, oe.Frac, m.pos.Frac), m.pos.Edge)
 	}
 	if !m.tree.has(e.U) {
 		sc.heap.Push(int32(e.U), roadnet.CostFromU(e, m.pos.Frac))
@@ -363,7 +364,7 @@ func (m *monitor) reexpand(sc *scratch) int {
 			}
 			if !covered {
 				for _, oe := range m.net.ObjectsOn(eid) {
-					m.cand.add(oe.ID, nDist+roadnet.CostFrom(ed, n, oe.Frac), roadnet.Position{Edge: eid, Frac: oe.Frac})
+					m.cand.add(oe.ID, nDist+roadnet.CostFrom(ed, n, oe.Frac), eid)
 				}
 			}
 			if !m.tree.has(nadj) {
@@ -490,12 +491,12 @@ func (m *monitor) rebuildIL(sc *scratch) {
 		}
 		newAff = append(newAff, g.Incident(entries[i].node)...)
 	}
-	for _, c := range m.cand.entries() {
-		if c.dist > m.kdist {
+	for i, nb := range m.cand.nb {
+		if nb.Dist > m.kdist {
 			break
 		}
-		if c.dist == m.kdist {
-			newAff = append(newAff, c.edge)
+		if nb.Dist == m.kdist {
+			newAff = append(newAff, m.cand.edges[i])
 		}
 	}
 	slices.Sort(newAff)
@@ -540,9 +541,10 @@ func (m *monitor) setK(k int) {
 }
 
 // candEntrySize is the nominal cost of one candidate, reserve or not: the
-// 24-byte ordered entry plus the 12-byte membership slot amortized over the
-// table's 75% load factor.
-const candEntrySize = 24 + 16
+// 16-byte key and 4-byte edge plus the 12-byte membership slot amortized
+// over the table's 75% load factor. The result is the keys' prefix and
+// costs nothing more.
+const candEntrySize = 16 + 4 + 16
 
 // sizeBytes estimates the memory footprint of the monitor's bookkeeping,
 // using nominal per-entry costs (Fig. 18 measurements): a tree entry is a

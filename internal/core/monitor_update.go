@@ -267,10 +267,10 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	}
 
 	// Re-derive candidate distances; distanceTo is exact within coverage
-	// and never underestimates, so stale entries are corrected or evicted
-	// and re-found by the expansion. After edge/move pruning every entry is
-	// re-derived from its cached position; a moved candidate's cache is
-	// stale, and it is among the touched, which come after.
+	// and never underestimates, so stale keys are corrected or evicted
+	// and re-found by the expansion. After edge/move pruning every key is
+	// re-derived from where its object is now (refreshDist); a moved
+	// candidate is among the touched too, which come after.
 	//
 	// Settle, then offer: the members among the touched are corrected or
 	// evicted first — distances, and the k-th with them, may grow here —
@@ -281,9 +281,9 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	// before the departures are settled, a burst of arrivals can push out an
 	// untouched entry that the departures then make the k-th again.)
 	if m.fullRefresh {
-		ents := m.cand.entries()
-		for i := range ents {
-			ents[i].dist = m.distanceTo(ents[i].pos())
+		nb, edges := m.cand.rekey()
+		for i := range nb {
+			nb[i].Dist, edges[i] = m.refreshDist(nb[i].Obj, edges[i])
 		}
 		m.cand.restore()
 	}
@@ -343,6 +343,23 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	return changed
 }
 
+// refreshDist re-derives the distance of candidate obj, last offered on edge
+// e, and returns it with the object's edge: its fraction is found on e's
+// object list, or — for an object that left e this timestamp — in the
+// registry. A deleted object is evicted (+Inf).
+func (m *monitor) refreshDist(obj roadnet.ObjectID, e graph.EdgeID) (float64, graph.EdgeID) {
+	for _, oe := range m.net.ObjectsOn(e) {
+		if oe.ID == obj {
+			return m.distanceTo(roadnet.Position{Edge: e, Frac: oe.Frac}), e
+		}
+	}
+	p, ok := m.net.ObjectPos(obj)
+	if !ok {
+		return math.Inf(1), e
+	}
+	return m.distanceTo(p), p.Edge
+}
+
 // rederive sets obj's candidate distance from its position p (goneEdge when
 // it was deleted): with offer unset it corrects a member, evicting it when p
 // is out of the tree's reach; with offer set it inserts a non-member within
@@ -353,7 +370,7 @@ func (m *monitor) rederive(obj roadnet.ObjectID, p roadnet.Position, offer bool)
 	}
 	if p.Edge != goneEdge {
 		if d := m.distanceTo(p); !math.IsInf(d, 1) {
-			m.cand.setExact(obj, d, p)
+			m.cand.setExact(obj, d, p.Edge)
 			return
 		}
 	}

@@ -264,7 +264,11 @@ func (s *monitorSet) runShard(wk, i int) {
 	if s.sharded {
 		m.ilDefer = &w.ilOps
 	}
-	w.changed = m.finalize(m.touched, s.arena(wk)) && m.track
+	sc := s.arena(wk)
+	if m.track {
+		m.cand.prev = &sc.prev // the change report's copy, in the worker's arena
+	}
+	w.changed = m.finalize(m.touched, sc) && m.track
 	m.touched = m.touched[:0]
-	m.ilDefer = nil
+	m.ilDefer, m.cand.prev = nil, nil
 }

@@ -47,22 +47,25 @@ func checkReserve(m *monitor) error {
 			return fmt.Errorf("object %d at %g, below cover %g (kdist %g), sits on unregistered edge %d", nb.Obj, nb.Dist, cover, m.kdist, pos.Edge)
 		}
 	}
-	ents := m.cand.entries()
-	for i, e := range ents {
-		if i > 0 && !(ents[i-1].dist < e.dist || (ents[i-1].dist == e.dist && ents[i-1].obj < e.obj)) {
-			return fmt.Errorf("entries %d and %d out of order", i-1, i)
+	keys, edges := m.cand.nb, m.cand.edges
+	if len(edges) != len(keys) {
+		return fmt.Errorf("%d edges for %d keys", len(edges), len(keys))
+	}
+	for i, e := range keys {
+		if i > 0 && !before(keys[i-1], e.Dist, e.Obj) {
+			return fmt.Errorf("keys %d and %d out of order", i-1, i)
 		}
-		if i >= m.k && e.dist >= cover {
-			return fmt.Errorf("reserve entry %d (object %d) at %g, not below cover %g", i, e.obj, e.dist, cover)
+		if i >= m.k && e.Dist >= cover {
+			return fmt.Errorf("reserve key %d (object %d) at %g, not below cover %g", i, e.Obj, e.Dist, cover)
 		}
-		if pos, ok := net.ObjectPos(e.obj); !ok || pos != e.pos() {
-			return fmt.Errorf("entry %d: object %d cached at %+v, registry says %+v (%v)", i, e.obj, e.pos(), pos, ok)
+		if pos, ok := net.ObjectPos(e.Obj); !ok || pos.Edge != edges[i] {
+			return fmt.Errorf("key %d: object %d kept on edge %d, registry says %+v (%v)", i, e.Obj, edges[i], pos, ok)
 		}
-		if math.Abs(e.dist-truth[e.obj]) > tol {
-			return fmt.Errorf("entry %d: object %d held at %g, truly at %g", i, e.obj, e.dist, truth[e.obj])
+		if math.Abs(e.Dist-truth[e.Obj]) > tol {
+			return fmt.Errorf("key %d: object %d held at %g, truly at %g", i, e.Obj, e.Dist, truth[e.Obj])
 		}
-		if d, ok := m.cand.lookup(e.obj); !ok || d != e.dist {
-			return fmt.Errorf("entry %d: table says (%g, %v) for object %d at %g", i, d, ok, e.obj, e.dist)
+		if d, ok := m.cand.lookup(e.Obj); !ok || d != e.Dist {
+			return fmt.Errorf("key %d: table says (%g, %v) for object %d at %g", i, d, ok, e.Obj, e.Dist)
 		}
 	}
 	inTable := 0
@@ -71,16 +74,14 @@ func checkReserve(m *monitor) error {
 			inTable++
 		}
 	}
-	if inTable != len(ents) {
-		return fmt.Errorf("table holds %d objects, entries %d", inTable, len(ents))
+	if inTable != len(keys) {
+		return fmt.Errorf("table holds %d objects, keys %d", inTable, len(keys))
 	}
-	for i, nb := range m.result {
-		if nb.Obj != ents[i].obj || nb.Dist != ents[i].dist {
-			return fmt.Errorf("result[%d] = %v, entry (%d, %g)", i, nb, ents[i].obj, ents[i].dist)
-		}
+	if len(m.result) != min(m.k, len(keys)) {
+		return fmt.Errorf("result has %d of %d keys, k = %d", len(m.result), len(keys), m.k)
 	}
-	if len(m.result) != min(m.k, len(ents)) {
-		return fmt.Errorf("result has %d of %d entries, k = %d", len(m.result), len(ents), m.k)
+	if len(m.result) > 0 && &m.result[0] != &keys[0] {
+		return fmt.Errorf("result is not the prefix of the store's keys")
 	}
 	return nil
 }

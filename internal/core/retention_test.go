@@ -89,8 +89,9 @@ func TestReleasedMonitorsAreCollectable(t *testing.T) {
 }
 
 // TestStepBuffersBoundedByUse checks the capacity side of what the core
-// keeps: after every tick, no direct monitor's candidate store has room
-// past reserveCap of the largest k it has served, and no entry of the step's work list beyond the
+// keeps: after every tick, no direct monitor's candidate store has room in
+// its keys or their edges past reserveCap of the largest k it has served
+// (the bytes the stores retain are logged at the end), and no entry of the step's work list beyond the
 // tick's count still holds the op lists of an earlier, larger tick, and the
 // departures buffer holds nothing while no grouped layer reads it (one entry
 // per reported move or delete once one does). Most queries flip to Grouped
@@ -106,9 +107,9 @@ func TestStepBuffersBoundedByUse(t *testing.T) {
 			check := func(ts int) {
 				for _, m := range e.set.list {
 					served[m] = max(served[m], m.k)
-					if k := served[m]; !m.track && cap(m.cand.ents) > reserveCap(k) {
-						t.Errorf("ts %d: query %d (k=%d) has candidate capacity %d, past reserveCap %d",
-							ts, m.id, k, cap(m.cand.ents), reserveCap(k))
+					if k := served[m]; !m.track && max(cap(m.cand.nb), cap(m.cand.edges)) > reserveCap(k) {
+						t.Errorf("ts %d: query %d (k=%d) has candidate capacity %d/%d, past reserveCap %d",
+							ts, m.id, k, cap(m.cand.nb), cap(m.cand.edges), reserveCap(k))
 					}
 				}
 				works := e.set.works
@@ -144,6 +145,21 @@ func TestStepBuffersBoundedByUse(t *testing.T) {
 				w.verify(w.label(ts))
 				check(ts)
 			}
+			var bytes, direct int
+			for _, m := range e.set.list {
+				if !m.track {
+					bytes += storeBytes(&m.cand)
+					direct++
+				}
+			}
+			t.Logf("store bytes per direct monitor: %d (%d monitors)", bytes/max(direct, 1), direct)
 		})
 	}
+}
+
+// storeBytes is what a candidate store retains at capacity: its 16-byte
+// keys, their 4-byte edges and its membership table of 4-byte ids and
+// 8-byte distances.
+func storeBytes(c *candStore) int {
+	return cap(c.nb)*16 + cap(c.edges)*4 + cap(c.tabObj)*4 + cap(c.tabDist)*8
 }

@@ -52,6 +52,10 @@ type scratch struct {
 	cand    candStore
 	covered []walkEdge
 
+	// prev holds a change-tracking monitor's previous result while its
+	// finalize rewrites the store it lives in (candStore.prev).
+	prev []Neighbor
+
 	// stats counts the work done with this arena (see StepStats): plain
 	// ints, one writer, summed over the arenas on read.
 	stats StepStats

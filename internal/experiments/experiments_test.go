@@ -100,3 +100,36 @@ func TestCellRunsTinyExperiment(t *testing.T) {
 		t.Fatalf("mem Cell returned %g", v)
 	}
 }
+
+// TestFigure18Shape pins Figure 18's shape on counted memory (SizeBytes'
+// nominal per-entry charges, deterministic per seed) at scale 0.05 and 3
+// timestamps: GMA needs less than IMA from Q = 3K on (f18a) and from k = 25
+// on (f18b), and the gap widens with k. Below those points the static
+// sequence table outweighs IMA's few small trees.
+func TestFigure18Shape(t *testing.T) {
+	exps := All(0.05, 3, 1)
+	gaps := func(id string) (labels []string, gap []float64) {
+		e := ByID(exps, id)
+		for _, p := range e.Points {
+			ima, gma := Cell(e, p, "IMA"), Cell(e, p, "GMA")
+			t.Logf("%s %s=%s: IMA %.1f KB, GMA %.1f KB", id, e.Param, p.Label, ima, gma)
+			labels, gap = append(labels, p.Label), append(gap, ima-gma)
+		}
+		return labels, gap
+	}
+	labels, gap := gaps("f18a")
+	for i := 1; i < len(gap); i++ {
+		if gap[i] <= 0 {
+			t.Errorf("f18a: GMA not below IMA at Q = %s (IMA - GMA = %.1f KB)", labels[i], gap[i])
+		}
+	}
+	labels, gap = gaps("f18b")
+	for i := 1; i < len(gap); i++ {
+		if gap[i] <= 0 {
+			t.Errorf("f18b: GMA not below IMA at k = %s (IMA - GMA = %.1f KB)", labels[i], gap[i])
+		}
+		if gap[i] <= gap[i-1] {
+			t.Errorf("f18b: the gap narrows from k = %s to %s (%.1f -> %.1f KB)", labels[i-1], labels[i], gap[i-1], gap[i])
+		}
+	}
+}
