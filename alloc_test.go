@@ -14,6 +14,7 @@ package roadknn_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"roadknn/internal/experiments"
@@ -86,13 +87,30 @@ func runAllocCheck(t *testing.T, engName string, workers int, topoAgility, hotsp
 	for i := 0; i < 15; i++ {
 		eng.Step(r.GenerateStep())
 	}
-	avg := testing.AllocsPerRun(20, func() {
+	avg, exact := allocsPerRun(20, func() {
 		eng.Step(r.GenerateStep())
 	})
-	t.Logf("%s workers=%d: %.1f allocs per warmed Step (ceiling %d)",
-		engName, workers, avg, ceiling)
+	t.Logf("%s workers=%d: %.1f allocs per warmed Step (ceiling %d); %d in the 20 measured Steps",
+		engName, workers, avg, ceiling, exact)
 	if avg > float64(ceiling) {
 		t.Fatalf("%s workers=%d Step allocates %.1f times per call, above the regression ceiling %d",
 			engName, workers, avg, ceiling)
 	}
+}
+
+// allocsPerRun measures f as testing.AllocsPerRun(runs, f) does — at
+// GOMAXPROCS 1, after one warm-up call — and returns both its reading, the
+// integer-truncated mean, and the exact number of heap allocations over the
+// measured calls, which the truncation can hide up to runs-1 of.
+func allocsPerRun(runs int, f func()) (avg float64, exact uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	exact = after.Mallocs - before.Mallocs
+	return float64(exact / uint64(runs)), exact
 }

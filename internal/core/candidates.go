@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"roadknn/internal/graph"
+	"roadknn/internal/idtable"
 	"roadknn/internal/roadnet"
 )
 
@@ -33,25 +34,17 @@ import (
 // to what its search did not reach (monitor invariant 2). Owners that
 // recompute from scratch every time (grouped evaluation, OVH) ignore it.
 //
-// Membership is a flat open-addressing table in the store's own arrays (the
-// treestore.go idiom: Fibonacci hash, backward-shift delete, no tombstones,
-// reset is a fill, no allocation at steady state) mapping an object to its
-// current distance, from which its rank follows by binary search — ranks
-// shift under every insertion, distances do not. The zero value is usable
-// after reset.
+// Membership is an idtable.Map from object to its current distance (the
+// tree index's table: no allocation at steady state, reset keeps its
+// arrays), from which its rank follows by binary search — ranks shift under
+// every insertion, distances do not. The zero value is usable after reset.
 type candStore struct {
 	k     int
 	nb    []Neighbor     // ascending by (Dist, Obj); the first k are the result
 	edges []graph.EdgeID // edges[i] is where nb[i].Obj was last offered
 	cover float64
 
-	tabObj  []roadnet.ObjectID // noObj marks an empty slot
-	tabDist []float64
-	mask    uint32
-	// The object whose id equals the empty-slot marker never enters the
-	// table; these two fields are its slot.
-	oddIn   bool
-	oddDist float64
+	dist idtable.Map[float64] // object -> its key's distance
 
 	// The change report. last is the length of what finalize last returned
 	// and dirty the lowest rank written since (k when none below it was).
@@ -62,12 +55,6 @@ type candStore struct {
 	dirty int
 	prev  *[]Neighbor
 }
-
-// noObj marks an empty table slot. Object ids are arbitrary int32s, so the
-// one object that carries this id is tracked outside the table.
-const noObj = roadnet.ObjectID(math.MinInt32)
-
-const candMinTable = 16
 
 // reserveCap is the most keys a store targeting k neighbors holds: the
 // k-NN set plus a reserve of a quarter as many again and a dozen. What lies
@@ -83,12 +70,7 @@ func (c *candStore) reset(k int) {
 	c.k = k
 	c.nb, c.edges = c.nb[:0], c.edges[:0]
 	c.cover = math.Inf(1)
-	if c.tabObj == nil {
-		c.tabObj = make([]roadnet.ObjectID, candMinTable)
-		c.tabDist = make([]float64, candMinTable)
-		c.mask = candMinTable - 1
-	}
-	c.clearTable()
+	c.dist.Clear()
 }
 
 // written records that rank r is about to be written. The first write below
@@ -117,7 +99,7 @@ func (c *candStore) kth() float64 {
 
 // contains reports whether obj is currently a candidate.
 func (c *candStore) contains(obj roadnet.ObjectID) bool {
-	_, ok := c.lookup(obj)
+	_, ok := c.dist.Get(int32(obj))
 	return ok
 }
 
@@ -196,7 +178,7 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool
 			return false
 		}
 		c.lowerCover(last.Dist)
-		c.tabDelete(last.Obj)
+		c.dist.Delete(int32(last.Obj))
 		n--
 		c.nb, c.edges = c.nb[:n], c.edges[:n]
 	} else if n == cap(c.nb) {
@@ -213,7 +195,7 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool
 	copy(c.nb[r+1:], c.nb[r:])
 	copy(c.edges[r+1:], c.edges[r:])
 	c.nb[r], c.edges[r] = Neighbor{Obj: obj, Dist: d}, e
-	c.tabPut(obj, d)
+	c.dist.Put(int32(obj), d)
 	return true
 }
 
@@ -237,12 +219,12 @@ func (c *candStore) move(r int, d float64, e graph.EdgeID) {
 	}
 	key.Dist = d
 	c.nb[to], c.edges[to] = key, e
-	c.tabPut(key.Obj, d)
+	c.dist.Put(int32(key.Obj), d)
 }
 
 func (c *candStore) removeAt(r int) {
 	c.written(r)
-	c.tabDelete(c.nb[r].Obj)
+	c.dist.Delete(int32(c.nb[r].Obj))
 	c.nb = append(c.nb[:r], c.nb[r+1:]...)
 	c.edges = append(c.edges[:r], c.edges[r+1:]...)
 }
@@ -273,9 +255,9 @@ func (c *candStore) restore() {
 		n--
 	}
 	c.nb, c.edges = c.nb[:n], c.edges[:n]
-	c.clearTable()
+	c.dist.Clear()
 	for _, key := range c.nb {
-		c.tabPut(key.Obj, key.Dist)
+		c.dist.Put(int32(key.Obj), key.Dist)
 	}
 }
 
@@ -285,7 +267,7 @@ func (c *candStore) trim() {
 	n := len(c.nb)
 	for n > c.k && c.nb[n-1].Dist >= c.cover {
 		n--
-		c.tabDelete(c.nb[n].Obj)
+		c.dist.Delete(int32(c.nb[n].Obj))
 	}
 	c.nb, c.edges = c.nb[:n], c.edges[:n]
 }
@@ -313,92 +295,5 @@ func (c *candStore) finalize() (result []Neighbor, changed bool) {
 	return result, changed
 }
 
-// candHash spreads object ids multiplicatively (Fibonacci hashing).
-func candHash(obj roadnet.ObjectID) uint32 { return uint32(obj) * 2654435761 }
-
 // lookup returns obj's current distance and whether it is a candidate.
-func (c *candStore) lookup(obj roadnet.ObjectID) (float64, bool) {
-	if obj == noObj {
-		return c.oddDist, c.oddIn
-	}
-	for i := candHash(obj) & c.mask; ; i = (i + 1) & c.mask {
-		switch c.tabObj[i] {
-		case obj:
-			return c.tabDist[i], true
-		case noObj:
-			return 0, false
-		}
-	}
-}
-
-// tabPut records d as obj's distance, inserting obj if absent.
-func (c *candStore) tabPut(obj roadnet.ObjectID, d float64) {
-	if obj == noObj {
-		c.oddIn, c.oddDist = true, d
-		return
-	}
-	for i := candHash(obj) & c.mask; ; i = (i + 1) & c.mask {
-		switch c.tabObj[i] {
-		case obj:
-			c.tabDist[i] = d
-			return
-		case noObj:
-			c.tabObj[i], c.tabDist[i] = obj, d
-			if uint32(len(c.nb))*4 > uint32(len(c.tabObj))*3 {
-				c.grow()
-			}
-			return
-		}
-	}
-}
-
-// tabDelete removes obj with backward-shift deletion: later entries of the
-// probe chain that would become unreachable through the vacated slot are
-// shifted into it (see treeStore.idxDelete).
-func (c *candStore) tabDelete(obj roadnet.ObjectID) {
-	if obj == noObj {
-		c.oddIn = false
-		return
-	}
-	i := candHash(obj) & c.mask
-	for c.tabObj[i] != obj {
-		i = (i + 1) & c.mask
-	}
-	for {
-		c.tabObj[i] = noObj
-		j := i
-		for {
-			j = (j + 1) & c.mask
-			k := c.tabObj[j]
-			if k == noObj {
-				return
-			}
-			if cyclicBetween(i, candHash(k)&c.mask, j) {
-				continue
-			}
-			c.tabObj[i], c.tabDist[i] = k, c.tabDist[j]
-			i = j
-			break
-		}
-	}
-}
-
-// grow doubles the table and rehashes it from the keys.
-func (c *candStore) grow() {
-	size := uint32(len(c.tabObj)) * 2
-	c.tabObj = make([]roadnet.ObjectID, size)
-	c.tabDist = make([]float64, size)
-	c.mask = size - 1
-	c.clearTable()
-	for _, key := range c.nb {
-		c.tabPut(key.Obj, key.Dist)
-	}
-}
-
-// clearTable empties the membership table.
-func (c *candStore) clearTable() {
-	for i := range c.tabObj {
-		c.tabObj[i] = noObj
-	}
-	c.oddIn = false
-}
+func (c *candStore) lookup(obj roadnet.ObjectID) (float64, bool) { return c.dist.Get(int32(obj)) }

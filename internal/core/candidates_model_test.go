@@ -52,8 +52,9 @@ func (m *candModel) put(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
 }
 
 // candModelIDs is the object universe of the op streams: small, so ops
-// collide, and holding the id the store's table cannot.
-var candModelIDs = []roadnet.ObjectID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 32, -1, noObj}
+// collide, and holding the id the membership table reserves as its
+// empty-slot marker.
+var candModelIDs = []roadnet.ObjectID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 32, -1, math.MinInt32}
 
 // runCandModel interprets ops as a stream of store operations, applies it
 // to two candStores — one tracking changes, one not — and to the model,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"roadknn/internal/graph"
 	"roadknn/internal/roadnet"
@@ -391,8 +392,8 @@ const neighborSize = 16
 func (g *groupLayer) sizeBytes() int {
 	n := 0
 	for q := range g.queries {
-		// 64: idx, ext and the three intervals; 8: the seqQ entry.
-		n += len(q.result)*neighborSize + 96 + 64 + 8
+		// The query itself and its seqQ entry.
+		n += len(q.result)*neighborSize + int(unsafe.Sizeof(gmaQuery{})) + 8
 	}
 	for _, qs := range g.nodeQ {
 		n += 24 + len(qs)*8

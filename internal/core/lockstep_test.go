@@ -41,6 +41,9 @@ type lockstepWorld struct {
 	// churn makes every step insert an object and report one edge twice,
 	// installs a query every 5th step and ends one every 7th.
 	churn bool
+	// idStride spaces the object ids: the n-th object is n * idStride (1
+	// when zero), so a stride of 65536 gives every id the same low 16 bits.
+	idStride roadnet.ObjectID
 }
 
 // engineKind names one of the package's engine constructors.
@@ -84,14 +87,15 @@ func newLockstepWorld(t *testing.T, seed int64, edges, nObj, nQry, maxK int) *lo
 
 // newLockstepWorldOf is newLockstepWorld over the engines mk builds, each on
 // its own copy of the network. The engines are closed when the test ends.
-func newLockstepWorldOf(t *testing.T, seed int64, edges, nObj, nQry, maxK int, mk func(build func() *roadnet.Network) []Engine) *lockstepWorld {
+// Each setup runs on the world before any object is placed.
+func newLockstepWorldOf(t *testing.T, seed int64, edges, nObj, nQry, maxK int, mk func(build func() *roadnet.Network) []Engine, setup ...func(*lockstepWorld)) *lockstepWorld {
 	t.Helper()
-	return newLockstepWorldOn(t, seed, func() *graph.Graph { return gen.SanFranciscoLike(edges, seed) }, nObj, nQry, maxK, mk)
+	return newLockstepWorldOn(t, seed, func() *graph.Graph { return gen.SanFranciscoLike(edges, seed) }, nObj, nQry, maxK, mk, setup...)
 }
 
 // newLockstepWorldOn is newLockstepWorldOf on the graphs graphOf builds.
 // mk builds the engines before any object is placed.
-func newLockstepWorldOn(t *testing.T, seed int64, graphOf func() *graph.Graph, nObj, nQry, maxK int, mk func(build func() *roadnet.Network) []Engine) *lockstepWorld {
+func newLockstepWorldOn(t *testing.T, seed int64, graphOf func() *graph.Graph, nObj, nQry, maxK int, mk func(build func() *roadnet.Network) []Engine, setup ...func(*lockstepWorld)) *lockstepWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	build := func() *roadnet.Network { return roadnet.NewNetwork(graphOf()) }
@@ -108,13 +112,16 @@ func newLockstepWorldOn(t *testing.T, seed int64, graphOf func() *graph.Graph, n
 		nextObj: roadnet.ObjectID(nObj),
 		nextQry: QueryID(nQry),
 	}
+	for _, f := range setup {
+		f(w)
+	}
 	t.Cleanup(func() {
 		for _, e := range w.engines {
 			e.Close()
 		}
 	})
 	for i := 0; i < nObj; i++ {
-		id := roadnet.ObjectID(i)
+		id := w.objID(roadnet.ObjectID(i))
 		pos := w.world.UniformPosition(rng)
 		w.objPos[id] = pos
 		w.world.AddObject(id, pos)
@@ -205,7 +212,7 @@ func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 		inserts = 1
 	}
 	for range inserts {
-		id := w.nextObj
+		id := w.objID(w.nextObj)
 		w.nextObj++
 		pos := w.world.UniformPosition(w.rng)
 		u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: pos, Insert: true})
@@ -253,6 +260,11 @@ func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 	}
 	w.last = u
 	return u
+}
+
+// objID is the id of the world's n-th object.
+func (w *lockstepWorld) objID(n roadnet.ObjectID) roadnet.ObjectID {
+	return n * max(w.idStride, 1)
 }
 
 func (w *lockstepWorld) walk(pos roadnet.Position) roadnet.Position {
@@ -468,6 +480,19 @@ func TestLockstepLargerNetwork(t *testing.T) {
 // edge reports with one edge reported twice, in one batch.
 func TestCrossEngineChurn(t *testing.T) {
 	w := newLockstepWorld(t, 4242, 120, 60, 16, 6)
+	w.churn = true
+	for ts := 1; ts <= 60; ts++ {
+		w.step(ts, 0.25, 0.3, 0.02)
+	}
+}
+
+// TestCrossEngineChurnStridedIDs is TestCrossEngineChurn with object ids
+// that all share their low 16 bits, so each table keyed by object id sees
+// the ids a client may choose to collide: every engine, ablations included,
+// at 1 and 4 workers, must still match the oracle exactly.
+func TestCrossEngineChurnStridedIDs(t *testing.T) {
+	w := newLockstepWorldOf(t, 4242, 120, 60, 16, 6, atWorkers(slices.Concat(paperEngines, ablationEngines), 1, 4),
+		func(w *lockstepWorld) { w.idStride = 65536 })
 	w.churn = true
 	for ts := 1; ts <= 60; ts++ {
 		w.step(ts, 0.25, 0.3, 0.02)

@@ -541,15 +541,15 @@ func (m *monitor) setK(k int) {
 }
 
 // candEntrySize is the nominal cost of one candidate, reserve or not: the
-// 16-byte key and 4-byte edge plus the 12-byte membership slot amortized
-// over the table's 75% load factor. The result is the keys' prefix and
-// costs nothing more.
+// 16-byte key and 4-byte edge plus a nominal 16-byte share of the 12-byte
+// membership slots (the table is at most 7/8 full). The result is the keys'
+// prefix and costs nothing more.
 const candEntrySize = 16 + 4 + 16
 
 // sizeBytes estimates the memory footprint of the monitor's bookkeeping,
 // using nominal per-entry costs (Fig. 18 measurements): a tree entry is a
-// 24-byte dense record plus ~16 bytes of hash-index slot amortized over
-// the 75% load factor; a candidate costs candEntrySize.
+// 24-byte dense record plus a nominal 16-byte share of the index's 8-byte
+// slots (at most 7/8 full); a candidate costs candEntrySize.
 func (m *monitor) sizeBytes() int {
 	const (
 		treeEntrySize = 24 + 16 // dense entry + index share

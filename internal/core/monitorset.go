@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"roadknn/internal/graph"
+	"roadknn/internal/idtable"
 	"roadknn/internal/pool"
 	"roadknn/internal/roadnet"
 )
@@ -463,45 +464,25 @@ func (s *monitorSet) influenced(e graph.EdgeID) []*monitor {
 	return s.il.byEdge[e]
 }
 
-// idSet detects a timestamp that reports one object more than once: an
-// open-addressing set of the batch's ids, emptied in O(1) by its epoch.
-type idSet struct {
-	slots []uint64 // epoch<<32 | id; any other epoch means empty
-	epoch uint32
-}
+// idSet detects a timestamp that reports one object more than once: the
+// batch's ids in an idtable.Map, cleared for every batch.
+type idSet struct{ ids idtable.Map[struct{}] }
 
 // repeats reports whether two of objs carry the same object id.
 func (t *idSet) repeats(objs []ObjectUpdate) bool {
 	if len(objs) < 2 {
 		return false
 	}
-	// At most half full, and not left at the size of one outsized batch (a
-	// population loaded in a single timestamp).
-	if n := len(t.slots); n < 2*len(objs) || n > 16*len(objs) {
-		n = 64
-		for n < 2*len(objs) {
-			n *= 2
-		}
-		if n != len(t.slots) {
-			t.slots, t.epoch = make([]uint64, n), 0
-		}
+	// Not left at the size of one outsized batch (a population loaded in a
+	// single timestamp): a map grown for this batch has at most ~2.3 slots
+	// per id, so past 8 it was grown for a batch several times larger.
+	if t.ids.Slots() > 8*len(objs) {
+		t.ids = idtable.Map[struct{}]{}
 	}
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.slots)
-		t.epoch = 1
-	}
-	mask := uint32(len(t.slots) - 1)
+	t.ids.Clear()
 	for i := range objs {
-		key := uint64(t.epoch)<<32 | uint64(uint32(objs[i].ID))
-		for j := candHash(objs[i].ID) & mask; ; j = (j + 1) & mask {
-			if t.slots[j] == key {
-				return true
-			}
-			if t.slots[j]>>32 != uint64(t.epoch) {
-				t.slots[j] = key
-				break
-			}
+		if !t.ids.Put(int32(objs[i].ID), struct{}{}) {
+			return true
 		}
 	}
 	return false

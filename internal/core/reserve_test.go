@@ -68,13 +68,7 @@ func checkReserve(m *monitor) error {
 			return fmt.Errorf("key %d: table says (%g, %v) for object %d at %g", i, d, ok, e.Obj, e.Dist)
 		}
 	}
-	inTable := 0
-	for _, o := range m.cand.tabObj {
-		if o != noObj {
-			inTable++
-		}
-	}
-	if inTable != len(keys) {
+	if inTable := m.cand.dist.Len(); inTable != len(keys) {
 		return fmt.Errorf("table holds %d objects, keys %d", inTable, len(keys))
 	}
 	if len(m.result) != min(m.k, len(keys)) {

@@ -161,5 +161,5 @@ func TestStepBuffersBoundedByUse(t *testing.T) {
 // keys, their 4-byte edges and its membership table of 4-byte ids and
 // 8-byte distances.
 func storeBytes(c *candStore) int {
-	return cap(c.nb)*16 + cap(c.edges)*4 + cap(c.tabObj)*4 + cap(c.tabDist)*8
+	return cap(c.nb)*16 + cap(c.edges)*4 + c.dist.Slots()*(4+8)
 }

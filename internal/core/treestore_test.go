@@ -43,12 +43,16 @@ func TestTreeStoreMatchesMap(t *testing.T) {
 	for op := 0; op < 30000; op++ {
 		n := graph.NodeID(rng.Intn(universe))
 		switch r := rng.Intn(100); {
-		case r < 55: // put (insert or overwrite)
+		case r < 55: // put, or overwrite in place
 			e := treeEntry{node: n, dist: rng.Float64(), parent: graph.NodeID(rng.Intn(universe)), parentEdge: graph.EdgeID(rng.Intn(universe))}
-			ts.put(n, e.dist, e.parent, e.parentEdge)
+			if i, ok := ts.idx.Get(int32(n)); ok {
+				*ts.at(int(i)) = e
+			} else {
+				ts.put(n, e.dist, e.parent, e.parentEdge)
+			}
 			ref[n] = e
 		case r < 90: // delete by node
-			if i := ts.lookup(n); i >= 0 {
+			if i, ok := ts.idx.Get(int32(n)); ok {
 				ts.deleteAt(int(i))
 			}
 			delete(ref, n)

@@ -1,6 +1,7 @@
 package idtable
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,4 +128,145 @@ func TestTableRowsReuseLastReleased(t *testing.T) {
 	if _, ok := tab.Delete(11); ok {
 		t.Fatal("deleted id deleted twice")
 	}
+}
+
+// longestRun returns the longest cyclic run of occupied key slots: the most
+// slots any probe that misses can walk.
+func longestRun(keys []int32) int {
+	n := len(keys)
+	best, run := 0, 0
+	for i := 0; i < 2*n; i++ {
+		if keys[i%n] == free {
+			run = 0
+			continue
+		}
+		if run++; run > best {
+			best = run
+		}
+	}
+	return min(best, n)
+}
+
+// TestMapStructuredIDs inserts ids that share their low bits — multiples of
+// 65536 and of 1024, as a client may choose them — and bounds the longest
+// probe run. A home taken from the low bits of the hash puts each family
+// into a few runs hundreds or thousands of slots long.
+func TestMapStructuredIDs(t *testing.T) {
+	for _, stride := range []int32{1, 1024, 65536} {
+		var m Map[float64]
+		for i := int32(0); i < 4096; i++ {
+			m.Put(i*stride, float64(i))
+		}
+		run := longestRun(m.keys)
+		t.Logf("stride %d: %d ids in %d slots, longest run %d", stride, m.Len(), m.Slots(), run)
+		if run > 16 {
+			t.Fatalf("stride %d: longest probe run %d slots, want at most 16", stride, run)
+		}
+		for i := int32(0); i < 4096; i++ {
+			if v, ok := m.Get(i * stride); !ok || v != float64(i) {
+				t.Fatalf("stride %d: Get(%d) = %v, %v", stride, i*stride, v, ok)
+			}
+		}
+	}
+}
+
+// checkMap compares m with its reference over every key of pool, and its
+// arrays with its count: as many occupied slots as keys held, the reserved
+// key aside.
+func checkMap(m *Map[float64], ref map[int32]float64, pool []int32) error {
+	if m.Len() != len(ref) {
+		return fmt.Errorf("Len %d, reference %d", m.Len(), len(ref))
+	}
+	for _, k := range pool {
+		v, ok := m.Get(k)
+		want, live := ref[k]
+		if ok != live || v != want {
+			return fmt.Errorf("Get(%d) = %v, %v; reference %v, %v", k, v, ok, want, live)
+		}
+	}
+	occupied := 0
+	for _, k := range m.keys {
+		if k != free {
+			occupied++
+		}
+	}
+	if _, res := ref[free]; res {
+		occupied++
+	}
+	if occupied != len(ref) {
+		return fmt.Errorf("%d slots occupied, %d keys held", occupied, len(ref))
+	}
+	return nil
+}
+
+// applyMapOp applies one operation, chosen by op, on key k to m and its
+// reference, and reports a disagreement in what the operation returned.
+func applyMapOp(m *Map[float64], ref map[int32]float64, op byte, k int32, v float64) error {
+	switch op % 8 {
+	case 0, 1, 2, 3:
+		_, live := ref[k]
+		if added := m.Put(k, v); added == live {
+			return fmt.Errorf("Put(%d) added %v, reference held it: %v", k, added, live)
+		}
+		ref[k] = v
+	case 4, 5, 6:
+		_, live := ref[k]
+		if ok := m.Delete(k); ok != live {
+			return fmt.Errorf("Delete(%d) = %v; reference held it: %v", k, ok, live)
+		}
+		delete(ref, k)
+	default:
+		m.Clear()
+		clear(ref)
+	}
+	return nil
+}
+
+// TestMapMatchesMap drives a Map and a Go map through seeded interleavings
+// of inserts, overwrites, deletes, clears and growth over the model test's
+// id pools, the reserved id among them, checking after every operation.
+func TestMapMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, p := range idPools(rng) {
+		pool := p.ids
+		t.Run(p.name, func(t *testing.T) {
+			var m Map[float64]
+			ref := map[int32]float64{}
+			for step := 0; step < 4000; step++ {
+				op := byte(rng.Intn(8))
+				if op == 7 && rng.Intn(20) > 0 {
+					op = 0 // clear rarely, so the map grows
+				}
+				if err := applyMapOp(&m, ref, op, pool[rng.Intn(len(pool))], float64(step)); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if err := checkMap(&m, ref, pool); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzMap interprets its input as operations on a Map with float64 values
+// over a small key universe that holds the reserved id, and compares the
+// Map with a Go map after every operation.
+func FuzzMap(f *testing.F) {
+	f.Add([]byte{0, 15, 4, 15, 0, 15, 7, 0})
+	f.Add([]byte{0, 1, 0, 2, 0, 15, 5, 1, 1, 15, 0, 3, 6, 2})
+	keys := []int32{0, 1, -1, 2, 3, 1 << 16, 2 << 16, 3 << 16, 1024, 2048, 3072,
+		math.MaxInt32, math.MinInt32 + 1, 4096, 5 << 16, math.MinInt32}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var m Map[float64]
+		ref := map[int32]float64{}
+		for i := 0; i+1 < len(ops); i += 2 {
+			k := keys[int(ops[i+1])%len(keys)]
+			if err := applyMapOp(&m, ref, ops[i], k, float64(i)); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+			if err := checkMap(&m, ref, keys); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+		}
+	})
 }
