@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -34,17 +35,19 @@ import (
 // to what its search did not reach (monitor invariant 2). Owners that
 // recompute from scratch every time (grouped evaluation, OVH) ignore it.
 //
-// Membership is an idtable.Map from object to its current distance (the
-// tree index's table: no allocation at steady state, reset keeps its
-// arrays), from which its rank follows by binary search — ranks shift under
-// every insertion, distances do not. The zero value is usable after reset.
+// Membership is an idtable.Map from object to a 32-bit code of its key's
+// distance (distCode: an 8-byte slot, not a second copy of the float64 in
+// nb; the tree index's table: no allocation at steady state, reset keeps
+// its arrays), from which its rank follows by binary search (find) — ranks
+// shift under every insertion, distances do not. The zero value is usable
+// after reset.
 type candStore struct {
 	k     int
 	nb    []Neighbor     // ascending by (Dist, Obj); the first k are the result
 	edges []graph.EdgeID // edges[i] is where nb[i].Obj was last offered
 	cover float64
 
-	dist idtable.Map[float64] // object -> its key's distance
+	dist idtable.Map[uint32] // object -> distCode of its key's distance
 
 	// The change report. last is the length of what finalize last returned
 	// and dirty the lowest rank written since (k when none below it was).
@@ -111,16 +114,22 @@ func (c *candStore) lowerCover(r float64) {
 }
 
 // add offers object obj at distance d on edge e, keeping the minimum
-// distance per object. It reports whether the store changed.
+// distance per object. It reports whether the store changed. The codes
+// decide unless they tie on an inexact one: a larger code is a larger
+// distance, and an equal exact code the same distance.
 func (c *candStore) add(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool {
 	cur, ok := c.lookup(obj)
 	if !ok {
 		return c.insert(obj, d, e)
 	}
-	if d >= cur {
+	if cd := distCode(d); cd > cur || cd == cur && codeExact(cur) {
 		return false
 	}
-	c.move(c.rank(cur, obj), d, e)
+	r := c.find(obj, cur)
+	if d >= c.nb[r].Dist {
+		return false
+	}
+	c.move(r, d, e)
 	return true
 }
 
@@ -129,7 +138,7 @@ func (c *candStore) add(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool {
 // not be present yet.
 func (c *candStore) setExact(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
 	if cur, ok := c.lookup(obj); ok {
-		c.move(c.rank(cur, obj), d, e)
+		c.move(c.find(obj, cur), d, e)
 	} else {
 		c.insert(obj, d, e)
 	}
@@ -138,8 +147,52 @@ func (c *candStore) setExact(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
 // remove deletes obj from the store if present.
 func (c *candStore) remove(obj roadnet.ObjectID) {
 	if cur, ok := c.lookup(obj); ok {
-		c.removeAt(c.rank(cur, obj))
+		c.removeAt(c.find(obj, cur))
 	}
+}
+
+// distCode is the membership table's 32-bit code of distance d: monotone
+// (d < d' implies distCode(d) <= distCode(d')), and exact — odd and below
+// 2^31, decoding to d itself — for every whole number n of quanta below
+// 2^30 (1024 cost units), which is every distance the engine computes on
+// the paper's networks: 2n+1. A distance between n and n+1 quanta codes as
+// 2n+2, one of 1024 or more as 2^31+1 plus the growth of the top 32 bits of
+// its float64 over 1024's, and every negative distance as 0. NaN is no
+// distance.
+func distCode(d float64) uint32 {
+	switch q := d / graph.Quantum; {
+	case q < 0:
+		return 0
+	case q < 1<<30:
+		n := uint32(q)
+		if float64(n) == q {
+			return 2*n + 1
+		}
+		return 2*n + 2
+	default:
+		return 1<<31 + 1 + uint32(math.Float64bits(d)>>32-math.Float64bits(1024)>>32)
+	}
+}
+
+// codeExact reports whether code cd names one distance: codeDist(cd).
+func codeExact(cd uint32) bool { return cd&1 == 1 && cd < 1<<31 }
+
+// codeDist is the distance an exact code names.
+func codeDist(cd uint32) float64 { return float64(cd>>1) * graph.Quantum }
+
+// find returns the rank of obj's key, whose code is cd. An exact code names
+// the key's distance, so one binary search finds the key; otherwise the
+// search finds the first key with that code, and the run of equal codes is
+// scanned for obj.
+func (c *candStore) find(obj roadnet.ObjectID, cd uint32) int {
+	if codeExact(cd) {
+		return c.rank(codeDist(cd), obj)
+	}
+	r, _ := slices.BinarySearchFunc(c.nb, cd, func(key Neighbor, cd uint32) int { return cmp.Compare(distCode(key.Dist), cd) })
+	for c.nb[r].Obj != obj {
+		r++
+	}
+	return r
 }
 
 // before reports whether key a sorts before (d, obj): by distance, ties by
@@ -195,7 +248,7 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool
 	copy(c.nb[r+1:], c.nb[r:])
 	copy(c.edges[r+1:], c.edges[r:])
 	c.nb[r], c.edges[r] = Neighbor{Obj: obj, Dist: d}, e
-	c.dist.Put(int32(obj), d)
+	c.dist.Put(int32(obj), distCode(d))
 	return true
 }
 
@@ -219,7 +272,7 @@ func (c *candStore) move(r int, d float64, e graph.EdgeID) {
 	}
 	key.Dist = d
 	c.nb[to], c.edges[to] = key, e
-	c.dist.Put(int32(key.Obj), d)
+	c.dist.Put(int32(key.Obj), distCode(d))
 }
 
 func (c *candStore) removeAt(r int) {
@@ -257,7 +310,7 @@ func (c *candStore) restore() {
 	c.nb, c.edges = c.nb[:n], c.edges[:n]
 	c.dist.Clear()
 	for _, key := range c.nb {
-		c.dist.Put(int32(key.Obj), key.Dist)
+		c.dist.Put(int32(key.Obj), distCode(key.Dist))
 	}
 }
 
@@ -295,5 +348,6 @@ func (c *candStore) finalize() (result []Neighbor, changed bool) {
 	return result, changed
 }
 
-// lookup returns obj's current distance and whether it is a candidate.
-func (c *candStore) lookup(obj roadnet.ObjectID) (float64, bool) { return c.dist.Get(int32(obj)) }
+// lookup returns the code of obj's current distance (distCode) and whether
+// it is a candidate.
+func (c *candStore) lookup(obj roadnet.ObjectID) (uint32, bool) { return c.dist.Get(int32(obj)) }

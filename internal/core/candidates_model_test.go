@@ -56,13 +56,48 @@ func (m *candModel) put(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
 // empty-slot marker.
 var candModelIDs = []roadnet.ObjectID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 32, -1, math.MinInt32}
 
+// candDists are the model's distances besides the whole halves 0 to 11.5:
+// whole quanta on both sides of the end of the exact codes (2^30 quanta,
+// 1024 cost units), values between quanta — three in one quantum, whose
+// codes tie —, values above 1024 that share the top 32 bits of their
+// float64 (equal codes) and one that does not, negative values (all code
+// 0), the largest float64 and +Inf.
+var candDists = []float64{
+	(1<<30 - 2) * graph.Quantum, (1<<30 - 1) * graph.Quantum, 1 << 10, (1<<30 + 1) * graph.Quantum,
+	(1<<30 - 0.5) * graph.Quantum,
+	0.5 + graph.Quantum/4, 0.5 + graph.Quantum/2, 0.5 + 3*graph.Quantum/4, 0.5 + graph.Quantum, graph.Quantum / 3,
+	2000, 2000 + 1.0/(1<<12), 2000 + 1.0/(1<<11), 2000 + 1.0/(1<<10),
+	-0.25, -3,
+	math.MaxFloat64, math.Inf(1),
+}
+
+// candDist maps a byte of an op stream to a distance: below 128 a whole
+// half (exact codes), from 128 one of candDists.
+func candDist(b int) float64 {
+	if b < 128 {
+		return float64(b%24) / 2
+	}
+	return candDists[b%len(candDists)]
+}
+
+// rederived is the distance the model's bulk re-derivation gives obj at
+// step: +Inf, which evicts, for every fifth, and negative for some of the
+// negative ids.
+func rederived(obj roadnet.ObjectID, step int) float64 {
+	if (int(obj)+step)%5 == 0 {
+		return math.Inf(1)
+	}
+	return candDist((int(obj)*7 + step*37) % 256)
+}
+
 // runCandModel interprets ops as a stream of store operations, applies it
 // to two candStores — one tracking changes, one not — and to the model,
 // and compares them after every op: keys and their edges in order, kth,
-// membership, cover, and finalize's result, which must be the prefix of
-// the store's own keys, and change report, which must be exact for the
-// tracking store and never miss a change for the other. Each store's
-// arrays must stay within reserveCap of the largest k it has served.
+// membership, each key's code in the table and the rank find gives it,
+// cover, and finalize's result, which must be the prefix of the store's own
+// keys, and change report, which must be exact for the tracking store and
+// never miss a change for the other. Each store's arrays must stay within
+// reserveCap of the largest k it has served. Distances come from candDist.
 func runCandModel(t *testing.T, ops []byte) {
 	next := func() int {
 		if len(ops) == 0 {
@@ -83,7 +118,7 @@ func runCandModel(t *testing.T, ops []byte) {
 	for step := 0; len(ops) > 0; step++ {
 		op := next() % 16
 		obj := candModelIDs[next()%len(candModelIDs)]
-		d := float64(next()%24) / 2
+		d := candDist(next())
 		e := graph.EdgeID(next() % 7)
 		switch {
 		case op < 6: // add keeps the minimum
@@ -142,17 +177,12 @@ func runCandModel(t *testing.T, ops []byte) {
 			for _, c := range stores {
 				nb, edges := c.rekey()
 				for i := range nb {
-					nd := float64((int(nb[i].Obj)*7+step)%24) / 2
-					if (int(nb[i].Obj)+step)%5 == 0 {
-						nd = math.Inf(1)
-					}
-					nb[i].Dist, edges[i] = nd, graph.EdgeID((int(nb[i].Obj)+step)%7)
+					nb[i].Dist, edges[i] = rederived(nb[i].Obj, step), graph.EdgeID((int(nb[i].Obj)+step)%7)
 				}
 				c.restore()
 			}
 			for obj, e := range m.ents {
-				e.nb.Dist = float64((int(obj)*7+step)%24) / 2
-				if (int(obj)+step)%5 == 0 {
+				if e.nb.Dist = rederived(obj, step); math.IsInf(e.nb.Dist, 1) {
 					delete(m.ents, obj)
 					continue
 				}
@@ -195,6 +225,11 @@ func runCandModel(t *testing.T, ops []byte) {
 			for _, id := range candModelIDs {
 				if _, in := m.ents[id]; c.contains(id) != in {
 					t.Fatalf("step %d (op %d): contains(%d) = %v", step, op, id, !in)
+				}
+			}
+			for i, key := range c.nb {
+				if cd, _ := c.lookup(key.Obj); cd != distCode(key.Dist) || c.find(key.Obj, cd) != i {
+					t.Fatalf("step %d (op %d): key %d (%v) has code %#x, found at rank %d", step, op, i, key, cd, c.find(key.Obj, cd))
 				}
 			}
 		}
@@ -259,7 +294,8 @@ func TestQuickCandidateAddRejectionIsSafe(t *testing.T) {
 }
 
 // FuzzCandidateStore explores op streams against the same model. The seeds
-// fill a store past capacity, re-derive it in bulk, and re-target it.
+// fill a store past capacity, re-derive it in bulk, and re-target it; the
+// last fills one with keys whose codes tie and are inexact.
 func FuzzCandidateStore(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 9, 80, 400} {
@@ -272,6 +308,32 @@ func FuzzCandidateStore(f *testing.F) {
 		fill = append(fill, 0, byte(i), byte(40-i), 0) // add id i%16 at falling distances
 	}
 	f.Add(append(fill, 14, 0, 0, 0, 12, 0, 0, 0, 15, 0, 0, 0, 3))
+	// Two families of inexact codes, each three distances with one code:
+	// inside one quantum, and above 1024 within one top-32-bit word. Every
+	// id is added at its family's largest (past capacity: one drops),
+	// lowered twice within the tie, finalized, raised again in place, and
+	// every third removed.
+	distByte := func(d float64) byte {
+		for b := 128; ; b++ {
+			if candDist(b) == d {
+				return byte(b)
+			}
+		}
+	}
+	families := [2][3]float64{
+		{0.5 + 3*graph.Quantum/4, 0.5 + graph.Quantum/2, 0.5 + graph.Quantum/4},
+		{2000 + 1.0/(1<<11), 2000 + 1.0/(1<<12), 2000},
+	}
+	tied := []byte{2} // k = 3: capacity reserveCap(3) = 15
+	rounds := []struct{ op, tie byte }{{0, 0}, {0, 1}, {0, 2}, {12, 0}, {6, 0}, {9, 0}}
+	for _, r := range rounds {
+		for id := 0; id < 16; id++ {
+			if r.op != 9 || id%3 == 0 {
+				tied = append(tied, r.op, byte(id), distByte(families[id%2][r.tie]), byte(id))
+			}
+		}
+	}
+	f.Add(tied)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			return

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"roadknn/internal/graph"
@@ -205,5 +206,28 @@ func TestCandidateStoreCapacity(t *testing.T) {
 	}
 	if huge.len() != 3 || cap(huge.nb) > 16 || cap(huge.edges) > 16 {
 		t.Fatalf("3 entries at k=MaxInt32: len %d cap %d/%d, want cap <= 16", huge.len(), cap(huge.nb), cap(huge.edges))
+	}
+}
+
+// TestDistCode pins the membership code over the model's distances and the
+// whole halves, ascending: the code never falls, and it is exact — decoding
+// to the distance itself — exactly for the whole numbers of quanta below
+// 2^30.
+func TestDistCode(t *testing.T) {
+	ds := append([]float64{0, graph.Quantum, 1.76, 1023.5}, candDists...)
+	for b := 0; b < 24; b++ {
+		ds = append(ds, candDist(b))
+	}
+	slices.Sort(ds)
+	for i, d := range ds {
+		cd := distCode(d)
+		if i > 0 && cd < distCode(ds[i-1]) {
+			t.Fatalf("distCode(%g) = %#x below distCode(%g) = %#x", d, cd, ds[i-1], distCode(ds[i-1]))
+		}
+		q := d / graph.Quantum
+		whole := q >= 0 && q < 1<<30 && q == math.Trunc(q)
+		if codeExact(cd) != whole || whole && codeDist(cd) != d {
+			t.Fatalf("distCode(%g) = %#x: exact %v, decodes to %g", d, cd, codeExact(cd), codeDist(cd))
+		}
 	}
 }

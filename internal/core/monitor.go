@@ -541,9 +541,10 @@ func (m *monitor) setK(k int) {
 }
 
 // candEntrySize is the nominal cost of one candidate, reserve or not: the
-// 16-byte key and 4-byte edge plus a nominal 16-byte share of the 12-byte
-// membership slots (the table is at most 7/8 full). The result is the keys'
-// prefix and costs nothing more.
+// 16-byte key and 4-byte edge plus a nominal 16-byte share of the
+// membership table's 8-byte slots (an id and a distance code; at most 7/8
+// full), the tree index's convention. The result is the keys' prefix and
+// costs nothing more.
 const candEntrySize = 16 + 4 + 16
 
 // sizeBytes estimates the memory footprint of the monitor's bookkeeping,

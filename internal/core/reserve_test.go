@@ -35,10 +35,11 @@ func checkReserve(m *monitor) error {
 		if nb.Dist >= cover-tol {
 			continue
 		}
-		d, ok := m.cand.lookup(nb.Obj)
+		cd, ok := m.cand.lookup(nb.Obj)
 		if !ok {
 			return fmt.Errorf("object %d at %g, below cover %g (kdist %g), is not a candidate", nb.Obj, nb.Dist, cover, m.kdist)
 		}
+		d := m.cand.nb[m.cand.find(nb.Obj, cd)].Dist
 		if math.Abs(d-nb.Dist) > tol {
 			return fmt.Errorf("object %d held at %g, truly at %g (cover %g)", nb.Obj, d, nb.Dist, cover)
 		}
@@ -64,8 +65,8 @@ func checkReserve(m *monitor) error {
 		if math.Abs(e.Dist-truth[e.Obj]) > tol {
 			return fmt.Errorf("key %d: object %d held at %g, truly at %g", i, e.Obj, e.Dist, truth[e.Obj])
 		}
-		if d, ok := m.cand.lookup(e.Obj); !ok || d != e.Dist {
-			return fmt.Errorf("key %d: table says (%g, %v) for object %d at %g", i, d, ok, e.Obj, e.Dist)
+		if cd, ok := m.cand.lookup(e.Obj); !ok || cd != distCode(e.Dist) || !codeExact(cd) || m.cand.find(e.Obj, cd) != i {
+			return fmt.Errorf("key %d: table says (%#x, %v) for object %d at %g", i, cd, ok, e.Obj, e.Dist)
 		}
 	}
 	if inTable := m.cand.dist.Len(); inTable != len(keys) {

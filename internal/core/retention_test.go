@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 	"weak"
 
+	"roadknn/internal/graph"
+	"roadknn/internal/idtable"
 	"roadknn/internal/roadnet"
 )
 
@@ -157,9 +160,15 @@ func TestStepBuffersBoundedByUse(t *testing.T) {
 	}
 }
 
-// storeBytes is what a candidate store retains at capacity: its 16-byte
-// keys, their 4-byte edges and its membership table of 4-byte ids and
-// 8-byte distances.
+// storeBytes is what a candidate store retains at capacity: its keys, their
+// edges and its membership table's slots, each charged at its type's size.
 func storeBytes(c *candStore) int {
-	return cap(c.nb)*16 + cap(c.edges)*4 + c.dist.Slots()*(4+8)
+	return cap(c.nb)*int(unsafe.Sizeof(Neighbor{})) + cap(c.edges)*int(unsafe.Sizeof(graph.EdgeID(0))) + slotBytes(&c.dist)
+}
+
+// slotBytes is what an idtable.Map's arrays hold: an int32 key and a V per
+// slot.
+func slotBytes[V any](m *idtable.Map[V]) int {
+	var v V
+	return m.Slots() * int(unsafe.Sizeof(int32(0))+unsafe.Sizeof(v))
 }

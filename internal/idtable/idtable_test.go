@@ -173,7 +173,7 @@ func TestMapStructuredIDs(t *testing.T) {
 // checkMap compares m with its reference over every key of pool, and its
 // arrays with its count: as many occupied slots as keys held, the reserved
 // key aside.
-func checkMap(m *Map[float64], ref map[int32]float64, pool []int32) error {
+func checkMap[V comparable](m *Map[V], ref map[int32]V, pool []int32) error {
 	if m.Len() != len(ref) {
 		return fmt.Errorf("Len %d, reference %d", m.Len(), len(ref))
 	}
@@ -201,7 +201,7 @@ func checkMap(m *Map[float64], ref map[int32]float64, pool []int32) error {
 
 // applyMapOp applies one operation, chosen by op, on key k to m and its
 // reference, and reports a disagreement in what the operation returned.
-func applyMapOp(m *Map[float64], ref map[int32]float64, op byte, k int32, v float64) error {
+func applyMapOp[V comparable](m *Map[V], ref map[int32]V, op byte, k int32, v V) error {
 	switch op % 8 {
 	case 0, 1, 2, 3:
 		_, live := ref[k]
@@ -222,35 +222,43 @@ func applyMapOp(m *Map[float64], ref map[int32]float64, op byte, k int32, v floa
 	return nil
 }
 
-// TestMapMatchesMap drives a Map and a Go map through seeded interleavings
-// of inserts, overwrites, deletes, clears and growth over the model test's
-// id pools, the reserved id among them, checking after every operation.
+// runMapModel drives a Map and a Go map through one seeded interleaving of
+// inserts, overwrites, deletes, clears and growth over pool, checking after
+// every operation. val gives the value a step writes.
+func runMapModel[V comparable](t *testing.T, rng *rand.Rand, pool []int32, val func(step int) V) {
+	var m Map[V]
+	ref := map[int32]V{}
+	for step := 0; step < 4000; step++ {
+		op := byte(rng.Intn(8))
+		if op == 7 && rng.Intn(20) > 0 {
+			op = 0 // clear rarely, so the map grows
+		}
+		if err := applyMapOp(&m, ref, op, pool[rng.Intn(len(pool))], val(step)); err != nil {
+			t.Fatalf("%T values, step %d: %v", m, step, err)
+		}
+		if err := checkMap(&m, ref, pool); err != nil {
+			t.Fatalf("%T values, step %d: %v", m, step, err)
+		}
+	}
+}
+
+// TestMapMatchesMap runs the model over each of the id pools, the reserved
+// id among them, with the value types the core instantiates: float64 and
+// the candidate store's uint32 distance codes (the top bit set on odd
+// steps, so no value fits in fewer bits).
 func TestMapMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, p := range idPools(rng) {
-		pool := p.ids
 		t.Run(p.name, func(t *testing.T) {
-			var m Map[float64]
-			ref := map[int32]float64{}
-			for step := 0; step < 4000; step++ {
-				op := byte(rng.Intn(8))
-				if op == 7 && rng.Intn(20) > 0 {
-					op = 0 // clear rarely, so the map grows
-				}
-				if err := applyMapOp(&m, ref, op, pool[rng.Intn(len(pool))], float64(step)); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				if err := checkMap(&m, ref, pool); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-			}
+			runMapModel(t, rng, p.ids, func(step int) float64 { return float64(step) })
+			runMapModel(t, rng, p.ids, func(step int) uint32 { return uint32(step) | uint32(step&1)<<31 })
 		})
 	}
 }
 
 // FuzzMap interprets its input as operations on a Map with float64 values
-// over a small key universe that holds the reserved id, and compares the
-// Map with a Go map after every operation.
+// and on one with uint32 values over a small key universe that holds the
+// reserved id, and compares each with a Go map after every operation.
 func FuzzMap(f *testing.F) {
 	f.Add([]byte{0, 15, 4, 15, 0, 15, 7, 0})
 	f.Add([]byte{0, 1, 0, 2, 0, 15, 5, 1, 1, 15, 0, 3, 6, 2})
@@ -259,13 +267,21 @@ func FuzzMap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var m Map[float64]
 		ref := map[int32]float64{}
+		var mc Map[uint32]
+		refc := map[int32]uint32{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			k := keys[int(ops[i+1])%len(keys)]
 			if err := applyMapOp(&m, ref, ops[i], k, float64(i)); err != nil {
 				t.Fatalf("op %d: %v", i/2, err)
 			}
+			if err := applyMapOp(&mc, refc, ops[i], k, math.MaxUint32-uint32(i)); err != nil {
+				t.Fatalf("op %d, uint32 values: %v", i/2, err)
+			}
 			if err := checkMap(&m, ref, keys); err != nil {
 				t.Fatalf("op %d: %v", i/2, err)
+			}
+			if err := checkMap(&mc, refc, keys); err != nil {
+				t.Fatalf("op %d, uint32 values: %v", i/2, err)
 			}
 		}
 	})
