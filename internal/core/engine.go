@@ -380,8 +380,9 @@ func (e *Incremental) SizeBytes() int {
 	return n
 }
 
-// StepStats counts what the monitors of an engine have done since it was
-// built: the regime a workload puts the incremental core in. Counters only
+// StepStats counts what the monitors and grouped evaluations of an engine
+// have done since it was built: the regime a workload puts the incremental
+// core in. Counters only
 // grow; callers difference two readings.
 type StepStats struct {
 	Affected           int // monitor finalizes: one per monitor per timestamp that reached it
@@ -391,6 +392,8 @@ type StepStats struct {
 	ForcedReexpansions int // ... because a handler pruned the tree or a weight dropped
 	IdleReexpansions   int // ... and verified no node
 	NodesVerified      int // nodes verified by all expansions, initial ones included
+	Evaluations        int // grouped-query evaluations
+	EvalEntries        int // entries they read: own-edge and walked-edge objects, node-set entries within the bound
 }
 
 func (a *StepStats) add(b StepStats) {
@@ -401,6 +404,8 @@ func (a *StepStats) add(b StepStats) {
 	a.ForcedReexpansions += b.ForcedReexpansions
 	a.IdleReexpansions += b.IdleReexpansions
 	a.NodesVerified += b.NodesVerified
+	a.Evaluations += b.Evaluations
+	a.EvalEntries += b.EvalEntries
 }
 
 // StepStats returns the engine's work counters, summed over its worker

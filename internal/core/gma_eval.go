@@ -23,19 +23,22 @@ type walkEdge struct {
 // the scratch supplies the candidate store and the walk's covered-edge
 // buffer: a grouped query keeps nothing of an evaluation but its result.
 func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
-	cand := &sc.cand
+	cand, st := &sc.cand, &sc.stats
 	cand.reset(q.k)
+	st.Evaluations++
 
 	ownEdge := g.net.G.Edge(q.pos.Edge)
-	for _, oe := range g.net.ObjectsOn(q.pos.Edge) {
+	own := g.net.ObjectsOn(q.pos.Edge)
+	st.EvalEntries += len(own)
+	for _, oe := range own {
 		cand.add(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), q.pos.Edge)
 	}
 
 	seq := &g.seqs.Seqs[q.seq]
 	covered := sc.covered[:0]
-	q.reachB = g.walkDir(q, cand, seq, +1, &covered)
+	q.reachB = g.walkDir(q, cand, st, seq, +1, &covered)
 	nB := len(covered)
-	q.reachA = g.walkDir(q, cand, seq, -1, &covered)
+	q.reachA = g.walkDir(q, cand, st, seq, -1, &covered)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
 	res, _ := cand.finalize()
@@ -51,7 +54,7 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 // walkDir expands along the sequence from q's edge: dir=+1 walks toward
 // EndB (increasing edge index), dir=-1 toward EndA. It reports whether the
 // endpoint was reached within the moving bound kNN_dist (cand's k-th).
-func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, seq *roadnet.Sequence, dir int, covered *[]walkEdge) bool {
+func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, st *StepStats, seq *roadnet.Sequence, dir int, covered *[]walkEdge) bool {
 	idx := int(q.idx)
 
 	var node graph.NodeID
@@ -71,12 +74,14 @@ func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, seq *roadnet.Sequence
 		}
 		atEnd := (dir > 0 && j == len(seq.Edges)) || (dir < 0 && j == -1)
 		if atEnd {
-			g.mergeNodeSet(q, cand, node, d)
+			st.EvalEntries += g.mergeNodeSet(q, cand, node, d)
 			return true
 		}
 		eid := seq.Edges[j]
 		ed := g.net.G.Edge(eid)
-		for _, oe := range g.net.ObjectsOn(eid) {
+		objs := g.net.ObjectsOn(eid)
+		st.EvalEntries += len(objs)
+		for _, oe := range objs {
 			cand.add(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), eid)
 		}
 		*covered = append(*covered, walkEdge{w: ed.W, dEntry: d, fromU: ed.U == node})
@@ -87,11 +92,11 @@ func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, seq *roadnet.Sequence
 }
 
 // mergeNodeSet folds the NN set of active node n (at arc distance d from
-// the query) into q's candidates, cand. Terminal nodes have no monitored
-// set — nothing lies beyond them.
-func (g *groupLayer) mergeNodeSet(q *gmaQuery, cand *candStore, n graph.NodeID, d float64) {
+// the query) into q's candidates, cand, and returns how many of its entries
+// it read. Terminal nodes have no monitored set — nothing lies beyond them.
+func (g *groupLayer) mergeNodeSet(q *gmaQuery, cand *candStore, n graph.NodeID, d float64) (read int) {
 	if g.net.G.Degree(n) <= 1 {
-		return
+		return 0
 	}
 	mon := g.nodeMon[n]
 	if mon == nil {
@@ -107,7 +112,9 @@ func (g *groupLayer) mergeNodeSet(q *gmaQuery, cand *candStore, n graph.NodeID, 
 		// The merged object's own edge is unknown here and irrelevant:
 		// grouped queries are re-evaluated from scratch, never re-derived.
 		cand.add(nb.Obj, d+nb.Dist, q.pos.Edge)
+		read++
 	}
+	return read
 }
 
 // reach measures one direction of an influence region: how many of the
