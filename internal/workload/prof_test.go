@@ -55,11 +55,16 @@ func BenchmarkGMATable2(b *testing.B) {
 	benchEngineAt(b, func(n *roadnet.Network) core.Engine { return core.NewGMAWith(n, core.Options{Workers: 1}) }, 50, 1)
 }
 
-// BenchmarkAUTOHotspot is the hotspot_auto loop of BENCHMARK.json as a
-// profiling target for the planner and the grouped layer, on one worker. The
-// traffic is hotspot() of bench/workloads.go, copied: that module is not
+// BenchmarkAUTOTable2 puts the adaptive engine under the Table-2 traffic of
+// BenchmarkIMATable2, on one worker.
+func BenchmarkAUTOTable2(b *testing.B) {
+	benchEngineAt(b, func(n *roadnet.Network) core.Engine { return planner.NewWith(n, core.Options{Workers: 1}) }, 50, 1)
+}
+
+// hotspot is the traffic of the hotspot_auto workload of BENCHMARK.json:
+// hotspot() of bench/workloads.go, copied, because that module is not
 // importable from here.
-func BenchmarkAUTOHotspot(b *testing.B) {
+func hotspot() Config {
 	const h = 0.6
 	cfg := Default().Scale(0.25)
 	cfg.QryDist = gen.Uniform
@@ -68,5 +73,28 @@ func BenchmarkAUTOHotspot(b *testing.B) {
 	cfg.HotspotFrac = h
 	cfg.HotspotRadius = 0.08
 	cfg.HotspotDrift = 0.005
-	benchConfig(b, cfg, func(n *roadnet.Network) core.Engine { return planner.NewWith(n, core.Options{Workers: 1}) })
+	return cfg
+}
+
+// BenchmarkAUTOHotspot is the hotspot_auto loop as a profiling target for
+// the planner and the grouped layer, on one worker, update generation
+// included.
+func BenchmarkAUTOHotspot(b *testing.B) {
+	benchConfig(b, hotspot(), func(n *roadnet.Network) core.Engine { return planner.NewWith(n, core.Options{Workers: 1}) })
+}
+
+// BenchmarkAUTOHotspotW2 is hotspot_auto as benched, on 2 workers, with
+// update generation outside the timer: it times Step alone.
+func BenchmarkAUTOHotspotW2(b *testing.B) {
+	cfg := hotspot()
+	cfg.Timestamps = 1
+	r, _ := NewRunner(cfg, func(n *roadnet.Network) core.Engine { return planner.NewWith(n, core.Options{Workers: 2}) })
+	defer r.Engine().Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		u := r.GenerateStep()
+		b.StartTimer()
+		r.Engine().Step(u)
+	}
 }
