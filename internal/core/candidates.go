@@ -33,7 +33,9 @@ import (
 // distance below cover is present at its minimum offered distance. Dropping
 // a key for capacity lowers cover to its distance; the owner lowers it
 // to what its search did not reach (monitor invariant 2). Owners that
-// recompute from scratch every time (grouped evaluation, OVH) ignore it.
+// recompute from scratch every time (grouped evaluation, OVH) ignore it,
+// and grouped evaluation keeps no reserve either: its store, reset by
+// resetTop, holds at most k keys, and is fed by offer and merge.
 //
 // Membership is an idtable.Map from object to a 32-bit code of its key's
 // distance (distCode: an 8-byte slot, not a second copy of the float64 in
@@ -43,6 +45,7 @@ import (
 // after reset.
 type candStore struct {
 	k     int
+	limit int            // the most keys held: reserveCap(k), or k after resetTop
 	nb    []Neighbor     // ascending by (Dist, Obj); the first k are the result
 	edges []graph.EdgeID // edges[i] is where nb[i].Obj was last offered
 	cover float64
@@ -69,8 +72,15 @@ func reserveCap(k int) int { return k + k/4 + 12 }
 // reset clears the store, retaining capacity, and re-targets it to k. For
 // the change report it is a write of every rank.
 func (c *candStore) reset(k int) {
+	c.resetTop(k)
+	c.limit = reserveCap(k)
+}
+
+// resetTop is reset for an owner that ignores cover: the store holds at
+// most k keys, the result and nothing beyond it.
+func (c *candStore) resetTop(k int) {
 	c.written(0)
-	c.k = k
+	c.k, c.limit = k, k
 	c.nb, c.edges = c.nb[:0], c.edges[:0]
 	c.cover = math.Inf(1)
 	c.dist.Clear()
@@ -217,14 +227,14 @@ func (c *candStore) rank(d float64, obj roadnet.ObjectID) int {
 }
 
 // insert places a new object by binary insertion. A store at capacity keeps
-// the reserveCap smallest: whichever key falls off the end lowers cover.
-// The arrays grow fourfold from 16, and straight to reserveCap(k), the most
+// the limit smallest: whichever key falls off the end lowers cover.
+// The arrays grow fourfold from 16, and straight to the limit, the most
 // they can hold, once that is at most twice the size: each growth
 // allocates both, so a store at Table 2's k = 50 grows once past 16. A
 // store is not sized up front, since k may be huge.
 func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool {
 	n := len(c.nb)
-	if n == reserveCap(c.k) {
+	if n == c.limit {
 		last := c.nb[n-1]
 		if before(last, d, obj) {
 			c.lowerCover(d)
@@ -235,10 +245,7 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool
 		n--
 		c.nb, c.edges = c.nb[:n], c.edges[:n]
 	} else if n == cap(c.nb) {
-		size := max(4*n, 16)
-		if limit := reserveCap(c.k); size >= limit/2 {
-			size = limit
-		}
+		size := c.grownCap(n)
 		c.nb = append(make([]Neighbor, 0, size), c.nb...)
 		c.edges = append(make([]graph.EdgeID, 0, size), c.edges...)
 	}
@@ -250,6 +257,114 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool
 	c.nb[r], c.edges[r] = Neighbor{Obj: obj, Dist: d}, e
 	c.dist.Put(int32(obj), distCode(d))
 	return true
+}
+
+// grownCap is the capacity key arrays holding n keys grow to: fourfold
+// from 16, and the limit once that is at most twice as much.
+func (c *candStore) grownCap(n int) int {
+	if size := max(4*n, 16); size < c.limit/2 {
+		return size
+	}
+	return c.limit
+}
+
+// offer is add for a store reset by resetTop, whose owner ignores cover.
+// An offer at capacity that sorts after the k-th returns before the
+// membership probe: a present object's key sorts at or before the k-th, so
+// the offer could not improve it. fresh skips the probe altogether: the
+// caller knows obj is absent.
+func (c *candStore) offer(obj roadnet.ObjectID, d float64, e graph.EdgeID, fresh bool) {
+	if n := len(c.nb); n == c.limit && before(c.nb[n-1], d, obj) {
+		return
+	}
+	if fresh {
+		c.insert(obj, d, e)
+	} else {
+		c.add(obj, d, e)
+	}
+}
+
+// keyBuf is a spare pair of key arrays for merge to write into.
+type keyBuf struct {
+	nb    []Neighbor
+	edges []graph.EdgeID
+}
+
+// merge folds run into a store reset by resetTop, every entry offered on
+// edge e at its distance plus d. run holds distinct objects ascending by
+// (Dist, Obj), like a monitor's result; costs are whole quanta, so adding d
+// keeps that order, and the fold is one linear merge of two ascending runs,
+// the keys and the offset run, written into spare's arrays, swapped in
+// afterwards, and stopped at the k-th key. An object in both keeps its
+// smaller key. Each run entry the merge reaches costs one membership probe,
+// which also enters an absent object (GetOrPut); membership is otherwise
+// written only for a key that moves or leaves.
+//
+// It returns how many run entries lie within the new k-th distance: the
+// entries that offering the run one at a time, stopping at the first beyond
+// kth(), would read. That walk reads exactly these, because kth() only
+// falls as it goes and never below the distance of an entry already read.
+func (c *candStore) merge(run []Neighbor, d float64, e graph.EdgeID, spare *keyBuf) (read int) {
+	n := len(c.nb)
+	if len(run) == 0 || n == c.k && !before(Neighbor{Obj: run[0].Obj, Dist: d + run[0].Dist}, c.nb[n-1].Dist, c.nb[n-1].Obj) {
+		return c.within(run, d) // nothing sorts before the k-th
+	}
+	out, outEdges := spare.nb[:0], spare.edges[:0]
+	if need := min(c.limit, n+len(run)); cap(out) < need || cap(outEdges) < need {
+		size := max(need, c.grownCap(cap(out)))
+		out, outEdges = make([]Neighbor, 0, size), make([]graph.EdgeID, 0, size)
+	}
+	// The keys before the run's first entry stay as they are.
+	i := c.rank(d+run[0].Dist, run[0].Obj)
+	out, outEdges = append(out, c.nb[:i]...), append(outEdges, c.edges[:i]...)
+	j := 0
+merging:
+	for ; j < len(run); j++ {
+		key := Neighbor{Obj: run[j].Obj, Dist: d + run[j].Dist}
+		for ; i < n && before(c.nb[i], key.Dist, key.Obj); i++ {
+			if len(out) == c.limit {
+				break merging
+			}
+			out, outEdges = append(out, c.nb[i]), append(outEdges, c.edges[i])
+		}
+		if len(out) == c.limit {
+			break
+		}
+		cd := distCode(key.Dist)
+		if cur, ok := c.dist.GetOrPut(int32(key.Obj), cd); ok {
+			// Present: its key sorts at or after rank i, past every key
+			// merged so far, so an improvement moves it to rank i, to be
+			// merged next.
+			if cd < cur || cd == cur && !codeExact(cur) {
+				if r := c.find(key.Obj, cur); key.Dist < c.nb[r].Dist {
+					c.move(r, key.Dist, e)
+				}
+			}
+			continue
+		}
+		out, outEdges = append(out, key), append(outEdges, e)
+	}
+	// The keys after the run's last entry, up to the k-th; the rest leave.
+	m := i + min(n-i, c.limit-len(out))
+	out, outEdges = append(out, c.nb[i:m]...), append(outEdges, c.edges[i:m]...)
+	for _, key := range c.nb[m:] {
+		c.dist.Delete(int32(key.Obj))
+	}
+	c.written(0)
+	spare.nb, spare.edges = c.nb[:0], c.edges[:0]
+	c.nb, c.edges = out, outEdges
+	return j + c.within(run[j:], d)
+}
+
+// within counts the leading entries of run, each at its distance plus d,
+// that lie within the k-th distance.
+func (c *candStore) within(run []Neighbor, d float64) int {
+	kth := c.kth()
+	n := 0
+	for n < len(run) && d+run[n].Dist <= kth {
+		n++
+	}
+	return n
 }
 
 // move re-ranks the key at rank r to distance d on edge e.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,14 +13,15 @@ import (
 )
 
 // candModel is the specification of candStore as a map plus a sort: keep
-// the minimum per object, hold the reserveCap(k) smallest by (dist, obj),
-// lower cover to whatever capacity drops, and on finalize shed the reserve
-// at or beyond cover.
+// the minimum per object, hold the limit smallest by (dist, obj) — k for a
+// store reset by resetTop, reserveCap(k) otherwise —, lower cover to
+// whatever capacity drops, and on finalize shed the reserve at or beyond
+// cover.
 type candModel struct {
-	k      int
-	ents   map[roadnet.ObjectID]candKey
-	cover  float64
-	result []Neighbor
+	k, limit int
+	ents     map[roadnet.ObjectID]candKey
+	cover    float64
+	result   []Neighbor
 }
 
 // candKey is one model entry: the key and the edge it was offered on.
@@ -44,7 +46,7 @@ func (m *candModel) sorted() []candKey {
 
 func (m *candModel) put(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
 	m.ents[obj] = candKey{nb: Neighbor{Obj: obj, Dist: d}, edge: e}
-	if s := m.sorted(); len(s) > reserveCap(m.k) {
+	if s := m.sorted(); len(s) > m.limit {
 		last := s[len(s)-1]
 		delete(m.ents, last.nb.Obj)
 		m.cover = math.Min(m.cover, last.nb.Dist)
@@ -80,6 +82,25 @@ func candDist(b int) float64 {
 	return candDists[b%len(candDists)]
 }
 
+// offer is add in the model: obj at d on e, kept if it is new or lowers
+// obj's distance. It reports whether the entries changed.
+func (m *candModel) offer(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool {
+	if cur, ok := m.ents[obj]; ok && d >= cur.nb.Dist {
+		return false
+	}
+	m.put(obj, d, e)
+	_, in := m.ents[obj] // dropped again at once: unchanged
+	return in
+}
+
+// reset re-targets the model to k, capped at k with top (resetTop).
+func (m *candModel) reset(k int, top bool) {
+	m.k, m.limit, m.ents, m.cover = k, reserveCap(k), map[roadnet.ObjectID]candKey{}, math.Inf(1)
+	if top {
+		m.limit = k
+	}
+}
+
 // rederived is the distance the model's bulk re-derivation gives obj at
 // step: +Inf, which evicts, for every fifth, and negative for some of the
 // negative ids.
@@ -98,6 +119,13 @@ func rederived(obj roadnet.ObjectID, step int) float64 {
 // keys, and change report, which must be exact for the tracking store and
 // never miss a change for the other. Each store's arrays must stay within
 // reserveCap of the largest k it has served. Distances come from candDist.
+//
+// A k byte of 128 or more resets the stores by resetTop, capped at k: they
+// then also take offer, and merge, which folds in a run of distinct objects
+// ascending by (Dist, Obj), at an offset that keeps that order (whole halves
+// are exact), and must equal offering the run's entries one at a time and
+// report how many lie within the new k-th. Such a store's owner ignores
+// cover, which offer and merge do not maintain: it is not compared.
 func runCandModel(t *testing.T, ops []byte) {
 	next := func() int {
 		if len(ops) == 0 {
@@ -107,27 +135,37 @@ func runCandModel(t *testing.T, ops []byte) {
 		ops = ops[1:]
 		return int(b)
 	}
-	k := 1 + next()%5
-	maxK := k
 	var prev []Neighbor
-	tracked, untracked := newCandStore(k), newCandStore(k)
+	tracked, untracked := &candStore{}, &candStore{}
 	tracked.prev = &prev
 	stores := [2]*candStore{tracked, untracked}
-	m := &candModel{k: k, ents: map[roadnet.ObjectID]candKey{}, cover: math.Inf(1)}
+	var spares [2]keyBuf
+	m := &candModel{}
+	var k, maxK int
+	var top bool
+	reset := func() {
+		b := next()
+		k, top = 1+b%5, b >= 128
+		maxK = max(maxK, k)
+		m.reset(k, top)
+		for _, c := range stores {
+			if top {
+				c.resetTop(k)
+			} else {
+				c.reset(k)
+			}
+		}
+	}
+	reset()
 
 	for step := 0; len(ops) > 0; step++ {
-		op := next() % 16
+		op := next() % 18
 		obj := candModelIDs[next()%len(candModelIDs)]
 		d := candDist(next())
 		e := graph.EdgeID(next() % 7)
 		switch {
-		case op < 6: // add keeps the minimum
-			cur, ok := m.ents[obj]
-			want := !ok || d < cur.nb.Dist
-			if want {
-				m.put(obj, d, e)
-				_, want = m.ents[obj] // dropped again at once: unchanged
-			}
+		case op < 6 || op >= 16 && !top: // add keeps the minimum
+			want := m.offer(obj, d, e)
 			for _, c := range stores {
 				if got := c.add(obj, d, e); got != want {
 					t.Fatalf("step %d: add(%d, %g) = %v, want %v", step, obj, d, got, want)
@@ -189,12 +227,50 @@ func runCandModel(t *testing.T, ops []byte) {
 				e.edge = graph.EdgeID((int(obj) + step) % 7)
 				m.ents[obj] = e
 			}
-		default:
-			k = 1 + next()%5
-			m.k, m.ents, m.cover = k, map[roadnet.ObjectID]candKey{}, math.Inf(1)
-			maxK = max(maxK, k)
+		case op < 16:
+			reset()
+		case op < 17: // offer, fresh when the caller may know obj is absent
+			_, in := m.ents[obj]
+			fresh := !in && next()%2 == 0
+			m.offer(obj, d, e)
 			for _, c := range stores {
-				c.reset(k)
+				c.offer(obj, d, e, fresh)
+			}
+		default: // merge a run at an offset
+			var run []Neighbor
+			exact := true
+			for n := next() % 8; n > 0; n-- {
+				id, b := candModelIDs[next()%len(candModelIDs)], next()
+				if !slices.ContainsFunc(run, func(nb Neighbor) bool { return nb.Obj == id }) {
+					run = append(run, Neighbor{Obj: id, Dist: candDist(b)})
+					exact = exact && b < 128
+				}
+			}
+			slices.SortFunc(run, func(a, b Neighbor) int {
+				if a.Dist != b.Dist {
+					return cmp.Compare(a.Dist, b.Dist)
+				}
+				return cmp.Compare(a.Obj, b.Obj)
+			})
+			off := 0.0
+			if exact {
+				off = candDist(next() % 128)
+			}
+			for _, nb := range run {
+				m.offer(nb.Obj, off+nb.Dist, e)
+			}
+			kth := math.Inf(1)
+			if s := m.sorted(); len(s) >= k {
+				kth = s[k-1].nb.Dist
+			}
+			want := 0
+			for want < len(run) && off+run[want].Dist <= kth {
+				want++
+			}
+			for i, c := range stores {
+				if got := c.merge(run, off, e, &spares[i]); got != want {
+					t.Fatalf("step %d: merge(%v + %g) read %d, want %d", step, run, off, got, want)
+				}
 			}
 		}
 
@@ -214,7 +290,7 @@ func runCandModel(t *testing.T, ops []byte) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d (op %d): keys %v, want %v", step, op, got, want)
 			}
-			if c.kth() != wantKth || c.len() != len(want) || c.cover != m.cover {
+			if c.kth() != wantKth || c.len() != len(want) || c.cover != m.cover && !top {
 				t.Fatalf("step %d (op %d): kth %g len %d cover %g, want %g %d %g",
 					step, op, c.kth(), c.len(), c.cover, wantKth, len(want), m.cover)
 			}
@@ -294,8 +370,9 @@ func TestQuickCandidateAddRejectionIsSafe(t *testing.T) {
 }
 
 // FuzzCandidateStore explores op streams against the same model. The seeds
-// fill a store past capacity, re-derive it in bulk, and re-target it; the
-// last fills one with keys whose codes tie and are inexact.
+// fill a store past capacity, re-derive it in bulk, and re-target it; one
+// fills a store with keys whose codes tie and are inexact; the last merges
+// runs into a store capped at k.
 func FuzzCandidateStore(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 9, 80, 400} {
@@ -334,6 +411,24 @@ func FuzzCandidateStore(f *testing.F) {
 		}
 	}
 	f.Add(tied)
+	// A store capped at k = 3, filled, then merged into: a run that lowers
+	// one present key, holds another present one at a larger key, ties two
+	// new and old keys at one distance and runs past the k-th; then a run of
+	// tied inexact codes, one lowering a present key within its code; and a
+	// fresh offer at capacity.
+	top := []byte{128 + 4} // capped, k = 1 + 132%5 = 3
+	// Ids 1, 2 and 3 at 1, 2 and 3: full.
+	for _, a := range [][2]byte{{1, 2}, {2, 4}, {3, 6}} {
+		top = append(top, 0, a[0], a[1], 1)
+	}
+	// At +0.5: ids 2 and 4 at 0.5, 1 at 1 and 5 at 2.
+	top = append(top, 17, 0, 0, 2, 4, 2, 1, 1, 2, 4, 1, 5, 4, 1)
+	// Id 6 at the family's largest, then a run lowering it within its code.
+	q := families[0]
+	top = append(top, 0, 6, distByte(q[0]), 3, 17, 0, 0, 4, 2, 6, distByte(q[2]), 7, distByte(q[1]))
+	// Finalize, a fresh offer of id 8 at 0, finalize.
+	top = append(top, 12, 0, 0, 0, 16, 8, 0, 5, 0, 12, 0, 0, 0)
+	f.Add(top)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			return

@@ -20,25 +20,31 @@ type walkEdge struct {
 // The query's reach along the sequence is then re-derived from the final
 // kNN_dist. Only q and the worker's scratch are written — evaluations of
 // distinct queries run concurrently, each on its own worker's arena — and
-// the scratch supplies the candidate store and the walk's covered-edge
-// buffer: a grouped query keeps nothing of an evaluation but its result.
+// the scratch supplies the candidate store, capped at k, the merge's spare
+// key arrays and the walk's covered-edge buffer: a grouped query keeps
+// nothing of an evaluation but its result.
+//
+// An object lies on one edge, so the objects of the own and the walked edges
+// are distinct, and are offered without a membership probe until a node set
+// has been merged.
 func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
-	cand, st := &sc.cand, &sc.stats
-	cand.reset(q.k)
-	st.Evaluations++
+	cand := &sc.cand
+	cand.resetTop(q.k)
+	sc.stats.Evaluations++
 
 	ownEdge := g.net.G.Edge(q.pos.Edge)
 	own := g.net.ObjectsOn(q.pos.Edge)
-	st.EvalEntries += len(own)
+	sc.stats.EvalEntries += len(own)
 	for _, oe := range own {
-		cand.add(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), q.pos.Edge)
+		cand.offer(oe.ID, roadnet.ArcCost(ownEdge, oe.Frac, q.pos.Frac), q.pos.Edge, true)
 	}
 
 	seq := &g.seqs.Seqs[q.seq]
 	covered := sc.covered[:0]
-	q.reachB = g.walkDir(q, cand, st, seq, +1, &covered)
+	var mergedB bool
+	q.reachB, mergedB = g.walkDir(q, sc, seq, +1, &covered, true)
 	nB := len(covered)
-	q.reachA = g.walkDir(q, cand, st, seq, -1, &covered)
+	q.reachA, _ = g.walkDir(q, sc, seq, -1, &covered, !mergedB)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
 	res, _ := cand.finalize()
@@ -53,8 +59,11 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 
 // walkDir expands along the sequence from q's edge: dir=+1 walks toward
 // EndB (increasing edge index), dir=-1 toward EndA. It reports whether the
-// endpoint was reached within the moving bound kNN_dist (cand's k-th).
-func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, st *StepStats, seq *roadnet.Sequence, dir int, covered *[]walkEdge) bool {
+// endpoint was reached within the moving bound kNN_dist (the store's k-th),
+// and whether a node set was merged there. fresh offers the walked edges'
+// objects without a probe: no node set has been merged before.
+func (g *groupLayer) walkDir(q *gmaQuery, sc *scratch, seq *roadnet.Sequence, dir int, covered *[]walkEdge, fresh bool) (reached, merged bool) {
+	cand := &sc.cand
 	idx := int(q.idx)
 
 	var node graph.NodeID
@@ -70,19 +79,18 @@ func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, st *StepStats, seq *r
 
 	for {
 		if !g.naiveEval && d > cand.kth() {
-			return false
+			return false, false
 		}
 		atEnd := (dir > 0 && j == len(seq.Edges)) || (dir < 0 && j == -1)
 		if atEnd {
-			st.EvalEntries += g.mergeNodeSet(q, cand, node, d)
-			return true
+			return true, g.mergeNodeSet(q, sc, node, d)
 		}
 		eid := seq.Edges[j]
 		ed := g.net.G.Edge(eid)
 		objs := g.net.ObjectsOn(eid)
-		st.EvalEntries += len(objs)
+		sc.stats.EvalEntries += len(objs)
 		for _, oe := range objs {
-			cand.add(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), eid)
+			cand.offer(oe.ID, d+roadnet.CostFrom(ed, node, oe.Frac), eid, fresh)
 		}
 		*covered = append(*covered, walkEdge{w: ed.W, dEntry: d, fromU: ed.U == node})
 		d += ed.W
@@ -92,29 +100,23 @@ func (g *groupLayer) walkDir(q *gmaQuery, cand *candStore, st *StepStats, seq *r
 }
 
 // mergeNodeSet folds the NN set of active node n (at arc distance d from
-// the query) into q's candidates, cand, and returns how many of its entries
-// it read. Terminal nodes have no monitored set — nothing lies beyond them.
-func (g *groupLayer) mergeNodeSet(q *gmaQuery, cand *candStore, n graph.NodeID, d float64) (read int) {
+// the query) into the store in one linear merge (candStore.merge), which
+// stops at the k-th: a node set ascends, so from the first entry beyond
+// kNN_dist on nothing can rank among the k. It reports whether n has a set:
+// terminal nodes have none — nothing lies beyond them.
+func (g *groupLayer) mergeNodeSet(q *gmaQuery, sc *scratch, n graph.NodeID, d float64) bool {
 	if g.net.G.Degree(n) <= 1 {
-		return 0
+		return false
 	}
 	mon := g.nodeMon[n]
 	if mon == nil {
 		panic("core: grouped query depends on inactive node")
 	}
-	for _, nb := range mon.result {
-		// The list ascends and the bound only tightens, so from the first
-		// entry beyond kNN_dist on nothing can rank among the k (at an equal
-		// distance a smaller object id still can).
-		if d+nb.Dist > cand.kth() {
-			break
-		}
-		// The merged object's own edge is unknown here and irrelevant:
-		// grouped queries are re-evaluated from scratch, never re-derived.
-		cand.add(nb.Obj, d+nb.Dist, q.pos.Edge)
-		read++
-	}
-	return read
+	// The merged objects' own edges are unknown here and irrelevant: grouped
+	// queries are re-evaluated from scratch, never re-derived.
+	sc.stats.EvalEntries += sc.cand.merge(mon.result, d, q.pos.Edge, &sc.spare)
+
+	return true
 }
 
 // reach measures one direction of an influence region: how many of the

@@ -44,6 +44,11 @@ type lockstepWorld struct {
 	// idStride spaces the object ids: the n-th object is n * idStride (1
 	// when zero), so a stride of 65536 gives every id the same low 16 bits.
 	idStride roadnet.ObjectID
+	// atNode is the share of placed objects (initial and inserted) put at
+	// an end of their edge, where they tie with every object at that node.
+	atNode float64
+	// ks, when set, is what each query's k is drawn from instead of 1..maxK.
+	ks []int
 }
 
 // engineKind names one of the package's engine constructors.
@@ -122,7 +127,7 @@ func newLockstepWorldOn(t *testing.T, seed int64, graphOf func() *graph.Graph, n
 	})
 	for i := 0; i < nObj; i++ {
 		id := w.objID(roadnet.ObjectID(i))
-		pos := w.world.UniformPosition(rng)
+		pos := w.place()
 		w.objPos[id] = pos
 		w.world.AddObject(id, pos)
 		for _, e := range w.engines {
@@ -132,7 +137,7 @@ func newLockstepWorldOn(t *testing.T, seed int64, graphOf func() *graph.Graph, n
 	for i := 0; i < nQry; i++ {
 		id := QueryID(i)
 		pos := w.world.UniformPosition(rng)
-		k := 1 + rng.Intn(maxK)
+		k := w.drawK()
 		w.qPos[id] = pos
 		w.qK[id] = k
 		for _, e := range w.engines {
@@ -214,7 +219,7 @@ func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 	for range inserts {
 		id := w.objID(w.nextObj)
 		w.nextObj++
-		pos := w.world.UniformPosition(w.rng)
+		pos := w.place()
 		u.Objects = append(u.Objects, ObjectUpdate{ID: id, New: pos, Insert: true})
 		w.objPos[id] = pos
 		w.world.AddObject(id, pos)
@@ -231,7 +236,7 @@ func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 		id := w.nextQry
 		w.nextQry++
 		pos := w.world.UniformPosition(w.rng)
-		k := 1 + w.rng.Intn(w.maxK)
+		k := w.drawK()
 		u.Queries = append(u.Queries, QueryUpdate{ID: id, New: pos, K: k, Insert: true})
 		w.qPos[id], w.qK[id] = pos, k
 	}
@@ -260,6 +265,23 @@ func (w *lockstepWorld) next(ts int, fObj, fQry, fEdg float64) Updates {
 	}
 	w.last = u
 	return u
+}
+
+// place draws a position for an object the world places.
+func (w *lockstepWorld) place() roadnet.Position {
+	pos := w.world.UniformPosition(w.rng)
+	if w.atNode > 0 && w.rng.Float64() < w.atNode {
+		pos.Frac = float64(w.rng.Intn(2))
+	}
+	return pos
+}
+
+// drawK draws a new query's k.
+func (w *lockstepWorld) drawK() int {
+	if len(w.ks) > 0 {
+		return w.ks[w.rng.Intn(len(w.ks))]
+	}
+	return 1 + w.rng.Intn(w.maxK)
 }
 
 // objID is the id of the world's n-th object.

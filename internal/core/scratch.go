@@ -45,11 +45,13 @@ type scratch struct {
 	// aff is the influence-list rebuild's buffer (monitor.rebuildIL).
 	aff []graph.EdgeID
 
-	// cand is the candidate store of grouped-query evaluations, and covered
-	// their sequence-walk buffer: an evaluation runs from scratch, so the
-	// store is the worker's, reset by each, and the query keeps only a copy
-	// of the result.
+	// cand is the candidate store of grouped-query evaluations, capped at
+	// k, spare the key arrays its node-set merges write into and swap in,
+	// and covered their sequence-walk buffer: an evaluation runs from
+	// scratch, so the store is the worker's, reset by each, and the query
+	// keeps only a copy of the result.
 	cand    candStore
+	spare   keyBuf
 	covered []walkEdge
 
 	// prev holds a change-tracking monitor's previous result while its

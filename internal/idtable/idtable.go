@@ -94,6 +94,33 @@ func (m *Map[V]) Put(k int32, v V) (added bool) {
 	return added
 }
 
+// GetOrPut returns k's value and true when k is present; otherwise it puts
+// k with v and returns v and false. It probes once where a Get followed by
+// a Put probes twice.
+func (m *Map[V]) GetOrPut(k int32, v V) (V, bool) {
+	if len(m.keys) == 0 {
+		m.grow()
+	}
+	if k == free {
+		if m.resIn {
+			return m.resVal, true
+		}
+		m.resIn, m.resVal = true, v
+	} else {
+		i := m.probe(k)
+		if m.keys[i] == k {
+			return m.vals[i], true
+		}
+		if (m.n+1)*8 > len(m.keys)*7 {
+			m.grow()
+			i = m.probe(k)
+		}
+		m.keys[i], m.vals[i] = k, v
+	}
+	m.n++
+	return v, false
+}
+
 // probe returns the slot holding k, or the empty slot that ends k's probe
 // run. k is not the reserved key, and the map has slots.
 func (m *Map[V]) probe(k int32) uint32 {

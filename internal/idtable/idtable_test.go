@@ -203,12 +203,21 @@ func checkMap[V comparable](m *Map[V], ref map[int32]V, pool []int32) error {
 // reference, and reports a disagreement in what the operation returned.
 func applyMapOp[V comparable](m *Map[V], ref map[int32]V, op byte, k int32, v V) error {
 	switch op % 8 {
-	case 0, 1, 2, 3:
+	case 0, 1, 2:
 		_, live := ref[k]
 		if added := m.Put(k, v); added == live {
 			return fmt.Errorf("Put(%d) added %v, reference held it: %v", k, added, live)
 		}
 		ref[k] = v
+	case 3:
+		want, live := ref[k]
+		if !live {
+			want = v
+		}
+		if got, ok := m.GetOrPut(k, v); ok != live || got != want {
+			return fmt.Errorf("GetOrPut(%d, %v) = %v, %v; reference %v, %v", k, v, got, ok, want, live)
+		}
+		ref[k] = want
 	case 4, 5, 6:
 		_, live := ref[k]
 		if ok := m.Delete(k); ok != live {
@@ -223,8 +232,8 @@ func applyMapOp[V comparable](m *Map[V], ref map[int32]V, op byte, k int32, v V)
 }
 
 // runMapModel drives a Map and a Go map through one seeded interleaving of
-// inserts, overwrites, deletes, clears and growth over pool, checking after
-// every operation. val gives the value a step writes.
+// inserts, overwrites, get-or-puts, deletes, clears and growth over pool,
+// checking after every operation. val gives the value a step writes.
 func runMapModel[V comparable](t *testing.T, rng *rand.Rand, pool []int32, val func(step int) V) {
 	var m Map[V]
 	ref := map[int32]V{}
