@@ -245,7 +245,10 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool
 		n--
 		c.nb, c.edges = c.nb[:n], c.edges[:n]
 	} else if n == cap(c.nb) {
-		size := c.grownCap(n)
+		size := max(4*n, 16)
+		if size >= c.limit/2 {
+			size = c.limit
+		}
 		c.nb = append(make([]Neighbor, 0, size), c.nb...)
 		c.edges = append(make([]graph.EdgeID, 0, size), c.edges...)
 	}
@@ -257,15 +260,6 @@ func (c *candStore) insert(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool
 	c.nb[r], c.edges[r] = Neighbor{Obj: obj, Dist: d}, e
 	c.dist.Put(int32(obj), distCode(d))
 	return true
-}
-
-// grownCap is the capacity key arrays holding n keys grow to: fourfold
-// from 16, and the limit once that is at most twice as much.
-func (c *candStore) grownCap(n int) int {
-	if size := max(4*n, 16); size < c.limit/2 {
-		return size
-	}
-	return c.limit
 }
 
 // offer is add for a store reset by resetTop, whose owner ignores cover.
@@ -306,13 +300,12 @@ type keyBuf struct {
 // falls as it goes and never below the distance of an entry already read.
 func (c *candStore) merge(run []Neighbor, d float64, e graph.EdgeID, spare *keyBuf) (read int) {
 	n := len(c.nb)
-	if len(run) == 0 || n == c.k && !before(Neighbor{Obj: run[0].Obj, Dist: d + run[0].Dist}, c.nb[n-1].Dist, c.nb[n-1].Obj) {
-		return c.within(run, d) // nothing sorts before the k-th
+	if len(run) == 0 {
+		return 0
 	}
 	out, outEdges := spare.nb[:0], spare.edges[:0]
 	if need := min(c.limit, n+len(run)); cap(out) < need || cap(outEdges) < need {
-		size := max(need, c.grownCap(cap(out)))
-		out, outEdges = make([]Neighbor, 0, size), make([]graph.EdgeID, 0, size)
+		out, outEdges = make([]Neighbor, 0, need), make([]graph.EdgeID, 0, need)
 	}
 	// The keys before the run's first entry stay as they are.
 	i := c.rank(d+run[0].Dist, run[0].Obj)
@@ -353,18 +346,12 @@ merging:
 	c.written(0)
 	spare.nb, spare.edges = c.nb[:0], c.edges[:0]
 	c.nb, c.edges = out, outEdges
-	return j + c.within(run[j:], d)
-}
-
-// within counts the leading entries of run, each at its distance plus d,
-// that lie within the k-th distance.
-func (c *candStore) within(run []Neighbor, d float64) int {
+	// The run entries merged, and those after them that tie the k-th.
 	kth := c.kth()
-	n := 0
-	for n < len(run) && d+run[n].Dist <= kth {
-		n++
+	for j < len(run) && d+run[j].Dist <= kth {
+		j++
 	}
-	return n
+	return j
 }
 
 // move re-ranks the key at rank r to distance d on edge e.

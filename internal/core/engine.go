@@ -382,8 +382,7 @@ func (e *Incremental) SizeBytes() int {
 
 // StepStats counts what the monitors and grouped evaluations of an engine
 // have done since it was built: the regime a workload puts the incremental
-// core in. Counters only
-// grow; callers difference two readings.
+// core in. Counters only grow; callers difference two readings.
 type StepStats struct {
 	Affected           int // monitor finalizes: one per monitor per timestamp that reached it
 	Touched            int // object reports handed to those finalizes

@@ -25,8 +25,8 @@ type walkEdge struct {
 // nothing of an evaluation but its result.
 //
 // An object lies on one edge, so the objects of the own and the walked edges
-// are distinct, and are offered without a membership probe until a node set
-// has been merged.
+// are distinct, and are offered without a membership probe until the walk
+// has reached an end, where a node set may have been merged.
 func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 	cand := &sc.cand
 	cand.resetTop(q.k)
@@ -41,10 +41,9 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 
 	seq := &g.seqs.Seqs[q.seq]
 	covered := sc.covered[:0]
-	var mergedB bool
-	q.reachB, mergedB = g.walkDir(q, sc, seq, +1, &covered, true)
+	q.reachB = g.walkDir(q, sc, seq, +1, &covered, true)
 	nB := len(covered)
-	q.reachA, _ = g.walkDir(q, sc, seq, -1, &covered, !mergedB)
+	q.reachA = g.walkDir(q, sc, seq, -1, &covered, !q.reachB)
 	sc.covered = covered // keep the grown buffer for the next evaluation
 
 	res, _ := cand.finalize()
@@ -59,10 +58,10 @@ func (g *groupLayer) evaluate(q *gmaQuery, sc *scratch) {
 
 // walkDir expands along the sequence from q's edge: dir=+1 walks toward
 // EndB (increasing edge index), dir=-1 toward EndA. It reports whether the
-// endpoint was reached within the moving bound kNN_dist (the store's k-th),
-// and whether a node set was merged there. fresh offers the walked edges'
-// objects without a probe: no node set has been merged before.
-func (g *groupLayer) walkDir(q *gmaQuery, sc *scratch, seq *roadnet.Sequence, dir int, covered *[]walkEdge, fresh bool) (reached, merged bool) {
+// endpoint was reached within the moving bound kNN_dist (the store's k-th).
+// fresh offers the walked edges' objects without a probe: no node set has
+// been merged before.
+func (g *groupLayer) walkDir(q *gmaQuery, sc *scratch, seq *roadnet.Sequence, dir int, covered *[]walkEdge, fresh bool) bool {
 	cand := &sc.cand
 	idx := int(q.idx)
 
@@ -79,11 +78,12 @@ func (g *groupLayer) walkDir(q *gmaQuery, sc *scratch, seq *roadnet.Sequence, di
 
 	for {
 		if !g.naiveEval && d > cand.kth() {
-			return false, false
+			return false
 		}
 		atEnd := (dir > 0 && j == len(seq.Edges)) || (dir < 0 && j == -1)
 		if atEnd {
-			return true, g.mergeNodeSet(q, sc, node, d)
+			g.mergeNodeSet(q, sc, node, d)
+			return true
 		}
 		eid := seq.Edges[j]
 		ed := g.net.G.Edge(eid)
@@ -102,11 +102,11 @@ func (g *groupLayer) walkDir(q *gmaQuery, sc *scratch, seq *roadnet.Sequence, di
 // mergeNodeSet folds the NN set of active node n (at arc distance d from
 // the query) into the store in one linear merge (candStore.merge), which
 // stops at the k-th: a node set ascends, so from the first entry beyond
-// kNN_dist on nothing can rank among the k. It reports whether n has a set:
-// terminal nodes have none — nothing lies beyond them.
-func (g *groupLayer) mergeNodeSet(q *gmaQuery, sc *scratch, n graph.NodeID, d float64) bool {
+// kNN_dist on nothing can rank among the k. Terminal nodes have no
+// monitored set — nothing lies beyond them.
+func (g *groupLayer) mergeNodeSet(q *gmaQuery, sc *scratch, n graph.NodeID, d float64) {
 	if g.net.G.Degree(n) <= 1 {
-		return false
+		return
 	}
 	mon := g.nodeMon[n]
 	if mon == nil {
@@ -115,8 +115,6 @@ func (g *groupLayer) mergeNodeSet(q *gmaQuery, sc *scratch, n graph.NodeID, d fl
 	// The merged objects' own edges are unknown here and irrelevant: grouped
 	// queries are re-evaluated from scratch, never re-derived.
 	sc.stats.EvalEntries += sc.cand.merge(mon.result, d, q.pos.Edge, &sc.spare)
-
-	return true
 }
 
 // reach measures one direction of an influence region: how many of the
