@@ -299,10 +299,10 @@ type keyBuf struct {
 // kth(), would read. That walk reads exactly these, because kth() only
 // falls as it goes and never below the distance of an entry already read.
 func (c *candStore) merge(run []Neighbor, d float64, e graph.EdgeID, spare *keyBuf) (read int) {
-	n := len(c.nb)
 	if len(run) == 0 {
 		return 0
 	}
+	n := len(c.nb)
 	out, outEdges := spare.nb[:0], spare.edges[:0]
 	if need := min(c.limit, n+len(run)); cap(out) < need || cap(outEdges) < need {
 		out, outEdges = make([]Neighbor, 0, need), make([]graph.EdgeID, 0, need)
