@@ -87,11 +87,18 @@ func runAllocCheck(t *testing.T, engName string, workers int, topoAgility, hotsp
 	for i := 0; i < 15; i++ {
 		eng.Step(r.GenerateStep())
 	}
-	avg, exact := allocsPerRun(20, func() {
+	avg, total := allocsPerRun(20, func() {
 		eng.Step(r.GenerateStep())
 	})
-	t.Logf("%s workers=%d: %.1f allocs per warmed Step (ceiling %d); %d in the 20 measured Steps",
-		engName, workers, avg, ceiling, exact)
+	if workers == 1 {
+		t.Logf("%s workers=1: %.1f allocs per warmed Step (ceiling %d); exactly %d in the 20 measured Steps",
+			engName, avg, ceiling, total)
+	} else {
+		// The pool's workers allocate as the scheduler interleaves them, so
+		// the total moves between runs by a few dozen.
+		t.Logf("%s workers=%d: %.1f allocs per warmed Step (ceiling %d); %d in the 20 measured Steps, varying with scheduling",
+			engName, workers, avg, ceiling, total)
+	}
 	if avg > float64(ceiling) {
 		t.Fatalf("%s workers=%d Step allocates %.1f times per call, above the regression ceiling %d",
 			engName, workers, avg, ceiling)
@@ -100,9 +107,11 @@ func runAllocCheck(t *testing.T, engName string, workers int, topoAgility, hotsp
 
 // allocsPerRun measures f as testing.AllocsPerRun(runs, f) does — at
 // GOMAXPROCS 1, after one warm-up call — and returns both its reading, the
-// integer-truncated mean, and the exact number of heap allocations over the
-// measured calls, which the truncation can hide up to runs-1 of.
-func allocsPerRun(runs int, f func()) (avg float64, exact uint64) {
+// integer-truncated mean, and the number of heap allocations over the
+// measured calls, which the truncation can hide up to runs-1 of. The total
+// is exact for a serial f; one that hands work to other goroutines
+// allocates as they are scheduled.
+func allocsPerRun(runs int, f func()) (avg float64, total uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
@@ -111,6 +120,6 @@ func allocsPerRun(runs int, f func()) (avg float64, exact uint64) {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	exact = after.Mallocs - before.Mallocs
-	return float64(exact / uint64(runs)), exact
+	total = after.Mallocs - before.Mallocs
+	return float64(total / uint64(runs)), total
 }

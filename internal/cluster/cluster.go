@@ -64,7 +64,9 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 }
 
 // FetchInfo performs the replication handshake: what engine the primary
-// runs and at what checkpoint cadence (the follower must mirror both).
+// runs (the follower must run the same), its last logged sequence and
+// checkpoint, and its newest epoch. A follower has no checkpoint cadence
+// of its own to mirror.
 func FetchInfo(cfg FollowerConfig) (serve.ReplicationInfo, error) {
 	cfg = cfg.withDefaults()
 	var info serve.ReplicationInfo

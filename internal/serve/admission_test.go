@@ -55,8 +55,8 @@ func TestServeRepeatedIDCountsOnce(t *testing.T) {
 // PendingObject reports whether object id has a pending entry this tick
 // (TestBatcherMatchesMapModel checks it against the map reference).
 func (b *Batcher) PendingObject(id roadknn.ObjectID) bool {
-	row, ok := b.objIdx.Find(int32(id))
-	return ok && b.objRows[row].pend != pendNone
+	i, ok := b.objs.idx.Find(int32(id))
+	return ok && b.objs.rows[i].pend != pendNone
 }
 
 // feedBatcher applies req to b through the Batcher's methods, unchecked,
@@ -194,9 +194,9 @@ func TestAdmissionMatchesReference(t *testing.T) {
 			if got, want := s.batch.Drain(), ref.Drain(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: drained\n%+v\nreference\n%+v", step, got, want)
 			}
-			o1, q1, e1, t1 := s.batch.CheckpointState()
-			o2, q2, e2, t2 := ref.CheckpointState()
-			if !reflect.DeepEqual(o1, o2) || !reflect.DeepEqual(q1, q2) || !reflect.DeepEqual(e1, e2) || !reflect.DeepEqual(t1, t2) {
+			o1, q1, t1 := s.batch.CheckpointState()
+			o2, q2, t2 := ref.CheckpointState()
+			if !reflect.DeepEqual(o1, o2) || !reflect.DeepEqual(q1, q2) || !reflect.DeepEqual(t1, t2) {
 				t.Fatalf("step %d: checkpoint state differs from the reference", step)
 			}
 			continue

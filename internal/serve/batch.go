@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"roadknn"
@@ -13,8 +14,8 @@ import (
 // Batcher coalesces a stream of incoming object/query/edge events into
 // per-timestamp Updates batches for the deterministic Step pipeline. It is
 // the serving runtime's ingestion front-end: clients report where things
-// are (or that they are gone), the Batcher tracks the last state the
-// engine actually applied, and Drain emits the minimal batch that takes
+// are (or that they are gone), the Batcher tracks the objects and queries
+// the engine last applied, and Drain emits the minimal batch that takes
 // the engine from its current state to the reported one:
 //
 //   - several moves of one entity within a tick collapse into a single
@@ -41,28 +42,22 @@ import (
 // ending an unknown query is a no-op. Replay and checkpoint installation
 // re-feed logged state through the unchecked appliers the mutators wrap.
 //
+// Objects and queries each live in a rowTable, one row per id that is
+// applied or pending, and pending edge weights in a slot per edge id, so a
+// report is one probe of an idtable.Table or one index, and nothing here is
+// a Go map.
+//
 // A Batcher is not safe for concurrent use; the Server serializes access.
 type Batcher struct {
-	// Objects live in one row table: objIdx maps an id to its row in
-	// objRows, which holds both what the engine has applied and what is
-	// pending this tick. An id has a row exactly while it is applied or
-	// pending; a row whose object is gone is zeroed and recycled. objOrder
-	// lists the pending rows in first-report order.
-	objIdx   idtable.Table
-	objRows  []objRow
-	objOrder []int32
+	objs, qrys rowTable
 
-	// applied state: what the engine has after the last Drain'd batch.
-	qryApplied map[roadknn.QueryID]appliedQry
-	// edgeApplied tracks edge weights overridden from the network file
-	// since startup, so checkpoints can rebuild them.
-	edgeApplied map[roadknn.EdgeID]float64
-
-	// pending state for the current tick.
-	qryPend  map[roadknn.QueryID]pendingQry
-	qryOrder []roadknn.QueryID
-	edgePend map[roadknn.EdgeID]float64
-	edgeOrd  []roadknn.EdgeID
+	// weights is a slot per edge id, holding the weight last reported this
+	// tick; edgeOrd lists the reported edges in first-report order. A slot is
+	// pending while its stamp is drains+1, drains counting the Drains so far,
+	// so a Drain retires every slot at once.
+	weights []edgeSlot
+	edgeOrd []roadknn.EdgeID
+	drains  uint64
 
 	// Topology state. Ops are never coalesced — their order drives the
 	// engine's deterministic edge-id assignment — so pending ops are a plain
@@ -87,89 +82,169 @@ type Batcher struct {
 // undoLog takes back one admission's reports (see openLog). Each kind of
 // report touches only its own state, so each is undone on its own. An
 // entity first reported since openLog is listed in its order list past the
-// mark: undoing it drops its pending entry (and the row of an object that
-// is not applied either, which the admission created). Only a report that
-// overwrites a pending entry logs the entry, so the log holds a request's
-// re-reports, not its reports.
+// mark: undoing it drops its pending state (and the row of an object or
+// query that is not applied either, which the admission created). Only a
+// report that overwrites a pending entry logs the entry, so the log holds a
+// request's re-reports, not its reports. The row tables keep their own
+// marks and logs.
 type undoLog struct {
-	open                                 bool
-	objMark, qryMark, edgeMark, topoMark int
-	objs                                 []objUndo
-	qrys                                 []entryUndo[roadknn.QueryID, pendingQry]
-	edges                                []entryUndo[roadknn.EdgeID, float64]
+	open               bool
+	edgeMark, topoMark int
+	edges              []edgeUndo
 	// reused holds, per insertion since the mark, whether it took its id
 	// off the freelist rather than a fresh one.
 	reused []bool
 }
 
-// objUndo is a pending object row's report before another overwrote it.
-type objUndo struct {
-	row  int32
-	pend pendKind
-	to   roadknn.Position
+// edgeUndo is a pending weight before a report overwrote it.
+type edgeUndo struct {
+	edge roadknn.EdgeID
+	w    float64
 }
 
-// entryUndo is a pending map entry before a report overwrote it.
-type entryUndo[K comparable, V any] struct {
-	key  K
-	prev V
+// edgeSlot is one edge id's pending weight, valid while stamp is the
+// Batcher's drains+1.
+type edgeSlot struct {
+	w     float64
+	stamp uint64
 }
 
-// restore undoes the reports on m since the mark: the logged entries get
-// their values back, newest first, and the keys first reported since the
-// mark (the order list's tail) are dropped.
-func restore[K comparable, V any](m map[K]V, log []entryUndo[K, V], added []K) {
-	for i := len(log) - 1; i >= 0; i-- {
-		m[log[i].key] = log[i].prev
-	}
-	for _, k := range added {
-		delete(m, k)
-	}
+// rowTable holds one kind of entity, objects or queries: idx maps an id to
+// its row in rows, which holds both what the engine has applied and what is
+// pending this tick. An id has a row exactly while it is applied or
+// pending; a row whose entity is gone is zeroed and released. order lists
+// the pending rows in first-report order. While the Batcher's undo log is
+// open, mark is order's length at openLog and undo the rows that re-reports
+// overwrote since.
+type rowTable struct {
+	idx   idtable.Table
+	rows  []row
+	order []int32
+	mark  int
+	undo  []rowUndo
 }
 
-// objRow is one object's applied and pending state.
-type objRow struct {
-	id      roadknn.ObjectID
+// rowUndo is row i before a report overwrote its pending state.
+type rowUndo struct {
+	i    int32
+	prev row
+}
+
+// row is one object's or query's applied and pending state. The two
+// positions are kept as edge and frac apart, so that a query's two k take
+// the room a Position's padding would: a row is 40 bytes.
+type row struct {
+	id      int32
 	applied bool
 	pend    pendKind
-	at      roadknn.Position // applied position, when applied
-	to      roadknn.Position // reported position, when pend is pendMove
+	// reinstall marks a query re-reported after an end within one tick: the
+	// engine must terminate and re-install it (the new k takes effect), not
+	// just move it.
+	reinstall      bool
+	atEdge, toEdge roadknn.EdgeID // applied, and reported while pend is pendMove
+	k, toK         int32          // a query's applied and reported k
+	atFrac, toFrac float64
 }
 
-// pendKind is what an object's row has pending this tick.
+func (r *row) at() roadknn.Position { return roadknn.Position{Edge: r.atEdge, Frac: r.atFrac} }
+func (r *row) to() roadknn.Position { return roadknn.Position{Edge: r.toEdge, Frac: r.toFrac} }
+
+// pendKind is what a row has pending this tick.
 type pendKind uint8
 
 const (
 	pendNone pendKind = iota
-	pendMove          // reported at objRow.to
-	pendDel           // reported gone
+	pendMove          // reported at the row's to()
+	pendGone          // an object reported deleted, a query ended
 )
 
-type appliedQry struct {
-	pos roadknn.Position
-	k   int
+// add returns id's row, taking a zeroed one if id has none.
+func (t *rowTable) add(id int32) int32 {
+	i, _ := t.idx.Insert(id)
+	if int(i) == len(t.rows) {
+		t.rows = append(t.rows, row{})
+	}
+	t.rows[i].id = id
+	return i
 }
 
-type pendingQry struct {
-	pos roadknn.Position
-	k   int
-	end bool
-	// reinstall marks an end followed by a re-report within one tick: the
-	// engine must terminate and re-install (the new k takes effect), not
-	// just move.
-	reinstall bool
+// report marks row i as having kind pending and returns it. The row is
+// listed in order at its first report this tick; a later report, while log
+// is set, logs the row it overwrites.
+func (t *rowTable) report(i int32, kind pendKind, log bool) *row {
+	r := &t.rows[i]
+	if r.pend == pendNone {
+		t.order = append(t.order, i)
+	} else if log {
+		t.undo = append(t.undo, rowUndo{i, *r})
+	}
+	r.pend = kind
+	return r
+}
+
+// gone reports id's entity gone, or returns false if id has no row.
+func (t *rowTable) gone(id int32, log bool) bool {
+	i, ok := t.idx.Find(id)
+	if ok {
+		t.report(i, pendGone, log)
+	}
+	return ok
+}
+
+// pendingOn reports whether a pending move is positioned on edge e.
+func (t *rowTable) pendingOn(e roadknn.EdgeID) bool {
+	for _, i := range t.order {
+		if r := &t.rows[i]; r.pend == pendMove && r.toEdge == e {
+			return true
+		}
+	}
+	return false
+}
+
+// release zeroes row i and frees it for the next new id.
+func (t *rowTable) release(i int32) {
+	t.idx.Delete(t.rows[i].id)
+	t.rows[i] = row{}
+}
+
+// rollback undoes the reports since the mark: logged rows get their state
+// back, newest first, and the rows first reported since the mark (order's
+// tail) drop their pending state, or are released if nothing is applied.
+func (t *rowTable) rollback() {
+	for j := len(t.undo) - 1; j >= 0; j-- {
+		t.rows[t.undo[j].i] = t.undo[j].prev
+	}
+	for _, i := range t.order[t.mark:] {
+		if r := &t.rows[i]; r.applied {
+			r.pend, r.reinstall = pendNone, false
+		} else {
+			t.release(i)
+		}
+	}
+	t.order = t.order[:t.mark]
+}
+
+// commit makes the pending rows the applied state: a reported position
+// becomes the applied one, as does a reported k where it installs, and a
+// row reported gone is released.
+func (t *rowTable) commit() {
+	for _, i := range t.order {
+		r := &t.rows[i]
+		if r.pend == pendGone {
+			t.release(i)
+			continue
+		}
+		if !r.applied || r.reinstall {
+			r.k = r.toK
+		}
+		r.applied, r.atEdge, r.atFrac, r.pend, r.reinstall = true, r.toEdge, r.toFrac, pendNone, false
+	}
+	t.order = t.order[:0]
 }
 
 // NewBatcher returns an empty batcher with an empty edge view: every report
 // that names an edge is rejected until InitTopology seeds it.
-func NewBatcher() *Batcher {
-	return &Batcher{
-		qryApplied:  make(map[roadknn.QueryID]appliedQry),
-		edgeApplied: make(map[roadknn.EdgeID]float64),
-		qryPend:     make(map[roadknn.QueryID]pendingQry),
-		edgePend:    make(map[roadknn.EdgeID]float64),
-	}
-}
+func NewBatcher() *Batcher { return &Batcher{} }
 
 // InitTopology seeds the batcher's view of the engine's edge-id space:
 // numEdges is the id-space size and free the graph's tombstone freelist in
@@ -269,17 +344,7 @@ func (b *Batcher) removeEdge(e roadknn.EdgeID) {
 // one is — the report was checked against e being live, and the engine
 // would otherwise place the entity on a dead edge.
 func (b *Batcher) pendingOnEdge(e roadknn.EdgeID) bool {
-	for _, row := range b.objOrder {
-		if r := &b.objRows[row]; r.pend == pendMove && r.to.Edge == e {
-			return true
-		}
-	}
-	for _, p := range b.qryPend {
-		if !p.end && p.pos.Edge == e {
-			return true
-		}
-	}
-	return false
+	return b.objs.pendingOn(e) || b.qrys.pendingOn(e)
 }
 
 // Object reports object id at pos (insert or move — the batcher decides
@@ -294,37 +359,13 @@ func (b *Batcher) Object(id roadknn.ObjectID, pos roadknn.Position) error {
 }
 
 func (b *Batcher) object(id roadknn.ObjectID, pos roadknn.Position) {
-	row, _ := b.objIdx.Insert(int32(id))
-	if int(row) == len(b.objRows) {
-		b.objRows = append(b.objRows, objRow{})
-	}
-	r := b.report(row, pendMove)
-	r.id, r.to = id, pos
+	r := b.objs.report(b.objs.add(int32(id)), pendMove, b.undo.open)
+	r.toEdge, r.toFrac = pos.Edge, pos.Frac
 }
 
 // DeleteObject reports object id gone. Deleting an id that is neither
 // applied nor pending is a no-op that returns false.
-func (b *Batcher) DeleteObject(id roadknn.ObjectID) bool {
-	row, ok := b.objIdx.Find(int32(id))
-	if !ok {
-		return false
-	}
-	b.report(row, pendDel)
-	return true
-}
-
-// report marks row's object as having kind pending, listing it in
-// objOrder at its first report this tick, and returns the row.
-func (b *Batcher) report(row int32, kind pendKind) *objRow {
-	r := &b.objRows[row]
-	if r.pend == pendNone {
-		b.objOrder = append(b.objOrder, row)
-	} else if b.undo.open {
-		b.undo.objs = append(b.undo.objs, objUndo{row, r.pend, r.to})
-	}
-	r.pend = kind
-	return r
-}
+func (b *Batcher) DeleteObject(id roadknn.ObjectID) bool { return b.objs.gone(int32(id), b.undo.open) }
 
 // Query reports query id at pos; k is used only if this installs (or,
 // after an end within the same tick, re-installs) the query — on plain
@@ -347,40 +388,18 @@ func (b *Batcher) Query(id roadknn.QueryID, k int, pos roadknn.Position) error {
 }
 
 func (b *Batcher) query(id roadknn.QueryID, k int, pos roadknn.Position) {
-	prev, seen := b.qryPend[id]
-	b.listQuery(id, prev, seen)
-	next := pendingQry{pos: pos, k: k}
+	i := b.qrys.add(int32(id))
+	ended := b.qrys.rows[i].pend == pendGone
+	r := b.qrys.report(i, pendMove, b.undo.open)
 	// An end earlier in this tick makes the re-report a reinstall (and a
 	// reinstall stays one through further moves).
-	if seen && (prev.end || prev.reinstall) {
-		next.reinstall = true
-	}
-	b.qryPend[id] = next
+	r.reinstall = r.reinstall || ended
+	r.toEdge, r.toFrac, r.toK = pos.Edge, pos.Frac, int32(k)
 }
 
 // EndQuery terminates query id. Ending an id that is neither applied nor
 // pending is a no-op that returns false.
-func (b *Batcher) EndQuery(id roadknn.QueryID) bool {
-	_, applied := b.qryApplied[id]
-	prev, pending := b.qryPend[id]
-	if !applied && !pending {
-		return false
-	}
-	b.listQuery(id, prev, pending)
-	b.qryPend[id] = pendingQry{end: true}
-	return true
-}
-
-// listQuery lists query id in qryOrder at its first report this tick, or,
-// while the undo log is open, logs the pending entry prev that the report
-// is about to overwrite.
-func (b *Batcher) listQuery(id roadknn.QueryID, prev pendingQry, pending bool) {
-	if !pending {
-		b.qryOrder = append(b.qryOrder, id)
-	} else if b.undo.open {
-		b.undo.qrys = append(b.undo.qrys, entryUndo[roadknn.QueryID, pendingQry]{id, prev})
-	}
-}
+func (b *Batcher) EndQuery(id roadknn.QueryID) bool { return b.qrys.gone(int32(id), b.undo.open) }
 
 // needsK reports whether a (non-end) Query report for id right now would
 // have its k consumed at Drain — i.e. whether it starts or continues an
@@ -389,11 +408,12 @@ func (b *Batcher) listQuery(id roadknn.QueryID, prev pendingQry, pending bool) {
 // valid k; Query uses this to reject k < 1 before it can reach
 // Engine.Register.
 func (b *Batcher) needsK(id roadknn.QueryID) bool {
-	if p, ok := b.qryPend[id]; ok && (p.end || p.reinstall) {
+	i, ok := b.qrys.idx.Find(int32(id))
+	if !ok {
 		return true
 	}
-	_, applied := b.qryApplied[id]
-	return !applied
+	r := &b.qrys.rows[i]
+	return !r.applied || r.pend == pendGone || r.reinstall
 }
 
 // Edge reports edge's new weight (last report within a tick wins). It
@@ -410,17 +430,26 @@ func (b *Batcher) Edge(edge roadknn.EdgeID, w float64) error {
 }
 
 func (b *Batcher) edge(edge roadknn.EdgeID, w float64) {
-	if prev, seen := b.edgePend[edge]; !seen {
+	// The slots grow on demand, not with the edge view: replay and
+	// checkpoint installation feed ids unchecked, and one written against
+	// another network file may name an id past it, which the engine drops
+	// and the snapshot check then reports.
+	if n := int(edge) + 1 - len(b.weights); n > 0 {
+		b.weights = append(b.weights, make([]edgeSlot, n)...)
+	}
+	s := &b.weights[edge]
+	if s.stamp != b.drains+1 {
+		s.stamp = b.drains + 1
 		b.edgeOrd = append(b.edgeOrd, edge)
 	} else if b.undo.open {
-		b.undo.edges = append(b.undo.edges, entryUndo[roadknn.EdgeID, float64]{edge, prev})
+		b.undo.edges = append(b.undo.edges, edgeUndo{edge, s.w})
 	}
-	b.edgePend[edge] = w
+	s.w = w
 }
 
 // Pending returns the number of entities with pending changes.
 func (b *Batcher) Pending() int {
-	return len(b.objOrder) + len(b.qryPend) + len(b.edgePend) + len(b.topoPend)
+	return len(b.objs.order) + len(b.qrys.order) + len(b.edgeOrd) + len(b.topoPend)
 }
 
 // openLog marks where one admission starts, so that its reports can be
@@ -430,35 +459,29 @@ func (b *Batcher) Pending() int {
 // while it is open.
 func (b *Batcher) openLog() {
 	b.undo.open = true
-	b.undo.objMark, b.undo.qryMark, b.undo.edgeMark, b.undo.topoMark =
-		len(b.objOrder), len(b.qryOrder), len(b.edgeOrd), len(b.topoPend)
+	b.objs.mark, b.qrys.mark = len(b.objs.order), len(b.qrys.order)
+	b.undo.edgeMark, b.undo.topoMark = len(b.edgeOrd), len(b.topoPend)
 }
 
 // closeLog keeps the reports since openLog and stops recording.
 func (b *Batcher) closeLog() {
 	l := &b.undo
 	l.open = false
-	l.objs, l.qrys, l.edges, l.reused = l.objs[:0], l.qrys[:0], l.edges[:0], l.reused[:0]
+	b.objs.undo, b.qrys.undo, l.edges, l.reused = b.objs.undo[:0], b.qrys.undo[:0], l.edges[:0], l.reused[:0]
 }
 
 // rollback undoes every report since openLog, leaving the batcher as it
 // was then in all that it reads or returns, and closes the log.
 func (b *Batcher) rollback() {
 	l := &b.undo
-	for i := len(l.objs) - 1; i >= 0; i-- {
-		u := l.objs[i]
-		b.objRows[u.row].pend, b.objRows[u.row].to = u.pend, u.to
+	b.objs.rollback()
+	b.qrys.rollback()
+	for i := len(l.edges) - 1; i >= 0; i-- {
+		b.weights[l.edges[i].edge].w = l.edges[i].w
 	}
-	for _, row := range b.objOrder[l.objMark:] {
-		r := &b.objRows[row]
-		r.pend = pendNone // to is read only while a move is pending
-		if !r.applied {   // the admission created the row
-			b.objIdx.Delete(int32(r.id))
-			*r = objRow{}
-		}
+	for _, e := range b.edgeOrd[l.edgeMark:] {
+		b.weights[e].stamp = 0
 	}
-	restore(b.qryPend, l.qrys, b.qryOrder[l.qryMark:])
-	restore(b.edgePend, l.edges, b.edgeOrd[l.edgeMark:])
 	adds := len(l.reused)
 	for i := len(b.topoPend) - 1; i >= l.topoMark; i-- {
 		e := b.topoPend[i].Edge
@@ -477,8 +500,7 @@ func (b *Batcher) rollback() {
 		}
 		b.live--
 	}
-	b.objOrder, b.qryOrder, b.edgeOrd, b.topoPend =
-		b.objOrder[:l.objMark], b.qryOrder[:l.qryMark], b.edgeOrd[:l.edgeMark], b.topoPend[:l.topoMark]
+	b.edgeOrd, b.topoPend = b.edgeOrd[:l.edgeMark], b.topoPend[:l.topoMark]
 	b.closeLog()
 }
 
@@ -487,7 +509,7 @@ func (b *Batcher) rollback() {
 // batch is ready for Engine.Step.
 func (b *Batcher) Drain() roadknn.Updates {
 	u := b.Preview()
-	b.commit(u)
+	b.commit()
 	return u
 }
 
@@ -501,100 +523,60 @@ func (b *Batcher) Preview() roadknn.Updates {
 	if len(b.topoPend) > 0 {
 		u.Topology = append([]roadknn.TopologyUpdate(nil), b.topoPend...)
 	}
-	for _, row := range b.objOrder {
-		r := &b.objRows[row]
+	for _, i := range b.objs.order {
+		r := &b.objs.rows[i]
+		id := roadknn.ObjectID(r.id)
 		switch {
-		case r.pend == pendDel && r.applied:
-			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, Delete: true})
-		case r.pend == pendDel:
+		case r.pend == pendGone && r.applied:
+			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, Delete: true})
+		case r.pend == pendGone:
 			// Inserted and deleted within one tick: nothing to apply.
 		case r.applied:
-			if r.at != r.to {
-				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, New: r.to})
+			if r.at() != r.to() {
+				u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, New: r.to()})
 			}
 		default:
-			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: r.id, New: r.to, Insert: true})
+			u.Objects = append(u.Objects, roadknn.ObjectUpdate{ID: id, New: r.to(), Insert: true})
 		}
 	}
-	for _, id := range b.qryOrder {
-		p := b.qryPend[id]
-		old, existed := b.qryApplied[id]
+	for _, i := range b.qrys.order {
+		r := &b.qrys.rows[i]
+		id := roadknn.QueryID(r.id)
 		switch {
-		case p.end && existed:
+		case r.pend == pendGone && r.applied:
 			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, Delete: true})
-		case p.end:
+		case r.pend == pendGone:
 			// Installed and terminated within one tick.
-		case existed && p.reinstall:
+		case r.applied && r.reinstall:
 			// End + re-report within one tick: terminate and re-install so
 			// the new k takes effect (engines apply terminations before
 			// installations within a batch).
-			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, Delete: true})
-			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: p.pos, K: p.k, Insert: true})
-		case existed:
-			if old.pos != p.pos {
-				u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: p.pos})
+			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, Delete: true},
+				roadknn.QueryUpdate{ID: id, New: r.to(), K: int(r.toK), Insert: true})
+		case r.applied:
+			if r.at() != r.to() {
+				u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: r.to()})
 			}
 		default:
-			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: p.pos, K: p.k, Insert: true})
+			u.Queries = append(u.Queries, roadknn.QueryUpdate{ID: id, New: r.to(), K: int(r.toK), Insert: true})
 		}
 	}
-	for _, eid := range b.edgeOrd {
-		u.Edges = append(u.Edges, roadknn.EdgeUpdate{Edge: eid, NewW: b.edgePend[eid]})
+	for _, e := range b.edgeOrd {
+		u.Edges = append(u.Edges, roadknn.EdgeUpdate{Edge: e, NewW: b.weights[e].w})
 	}
 	return u
 }
 
-// commit makes u, the batch Preview built from the current pending reports,
-// the applied state, and clears the pending state.
-func (b *Batcher) commit(u roadknn.Updates) {
-	// The edge view already includes u's topology ops.
-	for _, tp := range u.Topology {
-		if tp.Op == roadknn.TopoRemove {
-			// The removal invalidates any recorded weight override:
-			// should the id be reused, the reincarnated edge's weight
-			// comes from its TopoAdd op, not from the dead road's
-			// last traffic report.
-			delete(b.edgeApplied, tp.Edge)
-		}
-	}
-	b.topoApplied = append(b.topoApplied, u.Topology...)
+// commit makes the pending reports, which Preview turned into the batch,
+// the applied state, and clears the pending state. The edge view already
+// includes the topology ops, and the graph, not the batcher, holds the
+// weights.
+func (b *Batcher) commit() {
+	b.topoApplied = append(b.topoApplied, b.topoPend...)
 	b.topoPend = b.topoPend[:0]
-	// Objects commit from their rows, which u's object section was built
-	// from: a reported position becomes the applied one, and a deleted
-	// object's row is zeroed and released.
-	for _, row := range b.objOrder {
-		r := &b.objRows[row]
-		if r.pend == pendDel {
-			b.objIdx.Delete(int32(r.id))
-			*r = objRow{}
-			continue
-		}
-		r.applied, r.at, r.pend = true, r.to, pendNone
-	}
-	for _, qu := range u.Queries {
-		switch {
-		case qu.Delete:
-			delete(b.qryApplied, qu.ID)
-		case qu.Insert:
-			b.qryApplied[qu.ID] = appliedQry{pos: qu.New, k: qu.K}
-		default:
-			b.qryApplied[qu.ID] = appliedQry{pos: qu.New, k: b.qryApplied[qu.ID].k}
-		}
-	}
-	for _, eu := range u.Edges {
-		// A weight report raced a same-tick removal of its edge: the engine
-		// drops it (stale sensor report), so the applied view must not
-		// record it either. It is still emitted — replay must reproduce the
-		// logged batch byte for byte, and the engine's drop is
-		// deterministic.
-		if b.topoAlive(eu.Edge) {
-			b.edgeApplied[eu.Edge] = eu.NewW
-		}
-	}
-	clear(b.qryPend)
-	clear(b.edgePend)
-	b.objOrder = b.objOrder[:0]
-	b.qryOrder = b.qryOrder[:0]
+	b.objs.commit()
+	b.qrys.commit()
+	b.drains++
 	b.edgeOrd = b.edgeOrd[:0]
 }
 
@@ -649,64 +631,55 @@ func (b *Batcher) Replay(u roadknn.Updates) {
 // silently gone stale; left alone, the next report for such an entity
 // would coalesce against the wrong position (and a replayed run would
 // drift from the live one). net is the engine's network after the Step.
-// Each tick with a removal scans every object row and every applied query,
-// O(objects + queries); only the writes are churn-proportional: just the
-// entities whose applied position lies on an edge the batch removed.
+// A tick with a removal reads every applied object's position from the
+// network's registry, O(objects), and tests every applied query's edge.
 func (b *Batcher) ReconcileTopology(topo []roadknn.TopologyUpdate, net *roadknn.Network) {
-	removed := make(map[roadknn.EdgeID]bool, len(topo))
-	for _, tp := range topo {
-		if tp.Op == roadknn.TopoRemove {
-			removed[tp.Edge] = true
-		}
-	}
-	if len(removed) == 0 {
+	if !slices.ContainsFunc(topo, func(tp roadknn.TopologyUpdate) bool { return tp.Op == roadknn.TopoRemove }) {
 		return
 	}
-	for i := range b.objRows {
-		if r := &b.objRows[i]; r.applied && removed[r.at.Edge] {
-			// Residents re-snap at the moment their edge is removed, so the
-			// registry holds the authoritative position even if the id was
-			// reused by a later insertion in the same batch.
-			if np, ok := net.ObjectPos(r.id); ok {
-				r.at = np
+	for i := range b.objs.rows {
+		// The registry holds every object where the Step left it: a
+		// resident re-snapped at the moment its edge was removed, even if a
+		// later insertion in the batch reused the id, and every other
+		// object where the batcher applied it.
+		if r := &b.objs.rows[i]; r.applied {
+			if np, ok := net.ObjectPos(roadknn.ObjectID(r.id)); ok {
+				r.atEdge, r.atFrac = np.Edge, np.Frac
 			}
 		}
 	}
-	for id, q := range b.qryApplied {
-		// Queries re-snap only if their edge is still dead after the whole
-		// batch (an id reused by a same-batch insertion keeps the query,
-		// now on the new road's geometry) — mirror the engine's rule
-		// exactly.
-		if removed[q.pos.Edge] && !net.G.EdgeAlive(q.pos.Edge) {
-			if np, ok := net.Resnap(q.pos); ok {
-				b.qryApplied[id] = appliedQry{pos: np, k: q.k}
+	for i := range b.qrys.rows {
+		// The engine's rule: a query re-snaps if its edge is dead after the
+		// whole batch (an id reused by a same-batch insertion keeps the
+		// query, now on the new road's geometry).
+		if r := &b.qrys.rows[i]; r.applied && !net.G.EdgeAlive(r.atEdge) {
+			if np, ok := net.Resnap(r.at()); ok {
+				r.atEdge, r.atFrac = np.Edge, np.Frac
 			}
 		}
 	}
 }
 
-// CheckpointState returns the applied state — object positions,
-// registered queries, edge weight overrides, and the ordered topology op
-// log — as slices ready for a wal.Checkpoint. Pending (undrained) reports
-// are not included; the caller checkpoints at a tick boundary where
-// applied state and engine state coincide.
-func (b *Batcher) CheckpointState() ([]wal.ObjectState, []wal.QueryState, []wal.EdgeState, []roadknn.TopologyUpdate) {
-	objs := make([]wal.ObjectState, 0, b.objIdx.Len())
-	for i := range b.objRows {
-		if r := &b.objRows[i]; r.applied {
-			objs = append(objs, wal.ObjectState{ID: r.id, Pos: r.at})
+// CheckpointState returns the applied state — object positions, registered
+// queries and the ordered topology op log — as slices ready for a
+// wal.Checkpoint, objects and queries by ascending id. Pending (undrained)
+// reports are not included; the caller checkpoints at a tick boundary
+// where applied state and engine state coincide, and takes the edge
+// weights from the engine's graph.
+func (b *Batcher) CheckpointState() ([]wal.ObjectState, []wal.QueryState, []roadknn.TopologyUpdate) {
+	objs := make([]wal.ObjectState, 0, b.objs.idx.Len())
+	for i := range b.objs.rows {
+		if r := &b.objs.rows[i]; r.applied {
+			objs = append(objs, wal.ObjectState{ID: roadknn.ObjectID(r.id), Pos: r.at()})
 		}
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
-	qrys := make([]wal.QueryState, 0, len(b.qryApplied))
-	for id, q := range b.qryApplied {
-		qrys = append(qrys, wal.QueryState{ID: int32(id), K: int32(q.k), Pos: q.pos})
+	qrys := make([]wal.QueryState, 0, b.qrys.idx.Len())
+	for i := range b.qrys.rows {
+		if r := &b.qrys.rows[i]; r.applied {
+			qrys = append(qrys, wal.QueryState{ID: r.id, K: r.k, Pos: r.at()})
+		}
 	}
 	sort.Slice(qrys, func(i, j int) bool { return qrys[i].ID < qrys[j].ID })
-	edges := make([]wal.EdgeState, 0, len(b.edgeApplied))
-	for e, w := range b.edgeApplied {
-		edges = append(edges, wal.EdgeState{Edge: e, W: w})
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Edge < edges[j].Edge })
-	return objs, qrys, edges, append([]roadknn.TopologyUpdate(nil), b.topoApplied...)
+	return objs, qrys, append([]roadknn.TopologyUpdate(nil), b.topoApplied...)
 }

@@ -76,11 +76,24 @@ func FuzzStep(f *testing.F) {
 			if len(u.Topology) > 0 {
 				b.ReconcileTopology(u.Topology, engs[0].Network())
 			}
+			// The batcher's applied objects are where the engine holds them,
+			// re-snaps included.
+			objs, qrys, _ := b.CheckpointState()
+			net := engs[0].Network()
+			for _, o := range objs {
+				if p, ok := net.ObjectPos(o.ID); !ok || p != o.Pos {
+					t.Fatalf("object %d applied at %+v, the engine holds it at %+v (%v)", o.ID, o.Pos, p, ok)
+				}
+			}
+			if len(objs) != net.NumObjects() {
+				t.Fatalf("%d objects applied, the engine holds %d", len(objs), net.NumObjects())
+			}
 			for i, eng := range engs {
-				for id, q := range b.qryApplied {
-					got, want := eng.Result(id), core.BruteForceKNN(eng.Network(), q.pos, q.k)
+				for _, q := range qrys {
+					id := roadknn.QueryID(q.ID)
+					got, want := eng.Result(id), core.BruteForceKNN(eng.Network(), q.Pos, int(q.K))
 					if !sameKNN(got, want) {
-						t.Fatalf("%s, query %d at %+v k=%d: %v, brute force %v", eng.Name(), id, q.pos, q.k, got, want)
+						t.Fatalf("%s, query %d at %+v k=%d: %v, brute force %v", eng.Name(), id, q.Pos, q.K, got, want)
 					}
 				}
 				if i > 0 && eng.Network().NumObjects() != engs[0].Network().NumObjects() {

@@ -7,6 +7,7 @@ import (
 
 	"roadknn"
 	"roadknn/internal/core"
+	"roadknn/internal/graph"
 	"roadknn/internal/wal"
 )
 
@@ -134,7 +135,7 @@ func (s *Server) Tick() *roadknn.Snapshot {
 			s.setReadOnly(err)
 			return s.broker.newest()
 		}
-		s.batch.commit(u)
+		s.batch.commit()
 	} else {
 		u = s.batch.Drain()
 	}
@@ -164,14 +165,19 @@ func (s *Server) Tick() *roadknn.Snapshot {
 }
 
 // writeCheckpoint (stepMu held) persists the tick's state: the batcher's
-// applied state, which coincides with the engine's at a tick boundary, and
-// snap's encoding for installCheckpoint to verify against. Failures are
-// recorded for /v1/stats and retried at the next interval — the log keeps
-// growing meanwhile, so nothing is lost.
+// applied objects, queries and topology op log, which coincide with the
+// engine's at a tick boundary; every live edge's weight, read from the
+// engine's graph, which no Step changes while stepMu is held; and snap's
+// encoding for installCheckpoint to verify against. Failures are recorded
+// for /v1/stats and retried at the next interval — the log keeps growing
+// meanwhile, so nothing is lost.
 func (s *Server) writeCheckpoint(snap *roadknn.Snapshot) {
 	s.batchMu.Lock()
-	objs, qrys, edges, topo := s.batch.CheckpointState()
+	objs, qrys, topo := s.batch.CheckpointState()
 	s.batchMu.Unlock()
+	g := s.eng.Network().G
+	edges := make([]wal.EdgeState, 0, g.NumLiveEdges())
+	g.ForEachEdge(func(e *graph.Edge) { edges = append(edges, wal.EdgeState{Edge: e.ID, W: e.W}) })
 	s.enc = snap.AppendBinary(s.enc[:0])
 	err := s.cfg.WAL.WriteCheckpoint(&wal.Checkpoint{
 		Epoch:    snap.Epoch(),
@@ -197,7 +203,10 @@ func (s *Server) writeCheckpoint(snap *roadknn.Snapshot) {
 // applied state goes through the batcher as one batch, the clock is
 // restored to the checkpoint's epoch and timestamp, and the engine's
 // snapshot, computed from scratch, must match the checkpointed one byte for
-// byte.
+// byte. c.Edges sets each listed edge's weight after the topology ops; an
+// edge it does not list keeps the weight the network file or its insertion
+// gave it. So an image that lists every live edge and an older one that
+// lists only the edges reported since startup install alike.
 func (s *Server) installCheckpoint(c *wal.Checkpoint) error {
 	cr, ok := s.eng.(core.ClockRestorer)
 	if !ok {
@@ -207,7 +216,7 @@ func (s *Server) installCheckpoint(c *wal.Checkpoint) error {
 	// The topology op log replays first (via the batch's Topology section,
 	// which Step applies before everything else): it reconstructs the exact
 	// edge set — including deterministic id reuse — that the checkpointed
-	// positions and weight overrides refer to.
+	// positions and weights refer to.
 	s.batch.Replay(roadknn.Updates{Topology: c.Topology})
 	for _, e := range c.Edges {
 		s.batch.edge(e.Edge, e.W)

@@ -314,7 +314,7 @@ func TestServeWALRoundTripLargestK(t *testing.T) {
 		for i := 1; i <= 3; i++ {
 			scriptTick(s, i)
 		}
-		_, qs, _, _ := s.batch.CheckpointState()
+		_, qs, _ := s.batch.CheckpointState()
 		if i := slices.IndexFunc(qs, func(q wal.QueryState) bool { return q.ID == 3 }); i < 0 || qs[i].K != math.MaxInt32 {
 			t.Fatalf("checkpoint state holds queries %+v", qs)
 		}
@@ -372,33 +372,37 @@ func TestServeHealthzRecoveryTransition(t *testing.T) {
 }
 
 func TestServeRecoverRejectsWrongNetwork(t *testing.T) {
-	mem := wal.NewMemFS()
-	s1, _, rec1 := newWALServer(t, mem, 2)
-	if _, err := s1.Recover(rec1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4; i++ {
-		scriptTick(s1, i)
-	}
-	s1.Close()
+	// The log's network has 171 edges; the wrong ones have more and fewer,
+	// so the checkpoint lists edge ids past the smaller one's last.
+	for _, nodes := range []int{150, 120} {
+		mem := wal.NewMemFS()
+		s1, _, rec1 := newWALServer(t, mem, 2)
+		if _, err := s1.Recover(rec1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 4; i++ {
+			scriptTick(s1, i)
+		}
+		s1.Close()
 
-	// Same log, different network: replay must detect the divergence
-	// instead of silently serving wrong results.
-	eng := roadknn.NewIMAWith(roadknn.GenerateNetwork(150, 99), roadknn.Options{Workers: 1, Serving: true})
-	l, rec2, err := wal.Open(mem, wal.Options{})
-	if err != nil {
-		eng.Close()
-		t.Fatal(err)
-	}
-	s2 := New(eng, Config{WAL: l})
-	defer s2.Close()
-	if _, err := s2.Recover(rec2); err == nil {
-		t.Fatal("recovery against the wrong network succeeded")
-	} else if !strings.Contains(err.Error(), "network file") {
-		t.Fatalf("unexpected recovery error: %v", err)
-	}
-	if s2.Ready() {
-		t.Fatal("server became ready despite failed recovery")
+		// Same log, different network: replay must detect the divergence
+		// instead of silently serving wrong results.
+		eng := roadknn.NewIMAWith(roadknn.GenerateNetwork(nodes, 99), roadknn.Options{Workers: 1, Serving: true})
+		l, rec2, err := wal.Open(mem, wal.Options{})
+		if err != nil {
+			eng.Close()
+			t.Fatal(err)
+		}
+		s2 := New(eng, Config{WAL: l})
+		if _, err := s2.Recover(rec2); err == nil {
+			t.Fatalf("%d nodes: recovery against the wrong network succeeded", nodes)
+		} else if !strings.Contains(err.Error(), "network file") {
+			t.Fatalf("%d nodes: unexpected recovery error: %v", nodes, err)
+		}
+		if s2.Ready() {
+			t.Fatalf("%d nodes: server became ready despite failed recovery", nodes)
+		}
+		s2.Close()
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // A Checkpoint is everything needed to rebuild the engine without the log:
-// the batcher's applied state (object positions, registered queries, edge
-// weight overrides) as of one fully applied tick, plus the engine's
+// the applied state (object positions, registered queries, every live
+// edge's weight) as of one fully applied tick, plus the engine's
 // serialized result snapshot at that tick for verification — recovery
 // rebuilds from the inputs and checks it arrived at the same published
 // bytes.
@@ -26,7 +26,7 @@ type Checkpoint struct {
 
 	// Topology is the ordered log of every edge insertion/removal applied
 	// since the network file was loaded. Recovery replays it first — before
-	// object positions, query registrations and edge overrides, all of
+	// object positions, query registrations and edge weights, all of
 	// which may reference edge ids that only exist after the edits (the
 	// freelist reuses ids deterministically, so replaying the ops in order
 	// reconstructs the exact edge set). Insertions carry the id that was
@@ -52,7 +52,11 @@ type QueryState struct {
 	Pos roadnet.Position
 }
 
-// EdgeState is one edge whose weight was overridden from the network file.
+// EdgeState is one live edge's weight. A server writes every live edge;
+// images written before that list only the edges whose weight was
+// reported since startup. Both install: recovery sets each listed weight
+// after the topology ops, and an unlisted edge keeps the weight the
+// network file or its insertion gave it.
 type EdgeState struct {
 	Edge graph.EdgeID
 	W    float64

@@ -9,13 +9,14 @@
 // batch is appended as one length-prefixed, CRC32-checksummed record
 // before the engine applies it, followed by a tick record carrying the
 // post-step epoch/timestamp and result-snapshot CRC; periodically the
-// batcher's applied state (object positions, registered queries, edge
-// weight overrides) plus the serialized result snapshot is written to a
-// checkpoint sidecar, the log rotates, and segments the checkpoint covers
-// are pruned. Recovery loads the newest valid checkpoint, rebuilds the
-// engine from it, replays the WAL tail through the normal Batcher→Engine
-// path, and verifies every replayed tick's snapshot CRC — arriving at the
-// same bits the crashed process would have served.
+// applied state (object positions, registered queries, every live edge's
+// weight; see EdgeState for older images) plus the serialized result
+// snapshot is written to a checkpoint sidecar, the log rotates, and
+// segments the checkpoint covers are pruned. Recovery loads the newest
+// valid checkpoint, rebuilds the engine from it, replays the WAL tail
+// through the normal Batcher→Engine path, and verifies every replayed
+// tick's snapshot CRC — arriving at the same bits the crashed process
+// would have served.
 //
 // Corrupt or torn log tails are truncated at the first bad record (never
 // panicking the stepper); appends retry transient I/O errors with capped
