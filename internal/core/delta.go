@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"roadknn/internal/frame"
+	"roadknn/internal/idtable"
 	"roadknn/internal/roadnet"
 )
 
@@ -84,6 +85,8 @@ func (d *Delta) Apply(prev *Snapshot) (*Snapshot, error) {
 	next := &Snapshot{epoch: d.epoch, stamp: d.stamp}
 	ids := make([]QueryID, 0, len(prev.ids)+len(d.Queries))
 	res := make([][]Neighbor, 0, len(prev.ids)+len(d.Queries))
+	var touched idtable.Map[uint8] // apply's scratch, reused from query to query
+	var buf []Neighbor
 	j := 0 // cursor into prev.ids (both lists ascend)
 	for qi := range d.Queries {
 		qd := &d.Queries[qi]
@@ -110,7 +113,7 @@ func (d *Delta) Apply(prev *Snapshot) (*Snapshot, error) {
 			}
 			continue
 		}
-		nr, err := qd.apply(old)
+		nr, err := qd.apply(old, &touched, &buf)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta query %d: %w", qd.ID, err)
 		}
@@ -125,50 +128,57 @@ func (d *Delta) Apply(prev *Snapshot) (*Snapshot, error) {
 	return next, nil
 }
 
-// apply rebuilds one query's result from its previous value: retained
-// entries (in neither Left nor Updated) keep their exact distances, Left
-// entries drop out, Updated entries come in with their new distances, and
-// the union is re-sorted into the canonical (distance, object id) order.
-func (qd *QueryDelta) apply(prev []Neighbor) ([]Neighbor, error) {
-	touched := func(obj roadnet.ObjectID) bool {
-		for _, o := range qd.Left {
-			if o == obj {
-				return true
-			}
-		}
-		for i := range qd.Updated {
-			if qd.Updated[i].Obj == obj {
-				return true
-			}
-		}
-		return false
+// apply rebuilds one query's result: entries in neither Left nor Updated
+// keep their exact distances, Left's drop out and Updated's come in, all in
+// canonical order. t maps the Updated objects to 0 and Left's to 1, then 2
+// once found in prev; filter holds their low bits. Kept entries and Updated
+// are canonical runs and merge; one out of order, or a NaN, makes it a sort.
+func (qd *QueryDelta) apply(prev []Neighbor, t *idtable.Map[uint8], buf *[]Neighbor) ([]Neighbor, error) {
+	t.Clear()
+	var filter [4]uint64
+	for _, nb := range qd.Updated {
+		t.Put(int32(nb.Obj), 0)
+		filter[nb.Obj>>6&3] |= 1 << (nb.Obj & 63)
 	}
-	out := make([]Neighbor, 0, len(prev)+len(qd.Updated))
-	for _, nb := range prev {
-		if touched(nb.Obj) {
-			continue
-		}
-		out = append(out, nb)
-	}
+	dup := t.Len() < len(qd.Updated)
 	for _, o := range qd.Left {
-		if !slices.ContainsFunc(prev, func(nb Neighbor) bool { return nb.Obj == o }) {
+		t.Put(int32(o), 1)
+		filter[o>>6&3] |= 1 << (o & 63)
+	}
+	a, b := (*buf)[:0], qd.Updated
+	for _, nb := range prev {
+		if filter[nb.Obj>>6&3]&(1<<(nb.Obj&63)) == 0 {
+			a = append(a, nb)
+		} else if v, ok := t.Get(int32(nb.Obj)); !ok {
+			a = append(a, nb)
+		} else if v != 0 {
+			t.Put(int32(nb.Obj), 2)
+		}
+	}
+	*buf = append(a, b...)
+	for _, o := range qd.Left {
+		if v, _ := t.Get(int32(o)); v != 2 {
 			return nil, fmt.Errorf("left object %d not in previous result", o)
 		}
 	}
-	for i := range qd.Updated {
-		for k := i + 1; k < len(qd.Updated); k++ {
-			if qd.Updated[i].Obj == qd.Updated[k].Obj {
-				return nil, fmt.Errorf("duplicate updated object %d", qd.Updated[i].Obj)
-			}
+	for i := 0; dup && i < len(qd.Updated); i++ {
+		if o := qd.Updated[i].Obj; slices.ContainsFunc(qd.Updated[i+1:], func(x Neighbor) bool { return x.Obj == o }) {
+			return nil, fmt.Errorf("duplicate updated object %d", o)
 		}
 	}
-	out = append(out, qd.Updated...)
-	slices.SortFunc(out, func(a, b Neighbor) int {
-		if a.Dist != b.Dist {
-			return cmp.Compare(a.Dist, b.Dist)
+	out := make([]Neighbor, len(*buf))
+	for k := range out {
+		if len(b) == 0 || len(a) > 0 && neighborBefore(a[0], b[0]) {
+			out[k], a = a[0], a[1:]
+		} else {
+			out[k], b = b[0], b[1:]
 		}
-		return cmp.Compare(a.Obj, b.Obj)
-	})
+		if k > 0 && !neighborBefore(out[k-1], out[k]) {
+			copy(out, *buf)
+			slices.SortFunc(out, func(a, b Neighbor) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Obj, b.Obj)) })
+			break
+		}
+	}
 	return out, nil
 }
 

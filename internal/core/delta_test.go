@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"roadknn/internal/gen"
 	"roadknn/internal/graph"
+	"roadknn/internal/idtable"
 	"roadknn/internal/roadnet"
 )
 
@@ -218,6 +223,178 @@ func TestDeltaApplyValidation(t *testing.T) {
 	}
 	if _, err := NewDelta(6, 3, nil).Apply(nil); err == nil {
 		t.Error("Apply accepted a nil base snapshot")
+	}
+}
+
+// applyReference is QueryDelta.apply as a direct reading of its contract:
+// every previous entry is checked against Left and Updated by a scan, and
+// the union is sorted.
+func applyReference(qd *QueryDelta, prev []Neighbor) ([]Neighbor, error) {
+	touched := func(obj roadnet.ObjectID) bool {
+		return slices.Contains(qd.Left, obj) ||
+			slices.ContainsFunc(qd.Updated, func(nb Neighbor) bool { return nb.Obj == obj })
+	}
+	out := make([]Neighbor, 0, len(prev)+len(qd.Updated))
+	for _, nb := range prev {
+		if !touched(nb.Obj) {
+			out = append(out, nb)
+		}
+	}
+	for _, o := range qd.Left {
+		if !slices.ContainsFunc(prev, func(nb Neighbor) bool { return nb.Obj == o }) {
+			return nil, fmt.Errorf("left object %d not in previous result", o)
+		}
+	}
+	for i := range qd.Updated {
+		for k := i + 1; k < len(qd.Updated); k++ {
+			if qd.Updated[i].Obj == qd.Updated[k].Obj {
+				return nil, fmt.Errorf("duplicate updated object %d", qd.Updated[i].Obj)
+			}
+		}
+	}
+	out = append(out, qd.Updated...)
+	slices.SortFunc(out, neighborCmp)
+	return out, nil
+}
+
+// neighborCmp is the canonical result order as a comparison.
+func neighborCmp(a, b Neighbor) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Obj, b.Obj))
+}
+
+// TestDeltaApplyMatchesReference holds the merge-based apply to
+// applyReference on random query deltas: the engine's shape (canonical
+// previous result, Left in its order, Updated canonical) and malformed ones
+// (unordered or repeated entries, a Left object not present, a repeated
+// Updated object, tied and signed-zero and NaN distances), over object ids
+// that are dense, share their low bits or start at math.MinInt32. Errors
+// must read the same, and results must agree in order and distance bits.
+// One scratch serves every call, as it serves every query of one Apply.
+func TestDeltaApplyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dists := []float64{0, math.Copysign(0, -1), 0.5, 1, 1.5, 2, math.Inf(1), math.NaN()}
+	// A trial's objects are base + i*stride for i below objs.
+	var base, stride int64
+	id := func(i int) roadnet.ObjectID { return roadnet.ObjectID(base + int64(i)*stride) }
+	entry := func(objs int) Neighbor {
+		d := dists[rng.Intn(len(dists)-1)] // NaN only below
+		if rng.Intn(50) == 0 {
+			d = math.NaN()
+		} else if rng.Intn(3) == 0 {
+			d = rng.Float64() * 3
+		}
+		return Neighbor{Obj: id(rng.Intn(objs)), Dist: d}
+	}
+	// distinct draws n entries with distinct objects, canonical unless the
+	// case is malformed.
+	distinct := func(n, objs int, sorted bool) []Neighbor {
+		var out []Neighbor
+		for len(out) < n {
+			nb := entry(objs)
+			if !slices.ContainsFunc(out, func(x Neighbor) bool { return x.Obj == nb.Obj }) {
+				out = append(out, nb)
+			}
+		}
+		if sorted {
+			slices.SortFunc(out, neighborCmp)
+		}
+		return out
+	}
+	var touched idtable.Map[uint8]
+	var buf []Neighbor
+	var errs, merged int
+	for trial := 0; trial < 20000; trial++ {
+		objs := 4 + rng.Intn(60)
+		base = []int64{0, -1000, math.MinInt32}[rng.Intn(3)]
+		stride = []int64{1, 1, 256, 65536}[rng.Intn(4)]
+		malformed := rng.Intn(4) == 0
+		prev := distinct(rng.Intn(min(objs, 50)+1), objs, !malformed || rng.Intn(2) == 0)
+		if malformed && len(prev) > 0 && rng.Intn(3) == 0 {
+			prev = append(prev, prev[rng.Intn(len(prev))])
+		}
+		var qd QueryDelta
+		for _, nb := range prev {
+			if rng.Intn(4) == 0 {
+				qd.Left = append(qd.Left, nb.Obj)
+			}
+		}
+		qd.Updated = distinct(rng.Intn(min(objs, 30)+1), objs, !malformed || rng.Intn(2) == 0)
+		if malformed {
+			switch rng.Intn(4) {
+			case 0:
+				qd.Left = append(qd.Left, id(objs+rng.Intn(3)))
+			case 1:
+				if len(qd.Updated) > 0 {
+					qd.Updated = append(qd.Updated, Neighbor{Obj: qd.Updated[rng.Intn(len(qd.Updated))].Obj, Dist: 9})
+				}
+			case 2:
+				if len(qd.Left) > 0 {
+					qd.Left = append(qd.Left, qd.Left[0])
+				}
+			}
+			rng.Shuffle(len(qd.Left), func(i, j int) { qd.Left[i], qd.Left[j] = qd.Left[j], qd.Left[i] })
+		}
+		want, wantErr := applyReference(&qd, prev)
+		got, gotErr := qd.apply(prev, &touched, &buf)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: error %v, want %v\nprev %v\ndelta %+v", trial, gotErr, wantErr, prev, qd)
+		}
+		if wantErr != nil {
+			errs++
+			continue
+		}
+		same := len(got) == len(want)
+		for i := 0; same && i < len(got); i++ {
+			same = got[i].Obj == want[i].Obj && math.Float64bits(got[i].Dist) == math.Float64bits(want[i].Dist)
+		}
+		if !same {
+			t.Fatalf("trial %d: apply = %v, want %v\nprev %v\ndelta %+v", trial, got, want, prev, qd)
+		}
+		if len(got) > 1 {
+			merged++
+		}
+	}
+	if errs < 1000 || merged < 10000 {
+		t.Fatalf("%d failing and %d multi-entry cases of 20000: the generator misses a shape", errs, merged)
+	}
+}
+
+// BenchmarkDeltaApply applies one epoch's delta in serve_durable's shape
+// (2,500 queries at k = 50, every result changed: 2 entries leave, 2
+// enter and 14 change distance) to its predecessor, as a delta subscriber
+// does once per tick.
+func BenchmarkDeltaApply(b *testing.B) {
+	const nq, k = 2500, 50
+	rng := rand.New(rand.NewSource(1))
+	prev := &Snapshot{epoch: 1}
+	var qs []QueryDelta
+	for q := 0; q < nq; q++ {
+		row := make([]Neighbor, k)
+		for i := range row {
+			row[i] = Neighbor{Obj: roadnet.ObjectID(rng.Intn(1 << 20)), Dist: rng.Float64()}
+		}
+		slices.SortFunc(row, neighborCmp)
+		qd := QueryDelta{ID: QueryID(q)}
+		for _, i := range rng.Perm(k)[:16] {
+			if len(qd.Left) < 2 {
+				qd.Left = append(qd.Left, row[i].Obj)
+				continue
+			}
+			qd.Updated = append(qd.Updated, Neighbor{Obj: row[i].Obj, Dist: rng.Float64()})
+		}
+		for len(qd.Updated) < 16 {
+			qd.Updated = append(qd.Updated, Neighbor{Obj: roadnet.ObjectID(1<<20 + rng.Intn(1<<20)), Dist: rng.Float64()})
+		}
+		slices.SortFunc(qd.Updated, neighborCmp)
+		prev.ids, prev.res = append(prev.ids, QueryID(q)), append(prev.res, row)
+		qs = append(qs, qd)
+	}
+	d := NewDelta(2, 1, qs)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := d.Apply(prev); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
