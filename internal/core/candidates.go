@@ -143,21 +143,21 @@ func (c *candStore) add(obj roadnet.ObjectID, d float64, e graph.EdgeID) bool {
 	return true
 }
 
-// setExact overwrites the key of obj regardless of the previous distance
-// (used when stale keys are re-derived from fresh positions). obj need
-// not be present yet.
-func (c *candStore) setExact(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
-	if cur, ok := c.lookup(obj); ok {
-		c.move(c.find(obj, cur), d, e)
+// settle re-derives obj, whose key's code is cd (lookup): the key moves to
+// distance d on edge e, or leaves the store at d = +Inf.
+func (c *candStore) settle(obj roadnet.ObjectID, cd uint32, d float64, e graph.EdgeID) {
+	if r := c.find(obj, cd); !math.IsInf(d, 1) {
+		c.move(r, d, e)
 	} else {
-		c.insert(obj, d, e)
+		c.removeAt(r)
 	}
 }
 
-// remove deletes obj from the store if present.
-func (c *candStore) remove(obj roadnet.ObjectID) {
-	if cur, ok := c.lookup(obj); ok {
-		c.removeAt(c.find(obj, cur))
+// enter inserts obj, which must be absent, at distance d on edge e, unless
+// d is +Inf.
+func (c *candStore) enter(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
+	if !math.IsInf(d, 1) {
+		c.insert(obj, d, e)
 	}
 }
 

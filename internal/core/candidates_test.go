@@ -13,6 +13,24 @@ import (
 // ez is a placeholder edge for candidate-store tests.
 const ez graph.EdgeID = 0
 
+// setExact overwrites the key of obj regardless of the previous distance,
+// inserting obj when absent, and remove deletes obj if present: the store's
+// primitives as the re-derivation of stale keys combines them (settle, enter),
+// for the tests to drive one key at a time.
+func (c *candStore) setExact(obj roadnet.ObjectID, d float64, e graph.EdgeID) {
+	if cur, ok := c.lookup(obj); ok {
+		c.move(c.find(obj, cur), d, e)
+	} else {
+		c.insert(obj, d, e)
+	}
+}
+
+func (c *candStore) remove(obj roadnet.ObjectID) {
+	if cur, ok := c.lookup(obj); ok {
+		c.removeAt(c.find(obj, cur))
+	}
+}
+
 func newCandStore(k int) *candStore {
 	c := &candStore{}
 	c.reset(k)

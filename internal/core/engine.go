@@ -393,6 +393,8 @@ type StepStats struct {
 	NodesVerified      int // nodes verified by all expansions, initial ones included
 	Evaluations        int // grouped-query evaluations
 	EvalEntries        int // entries they read: own-edge and walked-edge objects, node-set entries within the bound
+	Offers             int // (object report, monitor) pairs classified: each departure and arrival, per monitor of its edge
+	Deliveries         int // (edge run, monitor) pairs those came in: one per monitor of an edge with reports
 }
 
 func (a *StepStats) add(b StepStats) {
@@ -405,6 +407,8 @@ func (a *StepStats) add(b StepStats) {
 	a.NodesVerified += b.NodesVerified
 	a.Evaluations += b.Evaluations
 	a.EvalEntries += b.EvalEntries
+	a.Offers += b.Offers
+	a.Deliveries += b.Deliveries
 }
 
 // StepStats returns the engine's work counters, summed over its worker

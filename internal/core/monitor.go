@@ -118,17 +118,16 @@ type monitor struct {
 	ilDefer *[]ilOp
 }
 
-// touch is one object classified against a monitor this timestamp, with the
-// position the route stage saw it arrive at: finalize re-derives it without
-// asking the object registry. The position is flattened so that an entry
-// is 16 bytes.
+// touch is one object classified against a monitor this timestamp: the edge
+// the route stage saw it arrive on and its distance from the query there
+// (+Inf once deleted), which the classifier computed on the tree finalize
+// starts from, so that finalize re-derives it without asking the object
+// registry or the tree. An entry is 16 bytes.
 type touch struct {
 	obj  roadnet.ObjectID
 	edge graph.EdgeID // goneEdge for a deleted object, lateEdge when only the registry knows
-	frac float64
+	dist float64
 }
-
-func (t *touch) pos() roadnet.Position { return roadnet.Position{Edge: t.edge, Frac: t.frac} }
 
 const (
 	goneEdge = graph.NoEdge
@@ -205,19 +204,37 @@ func (m *monitor) reset(id int32, pos roadnet.Position, k int) {
 // length of a real path.
 func (m *monitor) distanceTo(p roadnet.Position) float64 {
 	e := m.net.G.Edge(p.Edge)
-	d := math.Inf(1)
-	if tn, ok := m.tree.get(e.U); ok {
-		d = tn.dist + roadnet.CostFromU(e, p.Frac)
-	}
-	if tn, ok := m.tree.get(e.V); ok {
-		if alt := tn.dist + roadnet.CostFromV(e, p.Frac); alt < d {
-			d = alt
-		}
-	}
+	dU, dV := m.ends(e)
+	d := throughEnds(e, dU, dV, p.Frac)
 	if p.Edge == m.pos.Edge {
 		if direct := roadnet.ArcCost(e, p.Frac, m.pos.Frac); direct < d {
 			d = direct
 		}
+	}
+	return d
+}
+
+// ends returns the tree distances of e's endpoints, +Inf for one outside
+// the tree: what distanceTo derives a distance to a point of e from. The
+// step's classifier reads them once per edge run and monitor.
+func (m *monitor) ends(e *graph.Edge) (dU, dV float64) {
+	dU, dV = math.Inf(1), math.Inf(1)
+	if tn, ok := m.tree.get(e.U); ok {
+		dU = tn.dist
+	}
+	if tn, ok := m.tree.get(e.V); ok {
+		dV = tn.dist
+	}
+	return dU, dV
+}
+
+// throughEnds is the distance to the point at fraction f of e by way of an
+// endpoint, the nearer of those at dU and dV (ends); +Inf when neither is in
+// the tree.
+func throughEnds(e *graph.Edge, dU, dV, f float64) float64 {
+	d := dU + roadnet.CostFromU(e, f)
+	if alt := dV + roadnet.CostFromV(e, f); alt < d {
+		d = alt
 	}
 	return d
 }
@@ -227,12 +244,6 @@ func (m *monitor) distanceTo(p roadnet.Position) float64 {
 // move to and keep part of its tree.
 func (m *monitor) inRegion(p roadnet.Position) bool {
 	return m.distanceTo(p) <= m.kdist
-}
-
-// covers reports whether an object at p belongs in cand: p lies within the
-// radius cand is complete below.
-func (m *monitor) covers(p roadnet.Position) bool {
-	return m.distanceTo(p) <= m.cand.cover
 }
 
 // dropReserve gives up what cand holds past the k-th: the handlers that

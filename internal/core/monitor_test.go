@@ -322,8 +322,9 @@ func TestLazyILShrinkKeepsFiltering(t *testing.T) {
 	net.AddObject(2, roadnet.Position{Edge: 5, Frac: 0.5})
 	m, _ := newTestMonitor(net, roadnet.Position{Edge: 0, Frac: 0.0}, 1)
 	// An object appears right next to the query: kdist shrinks a lot.
-	net.AddObject(3, roadnet.Position{Edge: 0, Frac: 0.05})
-	m.finalize([]touch{{obj: 3, edge: 0, frac: 0.05}}, testScratch(m))
+	p := roadnet.Position{Edge: 0, Frac: 0.05}
+	net.AddObject(3, p)
+	m.finalize([]touch{{obj: 3, edge: 0, dist: m.distanceTo(p)}}, testScratch(m))
 	if m.result[0].Obj != 3 {
 		t.Fatalf("result = %v", m.result)
 	}

@@ -247,7 +247,7 @@ func (m *monitor) retainSubtreeShifted(delta float64, sc *scratch) {
 //
 // touched lists the objects whose old or new location fell inside cover
 // this timestamp (incomers and moved/removed candidates alike), each with
-// the position the timestamp leaves it at.
+// the edge the timestamp leaves it on and its distance there.
 func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	sc.stats.Affected++
 	sc.stats.Touched += len(touched)
@@ -256,15 +256,6 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 		return m.computeInitial(sc)
 	}
 	oldKdist := m.kdist
-	for i := range touched {
-		if t := &touched[i]; t.edge == lateEdge {
-			p, ok := m.net.ObjectPos(t.obj)
-			if !ok {
-				p.Edge = goneEdge
-			}
-			t.edge, t.frac = p.Edge, p.Frac
-		}
-	}
 
 	// Re-derive candidate distances; distanceTo is exact within coverage
 	// and never underestimates, so stale keys are corrected or evicted
@@ -279,7 +270,9 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 	// and lowers cover to it; pushed out in this order, that entry lies at or
 	// beyond the final k-th, so cover never ends up below kNN_dist. (Offered
 	// before the departures are settled, a burst of arrivals can push out an
-	// untouched entry that the departures then make the k-th again.)
+	// untouched entry that the departures then make the k-th again.) Each
+	// pass probes an entry's membership once, and the offer pass reads only
+	// the touched the settle pass found absent.
 	if m.fullRefresh {
 		nb, edges := m.cand.rekey()
 		for i := range nb {
@@ -287,14 +280,37 @@ func (m *monitor) finalize(touched []touch, sc *scratch) bool {
 		}
 		m.cand.restore()
 	}
-	for _, offer := range [2]bool{false, true} {
-		for _, eid := range m.pendingEdges {
-			for _, oe := range m.net.ObjectsOn(eid) {
-				m.rederive(oe.ID, roadnet.Position{Edge: eid, Frac: oe.Frac}, offer)
+	for _, eid := range m.pendingEdges {
+		for _, oe := range m.net.ObjectsOn(eid) {
+			if cd, ok := m.cand.lookup(oe.ID); ok {
+				m.cand.settle(oe.ID, cd, m.distanceTo(roadnet.Position{Edge: eid, Frac: oe.Frac}), eid)
 			}
 		}
-		for i := range touched {
-			m.rederive(touched[i].obj, touched[i].pos(), offer)
+	}
+	absent := touched[:0]
+	for _, t := range touched {
+		if t.edge == lateEdge {
+			t.edge, t.dist = goneEdge, math.Inf(1)
+			if p, ok := m.net.ObjectPos(t.obj); ok {
+				t.edge, t.dist = p.Edge, m.distanceTo(p)
+			}
+		}
+		if cd, ok := m.cand.lookup(t.obj); ok {
+			m.cand.settle(t.obj, cd, t.dist, t.edge)
+		} else {
+			absent = append(absent, t)
+		}
+	}
+	for _, eid := range m.pendingEdges {
+		for _, oe := range m.net.ObjectsOn(eid) {
+			if !m.cand.contains(oe.ID) {
+				m.cand.enter(oe.ID, m.distanceTo(roadnet.Position{Edge: eid, Frac: oe.Frac}), eid)
+			}
+		}
+	}
+	for _, t := range absent {
+		if !m.cand.contains(t.obj) { // an object touched twice may be in by now
+			m.cand.enter(t.obj, t.dist, t.edge)
 		}
 	}
 
@@ -358,21 +374,4 @@ func (m *monitor) refreshDist(obj roadnet.ObjectID, e graph.EdgeID) (float64, gr
 		return math.Inf(1), e
 	}
 	return m.distanceTo(p), p.Edge
-}
-
-// rederive sets obj's candidate distance from its position p (goneEdge when
-// it was deleted): with offer unset it corrects a member, evicting it when p
-// is out of the tree's reach; with offer set it inserts a non-member within
-// reach.
-func (m *monitor) rederive(obj roadnet.ObjectID, p roadnet.Position, offer bool) {
-	if m.cand.contains(obj) == offer {
-		return
-	}
-	if p.Edge != goneEdge {
-		if d := m.distanceTo(p); !math.IsInf(d, 1) {
-			m.cand.setExact(obj, d, p.Edge)
-			return
-		}
-	}
-	m.cand.remove(obj)
 }

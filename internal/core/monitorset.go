@@ -59,20 +59,30 @@ type monitorSet struct {
 	// allocates nothing.
 	changed      []*monitor
 	pendingMoves []queryMove
-	// agg aggregates the step's edge reports per edge: agg[e].w is edge e's
-	// last reported weight while agg[e].epoch is the running step's.
-	agg       []edgeAgg
-	aggOrder  []graph.EdgeID
+	// aggOrder aggregates the step's edge reports: each reported edge once,
+	// in first-report order, with its last reported weight.
+	aggOrder  []edgeReport
 	decBuf    []edgeChange
 	incBuf    []edgeChange
 	changeBuf []edgeChange
 
-	// topoMoves / topoMarks carry a topology phase's object re-snaps and
-	// flagged queries from applyTopology to the step that follows it, which
-	// resolves the marks through qt (a marked query can be terminated in
-	// between); both are reused across steps.
-	topoMoves []roadnet.ObjectMove
+	// topoMoves / topoMarks carry a topology phase's object re-snaps (as
+	// moves to the new position) and flagged queries from applyTopology to
+	// the step that follows it, which resolves the marks through qt (a
+	// marked query can be terminated in between); both are reused across
+	// steps.
+	topoMoves []ObjectUpdate
 	topoMarks []QueryID
+
+	// offers holds the step's report runs (deliverRuns): indices into objs
+	// (or topoMoves, for the re-snaps) sorted by edge, each edge's
+	// departures in one range and its arrivals in another. Written by route,
+	// then frozen: a sharded step's run ops point into it. runAt is its
+	// per-edge counters, zero between uses; objs is the running step's
+	// object batch.
+	offers []int32
+	runAt  []int32
+	objs   []ObjectUpdate
 
 	// departed holds, in batch order, where route found each object update
 	// of the step that is not an insertion: the position the network handed
@@ -274,6 +284,7 @@ func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []query
 	s.route(objs, edges, moves)
 	changed := s.finish()
 	s.topoMarks, s.topoMoves = s.topoMarks[:0], s.topoMoves[:0]
+	s.objs = nil
 	// The reused buffers must not keep a monitor the next tick releases
 	// reachable.
 	for i := range s.works {
@@ -295,8 +306,8 @@ func (s *monitorSet) step(objs []ObjectUpdate, edges []EdgeUpdate, moves []query
 // per-monitor finalize.
 func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []queryMove) {
 	// Monitors flagged by this timestamp's topology edits recompute from
-	// scratch. The re-snapped objects need no outgoing offers — every query
-	// that could hold an object of a removed edge is in that edge's influence
+	// scratch. The re-snapped objects need no departures — every query that
+	// could hold an object of a removed edge is in that edge's influence
 	// list and among the flagged — and arrive after the edge phase, below.
 	for _, id := range s.topoMarks {
 		if r := s.qt.find(id); r != nil && r.mon != nil {
@@ -330,68 +341,169 @@ func (s *monitorSet) route(objs []ObjectUpdate, edges []EdgeUpdate, moves []quer
 		if ec.decrease {
 			kind = opEdgeDec
 		}
-		s.offer(ec.eid, monOp{kind: kind, n: int32(i)})
+		s.deliver(s.influenced(ec.eid), monOp{kind: kind, n: int32(i)})
+	}
+
+	// The step's report runs (below) share one buffer, frozen once written:
+	// at most two entries a report, one a re-snap.
+	s.offers = s.offers[:0]
+	if need := len(s.topoMoves) + 2*len(objs); need > 0 {
+		s.offers = fitted(s.offers, need)
 	}
 
 	// Topology re-snaps arrive at their new positions with the timestamp's
 	// weights already applied.
-	for _, mv := range s.topoMoves {
-		s.offer(mv.New.Edge, monOp{kind: opIncoming, n: int32(mv.ID), pos: mv.New})
+	if len(s.topoMoves) > 0 {
+		at := s.edgeCounts()
+		for i := range s.topoMoves {
+			at[2*s.topoMoves[i].New.Edge+1]++
+		}
+		s.deliverRuns(opResnaps, s.topoMoves, len(s.topoMoves), nil)
 	}
 
 	// Lines 14-15: in-tree query moves, re-rooting the valid subtree (onMove
 	// repeats the region test: edge pruning may have invalidated the part of
 	// the tree containing the new location).
-	for _, mv := range pendingMoves {
-		m := [1]*monitor{mv.m}
-		s.deliver(m[:], monOp{kind: opMove, pos: mv.pos})
+	for i := range pendingMoves {
+		m := [1]*monitor{pendingMoves[i].m}
+		s.deliver(m[:], monOp{kind: opMove, n: int32(i)})
 	}
 
 	// Lines 16-19: object updates. This is the one place the incremental
-	// engines mutate the object registry; each update's departure (with where
-	// the object is now) and arrival are classified per influenced monitor as
-	// outgoing, incoming or moving (§4.2) from monitor state alone. The
-	// registry hands back every departure, which departed keeps when asked.
+	// engines mutate the object registry, in batch order; the registry hands
+	// back every departure, which departed keeps when asked. The old edge of
+	// each non-insertion is stashed in the run buffer for deliverRuns, which
+	// sorts the departures and arrivals by edge and offers each edge's run
+	// once to each monitor of the edge (§4.2: an update is processed against
+	// the influence list of its edge).
+	if len(objs) == 0 {
+		return
+	}
 	var departed []roadnet.Position
 	if s.keepDeparted {
 		departed = s.departed[:0]
 	}
+	at := s.edgeCounts()
+	base, arrivals := len(s.offers), 0
 	for _, ou := range objs {
 		var old roadnet.Position
 		switch {
 		case ou.Insert:
 			s.net.AddObject(ou.ID, ou.New)
-			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
+			at[2*ou.New.Edge+1]++
+			arrivals++
 			continue
 		case ou.Delete:
 			var ok bool
 			if old, ok = s.net.RemoveObject(ou.ID); ok {
-				s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: roadnet.Position{Edge: goneEdge}})
+				at[2*old.Edge]++
 			} else {
 				old.Edge = graph.NoEdge
 			}
 		default:
 			old = s.net.MoveObject(ou.ID, ou.New)
-			s.offer(old.Edge, monOp{kind: opOutgoing, n: int32(ou.ID), pos: ou.New})
-			s.offer(ou.New.Edge, monOp{kind: opIncoming, n: int32(ou.ID), pos: ou.New})
+			at[2*old.Edge]++
+			at[2*ou.New.Edge+1]++
+			arrivals++
 		}
+		s.offers = append(s.offers, int32(old.Edge))
 		if s.keepDeparted {
 			departed = append(departed, old)
 		}
 	}
 	s.departed = departed
+	s.objs = objs
+	s.deliverRuns(opObjects, objs, arrivals, s.offers[base:])
 }
 
-// offer delivers op to the monitors to consider for an update on edge e.
-func (s *monitorSet) offer(e graph.EdgeID, op monOp) { s.deliver(s.influenced(e), op) }
+// fitted returns buf emptied with room for need entries. It grows as append
+// does, and is reallocated at need when it holds more than twice that: not
+// left at the size of one outsized batch (a population loaded in a single
+// timestamp).
+func fitted(buf []int32, need int) []int32 {
+	if cap(buf) > 2*need {
+		return make([]int32, 0, need)
+	}
+	return slices.Grow(buf[:0], need)
+}
 
-// touchAt is the touched entry of object id seen at pos (goneEdge for a
-// deleted one) by the running step.
-func (s *monitorSet) touchAt(id roadnet.ObjectID, pos roadnet.Position) touch {
+// edgeCounts returns the per-edge run counters, zero and sized to the edge
+// id space, which AddEdge grows: departures of edge e are counted at 2e, its
+// arrivals at 2e+1. The edge-report aggregation borrows them first
+// (classifyEdgeUpdates).
+func (s *monitorSet) edgeCounts() []int32 {
+	if n := 2 * s.net.G.NumEdges(); len(s.runAt) < n {
+		s.runAt = append(s.runAt, make([]int32, n-len(s.runAt))...)
+	}
+	return s.runAt
+}
+
+// deliverRuns sorts the reports of src by edge and offers each edge's run to
+// the edge's monitors, as one op of the given kind per (edge, monitor). On
+// entry the counters (edgeCounts) hold each edge's departures and arrivals,
+// arrivals in all, and stash, the tail of the run buffer, the old edge of
+// each of src's non-insertions in batch order (graph.NoEdge for a deletion
+// of an unknown id); it is empty when nothing departs. The sort is a
+// counting sort, stable, so a run keeps batch order: the departures go past
+// the stash, then the arrivals over it, which the departures have read. The
+// counters are left zero.
+func (s *monitorSet) deliverRuns(kind opKind, src []ObjectUpdate, arrivals int, stash []int32) {
+	at := s.runAt
+	base := len(s.offers) - len(stash)
+	dep := base + max(arrivals, len(stash))
+	s.offers = s.offers[:dep+len(stash)]
+	dpos, apos := int32(dep), int32(base)
+	for e := 0; e < len(at); e += 2 {
+		d, a := at[e], at[e+1]
+		at[e], at[e+1] = dpos, apos
+		dpos, apos = dpos+d, apos+a
+	}
+	if len(stash) > 0 {
+		k := 0
+		for i := range src {
+			if src[i].Insert {
+				continue
+			}
+			if e := stash[k]; e != int32(graph.NoEdge) {
+				s.offers[at[2*e]] = int32(i)
+				at[2*e]++
+			}
+			k++
+		}
+	}
+	for i := range src {
+		if !src[i].Delete {
+			e := src[i].New.Edge
+			s.offers[at[2*e+1]] = int32(i)
+			at[2*e+1]++
+		}
+	}
+
+	// at[2e] and at[2e+1] now end edge e's departures and arrivals, which
+	// start where the previous edge's end.
+	st := &s.arena(0).stats
+	dlo, alo := int32(dep), int32(base)
+	for e := 0; e < len(at); e += 2 {
+		dhi, ahi := at[e], at[e+1]
+		at[e], at[e+1] = 0, 0
+		if dhi == dlo && ahi == alo {
+			continue
+		}
+		ms := s.influenced(graph.EdgeID(e / 2))
+		st.Deliveries += len(ms)
+		st.Offers += len(ms) * int(dhi-dlo+ahi-alo)
+		s.deliver(ms, monOp{kind: kind, n: int32(e / 2), dep: span{dlo, dhi}, arr: span{alo, ahi}})
+		dlo, alo = dhi, ahi
+	}
+}
+
+// touchAt is the touched entry of object id seen by the running step on
+// edge e at distance d (goneEdge for a deleted object).
+func (s *monitorSet) touchAt(id roadnet.ObjectID, e graph.EdgeID, d float64) touch {
 	if s.late {
 		return touch{obj: id, edge: lateEdge}
 	}
-	return touch{obj: id, edge: pos.Edge, frac: pos.Frac}
+	return touch{obj: id, edge: e, dist: d}
 }
 
 // edgeChange is one aggregated edge-weight change of a timestamp.
@@ -401,10 +513,10 @@ type edgeChange struct {
 	decrease   bool
 }
 
-// edgeAgg is one edge's slot in a step's edge-report aggregation.
-type edgeAgg struct {
-	epoch uint64
-	w     float64
+// edgeReport is one edge's aggregated weight report.
+type edgeReport struct {
+	eid graph.EdgeID
+	w   float64
 }
 
 // classifyEdgeUpdates aggregates duplicate per-edge updates (§4.5: multiple
@@ -417,28 +529,29 @@ func (s *monitorSet) classifyEdgeUpdates(edges []EdgeUpdate) []edgeChange {
 	if len(edges) == 0 {
 		return nil
 	}
-	// The aggregation array follows the edge id space, which AddEdge grows.
-	if n := s.net.G.NumEdges(); len(s.agg) < n {
-		s.agg = append(s.agg, make([]edgeAgg, n-len(s.agg))...)
-	}
+	// An edge's report is found through its departure counter, which holds
+	// its place in order (plus one) until the counters are left zero again.
+	at := s.edgeCounts()
 	order := s.aggOrder[:0]
 	for _, eu := range edges {
 		if !s.net.G.EdgeAlive(eu.Edge) {
 			continue // edge removed earlier this timestamp; stale sensor report
 		}
-		a := &s.agg[eu.Edge]
-		if a.epoch != s.epoch {
-			a.epoch = s.epoch
-			order = append(order, eu.Edge)
+		if i := at[2*eu.Edge]; i > 0 {
+			order[i-1].w = eu.NewW // last update wins: it is the final weight
+			continue
 		}
-		a.w = eu.NewW // last update wins: it is the final weight
+		order = append(order, edgeReport{eid: eu.Edge, w: eu.NewW})
+		at[2*eu.Edge] = int32(len(order))
 	}
 	s.aggOrder = order
 	decs, incs := s.decBuf[:0], s.incBuf[:0]
-	for _, eid := range order {
+	for _, r := range order {
+		eid := r.eid
+		at[2*eid] = 0
 		// Compared as the graph will store it: a change below the quantum
 		// is no change.
-		oldW, newW := s.net.G.Edge(eid).W, graph.QuantiseWeight(s.agg[eid].w)
+		oldW, newW := s.net.G.Edge(eid).W, graph.QuantiseWeight(r.w)
 		switch {
 		case newW < oldW:
 			decs = append(decs, edgeChange{eid: eid, oldW: oldW, newW: newW, decrease: true})

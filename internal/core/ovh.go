@@ -213,6 +213,11 @@ func (e *OVH) Rebuild() {
 // Queries implements Engine.
 func (e *OVH) Queries() []QueryID { return e.qt.ids() }
 
+// StepStats returns OVH's work counters, summed over its worker arenas: its
+// from-scratch expansions count NodesVerified like the incremental
+// engines'. Read it between steps.
+func (e *OVH) StepStats() StepStats { return e.arenas.stats() }
+
 // SizeBytes implements Engine. OVH needs only the result sets between
 // timestamps; what it holds is each monitor's candidate store, the result
 // and whatever the last expansion scanned beyond it.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"runtime"
 	"slices"
 
@@ -10,27 +11,29 @@ import (
 )
 
 // This file holds what happens to an update once monitorSet.route
-// (monitorset.go) has routed it to a monitor as a monOp. There is one
-// interpreter, apply, and two delivery policies, chosen per step:
+// (monitorset.go) has routed it to a monitor as a monOp: an edge change, an
+// in-tree move, or one edge's run of object reports. There is one
+// interpreter, apply, with one classifier for the runs, classify, and two
+// delivery policies, chosen per step:
 //
 //   - unsharded (Workers == 1, or a single monitor): deliver applies the op
-//     on the spot. Nothing is materialised: an op that does not concern the
-//     monitor — most (object, monitor) offers fail the predicate — leaves no
+//     on the spot. Nothing is materialised: a run that does not concern the
+//     monitor — most (report, monitor) offers fail the predicate — leaves no
 //     trace, and one that does creates the monitor's work entry.
 //   - sharded: deliver queues the op on the monitor's work entry; finish sorts
 //     the entries by monitor id and each is replayed through apply on the
 //     worker pool. Monitors only read shared state (frozen once routing is
-//     over) and write their own; the one shared structure they would write —
-//     the influence table — is redirected into a per-entry buffer, applied
-//     in ascending monitor order when the workers are done.
+//     over: a run op points into the step's sorted run buffer) and write
+//     their own; the one shared structure they would write — the influence
+//     table — is redirected into a per-entry buffer, applied in ascending
+//     monitor order when the workers are done.
 //
 // Either way finish finalizes the entries through runShard. Replaying a
 // monitor's ops in routing order reproduces the exact call sequence applying
 // them on the spot makes on that monitor (edge decreases, then increases,
-// then in-tree moves, then object classifications), and the classification
-// predicates (candStore.contains, monitor.covers) read only the monitor's own
-// state plus frozen shared state, so the two policies produce identical
-// results.
+// then re-snap runs, then in-tree moves, then object runs), and the
+// classification reads only the monitor's own state plus frozen shared
+// state, so the two policies produce identical results.
 
 // Options configures engine construction.
 type Options struct {
@@ -105,24 +108,30 @@ const (
 	opEdgeDec opKind = iota
 	// opEdgeInc is monitor.onEdgeIncrease likewise.
 	opEdgeInc
-	// opMove is monitor.onMove(pos) (in-tree moves only; out-of-tree moves
-	// are resolved during routing by flagging needRecompute).
+	// opMove is monitor.onMove to the step's n-th pending move (in-tree moves
+	// only; out-of-tree moves are resolved during routing by flagging
+	// needRecompute).
 	opMove
-	// opOutgoing classifies object n, which left its position and is now at
-	// pos, against the monitor's candidates: the influence list of the
-	// object's previous edge bounds who is asked.
-	opOutgoing
-	// opIncoming classifies object n appearing at pos against the monitor's
-	// covered radius.
-	opIncoming
+	// opResnaps classifies edge n's run of topology re-snaps
+	// (monitorSet.topoMoves), arrivals only.
+	opResnaps
+	// opObjects classifies edge n's run of object reports (monitorSet.objs):
+	// the reports that left the edge and those that arrived on it.
+	opObjects
 )
 
-// monOp is one routed update for one monitor: 24 bytes, the edge ops
-// pointing into the step's shared change list instead of carrying weights.
+// span is the range [lo, hi) of the step's run buffer, monitorSet.offers.
+type span struct{ lo, hi int32 }
+
+// monOp is one routed op for one monitor: 24 bytes, pointing into the step's
+// frozen buffers (change list, pending moves, sorted runs) instead of
+// carrying weights or positions.
 type monOp struct {
 	kind opKind
-	n    int32 // object ops: the object id; edge ops: index into changeBuf
-	pos  roadnet.Position
+	n    int32 // edge ops: index into changeBuf; opMove: into pendingMoves; runs: the edge
+	// dep and arr are a run's departures and arrivals: indices into its
+	// source batch, in batch order.
+	dep, arr span
 }
 
 // monWork is one monitor's share of the running step: what routing left for
@@ -162,9 +171,10 @@ func (s *monitorSet) work(m *monitor) *monWork {
 }
 
 // deliver hands a routed op to each of ms: queued for the shard stage, or
-// applied at once. Unsharded, the op is classified before the work entry is
-// created, so an offer the monitor declines costs no entry. This loop is the
-// step's hot path — one iteration per (update, influenced monitor) pair.
+// applied at once. Unsharded, a run is classified before the work entry is
+// created, so a run the monitor declines costs no entry. This loop is the
+// step's hot path — one iteration per (edge change or report run,
+// influenced monitor) pair.
 func (s *monitorSet) deliver(ms []*monitor, op monOp) {
 	if s.sharded {
 		for _, m := range ms {
@@ -182,32 +192,64 @@ func (s *monitorSet) deliver(ms []*monitor, op monOp) {
 
 // apply interprets one routed op on m, on worker wk, and reports whether it
 // concerns m, which must then finalize: an edge or move op always does (its
-// handler has run), an object op when the monitor holds the object or covers
-// its new position — the one place the classification predicates are
-// evaluated — and is then recorded as touched.
+// handler has run), a run when classify records one of its reports.
 func (s *monitorSet) apply(m *monitor, op monOp, wk int) bool {
 	switch op.kind {
 	case opEdgeDec:
 		ec := &s.changeBuf[op.n]
 		m.onEdgeDecrease(ec.eid, ec.oldW, ec.newW, s.arena(wk))
-		return true
 	case opEdgeInc:
 		m.onEdgeIncrease(s.changeBuf[op.n].eid, s.arena(wk))
-		return true
 	case opMove:
-		m.onMove(op.pos, s.arena(wk))
-		return true
-	case opOutgoing:
-		if !m.cand.contains(roadnet.ObjectID(op.n)) {
-			return false
+		m.onMove(s.pendingMoves[op.n].pos, s.arena(wk))
+	case opResnaps:
+		return s.classify(m, op, s.topoMoves)
+	case opObjects:
+		return s.classify(m, op, s.objs)
+	}
+	return true
+}
+
+// classify offers m edge op.n's run of reports from src — the one place the
+// classification predicates are evaluated — and records as touched each
+// report that concerns m: a departure when m holds the object, an arrival
+// when its new position lies within cover. The departures are probed in one
+// burst; an arrival's distance is arithmetic on the edge's endpoint
+// distances, read once per run (the float operations of distanceTo, so the
+// outcome is the same bit for bit). A touched entry keeps the distance at
+// the object's new position, for finalize to use as is. It reports whether
+// any report was recorded.
+func (s *monitorSet) classify(m *monitor, op monOp, src []ObjectUpdate) bool {
+	n := len(m.touched)
+	for _, i := range s.offers[op.dep.lo:op.dep.hi] {
+		ou := &src[i]
+		if !m.cand.contains(ou.ID) {
+			continue
 		}
-	case opIncoming:
-		if !m.covers(op.pos) {
-			return false
+		e, d := goneEdge, math.Inf(1)
+		if !ou.Delete && !s.late {
+			e, d = ou.New.Edge, m.distanceTo(ou.New)
+		}
+		m.touched = append(m.touched, s.touchAt(ou.ID, e, d))
+	}
+	if arr := s.offers[op.arr.lo:op.arr.hi]; len(arr) > 0 {
+		e := s.net.G.Edge(graph.EdgeID(op.n))
+		dU, dV := m.ends(e)
+		own, cover := e.ID == m.pos.Edge, m.cand.cover
+		for _, i := range arr {
+			ou := &src[i]
+			d := throughEnds(e, dU, dV, ou.New.Frac)
+			if own {
+				if direct := roadnet.ArcCost(e, ou.New.Frac, m.pos.Frac); direct < d {
+					d = direct
+				}
+			}
+			if d <= cover {
+				m.touched = append(m.touched, s.touchAt(ou.ID, e.ID, d))
+			}
 		}
 	}
-	m.touched = append(m.touched, s.touchAt(roadnet.ObjectID(op.n), op.pos))
-	return true
+	return len(m.touched) > n
 }
 
 // finish restores every monitor the step reached (Fig. 10 lines 20-26) and

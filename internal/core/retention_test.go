@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"unsafe"
 	"weak"
 
+	"roadknn/internal/gen"
 	"roadknn/internal/graph"
 	"roadknn/internal/idtable"
 	"roadknn/internal/roadnet"
@@ -171,4 +173,43 @@ func storeBytes(c *candStore) int {
 func slotBytes[V any](m *idtable.Map[V]) int {
 	var v V
 	return m.Slots() * int(unsafe.Sizeof(int32(0))+unsafe.Sizeof(v))
+}
+
+// TestRouteBuffersBoundedBySteadyTick loads a population of 100K objects in
+// one Step, then runs steady ticks that move 4% of them. The route's run
+// buffer grew to the load; after the first steady tick it must hold at most
+// twice what a steady tick uses (the capacity rule of fitted), and its
+// per-edge counters follow the edge id space, not the batch.
+func TestRouteBuffersBoundedBySteadyTick(t *testing.T) {
+	const objects, moves = 100_000, 4_000
+	rng := rand.New(rand.NewSource(8))
+	net := roadnet.NewNetwork(gen.SanFranciscoLike(500, 8))
+	e := NewIMAWith(net, Options{Workers: 1})
+	defer e.Close()
+	for q := range 20 {
+		e.Register(QueryID(q), net.UniformPosition(rng), 10)
+	}
+	load := make([]ObjectUpdate, objects)
+	for i := range load {
+		load[i] = ObjectUpdate{ID: roadnet.ObjectID(i), New: net.UniformPosition(rng), Insert: true}
+	}
+	e.Step(Updates{Objects: load})
+	if got := cap(e.set.offers); got < objects {
+		t.Fatalf("the load step's run buffer has capacity %d, less than its %d insertions", got, objects)
+	}
+	need := 0 // the most a steady tick used
+	for ts := range 8 {
+		batch := make([]ObjectUpdate, moves)
+		for i := range batch {
+			batch[i] = ObjectUpdate{ID: roadnet.ObjectID(rng.Intn(objects)), New: net.UniformPosition(rng)}
+		}
+		e.Step(Updates{Objects: batch})
+		need = max(need, 2*len(batch))
+		if got := cap(e.set.offers); got > 2*need {
+			t.Errorf("steady tick %d: run buffer capacity %d, past twice the %d entries a steady tick used", ts, got, need)
+		}
+	}
+	if got, want := len(e.set.runAt), 2*net.G.NumEdges(); got != want {
+		t.Errorf("%d per-edge run counters for %d edges, want %d", got, net.G.NumEdges(), want)
+	}
 }

@@ -9,16 +9,18 @@ import (
 
 // applyTopologyOps applies one timestamp's edge edits to net in batch order,
 // cross-checking the deterministic id assignment of insertions, and appends
-// to moves the object re-snaps performed by removals (in application order;
-// each removal's moves are sorted by object id). All three engines funnel
-// their topology phase through this helper so the network-level effects —
-// edge set, freelist state, re-snap targets — are identical across engines
-// and across replays.
-func applyTopologyOps(net *roadnet.Network, topo []TopologyUpdate, moves []roadnet.ObjectMove) []roadnet.ObjectMove {
+// to moves the object re-snaps performed by removals, each as a move to its
+// new position (in application order; each removal's moves are sorted by
+// object id). All three engines funnel their topology phase through this
+// helper so the network-level effects — edge set, freelist state, re-snap
+// targets — are identical across engines and across replays.
+func applyTopologyOps(net *roadnet.Network, topo []TopologyUpdate, moves []ObjectUpdate) []ObjectUpdate {
 	for _, op := range topo {
 		switch op.Op {
 		case TopoRemove:
-			moves = append(moves, net.RemoveEdge(op.Edge)...)
+			for _, mv := range net.RemoveEdge(op.Edge) {
+				moves = append(moves, ObjectUpdate{ID: mv.ID, New: mv.New})
+			}
 		case TopoAdd:
 			id := net.AddEdge(op.U, op.V, op.W)
 			if op.Edge != graph.NoEdge && id != op.Edge {

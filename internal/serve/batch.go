@@ -589,19 +589,20 @@ func (b *Batcher) commit() {
 // topology section now applies first, so a weight report that a later
 // request in its tick outdated by removing the edge must be kept, not
 // rejected — the engine drops it deterministically.
-func (b *Batcher) Replay(u roadknn.Updates) {
+//
+// A road insertion that is assigned another edge id than the one logged
+// means the log was written against another network file (or is corrupt):
+// Replay then stops and returns an error, and the batcher is fit only to be
+// discarded.
+func (b *Batcher) Replay(u roadknn.Updates) error {
 	for _, tp := range u.Topology {
 		if tp.Op == roadknn.TopoRemove {
 			b.removeEdge(tp.Edge)
 			continue
 		}
-		id := b.AddEdge(tp.U, tp.V, tp.W)
-		if tp.Edge >= 0 && tp.Edge != id {
-			// The simulator re-derived a different id than the original run
-			// recorded: wrong network file or corrupt log. Keep the recorded
-			// id in the pending op so the engine's own assertion fails
-			// loudly on Step instead of silently renumbering the edge space.
-			b.topoPend[len(b.topoPend)-1].Edge = tp.Edge
+		if id := b.AddEdge(tp.U, tp.V, tp.W); tp.Edge >= 0 && tp.Edge != id {
+			return fmt.Errorf("a logged road insertion is assigned edge %d, the log says %d "+
+				"(is this the network file the log was written against?)", id, tp.Edge)
 		}
 	}
 	for _, e := range u.Edges {
@@ -621,6 +622,7 @@ func (b *Batcher) Replay(u roadknn.Updates) {
 			b.query(q.ID, q.K, q.New)
 		}
 	}
+	return nil
 }
 
 // ReconcileTopology repairs the applied-state view after a tick whose

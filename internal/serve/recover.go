@@ -84,8 +84,11 @@ func (s *Server) Recover(rec *wal.Recovery) (RecoveryStats, error) {
 		// been acknowledged but not ticked, so they go back to exactly that
 		// state and the next tick logs and applies them normally.
 		s.batchMu.Lock()
-		s.batch.Replay(*rec.Pending)
+		err := s.batch.Replay(*rec.Pending)
 		s.batchMu.Unlock()
+		if err != nil {
+			return st, fmt.Errorf("serve: pending updates: %w", err)
+		}
 		st.PendingReplayed = true
 	}
 

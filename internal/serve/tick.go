@@ -94,9 +94,12 @@ func (s *Server) advance(seq uint64, u roadknn.Updates, want *wal.TickRecord) (t
 // drained Updates are exactly those of the tick that logged it.
 func (s *Server) replay(b wal.BatchRecord) (ticked, error) {
 	s.batchMu.Lock()
-	s.batch.Replay(b.Updates)
+	err := s.batch.Replay(b.Updates)
 	u := s.batch.Drain()
 	s.batchMu.Unlock()
+	if err != nil {
+		return ticked{}, fmt.Errorf("serve: tick %d: %w", b.Seq, err)
+	}
 	return s.advance(b.Seq, u, b.Tick)
 }
 
@@ -217,7 +220,10 @@ func (s *Server) installCheckpoint(c *wal.Checkpoint) error {
 	// which Step applies before everything else): it reconstructs the exact
 	// edge set — including deterministic id reuse — that the checkpointed
 	// positions and weights refer to.
-	s.batch.Replay(roadknn.Updates{Topology: c.Topology})
+	if err := s.batch.Replay(roadknn.Updates{Topology: c.Topology}); err != nil {
+		s.batchMu.Unlock()
+		return fmt.Errorf("serve: checkpoint (stamp %d): %w", c.Stamp, err)
+	}
 	for _, e := range c.Edges {
 		s.batch.edge(e.Edge, e.W)
 	}

@@ -406,6 +406,48 @@ func TestServeRecoverRejectsWrongNetwork(t *testing.T) {
 	}
 }
 
+// TestServeRecoverFreshEdgeOnWrongNetwork logs a road insertion that takes
+// a fresh edge id (171, one past the log's network) and recovers against a
+// network with fewer edges, where the same insertion is assigned another
+// id. Recovery must return its "network file" error, not panic in the
+// engine's id check.
+func TestServeRecoverFreshEdgeOnWrongNetwork(t *testing.T) {
+	mem := wal.NewMemFS()
+	s1, _, rec1 := newWALServer(t, mem, 0)
+	if _, err := s1.Recover(rec1); err != nil {
+		t.Fatal(err)
+	}
+	var id roadknn.EdgeID
+	ingest(s1, func(b *Batcher) {
+		b.Object(1, roadknn.Position{Edge: 5, Frac: 0.5})
+		id = b.AddEdge(0, 7, 2)
+	})
+	s1.Tick()
+	s1.Close()
+	if n := roadknn.GenerateNetwork(150, 3).G.NumEdges(); int(id) != n {
+		t.Fatalf("the insertion took edge %d, want the fresh id %d", id, n)
+	}
+
+	eng := roadknn.NewIMAWith(roadknn.GenerateNetwork(120, 99), roadknn.Options{Workers: 1, Serving: true})
+	l, rec2, err := wal.Open(mem, wal.Options{})
+	if err != nil {
+		eng.Close()
+		t.Fatal(err)
+	}
+	s2 := New(eng, Config{WAL: l})
+	defer s2.Close()
+	if _, err := s2.Recover(rec2); err == nil {
+		t.Fatal("recovery against the wrong network succeeded")
+	} else if !strings.Contains(err.Error(), "network file") {
+		t.Fatalf("unexpected recovery error: %v", err)
+	} else {
+		t.Log(err)
+	}
+	if s2.Ready() {
+		t.Fatal("server became ready despite failed recovery")
+	}
+}
+
 // newAutoEngine builds the adaptive engine for the migration-boundary
 // crash test: PlanEvery 3 makes the in-step re-plans land exactly on the
 // CheckpointEvery-3 checkpoint boundaries, the adversarial alignment.

@@ -86,9 +86,21 @@ func BenchmarkAUTOHotspot(b *testing.B) {
 // BenchmarkAUTOHotspotW2 is hotspot_auto as benched, on 2 workers, with
 // update generation outside the timer: it times Step alone.
 func BenchmarkAUTOHotspotW2(b *testing.B) {
-	cfg := hotspot()
+	benchSteps(b, hotspot(), func(n *roadnet.Network) core.Engine { return planner.NewWith(n, core.Options{Workers: 2}) })
+}
+
+// BenchmarkIMATable2Step is BenchmarkIMATable2 with update generation
+// outside the timer: the paper_default loop's Step alone, as a profiling
+// target for the step pipeline.
+func BenchmarkIMATable2Step(b *testing.B) {
+	benchSteps(b, Default(), func(n *roadnet.Network) core.Engine { return core.NewIMAWith(n, core.Options{Workers: 1}) })
+}
+
+// benchSteps times mk's engine stepping over cfg's traffic, generating each
+// step's updates with the timer stopped.
+func benchSteps(b *testing.B, cfg Config, mk func(*roadnet.Network) core.Engine) {
 	cfg.Timestamps = 1
-	r, _ := NewRunner(cfg, func(n *roadnet.Network) core.Engine { return planner.NewWith(n, core.Options{Workers: 2}) })
+	r, _ := NewRunner(cfg, mk)
 	defer r.Engine().Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
