@@ -336,6 +336,9 @@ func (m *monitor) runExpansion(sc *scratch) int {
 // Edges fully inside cover (every point within it, under current weights
 // and tree distances) hold only objects that are already candidates, so
 // only partially covered edges — the edges carrying marks — are rescanned.
+// Point by point, the same holds on a rescanned edge: an object whose
+// distance through the rescanning node (or its ArcCost, on the own edge) is
+// below seen is already in cand at its exact distance, at most this one.
 // cover itself starts over: the frontier is rebuilt here, and whatever was
 // dropped beyond the old cover lies on an edge this rescans or past a node
 // it can still verify; the caller caps it at the tree nodes it leaves
@@ -350,7 +353,9 @@ func (m *monitor) reexpand(sc *scratch) int {
 
 	e := g.Edge(m.pos.Edge)
 	for _, oe := range m.net.ObjectsOn(m.pos.Edge) {
-		m.cand.add(oe.ID, roadnet.ArcCost(e, oe.Frac, m.pos.Frac), m.pos.Edge)
+		if d := roadnet.ArcCost(e, oe.Frac, m.pos.Frac); d >= seen {
+			m.cand.add(oe.ID, d, m.pos.Edge)
+		}
 	}
 	if !m.tree.has(e.U) {
 		sc.heap.Push(int32(e.U), roadnet.CostFromU(e, m.pos.Frac))
@@ -375,7 +380,9 @@ func (m *monitor) reexpand(sc *scratch) int {
 			}
 			if !covered {
 				for _, oe := range m.net.ObjectsOn(eid) {
-					m.cand.add(oe.ID, nDist+roadnet.CostFrom(ed, n, oe.Frac), eid)
+					if d := nDist + roadnet.CostFrom(ed, n, oe.Frac); d >= seen {
+						m.cand.add(oe.ID, d, eid)
+					}
 				}
 			}
 			if !m.tree.has(nadj) {

@@ -106,22 +106,11 @@ type publisher struct {
 	stamp  uint64
 	// version is the query table's at the last publication.
 	version uint64
-	// dqBuf accumulates one epoch's QueryDeltas, updBuf/leftBuf are the
-	// reused arenas its diffResult calls append to, and spans where each
-	// diffed query's entries end in them; sealDelta copies all three out at
-	// their exact size when the walk ends.
-	dqBuf   []QueryDelta
-	updBuf  []Neighbor
-	leftBuf []roadnet.ObjectID
-	spans   []deltaSpan
-	cur     atomic.Pointer[Snapshot]
+	// nq, nl and nu count the last epoch's QueryDeltas, Left objects and
+	// Updated entries, to presize the next epoch's arrays (its Delta's).
+	nq, nl, nu int
+	cur        atomic.Pointer[Snapshot]
 }
-
-// deltaSpan locates one diffed query's entries in the publisher's arenas:
-// the query is the epoch's q-th QueryDelta, its Left entries end at leftBuf
-// [left] and its Updated entries at updBuf[upd]; each starts where the span
-// before it ends.
-type deltaSpan struct{ q, left, upd int }
 
 // init configures the publisher. With serving enabled an empty epoch-0
 // snapshot is installed immediately so Snapshot() is never nil on a
@@ -192,9 +181,10 @@ func (p *publisher) publish(t *queryTable) {
 		p.version = t.version
 		snap.ids, res = t.ids(), make([][]Neighbor, len(rows))
 	}
-	// dq accumulates the per-epoch delta (ascending by id, the walk order)
-	// when delta emission is on, in the publisher's reused buffer.
-	dq := p.dqBuf[:0]
+	// dq, left and upd accumulate the epoch's delta (ascending by id) when
+	// delta emission is on; they become its arrays. Being made, they give
+	// every diffed entry a non-nil Left, which is how sealDelta finds them.
+	dq, left, upd := make([]QueryDelta, 0, p.nq), make([]roadnet.ObjectID, 0, p.nl), make([]Neighbor, 0, p.nu)
 	j := 0 // merge cursor into prev.ids (both lists ascend)
 	for i := range rows {
 		id, cur := rows[i].id, rows[i].result()
@@ -216,9 +206,9 @@ func (p *publisher) publish(t *queryTable) {
 			switch {
 			case !p.deltas:
 			case known:
-				p.diffResult(prev.res[j], row)
-				p.spans = append(p.spans, deltaSpan{q: len(dq), left: len(p.leftBuf), upd: len(p.updBuf)})
-				dq = append(dq, QueryDelta{ID: id})
+				l0, u0 := len(left), len(upd)
+				left, upd = diffResult(left, upd, prev.res[j], row)
+				dq = append(dq, QueryDelta{ID: id, Left: left[l0:], Updated: upd[u0:]})
 			default: // newly registered query: its whole result enters
 				dq = append(dq, QueryDelta{ID: id, Updated: row})
 			}
@@ -238,21 +228,20 @@ func (p *publisher) publish(t *queryTable) {
 		for ; j < len(prev.ids); j++ {
 			dq = append(dq, QueryDelta{ID: prev.ids[j], Removed: true})
 		}
-		snap.delta = &Delta{epoch: snap.epoch, stamp: snap.stamp, Queries: p.sealDelta(dq)}
+		snap.delta = &Delta{epoch: snap.epoch, stamp: snap.stamp, Queries: p.sealDelta(dq, left, upd)}
 	}
 	p.cur.Store(snap)
 }
 
 // diffResult computes one changed query's delta entries — which objects left
 // its result and which entries entered or changed distance — and appends them
-// to the epoch's arenas. Both inputs are in canonical (distance, object)
-// order, so the entries that kept their exact distance pair up in one merge;
-// what it leaves over of cur is Updated, and what it leaves over of prev, less
-// the objects among those, is Left. The entries follow the inputs' orders, so
-// identical histories produce byte-identical deltas on every replica.
-func (p *publisher) diffResult(prev, cur []Neighbor) {
-	l0, u0 := len(p.leftBuf), len(p.updBuf)
-	upd, left := p.updBuf, p.leftBuf
+// to left and upd. Both inputs are in canonical (distance, object) order,
+// so the entries that kept their exact distance pair up in one merge; what
+// it leaves over of cur is Updated, and what it leaves over of prev, less
+// the objects among those, is Left. The entries follow the inputs' orders,
+// so identical histories produce byte-identical deltas on every replica.
+func diffResult(left []roadnet.ObjectID, upd []Neighbor, prev, cur []Neighbor) ([]roadnet.ObjectID, []Neighbor) {
+	l0, u0 := len(left), len(upd)
 	for i, j := 0, 0; i < len(prev) || j < len(cur); {
 		switch {
 		case j == len(cur) || (i < len(prev) && neighborBefore(prev[i], cur[j])):
@@ -274,37 +263,44 @@ func (p *publisher) diffResult(prev, cur []Neighbor) {
 			gone = append(gone, obj)
 		}
 	}
-	p.updBuf, p.leftBuf = upd, gone
+	return gone, upd
 }
 
-// sealDelta ends an epoch's diff and returns its QueryDeltas: dq and the
-// arenas are copied into one []QueryDelta, one []Neighbor and one
-// []ObjectID of exactly their size — the delta outlives the publisher's
-// buffers, and three allocations an epoch replace two per changed query and
-// a growing list — and every diffed QueryDelta is handed its capped
-// sub-slice, nil where empty (a decoded delta has nil there, and equality
-// tests and the JSON encoders' omitempty tell the two apart).
-func (p *publisher) sealDelta(dq []QueryDelta) []QueryDelta {
-	var out []QueryDelta
-	if len(dq) > 0 {
-		out = append(make([]QueryDelta, 0, len(dq)), dq...)
-	}
-	clear(dq) // the buffer must not keep this epoch's rows reachable
-	p.dqBuf = dq[:0]
-	left := append(make([]roadnet.ObjectID, 0, len(p.leftBuf)), p.leftBuf...)
-	upd := append(make([]Neighbor, 0, len(p.updBuf)), p.updBuf...)
+// sealDelta turns the epoch's arrays into its Delta's and records their
+// lengths to presize the next epoch's. Each diffed QueryDelta (non-nil
+// Left) is re-pointed at its capped span of the final left and upd, found
+// by length: a span taken before an append grew its array still points into
+// the old one. Empty spans become nil, as in a decoded delta (equality
+// tests and the JSON encoders' omitempty tell the two apart). An array
+// that grew carries at most one growth step of spare room; one that used
+// under four fifths of its presize is copied out exactly, so a quiet epoch
+// after a churn epoch keeps no churn-sized array.
+func (p *publisher) sealDelta(dq []QueryDelta, left []roadnet.ObjectID, upd []Neighbor) []QueryDelta {
+	dq, left, upd = sealed(dq, p.nq), sealed(left, p.nl), sealed(upd, p.nu)
+	p.nq, p.nl, p.nu = len(dq), len(left), len(upd)
 	l0, u0 := 0, 0
-	for _, sp := range p.spans {
-		if sp.left > l0 {
-			out[sp.q].Left = left[l0:sp.left:sp.left]
+	for i := range dq {
+		q := &dq[i]
+		if q.Left == nil {
+			continue // removed, or newly registered: Updated is its snapshot row
 		}
-		if sp.upd > u0 {
-			out[sp.q].Updated = upd[u0:sp.upd:sp.upd]
-		}
-		l0, u0 = sp.left, sp.upd
+		l, u := l0+len(q.Left), u0+len(q.Updated)
+		q.Left, q.Updated = sealed(left[l0:l:l], 0), sealed(upd[u0:u:u], 0)
+		l0, u0 = l, u
 	}
-	p.leftBuf, p.updBuf, p.spans = p.leftBuf[:0], p.updBuf[:0], p.spans[:0]
-	return out
+	return dq
+}
+
+// sealed returns s, presized for c entries, as a delta keeps it: nil when
+// empty, an exact copy when it used under four fifths of c.
+func sealed[S ~[]E, E any](s S, c int) S {
+	switch {
+	case len(s) == 0:
+		return nil
+	case 5*len(s) < 4*c:
+		return slices.Clone(s)
+	}
+	return s
 }
 
 // neighborBefore is the canonical result order: by distance, ties by object

@@ -31,14 +31,27 @@ import (
 // AppendBinary appends the snapshot's canonical encoding to buf and
 // returns the extended slice. Safe for concurrent use (snapshots are
 // immutable).
-func (s *Snapshot) AppendBinary(buf []byte) []byte {
+func (s *Snapshot) AppendBinary(buf []byte) []byte { return s.encode(buf, nil) }
+
+// encode appends the encoding to buf. With fold set, buf is a chunk handed
+// to fold and started over before a piece that would overrun cap(buf); the
+// caller folds what encode returns.
+func (s *Snapshot) encode(buf []byte, fold func([]byte)) []byte {
+	room := func(n int) {
+		if fold != nil && len(buf)+n > cap(buf) {
+			fold(buf)
+			buf = buf[:0]
+		}
+	}
 	buf = binary.LittleEndian.AppendUint64(buf, s.epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, s.stamp)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.ids)))
 	for i, id := range s.ids {
+		room(8)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.res[i])))
 		for _, nb := range s.res[i] {
+			room(12)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(nb.Obj))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(nb.Dist))
 		}
@@ -61,25 +74,17 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	return s.AppendBinary(nil), nil
 }
 
-// CRC returns the IEEE CRC32 of the snapshot's canonical encoding,
-// appending the intermediate bytes to buf (callers reuse buf to keep the
-// per-tick checksum allocation-free). The returned slice is buf extended;
-// the checksum covers only the bytes appended by this call.
-func (s *Snapshot) CRC(buf []byte) (uint32, []byte) {
-	start := len(buf)
-	buf = s.AppendBinary(buf)
-	crc := crc32.ChecksumIEEE(buf[start:])
-	s.crcOnce.Do(func() { s.crcVal = crc })
-	return crc, buf
-}
+const crcChunk = 4096 // what a checksum allocates, whatever the snapshot weighs
 
-// CRC32 returns the IEEE CRC32 of the snapshot's canonical encoding,
+// CRC32 returns the IEEE CRC32 of the snapshot's canonical encoding —
+// crc32.ChecksumIEEE(s.AppendBinary(nil)), folded a chunk at a time —
 // computed at most once per snapshot (immutability makes the value
-// cacheable). This is the per-tick checksum the WAL logs and follower
-// replicas verify against; safe for concurrent use.
+// cacheable). This is the per-tick checksum the WAL logs, follower replicas
+// verify against and /v1/stats reports; safe for concurrent use.
 func (s *Snapshot) CRC32() uint32 {
 	s.crcOnce.Do(func() {
-		s.crcVal = crc32.ChecksumIEEE(s.AppendBinary(nil))
+		fold := func(b []byte) { s.crcVal = crc32.Update(s.crcVal, crc32.IEEETable, b) }
+		fold(s.encode(make([]byte, 0, crcChunk), fold))
 	})
 	return s.crcVal
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"roadknn/internal/gen"
@@ -62,10 +64,60 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		t.Fatal("snapshots at different epochs encoded identically")
 	}
 
-	crc1, _ := snap.CRC(nil)
-	crc2, _ := snap.CRC(make([]byte, 0, 64))
-	if crc1 != crc2 {
-		t.Fatalf("CRC depends on the scratch buffer: %08x vs %08x", crc1, crc2)
+	if got, want := snap.CRC32(), crc32.ChecksumIEEE(enc); got != want {
+		t.Fatalf("CRC32 %08x, the checksum of the encoding %08x", got, want)
+	}
+}
+
+// TestCRC32MatchesEncoding holds the chunked CRC32 to the checksum of the
+// whole encoding at the chunk's edges: no rows, a row longer than a chunk,
+// rows that end exactly where a chunk does (and one neighbour short of it),
+// and a snapshot of Table 2's size (5,000 queries, k = 50).
+func TestCRC32MatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	// rows builds a snapshot with one row per length given.
+	rows := func(lens ...int) *Snapshot {
+		s := &Snapshot{epoch: rng.Uint64(), stamp: rng.Uint64()}
+		for i, n := range lens {
+			row := make([]Neighbor, n)
+			for j := range row {
+				row[j] = Neighbor{Obj: roadnet.ObjectID(rng.Int31()), Dist: rng.Float64() * 100}
+			}
+			s.ids = append(s.ids, QueryID(i*3+1))
+			s.res = append(s.res, row)
+		}
+		return s
+	}
+	// first is the neighbour count of a first row that ends exactly on the
+	// first chunk boundary, pair that of each of two rows that together fill
+	// the next chunk.
+	first, pair := (crcChunk-20-8)/12, (crcChunk/2-8)/12
+	if 20+8+first*12 != crcChunk || 2*(8+pair*12) != crcChunk {
+		t.Fatalf("test premise: no rows end on the chunk boundaries")
+	}
+	table2 := make([]int, 5000)
+	for i := range table2 {
+		table2[i] = 50
+	}
+	for _, c := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"empty", &Snapshot{}},
+		{"empty at an epoch", rows()},
+		{"rows without neighbours", rows(0, 0, 0)},
+		{"a row longer than a chunk", rows(3, 3*crcChunk/12, 2)},
+		{"a row ending on the chunk boundary", rows(first)},
+		{"rows ending on two chunk boundaries", rows(first, pair, pair, 1)},
+		{"a row one neighbour short of the boundary", rows(first-1, 5)},
+		{"a row one neighbour past the boundary", rows(first+1, 5)},
+		{"a chunk of row headers", rows(make([]int, 2*crcChunk/8)...)},
+		{"Table 2's size", rows(table2...)},
+	} {
+		enc := c.snap.AppendBinary(nil)
+		if got, want := c.snap.CRC32(), crc32.ChecksumIEEE(enc); got != want {
+			t.Errorf("%s (%d bytes): CRC32 %08x, the checksum of the encoding %08x", c.name, len(enc), got, want)
+		}
 	}
 }
 

@@ -157,9 +157,7 @@ func TestOverrideOnlyCheckpointInstalls(t *testing.T) {
 	if _, err := s2.Recover(rec2); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s2.eng.Snapshot().CRC(nil)
-	want, _ := snap.CRC(nil)
-	if got != want {
+	if got, want := s2.eng.Snapshot().CRC32(), snap.CRC32(); got != want {
 		t.Fatalf("recovered snapshot crc %08x, the live server's %08x", got, want)
 	}
 }

@@ -158,10 +158,7 @@ type Server struct {
 	batch   *Batcher
 
 	// stepMu serializes ticks (wall-clock and HTTP-triggered); see tick.go.
-	// It also guards enc, the one encoding buffer every tick's checksum,
-	// verification and checkpoint image is built in.
 	stepMu sync.Mutex
-	enc    []byte
 
 	// broker holds the published epochs every read route answers from; the
 	// stepper publishes to it, then wakes the waiters parked on it.

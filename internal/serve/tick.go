@@ -75,12 +75,10 @@ func (s *Server) advance(seq uint64, u roadknn.Updates, want *wal.TickRecord) (t
 		return t, fmt.Errorf("serve: tick %d reached epoch %d/stamp %d, its record says %d/%d",
 			seq, t.snap.Epoch(), t.snap.Timestamp(), want.Epoch, want.Stamp)
 	}
-	// One encoding buffer serves every tick: a fresh one per tick is the
-	// size of a snapshot, a third of what recovery allocates. Snapshot.CRC
-	// also memoises the value, which is what /v1/stats reports. A record
-	// with SnapCRC 0 was written with verification off.
+	// CRC32 encodes a few KiB at a time and memoises the value /v1/stats
+	// reports. A record with SnapCRC 0 was written with verification off.
 	if (want == nil && s.cfg.WAL != nil) || (want != nil && want.SnapCRC != 0) {
-		t.crc, s.enc = t.snap.CRC(s.enc[:0])
+		t.crc = t.snap.CRC32()
 		if want != nil && t.crc != want.SnapCRC {
 			return t, fmt.Errorf("serve: tick %d produced snapshot crc %08x, its record says %08x "+
 				"(is this the network file the log was written against?)", seq, t.crc, want.SnapCRC)
@@ -171,9 +169,9 @@ func (s *Server) Tick() *roadknn.Snapshot {
 // applied objects, queries and topology op log, which coincide with the
 // engine's at a tick boundary; every live edge's weight, read from the
 // engine's graph, which no Step changes while stepMu is held; and snap's
-// encoding for installCheckpoint to verify against. Failures are recorded
-// for /v1/stats and retried at the next interval — the log keeps growing
-// meanwhile, so nothing is lost.
+// exactly sized encoding for installCheckpoint to verify against. Failures
+// are recorded for /v1/stats and retried at the next interval — the log
+// keeps growing meanwhile, so nothing is lost.
 func (s *Server) writeCheckpoint(snap *roadknn.Snapshot) {
 	s.batchMu.Lock()
 	objs, qrys, topo := s.batch.CheckpointState()
@@ -181,7 +179,6 @@ func (s *Server) writeCheckpoint(snap *roadknn.Snapshot) {
 	g := s.eng.Network().G
 	edges := make([]wal.EdgeState, 0, g.NumLiveEdges())
 	g.ForEachEdge(func(e *graph.Edge) { edges = append(edges, wal.EdgeState{Edge: e.ID, W: e.W}) })
-	s.enc = snap.AppendBinary(s.enc[:0])
 	err := s.cfg.WAL.WriteCheckpoint(&wal.Checkpoint{
 		Epoch:    snap.Epoch(),
 		Stamp:    s.seq,
@@ -189,7 +186,7 @@ func (s *Server) writeCheckpoint(snap *roadknn.Snapshot) {
 		Queries:  qrys,
 		Edges:    edges,
 		Topology: topo,
-		Snapshot: s.enc,
+		Snapshot: snap.AppendBinary(make([]byte, 0, snap.EncodedLen())),
 	})
 	s.walErrMu.Lock()
 	s.ckptErr = ""
@@ -237,10 +234,7 @@ func (s *Server) installCheckpoint(c *wal.Checkpoint) error {
 	s.batchMu.Unlock()
 	s.step(c.Stamp, u)
 	cr.RestoreClock(c.Epoch, c.Stamp)
-	// Sizing the encoding buffer here keeps the replay that follows from
-	// growing it tick by tick.
-	s.enc = s.eng.Snapshot().AppendBinary(make([]byte, 0, len(c.Snapshot)))
-	if !bytes.Equal(s.enc, c.Snapshot) {
+	if !bytes.Equal(s.eng.Snapshot().AppendBinary(make([]byte, 0, len(c.Snapshot))), c.Snapshot) {
 		return fmt.Errorf("serve: checkpoint install diverged from the checkpointed snapshot "+
 			"(stamp %d): is this the network file it was written against?", c.Stamp)
 	}
